@@ -9,12 +9,9 @@ machine-parseable line `error: <kind>: <reason>` on stderr.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from fractions import Fraction
-
-import numpy as np
 
 from . import __version__
 from .conversions import convert, hub_coords
@@ -25,8 +22,8 @@ from .documents import (
     diagram_to_document,
     dump_json,
     load_diagram,
+    load_document,
     load_point_set,
-    sniff_document,
 )
 from .errors import (
     DimensionUnsupported,
@@ -35,11 +32,10 @@ from .errors import (
     NoExplicitGeometry,
     ParseError,
 )
-from .hvd import delaunay, detect_degeneracies, verify, voronoi
-from .models import Curvature, ModelTag, validate_point
+from .hvd import delaunay, detect_degeneracies, verify, verify_cells, voronoi
+from .models import Curvature, ModelTag
 from .render import render_svg
-from .sampling import ball_points
-from .scalars import as_floats
+from .sampling import SEED_LIMIT
 
 EXIT_OK = 0
 EXIT_DISAGREEMENT = 1
@@ -83,7 +79,15 @@ def _apply_overrides(doc: PointSetDocument, args) -> PointSetDocument:
     return doc
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < SEED_LIMIT:
+        raise ParseError(f"--seed must be in [0, 2**128), got {seed}")
+
+
 def cmd_compute(args) -> int:
+    _check_seed(args.seed)
+    if args.verify < 0:
+        raise ParseError(f"--verify must be >= 0, got {args.verify}")
     doc = _apply_overrides(load_point_set(args.input), args)
     points = doc.model_points()
     dia = voronoi(points, route=args.route)
@@ -159,14 +163,16 @@ def _print_report(report, label: str) -> int:
 
 
 def cmd_check(args) -> int:
-    kind = sniff_document(args.input)
-    if kind == "point-set":
-        doc = _apply_overrides(load_point_set(args.input), args)
-        dia = voronoi(doc.model_points(), route=args.route)
-        report = verify(dia, args.samples, args.seed)
-        return _print_report(report, f"recomputed diagram of {args.input}")
-    report = _check_stored_diagram(load_diagram(args.input), args.samples, args.seed)
-    return _print_report(report, f"stored diagram {args.input}")
+    _check_seed(args.seed)
+    if args.samples < 1:
+        raise ParseError(f"--samples must be >= 1, got {args.samples}")
+    doc = load_document(args.input)
+    if isinstance(doc, DiagramDocument):
+        report = _check_stored_diagram(doc, args.samples, args.seed)
+        return _print_report(report, f"stored diagram {args.input}")
+    dia = voronoi(_apply_overrides(doc, args).model_points(), route=args.route)
+    report = verify(dia, args.samples, args.seed)
+    return _print_report(report, f"recomputed diagram of {args.input}")
 
 
 def _check_stored_diagram(doc: DiagramDocument, samples: int, seed: int):
@@ -175,83 +181,12 @@ def _check_stored_diagram(doc: DiagramDocument, samples: int, seed: int):
     Consumes the document only: labels come from the stored per-cell
     halfspace lists, the oracle from the echoed input points.
     """
-    from .hvd import BOUNDARY_BAND, NEAREST_TIE_TOL, VerificationReport
-
-    points = doc.input.model_points()
-    for p in points:
-        validate_point(p)
-    d = doc.dimension
-    hubs = np.array([as_floats(hub_coords(p)) for p in points])
-    P, s0 = hubs[:, 1:], hubs[:, 0]
-    X = ball_points(seed, samples, d)
-
-    mats = []
-    for site, empty, hss in doc.cells:
-        if hss:
-            A = np.array([as_floats(hs.normal) for hs in hss.values()], dtype=float)
-            b = np.array([float(hs.offset) for hs in hss.values()], dtype=float)
-            norms = np.linalg.norm(A, axis=1)
-            norms[norms == 0.0] = 1.0
-            A /= norms[:, None]
-            b /= norms
-        else:
-            A = np.zeros((0, d))
-            b = np.zeros(0)
-        mats.append((site, A, b))
-
-    xnorm = 1.0 - (X**2).sum(axis=1)
-    cosh = (1.0 - X @ P.T) / (np.sqrt(xnorm)[:, None] * s0[None, :])
-    oracle = np.argmin(cosh, axis=1)
-
-    excluded = 0
-    disagreements = 0
-    max_gap = 0.0
-    witness = None
-    r = float(Curvature(doc.input.curvature).radius)
-    for k in range(samples):
-        x = X[k]
-        best = None
-        for site, A, b in mats:
-            if len(b):
-                vals = A @ x + b
-                worst = float(vals.max())
-                margin = float(np.abs(vals).min())
-            else:
-                worst, margin = -math.inf, math.inf
-            if best is None or worst < best[0]:
-                best = (worst, site, margin)
-        label, margin = best[1], best[2]
-        if margin < BOUNDARY_BAND:
-            excluded += 1
-            continue
-        o = int(oracle[k])
-        if o == label:
-            continue
-        da = r * math.acosh(max(1.0, float(cosh[k, label])))
-        db = r * math.acosh(max(1.0, float(cosh[k, o])))
-        gap = abs(da - db)
-        if gap <= NEAREST_TIE_TOL:
-            continue
-        disagreements += 1
-        max_gap = max(max_gap, gap)
-        if witness is None:
-            witness = {
-                "sample_index": k,
-                "chart_point": tuple(float(c) for c in x),
-                "diagram_label": int(label),
-                "oracle_label": o,
-                "distance_gap": gap,
-            }
-    checked = samples - excluded
-    return VerificationReport(
-        sample_count=samples,
-        excluded=excluded,
-        checked=checked,
-        disagreements=disagreements,
-        max_gap=max_gap,
-        witness=witness,
-        seed=seed,
-        band=BOUNDARY_BAND,
+    return verify_cells(
+        [(site, halfspaces) for site, _, halfspaces in doc.cells],
+        [hub_coords(p) for p in doc.input.model_points()],
+        Curvature(doc.input.curvature).radius,
+        samples,
+        seed,
     )
 
 

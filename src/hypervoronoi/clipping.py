@@ -35,17 +35,6 @@ class Polygon:
         for k in range(m):
             yield self.tags[k], self.vertices[k], self.vertices[(k + 1) % m]
 
-    def area(self) -> float:
-        if self.empty:
-            return 0.0
-        verts = [as_floats(v) for v in self.vertices]
-        s = 0.0
-        for k in range(len(verts)):
-            x0, y0 = verts[k]
-            x1, y1 = verts[(k + 1) % len(verts)]
-            s += x0 * y1 - x1 * y0
-        return 0.5 * abs(s)
-
 
 def box_polygon(halfwidth, center=(0, 0)) -> Polygon:
     cx, cy = center

@@ -114,24 +114,23 @@ def parse_point_set(data) -> PointSetDocument:
     return PointSetDocument(dimension, curvature, model, scalar, points)
 
 
-def load_point_set(path) -> PointSetDocument:
+def read_json(path):
+    """Parse a JSON file; unreadable or invalid files raise ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: invalid JSON: {e}") from e
     except OSError as e:
         raise ParseError(f"{path}: {e}") from e
-    return parse_point_set(data)
+
+
+def load_point_set(path) -> PointSetDocument:
+    return parse_point_set(read_json(path))
 
 
 def dump_json(data: dict) -> str:
     return json.dumps(data, indent=2, allow_nan=False) + "\n"
-
-
-def save_json(data: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(data))
 
 
 # --- diagram documents --------------------------------------------------------
@@ -276,20 +275,36 @@ class DiagramDocument:
         return self.input.dimension
 
 
+def _site_index(value, count: int, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    if not 0 <= value < count:
+        raise ParseError(f"{what} {value} is out of range for {count} input points")
+    return value
+
+
 def parse_diagram(data) -> DiagramDocument:
     if not isinstance(data, dict) or data.get("format") != DIAGRAM_FORMAT:
         raise ParseError("not a hypervoronoi diagram document")
     try:
         input_doc = parse_point_set(data["input"])
+        count = len(input_doc.points)
         cells = []
-        for cell in data["cells"]:
-            halfspaces = {
-                int(h["neighbor"]): Halfspace(
-                    decode_vector(h["normal"]), decode_number(h["offset"])
-                )
-                for h in cell["halfspaces"]
-            }
-            cells.append((int(cell["site"]), bool(cell["empty"]), halfspaces))
+        for k, cell in enumerate(data["cells"]):
+            site = _site_index(cell["site"], count, f"cell {k} site")
+            halfspaces = {}
+            for h in cell["halfspaces"]:
+                neighbor = _site_index(h["neighbor"], count, f"cell {k} neighbor")
+                normal = decode_vector(h["normal"])
+                if len(normal) != input_doc.dimension:
+                    raise ParseError(
+                        f"cell {k} neighbor {neighbor}: normal has {len(normal)} "
+                        f"coordinates, dimension is {input_doc.dimension}"
+                    )
+                halfspaces[neighbor] = Halfspace(normal, decode_number(h["offset"]))
+            cells.append((site, bool(cell["empty"]), halfspaces))
+        if not cells:
+            raise ParseError("diagram document has no cells")
         adjacency = [tuple(int(v) for v in pair) for pair in data["adjacency"]]
         facets = {
             tuple(int(v) for v in f["pair"]): tuple(
@@ -325,25 +340,12 @@ def parse_diagram(data) -> DiagramDocument:
 
 
 def load_diagram(path) -> DiagramDocument:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: invalid JSON: {e}") from e
-    except OSError as e:
-        raise ParseError(f"{path}: {e}") from e
-    return parse_diagram(data)
+    return parse_diagram(read_json(path))
 
 
-def sniff_document(path) -> str:
-    """Classify a JSON file as 'diagram' or 'point-set' (or raise)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: invalid JSON: {e}") from e
-    except OSError as e:
-        raise ParseError(f"{path}: {e}") from e
+def load_document(path) -> PointSetDocument | DiagramDocument:
+    """Parse a file once as whichever document it holds."""
+    data = read_json(path)
     if isinstance(data, dict) and data.get("format") == DIAGRAM_FORMAT:
-        return "diagram"
-    return "point-set"
+        return parse_diagram(data)
+    return parse_point_set(data)

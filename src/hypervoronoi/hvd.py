@@ -353,56 +353,134 @@ def _collinear_groups(kleins, tol):
 
 
 # --- sampling-based verification ---------------------------------------------
+# One core for `verify` on a built diagram and `check` on a stored document:
+# both supply (site, {neighbor: Halfspace}) cells and the sites' hub lifts.
+
+def cell_matrices(cells, d: int) -> list:
+    """Per cell (site, A, b): halfspace rows in neighbor order, as floats,
+    scaled to unit normals (a zero normal is left unscaled)."""
+    mats = []
+    for site, halfspaces in cells:
+        rows = [halfspaces[j] for j in sorted(halfspaces)]
+        A = np.array([as_floats(hs.normal) for hs in rows], dtype=float).reshape(-1, d)
+        b = np.array([float(hs.offset) for hs in rows], dtype=float)
+        norms = np.linalg.norm(A, axis=1)
+        norms[norms == 0.0] = 1.0
+        mats.append((site, A / norms[:, None], b / norms))
+    return mats
+
+
+def label_samples(X: np.ndarray, mats) -> tuple[np.ndarray, np.ndarray]:
+    """Each sample's cell and its boundary margin.
+
+    The label is the site of the cell with the least maximum halfspace
+    value, the first such cell on ties; the margin is the least |value|
+    over that cell's own halfspaces.  A cell without halfspaces is the
+    whole space.  Loops over cells: temporaries are samples x facets.
+    """
+    XT = np.ascontiguousarray(X.T)  # facets x samples rows reduce fastest
+    labels = np.zeros(len(X), dtype=np.intp)
+    margin = np.full(len(X), np.inf)
+    best = np.full(len(X), np.inf)
+    for site, A, b in mats:
+        if len(b):
+            vals = A @ XT
+            vals += b[:, None]
+            worst = vals.max(axis=0)
+            near = np.abs(vals, out=vals).min(axis=0)
+        else:
+            worst, near = np.full(len(X), -np.inf), np.full(len(X), np.inf)
+        win = worst < best
+        np.copyto(best, worst, where=win)
+        np.copyto(labels, site, where=win)
+        np.copyto(margin, near, where=win)
+    return labels, margin
+
+
+def _oracle_cosh(X: np.ndarray, hubs: np.ndarray) -> np.ndarray:
+    """cosh of the unit-curvature distance from each sample to each site."""
+    xnorm = 1.0 - (X**2).sum(axis=1)
+    return (1.0 - X @ hubs[:, 1:].T) / (np.sqrt(xnorm)[:, None] * hubs[None, :, 0])
+
+
+def oracle_report(
+    X, labels, margin, hubs, radius: float, seed: int, band: float
+) -> VerificationReport:
+    """Compare labels with the nearest-site oracle.
+
+    Samples with margin below `band` are excluded; a label that is not the
+    oracle's disagrees unless the two distances are within NEAREST_TIE_TOL.
+    The witness is the first disagreeing sample.
+    """
+    cosh = _oracle_cosh(X, hubs)
+    oracle = np.argmin(cosh, axis=1)
+    excluded = margin < band
+    rows = np.nonzero(~excluded & (labels != oracle))[0]
+    da = radius * np.arccosh(np.maximum(1.0, cosh[rows, labels[rows]]))
+    db = radius * np.arccosh(np.maximum(1.0, cosh[rows, oracle[rows]]))
+    gaps = np.abs(da - db)
+    wrong = gaps > NEAREST_TIE_TOL
+    rows, gaps = rows[wrong], gaps[wrong]
+    witness = None
+    if len(rows):
+        k = int(rows[0])
+        witness = {
+            "sample_index": k,
+            "chart_point": tuple(float(c) for c in X[k]),
+            "diagram_label": int(labels[k]),
+            "oracle_label": int(oracle[k]),
+            "distance_gap": float(gaps[0]),
+        }
+    return VerificationReport(
+        sample_count=len(X),
+        excluded=int(excluded.sum()),
+        checked=int((~excluded).sum()),
+        disagreements=len(rows),
+        max_gap=float(gaps.max()) if len(rows) else 0.0,
+        witness=witness,
+        seed=seed,
+        band=band,
+    )
+
+
+def _labelled_samples(cells, hub_points, sample_count: int, seed: int):
+    hubs = np.array([as_floats(h) for h in hub_points], dtype=float)
+    d = hubs.shape[1] - 1
+    X = sampling.ball_points(seed, sample_count, d)
+    labels, margin = label_samples(X, cell_matrices(cells, d))
+    return X, labels, margin, hubs
+
+
+def _diagram_cells(diagram: VoronoiDiagram) -> list:
+    return [(cell.site_index, cell.halfspaces) for cell in diagram.complex.cells]
+
 
 def sample_labels(diagram: VoronoiDiagram, sample_count: int, seed: int):
     """Deterministic verification samples with both labelings.
 
-    Returns (samples, power_labels, oracle_labels, boundary_margin):
-    samples in the unit-Klein chart, power labels from point location on
-    the mapped sites, oracle labels from hyperbolic nearest-site, and
-    each sample's distance to the nearest radical hyperplane of its
-    winning site (the boundary-band criterion).
+    Returns (samples, cell_labels, oracle_labels, boundary_margin):
+    samples in the unit-Klein chart, labels from the cells' halfspaces,
+    oracle labels from hyperbolic nearest-site, and each sample's distance
+    to the nearest facet hyperplane of its cell.
     """
-    cx = diagram.complex
-    n = len(cx.sites)
-    d = cx.dimension
-    X = sampling.ball_points(seed, sample_count, d)
+    X, labels, margin, hubs = _labelled_samples(
+        _diagram_cells(diagram), diagram.hub_points, sample_count, seed
+    )
+    return X, labels, np.argmin(_oracle_cosh(X, hubs), axis=1), margin
 
-    C = np.array([as_floats(s.center) for s in cx.sites])
-    W = np.array([float(s.weight) for s in cx.sites])
-    D = ((X[:, None, :] - C[None, :, :]) ** 2).sum(axis=2) - W[None, :]
-    labels = np.argmin(D, axis=1)
 
-    hubs = np.array([as_floats(h) for h in diagram.hub_points])
-    P = hubs[:, 1:]
-    s0 = hubs[:, 0]
-    xnorm = 1.0 - (X**2).sum(axis=1)
-    cosh = (1.0 - X @ P.T) / (np.sqrt(xnorm)[:, None] * s0[None, :])
-    oracle = np.argmin(cosh, axis=1)
-
-    margin = np.full(sample_count, np.inf)
-    if n > 1:
-        normals = np.zeros((n, n, d))
-        offsets = np.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                hs = power.canonical_halfspace(
-                    radical_hyperplane(cx.sites[i], cx.sites[j])
-                )
-                nf = as_floats(hs.normal)
-                ln = math.sqrt(sum(c * c for c in nf)) or 1.0
-                normals[i, j] = np.asarray(nf) / ln
-                offsets[i, j] = float(hs.offset) / ln
-        for i in range(n):
-            mask = labels == i
-            if not mask.any():
-                continue
-            others = [j for j in range(n) if j != i]
-            vals = np.abs(X[mask] @ normals[i, others].T + offsets[i, others][None, :])
-            margin[mask] = vals.min(axis=1)
-    return X, labels, oracle, margin
+def verify_cells(
+    cells,
+    hub_points,
+    radius: float,
+    sample_count: int,
+    seed: int,
+    band: float = BOUNDARY_BAND,
+) -> VerificationReport:
+    """Check (site, {neighbor: Halfspace}) cells against the nearest-site
+    oracle of the sites' hub lifts, on samples 0..sample_count-1 of `seed`."""
+    X, labels, margin, hubs = _labelled_samples(cells, hub_points, sample_count, seed)
+    return oracle_report(X, labels, margin, hubs, radius, seed, band)
 
 
 def verify(
@@ -414,52 +492,9 @@ def verify(
     """Compare diagram cell membership against the nearest-site oracle.
 
     Samples are uniform in the unit-Klein chart ball; samples within
-    `band` of a boundary of their winning cell are excluded and counted.
+    `band` of a facet hyperplane of their cell are excluded and counted.
     """
-    X, labels, oracle, margin = sample_labels(diagram, sample_count, seed)
-    hubs = np.array([as_floats(h) for h in diagram.hub_points])
-    P = hubs[:, 1:]
-    s0 = hubs[:, 0]
-
-    excluded_mask = margin < band
-    checked = int((~excluded_mask).sum())
-    disagreements = 0
-    max_gap = 0.0
-    witness = None
-    r = diagram.curvature.radius
-    for k in np.nonzero(~excluded_mask)[0]:
-        a, b = int(labels[k]), int(oracle[k])
-        if a == b:
-            continue
-        x = X[k]
-        xn = 1.0 - float(x @ x)
-        da = r * math.acosh(
-            max(1.0, (1.0 - float(x @ P[a])) / (math.sqrt(xn) * s0[a]))
-        )
-        db = r * math.acosh(
-            max(1.0, (1.0 - float(x @ P[b])) / (math.sqrt(xn) * s0[b]))
-        )
-        gap = abs(da - db)
-        if gap <= NEAREST_TIE_TOL:
-            continue
-        disagreements += 1
-        if gap > max_gap:
-            max_gap = gap
-        if witness is None:
-            witness = {
-                "sample_index": int(k),
-                "chart_point": tuple(float(c) for c in x),
-                "diagram_label": a,
-                "oracle_label": b,
-                "distance_gap": gap,
-            }
-    return VerificationReport(
-        sample_count=sample_count,
-        excluded=int(excluded_mask.sum()),
-        checked=checked,
-        disagreements=disagreements,
-        max_gap=max_gap,
-        witness=witness,
-        seed=seed,
-        band=band,
+    return verify_cells(
+        _diagram_cells(diagram), diagram.hub_points, diagram.curvature.radius,
+        sample_count, seed, band,
     )

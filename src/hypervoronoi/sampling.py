@@ -1,8 +1,14 @@
 """Deterministic samplers and the named point-set fixtures used in tests.
 
-The verification sampler is a pure function of (seed, index): sample i
-of a stream is reproducible in isolation, so fanning the stream out
-across workers cannot change a report.
+The verification sampler is a pure function of (seed, index).  Sample i
+of a stream is made from a fixed block of raw outputs of the
+counter-based generator `numpy.random.Philox` keyed by the seed: the
+block at counter offset i * (outputs per sample).  `ball_points` draws
+the blocks of a whole stream in one call and `ball_point` jumps to one
+block with `advance`; both go through `_ball_from_raw`, so sample i is
+bit-identical either way, and fanning the stream out across workers
+cannot change a report (Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC 2011).
 """
 
 from __future__ import annotations
@@ -13,23 +19,53 @@ import numpy as np
 
 from .scalars import norm_sq
 
+# Philox keys are 128-bit: verification seeds must lie in [0, SEED_LIMIT).
+SEED_LIMIT = 2**128
+# Raw 64-bit outputs per Philox counter step.
+_BLOCK = 4
+
+
+def _outputs_per_sample(d: int) -> int:
+    """ceil(d/2) Box-Muller pairs plus one radius uniform, in whole blocks."""
+    used = 2 * -(-d // 2) + 1
+    return _BLOCK * -(-used // _BLOCK)
+
+
+def _ball_from_raw(raw: np.ndarray, d: int) -> np.ndarray:
+    """Uniform points in the open unit d-ball, one per row of raw outputs.
+
+    Box-Muller on uniforms in the open interval (0, 1) gives a standard
+    normal direction that is never zero, so no draw is rejected.  The
+    radius uniform keeps 32 bits, so 1 - radius >= 2**-33 / d stays far
+    above the rounding of the scaled direction: every sample lies strictly
+    inside the ball.
+    """
+    pairs = -(-d // 2)
+    u = ((raw[:, : 2 * pairs] >> np.uint64(11)) + 0.5) * 2.0**-53
+    rho = np.sqrt(-2.0 * np.log(u[:, 0::2]))
+    theta = 2.0 * np.pi * u[:, 1::2]
+    z = np.empty((len(raw), 2 * pairs))
+    z[:, 0::2] = rho * np.cos(theta)
+    z[:, 1::2] = rho * np.sin(theta)
+    z = z[:, :d]
+    radius = (((raw[:, 2 * pairs] >> np.uint64(32)) + 0.5) * 2.0**-32) ** (1.0 / d)
+    return z * (radius / np.sqrt((z * z).sum(axis=1)))[:, None]
+
 
 def ball_point(seed: int, index: int, d: int) -> tuple[float, ...]:
     """Uniform sample in the open unit d-ball, addressed by (seed, index)."""
-    rng = np.random.default_rng([seed, index])
-    while True:
-        direction = rng.standard_normal(d)
-        norm = float(np.linalg.norm(direction))
-        if norm > 1e-12:
-            break
-        direction = rng.standard_normal(d)
-        norm = float(np.linalg.norm(direction))
-    radius = float(rng.random()) ** (1.0 / d)
-    return tuple(float(c) * radius / norm for c in direction)
+    k = _outputs_per_sample(d)
+    bits = np.random.Philox(key=seed)
+    bits.advance(index * (k // _BLOCK))
+    point = _ball_from_raw(bits.random_raw(k).reshape(1, k), d)[0]
+    return tuple(float(c) for c in point)
 
 
 def ball_points(seed: int, count: int, d: int) -> np.ndarray:
-    return np.array([ball_point(seed, i, d) for i in range(count)], dtype=float)
+    """Samples 0 .. count-1 of the (seed, index) stream, shape (count, d)."""
+    k = _outputs_per_sample(d)
+    raw = np.random.Philox(key=seed).random_raw(count * k)
+    return _ball_from_raw(raw.reshape(count, k), d)
 
 
 def random_klein_points(n: int, d: int = 2, seed: int = 0, max_norm: float = 0.9):

@@ -83,13 +83,5 @@ def vsub(u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vadd(u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vscale(u: Sequence[Scalar], s: Scalar) -> Vector:
-    return tuple(a * s for a in u)
-
-
 def as_floats(u: Sequence[Scalar]) -> tuple[float, ...]:
     return tuple(float(a) for a in u)

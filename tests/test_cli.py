@@ -6,8 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from hypervoronoi.cli import main
-from hypervoronoi.documents import dump_json, parse_point_set
+from hypervoronoi import ModelPoint, ModelTag, verify, voronoi
+from hypervoronoi.cli import _check_stored_diagram, _print_report, main
+from hypervoronoi.documents import (
+    diagram_to_document,
+    dump_json,
+    load_diagram,
+    parse_point_set,
+)
 from hypervoronoi.sampling import (
     rational_hemisphere_points,
     random_klein_points,
@@ -349,6 +355,31 @@ def test_check_corrupted_diagram_fails_with_witness(tmp_path, capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("corrupt", [False, True])
+@pytest.mark.parametrize("fixture", ["float", "exact"])
+def test_verify_and_stored_check_report_identically(tmp_path, capsys, fixture, corrupt):
+    if fixture == "float":
+        pts = [ModelPoint(ModelTag.KLEIN, p) for p in random_klein_points(12, seed=31)]
+        dia = voronoi(pts)
+    else:
+        hpts = rational_hemisphere_points(10, seed=91)
+        dia = voronoi([ModelPoint(ModelTag.HEMISPHERE, p) for p in hpts], route="hemisphere")
+    if corrupt:
+        c0, c1 = dia.complex.cells[0], dia.complex.cells[1]
+        c0.halfspaces, c1.halfspaces = c1.halfspaces, c0.halfspaces
+    stored = tmp_path / "d.json"
+    stored.write_text(dump_json(diagram_to_document(dia)))
+    report = verify(dia, 3000, 17)
+    assert report.ok is not corrupt
+    assert main(["check", str(stored), "--samples", "3000", "--seed", "17"]) == int(corrupt)
+    cli_lines = capsys.readouterr().out.splitlines()[1:]
+    _print_report(report, "library")
+    assert capsys.readouterr().out.splitlines()[1:] == cli_lines
+    from_doc = _check_stored_diagram(load_diagram(stored), 3000, 17)
+    fields = ("excluded", "checked", "disagreements", "max_gap", "witness")
+    assert [getattr(from_doc, f) for f in fields] == [getattr(report, f) for f in fields]
+
+
 def test_check_reports_plain_without_tty(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("NO_COLOR", "1")
     inp = write_point_set(tmp_path / "p.json", [(0.2, 0.1)])
@@ -381,3 +412,76 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "hypervoronoi" in capsys.readouterr().out
+
+
+# --- argument and document validation -------------------------------------------
+
+def stored_fixture(tmp_path):
+    inp = write_point_set(tmp_path / "p.json", random_klein_points(8, seed=11))
+    dia = tmp_path / "d.json"
+    assert main(["compute", str(inp), "-o", str(dia)]) == 0
+    return inp, dia
+
+
+def assert_parse_error(capsys, argv):
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: parse:")
+    assert "\n" not in err.strip()
+
+
+@pytest.mark.parametrize("args", [["--seed", "-1"], ["--samples", "0"], ["--samples", "-5"]])
+@pytest.mark.parametrize("kind", ["point-set", "diagram"])
+def test_check_bad_sampling_arguments_exit_2(tmp_path, capsys, kind, args):
+    inp, dia = stored_fixture(tmp_path)
+    source = inp if kind == "point-set" else dia
+    assert_parse_error(capsys, ["check", str(source), *args])
+
+
+@pytest.mark.parametrize(
+    "args", [["--verify", "-1"], ["--seed", "-3"], ["--verify", "100", "--seed", "-3"]]
+)
+def test_compute_bad_sampling_arguments_exit_2(tmp_path, capsys, args):
+    inp, _ = stored_fixture(tmp_path)
+    assert_parse_error(capsys, ["compute", str(inp), "-o", str(tmp_path / "o.json"), *args])
+
+
+def _set_site(cell, value):
+    cell["site"] = value
+
+
+def _set_neighbor(cell, value):
+    cell["halfspaces"][0]["neighbor"] = value
+
+
+def _set_normal(cell, value):
+    cell["halfspaces"][0]["normal"] = value
+
+
+@pytest.mark.parametrize(
+    "corrupt, value",
+    [
+        (_set_normal, [0.1, 0.2, 0.3]),
+        (_set_normal, [0.1]),
+        (_set_site, 8),
+        (_set_site, -1),
+        (_set_neighbor, 99),
+        (_set_neighbor, -2),
+        (_set_neighbor, "1"),
+    ],
+)
+def test_check_malformed_stored_cell_exit_2(tmp_path, capsys, corrupt, value):
+    _, dia = stored_fixture(tmp_path)
+    doc = json.loads(dia.read_text())
+    corrupt(doc["cells"][2], value)
+    dia.write_text(dump_json(doc))
+    assert_parse_error(capsys, ["check", str(dia), "--samples", "100"])
+
+
+def test_check_diagram_without_cells_exit_2(tmp_path, capsys):
+    _, dia = stored_fixture(tmp_path)
+    doc = json.loads(dia.read_text())
+    doc["cells"] = []
+    dia.write_text(dump_json(doc))
+    assert_parse_error(capsys, ["check", str(dia), "--samples", "100"])
