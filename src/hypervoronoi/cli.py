@@ -89,13 +89,12 @@ def cmd_compute(args) -> int:
     if args.verify < 0:
         raise ParseError(f"--verify must be >= 0, got {args.verify}")
     doc = _apply_overrides(load_point_set(args.input), args)
-    points = doc.model_points()
-    dia = voronoi(points, route=args.route)
+    dia = voronoi(doc.model_points(), route=args.route)
     try:
         dual = delaunay(dia)
     except NoExplicitGeometry:
         dual = None
-    degeneracies = detect_degeneracies(points)
+    degeneracies = detect_degeneracies(dia)
     verification = (
         verify(dia, args.verify, args.seed) if args.verify else None
     )

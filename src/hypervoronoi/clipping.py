@@ -9,6 +9,7 @@ rational.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -307,16 +308,66 @@ def polyhedron_vertices(poly: Polyhedron, merge_tol: float):
     Returns a list of (point, set_of_tags).  merge_tol is an absolute
     coordinate tolerance (0 merges exact duplicates only).
     """
-    out = []  # (point, floats, tagset)
+    index = GridIndex(merge_tol)
+    out = []  # (point, tagset)
     for face in poly.faces:
         for v in face.vertices:
             fv = as_floats(v)
-            found = False
-            for entry in out:
-                if all(abs(a - b) <= merge_tol for a, b in zip(entry[1], fv)):
-                    entry[2].add(face.tag)
-                    found = True
+            k = index.find(fv)
+            if k is None:
+                index.add(fv)
+                out.append((v, {face.tag}))
+            else:
+                out[k][1].add(face.tag)
+    return out
+
+
+# --- proximity index ---------------------------------------------------------
+
+class GridIndex:
+    """Float points, answering "the first stored point within `tol`".
+
+    `find(p)` returns the least index of a stored point whose Chebyshev
+    distance to p is <= tol (computed as `abs(a - b) <= tol` per
+    coordinate), the answer a scan of the stored points in insertion order
+    gives.  Points are bucketed by `c // (2 tol)` per coordinate and a query
+    searches the 3^d neighbouring buckets.  The bucket width is 2 tol, not
+    tol: with width tol, a pair such as (tol, -1e-30), whose float
+    difference rounds to tol, lies two buckets apart.  With tol == 0 the
+    bucket key is the point itself.
+    """
+
+    def __init__(self, tol: float):
+        self.tol = tol
+        self.width = 2.0 * tol
+        self.points = []
+        self.buckets = {}  # key -> indices, increasing
+
+    def _key(self, p):
+        if not self.width:
+            return tuple(p)
+        return tuple(c // self.width for c in p)
+
+    def find(self, p):
+        """Least index of a stored point within tol of p, or None."""
+        key = self._key(p)
+        if not self.width:
+            hits = self.buckets.get(key)
+            return hits[0] if hits else None
+        tol, points, buckets = self.tol, self.points, self.buckets
+        best = None
+        for near in itertools.product(*((c - 1.0, c, c + 1.0) for c in key)):
+            for idx in buckets.get(near, ()):
+                if best is not None and idx >= best:
                     break
-            if not found:
-                out.append((v, fv, {face.tag}))
-    return [(p, tags) for p, _, tags in out]
+                if all(abs(a - b) <= tol for a, b in zip(points[idx], p)):
+                    best = idx
+                    break
+        return best
+
+    def add(self, p) -> int:
+        """Store p and return its index."""
+        k = len(self.points)
+        self.points.append(tuple(p))
+        self.buckets.setdefault(self._key(p), []).append(k)
+        return k

@@ -82,7 +82,7 @@ def parse_point_set(data) -> PointSetDocument:
     if not isinstance(data, dict):
         raise ParseError("point set document must be a JSON object")
     try:
-        dimension = int(data["dimension"])
+        dimension = data["dimension"]
         model = ModelTag.parse(str(data["model"]))
         scalar = data.get("scalar", SCALAR_FLOAT)
         curvature = decode_number(data.get("curvature", -1.0))
@@ -93,6 +93,8 @@ def parse_point_set(data) -> PointSetDocument:
         raise ParseError(str(e)) from e
     if scalar not in (SCALAR_FLOAT, SCALAR_EXACT):
         raise ParseError(f"unknown scalar kind {scalar!r}")
+    if not isinstance(dimension, int) or isinstance(dimension, bool):
+        raise ParseError(f"dimension must be a JSON integer, got {dimension!r}")
     if dimension < 2:
         raise ParseError(f"dimension must be >= 2, got {dimension}")
     if not isinstance(raw_points, list) or not raw_points:

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import power, sampling
 from .bisectors import ImplicitSurface, scale_surface, transport_surface
+from .clipping import GridIndex, face_min_norm_sq, segment_min_norm_sq
 from .conversions import hub_coords
 from .errors import (
     DuplicateSites,
@@ -189,24 +190,21 @@ def _merge_dual_vertices(vertices, klein_sites, tol):
     Merging is by coordinate proximity and is confirmed by the union's
     circumdistances agreeing to `tol` relative (otherwise kept apart).
     """
-    groups = []  # [float point, set sites, representative point]
+    index = GridIndex(tol)
+    groups = []  # [float point, set sites, representative point], in index order
     for v in vertices:
         fpt = as_floats(v.point)
-        target = None
-        for g in groups:
-            if all(abs(a - b) <= tol for a, b in zip(g[0], fpt)):
-                target = g
-                break
-        if target is None:
-            groups.append([fpt, set(v.sites), v.point])
-        else:
+        k = index.find(fpt)
+        if k is not None:
+            target = groups[k]
             union = target[1] | set(v.sites)
             coshes = [_klein_cosh(target[0], as_floats(klein_sites[s])) for s in union]
             lo, hi = min(coshes), max(coshes)
             if hi - lo <= tol * max(1.0, hi):
                 target[1] |= set(v.sites)
-            else:
-                groups.append([fpt, set(v.sites), v.point])
+                continue
+        index.add(fpt)
+        groups.append([fpt, set(v.sites), v.point])
     return groups
 
 
@@ -243,8 +241,6 @@ def delaunay(diagram: VoronoiDiagram) -> DelaunayComplex:
         if d == 2:
             min_ns = _segment_min_norm_sq_float(facet[0], facet[1])
         else:
-            from .clipping import face_min_norm_sq
-
             min_ns = float(face_min_norm_sq(facet))
         if math.sqrt(min_ns) < 1.0 - BALL_STRICT_TOL:
             edges.add((i, j))
@@ -255,19 +251,16 @@ def delaunay(diagram: VoronoiDiagram) -> DelaunayComplex:
 
 
 def _segment_min_norm_sq_float(v0, v1) -> float:
-    from .clipping import segment_min_norm_sq
-
     return float(segment_min_norm_sq(as_floats(v0), as_floats(v1)))
 
 
-def detect_degeneracies(points, tol: float = 1e-9) -> DegeneracyReport:
+def detect_degeneracies(diagram: VoronoiDiagram, tol: float = 1e-9) -> DegeneracyReport:
     """Flag equal-norm/equal-height groups, collinear groups (in the
     Klein chart) and hyperbolically co-spherical groups (degenerate
-    power vertices of the mapped sites)."""
-    points = list(points)
-    _check_point_set(points)
-    model = points[0].model
-    d = points[0].dim
+    power vertices of the diagram's complex)."""
+    points = diagram.sites
+    model = diagram.model
+    d = diagram.dimension
     notes = [f"tolerance {tol} relative"]
 
     equal_norm = []
@@ -283,21 +276,19 @@ def detect_degeneracies(points, tol: float = 1e-9) -> DegeneracyReport:
         keys = [float(p.unit_coords()[0]) for p in points]
         equal_norm = _equal_value_groups(keys, tol)
 
-    hubs = [as_floats(hub_coords(p)) for p in points]
-    kleins = [h[1:] for h in hubs]
+    kleins = [as_floats(h[1:]) for h in diagram.hub_points]
     collinear = _collinear_groups(kleins, tol) if len(points) >= 3 else []
 
     cocircular = []
-    if d in (2, 3) and len(points) >= d + 2:
-        sites = [power.hemisphere_site_map(h, i) for i, h in enumerate(hubs)]
-        cx = build_complex(sites, clip=unit_ball(d))
-        merged = _merge_dual_vertices(cx.power_vertices, kleins, tol)
+    if not diagram.complex.explicit:
+        reason = "for d > 3 " if d > 3 else ""
+        notes.append(f"co-spherical detection skipped {reason}(no explicit geometry)")
+    elif len(points) >= d + 2:
+        merged = _merge_dual_vertices(diagram.complex.power_vertices, kleins, tol)
         for g in merged:
             if len(g[1]) > d + 1:
                 cocircular.append(tuple(sorted(g[1])))
         cocircular.sort()
-    elif d > 3:
-        notes.append("co-spherical detection skipped for d > 3 (no explicit geometry)")
 
     return DegeneracyReport(
         cocircular_groups=cocircular,
@@ -325,27 +316,31 @@ def _equal_value_groups(values, tol):
 
 
 def _collinear_groups(kleins, tol):
+    """Maximal groups of >= 3 Klein points within `tol` of one line.
+
+    For each anchor i and later point j, the line through both collects
+    every k with |(k - a) x u| / |u| <= tol, u = b - a; one numpy array
+    per anchor, same operation order as the scalar formula.
+    """
     if any(len(k) != 2 for k in kleins):
         return []  # collinearity scan is planar only
-    n = len(kleins)
+    K = np.array(kleins, dtype=float).reshape(-1, 2)
+    n = len(K)
     found = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            ax, ay = kleins[i][0], kleins[i][1]
-            bx, by = kleins[j][0], kleins[j][1]
-            ux, uy = bx - ax, by - ay
-            ln = math.hypot(ux, uy)
-            if ln < 1e-15:
-                continue
-            group = {i, j}
-            for k in range(n):
-                if k in (i, j):
-                    continue
-                dist = abs((kleins[k][0] - ax) * uy - (kleins[k][1] - ay) * ux) / ln
-                if dist <= tol:
-                    group.add(k)
-            if len(group) >= 3:
-                found.add(tuple(sorted(group)))
+    for i in range(n - 1):
+        ax, ay = K[i]
+        ux = K[i + 1:, 0] - ax
+        uy = K[i + 1:, 1] - ay
+        ln = np.array([math.hypot(a, b) for a, b in zip(ux.tolist(), uy.tolist())])
+        live = ln >= 1e-15
+        dist = np.abs(
+            (K[:, 0] - ax)[None, :] * uy[live, None] - (K[:, 1] - ay)[None, :] * ux[live, None]
+        ) / ln[live, None]
+        near = dist <= tol
+        near[:, i] = True
+        near[np.arange(len(near)), np.flatnonzero(live) + i + 1] = True
+        for row in near[near.sum(axis=1) >= 3]:
+            found.add(tuple(np.flatnonzero(row).tolist()))
     # keep only maximal groups
     out = [g for g in found if not any(set(g) < set(h) for h in found if h != g)]
     out.sort()

@@ -6,9 +6,14 @@ weighted sites through `klein_site_map` (algebraic: one square root per
 site), hemisphere points through `hemisphere_site_map` (rational).  The
 two maps agree under the vertical lift.
 
-Cell construction is deliberately the O(n^2) sequential clipping scheme
-(one pass of n-1 halfspaces per cell): at desk scale the simplicity and
-rational-exactness matter more than the worst-case-optimal bound.
+Each cell is cut from a bounding window by its radical hyperplanes with
+the exact clipper of `clipping`, in neighbour order.  Before each cut a
+float screen evaluates every remaining hyperplane at the cell's current
+vertices and drops those that provably contain the cell: the cell only
+shrinks, so such a cut would be a no-op now and at its turn.  The cuts
+that run are the full sequence minus its no-ops, so the cells are the
+same, vertex for vertex, on float and rational input; the work is output
+sensitive, about one cut per facet or transient edge of a cell.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from . import clipping
 from .clipping import BOX_TAG, Polygon, Polyhedron
@@ -36,6 +43,10 @@ KLEIN_WEIGHT_SIGN_THRESHOLD = 4.0 * (math.sqrt(5.0) - 2.0)
 TIE_TOL = 1e-12
 FACET_MEASURE_TOL = 1e-10
 VERTEX_MERGE_TOL = 1e-12
+# Relative margin of the float screen in `_clip_cell`.  It only decides
+# which provable no-op cuts are skipped, never the geometry: a hyperplane
+# within the margin of the cell is cut with exactly, as before.
+CLIP_SKIP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -248,8 +259,6 @@ def _solve2(h1: Halfspace, h2: Halfspace):
 
 
 def _solve3(h1, h2, h3):
-    import numpy as np
-
     a = np.array([as_floats(h.normal) for h in (h1, h2, h3)], dtype=float)
     b = -np.array([float(h.offset) for h in (h1, h2, h3)], dtype=float)
     try:
@@ -300,17 +309,52 @@ def _box_halfwidth(sites, halfspaces, clip, explicit, d) -> float:
 
 def _merge_vertex_candidates(candidates, tol):
     """candidates: list of (point, floats, siteset) in deterministic order."""
-    groups = []  # [point, floats, set]
+    index = clipping.GridIndex(tol)
+    groups = []  # (point, set), in index order
     for point, fpt, sites in candidates:
-        merged = False
-        for g in groups:
-            if all(abs(a - b) <= tol for a, b in zip(g[1], fpt)):
-                g[2] |= sites
-                merged = True
-                break
-        if not merged:
-            groups.append([point, fpt, set(sites)])
-    return [PowerVertex(g[0], frozenset(g[2])) for g in groups]
+        k = index.find(fpt)
+        if k is None:
+            index.add(fpt)
+            groups.append((point, set(sites)))
+        else:
+            groups[k][1].update(sites)
+    return [PowerVertex(point, frozenset(sites)) for point, sites in groups]
+
+
+def _clip_cell(shape, halfspaces, rows, clip_fn, corners):
+    """Cut `shape` by the halfspaces that change it, in neighbour order.
+
+    halfspaces: neighbour -> Halfspace in ascending neighbour order;
+    rows: the same halfspaces as a float matrix [normal | offset];
+    corners: the points of a shape at which a halfspace is evaluated.
+    A candidate is dropped for good once its float value is finite and
+    below -CLIP_SKIP_TOL * (max|corner coordinate| * |normal|_1 + |offset|)
+    at every corner: the exact clip would keep every corner.
+    """
+    tags = list(halfspaces)
+    normals, offsets = rows[:, :-1], rows[:, -1]
+    live = np.arange(len(tags))
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = np.abs(normals).sum(axis=1)
+    while len(live) and not shape.empty:
+        X = np.array(corners(shape), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            worst = (normals[live] @ X.T + offsets[live, None]).max(axis=1)
+            slack = CLIP_SKIP_TOL * (np.abs(X).max() * size[live] + np.abs(offsets[live]))
+            live = live[~(np.isfinite(worst) & (worst < -slack))]
+        if len(live):
+            j = tags[live[0]]
+            shape = clip_fn(shape, halfspaces[j].normal, halfspaces[j].offset, j)
+            live = live[1:]
+    return shape
+
+
+def _polygon_corners(poly):
+    return poly.vertices
+
+
+def _polyhedron_corners(polyh):
+    return [v for face in polyh.faces for v in face.vertices]
 
 
 def build_complex(sites, clip: Ball | None = None, explicit: bool | None = None) -> PowerComplex:
@@ -366,14 +410,25 @@ def build_complex(sites, clip: Ball | None = None, explicit: bool | None = None)
     merge_tol = VERTEX_MERGE_TOL * scale
     r2 = clip.radius * clip.radius if clip is not None else None
 
+    # float [normal | offset] of every oriented pair: rows[i, j] is i's side
+    # of the (i, j) hyperplane; _box_halfwidth has already floated each one.
+    upper = np.triu_indices(n, 1)
+    pair_rows = np.array(
+        [halfspaces[i][j].normal + (halfspaces[i][j].offset,) for i, j in zip(*upper)],
+        dtype=float,
+    ).reshape(-1, d + 1)
+    rows = np.zeros((n, n, d + 1))
+    rows[upper] = pair_rows
+    rows[upper[::-1]] = -pair_rows
+
     for i in range(n):
+        own = {j: halfspaces[i][j] for j in range(n) if j != i}
+        own_rows = np.delete(rows[i], i, axis=0)
         if d == 2:
-            poly = clipping.box_polygon(hw)
-            for j in range(n):
-                if j == i:
-                    continue
-                hs = halfspaces[i][j]
-                poly = clipping.clip_polygon(poly, hs.normal, hs.offset, j)
+            poly = _clip_cell(
+                clipping.box_polygon(hw), own, own_rows, clipping.clip_polygon,
+                _polygon_corners,
+            )
             surviving = {}
             for tag, v0, v1 in poly.edges():
                 if tag is BOX_TAG:
@@ -408,12 +463,10 @@ def build_complex(sites, clip: Ball | None = None, explicit: bool | None = None)
                 ConvexCell(i, surviving, clip, polygon=poly, empty=empty)
             )
         else:  # d == 3
-            polyh = clipping.box_polyhedron(hw)
-            for j in range(n):
-                if j == i:
-                    continue
-                hs = halfspaces[i][j]
-                polyh = clipping.clip_polyhedron(polyh, hs.normal, hs.offset, j)
+            polyh = _clip_cell(
+                clipping.box_polyhedron(hw), own, own_rows, clipping.clip_polyhedron,
+                _polyhedron_corners,
+            )
             surviving = {}
             min_ns = None
             for face in polyh.faces:

@@ -485,3 +485,12 @@ def test_check_diagram_without_cells_exit_2(tmp_path, capsys):
     doc["cells"] = []
     dia.write_text(dump_json(doc))
     assert_parse_error(capsys, ["check", str(dia), "--samples", "100"])
+
+
+@pytest.mark.parametrize("value", [[2], None, {}, 2.5, "2", True])
+def test_compute_non_integer_dimension_exit_2(tmp_path, capsys, value):
+    inp = write_point_set(tmp_path / "p.json", random_klein_points(5, seed=2))
+    doc = json.loads(inp.read_text())
+    doc["dimension"] = value
+    inp.write_text(json.dumps(doc))
+    assert_parse_error(capsys, ["compute", str(inp), "-o", str(tmp_path / "o.json")])

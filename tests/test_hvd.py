@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -19,7 +20,9 @@ from hypervoronoi import (
     verify,
     voronoi,
 )
-from hypervoronoi.hvd import sample_labels
+from hypervoronoi import hvd, power
+from hypervoronoi.cli import main
+from hypervoronoi.hvd import _collinear_groups, sample_labels
 from hypervoronoi.sampling import (
     cocircular_square,
     random_klein_points,
@@ -296,12 +299,12 @@ def test_empty_sphere_property():
 
 def test_equal_norm_group_detected():
     pts = kpts([(0.4, 0.0), (0.0, 0.4), (-0.4, 0.0), (0.0, -0.4), (0.1, 0.2)])
-    rep = detect_degeneracies(pts)
+    rep = detect_degeneracies(voronoi(pts))
     assert (0, 1, 2, 3) in rep.equal_norm_groups
 
 
 def test_generic_sites_give_empty_report():
-    rep = detect_degeneracies(kpts(random_klein_points(12, seed=33)))
+    rep = detect_degeneracies(voronoi(kpts(random_klein_points(12, seed=33))))
     assert rep.empty
 
 
@@ -309,20 +312,20 @@ def test_upper_equal_height_group():
     pts = [
         ModelPoint(ModelTag.UPPER_HALF_SPACE, (x, 1.0)) for x in (-0.5, 0.0, 0.7)
     ] + [ModelPoint(ModelTag.UPPER_HALF_SPACE, (0.2, 2.0))]
-    rep = detect_degeneracies(pts)
+    rep = detect_degeneracies(voronoi(pts))
     assert (0, 1, 2) in rep.equal_height_groups
     assert rep.equal_norm_groups == []
 
 
 def test_collinear_group_detected():
     pts = kpts([(-0.4, -0.4), (0.0, 0.0), (0.4, 0.4), (0.5, -0.1)])
-    rep = detect_degeneracies(pts)
+    rep = detect_degeneracies(voronoi(pts))
     assert (0, 1, 2) in rep.collinear_groups
 
 
 def test_cocircular_group_detected():
     pts = kpts(cocircular_square(0.4) + [(0.7, 0.1)])
-    rep = detect_degeneracies(pts)
+    rep = detect_degeneracies(voronoi(pts))
     assert (0, 1, 2, 3) in rep.cocircular_groups
 
 
@@ -331,5 +334,68 @@ def test_hyperboloid_equal_x0_counts_as_equal_norm():
     pts = [convert(p, ModelTag.HYPERBOLOID) for p in base] + [
         convert(ModelPoint(ModelTag.KLEIN, (0.1, 0.05)), ModelTag.HYPERBOLOID)
     ]
-    rep = detect_degeneracies(pts)
+    rep = detect_degeneracies(voronoi(pts))
     assert (0, 1, 2) in rep.equal_norm_groups
+
+
+def _collinear_groups_scalar(kleins, tol):
+    """The scalar triple loop the vectorised scan must reproduce."""
+    n = len(kleins)
+    found = set()
+    for i in range(n):
+        for j in range(i + 1, n):
+            ax, ay = kleins[i][0], kleins[i][1]
+            bx, by = kleins[j][0], kleins[j][1]
+            ux, uy = bx - ax, by - ay
+            ln = math.hypot(ux, uy)
+            if ln < 1e-15:
+                continue
+            group = {i, j}
+            for k in range(n):
+                if k in (i, j):
+                    continue
+                dist = abs((kleins[k][0] - ax) * uy - (kleins[k][1] - ay) * ux) / ln
+                if dist <= tol:
+                    group.add(k)
+            if len(group) >= 3:
+                found.add(tuple(sorted(group)))
+    out = [g for g in found if not any(set(g) < set(h) for h in found if h != g)]
+    out.sort()
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_collinear_scan_matches_scalar_loop(seed):
+    rng = np.random.default_rng(seed)
+    tol = [1e-9, 1e-6, 0.02][seed % 3]
+    pts = [tuple(float(c) for c in p) for p in random_klein_points(30, seed=seed, max_norm=0.6)]
+    for _ in range(6):  # planted triples: on the line, and about tol off it
+        i, j = rng.choice(len(pts), 2, replace=False)
+        (ax, ay), (bx, by) = pts[i], pts[j]
+        t = float(rng.uniform(-0.5, 1.5))
+        nudge = float(rng.choice([0.0, tol, -tol, 0.999 * tol, 1.001 * tol]))
+        ln = math.hypot(bx - ax, by - ay)
+        pts.append(
+            (ax + t * (bx - ax) - nudge * (by - ay) / ln, ay + t * (by - ay) + nudge * (bx - ax) / ln)
+        )
+    pts.append(pts[3])  # a coincident pair is skipped as a line
+    groups = _collinear_groups(pts, tol)
+    assert groups == _collinear_groups_scalar(pts, tol)
+    assert groups
+
+
+def test_compute_builds_the_complex_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_build(*args, **kwargs):
+        calls.append(1)
+        return power.build_complex(*args, **kwargs)
+
+    monkeypatch.setattr(hvd, "build_complex", counting_build)
+    inp = tmp_path / "p.json"
+    raw = cocircular_square(0.4) + [(0.7, 0.1), (-0.2, 0.5)]
+    inp.write_text(json.dumps({"dimension": 2, "model": "klein", "points": [list(p) for p in raw]}))
+    assert main(["compute", str(inp), "-o", str(tmp_path / "out.json")]) == 0
+    assert len(calls) == 1
+    doc = json.loads((tmp_path / "out.json").read_text())
+    assert [0, 1, 2, 3] in doc["degeneracies"]["cocircular_groups"]

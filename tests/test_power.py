@@ -24,10 +24,12 @@ from hypervoronoi import (
     radical_hyperplane,
     unit_ball,
 )
+from hypervoronoi import clipping, power
+from hypervoronoi.clipping import GridIndex
 from hypervoronoi.power import canonical_halfspace
 from hypervoronoi.sampling import ball_points, random_klein_points, rational_hemisphere_points
 
-from util import random_klein_point
+from util import LinearIndex, random_klein_point
 
 
 def W(center, weight, idx=-1):
@@ -399,3 +401,138 @@ def test_implicit_mode_high_dimension():
     cx = build_complex(sites)
     assert not cx.explicit
     assert all(len(c.halfspaces) == 11 for c in cx.cells)
+
+
+# --- filtered clipping against the plain sequential build ------------------------------
+
+def _plain_clip_cell(shape, halfspaces, rows, clip_fn, corners):
+    """Reference: every halfspace in neighbour order, no screen."""
+    for j, hs in halfspaces.items():
+        shape = clip_fn(shape, hs.normal, hs.offset, j)
+    return shape
+
+
+def reference_complex(monkeypatch, sites, clip):
+    """build_complex with the box-then-every-j clip loop and linear merges."""
+    with monkeypatch.context() as m:
+        m.setattr(power, "_clip_cell", _plain_clip_cell)
+        m.setattr(clipping, "GridIndex", LinearIndex)
+        return build_complex(sites, clip=clip)
+
+
+def _hemi(t):
+    """Rational hemisphere point over the parameter t in the unit d-ball."""
+    t = tuple(Fraction(c) for c in t)
+    n2 = sum(c * c for c in t)
+    return ((1 - n2) / (1 + n2),) + tuple(2 * c / (1 + n2) for c in t)
+
+
+def _axis_points(d, s):
+    """2d points at +-s on each axis: co-circular (co-spherical) in Klein."""
+    out = []
+    for k in range(d):
+        for sign in (1, -1):
+            t = [0] * d
+            t[k] = sign * s
+            out.append(_hemi(t))
+    return out
+
+
+EQUIVALENCE_FIXTURES = {
+    "random": lambda d: rational_hemisphere_points(12 if d == 2 else 8, d, seed=17),
+    "cocircular": lambda d: _axis_points(d, Fraction(1, 5)) + [_hemi((Fraction(3, 7),) * d)],
+    "collinear": lambda d: [_hemi((Fraction(k, 5),) * d) for k in (-1, 0, 1)]
+    + [_hemi((Fraction(1, 3),) + (Fraction(-1, 4),) * (d - 1))],
+    "one": lambda d: [_hemi((Fraction(1, 9),) * d)],
+    "two": lambda d: [_hemi((Fraction(1, 9),) * d), _hemi((Fraction(-2, 7),) + (0,) * (d - 1))],
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(EQUIVALENCE_FIXTURES))
+@pytest.mark.parametrize("scalar", ["float", "exact"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_filtered_build_equals_plain_build(monkeypatch, d, scalar, fixture):
+    pts = EQUIVALENCE_FIXTURES[fixture](d)
+    if scalar == "float":
+        pts = [tuple(float(c) for c in p) for p in pts]
+    sites = [hemisphere_site_map(p, i) for i, p in enumerate(pts)]
+    ref = reference_complex(monkeypatch, sites, unit_ball(d))
+    cx = build_complex(sites, clip=unit_ball(d))
+    assert cx == ref
+    # repr tells -0.0 from 0.0 and shows vertex order, tags and faces
+    for field in ("cells", "adjacency", "facets", "power_vertices"):
+        assert repr(getattr(cx, field)) == repr(getattr(ref, field))
+    if fixture == "one":  # no candidate: the cell keeps its box
+        cell = cx.cells[0]
+        if d == 2:
+            assert cell.polygon == clipping.box_polygon(cx.box_halfwidth)
+        else:
+            assert cell.polyhedron == clipping.box_polyhedron(cx.box_halfwidth)
+
+
+def test_clip_screen_keeps_non_finite_candidates():
+    # huge exact coefficients can float to inf or nan: such a row is never skipped
+    hs = Halfspace((1, 0), Fraction(-1, 2))
+    box = clipping.box_polygon(Fraction(2))
+    want = clipping.clip_polygon(box, hs.normal, hs.offset, 7)
+    for bad in ([math.inf, 0.0, -0.5], [math.nan, 0.0, 0.0], [1e308, 1e308, 0.0]):
+        got = power._clip_cell(
+            box, {7: hs}, np.array([bad]), clipping.clip_polygon, power._polygon_corners
+        )
+        assert got == want
+
+
+def test_clip_screen_skips_only_containing_halfspaces():
+    calls = []
+
+    def counting_clip(shape, normal, offset, tag):
+        calls.append(tag)
+        return clipping.clip_polygon(shape, normal, offset, tag)
+
+    far = Halfspace((1, 0), -10.0)  # x <= 10 contains the box
+    cut = Halfspace((1, 0), -0.5)  # x <= 0.5 cuts it
+    rows = np.array([[1.0, 0.0, -10.0], [1.0, 0.0, -0.5]])
+    box = clipping.box_polygon(2.0)
+    got = power._clip_cell(box, {0: far, 1: cut}, rows, counting_clip, power._polygon_corners)
+    assert calls == [1]
+    assert got == clipping.clip_polygon(box, (1, 0), -0.5, 1)
+
+
+# --- grid index -------------------------------------------------------------------------
+
+def _grid_sequence(rng, tol, d):
+    """Clustered points with exact-tol gaps, bucket edges and sign changes."""
+    pts = []
+    step = tol if tol else 0.125
+    for _ in range(12):
+        base = rng.integers(-4, 5, d) * 2 * step  # a bucket edge
+        for _ in range(int(rng.integers(1, 6))):
+            off = rng.choice([0.0, step, -step, step / 2, -1e-30, 1e-30, 2 * step], d)
+            pts.append(tuple(float(c) for c in base + off))
+        pts.append(tuple(float(c) for c in rng.uniform(-5 * step, 5 * step, d)))
+    pts += [(step,) + (0.0,) * (d - 1), (-1e-30,) + (-0.0,) * (d - 1), (0.0,) * d]
+    order = rng.permutation(len(pts))
+    return [pts[k] for k in order]
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9, 0.1, 0.25])
+@pytest.mark.parametrize("d", [2, 3])
+def test_grid_index_matches_linear_first_match(tol, d):
+    rng = np.random.default_rng(int(tol * 1e12) + d)
+    for trial in range(20):
+        grid, lin = GridIndex(tol), LinearIndex(tol)
+        always_add = trial % 2 == 1  # the dual merge stores refused matches too
+        for p in _grid_sequence(rng, tol, d):
+            k = grid.find(p)
+            assert k == lin.find(p)
+            if k is None or always_add:
+                assert grid.add(p) == lin.add(p)
+
+
+def test_grid_index_pair_rounding_across_zero():
+    # (tol, -1e-30) is within tol in float arithmetic; with buckets of width
+    # tol the two would lie two buckets apart
+    tol = 1e-9
+    grid = GridIndex(tol)
+    grid.add((tol, 0.5))
+    assert grid.find((-1e-30, 0.5)) == 0

@@ -58,3 +58,21 @@ def bisector_sample_point(p: ModelPoint, q: ModelPoint, surface, rng, max_norm=0
                 hi = mid
         return geodesic(a, b, 0.5 * (lo + hi))
     return None
+
+
+class LinearIndex:
+    """First-match scan over stored points: the reference for GridIndex."""
+
+    def __init__(self, tol):
+        self.tol = tol
+        self.points = []
+
+    def find(self, p):
+        for k, q in enumerate(self.points):
+            if all(abs(a - b) <= self.tol for a, b in zip(q, p)):
+                return k
+        return None
+
+    def add(self, p):
+        self.points.append(tuple(p))
+        return len(self.points) - 1
