@@ -19,6 +19,7 @@ from .documents import (
     SCALAR_EXACT,
     DiagramDocument,
     PointSetDocument,
+    delaunay_section,
     diagram_to_document,
     dump_json,
     load_diagram,
@@ -124,13 +125,7 @@ def cmd_convert(args) -> int:
 def cmd_delaunay(args) -> int:
     doc = _apply_overrides(load_point_set(args.input), args)
     dia = voronoi(doc.model_points(), route=args.route)
-    dual = delaunay(dia)
-    section = {
-        "edges": [list(e) for e in sorted(dual.edges)],
-        "faces": [sorted(f) for f in dual.faces],
-        "is_triangulation": dual.is_triangulation,
-    }
-    _write_output(dump_json(section), args.output)
+    _write_output(dump_json(delaunay_section(delaunay(dia))), args.output)
     return EXIT_OK
 
 

@@ -37,16 +37,9 @@ class Polygon:
             yield self.tags[k], self.vertices[k], self.vertices[(k + 1) % m]
 
 
-def box_polygon(halfwidth, center=(0, 0)) -> Polygon:
-    cx, cy = center
-    h = halfwidth
-    verts = [
-        (cx - h, cy - h),
-        (cx + h, cy - h),
-        (cx + h, cy + h),
-        (cx - h, cy + h),
-    ]
-    return Polygon(verts, [BOX_TAG] * 4)
+def box_polygon(h) -> Polygon:
+    """The square [-h, h]^2 around the origin, counterclockwise."""
+    return Polygon([(-h, -h), (h, -h), (h, h), (-h, h)], [BOX_TAG] * 4)
 
 
 def _cut_point(v0, v1, f0, f1):
@@ -151,13 +144,10 @@ class Polyhedron:
         return len(self.faces) < 4
 
 
-def box_polyhedron(halfwidth, center=(0, 0, 0)) -> Polyhedron:
-    cx, cy, cz = center
-    h = halfwidth
-    lo = (cx - h, cy - h, cz - h)
-    hi = (cx + h, cy + h, cz + h)
-    x0, y0, z0 = lo
-    x1, y1, z1 = hi
+def box_polyhedron(h) -> Polyhedron:
+    """The cube [-h, h]^3 around the origin."""
+    x0 = y0 = z0 = -h
+    x1 = y1 = z1 = h
     quads = [
         [(x0, y0, z0), (x0, y1, z0), (x0, y1, z1), (x0, y0, z1)],  # x = x0
         [(x1, y0, z0), (x1, y0, z1), (x1, y1, z1), (x1, y1, z0)],  # x = x1

@@ -101,33 +101,10 @@ _FROM_HUB = {
 }
 
 
-# Pairwise primitives, exposed for tests and direct use.  Each is the
-# two-step composition through the lift; `convert` fuses the same steps.
-
-def klein_to_poincare(x):
-    return _hub_to_poincare(lift_to_hemisphere(x))
-
-
-def poincare_to_klein(x):
-    return drop_to_klein(_poincare_to_hub(x))
-
-
-def klein_to_upper(x):
-    return _hub_to_upper(lift_to_hemisphere(x))
-
-
-def upper_to_klein(u):
-    return drop_to_klein(_upper_to_hub(u))
-
-
-def klein_to_hyperboloid(x):
-    return _hub_to_hyperboloid(lift_to_hemisphere(x))
-
-
-def hyperboloid_to_klein(x):
-    return drop_to_klein(_hyperboloid_to_hub(x))
-
-
+# Step labels of `conversion_path`, per model: (model -> Klein, Klein ->
+# model).  A label names a half-step through the lift, not a function of
+# its own; looking a label up on this module (`__getattr__`) gives the
+# composition it names, so a path's steps can be run in order.
 _PRIMITIVE_NAMES = {
     ModelTag.KLEIN: ("lift_to_hemisphere", "drop_to_klein"),
     ModelTag.POINCARE: ("poincare_to_klein", "klein_to_poincare"),
@@ -135,6 +112,15 @@ _PRIMITIVE_NAMES = {
     ModelTag.HEMISPHERE: ("drop_to_klein", "lift_to_hemisphere"),
     ModelTag.HYPERBOLOID: ("hyperboloid_to_klein", "klein_to_hyperboloid"),
 }
+
+
+def __getattr__(name):
+    for model, (to_klein, from_klein) in _PRIMITIVE_NAMES.items():
+        if name == to_klein:
+            return lambda x: drop_to_klein(_TO_HUB[model](x))
+        if name == from_klein:
+            return lambda x: _FROM_HUB[model](lift_to_hemisphere(x))
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

@@ -144,6 +144,15 @@ def _surface_class_name(surface) -> str:
         return "degenerate"
 
 
+def delaunay_section(dual) -> dict:
+    """The `delaunay` section of a diagram document (and of CLI `delaunay`)."""
+    return {
+        "edges": [list(e) for e in sorted(dual.edges)],
+        "faces": [sorted(f) for f in dual.faces],
+        "is_triangulation": dual.is_triangulation,
+    }
+
+
 def diagram_to_document(
     diagram,
     dual=None,
@@ -230,11 +239,7 @@ def diagram_to_document(
         ],
     }
     if dual is not None:
-        doc["delaunay"] = {
-            "edges": [list(e) for e in sorted(dual.edges)],
-            "faces": [sorted(f) for f in dual.faces],
-            "is_triangulation": dual.is_triangulation,
-        }
+        doc["delaunay"] = delaunay_section(dual)
     if degeneracies is not None:
         doc["degeneracies"] = {
             "cocircular_groups": [list(g) for g in degeneracies.cocircular_groups],

@@ -43,7 +43,7 @@ class NumericalUnderflow(GeometryError):
 
 
 class DimensionUnsupported(GeometryError):
-    """Explicit cell geometry requested outside d in {2, 3}."""
+    """The requested geometry or output is not available in this dimension."""
 
 
 class DuplicateSites(GeometryError):

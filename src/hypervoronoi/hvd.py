@@ -35,7 +35,7 @@ from .models import (
     distance,
     validate_point,
 )
-from .power import PowerComplex, build_complex, radical_hyperplane, unit_ball
+from .power import PowerComplex, build_complex, unit_ball
 from .scalars import as_floats, norm_sq
 
 ROUTE_KLEIN = "klein"
@@ -48,6 +48,8 @@ BALL_STRICT_TOL = 1e-12
 # Coordinate tolerance for merging degenerate dual vertices, confirmed by
 # relative agreement of the incident-site circumdistances.
 DUAL_MERGE_TOL = 1e-9
+# Relative tolerance of every group `detect_degeneracies` reports.
+DEGENERACY_TOL = 1e-9
 
 
 @dataclass
@@ -126,7 +128,7 @@ def _check_point_set(points):
         seen[p.coords] = k
 
 
-def voronoi(points, route: str = ROUTE_KLEIN, explicit: bool | None = None) -> VoronoiDiagram:
+def voronoi(points, route: str = ROUTE_KLEIN) -> VoronoiDiagram:
     """Hyperbolic Voronoi diagram of a finite point set.
 
     The diagram is computed on the unit-Klein chart as a power diagram
@@ -143,12 +145,12 @@ def voronoi(points, route: str = ROUTE_KLEIN, explicit: bool | None = None) -> V
     else:
         sites = [power.hemisphere_site_map(h, i) for i, h in enumerate(hubs)]
     d = points[0].dim
-    cx = build_complex(sites, clip=unit_ball(d), explicit=explicit)
+    cx = build_complex(sites, clip=unit_ball(d))
     model = points[0].model
     curvature = points[0].curvature
     boundaries = {}
     for (i, j) in sorted(cx.adjacency):
-        hs = radical_hyperplane(sites[i], sites[j])
+        hs = cx.pairs[i, j]
         chart = ImplicitSurface(0, hs.normal, hs.offset, ModelTag.KLEIN)
         moved = transport_surface(chart, model)
         boundaries[(i, j)] = scale_surface(moved, curvature, to_unit=False)
@@ -239,7 +241,7 @@ def delaunay(diagram: VoronoiDiagram) -> DelaunayComplex:
         if facet is None:
             continue
         if d == 2:
-            min_ns = _segment_min_norm_sq_float(facet[0], facet[1])
+            min_ns = float(segment_min_norm_sq(as_floats(facet[0]), as_floats(facet[1])))
         else:
             min_ns = float(face_min_norm_sq(facet))
         if math.sqrt(min_ns) < 1.0 - BALL_STRICT_TOL:
@@ -250,41 +252,36 @@ def delaunay(diagram: VoronoiDiagram) -> DelaunayComplex:
     return DelaunayComplex(faces=faces, edges=edges, is_triangulation=simplicial and covered)
 
 
-def _segment_min_norm_sq_float(v0, v1) -> float:
-    return float(segment_min_norm_sq(as_floats(v0), as_floats(v1)))
-
-
-def detect_degeneracies(diagram: VoronoiDiagram, tol: float = 1e-9) -> DegeneracyReport:
+def detect_degeneracies(diagram: VoronoiDiagram) -> DegeneracyReport:
     """Flag equal-norm/equal-height groups, collinear groups (in the
     Klein chart) and hyperbolically co-spherical groups (degenerate
-    power vertices of the diagram's complex)."""
+    power vertices of the diagram's complex), within DEGENERACY_TOL."""
     points = diagram.sites
     model = diagram.model
     d = diagram.dimension
-    notes = [f"tolerance {tol} relative"]
+    notes = [f"tolerance {DEGENERACY_TOL} relative"]
 
     equal_norm = []
     equal_height = []
     if model is ModelTag.UPPER_HALF_SPACE:
         keys = [float(p.unit_coords()[-1]) for p in points]
-        equal_height = _equal_value_groups(keys, tol)
+        equal_height = _equal_value_groups(keys, DEGENERACY_TOL)
     elif model in (ModelTag.KLEIN, ModelTag.POINCARE):
         keys = [math.sqrt(float(norm_sq(p.unit_coords()))) for p in points]
-        equal_norm = _equal_value_groups(keys, tol)
+        equal_norm = _equal_value_groups(keys, DEGENERACY_TOL)
     else:
         # hemisphere / hyperboloid: equal x0 is the ball-model equal norm
         keys = [float(p.unit_coords()[0]) for p in points]
-        equal_norm = _equal_value_groups(keys, tol)
+        equal_norm = _equal_value_groups(keys, DEGENERACY_TOL)
 
     kleins = [as_floats(h[1:]) for h in diagram.hub_points]
-    collinear = _collinear_groups(kleins, tol) if len(points) >= 3 else []
+    collinear = _collinear_groups(kleins, DEGENERACY_TOL) if len(points) >= 3 else []
 
     cocircular = []
     if not diagram.complex.explicit:
-        reason = "for d > 3 " if d > 3 else ""
-        notes.append(f"co-spherical detection skipped {reason}(no explicit geometry)")
+        notes.append("co-spherical detection skipped for d > 3 (no explicit geometry)")
     elif len(points) >= d + 2:
-        merged = _merge_dual_vertices(diagram.complex.power_vertices, kleins, tol)
+        merged = _merge_dual_vertices(diagram.complex.power_vertices, kleins, DEGENERACY_TOL)
         for g in merged:
             if len(g[1]) > d + 1:
                 cocircular.append(tuple(sorted(g[1])))

@@ -6,14 +6,20 @@ weighted sites through `klein_site_map` (algebraic: one square root per
 site), hemisphere points through `hemisphere_site_map` (rational).  The
 two maps agree under the vertical lift.
 
-Each cell is cut from a bounding window by its radical hyperplanes with
-the exact clipper of `clipping`, in neighbour order.  Before each cut a
-float screen evaluates every remaining hyperplane at the cell's current
-vertices and drops those that provably contain the cell: the cell only
-shrinks, so such a cut would be a no-op now and at its turn.  The cuts
-that run are the full sequence minus its no-ops, so the cells are the
-same, vertex for vertex, on float and rational input; the work is output
-sensitive, about one cut per facet or transient edge of a cell.
+`build_complex` makes each radical hyperplane once, into the pair table
+`PowerComplex.pairs`; its float matrix, every cell's halfspaces (the
+negated entry for a lower neighbour) and the diagram's boundaries all
+read that table.  For d in {2, 3} one loop over cells, with a small
+per-dimension table (window, clipper, facets, vertices), cuts each cell
+from a bounding window by its radical hyperplanes with the exact clipper
+of `clipping`, in neighbour order.  Before each cut a float screen
+evaluates every remaining hyperplane at the cell's current vertices and
+drops those that provably contain the cell: the cell only shrinks, so
+such a cut would be a no-op now and at its turn.  The cuts that run are
+the full sequence minus its no-ops, so the cells are the same, vertex
+for vertex, on float and rational input; the work is output sensitive,
+about one cut per facet or transient edge of a cell.  Other dimensions
+keep every cell's n-1 halfspaces (implicit representation).
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from .clipping import BOX_TAG, Polygon, Polyhedron
 from .errors import (
     ArityMismatch,
     CoincidentSites,
-    DimensionUnsupported,
     DomainViolation,
     DuplicateSites,
     EmptySites,
@@ -82,6 +87,10 @@ class Halfspace:
                 f"halfspace arity {len(self.normal)}, point arity {len(x)}"
             )
         return dot(self.normal, x) + self.offset
+
+    def __neg__(self) -> Halfspace:
+        """The other side of the same hyperplane."""
+        return Halfspace(tuple(-c for c in self.normal), -self.offset)
 
 
 @dataclass(frozen=True)
@@ -225,6 +234,9 @@ class PowerVertex:
 class PowerComplex:
     dimension: int
     sites: list
+    # the pair table: (i, j), i < j -> radical_hyperplane(sites[i], sites[j]),
+    # made once per build; every other form of a bisector is read from it
+    pairs: dict
     cells: list
     adjacency: set  # {(i, j), i < j} sharing a positive-measure facet
     power_vertices: list
@@ -249,6 +261,11 @@ def _check_sites(sites) -> int:
     return d
 
 
+def _cell_halfspaces(pairs, i: int, n: int) -> dict:
+    """Cell i's side of each radical hyperplane, in neighbour order."""
+    return {j: pairs[i, j] if i < j else -pairs[j, i] for j in range(n) if j != i}
+
+
 def _solve2(h1: Halfspace, h2: Halfspace):
     (a1, b1), c1 = as_floats(h1.normal), float(h1.offset)
     (a2, b2), c2 = as_floats(h2.normal), float(h2.offset)
@@ -270,9 +287,9 @@ def _solve3(h1, h2, h3):
     return tuple(float(v) for v in x)
 
 
-def _box_halfwidth(sites, halfspaces, clip, explicit, d) -> float:
+def _box_halfwidth(sites, pairs, matrix, clip, d) -> float:
     """Window big enough to contain the clip ball, every hyperplane foot
-    point and (for unclipped explicit diagrams) every candidate vertex."""
+    point and (for unclipped diagrams) every candidate vertex."""
     scale = 1.0
     if clip is not None:
         reach = float(clip.radius) + max((abs(c) for c in as_floats(clip.center)), default=0.0)
@@ -280,38 +297,36 @@ def _box_halfwidth(sites, halfspaces, clip, explicit, d) -> float:
     for s in sites:
         for c in s.center:
             scale = max(scale, abs(float(c)))
+    # foot point of each hyperplane: |offset| / |normal|, zero normals skipped
+    with np.errstate(over="ignore"):
+        length = np.sqrt((matrix[:, :-1] * matrix[:, :-1]).sum(axis=1))
+    live = length > 0
+    if live.any():
+        scale = max(scale, float((np.abs(matrix[live, -1]) / length[live]).max()))
     n = len(sites)
-    for i in range(n):
-        for j in range(i + 1, n):
-            hs = halfspaces[i][j]
-            nf = as_floats(hs.normal)
-            ln = math.sqrt(sum(c * c for c in nf))
-            if ln > 0:
-                scale = max(scale, abs(float(hs.offset)) / ln)
-    if clip is None and explicit and n >= d + 1:
+    if clip is None and n >= d + 1:
         cap = 1e9
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
                     if d == 2:
-                        pt = _solve2(halfspaces[i][j], halfspaces[i][k])
+                        pt = _solve2(pairs[i, j], pairs[i, k])
                         if pt is not None:
                             scale = max(scale, min(cap, max(abs(v) for v in pt)))
                     else:
                         for l in range(k + 1, n):
-                            pt = _solve3(
-                                halfspaces[i][j], halfspaces[i][k], halfspaces[i][l]
-                            )
+                            pt = _solve3(pairs[i, j], pairs[i, k], pairs[i, l])
                             if pt is not None:
                                 scale = max(scale, min(cap, max(abs(v) for v in pt)))
     return 2.0 * scale + 1.0
 
 
 def _merge_vertex_candidates(candidates, tol):
-    """candidates: list of (point, floats, siteset) in deterministic order."""
+    """candidates: list of (point, siteset) in deterministic order."""
     index = clipping.GridIndex(tol)
     groups = []  # (point, set), in index order
-    for point, fpt, sites in candidates:
+    for point, sites in candidates:
+        fpt = as_floats(point)
         k = index.find(fpt)
         if k is None:
             index.add(fpt)
@@ -357,144 +372,114 @@ def _polyhedron_corners(polyh):
     return [v for face in polyh.faces for v in face.vertices]
 
 
-def build_complex(sites, clip: Ball | None = None, explicit: bool | None = None) -> PowerComplex:
+def _polygon_facets(poly, tol, exact):
+    """Radical edges of positive length (exactly so on rational input)."""
+    for tag, v0, v1 in poly.edges():
+        if tag is BOX_TAG:
+            continue
+        length_sq = norm_sq(vsub(v1, v0))
+        if (length_sq > 0) if exact else (math.sqrt(float(length_sq)) > tol):
+            yield tag, (v0, v1)
+
+
+def _polyhedron_facets(polyh, tol, exact):
+    """Radical faces of float area above tol^2, on either route."""
+    for face in polyh.faces:
+        if face.tag is not BOX_TAG and clipping.face_area(face.vertices) > tol * tol:
+            yield face.tag, tuple(face.vertices)
+
+
+def _polygon_vertices(poly, i, merge_tol):
+    """Corners where two radical edges meet: cells i, previous and next tag."""
+    for k, point in enumerate(poly.vertices):
+        t_prev, t_cur = poly.tags[k - 1], poly.tags[k]
+        if t_prev is not BOX_TAG and t_cur is not BOX_TAG and t_prev != t_cur:
+            yield point, frozenset((i, t_prev, t_cur))
+
+
+def _polyhedron_vertices(polyh, i, merge_tol):
+    """Merged corners on at least three radical faces, with cell i."""
+    for point, tags in clipping.polyhedron_vertices(polyh, merge_tol):
+        site_tags = {t for t in tags if t is not BOX_TAG}
+        if len(site_tags) >= 3:
+            yield point, frozenset(site_tags | {i})
+
+
+def _polyhedron_min_norm_sq(polyh):
+    if polyh.empty:
+        return None
+    return min(clipping.face_min_norm_sq(face.vertices) for face in polyh.faces)
+
+
+def build_complex(sites, clip: Ball | None = None) -> PowerComplex:
     """Construct the power diagram of the given sites.
 
     Each cell is cut from a bounding window by its n-1 radical
     hyperplanes; `clip` (the model ball for hyperbolic pipelines) is kept
     as a separate constraint, not polygonized.  Explicit vertex/facet
-    geometry is available for d in {2, 3}; higher dimensions keep the
-    implicit halfspace representation (cells retain all n-1 halfspaces).
+    geometry is built for d in {2, 3}; other dimensions keep the implicit
+    halfspace representation (cells retain all n-1 halfspaces).
     """
     sites = list(sites)
     d = _check_sites(sites)
     n = len(sites)
-    if explicit is None:
-        explicit = d in (2, 3)
-    elif explicit and d not in (2, 3):
-        raise DimensionUnsupported(
-            f"explicit cell geometry is limited to d in {{2, 3}}, got d = {d}"
-        )
     if clip is not None and len(clip.center) != d:
         raise ArityMismatch("clip ball dimension does not match sites")
+    pairs = {
+        (i, j): radical_hyperplane(sites[i], sites[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
+    if d not in (2, 3):
+        cells = [ConvexCell(i, _cell_halfspaces(pairs, i, n), clip) for i in range(n)]
+        return PowerComplex(d, sites, pairs, cells, set(), [], {}, clip, False)
 
-    halfspaces = [dict() for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if j > i:
-                hs = radical_hyperplane(sites[i], sites[j])
-                halfspaces[i][j] = hs
-                halfspaces[j][i] = Halfspace(
-                    tuple(-c for c in hs.normal), -hs.offset
-                )
+    try:  # the one place where pair coefficients become floats
+        matrix = np.array(
+            [hs.normal + (hs.offset,) for hs in pairs.values()], dtype=float
+        ).reshape(-1, d + 1)
+    except OverflowError as e:
+        raise DomainViolation(f"radical hyperplane coefficient out of float range: {e}") from e
+    halfwidth = _box_halfwidth(sites, pairs, matrix, clip, d)
+    exact = all(all_exact(s.center + (s.weight,)) for s in sites)
+    hw = Fraction(halfwidth) if exact else halfwidth
+    facet_tol = FACET_MEASURE_TOL * halfwidth
+    merge_tol = VERTEX_MERGE_TOL * halfwidth
+    r2 = clip.radius * clip.radius if clip is not None else None
+    # screen rows: rows[i, j] is i's side of the (i, j) hyperplane
+    upper = np.triu_indices(n, 1)
+    rows = np.zeros((n, n, d + 1))
+    rows[upper] = matrix
+    rows[upper[::-1]] = -matrix
 
+    # per dimension: the window, its clipper, the screen's corners, the
+    # ConvexCell field, positive-measure facets, vertex site sets, min |x|^2
+    box, clip_fn, corners, field, cell_facets, cell_vertices, min_norm_sq = {
+        2: (clipping.box_polygon, clipping.clip_polygon, _polygon_corners, "polygon",
+            _polygon_facets, _polygon_vertices, clipping.polygon_min_norm_sq),
+        3: (clipping.box_polyhedron, clipping.clip_polyhedron, _polyhedron_corners,
+            "polyhedron", _polyhedron_facets, _polyhedron_vertices, _polyhedron_min_norm_sq),
+    }[d]
     cells = []
     adjacency = set()
     facets = {}
     vertex_candidates = []
-
-    if not explicit:
-        for i in range(n):
-            cells.append(
-                ConvexCell(site_index=i, halfspaces=dict(halfspaces[i]), clip=clip)
-            )
-        return PowerComplex(d, sites, cells, set(), [], {}, clip, False)
-
-    halfwidth = _box_halfwidth(sites, halfspaces, clip, explicit, d)
-    exact = all(all_exact(s.center + (s.weight,)) for s in sites)
-    hw = Fraction(halfwidth) if exact else halfwidth
-    scale = halfwidth
-    facet_tol = FACET_MEASURE_TOL * scale
-    merge_tol = VERTEX_MERGE_TOL * scale
-    r2 = clip.radius * clip.radius if clip is not None else None
-
-    # float [normal | offset] of every oriented pair: rows[i, j] is i's side
-    # of the (i, j) hyperplane; _box_halfwidth has already floated each one.
-    upper = np.triu_indices(n, 1)
-    pair_rows = np.array(
-        [halfspaces[i][j].normal + (halfspaces[i][j].offset,) for i, j in zip(*upper)],
-        dtype=float,
-    ).reshape(-1, d + 1)
-    rows = np.zeros((n, n, d + 1))
-    rows[upper] = pair_rows
-    rows[upper[::-1]] = -pair_rows
-
     for i in range(n):
-        own = {j: halfspaces[i][j] for j in range(n) if j != i}
-        own_rows = np.delete(rows[i], i, axis=0)
-        if d == 2:
-            poly = _clip_cell(
-                clipping.box_polygon(hw), own, own_rows, clipping.clip_polygon,
-                _polygon_corners,
-            )
-            surviving = {}
-            for tag, v0, v1 in poly.edges():
-                if tag is BOX_TAG:
-                    continue
-                length = math.sqrt(float(norm_sq(vsub(v1, v0))))
-                if exact:
-                    keep = norm_sq(vsub(v1, v0)) > 0
-                else:
-                    keep = length > facet_tol
-                if keep:
-                    surviving[tag] = halfspaces[i][tag]
-                    a, b = (i, tag) if i < tag else (tag, i)
-                    adjacency.add((a, b))
-                    key = (a, b)
-                    if key not in facets or i == a:
-                        facets[key] = (v0, v1)
-            min_ns = clipping.polygon_min_norm_sq(poly)
-            empty = poly.empty or (
-                clip is not None and min_ns is not None and not min_ns < r2
-            )
-            # vertices where two radical edges meet: cells i, tag_prev, tag_cur
-            m = len(poly.vertices)
-            for k in range(m):
-                t_prev, t_cur = poly.tags[(k - 1) % m], poly.tags[k]
-                if t_prev is BOX_TAG or t_cur is BOX_TAG or t_prev == t_cur:
-                    continue
-                point = poly.vertices[k]
-                vertex_candidates.append(
-                    (point, as_floats(point), frozenset((i, t_prev, t_cur)))
-                )
-            cells.append(
-                ConvexCell(i, surviving, clip, polygon=poly, empty=empty)
-            )
-        else:  # d == 3
-            polyh = _clip_cell(
-                clipping.box_polyhedron(hw), own, own_rows, clipping.clip_polyhedron,
-                _polyhedron_corners,
-            )
-            surviving = {}
-            min_ns = None
-            for face in polyh.faces:
-                if face.tag is BOX_TAG:
-                    continue
-                if clipping.face_area(face.vertices) > facet_tol * facet_tol:
-                    surviving[face.tag] = halfspaces[i][face.tag]
-                    a, b = (i, face.tag) if i < face.tag else (face.tag, i)
-                    adjacency.add((a, b))
-                    key = (a, b)
-                    if key not in facets or i == a:
-                        facets[key] = tuple(face.vertices)
-            if not polyh.empty:
-                min_ns = min(
-                    clipping.face_min_norm_sq(face.vertices) for face in polyh.faces
-                )
-            empty = polyh.empty or (
-                clip is not None and min_ns is not None and not min_ns < float(r2)
-            )
-            for point, tags in clipping.polyhedron_vertices(polyh, merge_tol):
-                site_tags = {t for t in tags if t is not BOX_TAG}
-                if len(site_tags) >= 3:
-                    vertex_candidates.append(
-                        (point, as_floats(point), frozenset(site_tags | {i}))
-                    )
-            cells.append(
-                ConvexCell(i, surviving, clip, polyhedron=polyh, empty=empty)
-            )
+        own = _cell_halfspaces(pairs, i, n)
+        shape = _clip_cell(box(hw), own, np.delete(rows[i], i, axis=0), clip_fn, corners)
+        surviving = {}
+        for j, facet in cell_facets(shape, facet_tol, exact):
+            surviving[j] = own[j]
+            key = (i, j) if i < j else (j, i)
+            adjacency.add(key)
+            if key not in facets or i < j:
+                facets[key] = facet
+        min_ns = min_norm_sq(shape)
+        empty = shape.empty or (
+            clip is not None and min_ns is not None and not min_ns < r2
+        )
+        vertex_candidates.extend(cell_vertices(shape, i, merge_tol))
+        cells.append(ConvexCell(i, surviving, clip, empty=empty, **{field: shape}))
 
     power_vertices = [
         v
@@ -502,5 +487,5 @@ def build_complex(sites, clip: Ball | None = None, explicit: bool | None = None)
         if len(v.sites) >= d + 1
     ]
     return PowerComplex(
-        d, sites, cells, adjacency, power_vertices, facets, clip, True, halfwidth
+        d, sites, pairs, cells, adjacency, power_vertices, facets, clip, True, halfwidth
     )

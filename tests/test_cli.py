@@ -148,6 +148,33 @@ def test_compute_domain_violation_exit_3(tmp_path, capsys):
     assert "\n" not in err.strip()
 
 
+def test_compute_coefficient_beyond_float_range_exit_3(tmp_path, capsys):
+    # t = (1/3**400, 0) lifts to an exact hemisphere point whose radical
+    # hyperplanes have integer coefficients far beyond the float range
+    def lift(t):
+        n2 = sum(c * c for c in t)
+        return [(1 - n2) / (1 + n2)] + [2 * c / (1 + n2) for c in t]
+
+    ts = [
+        (Fraction(1, 3**400), Fraction(0)),
+        (Fraction(1, 3), Fraction(1, 5)),
+        (Fraction(-1, 4), Fraction(1, 7)),
+    ]
+    doc = {
+        "dimension": 2,
+        "curvature": "-1/1",
+        "model": "hemisphere",
+        "scalar": "exact-rational",
+        "points": [[f"{c.numerator}/{c.denominator}" for c in lift(t)] for t in ts],
+    }
+    inp = tmp_path / "far.json"
+    inp.write_text(dump_json(doc))
+    assert main(["compute", str(inp), "--route", "hemisphere", "-o", "-"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: domain:")
+    assert "\n" not in err.strip()
+
+
 def test_compute_with_verification_section(tmp_path):
     inp = write_point_set(tmp_path / "p.json", random_klein_points(5, seed=6))
     out = tmp_path / "d.json"

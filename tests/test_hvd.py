@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypervoronoi import (
     NoExplicitGeometry,
     ROUTE_HEMISPHERE,
     ROUTE_KLEIN,
+    Curvature,
     convert,
     delaunay,
     detect_degeneracies,
@@ -21,11 +23,13 @@ from hypervoronoi import (
     voronoi,
 )
 from hypervoronoi import hvd, power
+from hypervoronoi.bisectors import ImplicitSurface, scale_surface, transport_surface
 from hypervoronoi.cli import main
 from hypervoronoi.hvd import _collinear_groups, sample_labels
 from hypervoronoi.sampling import (
     cocircular_square,
     random_klein_points,
+    rational_hemisphere_points,
     unbounded_star_points,
     wheel_points,
 )
@@ -399,3 +403,63 @@ def test_compute_builds_the_complex_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     doc = json.loads((tmp_path / "out.json").read_text())
     assert [0, 1, 2, 3] in doc["degeneracies"]["cocircular_groups"]
+
+
+@pytest.mark.parametrize("route", [ROUTE_KLEIN, ROUTE_HEMISPHERE])
+@pytest.mark.parametrize("d", [2, 3])
+def test_compute_makes_each_radical_hyperplane_once(tmp_path, monkeypatch, d, route):
+    calls = []
+    make = power.radical_hyperplane
+
+    def counting(s_i, s_j):
+        calls.append((s_i.origin_index, s_j.origin_index))
+        return make(s_i, s_j)
+
+    for module in (power, hvd):  # wherever the package binds the name
+        if hasattr(module, "radical_hyperplane"):
+            monkeypatch.setattr(module, "radical_hyperplane", counting)
+    n = 9 if d == 2 else 7
+    pts = rational_hemisphere_points(n, d, seed=23)  # rational lifts: both routes exact
+    doc = {
+        "dimension": d,
+        "model": "hemisphere",
+        "scalar": "exact-rational",
+        "points": [[f"{c.numerator}/{c.denominator}" for c in p] for p in pts],
+    }
+    inp = tmp_path / "p.json"
+    inp.write_text(json.dumps(doc))
+    assert main(["compute", str(inp), "--route", route, "-o", str(tmp_path / "out.json")]) == 0
+    assert len(calls) == n * (n - 1) // 2
+    assert sorted(calls) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def _curved_float_points():
+    curv = Curvature(-0.25)  # r = 2
+    raw = random_klein_points(14, seed=61)
+    return [
+        convert(ModelPoint(ModelTag.KLEIN, tuple(2 * c for c in p), curv), ModelTag.POINCARE)
+        for p in raw
+    ]
+
+
+def _curved_exact_points():
+    curv = Curvature(Fraction(-1, 4))  # exact r = 2
+    raw = rational_hemisphere_points(10, seed=62)
+    return [ModelPoint(ModelTag.HEMISPHERE, tuple(2 * c for c in p), curv) for p in raw]
+
+
+@pytest.mark.parametrize(
+    "make, route",
+    [(_curved_float_points, ROUTE_KLEIN), (_curved_exact_points, ROUTE_HEMISPHERE)],
+)
+def test_boundaries_are_transported_radical_hyperplanes(make, route):
+    dia = voronoi(make(), route=route)
+    sites = dia.complex.sites
+    want = {}
+    for i, j in sorted(dia.complex.adjacency):
+        hs = power.radical_hyperplane(sites[i], sites[j])
+        chart = ImplicitSurface(0, hs.normal, hs.offset, ModelTag.KLEIN)
+        moved = transport_surface(chart, dia.model)
+        want[i, j] = scale_surface(moved, dia.curvature, to_unit=False)
+    assert len(want) >= 10
+    assert repr(dia.boundaries) == repr(want)

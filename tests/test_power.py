@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hypervoronoi import (
+    Ball,
     CoincidentSites,
     DuplicateSites,
     EmptySites,
@@ -401,6 +402,57 @@ def test_implicit_mode_high_dimension():
     cx = build_complex(sites)
     assert not cx.explicit
     assert all(len(c.halfspaces) == 11 for c in cx.cells)
+
+
+@pytest.mark.parametrize("d, n", [(2, 9), (3, 7), (4, 6)])
+def test_pair_table_feeds_every_cell(d, n):
+    pts = rational_hemisphere_points(n, d, seed=29)
+    sites = [hemisphere_site_map(p, i) for i, p in enumerate(pts)]
+    cx = build_complex(sites, clip=unit_ball(d))
+    assert list(cx.pairs) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for (i, j), hs in cx.pairs.items():
+        assert hs == radical_hyperplane(sites[i], sites[j])
+    for cell in cx.cells:
+        i = cell.site_index
+        for j, hs in cell.halfspaces.items():
+            if i < j:
+                assert hs is cx.pairs[i, j]
+            else:
+                other = cx.pairs[j, i]
+                assert hs == Halfspace(tuple(-c for c in other.normal), -other.offset)
+    assert cx.explicit == (d in (2, 3))
+
+
+def _loop_box_halfwidth(sites, pairs, clip):
+    """Reference: the clipped window size with the scalar foot-point loop."""
+    scale = float(clip.radius) + max(abs(float(c)) for c in clip.center)
+    scale = max(1.0, scale, *(abs(float(c)) for s in sites for c in s.center))
+    for hs in pairs.values():
+        nf = [float(c) for c in hs.normal]
+        ln = math.sqrt(sum(c * c for c in nf))
+        if ln > 0:
+            scale = max(scale, abs(float(hs.offset)) / ln)
+    return 2.0 * scale + 1.0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_box_halfwidth_matches_scalar_loop(d):
+    # heavy weights put the foot points far outside the sites and the ball
+    rng = np.random.default_rng(211 + d)
+    for trial in range(12):
+        spread = 10.0 ** int(rng.integers(-2, 4))
+        sites = [
+            W(tuple(rng.uniform(-1, 1, d)), float(rng.uniform(-spread, spread)), i)
+            for i in range(int(rng.integers(2, 9)))
+        ]
+        if trial % 2:  # exact: primitive integer pair coefficients
+            sites = [
+                W(tuple(Fraction(c) for c in s.center), Fraction(s.weight), s.origin_index)
+                for s in sites
+            ]
+        clip = Ball(tuple(rng.uniform(-0.1, 0.1, d)), 1)
+        cx = build_complex(sites, clip=clip)
+        assert cx.box_halfwidth == _loop_box_halfwidth(sites, cx.pairs, clip)
 
 
 # --- filtered clipping against the plain sequential build ------------------------------
