@@ -2,9 +2,11 @@
 
 Internal machinery for the power-diagram engine.  Every boundary element
 carries a tag: the index of the neighbor site whose radical hyperplane
-produced it, or BOX_TAG for the artificial bounding-box walls.  All
-intersection arithmetic is a single division, so rational inputs stay
-rational.
+produced it, or BOX_TAG for the artificial bounding-box walls.  Both
+clippers run one Sutherland-Hodgman step, `_clip_ring`: a polygon is one
+ring, a polyhedron clips each face as a ring and closes the cut with a
+new face through the crossing points.  All intersection arithmetic is a
+single division, so rational inputs stay rational.
 """
 
 from __future__ import annotations
@@ -47,36 +49,41 @@ def _cut_point(v0, v1, f0, f1):
     return tuple(a + t * (b - a) for a, b in zip(v0, v1))
 
 
-def clip_polygon(poly: Polygon, normal, offset, tag) -> Polygon:
-    """Keep the side <normal, x> + offset <= 0; new edges get `tag`."""
-    if poly.empty:
-        return poly
-    verts, tags = poly.vertices, poly.tags
-    m = len(verts)
+def _clip_ring(verts, tags, normal, offset, tag):
+    """One Sutherland-Hodgman step on a convex ring of vertices.
+
+    Keeps the side <normal, x> + offset <= 0 and drops the zero-length
+    edges a grazing cut leaves.  `tags` yields the label of each edge in
+    turn (verts[k] -> verts[k+1] first at k = 0); the new edge along the
+    cut gets `tag`.  Returns the kept ring, its edge tags and the
+    crossing points.
+    """
     vals = [dot(normal, v) + offset for v in verts]
-    out_v, out_t = [], []
-    for k in range(m):
-        v0, v1 = verts[k], verts[(k + 1) % m]
-        f0, f1 = vals[k], vals[(k + 1) % m]
-        t = tags[k]
+    out_v, out_t, cuts = [], [], []
+    for v0, v1, f0, f1, t in zip(verts, verts[1:] + verts[:1], vals, vals[1:] + vals[:1], tags):
         if f0 <= 0:
             out_v.append(v0)
             out_t.append(t)
             if f1 > 0:
-                out_v.append(_cut_point(v0, v1, f0, f1))
+                w = _cut_point(v0, v1, f0, f1)
+                out_v.append(w)
                 out_t.append(tag)
+                cuts.append(w)
         elif f1 <= 0:
-            out_v.append(_cut_point(v0, v1, f0, f1))
+            w = _cut_point(v0, v1, f0, f1)
+            out_v.append(w)
             out_t.append(t)
-    # drop zero-length edges from grazing cuts
-    verts2, tags2 = [], []
-    for k in range(len(out_v)):
-        if not out_v[k] == out_v[(k + 1) % len(out_v)]:
-            verts2.append(out_v[k])
-            tags2.append(out_t[k])
-    if len(verts2) < 3:
-        return Polygon([], [])
-    return Polygon(verts2, tags2)
+            cuts.append(w)
+    keep = [not v == w for v, w in zip(out_v, out_v[1:] + out_v[:1])]
+    return list(itertools.compress(out_v, keep)), list(itertools.compress(out_t, keep)), cuts
+
+
+def clip_polygon(poly: Polygon, normal, offset, tag) -> Polygon:
+    """Keep the side <normal, x> + offset <= 0; new edges get `tag`."""
+    if poly.empty:
+        return poly
+    verts, tags, _ = _clip_ring(poly.vertices, poly.tags, normal, offset, tag)
+    return Polygon(verts, tags) if len(verts) >= 3 else Polygon([], [])
 
 
 def segment_min_norm_sq(v0, v1):
@@ -92,39 +99,6 @@ def segment_min_norm_sq(v0, v1):
         return norm_sq(v1)
     w = tuple(a + t * b for a, b in zip(v0, d))
     return norm_sq(w)
-
-
-def polygon_min_norm_sq(poly: Polygon):
-    """min squared distance from the origin to the polygon, None if empty."""
-    if poly.empty:
-        return None
-    if _polygon_contains_origin(poly):
-        return 0
-    best = None
-    for _, v0, v1 in poly.edges():
-        m = segment_min_norm_sq(v0, v1)
-        if best is None or m < best:
-            best = m
-    return best
-
-
-def _polygon_contains_origin(poly: Polygon) -> bool:
-    # convex, counterclockwise or clockwise consistent: origin inside iff
-    # all cross products share a sign (zero allowed).
-    sign = 0
-    for _, v0, v1 in poly.edges():
-        cr = v0[0] * (v1[1] - v0[1]) - v0[1] * (v1[0] - v0[0])
-        if cr > 0:
-            cur = 1
-        elif cr < 0:
-            cur = -1
-        else:
-            continue
-        if sign == 0:
-            sign = cur
-        elif cur != sign:
-            return False
-    return True
 
 
 # --- polyhedra (d = 3) -------------------------------------------------------
@@ -157,28 +131,6 @@ def box_polyhedron(h) -> Polyhedron:
         [(x0, y0, z1), (x0, y1, z1), (x1, y1, z1), (x1, y0, z1)],  # z = z1
     ]
     return Polyhedron([Face(BOX_TAG, q) for q in quads])
-
-
-def _clip_face(verts, normal, offset):
-    """Clip one convex face; returns (kept vertices, crossing points)."""
-    m = len(verts)
-    vals = [dot(normal, v) + offset for v in verts]
-    out, cuts = [], []
-    for k in range(m):
-        v0, v1 = verts[k], verts[(k + 1) % m]
-        f0, f1 = vals[k], vals[(k + 1) % m]
-        if f0 <= 0:
-            out.append(v0)
-            if f1 > 0:
-                w = _cut_point(v0, v1, f0, f1)
-                out.append(w)
-                cuts.append(w)
-        elif f1 <= 0:
-            w = _cut_point(v0, v1, f0, f1)
-            out.append(w)
-            cuts.append(w)
-    dedup = [out[k] for k in range(len(out)) if not out[k] == out[(k + 1) % len(out)]]
-    return dedup, cuts
 
 
 def _order_ring(points, normal):
@@ -219,16 +171,14 @@ def clip_polyhedron(poly: Polyhedron, normal, offset, tag) -> Polyhedron:
     new_faces = []
     cut_points = []
     for face in poly.faces:
-        kept, cuts = _clip_face(face.vertices, normal, offset)
+        kept, _, cuts = _clip_ring(face.vertices, itertools.repeat(face.tag), normal, offset, tag)
         if len(kept) >= 3:
             new_faces.append(Face(face.tag, kept))
         cut_points.extend(cuts)
     ring = _order_ring(cut_points, normal) if cut_points else None
     if ring is not None:
         new_faces.append(Face(tag, ring))
-    if len(new_faces) < 4:
-        return Polyhedron([])
-    return Polyhedron(new_faces)
+    return Polyhedron(new_faces) if len(new_faces) >= 4 else Polyhedron([])
 
 
 def face_area(verts) -> float:

@@ -290,44 +290,53 @@ def _site_index(value, count: int, what: str) -> int:
     return value
 
 
+def _site_pair(value, count: int, what: str) -> tuple:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ParseError(f"{what} must be two site indices, got {value!r}")
+    return tuple(_site_index(v, count, what) for v in value)
+
+
+def _vector(value, arity: int, what: str) -> tuple:
+    vec = decode_vector(value)
+    if len(vec) != arity:
+        raise ParseError(f"{what} has {len(vec)} coordinates, needs {arity}")
+    return vec
+
+
 def parse_diagram(data) -> DiagramDocument:
     if not isinstance(data, dict) or data.get("format") != DIAGRAM_FORMAT:
         raise ParseError("not a hypervoronoi diagram document")
     try:
         input_doc = parse_point_set(data["input"])
-        count = len(input_doc.points)
+        count, dim = len(input_doc.points), input_doc.dimension
         cells = []
         for k, cell in enumerate(data["cells"]):
             site = _site_index(cell["site"], count, f"cell {k} site")
             halfspaces = {}
             for h in cell["halfspaces"]:
                 neighbor = _site_index(h["neighbor"], count, f"cell {k} neighbor")
-                normal = decode_vector(h["normal"])
-                if len(normal) != input_doc.dimension:
-                    raise ParseError(
-                        f"cell {k} neighbor {neighbor}: normal has {len(normal)} "
-                        f"coordinates, dimension is {input_doc.dimension}"
-                    )
+                normal = _vector(h["normal"], dim, f"cell {k} neighbor {neighbor} normal")
                 halfspaces[neighbor] = Halfspace(normal, decode_number(h["offset"]))
             cells.append((site, bool(cell["empty"]), halfspaces))
         if not cells:
             raise ParseError("diagram document has no cells")
         adjacency = [tuple(int(v) for v in pair) for pair in data["adjacency"]]
-        facets = {
-            tuple(int(v) for v in f["pair"]): tuple(
-                decode_vector(pt) for pt in f["points"]
-            )
-            for f in data.get("facets", [])
-        }
+        facets = {}
+        for k, f in enumerate(data.get("facets", [])):
+            points = tuple(_vector(pt, dim, f"facet {k} point") for pt in f["points"])
+            if len(points) < dim:
+                raise ParseError(f"facet {k} has {len(points)} points, needs at least {dim}")
+            facets[_site_pair(f["pair"], count, f"facet {k} pair")] = points
+        arity = dim + 1 if input_doc.model.ambient else dim
         boundaries = [
             (
-                tuple(int(v) for v in b["pair"]),
+                _site_pair(b["pair"], count, f"boundary {k} pair"),
                 decode_number(b["lambda"]),
-                decode_vector(b["a"]),
+                _vector(b["a"], arity, f"boundary {k} a"),
                 decode_number(b["b"]),
                 str(b["class"]),
             )
-            for b in data.get("boundaries", [])
+            for k, b in enumerate(data.get("boundaries", []))
         ]
         clip = data.get("clip")
         clip_radius = decode_number(clip["radius"]) if clip else None

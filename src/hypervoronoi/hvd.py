@@ -32,8 +32,8 @@ from .models import (
     Curvature,
     ModelPoint,
     ModelTag,
+    cosh_distance_unit,
     distance,
-    validate_point,
 )
 from .power import PowerComplex, build_complex, unit_ball
 from .scalars import as_floats, norm_sq
@@ -48,8 +48,10 @@ BALL_STRICT_TOL = 1e-12
 # Coordinate tolerance for merging degenerate dual vertices, confirmed by
 # relative agreement of the incident-site circumdistances.
 DUAL_MERGE_TOL = 1e-9
-# Relative tolerance of every group `detect_degeneracies` reports.
+# Tolerance of every group `detect_degeneracies` reports (scales: README).
 DEGENERACY_TOL = 1e-9
+# Klein pairs closer than this (absolute) span no line in the collinear scan.
+COLLINEAR_MIN_SPAN = 1e-15
 
 
 @dataclass
@@ -122,7 +124,6 @@ def _check_point_set(points):
             raise ModelMismatch(f"site {k} is in model {p.model.value}")
         if p.curvature.kappa != first.curvature.kappa:
             raise ModelMismatch(f"site {k} has curvature {p.curvature.kappa}")
-        validate_point(p)
         if p.coords in seen:
             raise DuplicateSites(f"sites {seen[p.coords]} and {k} coincide")
         seen[p.coords] = k
@@ -180,12 +181,6 @@ def nearest_site(x: ModelPoint, points) -> tuple[int, tuple[int, ...]]:
     return ties[0], ties
 
 
-def _klein_cosh(u, v) -> float:
-    num = 1.0 - sum(a * b for a, b in zip(u, v))
-    den = math.sqrt((1.0 - sum(a * a for a in u)) * (1.0 - sum(a * a for a in v)))
-    return num / den
-
-
 def _merge_dual_vertices(vertices, klein_sites, tol):
     """Merge coincident dual vertices; union their incident site sets.
 
@@ -200,7 +195,8 @@ def _merge_dual_vertices(vertices, klein_sites, tol):
         if k is not None:
             target = groups[k]
             union = target[1] | set(v.sites)
-            coshes = [_klein_cosh(target[0], as_floats(klein_sites[s])) for s in union]
+            members = [as_floats(klein_sites[s]) for s in union]
+            coshes = [cosh_distance_unit(ModelTag.KLEIN, target[0], q) for q in members]
             lo, hi = min(coshes), max(coshes)
             if hi - lo <= tol * max(1.0, hi):
                 target[1] |= set(v.sites)
@@ -329,7 +325,7 @@ def _collinear_groups(kleins, tol):
         ux = K[i + 1:, 0] - ax
         uy = K[i + 1:, 1] - ay
         ln = np.array([math.hypot(a, b) for a, b in zip(ux.tolist(), uy.tolist())])
-        live = ln >= 1e-15
+        live = ln >= COLLINEAR_MIN_SPAN
         dist = np.abs(
             (K[:, 0] - ax)[None, :] * uy[live, None] - (K[:, 1] - ay)[None, :] * ux[live, None]
         ) / ln[live, None]

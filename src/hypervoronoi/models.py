@@ -32,8 +32,9 @@ from .scalars import (
     vsub,
 )
 
-# Relative tolerance for the on-manifold equality constraints (hemisphere
-# sphere membership, hyperboloid membership) in float mode.
+# Tolerance of the on-manifold equality constraints (hemisphere sphere,
+# hyperboloid sheet) in float mode, relative to max(1, x0^2): the scale of
+# the residual, as x0 grows without bound on the hyperboloid.
 MEMBERSHIP_TOL = 1e-9
 
 
@@ -153,8 +154,8 @@ def validate_point(p: ModelPoint, tol: float = MEMBERSHIP_TOL) -> None:
     """Check the model domain invariant; raise DomainViolation if broken.
 
     Equality constraints (sphere/hyperboloid membership) are checked to
-    relative tolerance `tol` for float points and exactly for rational
-    points; inequality constraints are strict.
+    `tol` relative to max(1, x0^2) for float points and exactly for
+    rational points; inequality constraints are strict.
     """
     _require_arity(p)
     u = p.unit_coords()
@@ -194,7 +195,7 @@ def _check_membership(residual: Scalar, constraint: str, u: tuple, tol: float) -
                 constraint=constraint,
                 excess=float(residual),
             )
-    elif abs(float(residual)) > tol:
+    elif abs(float(residual)) > tol * max(1.0, float(u[0]) ** 2):
         raise DomainViolation(
             f"point violates {constraint} by {float(residual)}",
             constraint=constraint,

@@ -18,8 +18,11 @@ drops those that provably contain the cell: the cell only shrinks, so
 such a cut would be a no-op now and at its turn.  The cuts that run are
 the full sequence minus its no-ops, so the cells are the same, vertex
 for vertex, on float and rational input; the work is output sensitive,
-about one cut per facet or transient edge of a cell.  Other dimensions
-keep every cell's n-1 halfspaces (implicit representation).
+about one cut per facet or transient edge of a cell.  A clipped cell is
+empty when its shape is, or when it misses the clip ball's centre (the
+`locate` tie set) and its boundary (edges for d=2, exact on rational
+input; faces for d=3) stays at distance >= r from that centre.  Other
+dimensions keep every cell's n-1 halfspaces (implicit representation).
 """
 
 from __future__ import annotations
@@ -52,6 +55,10 @@ VERTEX_MERGE_TOL = 1e-12
 # which provable no-op cuts are skipped, never the geometry: a hyperplane
 # within the margin of the cell is cut with exactly, as before.
 CLIP_SKIP_TOL = 1e-9
+# `_solve2` lines are parallel below |det| = this * max(1, largest |coefficient|).
+PARALLEL_TOL = 1e-13
+# Cap on a candidate vertex coordinate that sizes an unclipped window.
+WINDOW_VERTEX_CAP = 1e9
 
 
 @dataclass(frozen=True)
@@ -270,7 +277,7 @@ def _solve2(h1: Halfspace, h2: Halfspace):
     (a1, b1), c1 = as_floats(h1.normal), float(h1.offset)
     (a2, b2), c2 = as_floats(h2.normal), float(h2.offset)
     det = a1 * b2 - a2 * b1
-    if abs(det) < 1e-13 * max(1.0, abs(a1), abs(b1), abs(a2), abs(b2)):
+    if abs(det) < PARALLEL_TOL * max(1.0, abs(a1), abs(b1), abs(a2), abs(b2)):
         return None
     return ((b1 * c2 - b2 * c1) / det, (a2 * c1 - a1 * c2) / det)
 
@@ -305,7 +312,7 @@ def _box_halfwidth(sites, pairs, matrix, clip, d) -> float:
         scale = max(scale, float((np.abs(matrix[live, -1]) / length[live]).max()))
     n = len(sites)
     if clip is None and n >= d + 1:
-        cap = 1e9
+        cap = WINDOW_VERTEX_CAP
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
@@ -405,10 +412,14 @@ def _polyhedron_vertices(polyh, i, merge_tol):
             yield point, frozenset(site_tags | {i})
 
 
-def _polyhedron_min_norm_sq(polyh):
-    if polyh.empty:
-        return None
-    return min(clipping.face_min_norm_sq(face.vertices) for face in polyh.faces)
+def _polygon_boundary_sq(poly, c):
+    """Least squared distance from c to the edges (exact on rational input)."""
+    return min(clipping.segment_min_norm_sq(vsub(a, c), vsub(b, c)) for _, a, b in poly.edges())
+
+
+def _polyhedron_boundary_sq(polyh, c):
+    """Least squared distance from c to the faces (float)."""
+    return min(clipping.face_min_norm_sq([vsub(v, c) for v in f.vertices]) for f in polyh.faces)
 
 
 def build_complex(sites, clip: Ball | None = None) -> PowerComplex:
@@ -446,19 +457,20 @@ def build_complex(sites, clip: Ball | None = None) -> PowerComplex:
     facet_tol = FACET_MEASURE_TOL * halfwidth
     merge_tol = VERTEX_MERGE_TOL * halfwidth
     r2 = clip.radius * clip.radius if clip is not None else None
+    holders = locate(clip.center, sites)[1] if clip is not None else ()  # cells holding the centre
     # screen rows: rows[i, j] is i's side of the (i, j) hyperplane
     upper = np.triu_indices(n, 1)
     rows = np.zeros((n, n, d + 1))
     rows[upper] = matrix
     rows[upper[::-1]] = -matrix
 
-    # per dimension: the window, its clipper, the screen's corners, the
-    # ConvexCell field, positive-measure facets, vertex site sets, min |x|^2
-    box, clip_fn, corners, field, cell_facets, cell_vertices, min_norm_sq = {
+    # per dimension: the window, its clipper, the screen's corners, the ConvexCell
+    # field, positive-measure facets, vertex site sets, boundary distance from a centre
+    box, clip_fn, corners, field, cell_facets, cell_vertices, boundary_sq = {
         2: (clipping.box_polygon, clipping.clip_polygon, _polygon_corners, "polygon",
-            _polygon_facets, _polygon_vertices, clipping.polygon_min_norm_sq),
+            _polygon_facets, _polygon_vertices, _polygon_boundary_sq),
         3: (clipping.box_polyhedron, clipping.clip_polyhedron, _polyhedron_corners,
-            "polyhedron", _polyhedron_facets, _polyhedron_vertices, _polyhedron_min_norm_sq),
+            "polyhedron", _polyhedron_facets, _polyhedron_vertices, _polyhedron_boundary_sq),
     }[d]
     cells = []
     adjacency = set()
@@ -474,9 +486,8 @@ def build_complex(sites, clip: Ball | None = None) -> PowerComplex:
             adjacency.add(key)
             if key not in facets or i < j:
                 facets[key] = facet
-        min_ns = min_norm_sq(shape)
         empty = shape.empty or (
-            clip is not None and min_ns is not None and not min_ns < r2
+            clip is not None and i not in holders and not boundary_sq(shape, clip.center) < r2
         )
         vertex_candidates.extend(cell_vertices(shape, i, merge_tol))
         cells.append(ConvexCell(i, surviving, clip, empty=empty, **{field: shape}))

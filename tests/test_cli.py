@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypervoronoi import ModelPoint, ModelTag, verify, voronoi
+from hypervoronoi import ModelPoint, ModelTag, convert, verify, voronoi
 from hypervoronoi.cli import _check_stored_diagram, _print_report, main
 from hypervoronoi.documents import (
     diagram_to_document,
@@ -506,12 +506,75 @@ def test_check_malformed_stored_cell_exit_2(tmp_path, capsys, corrupt, value):
     assert_parse_error(capsys, ["check", str(dia), "--samples", "100"])
 
 
+def _set_facet_pair(doc, value):
+    doc["facets"][0]["pair"] = value
+
+
+def _set_facet_points(doc, value):
+    doc["facets"][0]["points"] = value
+
+
+def _set_facet_point(doc, value):
+    doc["facets"][0]["points"][1] = value
+
+
+def _set_boundary_pair(doc, value):
+    doc["boundaries"][0]["pair"] = value
+
+
+def _set_boundary_a(doc, value):
+    doc["boundaries"][0]["a"] = value
+
+
+@pytest.mark.parametrize(
+    "corrupt, value",
+    [
+        (_set_facet_pair, [0]),
+        (_set_facet_pair, [0, 99]),
+        (_set_facet_pair, ["0", 1]),
+        (_set_facet_points, [[0.1, 0.2]]),
+        (_set_facet_point, [0.1]),
+        (_set_boundary_pair, [1]),
+        (_set_boundary_a, [0.5]),
+    ],
+)
+def test_render_malformed_facet_or_boundary_exit_2(tmp_path, capsys, corrupt, value):
+    _, dia = stored_fixture(tmp_path)
+    doc = json.loads(dia.read_text())
+    corrupt(doc, value)
+    dia.write_text(dump_json(doc))
+    svg = str(tmp_path / "x.svg")
+    assert_parse_error(capsys, ["render", str(dia), "--model", "poincare", "-o", svg])
+
+
+def test_boundary_arity_counts_the_ambient_coordinate(tmp_path, capsys):
+    inp = write_exact_hemisphere(tmp_path / "p.json")
+    dia = tmp_path / "d.json"
+    assert main(["compute", str(inp), "-o", str(dia), "--route", "hemisphere"]) == 0
+    doc = json.loads(dia.read_text())
+    assert len(doc["boundaries"][0]["a"]) == 3
+    assert load_diagram(dia).boundaries[0][2] == tuple(
+        Fraction(c) for c in doc["boundaries"][0]["a"]
+    )
+    doc["boundaries"][0]["a"] = doc["boundaries"][0]["a"][:2]
+    dia.write_text(dump_json(doc))
+    assert_parse_error(capsys, ["check", str(dia), "--samples", "100"])
+
+
 def test_check_diagram_without_cells_exit_2(tmp_path, capsys):
     _, dia = stored_fixture(tmp_path)
     doc = json.loads(dia.read_text())
     doc["cells"] = []
     dia.write_text(dump_json(doc))
     assert_parse_error(capsys, ["check", str(dia), "--samples", "100"])
+
+
+def test_compute_hyperboloid_point_far_up_the_sheet(tmp_path, capsys):
+    kleins = [(0.6 * (1 - 1e-10), 0.8 * (1 - 1e-10)), (0.1, -0.2), (-0.3, 0.4)]
+    points = [convert(ModelPoint(ModelTag.KLEIN, p), ModelTag.HYPERBOLOID).coords for p in kleins]
+    inp = write_point_set(tmp_path / "p.json", points, model="hyperboloid")
+    assert main(["compute", str(inp), "-o", str(tmp_path / "o.json")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("value", [[2], None, {}, 2.5, "2", True])

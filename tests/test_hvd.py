@@ -22,7 +22,7 @@ from hypervoronoi import (
     verify,
     voronoi,
 )
-from hypervoronoi import hvd, power
+from hypervoronoi import conversions, hvd, models, power
 from hypervoronoi.bisectors import ImplicitSurface, scale_surface, transport_surface
 from hypervoronoi.cli import main
 from hypervoronoi.hvd import _collinear_groups, sample_labels
@@ -43,8 +43,9 @@ def kpts(raw):
 
 # --- pipeline basics -----------------------------------------------------------
 
-def test_single_site_is_whole_space():
-    dia = voronoi(kpts([(0.2, 0.1)]))
+@pytest.mark.parametrize("d", [2, 3])
+def test_single_site_is_whole_space(d):
+    dia = voronoi(kpts([(0.2, 0.1, 0.0)[:d]]))
     assert len(dia.complex.cells) == 1
     assert not dia.complex.cells[0].empty
     assert dia.boundaries == {}
@@ -431,6 +432,38 @@ def test_compute_makes_each_radical_hyperplane_once(tmp_path, monkeypatch, d, ro
     assert main(["compute", str(inp), "--route", route, "-o", str(tmp_path / "out.json")]) == 0
     assert len(calls) == n * (n - 1) // 2
     assert sorted(calls) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def test_dual_merge_cosh_is_the_klein_formula_bit_for_bit():
+    # the scalar formula the dual-vertex merge used before it called
+    # models.cosh_distance_unit
+    def klein_cosh(u, v):
+        num = 1.0 - sum(a * b for a, b in zip(u, v))
+        den = math.sqrt((1.0 - sum(a * a for a in u)) * (1.0 - sum(a * a for a in v)))
+        return num / den
+
+    for d in (2, 3):
+        pts = random_klein_points(40, d, seed=71)
+        pairs = list(zip(pts, pts[1:])) + [(pts[0], (0.0,) * d), (pts[1], (-0.0,) * d)]
+        for u, v in pairs:
+            assert models.cosh_distance_unit(ModelTag.KLEIN, u, v) == klein_cosh(u, v)
+
+
+@pytest.mark.parametrize("route", ["klein", "hemisphere"])
+def test_voronoi_validates_each_point_once(monkeypatch, route):
+    calls = []
+    check = models.validate_point
+
+    def counting(p, *args):
+        calls.append(p.coords)
+        return check(p, *args)
+
+    for module in (models, conversions, hvd):  # wherever the package binds the name
+        if hasattr(module, "validate_point"):
+            monkeypatch.setattr(module, "validate_point", counting)
+    pts = [ModelPoint(ModelTag.HEMISPHERE, p) for p in rational_hemisphere_points(9, seed=5)]
+    voronoi(pts, route=route)
+    assert calls == [p.coords for p in pts]
 
 
 def _curved_float_points():

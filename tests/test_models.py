@@ -49,6 +49,21 @@ def test_hyperboloid_off_sheet_rejected():
         validate_point(ModelPoint(ModelTag.HYPERBOLOID, (-1.25, 0.75, 0.0)))
 
 
+def test_hyperboloid_membership_scales_with_x0():
+    # a valid Klein point near the boundary lifts to x0 ~ 7e4, where the
+    # residual of sum x_i^2 - x_0^2 = -1 carries rounding error ~ 1e-6
+    klein = ModelPoint(ModelTag.KLEIN, (0.6 * (1 - 1e-10), 0.8 * (1 - 1e-10)))
+    lifted = convert(klein, ModelTag.HYPERBOLOID)
+    assert lifted.coords[0] > 7e4
+    validate_point(lifted)
+    # off the sheet by a relative 1e-6 at the same height
+    x0 = 7e4
+    with pytest.raises(DomainViolation):
+        validate_point(
+            ModelPoint(ModelTag.HYPERBOLOID, (x0, math.sqrt(x0 * x0 - 1) * (1 + 1e-6), 0.0))
+        )
+
+
 def test_hemisphere_membership_tolerance():
     validate_point(ModelPoint(ModelTag.HEMISPHERE, (0.8, 0.6, 0.0)))
     with pytest.raises(DomainViolation):

@@ -254,11 +254,51 @@ def test_locate_exact_ties():
 
 # --- complex construction -----------------------------------------------------------
 
-def test_single_site_complex_is_whole_ball():
-    cx = build_complex([W((0.1, 0.2), -1.0, 0)], clip=unit_ball(2))
+@pytest.mark.parametrize("d", [2, 3])
+def test_single_site_complex_is_whole_ball(d):
+    cx = build_complex([W((0.1, 0.2, 0.0)[:d], -1.0, 0)], clip=unit_ball(d))
     assert len(cx.cells) == 1
     assert not cx.cells[0].empty
     assert cx.adjacency == set()
+
+
+# d=3, float: the two faces on a box edge compute its crossing point from
+# either end, so a cut face's ring holds ~1e-15 edges; face_min_norm_sq
+# takes the face normal from its first edge, here one of those, and
+# misses the foot point of the clip centre inside the face
+FACE_NORMAL_DEFECT = pytest.mark.xfail(strict=True, reason="face normal from a ~1e-15 edge")
+
+
+def _sites_on_axis(xs, d, scalar):
+    return [W((scalar(x),) + (scalar(0),) * (d - 1), scalar(0), k) for k, x in enumerate(xs)]
+
+
+@pytest.mark.parametrize(
+    "d, scalar",
+    [
+        (2, int), (2, float), (2, Fraction), (3, int), (3, Fraction),
+        pytest.param(3, float, marks=FACE_NORMAL_DEFECT),
+    ],
+)
+def test_off_centre_clip_ball_is_measured_from_its_centre(d, scalar):
+    # the bisector x = 5 runs through the centre of the clip ball
+    sites = _sites_on_axis((4, 6, 20), d, scalar)
+    cx = build_complex(sites[:2], clip=Ball((scalar(5),) + (scalar(0),) * (d - 1), scalar(1)))
+    assert [cell.empty for cell in cx.cells] == [False, False]
+    # centre (11/2, 0, ...) in cell 1; cell 0 (x <= 5) is 1/2 away from
+    # it, cell 2 (x >= 13) 15/2
+    centre = (scalar(11) / 2,) + (scalar(0),) * (d - 1)
+    cx = build_complex(sites, clip=Ball(centre, scalar(1)))
+    assert [cell.empty for cell in cx.cells] == [False, False, True]
+
+
+@pytest.mark.parametrize("scalar", [Fraction, pytest.param(float, marks=FACE_NORMAL_DEFECT)])
+def test_cell_meeting_the_ball_inside_a_face_is_not_empty(scalar):
+    # cell 0 holds the centre; cell 1 (x >= 4/5) meets the ball inside a
+    # face, cell 2 (x >= 31/10) stays 2.1 away from it
+    sites = _sites_on_axis((0, Fraction(8, 5), Fraction(23, 5)), 3, scalar)
+    cx = build_complex(sites, clip=Ball((0, 0, 0), 1))
+    assert [cell.empty for cell in cx.cells] == [False, False, True]
 
 
 def test_two_equal_sites_split_by_perpendicular_bisector():
