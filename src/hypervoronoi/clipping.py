@@ -2,17 +2,22 @@
 
 Internal machinery for the power-diagram engine.  Every boundary element
 carries a tag: the index of the neighbor site whose radical hyperplane
-produced it, or BOX_TAG for the artificial bounding-box walls.  Both
-clippers run one Sutherland-Hodgman step, `_clip_ring`: a polygon is one
-ring, a polyhedron clips each face as a ring and closes the cut with a
-new face through the crossing points.  All intersection arithmetic is a
-single division, so rational inputs stay rational.
+produced it, or BOX_TAG for the artificial bounding-box walls.  A polygon
+is one ring of points, clipped by one Sutherland-Hodgman step.  A
+polyhedron is one table of points, `vertices`, and faces that are rings
+of indices into it, all wound the same way, as in Voro++'s cell (Rycroft,
+Chaos 19, 041111, 2009).  A cut evaluates each vertex once, makes each
+cut edge's crossing point once, keeps a vertex on the plane as it is, and
+closes the cell by chaining the clipped faces' new edges.  All
+intersection arithmetic is a single division, so rational inputs stay
+rational.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .scalars import as_floats, dot, norm_sq, vsub
@@ -49,41 +54,31 @@ def _cut_point(v0, v1, f0, f1):
     return tuple(a + t * (b - a) for a, b in zip(v0, v1))
 
 
-def _clip_ring(verts, tags, normal, offset, tag):
-    """One Sutherland-Hodgman step on a convex ring of vertices.
+def clip_polygon(poly: Polygon, normal, offset, tag) -> Polygon:
+    """Keep the side <normal, x> + offset <= 0; new edges get `tag`.
 
-    Keeps the side <normal, x> + offset <= 0 and drops the zero-length
-    edges a grazing cut leaves.  `tags` yields the label of each edge in
-    turn (verts[k] -> verts[k+1] first at k = 0); the new edge along the
-    cut gets `tag`.  Returns the kept ring, its edge tags and the
-    crossing points.
+    One Sutherland-Hodgman step.  The zero-length edges a grazing cut
+    leaves are dropped, keeping the later vertex and its tag.
     """
+    if poly.empty:
+        return poly
+    verts, tags = poly.vertices, poly.tags
     vals = [dot(normal, v) + offset for v in verts]
-    out_v, out_t, cuts = [], [], []
+    out_v, out_t = [], []
     for v0, v1, f0, f1, t in zip(verts, verts[1:] + verts[:1], vals, vals[1:] + vals[:1], tags):
         if f0 <= 0:
             out_v.append(v0)
             out_t.append(t)
             if f1 > 0:
-                w = _cut_point(v0, v1, f0, f1)
-                out_v.append(w)
+                out_v.append(_cut_point(v0, v1, f0, f1))
                 out_t.append(tag)
-                cuts.append(w)
         elif f1 <= 0:
-            w = _cut_point(v0, v1, f0, f1)
-            out_v.append(w)
+            out_v.append(_cut_point(v0, v1, f0, f1))
             out_t.append(t)
-            cuts.append(w)
     keep = [not v == w for v, w in zip(out_v, out_v[1:] + out_v[:1])]
-    return list(itertools.compress(out_v, keep)), list(itertools.compress(out_t, keep)), cuts
-
-
-def clip_polygon(poly: Polygon, normal, offset, tag) -> Polygon:
-    """Keep the side <normal, x> + offset <= 0; new edges get `tag`."""
-    if poly.empty:
-        return poly
-    verts, tags, _ = _clip_ring(poly.vertices, poly.tags, normal, offset, tag)
-    return Polygon(verts, tags) if len(verts) >= 3 else Polygon([], [])
+    if sum(keep) < 3:
+        return Polygon([], [])
+    return Polygon(list(itertools.compress(out_v, keep)), list(itertools.compress(out_t, keep)))
 
 
 def segment_min_norm_sq(v0, v1):
@@ -105,161 +100,160 @@ def segment_min_norm_sq(v0, v1):
 
 @dataclass
 class Face:
+    """A face's tag and its ring of indices into the polyhedron's vertices."""
+
     tag: object
-    vertices: list
+    ring: list
 
 
 @dataclass
 class Polyhedron:
+    """Convex polyhedron: one point table and faces of indices into it.
+
+    Every ring runs clockwise seen from outside, so each edge lies on two
+    faces, once in each direction.
+    """
+
+    vertices: list
     faces: list
 
     @property
     def empty(self) -> bool:
         return len(self.faces) < 4
 
+    def points(self, face: Face) -> list:
+        return [self.vertices[k] for k in face.ring]
+
 
 def box_polyhedron(h) -> Polyhedron:
-    """The cube [-h, h]^3 around the origin."""
-    x0 = y0 = z0 = -h
-    x1 = y1 = z1 = h
-    quads = [
-        [(x0, y0, z0), (x0, y1, z0), (x0, y1, z1), (x0, y0, z1)],  # x = x0
-        [(x1, y0, z0), (x1, y0, z1), (x1, y1, z1), (x1, y1, z0)],  # x = x1
-        [(x0, y0, z0), (x0, y0, z1), (x1, y0, z1), (x1, y0, z0)],  # y = y0
-        [(x0, y1, z0), (x1, y1, z0), (x1, y1, z1), (x0, y1, z1)],  # y = y1
-        [(x0, y0, z0), (x1, y0, z0), (x1, y1, z0), (x0, y1, z0)],  # z = z0
-        [(x0, y0, z1), (x0, y1, z1), (x1, y1, z1), (x1, y0, z1)],  # z = z1
+    """The cube [-h, h]^3 around the origin; corner 4x + 2y + z has
+    coordinate h on each axis whose bit is set, -h on the others."""
+    corners = [(x, y, z) for x in (-h, h) for y in (-h, h) for z in (-h, h)]
+    rings = [
+        [0, 2, 3, 1],  # x = -h
+        [4, 5, 7, 6],  # x = h
+        [0, 1, 5, 4],  # y = -h
+        [2, 6, 7, 3],  # y = h
+        [0, 4, 6, 2],  # z = -h
+        [1, 3, 7, 5],  # z = h
     ]
-    return Polyhedron([Face(BOX_TAG, q) for q in quads])
-
-
-def _order_ring(points, normal):
-    """Order coplanar points into a convex ring around their centroid."""
-    pts = []
-    for p in points:
-        if not any(p == q for q in pts):
-            pts.append(p)
-    if len(pts) < 3:
-        return None
-    fpts = [as_floats(p) for p in pts]
-    cx = [sum(c[i] for c in fpts) / len(fpts) for i in range(3)]
-    nf = as_floats(normal)
-    # orthonormal-ish basis in the cutting plane
-    axis = min(range(3), key=lambda i: abs(nf[i]))
-    e1 = [0.0, 0.0, 0.0]
-    e1[axis] = 1.0
-    proj = sum(e1[i] * nf[i] for i in range(3)) / sum(c * c for c in nf)
-    e1 = [e1[i] - proj * nf[i] for i in range(3)]
-    e2 = [
-        nf[1] * e1[2] - nf[2] * e1[1],
-        nf[2] * e1[0] - nf[0] * e1[2],
-        nf[0] * e1[1] - nf[1] * e1[0],
-    ]
-    def angle(k):
-        v = [fpts[k][i] - cx[i] for i in range(3)]
-        return math.atan2(
-            sum(v[i] * e2[i] for i in range(3)), sum(v[i] * e1[i] for i in range(3))
-        )
-    order = sorted(range(len(pts)), key=angle)
-    return [pts[k] for k in order]
+    return Polyhedron(corners, [Face(BOX_TAG, r) for r in rings])
 
 
 def clip_polyhedron(poly: Polyhedron, normal, offset, tag) -> Polyhedron:
-    """Keep the side <normal, x> + offset <= 0; the cut face gets `tag`."""
+    """Keep the side <normal, x> + offset <= 0; the cut face gets `tag`.
+
+    A face leaves the kept side at its exit point and comes back at its
+    entry point: a vertex on the plane, or the crossing of the edge to the
+    outside vertex, made once per edge from its kept end.  The clipped
+    face runs exit -> entry along the plane, so the cut face runs each
+    such edge entry -> exit, and chaining them gives its ring.
+    """
     if poly.empty:
         return poly
-    new_faces = []
-    cut_points = []
+    vals = [dot(normal, v) + offset for v in poly.vertices]
+    if not any(f > 0 for f in vals):
+        return poly
+    points = list(poly.vertices)
+    crossings = {}  # (kept, outside) vertex indices -> the crossing point's index
+
+    def meet(a, b):
+        """Where the edge from kept vertex a to outside vertex b meets the plane."""
+        if vals[a] == 0:
+            return a
+        k = crossings.get((a, b))
+        if k is None:
+            k = crossings[a, b] = len(points)
+            points.append(_cut_point(points[a], points[b], vals[a], vals[b]))
+        return k
+
+    faces = []
+    chain = {}  # entry -> exit of each clipped face's edge along the plane
     for face in poly.faces:
-        kept, _, cuts = _clip_ring(face.vertices, itertools.repeat(face.tag), normal, offset, tag)
+        ring = face.ring
+        kept = []
+        exit_k = first_entry = None
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            if vals[a] <= 0:
+                kept.append(a)
+                if vals[b] > 0:
+                    exit_k = meet(a, b)
+                    if exit_k != a:
+                        kept.append(exit_k)
+            elif vals[b] <= 0:
+                entry_k = meet(b, a)
+                if entry_k != b:
+                    kept.append(entry_k)
+                if exit_k is None:
+                    first_entry = entry_k
+                elif entry_k != exit_k:
+                    chain[entry_k] = exit_k
+        if first_entry is not None and first_entry != exit_k:
+            chain[first_entry] = exit_k
         if len(kept) >= 3:
-            new_faces.append(Face(face.tag, kept))
-        cut_points.extend(cuts)
-    ring = _order_ring(cut_points, normal) if cut_points else None
-    if ring is not None:
-        new_faces.append(Face(tag, ring))
-    return Polyhedron(new_faces) if len(new_faces) >= 4 else Polyhedron([])
+            faces.append(Face(face.tag, kept))
+    while chain:
+        k = next(iter(chain))
+        ring = []
+        while k in chain:
+            ring.append(k)
+            k = chain.pop(k)
+        if len(ring) >= 3:
+            faces.append(Face(tag, ring))
+    # On float input a cut through a ~1e-16 edge can leave a vertex on two
+    # faces only, on the line they share: it leaves both rings, and a face
+    # left with fewer than three vertices goes.
+    on = Counter(k for face in faces for k in face.ring)
+    while thin := {k for k, count in on.items() if count < 3}:
+        rings = ((f.tag, [k for k in f.ring if k not in thin]) for f in faces)
+        faces = [Face(t, ring) for t, ring in rings if len(ring) >= 3]
+        on = Counter(k for face in faces for k in face.ring)
+    if len(faces) < 4:
+        return Polyhedron([], [])
+    used = sorted(on)
+    index = {k: m for m, k in enumerate(used)}
+    return Polyhedron(
+        [points[k] for k in used], [Face(f.tag, [index[k] for k in f.ring]) for f in faces]
+    )
+
+
+def _newell_normal(fv) -> list:
+    """Newell's normal of a float ring: its length is twice the area."""
+    n = [0.0, 0.0, 0.0]
+    for u, w in zip(fv, fv[1:] + fv[:1]):
+        n[0] += (u[1] - w[1]) * (u[2] + w[2])
+        n[1] += (u[2] - w[2]) * (u[0] + w[0])
+        n[2] += (u[0] - w[0]) * (u[1] + w[1])
+    return n
 
 
 def face_area(verts) -> float:
     """Area via Newell's formula (verts assumed planar, ordered)."""
-    n = [0.0, 0.0, 0.0]
-    fv = [as_floats(v) for v in verts]
-    m = len(fv)
-    for k in range(m):
-        u, w = fv[k], fv[(k + 1) % m]
-        n[0] += (u[1] - w[1]) * (u[2] + w[2])
-        n[1] += (u[2] - w[2]) * (u[0] + w[0])
-        n[2] += (u[0] - w[0]) * (u[1] + w[1])
+    n = _newell_normal([as_floats(v) for v in verts])
     return 0.5 * math.sqrt(n[0] ** 2 + n[1] ** 2 + n[2] ** 2)
 
 
 def face_min_norm_sq(verts) -> float:
     """min squared distance from the origin to a planar convex face (float)."""
     fv = [as_floats(v) for v in verts]
-    best = min(norm_sq(v) for v in fv)
-    m = len(fv)
-    for k in range(m):
-        best = min(best, float(segment_min_norm_sq(fv[k], fv[(k + 1) % m])))
-    # interior: project the origin onto the face plane, test containment
-    e1 = [fv[1][i] - fv[0][i] for i in range(3)]
-    e2 = [fv[-1][i] - fv[0][i] for i in range(3)]
-    n = [
-        e1[1] * e2[2] - e1[2] * e2[1],
-        e1[2] * e2[0] - e1[0] * e2[2],
-        e1[0] * e2[1] - e1[1] * e2[0],
-    ]
-    nn = sum(c * c for c in n)
+    edges = list(zip(fv, fv[1:] + fv[:1]))
+    best = min(min(norm_sq(v) for v in fv), min(float(segment_min_norm_sq(u, w)) for u, w in edges))
+    # interior: the origin's foot on the face plane, inside when no two
+    # edges see it on opposite sides
+    n = _newell_normal(fv)
+    nn = norm_sq(n)
     if nn == 0:
         return best
-    t = sum(fv[0][i] * n[i] for i in range(3)) / nn
-    foot = [t * n[i] for i in range(3)]
-    inside = True
-    sign = 0
-    for k in range(m):
-        u, w = fv[k], fv[(k + 1) % m]
-        edge = [w[i] - u[i] for i in range(3)]
-        rel = [foot[i] - u[i] for i in range(3)]
-        cr = [
-            edge[1] * rel[2] - edge[2] * rel[1],
-            edge[2] * rel[0] - edge[0] * rel[2],
-            edge[0] * rel[1] - edge[1] * rel[0],
-        ]
-        s = sum(cr[i] * n[i] for i in range(3))
-        if s > 0:
-            cur = 1
-        elif s < 0:
-            cur = -1
-        else:
-            continue
-        if sign == 0:
-            sign = cur
-        elif cur != sign:
-            inside = False
-            break
-    if inside:
-        best = min(best, sum(c * c for c in foot))
+    t = dot(fv[0], n) / nn
+    foot = [t * c for c in n]
+    sides = []
+    for u, w in edges:
+        e, r = vsub(w, u), vsub(foot, u)
+        cr = (e[1] * r[2] - e[2] * r[1], e[2] * r[0] - e[0] * r[2], e[0] * r[1] - e[1] * r[0])
+        sides.append(dot(cr, n))
+    if all(x >= 0 for x in sides) or all(x <= 0 for x in sides):
+        best = min(best, norm_sq(foot))
     return best
-
-
-def polyhedron_vertices(poly: Polyhedron, merge_tol: float):
-    """Cluster face corners into vertices with their incident face tags.
-
-    Returns a list of (point, set_of_tags).  merge_tol is an absolute
-    coordinate tolerance (0 merges exact duplicates only).
-    """
-    index = GridIndex(merge_tol)
-    out = []  # (point, tagset)
-    for face in poly.faces:
-        for v in face.vertices:
-            fv = as_floats(v)
-            k = index.find(fv)
-            if k is None:
-                index.add(fv)
-                out.append((v, {face.tag}))
-            else:
-                out[k][1].add(face.tag)
-    return out
 
 
 # --- proximity index ---------------------------------------------------------

@@ -267,14 +267,12 @@ def diagram_to_document(
 class DiagramDocument:
     """Parsed diagram document: typed access to the stored sections."""
 
-    raw: dict
     input: PointSetDocument
     route: str
     cells: list  # (site_index, empty, {neighbor: Halfspace})
     adjacency: list
     facets: dict
     boundaries: list  # (pair, lam, a, b, class name)
-    delaunay: dict | None
     clip_radius: object
 
     @property
@@ -320,7 +318,9 @@ def parse_diagram(data) -> DiagramDocument:
             cells.append((site, bool(cell["empty"]), halfspaces))
         if not cells:
             raise ParseError("diagram document has no cells")
-        adjacency = [tuple(int(v) for v in pair) for pair in data["adjacency"]]
+        adjacency = [
+            _site_pair(pair, count, f"adjacency {k}") for k, pair in enumerate(data["adjacency"])
+        ]
         facets = {}
         for k, f in enumerate(data.get("facets", [])):
             points = tuple(_vector(pt, dim, f"facet {k} point") for pt in f["points"])
@@ -343,14 +343,12 @@ def parse_diagram(data) -> DiagramDocument:
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed diagram document: {e!r}") from e
     return DiagramDocument(
-        raw=data,
         input=input_doc,
         route=str(data.get("route", "klein")),
         cells=cells,
         adjacency=adjacency,
         facets=facets,
         boundaries=boundaries,
-        delaunay=data.get("delaunay"),
         clip_radius=clip_radius,
     )
 

@@ -13,12 +13,16 @@ read that table.  For d in {2, 3} one loop over cells, with a small
 per-dimension table (window, clipper, facets, vertices), cuts each cell
 from a bounding window by its radical hyperplanes with the exact clipper
 of `clipping`, in neighbour order.  Before each cut a float screen
-evaluates every remaining hyperplane at the cell's current vertices and
+evaluates every remaining hyperplane at the cell's current vertices
+(each vertex once: a polygon's ring, a polyhedron's vertex table) and
 drops those that provably contain the cell: the cell only shrinks, so
 such a cut would be a no-op now and at its turn.  The cuts that run are
 the full sequence minus its no-ops, so the cells are the same, vertex
 for vertex, on float and rational input; the work is output sensitive,
-about one cut per facet or transient edge of a cell.  A clipped cell is
+about one cut per facet or transient edge of a cell.  A d=3 vertex's
+site set is cell i and the tags of the faces that hold it; one
+tolerance merge across cells joins the vertices of neighbouring cells
+into power vertices.  A clipped cell is
 empty when its shape is, or when it misses the clip ball's centre (the
 `locate` tie set) and its boundary (edges for d=2, exact on rational
 input; faces for d=3) stays at distance >= r from that centre.  Other
@@ -343,15 +347,14 @@ def _merge_vertex_candidates(candidates, tol):
     return [PowerVertex(point, frozenset(sites)) for point, sites in groups]
 
 
-def _clip_cell(shape, halfspaces, rows, clip_fn, corners):
+def _clip_cell(shape, halfspaces, rows, clip_fn):
     """Cut `shape` by the halfspaces that change it, in neighbour order.
 
     halfspaces: neighbour -> Halfspace in ascending neighbour order;
-    rows: the same halfspaces as a float matrix [normal | offset];
-    corners: the points of a shape at which a halfspace is evaluated.
+    rows: the same halfspaces as a float matrix [normal | offset].
     A candidate is dropped for good once its float value is finite and
-    below -CLIP_SKIP_TOL * (max|corner coordinate| * |normal|_1 + |offset|)
-    at every corner: the exact clip would keep every corner.
+    below -CLIP_SKIP_TOL * (max|vertex coordinate| * |normal|_1 + |offset|)
+    at every vertex of the shape: the exact clip would keep every vertex.
     """
     tags = list(halfspaces)
     normals, offsets = rows[:, :-1], rows[:, -1]
@@ -359,7 +362,7 @@ def _clip_cell(shape, halfspaces, rows, clip_fn, corners):
     with np.errstate(over="ignore", invalid="ignore"):
         size = np.abs(normals).sum(axis=1)
     while len(live) and not shape.empty:
-        X = np.array(corners(shape), dtype=float)
+        X = np.array(shape.vertices, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             worst = (normals[live] @ X.T + offsets[live, None]).max(axis=1)
             slack = CLIP_SKIP_TOL * (np.abs(X).max() * size[live] + np.abs(offsets[live]))
@@ -369,14 +372,6 @@ def _clip_cell(shape, halfspaces, rows, clip_fn, corners):
             shape = clip_fn(shape, halfspaces[j].normal, halfspaces[j].offset, j)
             live = live[1:]
     return shape
-
-
-def _polygon_corners(poly):
-    return poly.vertices
-
-
-def _polyhedron_corners(polyh):
-    return [v for face in polyh.faces for v in face.vertices]
 
 
 def _polygon_facets(poly, tol, exact):
@@ -392,11 +387,13 @@ def _polygon_facets(poly, tol, exact):
 def _polyhedron_facets(polyh, tol, exact):
     """Radical faces of float area above tol^2, on either route."""
     for face in polyh.faces:
-        if face.tag is not BOX_TAG and clipping.face_area(face.vertices) > tol * tol:
-            yield face.tag, tuple(face.vertices)
+        if face.tag is not BOX_TAG:
+            points = polyh.points(face)
+            if clipping.face_area(points) > tol * tol:
+                yield face.tag, tuple(points)
 
 
-def _polygon_vertices(poly, i, merge_tol):
+def _polygon_vertices(poly, i):
     """Corners where two radical edges meet: cells i, previous and next tag."""
     for k, point in enumerate(poly.vertices):
         t_prev, t_cur = poly.tags[k - 1], poly.tags[k]
@@ -404,10 +401,14 @@ def _polygon_vertices(poly, i, merge_tol):
             yield point, frozenset((i, t_prev, t_cur))
 
 
-def _polyhedron_vertices(polyh, i, merge_tol):
-    """Merged corners on at least three radical faces, with cell i."""
-    for point, tags in clipping.polyhedron_vertices(polyh, merge_tol):
-        site_tags = {t for t in tags if t is not BOX_TAG}
+def _polyhedron_vertices(polyh, i):
+    """Vertices on at least three radical faces, with cell i."""
+    tags = [set() for _ in polyh.vertices]
+    for face in polyh.faces:
+        if face.tag is not BOX_TAG:
+            for k in face.ring:
+                tags[k].add(face.tag)
+    for point, site_tags in zip(polyh.vertices, tags):
         if len(site_tags) >= 3:
             yield point, frozenset(site_tags | {i})
 
@@ -419,7 +420,8 @@ def _polygon_boundary_sq(poly, c):
 
 def _polyhedron_boundary_sq(polyh, c):
     """Least squared distance from c to the faces (float)."""
-    return min(clipping.face_min_norm_sq([vsub(v, c) for v in f.vertices]) for f in polyh.faces)
+    shifted = [vsub(v, c) for v in polyh.vertices]
+    return min(clipping.face_min_norm_sq([shifted[k] for k in f.ring]) for f in polyh.faces)
 
 
 def build_complex(sites, clip: Ball | None = None) -> PowerComplex:
@@ -464,13 +466,13 @@ def build_complex(sites, clip: Ball | None = None) -> PowerComplex:
     rows[upper] = matrix
     rows[upper[::-1]] = -matrix
 
-    # per dimension: the window, its clipper, the screen's corners, the ConvexCell
-    # field, positive-measure facets, vertex site sets, boundary distance from a centre
-    box, clip_fn, corners, field, cell_facets, cell_vertices, boundary_sq = {
-        2: (clipping.box_polygon, clipping.clip_polygon, _polygon_corners, "polygon",
+    # per dimension: the window, its clipper, the ConvexCell field,
+    # positive-measure facets, vertex site sets, boundary distance from a centre
+    box, clip_fn, field, cell_facets, cell_vertices, boundary_sq = {
+        2: (clipping.box_polygon, clipping.clip_polygon, "polygon",
             _polygon_facets, _polygon_vertices, _polygon_boundary_sq),
-        3: (clipping.box_polyhedron, clipping.clip_polyhedron, _polyhedron_corners,
-            "polyhedron", _polyhedron_facets, _polyhedron_vertices, _polyhedron_boundary_sq),
+        3: (clipping.box_polyhedron, clipping.clip_polyhedron, "polyhedron",
+            _polyhedron_facets, _polyhedron_vertices, _polyhedron_boundary_sq),
     }[d]
     cells = []
     adjacency = set()
@@ -478,7 +480,7 @@ def build_complex(sites, clip: Ball | None = None) -> PowerComplex:
     vertex_candidates = []
     for i in range(n):
         own = _cell_halfspaces(pairs, i, n)
-        shape = _clip_cell(box(hw), own, np.delete(rows[i], i, axis=0), clip_fn, corners)
+        shape = _clip_cell(box(hw), own, np.delete(rows[i], i, axis=0), clip_fn)
         surviving = {}
         for j, facet in cell_facets(shape, facet_tol, exact):
             surviving[j] = own[j]
@@ -489,7 +491,7 @@ def build_complex(sites, clip: Ball | None = None) -> PowerComplex:
         empty = shape.empty or (
             clip is not None and i not in holders and not boundary_sq(shape, clip.center) < r2
         )
-        vertex_candidates.extend(cell_vertices(shape, i, merge_tol))
+        vertex_candidates.extend(cell_vertices(shape, i))
         cells.append(ConvexCell(i, surviving, clip, empty=empty, **{field: shape}))
 
     power_vertices = [

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -34,10 +35,10 @@ def write_point_set(path, points, model="klein", scalar="float64", curvature=-1.
     return path
 
 
-def write_exact_hemisphere(path, n=8, seed=3):
-    pts = rational_hemisphere_points(n, seed=seed)
+def write_exact_hemisphere(path, n=8, seed=3, dim=2):
+    pts = rational_hemisphere_points(n, dim, seed=seed)
     doc = {
-        "dimension": 2,
+        "dimension": dim,
         "curvature": "-1/1",
         "model": "hemisphere",
         "scalar": "exact-rational",
@@ -359,6 +360,32 @@ def test_check_sixteen_site_acceptance_fixture(tmp_path, capsys):
     assert "agreement: 1.000000" in capsys.readouterr().out
 
 
+def test_check_exact_d3_document_passes(tmp_path, capsys):
+    inp = write_exact_hemisphere(tmp_path / "p.json", n=20, seed=1, dim=3)
+    dia = tmp_path / "d.json"
+    assert main(["compute", str(inp), "--route", "hemisphere", "-o", str(dia)]) == 0
+    for source in (dia, inp):
+        capsys.readouterr()
+        assert main(["check", str(source), "--samples", "5000", "--route", "hemisphere"]) == 0
+        assert "PASS" in capsys.readouterr().out
+
+
+# sha256 of the `compute --route hemisphere` documents of exact hemisphere
+# inputs (seed 1): exact documents change only by a declared change
+EXACT_DOCUMENT_SHA256 = {
+    (2, 50): "a74c89985973eb2641409a6fe9c70dfa82d4406ddcdfd3c08763152e897d41f5",
+    (3, 20): "94c6d24adde86a712ba0175a13d1b617f07072199c7e8b39f20e06d881dc169e",
+}
+
+
+@pytest.mark.parametrize("dim, n", sorted(EXACT_DOCUMENT_SHA256))
+def test_exact_documents_are_pinned(tmp_path, dim, n):
+    inp = write_exact_hemisphere(tmp_path / "p.json", n=n, seed=1, dim=dim)
+    out = tmp_path / "d.json"
+    assert main(["compute", str(inp), "--route", "hemisphere", "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EXACT_DOCUMENT_SHA256[dim, n]
+
+
 def test_check_stored_diagram_passes(tmp_path, capsys):
     inp = write_point_set(tmp_path / "p.json", random_klein_points(8, seed=11))
     dia = tmp_path / "d.json"
@@ -502,6 +529,17 @@ def test_check_malformed_stored_cell_exit_2(tmp_path, capsys, corrupt, value):
     _, dia = stored_fixture(tmp_path)
     doc = json.loads(dia.read_text())
     corrupt(doc["cells"][2], value)
+    dia.write_text(dump_json(doc))
+    assert_parse_error(capsys, ["check", str(dia), "--samples", "100"])
+
+
+@pytest.mark.parametrize(
+    "value", [[0, 1.5], [0, "1"], [True, 1], [0, 99], [-1, 1], [0], [0, 1, 2], "01", None]
+)
+def test_check_malformed_adjacency_pair_exit_2(tmp_path, capsys, value):
+    _, dia = stored_fixture(tmp_path)
+    doc = json.loads(dia.read_text())
+    doc["adjacency"][0] = value
     dia.write_text(dump_json(doc))
     assert_parse_error(capsys, ["check", str(dia), "--samples", "100"])
 

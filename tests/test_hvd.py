@@ -166,6 +166,22 @@ def test_route_equivalence_labelwise():
         assert (lk[keep] == ok_[keep]).all()
 
 
+@pytest.mark.parametrize(
+    "d, n, seed", [(2, 20, 1), (2, 20, 2), (2, 20, 3), (3, 20, 1), (3, 20, 2), (3, 20, 3), (3, 40, 1)]
+)
+def test_float_klein_route_matches_exact_hemisphere_route(d, n, seed):
+    hpts = rational_hemisphere_points(n, d, seed=seed)
+    exact = voronoi([ModelPoint(ModelTag.HEMISPHERE, p) for p in hpts], route=ROUTE_HEMISPHERE)
+    # the Klein point under a hemisphere point is its vertical projection
+    floats = voronoi(kpts([tuple(float(c) for c in p[1:]) for p in hpts]), route=ROUTE_KLEIN)
+    assert exact.complex.adjacency == floats.complex.adjacency
+    de, df = delaunay(exact), delaunay(floats)
+    assert de.edges == df.edges
+    assert de.faces == df.faces
+    if d == 3:
+        assert verify(exact, 5000, seed).disagreements == 0
+
+
 def test_model_invariance_of_labels():
     pts = kpts(random_klein_points(12, seed=21))
     base = voronoi(pts)

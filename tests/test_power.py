@@ -262,23 +262,12 @@ def test_single_site_complex_is_whole_ball(d):
     assert cx.adjacency == set()
 
 
-# d=3, float: the two faces on a box edge compute its crossing point from
-# either end, so a cut face's ring holds ~1e-15 edges; face_min_norm_sq
-# takes the face normal from its first edge, here one of those, and
-# misses the foot point of the clip centre inside the face
-FACE_NORMAL_DEFECT = pytest.mark.xfail(strict=True, reason="face normal from a ~1e-15 edge")
-
-
 def _sites_on_axis(xs, d, scalar):
     return [W((scalar(x),) + (scalar(0),) * (d - 1), scalar(0), k) for k, x in enumerate(xs)]
 
 
 @pytest.mark.parametrize(
-    "d, scalar",
-    [
-        (2, int), (2, float), (2, Fraction), (3, int), (3, Fraction),
-        pytest.param(3, float, marks=FACE_NORMAL_DEFECT),
-    ],
+    "d, scalar", [(2, int), (2, float), (2, Fraction), (3, int), (3, Fraction), (3, float)]
 )
 def test_off_centre_clip_ball_is_measured_from_its_centre(d, scalar):
     # the bisector x = 5 runs through the centre of the clip ball
@@ -292,7 +281,7 @@ def test_off_centre_clip_ball_is_measured_from_its_centre(d, scalar):
     assert [cell.empty for cell in cx.cells] == [False, False, True]
 
 
-@pytest.mark.parametrize("scalar", [Fraction, pytest.param(float, marks=FACE_NORMAL_DEFECT)])
+@pytest.mark.parametrize("scalar", [Fraction, float])
 def test_cell_meeting_the_ball_inside_a_face_is_not_empty(scalar):
     # cell 0 holds the centre; cell 1 (x >= 4/5) meets the ball inside a
     # face, cell 2 (x >= 31/10) stays 2.1 away from it
@@ -497,7 +486,7 @@ def test_box_halfwidth_matches_scalar_loop(d):
 
 # --- filtered clipping against the plain sequential build ------------------------------
 
-def _plain_clip_cell(shape, halfspaces, rows, clip_fn, corners):
+def _plain_clip_cell(shape, halfspaces, rows, clip_fn):
     """Reference: every halfspace in neighbour order, no screen."""
     for j, hs in halfspaces.items():
         shape = clip_fn(shape, hs.normal, hs.offset, j)
@@ -568,9 +557,7 @@ def test_clip_screen_keeps_non_finite_candidates():
     box = clipping.box_polygon(Fraction(2))
     want = clipping.clip_polygon(box, hs.normal, hs.offset, 7)
     for bad in ([math.inf, 0.0, -0.5], [math.nan, 0.0, 0.0], [1e308, 1e308, 0.0]):
-        got = power._clip_cell(
-            box, {7: hs}, np.array([bad]), clipping.clip_polygon, power._polygon_corners
-        )
+        got = power._clip_cell(box, {7: hs}, np.array([bad]), clipping.clip_polygon)
         assert got == want
 
 
@@ -585,7 +572,7 @@ def test_clip_screen_skips_only_containing_halfspaces():
     cut = Halfspace((1, 0), -0.5)  # x <= 0.5 cuts it
     rows = np.array([[1.0, 0.0, -10.0], [1.0, 0.0, -0.5]])
     box = clipping.box_polygon(2.0)
-    got = power._clip_cell(box, {0: far, 1: cut}, rows, counting_clip, power._polygon_corners)
+    got = power._clip_cell(box, {0: far, 1: cut}, rows, counting_clip)
     assert calls == [1]
     assert got == clipping.clip_polygon(box, (1, 0), -0.5, 1)
 
