@@ -43,6 +43,11 @@ class Polygon:
         for k in range(m):
             yield self.tags[k], self.vertices[k], self.vertices[(k + 1) % m]
 
+    def least_first(self) -> Polygon:
+        """The same polygon, its ring starting at its least vertex."""
+        k = self.vertices.index(min(self.vertices)) if self.vertices else 0
+        return Polygon(self.vertices[k:] + self.vertices[:k], self.tags[k:] + self.tags[:k])
+
 
 def box_polygon(h) -> Polygon:
     """The square [-h, h]^2 around the origin, counterclockwise."""
@@ -123,6 +128,12 @@ class Polyhedron:
 
     def points(self, face: Face) -> list:
         return [self.vertices[k] for k in face.ring]
+
+    def least_first(self) -> Polyhedron:
+        """The same polyhedron, each ring starting at its least vertex."""
+        starts = [f.ring.index(min(f.ring, key=self.vertices.__getitem__)) for f in self.faces]
+        rings = (f.ring[k:] + f.ring[:k] for f, k in zip(self.faces, starts))
+        return Polyhedron(self.vertices, [Face(f.tag, r) for f, r in zip(self.faces, rings)])
 
 
 def box_polyhedron(h) -> Polyhedron:

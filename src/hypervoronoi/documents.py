@@ -10,6 +10,7 @@ consumers never have to rebuild the diagram.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,8 +38,8 @@ def decode_number(v):
             return Fraction(v)
         except (ValueError, ZeroDivisionError) as e:
             raise ParseError(f"bad rational literal {v!r}") from e
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ParseError(f"expected a number, got {v!r}")
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise ParseError(f"expected a finite number, got {v!r}")
     return float(v)
 
 
@@ -121,7 +122,7 @@ def read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ParseError(f"{path}: invalid JSON: {e}") from e
     except OSError as e:
         raise ParseError(f"{path}: {e}") from e

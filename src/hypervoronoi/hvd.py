@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from . import power, sampling
 from .bisectors import ImplicitSurface, scale_surface, transport_surface
-from .clipping import GridIndex, face_min_norm_sq, segment_min_norm_sq
+from .clipping import GridIndex
 from .conversions import hub_coords
 from .errors import (
     DuplicateSites,
@@ -36,7 +37,7 @@ from .models import (
     distance,
 )
 from .power import PowerComplex, build_complex, unit_ball
-from .scalars import as_floats, norm_sq
+from .scalars import all_exact, as_floats, norm_sq
 
 ROUTE_KLEIN = "klein"
 ROUTE_HEMISPHERE = "hemisphere"
@@ -151,7 +152,7 @@ def voronoi(points, route: str = ROUTE_KLEIN) -> VoronoiDiagram:
     curvature = points[0].curvature
     boundaries = {}
     for (i, j) in sorted(cx.adjacency):
-        hs = cx.pairs[i, j]
+        hs = cx.cells[i].halfspaces[j]
         chart = ImplicitSurface(0, hs.normal, hs.offset, ModelTag.KLEIN)
         moved = transport_surface(chart, model)
         boundaries[(i, j)] = scale_surface(moved, curvature, to_unit=False)
@@ -206,43 +207,29 @@ def _merge_dual_vertices(vertices, klein_sites, tol):
     return groups
 
 
+def _dual_vertices(diagram: VoronoiDiagram, tol) -> list:
+    """Site sets of the power vertices strictly inside the clip ball,
+    merged into dual vertices within `tol`."""
+    vertices = diagram.complex.power_vertices
+    inside = [v for v in vertices if math.sqrt(float(norm_sq(v.point))) < 1.0 - BALL_STRICT_TOL]
+    kleins = [h[1:] for h in diagram.hub_points]
+    return [frozenset(g[1]) for g in _merge_dual_vertices(inside, kleins, tol)]
+
+
 def delaunay(diagram: VoronoiDiagram) -> DelaunayComplex:
     """Dual Delaunay complex of a diagram built with explicit geometry.
 
     A dual face appears iff its power vertex lies strictly inside the
-    clip ball; edges are the adjacencies whose facet meets the open
-    ball.  The dual is a triangulation iff every face is a d-simplex and
-    every edge is covered by a face.
+    clip ball; the edges are the complex's adjacency, whose facets meet
+    the open ball.  The dual is a triangulation iff every face is a
+    d-simplex and every edge is covered by a face.
     """
     cx = diagram.complex
     if not cx.explicit:
         raise NoExplicitGeometry("diagram was built without explicit geometry")
     d = cx.dimension
-    klein_sites = tuple(h[1:] for h in diagram.hub_points)
-
-    inside = []
-    for v in cx.power_vertices:
-        norm = math.sqrt(float(norm_sq(v.point)))
-        if norm < 1.0 - BALL_STRICT_TOL:
-            inside.append(v)
-    faces = [
-        frozenset(g[1])
-        for g in _merge_dual_vertices(inside, klein_sites, DUAL_MERGE_TOL)
-    ]
-    faces.sort(key=lambda f: tuple(sorted(f)))
-
-    edges = set()
-    for (i, j) in sorted(cx.adjacency):
-        facet = cx.facets.get((i, j))
-        if facet is None:
-            continue
-        if d == 2:
-            min_ns = float(segment_min_norm_sq(as_floats(facet[0]), as_floats(facet[1])))
-        else:
-            min_ns = float(face_min_norm_sq(facet))
-        if math.sqrt(min_ns) < 1.0 - BALL_STRICT_TOL:
-            edges.add((i, j))
-
+    faces = sorted(_dual_vertices(diagram, DUAL_MERGE_TOL), key=lambda f: tuple(sorted(f)))
+    edges = set(cx.adjacency)
     simplicial = all(len(f) == d + 1 for f in faces)
     covered = all(any(i in f and j in f for f in faces) for (i, j) in edges)
     return DelaunayComplex(faces=faces, edges=edges, is_triangulation=simplicial and covered)
@@ -251,11 +238,16 @@ def delaunay(diagram: VoronoiDiagram) -> DelaunayComplex:
 def detect_degeneracies(diagram: VoronoiDiagram) -> DegeneracyReport:
     """Flag equal-norm/equal-height groups, collinear groups (in the
     Klein chart) and hyperbolically co-spherical groups (degenerate
-    power vertices of the diagram's complex), within DEGENERACY_TOL."""
+    power vertices of the diagram's complex inside the clip ball, as
+    `delaunay` reads them), within DEGENERACY_TOL."""
     points = diagram.sites
     model = diagram.model
     d = diagram.dimension
-    notes = [f"tolerance {DEGENERACY_TOL} relative"]
+    notes = [
+        f"tolerance {DEGENERACY_TOL}: relative to max(1, |value|) for equal norms and heights;"
+        " absolute Klein distance to the line for collinear groups; absolute Klein coordinate"
+        " distance, with circumdistance cosh relative to max(1, cosh), for co-spherical groups"
+    ]
 
     equal_norm = []
     equal_height = []
@@ -277,11 +269,8 @@ def detect_degeneracies(diagram: VoronoiDiagram) -> DegeneracyReport:
     if not diagram.complex.explicit:
         notes.append("co-spherical detection skipped for d > 3 (no explicit geometry)")
     elif len(points) >= d + 2:
-        merged = _merge_dual_vertices(diagram.complex.power_vertices, kleins, DEGENERACY_TOL)
-        for g in merged:
-            if len(g[1]) > d + 1:
-                cocircular.append(tuple(sorted(g[1])))
-        cocircular.sort()
+        groups = _dual_vertices(diagram, DEGENERACY_TOL)
+        cocircular = sorted(tuple(sorted(g)) for g in groups if len(g) > d + 1)
 
     return DegeneracyReport(
         cocircular_groups=cocircular,
@@ -344,14 +333,27 @@ def _collinear_groups(kleins, tol):
 # One core for `verify` on a built diagram and `check` on a stored document:
 # both supply (site, {neighbor: Halfspace}) cells and the sites' hub lifts.
 
+def _row_floats(hs) -> tuple:
+    """[normal | offset] as floats.  An exact row is first divided by a power
+    of two near its largest |coefficient|, so none leaves the float range;
+    the division is exact in floating point, so a row that converts without
+    it keeps its unit-normal form bit for bit."""
+    coeffs = hs.normal + (hs.offset,)
+    if not all_exact(coeffs):
+        return as_floats(coeffs)
+    e = max((c.numerator.bit_length() - c.denominator.bit_length() for c in coeffs if c), default=0)
+    return tuple(float(c / Fraction(2) ** e) for c in coeffs)
+
+
 def cell_matrices(cells, d: int) -> list:
     """Per cell (site, A, b): halfspace rows in neighbor order, as floats,
     scaled to unit normals (a zero normal is left unscaled)."""
     mats = []
     for site, halfspaces in cells:
-        rows = [halfspaces[j] for j in sorted(halfspaces)]
-        A = np.array([as_floats(hs.normal) for hs in rows], dtype=float).reshape(-1, d)
-        b = np.array([float(hs.offset) for hs in rows], dtype=float)
+        rows = np.array(
+            [_row_floats(halfspaces[j]) for j in sorted(halfspaces)], dtype=float
+        ).reshape(-1, d + 1)
+        A, b = rows[:, :d], rows[:, d]
         norms = np.linalg.norm(A, axis=1)
         norms[norms == 0.0] = 1.0
         mats.append((site, A / norms[:, None], b / norms))

@@ -6,31 +6,28 @@ weighted sites through `klein_site_map` (algebraic: one square root per
 site), hemisphere points through `hemisphere_site_map` (rational).  The
 two maps agree under the vertical lift.
 
-`build_complex` makes each radical hyperplane once, into the pair table
-`PowerComplex.pairs`; its float matrix, every cell's halfspaces (the
-negated entry for a lower neighbour) and the diagram's boundaries all
-read that table.  For d in {2, 3} one loop over cells, with a small
-per-dimension table (window, clipper, facets, vertices), cuts each cell
-from a bounding window by its radical hyperplanes with the exact clipper
-of `clipping`, in neighbour order.  Before each cut a float screen
-evaluates every remaining hyperplane at the cell's current vertices
-(each vertex once: a polygon's ring, a polyhedron's vertex table) and
-drops those that provably contain the cell: the cell only shrinks, so
-such a cut would be a no-op now and at its turn.  The cuts that run are
-the full sequence minus its no-ops, so the cells are the same, vertex
-for vertex, on float and rational input; the work is output sensitive,
-about one cut per facet or transient edge of a cell.  A d=3 vertex's
-site set is cell i and the tags of the faces that hold it; one
-tolerance merge across cells joins the vertices of neighbouring cells
-into power vertices.  A clipped cell is
-empty when its shape is, or when it misses the clip ball's centre (the
-`locate` tie set) and its boundary (edges for d=2, exact on rational
-input; faces for d=3) stays at distance >= r from that centre.  Other
-dimensions keep every cell's n-1 halfspaces (implicit representation).
+For d in {2, 3}, one loop over cells, with a small per-dimension table,
+cuts each cell from a window (a clipped build's: the clip ball's
+bounding cube) with the exact clipper of `clipping`, nearest site centre
+first, as Voro++ does (Rycroft, Chaos 19, 041111, 2009).  Before each
+cut a float screen, whose rows come from the site arrays, evaluates
+every remaining candidate at the cell's vertices and drops those that
+provably contain the cell: such a cut would be a no-op now and at its
+turn, so the cells equal those of every cut, vertex for vertex.  A
+radical hyperplane is made once, and only for a cut that runs or a
+facet that survives.  Rings start at their least vertex, so no output
+depends on the cut order.  One predicate, "the facet comes closer to the
+clip centre than r" (d=2 exact on rational input), decides adjacency,
+facets, each cell's halfspaces (negated for a lower neighbour) and
+emptiness: a cell that misses the centre (the `locate` tie set) is empty
+without such a facet, since the window lies outside the open ball.
+Vertices of neighbouring cells merge into power vertices within a
+tolerance.  Other dimensions keep every cell's n-1 halfspaces.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -245,11 +242,8 @@ class PowerVertex:
 class PowerComplex:
     dimension: int
     sites: list
-    # the pair table: (i, j), i < j -> radical_hyperplane(sites[i], sites[j]),
-    # made once per build; every other form of a bisector is read from it
-    pairs: dict
     cells: list
-    adjacency: set  # {(i, j), i < j} sharing a positive-measure facet
+    adjacency: set  # {(i, j), i < j} whose shared facet meets the open clip ball
     power_vertices: list
     facets: dict  # (i, j) -> facet geometry: segment (d=2) or polygon (d=3)
     clip: Ball | None
@@ -272,9 +266,12 @@ def _check_sites(sites) -> int:
     return d
 
 
-def _cell_halfspaces(pairs, i: int, n: int) -> dict:
-    """Cell i's side of each radical hyperplane, in neighbour order."""
-    return {j: pairs[i, j] if i < j else -pairs[j, i] for j in range(n) if j != i}
+def _floats(values, what: str) -> tuple:
+    """as_floats; a value beyond the float range is a domain error."""
+    try:
+        return as_floats(values)
+    except OverflowError as e:
+        raise DomainViolation(f"{what} out of float range: {e}") from e
 
 
 def _solve2(h1: Halfspace, h2: Halfspace):
@@ -298,37 +295,20 @@ def _solve3(h1, h2, h3):
     return tuple(float(v) for v in x)
 
 
-def _box_halfwidth(sites, pairs, matrix, clip, d) -> float:
-    """Window big enough to contain the clip ball, every hyperplane foot
-    point and (for unclipped diagrams) every candidate vertex."""
-    scale = 1.0
-    if clip is not None:
-        reach = float(clip.radius) + max((abs(c) for c in as_floats(clip.center)), default=0.0)
-        scale = max(scale, reach)
-    for s in sites:
-        for c in s.center:
-            scale = max(scale, abs(float(c)))
-    # foot point of each hyperplane: |offset| / |normal|, zero normals skipped
-    with np.errstate(over="ignore"):
-        length = np.sqrt((matrix[:, :-1] * matrix[:, :-1]).sum(axis=1))
-    live = length > 0
-    if live.any():
-        scale = max(scale, float((np.abs(matrix[live, -1]) / length[live]).max()))
-    n = len(sites)
-    if clip is None and n >= d + 1:
-        cap = WINDOW_VERTEX_CAP
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    if d == 2:
-                        pt = _solve2(pairs[i, j], pairs[i, k])
-                        if pt is not None:
-                            scale = max(scale, min(cap, max(abs(v) for v in pt)))
-                    else:
-                        for l in range(k + 1, n):
-                            pt = _solve3(pairs[i, j], pairs[i, k], pairs[i, l])
-                            if pt is not None:
-                                scale = max(scale, min(cap, max(abs(v) for v in pt)))
+def _box_halfwidth(sites, side, d) -> float:
+    """An unclipped window big enough to contain every site centre, every
+    hyperplane foot point and every candidate vertex (capped)."""
+    scale = max([1.0] + [abs(float(c)) for s in sites for c in s.center])
+    for i, j in itertools.combinations(range(len(sites)), 2):
+        hs = side(i, j)
+        length = math.sqrt(sum(c * c for c in as_floats(hs.normal)))
+        if length > 0:  # foot point |offset| / |normal|; zero normals skipped
+            scale = max(scale, abs(float(hs.offset)) / length)
+    solve = _solve2 if d == 2 else _solve3
+    for i, *rest in itertools.combinations(range(len(sites)), d + 1):
+        pt = solve(*(side(i, j) for j in rest))
+        if pt is not None:
+            scale = max(scale, min(WINDOW_VERTEX_CAP, max(abs(v) for v in pt)))
     return 2.0 * scale + 1.0
 
 
@@ -347,50 +327,60 @@ def _merge_vertex_candidates(candidates, tol):
     return [PowerVertex(point, frozenset(sites)) for point, sites in groups]
 
 
-def _clip_cell(shape, halfspaces, rows, clip_fn):
-    """Cut `shape` by the halfspaces that change it, in neighbour order.
+def _clip_cell(shape, tags, rows, scale, halfspace, clip_fn):
+    """Cut `shape` by the candidates `tags` that change it, in that order.
 
-    halfspaces: neighbour -> Halfspace in ascending neighbour order;
-    rows: the same halfspaces as a float matrix [normal | offset].
-    A candidate is dropped for good once its float value is finite and
-    below -CLIP_SKIP_TOL * (max|vertex coordinate| * |normal|_1 + |offset|)
-    at every vertex of the shape: the exact clip would keep every vertex.
+    rows: their float rows [normal | offset] on this cell's side; scale:
+    per row, (s1, s0) bounding |normal|_1 and |offset| and the rounding
+    of each; halfspace(j): the exact halfspace, asked for when j's cut
+    runs.  A candidate is dropped for good once its float value is finite
+    and below -CLIP_SKIP_TOL * (max|vertex coordinate| * s1 + s0) at every
+    vertex of the shape: the exact clip would keep every vertex.
     """
-    tags = list(halfspaces)
     normals, offsets = rows[:, :-1], rows[:, -1]
     live = np.arange(len(tags))
-    with np.errstate(over="ignore", invalid="ignore"):
-        size = np.abs(normals).sum(axis=1)
     while len(live) and not shape.empty:
         X = np.array(shape.vertices, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             worst = (normals[live] @ X.T + offsets[live, None]).max(axis=1)
-            slack = CLIP_SKIP_TOL * (np.abs(X).max() * size[live] + np.abs(offsets[live]))
+            slack = CLIP_SKIP_TOL * (np.abs(X).max() * scale[live, 0] + scale[live, 1])
             live = live[~(np.isfinite(worst) & (worst < -slack))]
         if len(live):
             j = tags[live[0]]
-            shape = clip_fn(shape, halfspaces[j].normal, halfspaces[j].offset, j)
+            hs = halfspace(j)
+            shape = clip_fn(shape, hs.normal, hs.offset, j)
             live = live[1:]
     return shape
 
 
-def _polygon_facets(poly, tol, exact):
-    """Radical edges of positive length (exactly so on rational input)."""
+def _polygon_facets(poly, tol, exact, clip):
+    """Radical edges of positive length (exactly so on rational input)
+    that come closer to the clip centre than its radius (exact likewise)."""
     for tag, v0, v1 in poly.edges():
         if tag is BOX_TAG:
             continue
         length_sq = norm_sq(vsub(v1, v0))
-        if (length_sq > 0) if exact else (math.sqrt(float(length_sq)) > tol):
+        if not ((length_sq > 0) if exact else (math.sqrt(float(length_sq)) > tol)):
+            continue
+        if clip is None or clipping.segment_min_norm_sq(
+            vsub(v0, clip.center), vsub(v1, clip.center)
+        ) < clip.radius**2:
             yield tag, (v0, v1)
 
 
-def _polyhedron_facets(polyh, tol, exact):
-    """Radical faces of float area above tol^2, on either route."""
+def _polyhedron_facets(polyh, tol, exact, clip):
+    """Radical faces of float area above tol^2 that come closer to the
+    clip centre than its radius (float), on either route."""
     for face in polyh.faces:
-        if face.tag is not BOX_TAG:
-            points = polyh.points(face)
-            if clipping.face_area(points) > tol * tol:
-                yield face.tag, tuple(points)
+        if face.tag is BOX_TAG:
+            continue
+        points = polyh.points(face)
+        if not clipping.face_area(points) > tol * tol:
+            continue
+        if clip is None or clipping.face_min_norm_sq(
+            [vsub(v, clip.center) for v in points]
+        ) < clip.radius**2:
+            yield face.tag, tuple(points)
 
 
 def _polygon_vertices(poly, i):
@@ -413,92 +403,86 @@ def _polyhedron_vertices(polyh, i):
             yield point, frozenset(site_tags | {i})
 
 
-def _polygon_boundary_sq(poly, c):
-    """Least squared distance from c to the edges (exact on rational input)."""
-    return min(clipping.segment_min_norm_sq(vsub(a, c), vsub(b, c)) for _, a, b in poly.edges())
-
-
-def _polyhedron_boundary_sq(polyh, c):
-    """Least squared distance from c to the faces (float)."""
-    shifted = [vsub(v, c) for v in polyh.vertices]
-    return min(clipping.face_min_norm_sq([shifted[k] for k in f.ring]) for f in polyh.faces)
-
-
 def build_complex(sites, clip: Ball | None = None) -> PowerComplex:
-    """Construct the power diagram of the given sites.
-
-    Each cell is cut from a bounding window by its n-1 radical
-    hyperplanes; `clip` (the model ball for hyperbolic pipelines) is kept
-    as a separate constraint, not polygonized.  Explicit vertex/facet
-    geometry is built for d in {2, 3}; other dimensions keep the implicit
-    halfspace representation (cells retain all n-1 halfspaces).
-    """
+    """Construct the power diagram of the given sites, restricted to the
+    open `clip` ball (the model ball for hyperbolic pipelines) if given."""
     sites = list(sites)
     d = _check_sites(sites)
     n = len(sites)
     if clip is not None and len(clip.center) != d:
         raise ArityMismatch("clip ball dimension does not match sites")
-    pairs = {
-        (i, j): radical_hyperplane(sites[i], sites[j])
-        for i in range(n)
-        for j in range(i + 1, n)
-    }
-    if d not in (2, 3):
-        cells = [ConvexCell(i, _cell_halfspaces(pairs, i, n), clip) for i in range(n)]
-        return PowerComplex(d, sites, pairs, cells, set(), [], {}, clip, False)
+    made = {}  # (i, j), i < j -> radical_hyperplane(sites[i], sites[j])
 
-    try:  # the one place where pair coefficients become floats
-        matrix = np.array(
-            [hs.normal + (hs.offset,) for hs in pairs.values()], dtype=float
-        ).reshape(-1, d + 1)
-    except OverflowError as e:
-        raise DomainViolation(f"radical hyperplane coefficient out of float range: {e}") from e
-    halfwidth = _box_halfwidth(sites, pairs, matrix, clip, d)
+    def side(i, j):  # cell i's side of the (i, j) radical hyperplane
+        key = (i, j) if i < j else (j, i)
+        hs = made.get(key)
+        if hs is None:
+            hs = made[key] = radical_hyperplane(sites[key[0]], sites[key[1]])
+            _floats(hs.normal + (hs.offset,), "radical hyperplane coefficient")
+        return hs if i < j else -hs
+
+    if d not in (2, 3):
+        cells = [ConvexCell(i, {j: side(i, j) for j in range(n) if j != i}, clip) for i in range(n)]
+        return PowerComplex(d, sites, cells, set(), [], {}, clip, False)
+
     exact = all(all_exact(s.center + (s.weight,)) for s in sites)
-    hw = Fraction(halfwidth) if exact else halfwidth
+    if clip is None:
+        reach = _box_halfwidth(sites, side, d)
+    else:  # the clip ball's bounding cube: its walls lie outside the open ball
+        reach = clip.radius + max(abs(c) for c in clip.center)
+    hw = Fraction(reach) if exact else float(reach)
+    halfwidth = float(hw)
     facet_tol = FACET_MEASURE_TOL * halfwidth
     merge_tol = VERTEX_MERGE_TOL * halfwidth
-    r2 = clip.radius * clip.radius if clip is not None else None
     holders = locate(clip.center, sites)[1] if clip is not None else ()  # cells holding the centre
-    # screen rows: rows[i, j] is i's side of the (i, j) hyperplane
-    upper = np.triu_indices(n, 1)
-    rows = np.zeros((n, n, d + 1))
-    rows[upper] = matrix
-    rows[upper[::-1]] = -matrix
+    # float site arrays, in `radical_hyperplane`'s operation order, and per
+    # site |c|_1 and |c|^2 + |w|, which bound a screen row and its rounding
+    S = np.array([_floats(s.center + (s.weight,), "site") for s in sites]).reshape(n, d + 1)
+    C, W = S[:, :d], S[:, d]
+    with np.errstate(over="ignore", invalid="ignore"):
+        N = sum(C[:, k] * C[:, k] for k in range(d))
+        L1, P = np.abs(C).sum(axis=1), N + np.abs(W)
 
     # per dimension: the window, its clipper, the ConvexCell field,
-    # positive-measure facets, vertex site sets, boundary distance from a centre
-    box, clip_fn, field, cell_facets, cell_vertices, boundary_sq = {
+    # in-ball facets of positive measure, vertex site sets
+    box, clip_fn, field, cell_facets, cell_vertices = {
         2: (clipping.box_polygon, clipping.clip_polygon, "polygon",
-            _polygon_facets, _polygon_vertices, _polygon_boundary_sq),
+            _polygon_facets, _polygon_vertices),
         3: (clipping.box_polyhedron, clipping.clip_polyhedron, "polyhedron",
-            _polyhedron_facets, _polyhedron_vertices, _polyhedron_boundary_sq),
+            _polyhedron_facets, _polyhedron_vertices),
     }[d]
-    cells = []
+    shapes = []
     adjacency = set()
     facets = {}
     vertex_candidates = []
     for i in range(n):
-        own = _cell_halfspaces(pairs, i, n)
-        shape = _clip_cell(box(hw), own, np.delete(rows[i], i, axis=0), clip_fn)
-        surviving = {}
-        for j, facet in cell_facets(shape, facet_tol, exact):
-            surviving[j] = own[j]
+        with np.errstate(over="ignore", invalid="ignore"):
+            order = np.argsort(((C - C[i]) ** 2).sum(axis=1), kind="stable")  # nearest first
+            order = order[order != i]
+            rows = np.column_stack((2 * (C[order] - C[i]), N[i] - N[order] + W[order] - W[i]))
+            scale = np.column_stack((2 * (L1[i] + L1[order]), P[i] + P[order]))
+        shape = _clip_cell(
+            box(hw), order.tolist(), rows, scale, lambda j: side(i, j), clip_fn
+        ).least_first()
+        for j, facet in cell_facets(shape, facet_tol, exact, clip):
             key = (i, j) if i < j else (j, i)
             adjacency.add(key)
-            if key not in facets or i < j:
-                facets[key] = facet
-        empty = shape.empty or (
-            clip is not None and i not in holders and not boundary_sq(shape, clip.center) < r2
-        )
+            facets.setdefault(key, facet)  # the lower cell's, if it has one
         vertex_candidates.extend(cell_vertices(shape, i))
-        cells.append(ConvexCell(i, surviving, clip, empty=empty, **{field: shape}))
+        shapes.append(shape)
 
-    power_vertices = [
-        v
-        for v in _merge_vertex_candidates(vertex_candidates, merge_tol)
-        if len(v.sites) >= d + 1
+    own = [{} for _ in range(n)]  # in ascending neighbour order
+    for i, j in sorted(adjacency):
+        own[i][j], own[j][i] = side(i, j), side(j, i)
+    cells = [
+        ConvexCell(
+            i, own[i], clip, empty=shape.empty or (clip is not None and i not in holders and not own[i]),
+            **{field: shape},
+        )
+        for i, shape in enumerate(shapes)
     ]
+    merged = _merge_vertex_candidates(vertex_candidates, merge_tol)
+    power_vertices = [v for v in merged if len(v.sites) >= d + 1]
     return PowerComplex(
-        d, sites, pairs, cells, adjacency, power_vertices, facets, clip, True, halfwidth
+        d, sites, cells, adjacency, power_vertices, facets, clip, True, halfwidth
     )

@@ -371,10 +371,11 @@ def test_check_exact_d3_document_passes(tmp_path, capsys):
 
 
 # sha256 of the `compute --route hemisphere` documents of exact hemisphere
-# inputs (seed 1): exact documents change only by a declared change
+# inputs (seed 1): exact documents change only by a declared change (the
+# last one: in-ball adjacency, the clip ball's window, rings least first)
 EXACT_DOCUMENT_SHA256 = {
-    (2, 50): "a74c89985973eb2641409a6fe9c70dfa82d4406ddcdfd3c08763152e897d41f5",
-    (3, 20): "94c6d24adde86a712ba0175a13d1b617f07072199c7e8b39f20e06d881dc169e",
+    (2, 50): "50f63abd2410d12d118cc321fa20b64d710d500e1d0fdf64691cc90caaf7718f",
+    (3, 20): "d511cf4847cafd6d86dd2b28654f1548677fb89375a13c6d653eb59525658f74",
 }
 
 
@@ -384,6 +385,31 @@ def test_exact_documents_are_pinned(tmp_path, dim, n):
     out = tmp_path / "d.json"
     assert main(["compute", str(inp), "--route", "hemisphere", "-o", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == EXACT_DOCUMENT_SHA256[dim, n]
+
+
+def test_check_huge_exact_coefficients_report_as_scaled(tmp_path, capsys):
+    # a stored halfspace times 10**400 is the same halfspace; its floats
+    # would overflow without the power-of-two row scaling
+    inp = write_exact_hemisphere(tmp_path / "p.json", n=8, seed=5)
+    dia = tmp_path / "d.json"
+    assert main(["compute", str(inp), "--route", "hemisphere", "-o", str(dia)]) == 0
+    doc = json.loads(dia.read_text())
+    for cell in doc["cells"][:3]:
+        h = cell["halfspaces"][0]
+        h["normal"] = [str(Fraction(c) * 10**400) for c in h["normal"]]
+        h["offset"] = str(Fraction(h["offset"]) * 10**400)
+    scaled = tmp_path / "scaled.json"
+    scaled.write_text(dump_json(doc))
+    capsys.readouterr()
+    assert main(["check", str(dia), "--samples", "3000"]) == 0
+    want = capsys.readouterr().out.splitlines()[1:]
+    assert main(["check", str(scaled), "--samples", "3000"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == want
+    # a huge offset is a wrong halfspace: a disagreement, not a traceback
+    doc["cells"][0]["halfspaces"][0]["offset"] = "1" + "0" * 400 + "/1"
+    scaled.write_text(dump_json(doc))
+    assert main(["check", str(scaled), "--samples", "3000"]) == 1
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_check_stored_diagram_passes(tmp_path, capsys):
@@ -483,6 +509,25 @@ def assert_parse_error(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: parse:")
     assert "\n" not in err.strip()
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b'{"dimension": 2, "model": "klein", "points": [[1e400, 0.0]]}',
+        b'{"dimension": 2, "model": "klein", "points": [[NaN, 0.0]]}',
+        b'{"dimension": 2, "model": "klein", "points": [[-Infinity, 0.0]]}',
+        b'{"dimension": 2, "model": "klein", "points": [[1' + b"0" * 400 + b', 0.0]]}',
+        b'{"dimension": 2, "model": "klein", "curvature": 1e999, "points": [[0.1, 0.0]]}',
+        b'\x80{"dimension": 2}',
+    ],
+    ids=["overflow", "nan", "infinity", "huge-integer", "curvature", "not-utf8"],
+)
+@pytest.mark.parametrize("command", ["compute", "check"])
+def test_non_finite_number_or_bad_bytes_exit_2(tmp_path, capsys, command, raw):
+    path = tmp_path / "p.json"
+    path.write_bytes(raw)
+    assert_parse_error(capsys, [command, str(path)])
 
 
 @pytest.mark.parametrize("args", [["--seed", "-1"], ["--samples", "0"], ["--samples", "-5"]])

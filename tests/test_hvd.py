@@ -22,7 +22,7 @@ from hypervoronoi import (
     verify,
     voronoi,
 )
-from hypervoronoi import conversions, hvd, models, power
+from hypervoronoi import clipping, conversions, hvd, models, power
 from hypervoronoi.bisectors import ImplicitSurface, scale_surface, transport_surface
 from hypervoronoi.cli import main
 from hypervoronoi.hvd import _collinear_groups, sample_labels
@@ -166,20 +166,60 @@ def test_route_equivalence_labelwise():
         assert (lk[keep] == ok_[keep]).all()
 
 
+def _rational_lift(q, den=10**9):
+    """A rational hemisphere point whose Klein projection is within ~1/den of q."""
+    n2 = sum(c * c for c in q)
+    t = [Fraction(c / (1 + math.sqrt(1 - n2))).limit_denominator(den) for c in q]
+    n2 = sum(c * c for c in t)
+    return ((1 - n2) / (1 + n2),) + tuple(2 * c / (1 + n2) for c in t)
+
+
+# Klein points near a degeneracy: a wheel whose radii are perturbed by
+# 1e-7 (relative) around an off-centre site, co-circular sites, and the
+# star whose ring's power vertices leave the disk
+NEAR_DEGENERATE = {
+    "wheel": [
+        (x * (1 + 1e-7 * (k % 3 - 1)), y * (1 + 1e-7 * (k % 3 - 1)))
+        for k, (x, y) in enumerate(wheel_points(8, 0.6))
+    ]
+    + [(0.05, 0.02)],
+    "square": cocircular_square(0.4) + [(0.7, 0.1)],
+    "star": unbounded_star_points(8, 0.998),
+}
+
+
 @pytest.mark.parametrize(
-    "d, n, seed", [(2, 20, 1), (2, 20, 2), (2, 20, 3), (3, 20, 1), (3, 20, 2), (3, 20, 3), (3, 40, 1)]
+    "d, n, seed",
+    [(2, 20, 1), (2, 20, 2), (2, 20, 3), (3, 20, 1), (3, 20, 2), (3, 20, 3), (3, 40, 1)]
+    + [pytest.param(2, name, 1, id=name) for name in NEAR_DEGENERATE],
 )
 def test_float_klein_route_matches_exact_hemisphere_route(d, n, seed):
-    hpts = rational_hemisphere_points(n, d, seed=seed)
+    """n: a count of random points, or a near-degenerate fixture's name."""
+    if isinstance(n, str):
+        hpts = [_rational_lift(q) for q in NEAR_DEGENERATE[n]]
+    else:
+        hpts = rational_hemisphere_points(n, d, seed=seed)
     exact = voronoi([ModelPoint(ModelTag.HEMISPHERE, p) for p in hpts], route=ROUTE_HEMISPHERE)
     # the Klein point under a hemisphere point is its vertical projection
     floats = voronoi(kpts([tuple(float(c) for c in p[1:]) for p in hpts]), route=ROUTE_KLEIN)
-    assert exact.complex.adjacency == floats.complex.adjacency
+    # outside the co-spherical and collinear groups the exact route flags,
+    # the routes agree
+    report = detect_degeneracies(exact)
+    groups = [set(g) for g in report.cocircular_groups + report.collinear_groups]
+
+    def flagged(sites):
+        return any(len(set(sites) & g) >= min(len(sites), d + 1) for g in groups)
+
     de, df = delaunay(exact), delaunay(floats)
-    assert de.edges == df.edges
-    assert de.faces == df.faces
-    if d == 3:
+    assert all(flagged(p) for p in exact.complex.adjacency ^ floats.complex.adjacency)
+    assert all(flagged(p) for p in de.edges ^ df.edges)
+    assert all(flagged(f) for f in set(de.faces) ^ set(df.faces))
+    if not groups:
+        assert exact.complex.adjacency == floats.complex.adjacency
+        assert de.faces == df.faces
+    if d == 3 or isinstance(n, str):
         assert verify(exact, 5000, seed).disagreements == 0
+        assert verify(floats, 5000, seed).disagreements == 0
 
 
 def test_model_invariance_of_labels():
@@ -215,6 +255,35 @@ def test_unbounded_star_dual_is_a_tree():
     for cell in dia.complex.cells:
         reach = max(float(sum(c * c for c in v)) for v in cell.polygon.vertices)
         assert reach > 1.0
+
+
+def _segment_distance(v0, v1):
+    a, b = np.array(v0, dtype=float), np.array(v1, dtype=float)
+    u = b - a
+    t = min(1.0, max(0.0, -float(a @ u) / float(u @ u)))
+    return float(np.linalg.norm(a + t * u))
+
+
+@pytest.mark.parametrize(
+    "raw, pairs",
+    [(unbounded_star_points(8, 0.998), 8), (random_klein_points(200, 2, seed=1), 574)],
+    ids=["star", "random-200"],
+)
+def test_adjacency_is_the_delaunay_edges(raw, pairs):
+    dia = voronoi(kpts(raw))
+    cx = dia.complex
+    assert delaunay(dia).edges == cx.adjacency
+    assert len(cx.adjacency) == pairs
+    assert set(cx.facets) == set(dia.boundaries) == cx.adjacency
+    for facet in cx.facets.values():  # every kept facet meets the open ball
+        assert _segment_distance(*facet) < 1.0
+    if len(raw) < 20:
+        # the unclipped power diagram's facets that meet the open ball
+        sites = [power.klein_site_map(p, i) for i, p in enumerate(raw)]
+        full = power.build_complex(sites)
+        inside = {pair for pair, f in full.facets.items() if _segment_distance(*f) < 1.0}
+        assert inside == cx.adjacency
+        assert len(full.adjacency) > len(cx.adjacency)
 
 
 def test_wheel_all_bisectors_through_origin():
@@ -350,6 +419,32 @@ def test_cocircular_group_detected():
     assert (0, 1, 2, 3) in rep.cocircular_groups
 
 
+def test_cospherical_groups_are_read_inside_the_ball():
+    # four sites tied at the power vertex (0.8, 0.8), outside the unit disk:
+    # no hyperbolic circle holds them, so no co-spherical group
+    pts = [
+        (0.5897177591645861, 0.11060273290429697),
+        (0.11060273290429697, 0.5897177591645861),
+        (0.3676632045957238, 0.27112049140810196),
+        (0.27112049140810196, 0.3676632045957238),
+    ]
+    dia = voronoi(kpts(pts))
+    (vertex,) = dia.complex.power_vertices
+    assert vertex.sites == frozenset(range(4))
+    assert math.hypot(*vertex.point) > 1.1
+    assert detect_degeneracies(dia).cocircular_groups == []
+
+
+def test_degeneracy_note_states_each_scale():
+    rep = detect_degeneracies(voronoi(kpts(random_klein_points(6, seed=3))))
+    assert rep.notes == [
+        "tolerance 1e-09: relative to max(1, |value|) for equal norms and heights;"
+        " absolute Klein distance to the line for collinear groups; absolute Klein"
+        " coordinate distance, with circumdistance cosh relative to max(1, cosh),"
+        " for co-spherical groups"
+    ]
+
+
 def test_hyperboloid_equal_x0_counts_as_equal_norm():
     base = kpts([(0.3, 0.0), (0.0, 0.3), (-0.3, 0.0)])
     pts = [convert(p, ModelTag.HYPERBOLOID) for p in base] + [
@@ -426,16 +521,31 @@ def test_compute_builds_the_complex_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("d", [2, 3])
 def test_compute_makes_each_radical_hyperplane_once(tmp_path, monkeypatch, d, route):
     calls = []
+    cuts = set()  # (cell, neighbour) of every cut that ran
+    cell = [-1]
     make = power.radical_hyperplane
+    box, clip = ((clipping.box_polygon, "box_polygon"), (clipping.clip_polygon, "clip_polygon"))
+    if d == 3:
+        box, clip = ((clipping.box_polyhedron, "box_polyhedron"), (clipping.clip_polyhedron, "clip_polyhedron"))
 
     def counting(s_i, s_j):
         calls.append((s_i.origin_index, s_j.origin_index))
         return make(s_i, s_j)
 
+    def next_cell(h):  # each cell starts from a fresh window
+        cell[0] += 1
+        return box[0](h)
+
+    def recording(shape, normal, offset, tag):
+        cuts.add((cell[0], tag))
+        return clip[0](shape, normal, offset, tag)
+
     for module in (power, hvd):  # wherever the package binds the name
         if hasattr(module, "radical_hyperplane"):
             monkeypatch.setattr(module, "radical_hyperplane", counting)
-    n = 9 if d == 2 else 7
+    monkeypatch.setattr(clipping, box[1], next_cell)
+    monkeypatch.setattr(clipping, clip[1], recording)
+    n = 30 if d == 2 else 15
     pts = rational_hemisphere_points(n, d, seed=23)  # rational lifts: both routes exact
     doc = {
         "dimension": d,
@@ -445,9 +555,15 @@ def test_compute_makes_each_radical_hyperplane_once(tmp_path, monkeypatch, d, ro
     }
     inp = tmp_path / "p.json"
     inp.write_text(json.dumps(doc))
-    assert main(["compute", str(inp), "--route", route, "-o", str(tmp_path / "out.json")]) == 0
-    assert len(calls) == n * (n - 1) // 2
-    assert sorted(calls) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+    out = tmp_path / "out.json"
+    assert main(["compute", str(inp), "--route", route, "-o", str(out)]) == 0
+    assert cell[0] == n - 1
+    assert len(calls) == len(set(calls))  # at most once per pair
+    assert all(i < j for i, j in calls)
+    adjacency = {tuple(p) for p in json.loads(out.read_text())["adjacency"]}
+    # only pairs whose cut ran (from either side) or whose facet survived
+    assert set(calls) == {(min(p), max(p)) for p in cuts} | adjacency
+    assert len(calls) < n * (n - 1) // 2
 
 
 def test_dual_merge_cosh_is_the_klein_formula_bit_for_bit():

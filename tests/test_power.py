@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,11 +13,14 @@ from hypervoronoi import (
     ExactArithmeticUnavailable,
     Halfspace,
     KLEIN_WEIGHT_SIGN_THRESHOLD,
+    ModelPoint,
     ModelTag,
     WeightedSite,
     bisector,
     build_complex,
     convert,
+    delaunay,
+    detect_degeneracies,
     hemisphere_site_map,
     klein_site_map,
     lift_to_hemisphere,
@@ -24,9 +28,11 @@ from hypervoronoi import (
     power_distance,
     radical_hyperplane,
     unit_ball,
+    voronoi,
 )
 from hypervoronoi import clipping, power
 from hypervoronoi.clipping import GridIndex
+from hypervoronoi.documents import diagram_to_document, dump_json
 from hypervoronoi.power import canonical_halfspace
 from hypervoronoi.sampling import ball_points, random_klein_points, rational_hemisphere_points
 
@@ -290,6 +296,20 @@ def test_cell_meeting_the_ball_inside_a_face_is_not_empty(scalar):
     assert [cell.empty for cell in cx.cells] == [False, False, True]
 
 
+@pytest.mark.parametrize("scalar", [Fraction, float])
+@pytest.mark.parametrize("d", [2, 3])
+def test_cell_in_the_window_that_misses_the_ball_is_empty(d, scalar):
+    # cell 1 (coordinate sum >= 3d/4) holds a corner of the window, but its
+    # facet comes no closer to the centre than sqrt(d) 3/4 > 1
+    sites = [W((scalar(0),) * d, scalar(0), 0), W((scalar(3) / 2,) * d, scalar(0), 1)]
+    cx = build_complex(sites, clip=unit_ball(d))
+    shape = cx.cells[1].polygon if d == 2 else cx.cells[1].polyhedron
+    assert not shape.empty
+    assert [cell.empty for cell in cx.cells] == [False, True]
+    assert cx.adjacency == set() and cx.facets == {}
+    assert [cell.halfspaces for cell in cx.cells] == [{}, {}]
+
+
 def test_two_equal_sites_split_by_perpendicular_bisector():
     cx = build_complex([W((-0.3, 0), -1, 0), W((0.3, 0), -1, 1)], clip=unit_ball(2))
     assert cx.adjacency == {(0, 1)}
@@ -434,40 +454,30 @@ def test_implicit_mode_high_dimension():
 
 
 @pytest.mark.parametrize("d, n", [(2, 9), (3, 7), (4, 6)])
-def test_pair_table_feeds_every_cell(d, n):
+def test_cell_halfspaces_are_radical_hyperplanes(d, n):
     pts = rational_hemisphere_points(n, d, seed=29)
     sites = [hemisphere_site_map(p, i) for i, p in enumerate(pts)]
     cx = build_complex(sites, clip=unit_ball(d))
-    assert list(cx.pairs) == [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for (i, j), hs in cx.pairs.items():
-        assert hs == radical_hyperplane(sites[i], sites[j])
     for cell in cx.cells:
         i = cell.site_index
+        if d == 4:  # implicit: every other site
+            assert list(cell.halfspaces) == [j for j in range(n) if j != i]
+        else:  # explicit: the neighbours across an in-ball facet, ascending
+            assert list(cell.halfspaces) == sorted(
+                b if a == i else a for a, b in cx.adjacency if i in (a, b)
+            )
         for j, hs in cell.halfspaces.items():
             if i < j:
-                assert hs is cx.pairs[i, j]
+                assert hs == radical_hyperplane(sites[i], sites[j])
             else:
-                other = cx.pairs[j, i]
+                other = radical_hyperplane(sites[j], sites[i])
                 assert hs == Halfspace(tuple(-c for c in other.normal), -other.offset)
+            assert all(isinstance(c, int) for c in hs.normal + (hs.offset,))
     assert cx.explicit == (d in (2, 3))
 
 
-def _loop_box_halfwidth(sites, pairs, clip):
-    """Reference: the clipped window size with the scalar foot-point loop."""
-    scale = float(clip.radius) + max(abs(float(c)) for c in clip.center)
-    scale = max(1.0, scale, *(abs(float(c)) for s in sites for c in s.center))
-    for hs in pairs.values():
-        nf = [float(c) for c in hs.normal]
-        ln = math.sqrt(sum(c * c for c in nf))
-        if ln > 0:
-            scale = max(scale, abs(float(hs.offset)) / ln)
-    return 2.0 * scale + 1.0
-
-
-@pytest.mark.parametrize("d", [2, 3])
-def test_box_halfwidth_matches_scalar_loop(d):
-    # heavy weights put the foot points far outside the sites and the ball
-    rng = np.random.default_rng(211 + d)
+def _window_fixtures(rng, d):
+    """Sites whose heavy weights put the foot points far outside the ball."""
     for trial in range(12):
         spread = 10.0 ** int(rng.integers(-2, 4))
         sites = [
@@ -479,22 +489,63 @@ def test_box_halfwidth_matches_scalar_loop(d):
                 W(tuple(Fraction(c) for c in s.center), Fraction(s.weight), s.origin_index)
                 for s in sites
             ]
+        yield sites
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_box_halfwidth_matches_scalar_loop(d):
+    rng = np.random.default_rng(211 + d)
+    for sites in _window_fixtures(rng, d):
+        # clipped: the clip ball's cube, and every cell inside it
         clip = Ball(tuple(rng.uniform(-0.1, 0.1, d)), 1)
         cx = build_complex(sites, clip=clip)
-        assert cx.box_halfwidth == _loop_box_halfwidth(sites, cx.pairs, clip)
+        assert cx.box_halfwidth == float(clip.radius + max(abs(c) for c in clip.center))
+        for cell in cx.cells:
+            shape = cell.polygon if d == 2 else cell.polyhedron
+            for v in shape.vertices:
+                assert max(abs(float(c)) for c in v) <= cx.box_halfwidth
+        # unclipped: every site centre, foot point and candidate vertex inside
+        cx = build_complex(sites)
+        need = [abs(float(c)) for s in sites for c in s.center]
+        planes = {
+            (i, j): radical_hyperplane(sites[i], sites[j])
+            for i in range(len(sites))
+            for j in range(i + 1, len(sites))
+        }
+        for hs in planes.values():
+            nf = [float(c) for c in hs.normal]
+            ln = math.sqrt(sum(c * c for c in nf))
+            if ln > 0:
+                need.append(abs(float(hs.offset)) / ln)
+        scale = max([1.0] + need)
+        if len(sites) <= d:  # no candidate vertex: the window is exactly this
+            assert cx.box_halfwidth == 2.0 * scale + 1.0
+        for combo in itertools.combinations(range(len(sites)), d + 1):
+            A = np.array([[float(c) for c in planes[combo[0], j].normal] for j in combo[1:]])
+            b = -np.array([float(planes[combo[0], j].offset) for j in combo[1:]])
+            if np.linalg.cond(A) < 1e8:
+                x = np.linalg.solve(A, b)
+                scale = max(scale, min(power.WINDOW_VERTEX_CAP, float(np.abs(x).max())))
+        assert cx.box_halfwidth >= (2.0 * scale + 1.0) * (1 - 1e-9)
 
 
 # --- filtered clipping against the plain sequential build ------------------------------
 
-def _plain_clip_cell(shape, halfspaces, rows, clip_fn):
-    """Reference: every halfspace in neighbour order, no screen."""
-    for j, hs in halfspaces.items():
+def _plain_clip_cell(shape, tags, rows, scale, halfspace, clip_fn):
+    """Reference: every candidate in the given (nearest-first) order, no screen."""
+    for j in tags:
+        hs = halfspace(j)
         shape = clip_fn(shape, hs.normal, hs.offset, j)
     return shape
 
 
+def _reversed_clip_cell(shape, tags, rows, scale, halfspace, clip_fn):
+    """Every candidate, farthest first."""
+    return _plain_clip_cell(shape, tags[::-1], rows, scale, halfspace, clip_fn)
+
+
 def reference_complex(monkeypatch, sites, clip):
-    """build_complex with the box-then-every-j clip loop and linear merges."""
+    """build_complex with the box-then-every-candidate clip loop and linear merges."""
     with monkeypatch.context() as m:
         m.setattr(power, "_clip_cell", _plain_clip_cell)
         m.setattr(clipping, "GridIndex", LinearIndex)
@@ -551,14 +602,58 @@ def test_filtered_build_equals_plain_build(monkeypatch, d, scalar, fixture):
             assert cell.polyhedron == clipping.box_polyhedron(cx.box_halfwidth)
 
 
+@pytest.mark.parametrize("fixture", sorted(EQUIVALENCE_FIXTURES))
+@pytest.mark.parametrize("d", [2, 3])
+def test_exact_documents_do_not_depend_on_cut_order(monkeypatch, d, fixture):
+    pts = [ModelPoint(ModelTag.HEMISPHERE, p) for p in EQUIVALENCE_FIXTURES[fixture](d)]
+
+    def document():
+        dia = voronoi(pts, route="hemisphere")
+        doc = dump_json(diagram_to_document(dia, delaunay(dia), detect_degeneracies(dia)))
+        # a polygon's ring is the cell's, not the document's
+        return doc, [cell.polygon for cell in dia.complex.cells]
+
+    nearest_first = document()
+    with monkeypatch.context() as m:
+        m.setattr(power, "_clip_cell", _reversed_clip_cell)
+        assert document() == nearest_first
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_candidates_come_nearest_first(monkeypatch, d):
+    # four sites at one distance from site 0 tie; ties go by index
+    axis = [(0.5, 0.0), (0.0, 0.5), (-0.5, 0.0), (0.0, -0.5)]
+    pts = [(0.0,) * d] + [p + (0.0,) * (d - 2) for p in axis] + random_klein_points(6, d, seed=3)
+    sites = [klein_site_map(p, i) for i, p in enumerate(pts)]
+    seen = []
+    clip_cell = power._clip_cell
+
+    def recording(shape, tags, *rest):
+        seen.append(list(tags))
+        return clip_cell(shape, tags, *rest)
+
+    monkeypatch.setattr(power, "_clip_cell", recording)
+    build_complex(sites, clip=unit_ball(d))
+    assert len(seen) == len(sites)
+    for i, tags in enumerate(seen):
+        dist = [sum((a - b) ** 2 for a, b in zip(sites[i].center, s.center)) for s in sites]
+        assert tags == sorted((j for j in range(len(sites)) if j != i), key=lambda j: (dist[j], j))
+    k = seen[0].index(1)
+    assert seen[0][k:k + 4] == [1, 2, 3, 4]
+
+
 def test_clip_screen_keeps_non_finite_candidates():
     # huge exact coefficients can float to inf or nan: such a row is never skipped
     hs = Halfspace((1, 0), Fraction(-1, 2))
     box = clipping.box_polygon(Fraction(2))
     want = clipping.clip_polygon(box, hs.normal, hs.offset, 7)
     for bad in ([math.inf, 0.0, -0.5], [math.nan, 0.0, 0.0], [1e308, 1e308, 0.0]):
-        got = power._clip_cell(box, {7: hs}, np.array([bad]), clipping.clip_polygon)
-        assert got == want
+        rows = np.array([bad])
+        for scale in (np.array([[1.0, 0.5]]), np.array([[math.inf, math.inf]])):
+            got = power._clip_cell(
+                box, [7], rows, scale, lambda j: hs, clipping.clip_polygon
+            )
+            assert got == want
 
 
 def test_clip_screen_skips_only_containing_halfspaces():
@@ -571,9 +666,18 @@ def test_clip_screen_skips_only_containing_halfspaces():
     far = Halfspace((1, 0), -10.0)  # x <= 10 contains the box
     cut = Halfspace((1, 0), -0.5)  # x <= 0.5 cuts it
     rows = np.array([[1.0, 0.0, -10.0], [1.0, 0.0, -0.5]])
+    scale = np.abs(rows[:, :-1]).sum(axis=1, keepdims=True)
+    scale = np.hstack((scale, np.abs(rows[:, -1:])))
+    made = []
+
+    def halfspace(j):
+        made.append(j)
+        return (far, cut)[j]
+
     box = clipping.box_polygon(2.0)
-    got = power._clip_cell(box, {0: far, 1: cut}, rows, counting_clip)
+    got = power._clip_cell(box, [0, 1], rows, scale, halfspace, counting_clip)
     assert calls == [1]
+    assert made == [1]  # the skipped candidate's halfspace is never asked for
     assert got == clipping.clip_polygon(box, (1, 0), -0.5, 1)
 
 
