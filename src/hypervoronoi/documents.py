@@ -316,7 +316,9 @@ def parse_diagram(data) -> DiagramDocument:
                 neighbor = _site_index(h["neighbor"], count, f"cell {k} neighbor")
                 normal = _vector(h["normal"], dim, f"cell {k} neighbor {neighbor} normal")
                 halfspaces[neighbor] = Halfspace(normal, decode_number(h["offset"]))
-            cells.append((site, bool(cell["empty"]), halfspaces))
+            if not isinstance(cell["empty"], bool):
+                raise ParseError(f"cell {k} empty must be true or false, got {cell['empty']!r}")
+            cells.append((site, cell["empty"], halfspaces))
         if not cells:
             raise ParseError("diagram document has no cells")
         adjacency = [

@@ -13,6 +13,7 @@ lives here too, along with its sampling-based `verify` harness.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -231,8 +232,8 @@ def delaunay(diagram: VoronoiDiagram) -> DelaunayComplex:
     faces = sorted(_dual_vertices(diagram, DUAL_MERGE_TOL), key=lambda f: tuple(sorted(f)))
     edges = set(cx.adjacency)
     simplicial = all(len(f) == d + 1 for f in faces)
-    covered = all(any(i in f and j in f for f in faces) for (i, j) in edges)
-    return DelaunayComplex(faces=faces, edges=edges, is_triangulation=simplicial and covered)
+    covered = {pair for f in faces for pair in itertools.combinations(sorted(f), 2)}
+    return DelaunayComplex(faces=faces, edges=edges, is_triangulation=simplicial and edges <= covered)
 
 
 def detect_degeneracies(diagram: VoronoiDiagram) -> DegeneracyReport:

@@ -6,23 +6,26 @@ weighted sites through `klein_site_map` (algebraic: one square root per
 site), hemisphere points through `hemisphere_site_map` (rational).  The
 two maps agree under the vertical lift.
 
-For d in {2, 3}, one loop over cells, with a small per-dimension table,
-cuts each cell from a window (a clipped build's: the clip ball's
-bounding cube) with the exact clipper of `clipping`, nearest site centre
-first, as Voro++ does (Rycroft, Chaos 19, 041111, 2009).  Before each
-cut a float screen, whose rows come from the site arrays, evaluates
-every remaining candidate at the cell's vertices and drops those that
-provably contain the cell: such a cut would be a no-op now and at its
-turn, so the cells equal those of every cut, vertex for vertex.  A
-radical hyperplane is made once, and only for a cut that runs or a
-facet that survives.  Rings start at their least vertex, so no output
-depends on the cut order.  One predicate, "the facet comes closer to the
-clip centre than r" (d=2 exact on rational input), decides adjacency,
-facets, each cell's halfspaces (negated for a lower neighbour) and
-emptiness: a cell that misses the centre (the `locate` tie set) is empty
-without such a facet, since the window lies outside the open ball.
-Vertices of neighbouring cells merge into power vertices within a
-tolerance.  Other dimensions keep every cell's n-1 halfspaces.
+For d in {2, 3}, one loop over blocks of cells, with a small
+per-dimension table, cuts each cell from a window (a clipped build's:
+the clip ball's bounding cube) with the exact clipper of `clipping`,
+nearest site centre first, as Voro++ does (Rycroft, Chaos 19, 041111,
+2009).  The cells of a block (at most BLOCK_PAIRS cell-candidate pairs,
+or one cell) advance in lockstep.  Each step, one float screen, whose
+rows come from the site arrays, evaluates every remaining pair at its
+cell's vertices and drops those whose candidate provably contains the
+cell: such a cut would be a no-op now and at its turn, so the cells
+equal those of every cut, vertex for vertex.  Then each cell cuts by its
+nearest remaining candidate.  A radical hyperplane is made once, and
+only for a cut that runs or a facet that survives.  Rings start at their
+least vertex, so no output depends on the cut order.  One predicate,
+"the facet comes closer to the clip centre than r" (d=2 exact on
+rational input), decides adjacency, facets, each cell's halfspaces
+(negated for a lower neighbour) and emptiness: a cell that misses the
+centre (the `locate` tie set) is empty without such a facet, since the
+window lies outside the open ball.  Vertices of neighbouring cells merge
+into power vertices within a tolerance.  Other dimensions keep every
+cell's n-1 halfspaces.
 """
 
 from __future__ import annotations
@@ -52,10 +55,13 @@ KLEIN_WEIGHT_SIGN_THRESHOLD = 4.0 * (math.sqrt(5.0) - 2.0)
 TIE_TOL = 1e-12
 FACET_MEASURE_TOL = 1e-10
 VERTEX_MERGE_TOL = 1e-12
-# Relative margin of the float screen in `_clip_cell`.  It only decides
+# Relative margin of the float screen in `_cut_block`.  It only decides
 # which provable no-op cuts are skipped, never the geometry: a hyperplane
 # within the margin of the cell is cut with exactly, as before.
 CLIP_SKIP_TOL = 1e-9
+# Most (cell, candidate) pairs one block of cells screens in lockstep, so
+# the screen's temporaries stay this size whatever the number of sites.
+BLOCK_PAIRS = 1 << 13
 # `_solve2` lines are parallel below |det| = this * max(1, largest |coefficient|).
 PARALLEL_TOL = 1e-13
 # Cap on a candidate vertex coordinate that sizes an unclipped window.
@@ -327,59 +333,110 @@ def _merge_vertex_candidates(candidates, tol):
     return [PowerVertex(point, frozenset(sites)) for point, sites in groups]
 
 
-def _clip_cell(shape, tags, rows, scale, halfspace, clip_fn):
-    """Cut `shape` by the candidates `tags` that change it, in that order.
+def _screen(R, V, counts):
+    """Per pair, the max over its cell's vertices of <normal, x> + offset.
 
-    rows: their float rows [normal | offset] on this cell's side; scale:
-    per row, (s1, s0) bounding |normal|_1 and |offset| and the rounding
-    of each; halfspace(j): the exact halfspace, asked for when j's cut
-    runs.  A candidate is dropped for good once its float value is finite
-    and below -CLIP_SKIP_TOL * (max|vertex coordinate| * s1 + s0) at every
-    vertex of the shape: the exact clip would keep every vertex.
+    R: the pairs' columns, as `_cut_block` takes them; V: the cells'
+    vertices, (coordinate, slot, cell), padded; counts: the number of
+    pairs of each cell, whose pairs are contiguous and in cell order.
+    Slots are taken a few at a time, so that no temporary holds much more
+    than BLOCK_PAIRS values per coordinate.
     """
-    normals, offsets = rows[:, :-1], rows[:, -1]
-    live = np.arange(len(tags))
-    while len(live) and not shape.empty:
-        X = np.array(shape.vertices, dtype=float)
+    d, slots = V.shape[:2]
+    step = max(1, BLOCK_PAIRS // R.shape[1])
+    worst = None
+    for s in range(0, slots, step):
+        X = np.repeat(V[:, s:s + step], counts, axis=2)
+        val = X[0] * R[0]
+        for k in range(1, d):
+            val += X[k] * R[k]
+        val = (val + R[d]).max(axis=0)
+        worst = val if worst is None else np.maximum(worst, val)
+    return worst
+
+
+def _cut_block(shapes, cell, tags, R, halfspace, clip_fn):
+    """Cut a block of cells in lockstep, each by the candidates that change it.
+
+    Pair p is candidate tags[p] of shapes[cell[p]]; each cell's pairs are
+    contiguous and in cut order.  R: one column per pair, its float row
+    [normal | offset] on its cell's side, then (s1, s0) bounding |normal|_1
+    and |offset| and the rounding of each; halfspace(c, j): the exact
+    halfspace, asked for when j's cut of cell c runs.  Each step
+    screens every live pair against its cell's current vertices, then
+    every cell with a live pair cuts by its first.  A pair is dropped for
+    good once its float value is finite and below -CLIP_SKIP_TOL *
+    (max|vertex coordinate| * s1 + s0) at every vertex of its cell: the
+    exact clip would keep every vertex.  Returns the cut shapes.
+    """
+    shapes = list(shapes)
+    d = len(R) - 3
+    ids = np.array((cell, tags), dtype=np.intp)
+    live = np.ones(len(shapes), dtype=bool)  # cells not yet empty
+    while ids.shape[1]:
+        cell = ids[0]
+        starts = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
+        counts = np.diff(np.r_[starts, len(cell)])
+        verts = [shapes[c].vertices for c in cell[starts].tolist()]
+        slots = max(map(len, verts))  # pad with each cell's first vertex
+        V = np.array([v + v[:1] * (slots - len(v)) for v in verts], dtype=float).T.copy()
         with np.errstate(over="ignore", invalid="ignore"):
-            worst = (normals[live] @ X.T + offsets[live, None]).max(axis=1)
-            slack = CLIP_SKIP_TOL * (np.abs(X).max() * scale[live, 0] + scale[live, 1])
-            live = live[~(np.isfinite(worst) & (worst < -slack))]
-        if len(live):
-            j = tags[live[0]]
-            hs = halfspace(j)
-            shape = clip_fn(shape, hs.normal, hs.offset, j)
-            live = live[1:]
-    return shape
+            worst = _screen(R, V, counts)
+            reach = np.repeat(np.abs(V).max(axis=(0, 1)), counts)
+            slack = CLIP_SKIP_TOL * (reach * R[d + 1] + R[d + 2])
+            keep = ~(np.isfinite(worst) & (worst < -slack))
+        kept = np.flatnonzero(keep)
+        if not len(kept):
+            break
+        held = cell[kept]
+        first = kept[np.r_[True, held[1:] != held[:-1]]]  # each cell's next cut
+        for c, j in zip(cell[first].tolist(), ids[1, first].tolist()):
+            hs = halfspace(c, j)
+            shapes[c] = clip_fn(shapes[c], hs.normal, hs.offset, j)
+            live[c] = not shapes[c].empty
+        keep[first] = False
+        keep &= live[cell]
+        kept = np.flatnonzero(keep)
+        R, ids = R.take(kept, axis=1), ids.take(kept, axis=1)
+    return shapes
 
 
 def _polygon_facets(poly, tol, exact, clip):
     """Radical edges of positive length (exactly so on rational input)
-    that come closer to the clip centre than its radius (exact likewise)."""
-    for tag, v0, v1 in poly.edges():
+    that come closer to the clip centre than its radius (exact likewise).
+    An edge with an end strictly inside the ball does at once."""
+    if clip is not None:
+        rel = [vsub(v, clip.center) for v in poly.vertices]
+        r2 = clip.radius**2
+        inside = [norm_sq(v) < r2 for v in rel]
+    for k, (tag, v0, v1) in enumerate(poly.edges()):
         if tag is BOX_TAG:
             continue
         length_sq = norm_sq(vsub(v1, v0))
         if not ((length_sq > 0) if exact else (math.sqrt(float(length_sq)) > tol)):
             continue
-        if clip is None or clipping.segment_min_norm_sq(
-            vsub(v0, clip.center), vsub(v1, clip.center)
-        ) < clip.radius**2:
+        j = (k + 1) % len(poly.vertices)
+        if clip is None or inside[k] or inside[j] or clipping.segment_min_norm_sq(rel[k], rel[j]) < r2:
             yield tag, (v0, v1)
 
 
 def _polyhedron_facets(polyh, tol, exact, clip):
     """Radical faces of float area above tol^2 that come closer to the
-    clip centre than its radius (float), on either route."""
+    clip centre than its radius (float), on either route.  A face with a
+    vertex strictly inside the ball does at once."""
+    if clip is not None:
+        rel = [as_floats(vsub(v, clip.center)) for v in polyh.vertices]
+        r2 = clip.radius**2
+        inside = [norm_sq(v) < r2 for v in rel]
     for face in polyh.faces:
         if face.tag is BOX_TAG:
             continue
         points = polyh.points(face)
         if not clipping.face_area(points) > tol * tol:
             continue
-        if clip is None or clipping.face_min_norm_sq(
-            [vsub(v, clip.center) for v in points]
-        ) < clip.radius**2:
+        if clip is None or any(inside[k] for k in face.ring) or clipping.face_min_norm_sq(
+            [rel[k] for k in face.ring]
+        ) < r2:
             yield face.tag, tuple(points)
 
 
@@ -455,21 +512,33 @@ def build_complex(sites, clip: Ball | None = None) -> PowerComplex:
     adjacency = set()
     facets = {}
     vertex_candidates = []
-    for i in range(n):
+    window = box(hw)
+    per_block = max(1, BLOCK_PAIRS // max(1, n - 1))
+    for start in range(0, n, per_block):
+        block = np.arange(start, min(n, start + per_block))
+        cell = np.repeat(np.arange(len(block)), n - 1)
+        home = cell + start  # each pair's own site
         with np.errstate(over="ignore", invalid="ignore"):
-            order = np.argsort(((C - C[i]) ** 2).sum(axis=1), kind="stable")  # nearest first
-            order = order[order != i]
-            rows = np.column_stack((2 * (C[order] - C[i]), N[i] - N[order] + W[order] - W[i]))
-            scale = np.column_stack((2 * (L1[i] + L1[order]), P[i] + P[order]))
-        shape = _clip_cell(
-            box(hw), order.tolist(), rows, scale, lambda j: side(i, j), clip_fn
-        ).least_first()
-        for j, facet in cell_facets(shape, facet_tol, exact, clip):
-            key = (i, j) if i < j else (j, i)
-            adjacency.add(key)
-            facets.setdefault(key, facet)  # the lower cell's, if it has one
-        vertex_candidates.extend(cell_vertices(shape, i))
-        shapes.append(shape)
+            dist = ((C[None, :, :] - C[block, None, :]) ** 2).sum(axis=2)
+            order = np.argsort(dist, axis=1, kind="stable")  # nearest first
+            tags = order[order != block[:, None]]
+            R = np.vstack((  # per pair: normal, offset, s1, s0, as `_cut_block` takes them
+                (2 * (C[tags] - C[home])).T,
+                N[home] - N[tags] + W[tags] - W[home],
+                2 * (L1[home] + L1[tags]),
+                P[home] + P[tags],
+            ))
+        cut = _cut_block(
+            [window] * len(block), cell, tags, R, lambda c, j: side(start + c, j), clip_fn
+        )
+        for i, shape in enumerate(cut, start):
+            shape = shape.least_first()
+            for j, facet in cell_facets(shape, facet_tol, exact, clip):
+                key = (i, j) if i < j else (j, i)
+                adjacency.add(key)
+                facets.setdefault(key, facet)  # the lower cell's, if it has one
+            vertex_candidates.extend(cell_vertices(shape, i))
+            shapes.append(shape)
 
     own = [{} for _ in range(n)]  # in ascending neighbour order
     for i, j in sorted(adjacency):

@@ -13,6 +13,7 @@ from hypervoronoi.documents import (
     diagram_to_document,
     dump_json,
     load_diagram,
+    parse_diagram,
     parse_point_set,
 )
 from hypervoronoi.sampling import (
@@ -558,6 +559,10 @@ def _set_normal(cell, value):
     cell["halfspaces"][0]["normal"] = value
 
 
+def _set_empty(cell, value):
+    cell["empty"] = value
+
+
 @pytest.mark.parametrize(
     "corrupt, value",
     [
@@ -568,6 +573,9 @@ def _set_normal(cell, value):
         (_set_neighbor, 99),
         (_set_neighbor, -2),
         (_set_neighbor, "1"),
+        (_set_empty, "false"),
+        (_set_empty, 0),
+        (_set_empty, None),
     ],
 )
 def test_check_malformed_stored_cell_exit_2(tmp_path, capsys, corrupt, value):
@@ -576,6 +584,14 @@ def test_check_malformed_stored_cell_exit_2(tmp_path, capsys, corrupt, value):
     corrupt(doc["cells"][2], value)
     dia.write_text(dump_json(doc))
     assert_parse_error(capsys, ["check", str(dia), "--samples", "100"])
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_stored_empty_flag_is_read_as_written(tmp_path, value):
+    _, dia = stored_fixture(tmp_path)
+    doc = json.loads(dia.read_text())
+    doc["cells"][2]["empty"] = value
+    assert parse_diagram(doc).cells[2][1] is value
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,15 @@
-"""Mutated point-set and diagram documents through the CLI.
+"""Hypothesis tests.
 
-Every run must end in an exit code of 0-5 (typed errors print one
-`error: <kind>: ...` line); no exception may escape `cli.main`.
+Mutated point-set and diagram documents go through the CLI: every run
+must end in an exit code of 0-5 (typed errors print one `error: <kind>:
+...` line); no exception may escape `cli.main`.  Random small site sets
+go through the screened lockstep build and the plain every-candidate
+build, which must agree.
 """
 
 import copy
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -13,9 +17,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from hypervoronoi import build_complex, hemisphere_site_map, klein_site_map, power, unit_ball  # noqa: E402
 from hypervoronoi.cli import main  # noqa: E402
 from hypervoronoi.documents import dump_json  # noqa: E402
 from hypervoronoi.sampling import random_klein_points, rational_hemisphere_points  # noqa: E402
+from util import assert_same_complex, reference_complex  # noqa: E402
 
 
 def _rational(p):
@@ -145,3 +151,31 @@ def test_check_survives_mutated_documents(tmp_path, documents, data, capsys):
     assert code in range(6)
     err = capsys.readouterr().err
     assert code in (0, 1) or err.startswith("error: ")
+
+
+def _hemisphere_point(t):
+    """The rational hemisphere point over the parameter t in the unit ball."""
+    n2 = sum(c * c for c in t)
+    return ((1 - n2) / (1 + n2),) + tuple(2 * c / (1 + n2) for c in t)
+
+
+@st.composite
+def _sites(draw):
+    d = draw(st.sampled_from([2, 3]))
+    if draw(st.booleans()):  # float Klein points, |x| < 1 as each |coordinate| <= 0.55
+        coord = st.floats(-0.55, 0.55, allow_subnormal=False)
+        pts = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=10 if d == 2 else 7, unique=True))
+        return d, [klein_site_map(p, i) for i, p in enumerate(pts)]
+    coord = st.fractions(Fraction(-3, 5), Fraction(3, 5), max_denominator=12)
+    ts = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=8 if d == 2 else 5, unique=True))
+    return d, [hemisphere_site_map(_hemisphere_point(t), i) for i, t in enumerate(ts)]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_sites(), st.sampled_from([power.BLOCK_PAIRS, 1, 7]))
+def test_screened_build_equals_plain_build(case, cap):
+    d, sites = case
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(power, "BLOCK_PAIRS", cap)  # one block, one cell per block, a few cells
+        cx = build_complex(sites, clip=unit_ball(d))
+    assert_same_complex(cx, reference_complex(sites, unit_ball(d)))

@@ -521,29 +521,29 @@ def test_compute_builds_the_complex_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("d", [2, 3])
 def test_compute_makes_each_radical_hyperplane_once(tmp_path, monkeypatch, d, route):
     calls = []
-    cuts = set()  # (cell, neighbour) of every cut that ran
-    cell = [-1]
+    planes = {}  # (normal, offset) of each made hyperplane -> its pair
+    cuts = set()  # pair of every cut that ran
     make = power.radical_hyperplane
-    box, clip = ((clipping.box_polygon, "box_polygon"), (clipping.clip_polygon, "clip_polygon"))
-    if d == 3:
-        box, clip = ((clipping.box_polyhedron, "box_polyhedron"), (clipping.clip_polyhedron, "clip_polyhedron"))
+    clip = (clipping.clip_polygon, "clip_polygon") if d == 2 else (clipping.clip_polyhedron, "clip_polyhedron")
 
     def counting(s_i, s_j):
         calls.append((s_i.origin_index, s_j.origin_index))
-        return make(s_i, s_j)
-
-    def next_cell(h):  # each cell starts from a fresh window
-        cell[0] += 1
-        return box[0](h)
+        hs = make(s_i, s_j)
+        planes[hs.normal, hs.offset] = calls[-1]
+        return hs
 
     def recording(shape, normal, offset, tag):
-        cuts.add((cell[0], tag))
+        # a cut uses a made hyperplane, one side or the other, tagged with
+        # the neighbour at one of its ends
+        neg = tuple(-c for c in normal), -offset
+        pair = planes.get((tuple(normal), offset), planes.get(neg))
+        assert pair is not None and tag in pair
+        cuts.add(pair)
         return clip[0](shape, normal, offset, tag)
 
     for module in (power, hvd):  # wherever the package binds the name
         if hasattr(module, "radical_hyperplane"):
             monkeypatch.setattr(module, "radical_hyperplane", counting)
-    monkeypatch.setattr(clipping, box[1], next_cell)
     monkeypatch.setattr(clipping, clip[1], recording)
     n = 30 if d == 2 else 15
     pts = rational_hemisphere_points(n, d, seed=23)  # rational lifts: both routes exact
@@ -557,12 +557,12 @@ def test_compute_makes_each_radical_hyperplane_once(tmp_path, monkeypatch, d, ro
     inp.write_text(json.dumps(doc))
     out = tmp_path / "out.json"
     assert main(["compute", str(inp), "--route", route, "-o", str(out)]) == 0
-    assert cell[0] == n - 1
+    assert cuts
     assert len(calls) == len(set(calls))  # at most once per pair
     assert all(i < j for i, j in calls)
     adjacency = {tuple(p) for p in json.loads(out.read_text())["adjacency"]}
     # only pairs whose cut ran (from either side) or whose facet survived
-    assert set(calls) == {(min(p), max(p)) for p in cuts} | adjacency
+    assert set(calls) == cuts | adjacency
     assert len(calls) < n * (n - 1) // 2
 
 

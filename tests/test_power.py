@@ -36,7 +36,7 @@ from hypervoronoi.documents import diagram_to_document, dump_json
 from hypervoronoi.power import canonical_halfspace
 from hypervoronoi.sampling import ball_points, random_klein_points, rational_hemisphere_points
 
-from util import LinearIndex, random_klein_point
+from util import LinearIndex, assert_same_complex, plain_cut_block, random_klein_point, reference_complex
 
 
 def W(center, weight, idx=-1):
@@ -531,25 +531,9 @@ def test_box_halfwidth_matches_scalar_loop(d):
 
 # --- filtered clipping against the plain sequential build ------------------------------
 
-def _plain_clip_cell(shape, tags, rows, scale, halfspace, clip_fn):
-    """Reference: every candidate in the given (nearest-first) order, no screen."""
-    for j in tags:
-        hs = halfspace(j)
-        shape = clip_fn(shape, hs.normal, hs.offset, j)
-    return shape
-
-
-def _reversed_clip_cell(shape, tags, rows, scale, halfspace, clip_fn):
+def _reversed_cut_block(shapes, cell, tags, R, halfspace, clip_fn):
     """Every candidate, farthest first."""
-    return _plain_clip_cell(shape, tags[::-1], rows, scale, halfspace, clip_fn)
-
-
-def reference_complex(monkeypatch, sites, clip):
-    """build_complex with the box-then-every-candidate clip loop and linear merges."""
-    with monkeypatch.context() as m:
-        m.setattr(power, "_clip_cell", _plain_clip_cell)
-        m.setattr(clipping, "GridIndex", LinearIndex)
-        return build_complex(sites, clip=clip)
+    return plain_cut_block(shapes, cell[::-1], tags[::-1], R, halfspace, clip_fn)
 
 
 def _hemi(t):
@@ -583,17 +567,14 @@ EQUIVALENCE_FIXTURES = {
 @pytest.mark.parametrize("fixture", sorted(EQUIVALENCE_FIXTURES))
 @pytest.mark.parametrize("scalar", ["float", "exact"])
 @pytest.mark.parametrize("d", [2, 3])
-def test_filtered_build_equals_plain_build(monkeypatch, d, scalar, fixture):
+def test_filtered_build_equals_plain_build(d, scalar, fixture):
     pts = EQUIVALENCE_FIXTURES[fixture](d)
     if scalar == "float":
         pts = [tuple(float(c) for c in p) for p in pts]
     sites = [hemisphere_site_map(p, i) for i, p in enumerate(pts)]
-    ref = reference_complex(monkeypatch, sites, unit_ball(d))
+    ref = reference_complex(sites, unit_ball(d))
     cx = build_complex(sites, clip=unit_ball(d))
-    assert cx == ref
-    # repr tells -0.0 from 0.0 and shows vertex order, tags and faces
-    for field in ("cells", "adjacency", "facets", "power_vertices"):
-        assert repr(getattr(cx, field)) == repr(getattr(ref, field))
+    assert_same_complex(cx, ref)
     if fixture == "one":  # no candidate: the cell keeps its box
         cell = cx.cells[0]
         if d == 2:
@@ -615,8 +596,35 @@ def test_exact_documents_do_not_depend_on_cut_order(monkeypatch, d, fixture):
 
     nearest_first = document()
     with monkeypatch.context() as m:
-        m.setattr(power, "_clip_cell", _reversed_clip_cell)
+        m.setattr(power, "_cut_block", _reversed_cut_block)
         assert document() == nearest_first
+
+
+@pytest.mark.parametrize("fixture", ["random", "cocircular"])
+@pytest.mark.parametrize("scalar", ["float", "exact"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_build_over_several_blocks_equals_one_block(monkeypatch, d, scalar, fixture):
+    pts = EQUIVALENCE_FIXTURES[fixture](d)
+    if scalar == "float":
+        pts = [tuple(float(c) for c in p) for p in pts]
+    sites = [hemisphere_site_map(p, i) for i, p in enumerate(pts)]
+    n = len(sites)
+    one = build_complex(sites, clip=unit_ball(d))
+    blocks = []
+    cut_block = power._cut_block
+
+    def counting(shapes, *rest):
+        blocks.append(len(shapes))
+        return cut_block(shapes, *rest)
+
+    monkeypatch.setattr(power, "_cut_block", counting)
+    for cap in (1, n - 1, 3 * (n - 1) - 1):  # one cell per block, then two
+        blocks.clear()
+        monkeypatch.setattr(power, "BLOCK_PAIRS", cap)
+        cx = build_complex(sites, clip=unit_ball(d))
+        assert sum(blocks) == n and len(blocks) > 1
+        assert max(blocks) == max(1, cap // (n - 1))
+        assert_same_complex(cx, one)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -626,13 +634,14 @@ def test_candidates_come_nearest_first(monkeypatch, d):
     pts = [(0.0,) * d] + [p + (0.0,) * (d - 2) for p in axis] + random_klein_points(6, d, seed=3)
     sites = [klein_site_map(p, i) for i, p in enumerate(pts)]
     seen = []
-    clip_cell = power._clip_cell
+    cut_block = power._cut_block
 
-    def recording(shape, tags, *rest):
-        seen.append(list(tags))
-        return clip_cell(shape, tags, *rest)
+    def recording(shapes, cell, tags, *rest):
+        seen.extend(tags[cell == c].tolist() for c in range(len(shapes)))
+        return cut_block(shapes, cell, tags, *rest)
 
-    monkeypatch.setattr(power, "_clip_cell", recording)
+    monkeypatch.setattr(power, "_cut_block", recording)
+    monkeypatch.setattr(power, "BLOCK_PAIRS", 4 * (len(sites) - 1))  # three blocks
     build_complex(sites, clip=unit_ball(d))
     assert len(seen) == len(sites)
     for i, tags in enumerate(seen):
@@ -647,13 +656,13 @@ def test_clip_screen_keeps_non_finite_candidates():
     hs = Halfspace((1, 0), Fraction(-1, 2))
     box = clipping.box_polygon(Fraction(2))
     want = clipping.clip_polygon(box, hs.normal, hs.offset, 7)
-    for bad in ([math.inf, 0.0, -0.5], [math.nan, 0.0, 0.0], [1e308, 1e308, 0.0]):
-        rows = np.array([bad])
-        for scale in (np.array([[1.0, 0.5]]), np.array([[math.inf, math.inf]])):
-            got = power._clip_cell(
-                box, [7], rows, scale, lambda j: hs, clipping.clip_polygon
+    for bad in ([math.inf, 0.0, -0.5], [math.nan, 0.0, 0.0], [1e308, 1e308, 0.0], [0.0, 0.0, -math.inf]):
+        for scale in ([1.0, 0.5], [math.inf, math.inf]):
+            R = np.array([bad + scale]).T  # one column: [normal | offset | s1, s0]
+            got = power._cut_block(
+                [box], np.array([0]), np.array([7]), R, lambda c, j: hs, clipping.clip_polygon
             )
-            assert got == want
+            assert got == [want]
 
 
 def test_clip_screen_skips_only_containing_halfspaces():
@@ -665,20 +674,25 @@ def test_clip_screen_skips_only_containing_halfspaces():
 
     far = Halfspace((1, 0), -10.0)  # x <= 10 contains the box
     cut = Halfspace((1, 0), -0.5)  # x <= 0.5 cuts it
-    rows = np.array([[1.0, 0.0, -10.0], [1.0, 0.0, -0.5]])
-    scale = np.abs(rows[:, :-1]).sum(axis=1, keepdims=True)
-    scale = np.hstack((scale, np.abs(rows[:, -1:])))
+    gone = Halfspace((1, 0), 10.0)  # x <= -10 misses it
+    planes = (far, cut, gone)
     made = []
 
-    def halfspace(j):
-        made.append(j)
-        return (far, cut)[j]
+    def halfspace(c, j):
+        made.append((c, j))
+        return planes[j]
 
+    # one block: cell 0 tries far, cut; cell 1 cut, far; cell 2 gone, cut
+    cell, tags = np.array([0, 0, 1, 1, 2, 2]), np.array([0, 1, 1, 0, 2, 1])
+    rows = np.array([[*planes[j].normal, planes[j].offset] for j in tags], dtype=float)
+    R = np.vstack((rows.T, np.abs(rows[:, :-1]).sum(axis=1), np.abs(rows[:, -1])))
     box = clipping.box_polygon(2.0)
-    got = power._clip_cell(box, [0, 1], rows, scale, halfspace, counting_clip)
-    assert calls == [1]
-    assert made == [1]  # the skipped candidate's halfspace is never asked for
-    assert got == clipping.clip_polygon(box, (1, 0), -0.5, 1)
+    got = power._cut_block([box] * 3, cell, tags, R, halfspace, counting_clip)
+    assert calls == [1, 1, 2]  # each cell's first live pair, in lockstep
+    assert made == [(0, 1), (1, 1), (2, 2)]  # skipped candidates are never asked for
+    half = clipping.clip_polygon(box, (1, 0), -0.5, 1)
+    assert got[:2] == [half, half]
+    assert got[2].empty  # an empty cell cuts no more
 
 
 # --- grid index -------------------------------------------------------------------------

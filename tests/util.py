@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from hypervoronoi import ModelPoint, ModelTag, convert, geodesic
+import pytest
+
+from hypervoronoi import ModelPoint, ModelTag, build_complex, clipping, convert, geodesic, power
 
 ALL_MODELS = (
     ModelTag.KLEIN,
@@ -76,3 +78,29 @@ class LinearIndex:
     def add(self, p):
         self.points.append(tuple(p))
         return len(self.points) - 1
+
+
+def plain_cut_block(shapes, cell, tags, R, halfspace, clip_fn):
+    """Reference for `power._cut_block`: every candidate of every cell in
+    the given (nearest-first) order, one cell after the other, no screen."""
+    shapes = list(shapes)
+    for c, j in zip(cell.tolist(), tags.tolist()):
+        hs = halfspace(c, j)
+        shapes[c] = clip_fn(shapes[c], hs.normal, hs.offset, j)
+    return shapes
+
+
+def reference_complex(sites, clip):
+    """build_complex with the window-then-every-candidate loop and linear merges."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(power, "_cut_block", plain_cut_block)
+        m.setattr(clipping, "GridIndex", LinearIndex)
+        return build_complex(sites, clip=clip)
+
+
+def assert_same_complex(cx, ref):
+    """Equal, and equal in repr: that tells -0.0 from 0.0 and shows vertex
+    order, tags and faces."""
+    assert cx == ref
+    for field in ("cells", "adjacency", "facets", "power_vertices"):
+        assert repr(getattr(cx, field)) == repr(getattr(ref, field))
