@@ -10,9 +10,11 @@ consumers never have to rebuild the diagram.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .bisectors import DegenerateSurface, classify
 from .errors import ParseError
@@ -27,7 +29,7 @@ DIAGRAM_FORMAT = "hypervoronoi-diagram/1"
 
 def encode_number(x, exact: bool):
     if exact:
-        f = Fraction(x)
+        f = x if isinstance(x, Fraction) else Fraction(x)
         return f"{f.numerator}/{f.denominator}"
     return float(x)
 
@@ -44,7 +46,9 @@ def decode_number(v):
 
 
 def encode_vector(xs, exact: bool):
-    return [encode_number(x, exact) for x in xs]
+    if exact:
+        return [encode_number(x, True) for x in xs]
+    return list(map(float, xs))
 
 
 def decode_vector(vs):
@@ -132,8 +136,79 @@ def load_point_set(path) -> PointSetDocument:
     return parse_point_set(read_json(path))
 
 
-def dump_json(data: dict) -> str:
-    return json.dumps(data, indent=2, allow_nan=False) + "\n"
+def _nonfinite_error(xs):
+    bad = next(x for x in xs if not math.isfinite(x))
+    return ValueError("Out of range float values are not JSON compliant: " + repr(bad))
+
+
+def _key(k) -> str:
+    """A dict key that is not a string, written as `json.dumps` writes it."""
+    if k is None or isinstance(k, (int, float)):
+        return encode_basestring_ascii(_encode(k, ""))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+# Writers of flat lists whose items all have one of these exact types.
+_FLAT_WRITERS = {float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii}
+
+
+def _join_flat(xs, sep: str):
+    """`xs` written and joined in one call when all its items are plain
+    floats, plain ints or plain strings; else None."""
+    kinds = set(map(type, xs))
+    write = _FLAT_WRITERS.get(kinds.pop()) if len(kinds) == 1 else None
+    if write is None:
+        return None
+    body = sep.join(map(write, xs))
+    if write is float.__repr__ and "n" in body:  # nan, inf, -inf
+        raise _nonfinite_error(xs)
+    return body
+
+
+def _encode(o, indent: str) -> str:
+    if isinstance(o, float):
+        text = float.__repr__(o)
+        if "n" in text:
+            raise _nonfinite_error((o,))
+        return text
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = indent + "  "
+        sep = ",\n" + inner
+        body = _join_flat(o, sep)
+        if body is None:
+            body = sep.join([_encode(x, inner) for x in o])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = indent + "  "
+        items = [
+            (encode_basestring_ascii(k) if isinstance(k, str) else _key(k)) + ": " + _encode(v, inner)
+            for k, v in o.items()
+        ]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def dump_json(data) -> str:
+    """`json.dumps(data, indent=2, allow_nan=False) + "\\n"`, byte for byte,
+    from `str.join` and the C string escaper instead of the pure-Python
+    indenting encoder.  A flat list of floats, ints or strings is written
+    in one call.  NaN and infinities raise ValueError, objects `json.dumps`
+    cannot write TypeError (circular containers are not detected)."""
+    return _encode(data, "") + "\n"
 
 
 # --- diagram documents --------------------------------------------------------
@@ -273,6 +348,7 @@ class DiagramDocument:
     cells: list  # (site_index, empty, {neighbor: Halfspace})
     adjacency: list
     facets: dict
+    power_vertices: list  # (point, site indices)
     boundaries: list  # (pair, lam, a, b, class name)
     clip_radius: object
 
@@ -293,6 +369,15 @@ def _site_pair(value, count: int, what: str) -> tuple:
     if not isinstance(value, list) or len(value) != 2:
         raise ParseError(f"{what} must be two site indices, got {value!r}")
     return tuple(_site_index(v, count, what) for v in value)
+
+
+def _site_set(value, count: int, what: str) -> tuple:
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a list of site indices, got {value!r}")
+    sites = tuple(_site_index(v, count, what) for v in value)
+    if len(set(sites)) != len(sites):
+        raise ParseError(f"{what} repeat a site: {value!r}")
+    return sites
 
 
 def _vector(value, arity: int, what: str) -> tuple:
@@ -330,6 +415,13 @@ def parse_diagram(data) -> DiagramDocument:
             if len(points) < dim:
                 raise ParseError(f"facet {k} has {len(points)} points, needs at least {dim}")
             facets[_site_pair(f["pair"], count, f"facet {k} pair")] = points
+        power_vertices = [
+            (
+                _vector(v["point"], dim, f"power vertex {k} point"),
+                _site_set(v["sites"], count, f"power vertex {k} sites"),
+            )
+            for k, v in enumerate(data.get("power_vertices", []))
+        ]
         arity = dim + 1 if input_doc.model.ambient else dim
         boundaries = [
             (
@@ -351,6 +443,7 @@ def parse_diagram(data) -> DiagramDocument:
         cells=cells,
         adjacency=adjacency,
         facets=facets,
+        power_vertices=power_vertices,
         boundaries=boundaries,
         clip_radius=clip_radius,
     )

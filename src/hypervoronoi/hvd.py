@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -51,7 +52,8 @@ BALL_STRICT_TOL = 1e-12
 # relative agreement of the incident-site circumdistances.
 DUAL_MERGE_TOL = 1e-9
 # Tolerance of every group `detect_degeneracies` reports (scales: README).
-DEGENERACY_TOL = 1e-9
+# Its co-spherical groups are `delaunay`'s merged dual faces, hence the tie.
+DEGENERACY_TOL = DUAL_MERGE_TOL
 # Klein pairs closer than this (absolute) span no line in the collinear scan.
 COLLINEAR_MIN_SPAN = 1e-15
 
@@ -69,6 +71,16 @@ class VoronoiDiagram:
     @property
     def dimension(self) -> int:
         return self.complex.dimension
+
+    @cached_property
+    def dual_faces(self) -> tuple:
+        """Site sets of the power vertices strictly inside the clip ball,
+        merged within DUAL_MERGE_TOL: the Delaunay faces, unsorted.  Made
+        once per diagram for `delaunay` and `detect_degeneracies`."""
+        vertices = self.complex.power_vertices
+        inside = [v for v in vertices if math.sqrt(float(norm_sq(v.point))) < 1.0 - BALL_STRICT_TOL]
+        kleins = [h[1:] for h in self.hub_points]
+        return tuple(frozenset(g[1]) for g in _merge_dual_vertices(inside, kleins, DUAL_MERGE_TOL))
 
 
 @dataclass
@@ -208,15 +220,6 @@ def _merge_dual_vertices(vertices, klein_sites, tol):
     return groups
 
 
-def _dual_vertices(diagram: VoronoiDiagram, tol) -> list:
-    """Site sets of the power vertices strictly inside the clip ball,
-    merged into dual vertices within `tol`."""
-    vertices = diagram.complex.power_vertices
-    inside = [v for v in vertices if math.sqrt(float(norm_sq(v.point))) < 1.0 - BALL_STRICT_TOL]
-    kleins = [h[1:] for h in diagram.hub_points]
-    return [frozenset(g[1]) for g in _merge_dual_vertices(inside, kleins, tol)]
-
-
 def delaunay(diagram: VoronoiDiagram) -> DelaunayComplex:
     """Dual Delaunay complex of a diagram built with explicit geometry.
 
@@ -229,7 +232,7 @@ def delaunay(diagram: VoronoiDiagram) -> DelaunayComplex:
     if not cx.explicit:
         raise NoExplicitGeometry("diagram was built without explicit geometry")
     d = cx.dimension
-    faces = sorted(_dual_vertices(diagram, DUAL_MERGE_TOL), key=lambda f: tuple(sorted(f)))
+    faces = sorted(diagram.dual_faces, key=lambda f: tuple(sorted(f)))
     edges = set(cx.adjacency)
     simplicial = all(len(f) == d + 1 for f in faces)
     covered = {pair for f in faces for pair in itertools.combinations(sorted(f), 2)}
@@ -238,9 +241,9 @@ def delaunay(diagram: VoronoiDiagram) -> DelaunayComplex:
 
 def detect_degeneracies(diagram: VoronoiDiagram) -> DegeneracyReport:
     """Flag equal-norm/equal-height groups, collinear groups (in the
-    Klein chart) and hyperbolically co-spherical groups (degenerate
-    power vertices of the diagram's complex inside the clip ball, as
-    `delaunay` reads them), within DEGENERACY_TOL."""
+    Klein chart) and hyperbolically co-spherical groups (the dual faces
+    `delaunay` reads, `diagram.dual_faces`, with more than d + 1 sites),
+    within DEGENERACY_TOL."""
     points = diagram.sites
     model = diagram.model
     d = diagram.dimension
@@ -270,8 +273,7 @@ def detect_degeneracies(diagram: VoronoiDiagram) -> DegeneracyReport:
     if not diagram.complex.explicit:
         notes.append("co-spherical detection skipped for d > 3 (no explicit geometry)")
     elif len(points) >= d + 2:
-        groups = _dual_vertices(diagram, DEGENERACY_TOL)
-        cocircular = sorted(tuple(sorted(g)) for g in groups if len(g) > d + 1)
+        cocircular = sorted(tuple(sorted(g)) for g in diagram.dual_faces if len(g) > d + 1)
 
     return DegeneracyReport(
         cocircular_groups=cocircular,
@@ -301,33 +303,74 @@ def _equal_value_groups(values, tol):
 def _collinear_groups(kleins, tol):
     """Maximal groups of >= 3 Klein points within `tol` of one line.
 
-    For each anchor i and later point j, the line through both collects
-    every k with |(k - a) x u| / |u| <= tol, u = b - a; one numpy array
-    per anchor, same operation order as the scalar formula.
+    The row of an anchor i and a later point j collects every k with
+    |(k - a) x u| / |u| <= tol, u = b - a, a = K[i], b = K[j].  Only
+    candidate rows are evaluated, with that formula in that operation
+    order.  Seen from the anchor, such a k at distance r lies within
+    asin(tol / r) of j's direction modulo pi.  So the other points'
+    directions are sorted around the anchor, and row (i, j) is a candidate
+    when j has a sorted neighbour (the first and last wrap around by pi)
+    within asin(slack / r_min), r_min the least distance from the anchor;
+    slack = 4 tol plus rounding.  A point within slack of the anchor may
+    lie on every line through it: then every row of the anchor is a
+    candidate.  O(n^2 log n) for points in general position; anchors are
+    taken in blocks of at most `power.BLOCK_PAIRS` (anchor, point) pairs.
     """
     if any(len(k) != 2 for k in kleins):
         return []  # collinearity scan is planar only
     K = np.array(kleins, dtype=float).reshape(-1, 2)
     n = len(K)
+    if n < 3:
+        return []
+    slack = 4 * tol + 64 * np.finfo(float).eps
+    step = max(1, power.BLOCK_PAIRS // n)
+    rows_i, rows_j = [], []
+    for lo in range(0, n, step):
+        anchors = np.arange(lo, min(n, lo + step))
+        own = (np.arange(len(anchors)), anchors)
+        DX = K[None, :, 0] - K[anchors, None, 0]
+        DY = K[None, :, 1] - K[anchors, None, 1]
+        r2 = DX * DX + DY * DY
+        r2[own] = np.inf
+        rmin = np.sqrt(r2.min(axis=1))
+        delta = np.arcsin(slack / np.maximum(rmin, slack))
+        delta[rmin <= slack] = np.inf
+        alpha = np.arctan2(DY, DX)
+        alpha[alpha < 0] += np.pi  # in [0, pi]: pi and 0 are one direction
+        alpha[own] = np.inf  # sorts last, out of the circle
+        order = np.argsort(alpha, axis=1)[:, : n - 1]
+        s = np.take_along_axis(alpha, order, axis=1)
+        wrap = (s[:, 0] + np.pi - s[:, -1])[:, None]
+        gaps = np.concatenate([wrap, np.diff(s, axis=1), wrap], axis=1)
+        close = np.minimum(gaps[:, :-1], gaps[:, 1:]) <= delta[:, None]
+        cand = np.zeros((len(anchors), n), dtype=bool)
+        np.put_along_axis(cand, order, close, axis=1)
+        ii, jj = np.nonzero(cand & (np.arange(n)[None, :] > anchors[:, None]))
+        rows_i.append(anchors[ii])
+        rows_j.append(jj)
+    I, J = np.concatenate(rows_i), np.concatenate(rows_j)
     found = set()
-    for i in range(n - 1):
-        ax, ay = K[i]
-        ux = K[i + 1:, 0] - ax
-        uy = K[i + 1:, 1] - ay
+    for lo in range(0, len(I), step):
+        i, j = I[lo : lo + step], J[lo : lo + step]
+        ux = K[j, 0] - K[i, 0]
+        uy = K[j, 1] - K[i, 1]
         ln = np.array([math.hypot(a, b) for a, b in zip(ux.tolist(), uy.tolist())])
         live = ln >= COLLINEAR_MIN_SPAN
-        dist = np.abs(
-            (K[:, 0] - ax)[None, :] * uy[live, None] - (K[:, 1] - ay)[None, :] * ux[live, None]
-        ) / ln[live, None]
+        i, j, ux, uy, ln = i[live], j[live], ux[live, None], uy[live, None], ln[live, None]
+        ax, ay = K[i, 0][:, None], K[i, 1][:, None]
+        dist = np.abs((K[None, :, 0] - ax) * uy - (K[None, :, 1] - ay) * ux) / ln
         near = dist <= tol
-        near[:, i] = True
-        near[np.arange(len(near)), np.flatnonzero(live) + i + 1] = True
+        near[np.arange(len(i)), i] = True
+        near[np.arange(len(i)), j] = True
         for row in near[near.sum(axis=1) >= 3]:
             found.add(tuple(np.flatnonzero(row).tolist()))
-    # keep only maximal groups
-    out = [g for g in found if not any(set(g) < set(h) for h in found if h != g)]
-    out.sort()
-    return out
+    # keep only maximal groups; a larger group holding g holds its first point
+    sets = {g: frozenset(g) for g in found}
+    holders = {}
+    for g, sg in sets.items():
+        for k in g:
+            holders.setdefault(k, []).append(sg)
+    return sorted(g for g, sg in sets.items() if not any(sg < h for h in holders[g[0]]))
 
 
 # --- sampling-based verification ---------------------------------------------

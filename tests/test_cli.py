@@ -646,6 +646,61 @@ def test_render_malformed_facet_or_boundary_exit_2(tmp_path, capsys, corrupt, va
     assert_parse_error(capsys, ["render", str(dia), "--model", "poincare", "-o", svg])
 
 
+def _set_vertex_point(doc, value):
+    doc["power_vertices"][0]["point"] = value
+
+
+def _set_vertex_sites(doc, value):
+    doc["power_vertices"][0]["sites"] = value
+
+
+def _drop_vertex_point(doc, value):
+    del doc["power_vertices"][0]["point"]
+
+
+@pytest.mark.parametrize("command", ["check", "render"])
+@pytest.mark.parametrize(
+    "corrupt, value",
+    [
+        (_set_vertex_point, [0.1]),
+        (_set_vertex_point, [0.1, 0.2, 0.3]),
+        (_set_vertex_point, [math.nan, 0.1]),
+        (_set_vertex_point, [0.1, math.inf]),
+        (_set_vertex_point, "0.1, 0.2"),
+        (_drop_vertex_point, None),
+        (_set_vertex_sites, [0, 99]),
+        (_set_vertex_sites, [-1, 0, 1]),
+        (_set_vertex_sites, [0, 1, 1]),
+        (_set_vertex_sites, [0, "1", 2]),
+        (_set_vertex_sites, [True, 1, 2]),
+        (_set_vertex_sites, [0, 1.0, 2]),
+        (_set_vertex_sites, 3),
+    ],
+)
+def test_malformed_power_vertex_exit_2(tmp_path, capsys, command, corrupt, value):
+    _, dia = stored_fixture(tmp_path)
+    doc = json.loads(dia.read_text())
+    corrupt(doc, value)
+    dia.write_text(json.dumps(doc))  # json.dumps writes NaN and Infinity literals
+    argv = ["check", str(dia), "--samples", "100"]
+    if command == "render":
+        argv = ["render", str(dia), "-o", str(tmp_path / "x.svg")]
+    assert_parse_error(capsys, argv)
+
+
+def test_power_vertices_are_read_and_optional(tmp_path):
+    _, dia = stored_fixture(tmp_path)
+    doc = json.loads(dia.read_text())
+    parsed = parse_diagram(doc).power_vertices
+    assert [(list(p), list(s)) for p, s in parsed] == [
+        (v["point"], v["sites"]) for v in doc["power_vertices"]
+    ]
+    del doc["power_vertices"]
+    assert parse_diagram(doc).power_vertices == []
+    dia.write_text(dump_json(doc))
+    assert main(["check", str(dia), "--samples", "100"]) == 0
+
+
 def test_boundary_arity_counts_the_ambient_coordinate(tmp_path, capsys):
     inp = write_exact_hemisphere(tmp_path / "p.json")
     dia = tmp_path / "d.json"

@@ -1,0 +1,186 @@
+"""`documents.dump_json` against its reference, `json.dumps(indent=2)`.
+
+The encoder must write the reference's bytes for every JSON tree, raise
+the reference's errors for non-finite floats and unserializable objects,
+and agree on the documents `compute`, `convert` and `delaunay` write.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from hypervoronoi import cli, documents, hvd  # noqa: E402
+from hypervoronoi.documents import dump_json  # noqa: E402
+from hypervoronoi.sampling import random_klein_points, rational_hemisphere_points  # noqa: E402
+
+
+def reference(data) -> str:
+    return json.dumps(data, indent=2, allow_nan=False) + "\n"
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e22, -1e22, 1.7976931348623157e308, 0.1]
+finite = st.floats(allow_nan=False, allow_infinity=False)
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    finite,
+    st.sampled_from(SPECIAL_FLOATS),
+    finite.map(np.float64),
+    st.text(),
+    st.text(st.characters(max_codepoint=0x1F)),
+)
+keys = st.one_of(st.text(), st.integers(), finite, st.booleans(), st.none())
+trees = st.recursive(
+    scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.lists(finite, max_size=5),
+        st.lists(st.integers(), max_size=5),
+        st.lists(st.text(), max_size=5),
+        st.dictionaries(keys, inner, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(trees)
+def test_dump_json_matches_json_dumps(data):
+    assert dump_json(data) == reference(data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [],
+        {},
+        [[]],
+        {"": {}},
+        "café ☃ \U0001F600 \x00\x1f\"\\/",
+        {"é\n": [1, True, 2]},
+        [1.0, 2],
+        [1, 2.0],
+        [True, 1],
+        [1, False],
+        [1.0, True],
+        [10**30, -(10**30)],
+        ["a", 1],
+        [np.float64(0.1), 0.2, np.float64(-0.0)],
+        (1.5, (2.5, ("x",))),
+        {1: "a", 2.5: None, True: 0, None: [], "k": -0.0},
+    ],
+)
+def test_dump_json_edge_cases(data):
+    assert dump_json(data) == reference(data)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+@pytest.mark.parametrize(
+    "wrap",
+    [
+        lambda x: x,
+        lambda x: [0.5, x, 1.5],
+        lambda x: [0.5, [x]],
+        lambda x: {"a": [1, x]},
+        lambda x: {x: 1},
+    ],
+)
+def test_dump_json_rejects_non_finite_floats(bad, wrap):
+    with pytest.raises(ValueError) as ref:
+        reference(wrap(bad))
+    with pytest.raises(ValueError) as got:
+        dump_json(wrap(bad))
+    assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        1j,
+        {1, 2},
+        [0.5, np.float32(1.0)],
+        [np.int64(3)],
+        {"a": object()},
+        {(1, 2): 3},
+        {frozenset(): 1},
+    ],
+)
+def test_dump_json_rejects_what_json_dumps_rejects(data):
+    with pytest.raises(TypeError) as ref:
+        reference(data)
+    with pytest.raises(TypeError) as got:
+        dump_json(data)
+    assert str(got.value) == str(ref.value)
+
+
+def _write(path, points, model="klein", exact=False):
+    enc = (lambda c: f"{c.numerator}/{c.denominator}") if exact else float
+    doc = {
+        "dimension": len(points[0]) - (1 if model == "hemisphere" else 0),
+        "curvature": "-1/1" if exact else -1.0,
+        "model": model,
+        "scalar": "exact-rational" if exact else "float64",
+        "points": [[enc(c) for c in p] for p in points],
+    }
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("k2", ["compute", "{k2}", "--verify", "200"]),
+        ("k3", ["compute", "{k3}", "--verify", "200"]),
+        ("k4", ["compute", "{k4}"]),
+        ("exact", ["compute", "{h2}", "--route", "hemisphere", "--verify", "200"]),
+        ("convert", ["convert", "{k2}", "--to", "upper-half-space"]),
+        ("convert-exact", ["convert", "{h2}", "--to", "hyperboloid"]),
+        ("delaunay", ["delaunay", "{k3}"]),
+        ("delaunay-exact", ["delaunay", "{h2}", "--route", "hemisphere"]),
+    ],
+)
+def test_cli_documents_match_json_dumps(tmp_path, monkeypatch, name, argv):
+    inputs = {
+        "k2": _write(tmp_path / "k2.json", random_klein_points(40, 2, seed=5)),
+        "k3": _write(tmp_path / "k3.json", random_klein_points(15, 3, seed=5)),
+        "k4": _write(tmp_path / "k4.json", random_klein_points(7, 4, seed=5)),
+        "h2": _write(tmp_path / "h2.json", rational_hemisphere_points(12, 2, seed=5), "hemisphere", True),
+    }
+    written = []
+
+    def checked(data):
+        text = dump_json(data)
+        assert text == reference(data)
+        written.append(text)
+        return text
+
+    monkeypatch.setattr(cli, "dump_json", checked)
+    out = tmp_path / "out.json"
+    assert cli.main([a.format(**inputs) for a in argv] + ["-o", str(out)]) == 0
+    assert written and out.read_text() == written[0]
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        (documents, "dump_json"),
+        (documents, "diagram_to_document"),
+        (hvd, "detect_degeneracies"),
+        (hvd, "delaunay"),
+    ],
+)
+def test_benchmark_spans_still_name_module_functions(module, name):
+    """The traced benchmark times encoding, Delaunay extraction and the
+    degeneracy scan by wrapping these module-level functions; a stage whose
+    function moved would drop out of its per-layer metrics unnoticed."""
+    fn = getattr(module, name, None)
+    assert callable(fn) and fn.__module__ == module.__name__

@@ -34,7 +34,7 @@ from hypervoronoi.sampling import (
     wheel_points,
 )
 
-from util import ALL_MODELS, random_klein_point
+from util import ALL_MODELS, random_klein_point, reference_collinear_groups
 
 
 def kpts(raw):
@@ -500,6 +500,96 @@ def test_collinear_scan_matches_scalar_loop(seed):
     assert groups
 
 
+@pytest.mark.parametrize(
+    "n, seed, tol",
+    [(n, seed, hvd.DEGENERACY_TOL) for n, seed in [(3, 1), (3, 2), (50, 3), (50, 4), (200, 5), (200, 41000)]]
+    # a loose tolerance crowds every anchor and finds many groups: the
+    # reference's O(n^3) rows and O(groups^2) filter keep these small
+    + [(n, seed, tol) for n, seed in [(3, 1), (50, 3), (50, 4)] for tol in (1e-3, 0.02)],
+)
+def test_collinear_scan_matches_reference_on_random_points(n, seed, tol):
+    pts = random_klein_points(n, seed=seed)
+    assert _collinear_groups(pts, tol) == reference_collinear_groups(pts, tol)
+
+
+TOL = hvd.DEGENERACY_TOL
+
+
+def _on_line(a, theta, ts, offsets):
+    """Points a + t u + o n: u at angle theta, n its normal."""
+    ux, uy = math.cos(theta), math.sin(theta)
+    return [(a[0] + t * ux - o * uy, a[1] + t * uy + o * ux) for t, o in zip(ts, offsets)]
+
+
+# Each plant goes in front of random points; its groups (as index sets of
+# the plant) must be found, and the scan must equal the reference.
+PLANTS = {
+    # directions from every member straddle 0 and pi: only the wrap joins them
+    "wrap-horizontal": (
+        [(-0.5, 0.0), (0.0, 0.3 * TOL), (0.5, -0.1 * TOL)],
+        [(0, 1, 2)],
+    ),
+    "wrap-near-pi": (
+        _on_line((0.1, -0.2), math.pi - 1e-12, [0.4, -0.3, 0.05, -0.45], [0.3 * TOL, -0.4 * TOL, 0.2 * TOL, -0.3 * TOL]),
+        [(0, 1, 2, 3)],
+    ),
+    "vertical": (
+        [(0.2, -0.5), (0.2 + 0.3 * TOL, 0.0), (0.2 - 0.1 * TOL, 0.5), (0.2, 0.25)],
+        [(0, 1, 2, 3)],
+    ),
+    # +-2 tol off the line: out of every group
+    "offsets-2tol": (
+        _on_line((-0.1, 0.3), 0.7, [-0.4, 0.0, 0.35, 0.2, -0.2], [0.0, 0.5 * TOL, -0.5 * TOL, 2 * TOL, -2 * TOL]),
+        [(0, 1, 2)],
+    ),
+    # the first point is within tol of the second (the anchor): on every
+    # line through it, so every other point completes a group
+    "near-anchor": (
+        [(0.3, 0.1), (0.3 + 0.5 * TOL, 0.1), (0.0, 0.0), (-0.4, 0.5)],
+        [(0, 1, 2), (0, 1, 3)],
+    ),
+    # a pair closer than COLLINEAR_MIN_SPAN spans no line of its own
+    "sub-span-pair": (
+        [(0.0, 0.0), (4e-16, 0.0), (0.5, 0.25), (-0.5, 0.1)],
+        [(0, 1, 2), (0, 1, 3)],
+    ),
+    # three lines through one anchor; a point far away sets a small window
+    "star": (
+        [(0.05, -0.05)]
+        + _on_line((0.05, -0.05), 0.0, [0.01, -0.6, 0.7], [0.9 * TOL, -0.6 * TOL, 0.5 * TOL])
+        + _on_line((0.05, -0.05), math.pi / 2, [0.02, 0.5, -0.6], [-0.8 * TOL, 0.4 * TOL, 0.0])
+        + _on_line((0.05, -0.05), 2.0, [-0.015, 0.45, 0.3], [0.9 * TOL, -0.7 * TOL, 0.2 * TOL]),
+        [(0, 1, 2, 3), (0, 4, 5, 6), (0, 7, 8, 9)],
+    ),
+}
+
+
+@pytest.mark.parametrize("background", [0, 30])
+@pytest.mark.parametrize("plant", sorted(PLANTS))
+def test_collinear_scan_finds_planted_groups(plant, background):
+    points, groups = PLANTS[plant]
+    pts = list(points) + list(random_klein_points(background, seed=17, max_norm=0.85) if background else [])
+    found = _collinear_groups(pts, TOL)
+    assert found == reference_collinear_groups(pts, TOL)
+    for g in groups:
+        assert any(set(g) <= set(h) for h in found), (g, found)
+    for h in found:
+        assert set(h) & set(range(len(points))), h  # random points add no group
+
+
+@pytest.mark.parametrize("order", ["forward", "reversed"])
+def test_collinear_scan_small_window_from_a_close_pair(order):
+    """A group whose members are 0.01 apart but for one far point: the angle
+    the close member makes is ~100 times the far members' window."""
+    pts = _on_line((0.2, 0.1), 1.1, [0.0, 0.01, 0.8], [0.0, 0.9 * TOL, 0.0])
+    pts += list(random_klein_points(20, seed=3, max_norm=0.85))
+    if order == "reversed":
+        pts = pts[::-1]
+    found = _collinear_groups(pts, TOL)
+    assert found == reference_collinear_groups(pts, TOL)
+    assert len(found) == 1
+
+
 def test_compute_builds_the_complex_once(tmp_path, monkeypatch):
     calls = []
 
@@ -515,6 +605,27 @@ def test_compute_builds_the_complex_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     doc = json.loads((tmp_path / "out.json").read_text())
     assert [0, 1, 2, 3] in doc["degeneracies"]["cocircular_groups"]
+
+
+def test_compute_merges_dual_vertices_once(tmp_path, monkeypatch):
+    """`delaunay` and `detect_degeneracies` read one merge of the diagram's
+    power vertices; its co-spherical groups are the Delaunay faces."""
+    calls = []
+    merge = hvd._merge_dual_vertices
+
+    def counting_merge(*args):
+        calls.append(args[2])
+        return merge(*args)
+
+    monkeypatch.setattr(hvd, "_merge_dual_vertices", counting_merge)
+    inp = tmp_path / "p.json"
+    raw = cocircular_square(0.4) + [(0.7, 0.1), (-0.2, 0.5)]
+    inp.write_text(json.dumps({"dimension": 2, "model": "klein", "points": [list(p) for p in raw]}))
+    assert main(["compute", str(inp), "-o", str(tmp_path / "out.json")]) == 0
+    assert calls == [hvd.DUAL_MERGE_TOL]
+    doc = json.loads((tmp_path / "out.json").read_text())
+    big = [f for f in doc["delaunay"]["faces"] if len(f) > 3]
+    assert big == doc["degeneracies"]["cocircular_groups"] == [[0, 1, 2, 3]]
 
 
 @pytest.mark.parametrize("route", [ROUTE_KLEIN, ROUTE_HEMISPHERE])

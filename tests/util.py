@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from hypervoronoi import ModelPoint, ModelTag, build_complex, clipping, convert, geodesic, power
+from hypervoronoi.hvd import COLLINEAR_MIN_SPAN
 
 ALL_MODELS = (
     ModelTag.KLEIN,
@@ -104,3 +108,30 @@ def assert_same_complex(cx, ref):
     assert cx == ref
     for field in ("cells", "adjacency", "facets", "power_vertices"):
         assert repr(getattr(cx, field)) == repr(getattr(ref, field))
+
+
+def reference_collinear_groups(kleins, tol):
+    """Reference for `hvd._collinear_groups`: every row (i, j), i < j, one
+    `(n - i - 1) x n` array per anchor, the same formula and operation order."""
+    if any(len(k) != 2 for k in kleins):
+        return []
+    K = np.array(kleins, dtype=float).reshape(-1, 2)
+    n = len(K)
+    found = set()
+    for i in range(n - 1):
+        ax, ay = K[i]
+        ux = K[i + 1:, 0] - ax
+        uy = K[i + 1:, 1] - ay
+        ln = np.array([math.hypot(a, b) for a, b in zip(ux.tolist(), uy.tolist())])
+        live = ln >= COLLINEAR_MIN_SPAN
+        dist = np.abs(
+            (K[:, 0] - ax)[None, :] * uy[live, None] - (K[:, 1] - ay)[None, :] * ux[live, None]
+        ) / ln[live, None]
+        near = dist <= tol
+        near[:, i] = True
+        near[np.arange(len(near)), np.flatnonzero(live) + i + 1] = True
+        for row in near[near.sum(axis=1) >= 3]:
+            found.add(tuple(np.flatnonzero(row).tolist()))
+    out = [g for g in found if not any(set(g) < set(h) for h in found if h != g)]
+    out.sort()
+    return out
