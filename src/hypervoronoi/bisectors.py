@@ -89,23 +89,20 @@ class ImplicitSurface:
             self.model,
         )
 
-    def classify(self, tol: float = CLASSIFY_TOL) -> SurfaceClass:
-        return classify(self, tol)
-
 
 def evaluate(s: ImplicitSurface, x) -> object:
     """Signed value of the quadric at x; the sign picks a Voronoi side."""
     return s.evaluate(x)
 
 
-def classify(s: ImplicitSurface, tol: float = CLASSIFY_TOL) -> SurfaceClass:
+def classify(s: ImplicitSurface) -> SurfaceClass:
     coeffs = as_floats(s.coefficients())
-    scale = max(abs(c) for c in coeffs)
+    bound = CLASSIFY_TOL * max(abs(c) for c in coeffs)
     lam, b = coeffs[0], coeffs[-1]
-    if abs(lam) <= tol * scale:
-        if s.model is ModelTag.HEMISPHERE and abs(coeffs[1]) <= tol * scale:
+    if abs(lam) <= bound:
+        if s.model is ModelTag.HEMISPHERE and abs(coeffs[1]) <= bound:
             return SurfaceClass.VERTICAL_SPHERE
-        if abs(b) <= tol * scale:
+        if abs(b) <= bound:
             return SurfaceClass.HYPERPLANE_THROUGH_ORIGIN
         return SurfaceClass.HYPERPLANE
     a = coeffs[1:-1]

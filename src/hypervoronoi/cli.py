@@ -70,6 +70,7 @@ def _apply_overrides(doc: PointSetDocument, args) -> PointSetDocument:
     if getattr(args, "model", None):
         doc.model = ModelTag.parse(args.model)
     if getattr(args, "curvature", None) is not None:
+        Curvature(args.curvature)  # rejects -inf and nan before Fraction() meets them
         doc.curvature = (
             Fraction(args.curvature) if doc.exact else float(args.curvature)
         )
@@ -130,6 +131,8 @@ def cmd_delaunay(args) -> int:
 
 
 def cmd_render(args) -> int:
+    if args.width < 1:
+        raise ParseError(f"--width must be >= 1, got {args.width}")
     doc = load_diagram(args.diagram)
     model = ModelTag.parse(args.model)
     svg = render_svg(doc, model, width=args.width, samples_per_arc=args.samples_per_arc)
@@ -194,12 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, model=True):
-        if model:
-            p.add_argument("--model", help="override the document's model tag")
-            p.add_argument(
-                "--curvature", type=float, help="override the curvature (< 0)"
-            )
+    def add_common(p):
+        p.add_argument("--model", help="override the document's model tag")
+        p.add_argument("--curvature", type=float, help="override the curvature (< 0)")
 
     p = sub.add_parser("compute", help="compute a diagram document")
     p.add_argument("input", help="point set document (JSON)")

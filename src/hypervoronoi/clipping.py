@@ -316,3 +316,24 @@ class GridIndex:
         self.points.append(tuple(p))
         self.buckets.setdefault(self._key(p), []).append(k)
         return k
+
+
+def merge_near(items, tol, accept=None) -> list:
+    """Group (point, sites) items, taken in order, by float proximity.
+
+    An item joins the first group whose point lies within `tol` of its
+    own (`GridIndex.find`), if `accept(group point, union of sites)` holds
+    or no `accept` is given; otherwise it starts a group of its own.
+    Returns [group point, set of sites] lists, in order of creation.
+    """
+    index = GridIndex(tol)
+    groups = []
+    for point, sites in items:
+        fpt = as_floats(point)
+        k = index.find(fpt)
+        if k is not None and (accept is None or accept(groups[k][0], groups[k][1] | set(sites))):
+            groups[k][1].update(sites)
+        else:
+            index.add(fpt)
+            groups.append([point, set(sites)])
+    return groups

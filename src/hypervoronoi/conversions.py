@@ -11,10 +11,11 @@ those paths stay exact on rational input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ExactArithmeticUnavailable, ModelMismatch, NumericalUnderflow
+from .errors import DomainViolation, ExactArithmeticUnavailable, ModelMismatch, NumericalUnderflow
 from .models import ModelPoint, ModelTag, validate_point
 from .scalars import all_exact, is_exact, norm_sq, sqrt_scalar
 
@@ -151,7 +152,10 @@ def square_root_free(source: ModelTag, target: ModelTag) -> bool:
 def hub_coords(p: ModelPoint) -> tuple:
     """Hemisphere-lift coordinates of p at unit scale (validates p)."""
     validate_point(p)
-    return _TO_HUB[p.model](p.unit_coords())
+    hub = _TO_HUB[p.model](p.unit_coords())
+    if not all_exact(hub) and not all(map(math.isfinite, hub)):
+        raise DomainViolation(f"{p.model.value} point's lift leaves the float range: {hub}")
+    return hub
 
 
 def from_hub(hub, model: ModelTag, curvature) -> ModelPoint:

@@ -94,8 +94,6 @@ def parse_point_set(data) -> PointSetDocument:
         raw_points = data["points"]
     except KeyError as e:
         raise ParseError(f"missing field {e.args[0]!r}") from e
-    except ValueError as e:
-        raise ParseError(str(e)) from e
     if scalar not in (SCALAR_FLOAT, SCALAR_EXACT):
         raise ParseError(f"unknown scalar kind {scalar!r}")
     if not isinstance(dimension, int) or isinstance(dimension, bool):
@@ -344,13 +342,11 @@ class DiagramDocument:
     """Parsed diagram document: typed access to the stored sections."""
 
     input: PointSetDocument
-    route: str
     cells: list  # (site_index, empty, {neighbor: Halfspace})
     adjacency: list
     facets: dict
     power_vertices: list  # (point, site indices)
     boundaries: list  # (pair, lam, a, b, class name)
-    clip_radius: object
 
     @property
     def dimension(self) -> int:
@@ -433,19 +429,17 @@ def parse_diagram(data) -> DiagramDocument:
             )
             for k, b in enumerate(data.get("boundaries", []))
         ]
-        clip = data.get("clip")
-        clip_radius = decode_number(clip["radius"]) if clip else None
+        if clip := data.get("clip"):
+            decode_number(clip["radius"])
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed diagram document: {e!r}") from e
     return DiagramDocument(
         input=input_doc,
-        route=str(data.get("route", "klein")),
         cells=cells,
         adjacency=adjacency,
         facets=facets,
         power_vertices=power_vertices,
         boundaries=boundaries,
-        clip_radius=clip_radius,
     )
 
 

@@ -21,9 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import power, sampling
+from . import clipping, power, sampling
 from .bisectors import ImplicitSurface, scale_surface, transport_surface
-from .clipping import GridIndex
 from .conversions import hub_coords
 from .errors import (
     DuplicateSites,
@@ -39,15 +38,13 @@ from .models import (
     distance,
 )
 from .power import PowerComplex, build_complex, unit_ball
-from .scalars import all_exact, as_floats, norm_sq
+from .scalars import all_exact, as_floats, norm_sq, vsub
 
 ROUTE_KLEIN = "klein"
 ROUTE_HEMISPHERE = "hemisphere"
 
 NEAREST_TIE_TOL = 1e-12
 BOUNDARY_BAND = 1e-7
-# Dual power vertices count as inside the clip ball when 1 - |v| exceeds this.
-BALL_STRICT_TOL = 1e-12
 # Coordinate tolerance for merging degenerate dual vertices, confirmed by
 # relative agreement of the incident-site circumdistances.
 DUAL_MERGE_TOL = 1e-9
@@ -74,11 +71,13 @@ class VoronoiDiagram:
 
     @cached_property
     def dual_faces(self) -> tuple:
-        """Site sets of the power vertices strictly inside the clip ball,
+        """Site sets of the power vertices strictly inside the complex's clip
+        ball (|v - centre|^2 < r^2, exact on rational input, as for facets),
         merged within DUAL_MERGE_TOL: the Delaunay faces, unsorted.  Made
         once per diagram for `delaunay` and `detect_degeneracies`."""
-        vertices = self.complex.power_vertices
-        inside = [v for v in vertices if math.sqrt(float(norm_sq(v.point))) < 1.0 - BALL_STRICT_TOL]
+        clip = self.complex.clip
+        r2 = clip.radius**2
+        inside = [v for v in self.complex.power_vertices if norm_sq(vsub(v.point, clip.center)) < r2]
         kleins = [h[1:] for h in self.hub_points]
         return tuple(frozenset(g[1]) for g in _merge_dual_vertices(inside, kleins, DUAL_MERGE_TOL))
 
@@ -200,24 +199,15 @@ def _merge_dual_vertices(vertices, klein_sites, tol):
 
     Merging is by coordinate proximity and is confirmed by the union's
     circumdistances agreeing to `tol` relative (otherwise kept apart).
+    Returns `clipping.merge_near`'s [point, sites] groups.
     """
-    index = GridIndex(tol)
-    groups = []  # [float point, set sites, representative point], in index order
-    for v in vertices:
-        fpt = as_floats(v.point)
-        k = index.find(fpt)
-        if k is not None:
-            target = groups[k]
-            union = target[1] | set(v.sites)
-            members = [as_floats(klein_sites[s]) for s in union]
-            coshes = [cosh_distance_unit(ModelTag.KLEIN, target[0], q) for q in members]
-            lo, hi = min(coshes), max(coshes)
-            if hi - lo <= tol * max(1.0, hi):
-                target[1] |= set(v.sites)
-                continue
-        index.add(fpt)
-        groups.append([fpt, set(v.sites), v.point])
-    return groups
+
+    def concyclic(point, union):
+        centre = as_floats(point)
+        coshes = [cosh_distance_unit(ModelTag.KLEIN, centre, as_floats(klein_sites[s])) for s in union]
+        return max(coshes) - min(coshes) <= tol * max(1.0, max(coshes))
+
+    return clipping.merge_near([(v.point, v.sites) for v in vertices], tol, concyclic)
 
 
 def delaunay(diagram: VoronoiDiagram) -> DelaunayComplex:

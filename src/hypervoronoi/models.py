@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ArityMismatch, DomainViolation, ExactArithmeticUnavailable, ModelMismatch
+from .errors import ArityMismatch, DomainViolation, ExactArithmeticUnavailable, ModelMismatch, ParseError
 from .scalars import (
     Scalar,
     acosh_clamped,
@@ -69,12 +69,13 @@ class ModelTag(Enum):
         for tag in cls:
             if tag.value == key:
                 return tag
-        raise ValueError(f"unknown model {name!r}")
+        raise ParseError(f"unknown model {name!r}")
 
 
 @dataclass(frozen=True)
 class Curvature:
-    """Sectional curvature kappa < 0 of the hyperbolic space."""
+    """Sectional curvature kappa < 0 of the hyperbolic space, whose model
+    radius is a finite positive float."""
 
     kappa: Scalar = -1
 
@@ -84,10 +85,25 @@ class Curvature:
                 f"curvature must be negative, got {self.kappa}",
                 constraint="kappa < 0",
             )
+        if not 0.0 < self.radius < math.inf:
+            raise DomainViolation(
+                "curvature's model radius sqrt(-1/kappa) is not a positive float",
+                constraint="0 < sqrt(-1/kappa) < inf",
+            )
 
     @property
     def radius(self) -> float:
-        return math.sqrt(-1.0 / float(self.kappa))
+        """sqrt(-1/kappa), inf past the float range.  An exact kappa is taken
+        through -1/kappa scaled by a power of four, so no step under- or
+        overflows that the radius itself does not."""
+        if not is_exact(self.kappa):
+            return math.sqrt(-1.0 / self.kappa)
+        r2 = self.radius_sq
+        e = (r2.numerator.bit_length() - r2.denominator.bit_length()) // 2
+        try:
+            return math.ldexp(math.sqrt(r2 / Fraction(4) ** e), e)
+        except OverflowError:
+            return math.inf
 
     @property
     def radius_sq(self) -> Scalar:
@@ -137,7 +153,10 @@ class ModelPoint:
             except ExactArithmeticUnavailable:
                 pass
         r = self.curvature.radius
-        return tuple(float(x) / r for x in self.coords)
+        try:
+            return tuple(float(x) / r for x in self.coords)
+        except OverflowError as e:
+            raise DomainViolation(f"coordinate out of float range: {e}") from e
 
 
 def _require_arity(p: ModelPoint) -> int:
@@ -150,12 +169,13 @@ def _require_arity(p: ModelPoint) -> int:
     return d
 
 
-def validate_point(p: ModelPoint, tol: float = MEMBERSHIP_TOL) -> None:
+def validate_point(p: ModelPoint) -> None:
     """Check the model domain invariant; raise DomainViolation if broken.
 
     Equality constraints (sphere/hyperboloid membership) are checked to
-    `tol` relative to max(1, x0^2) for float points and exactly for
-    rational points; inequality constraints are strict.
+    MEMBERSHIP_TOL relative to max(1, x0^2) for float points and exactly
+    for rational points; inequality constraints are strict.  Messages
+    quote exact values as rationals: they may lie beyond the float range.
     """
     _require_arity(p)
     u = p.unit_coords()
@@ -164,38 +184,39 @@ def validate_point(p: ModelPoint, tol: float = MEMBERSHIP_TOL) -> None:
         n2 = norm_sq(u)
         if not n2 < 1:
             raise DomainViolation(
-                f"{model.value} point has squared norm {float(n2)} >= r^2",
+                f"{model.value} point has squared norm {n2} >= r^2",
                 constraint="sum x_i^2 < r^2",
-                excess=float(n2) - 1.0,
+                excess=n2 - 1,
             )
     elif model is ModelTag.UPPER_HALF_SPACE:
         if not u[-1] > 0:
             raise DomainViolation(
-                f"upper half-space height {float(u[-1])} is not positive",
+                f"upper half-space height {u[-1]} is not positive",
                 constraint="height > 0",
-                excess=-float(u[-1]),
+                excess=-u[-1],
             )
     elif model is ModelTag.HEMISPHERE:
         n2 = norm_sq(u)
-        _check_membership(n2 - 1, "sum x_i^2 = r^2", u, tol)
+        _check_membership(n2 - 1, "sum x_i^2 = r^2", u)
         _check_positive_x0(u)
     elif model is ModelTag.HYPERBOLOID:
         residual = norm_sq(u[1:]) - u[0] * u[0] + 1
-        _check_membership(residual, "sum x_i^2 - x_0^2 = -r^2", u, tol)
+        _check_membership(residual, "sum x_i^2 - x_0^2 = -r^2", u)
         _check_positive_x0(u)
     else:  # pragma: no cover - closed enumeration
         raise ModelMismatch(f"unknown model {model}")
 
 
-def _check_membership(residual: Scalar, constraint: str, u: tuple, tol: float) -> None:
+def _check_membership(residual: Scalar, constraint: str, u: tuple) -> None:
     if all_exact(u):
         if residual != 0:
             raise DomainViolation(
                 f"exact point violates {constraint} by {residual}",
                 constraint=constraint,
-                excess=float(residual),
+                excess=residual,
             )
-    elif abs(float(residual)) > tol * max(1.0, float(u[0]) ** 2):
+    # past the float range the ratio is nan and fails the test
+    elif not abs(float(residual)) / max(1.0, float(u[0]) * float(u[0])) <= MEMBERSHIP_TOL:
         raise DomainViolation(
             f"point violates {constraint} by {float(residual)}",
             constraint=constraint,
@@ -206,9 +227,9 @@ def _check_membership(residual: Scalar, constraint: str, u: tuple, tol: float) -
 def _check_positive_x0(u: tuple) -> None:
     if not u[0] > 0:
         raise DomainViolation(
-            f"extra coordinate x_0 = {float(u[0])} is not positive",
+            f"extra coordinate x_0 = {u[0]} is not positive",
             constraint="x_0 > 0",
-            excess=-float(u[0]),
+            excess=-u[0],
         )
 
 

@@ -16,8 +16,9 @@ rows come from the site arrays, evaluates every remaining pair at its
 cell's vertices and drops those whose candidate provably contains the
 cell: such a cut would be a no-op now and at its turn, so the cells
 equal those of every cut, vertex for vertex.  Then each cell cuts by its
-nearest remaining candidate.  A radical hyperplane is made once, and
-only for a cut that runs or a facet that survives.  Rings start at their
+nearest remaining candidate.  A radical hyperplane is made once; in a
+clipped build only for a cut that runs or a facet that survives (an
+unclipped window is sized from every pair).  Rings start at their
 least vertex, so no output depends on the cut order.  One predicate,
 "the facet comes closer to the clip centre than r" (d=2 exact on
 rational input), decides adjacency, facets, each cell's halfspaces
@@ -208,7 +209,7 @@ def hemisphere_site_map(p, origin_index: int = -1) -> WeightedSite:
     return WeightedSite(center, weight, origin_index)
 
 
-def locate(x, sites, tol: float = TIE_TOL) -> tuple[int, tuple[int, ...]]:
+def locate(x, sites) -> tuple[int, tuple[int, ...]]:
     """Exhaustive power point location: argmin index plus the tie set."""
     if not sites:
         raise EmptySites("locate needs at least one site")
@@ -218,7 +219,7 @@ def locate(x, sites, tol: float = TIE_TOL) -> tuple[int, tuple[int, ...]]:
         ties = tuple(i for i, v in enumerate(powers) if v == best)
     else:
         fb = float(best)
-        ties = tuple(i for i, v in enumerate(powers) if float(v) - fb <= tol)
+        ties = tuple(i for i, v in enumerate(powers) if float(v) - fb <= TIE_TOL)
     return ties[0], ties
 
 
@@ -228,20 +229,14 @@ def locate(x, sites, tol: float = TIE_TOL) -> tuple[int, tuple[int, ...]]:
 class ConvexCell:
     site_index: int
     halfspaces: dict  # neighbor index -> Halfspace (this cell's side <= 0)
-    clip: Ball | None
-    polygon: Polygon | None = None
-    polyhedron: Polyhedron | None = None
-    empty: bool = False
+    shape: Polygon | Polyhedron | None  # the clipped cell for d = 2 or 3; None above
+    empty: bool
 
 
 @dataclass(frozen=True)
 class PowerVertex:
     point: tuple
     sites: frozenset
-
-    @property
-    def degenerate(self) -> bool:
-        return len(self.sites) > len(self.point) + 1
 
 
 @dataclass
@@ -316,21 +311,6 @@ def _box_halfwidth(sites, side, d) -> float:
         if pt is not None:
             scale = max(scale, min(WINDOW_VERTEX_CAP, max(abs(v) for v in pt)))
     return 2.0 * scale + 1.0
-
-
-def _merge_vertex_candidates(candidates, tol):
-    """candidates: list of (point, siteset) in deterministic order."""
-    index = clipping.GridIndex(tol)
-    groups = []  # (point, set), in index order
-    for point, sites in candidates:
-        fpt = as_floats(point)
-        k = index.find(fpt)
-        if k is None:
-            index.add(fpt)
-            groups.append((point, set(sites)))
-        else:
-            groups[k][1].update(sites)
-    return [PowerVertex(point, frozenset(sites)) for point, sites in groups]
 
 
 def _screen(R, V, counts):
@@ -479,7 +459,7 @@ def build_complex(sites, clip: Ball | None = None) -> PowerComplex:
         return hs if i < j else -hs
 
     if d not in (2, 3):
-        cells = [ConvexCell(i, {j: side(i, j) for j in range(n) if j != i}, clip) for i in range(n)]
+        cells = [ConvexCell(i, {j: side(i, j) for j in range(n) if j != i}, None, False) for i in range(n)]
         return PowerComplex(d, sites, cells, set(), [], {}, clip, False)
 
     exact = all(all_exact(s.center + (s.weight,)) for s in sites)
@@ -500,13 +480,11 @@ def build_complex(sites, clip: Ball | None = None) -> PowerComplex:
         N = sum(C[:, k] * C[:, k] for k in range(d))
         L1, P = np.abs(C).sum(axis=1), N + np.abs(W)
 
-    # per dimension: the window, its clipper, the ConvexCell field,
-    # in-ball facets of positive measure, vertex site sets
-    box, clip_fn, field, cell_facets, cell_vertices = {
-        2: (clipping.box_polygon, clipping.clip_polygon, "polygon",
-            _polygon_facets, _polygon_vertices),
-        3: (clipping.box_polyhedron, clipping.clip_polyhedron, "polyhedron",
-            _polyhedron_facets, _polyhedron_vertices),
+    # per dimension: the window, its clipper, in-ball facets of positive
+    # measure, vertex site sets
+    box, clip_fn, cell_facets, cell_vertices = {
+        2: (clipping.box_polygon, clipping.clip_polygon, _polygon_facets, _polygon_vertices),
+        3: (clipping.box_polyhedron, clipping.clip_polyhedron, _polyhedron_facets, _polyhedron_vertices),
     }[d]
     shapes = []
     adjacency = set()
@@ -544,14 +522,11 @@ def build_complex(sites, clip: Ball | None = None) -> PowerComplex:
     for i, j in sorted(adjacency):
         own[i][j], own[j][i] = side(i, j), side(j, i)
     cells = [
-        ConvexCell(
-            i, own[i], clip, empty=shape.empty or (clip is not None and i not in holders and not own[i]),
-            **{field: shape},
-        )
+        ConvexCell(i, own[i], shape, shape.empty or (clip is not None and i not in holders and not own[i]))
         for i, shape in enumerate(shapes)
     ]
-    merged = _merge_vertex_candidates(vertex_candidates, merge_tol)
-    power_vertices = [v for v in merged if len(v.sites) >= d + 1]
+    merged = clipping.merge_near(vertex_candidates, merge_tol)
+    power_vertices = [PowerVertex(point, frozenset(sites)) for point, sites in merged if len(sites) >= d + 1]
     return PowerComplex(
         d, sites, cells, adjacency, power_vertices, facets, clip, True, halfwidth
     )

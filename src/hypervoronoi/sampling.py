@@ -4,10 +4,9 @@ The verification sampler is a pure function of (seed, index).  Sample i
 of a stream is made from a fixed block of raw outputs of the
 counter-based generator `numpy.random.Philox` keyed by the seed: the
 block at counter offset i * (outputs per sample).  `ball_points` draws
-the blocks of a whole stream in one call and `ball_point` jumps to one
-block with `advance`; both go through `_ball_from_raw`, so sample i is
-bit-identical either way, and fanning the stream out across workers
-cannot change a report (Salmon et al., "Parallel random numbers: as
+the blocks of a whole stream in one call; a worker that advances the
+generator to block i would make the same sample i, so fanning the stream
+out cannot change a report (Salmon et al., "Parallel random numbers: as
 easy as 1, 2, 3", SC 2011).
 """
 
@@ -50,15 +49,6 @@ def _ball_from_raw(raw: np.ndarray, d: int) -> np.ndarray:
     z = z[:, :d]
     radius = (((raw[:, 2 * pairs] >> np.uint64(32)) + 0.5) * 2.0**-32) ** (1.0 / d)
     return z * (radius / np.sqrt((z * z).sum(axis=1)))[:, None]
-
-
-def ball_point(seed: int, index: int, d: int) -> tuple[float, ...]:
-    """Uniform sample in the open unit d-ball, addressed by (seed, index)."""
-    k = _outputs_per_sample(d)
-    bits = np.random.Philox(key=seed)
-    bits.advance(index * (k // _BLOCK))
-    point = _ball_from_raw(bits.random_raw(k).reshape(1, k), d)[0]
-    return tuple(float(c) for c in point)
 
 
 def ball_points(seed: int, count: int, d: int) -> np.ndarray:

@@ -738,3 +738,112 @@ def test_compute_non_integer_dimension_exit_2(tmp_path, capsys, value):
     doc["dimension"] = value
     inp.write_text(json.dumps(doc))
     assert_parse_error(capsys, ["compute", str(inp), "-o", str(tmp_path / "o.json")])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "{points}", "--model", "bogus", "-o", "{out}"],
+        ["delaunay", "{points}", "--model", "bogus", "-o", "{out}"],
+        ["check", "{points}", "--model", "bogus"],
+        ["convert", "{points}", "--to", "bogus", "-o", "{out}"],
+        ["convert", "{points}", "--to", "klein", "--model", "bogus", "-o", "{out}"],
+        ["render", "{diagram}", "--model", "bogus", "-o", "{out}"],
+    ],
+    ids=["compute", "delaunay", "check", "convert-to", "convert-model", "render"],
+)
+def test_unknown_model_name_exit_2(tmp_path, capsys, argv):
+    inp, dia = stored_fixture(tmp_path)
+    capsys.readouterr()
+    assert main([a.format(points=inp, diagram=dia, out=tmp_path / "out") for a in argv]) == 2
+    assert capsys.readouterr().err == "error: parse: unknown model 'bogus'\n"
+
+
+@pytest.mark.parametrize("width", ["-5", "0"])
+def test_render_width_below_one_exit_2(tmp_path, capsys, width):
+    _, dia = stored_fixture(tmp_path)
+    assert_parse_error(capsys, ["render", str(dia), "--width", width, "-o", str(tmp_path / "o.svg")])
+    assert not (tmp_path / "o.svg").exists()
+
+
+def assert_domain_error(capsys, argv) -> str:
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: domain:")
+    return err
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("kappa", ["-inf", "-1e-320"])
+def test_curvature_without_a_float_radius_exit_3(tmp_path, capsys, kappa, exact):
+    """-inf gives radius 0; -1e-320 a radius past the float range, which
+    would send every point to the origin."""
+    if exact:
+        inp = write_exact_hemisphere(tmp_path / "p.json", n=5)
+    else:
+        inp = write_point_set(tmp_path / "p.json", random_klein_points(5, seed=2))
+    err = assert_domain_error(capsys, ["compute", str(inp), f"--curvature={kappa}", "-o", str(tmp_path / "o.json")])
+    assert "radius" in err
+
+
+def _scaled_hemisphere_document(path, kappa, scale, shift=0):
+    """Exact hemisphere points at model radius `scale`, moved by `shift`."""
+    pts = rational_hemisphere_points(6, seed=5)
+    doc = {
+        "dimension": 2,
+        "curvature": f"{kappa.numerator}/{kappa.denominator}",
+        "model": "hemisphere",
+        "scalar": "exact-rational",
+        "points": [[f"{c * scale + shift}" for c in p] for p in pts],
+    }
+    path.write_text(dump_json(doc))
+    return path
+
+
+def test_exact_radius_beyond_the_float_exponent_of_kappa(tmp_path, capsys):
+    """kappa = -10^-400 underflows as a float; its radius 10^200 does not."""
+    inp = _scaled_hemisphere_document(tmp_path / "p.json", Fraction(-1, 10**400), 10**200)
+    assert main(["compute", str(inp), "--route", "hemisphere", "-o", str(tmp_path / "o.json")]) == 0
+    capsys.readouterr()
+    assert main(["check", str(inp), "--samples", "200"]) == 0
+    assert main(["check", str(tmp_path / "o.json"), "--samples", "200"]) == 0
+
+
+def test_exact_point_far_off_the_sphere_exit_3(tmp_path, capsys):
+    """kappa = -10^400: the unit coordinates, hence the membership residual,
+    lie far past the float range."""
+    inp = _scaled_hemisphere_document(tmp_path / "p.json", Fraction(-(10**400)), 1, shift=1)
+    assert_domain_error(capsys, ["compute", str(inp), "--route", "hemisphere", "-o", str(tmp_path / "o.json")])
+    assert_domain_error(capsys, ["check", str(inp), "--samples", "200"])
+
+
+@pytest.mark.parametrize(
+    "model, scalar, curvature, point",
+    [
+        ("hemisphere", "float64", -1.0, [1e200, 0.0, 0.0]),
+        ("hyperboloid", "float64", -1.0, [1e200, 1e200, 0.0]),
+        ("upper-half-space", "float64", -1.0, [1e300, 1e-300]),
+        ("klein", "exact-rational", "-1/2", ["1" + "0" * 400 + "/1", "0/1"]),
+    ],
+    ids=["hemisphere", "hyperboloid", "upper", "non-square-curvature"],
+)
+@pytest.mark.parametrize("command", ["compute", "convert"])
+def test_point_past_the_float_range_exit_3(tmp_path, capsys, command, model, scalar, curvature, point):
+    other = {"hemisphere": [0.8, 0.6, 0.0], "hyperboloid": [1.25, 0.75, 0.0]}.get(model, ["1/5", "3/5"])
+    doc = {"dimension": 2, "curvature": curvature, "model": model, "scalar": scalar, "points": [point, other]}
+    inp = tmp_path / "p.json"
+    inp.write_text(json.dumps(doc))
+    extra = ["--to", "poincare"] if command == "convert" else []
+    assert_domain_error(capsys, [command, str(inp), *extra, "-o", str(tmp_path / "o.json")])
+
+
+@pytest.mark.parametrize("value", ["x", None, [1.0], {"r": 1}, True])
+@pytest.mark.parametrize("command", ["check", "render"])
+def test_non_numeric_clip_radius_exit_2(tmp_path, capsys, command, value):
+    _, dia = stored_fixture(tmp_path)
+    doc = json.loads(dia.read_text())
+    doc["clip"]["radius"] = value
+    dia.write_text(dump_json(doc))
+    extra = ["--samples", "100"] if command == "check" else ["-o", str(tmp_path / "o.svg")]
+    assert_parse_error(capsys, [command, str(dia), *extra])

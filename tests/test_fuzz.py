@@ -4,10 +4,12 @@ Mutated point-set and diagram documents go through the CLI: every run
 must end in an exit code of 0-5 (typed errors print one `error: <kind>:
 ...` line); no exception may escape `cli.main`.  Random small site sets
 go through the screened lockstep build and the plain every-candidate
-build, which must agree.
+build, which must agree, and through `voronoi`, whose Delaunay faces
+must be made of its adjacency pairs.
 """
 
 import copy
+import itertools
 import json
 from fractions import Fraction
 
@@ -17,7 +19,17 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from hypervoronoi import build_complex, hemisphere_site_map, klein_site_map, power, unit_ball  # noqa: E402
+from hypervoronoi import (  # noqa: E402
+    ModelPoint,
+    ModelTag,
+    build_complex,
+    delaunay,
+    hemisphere_site_map,
+    klein_site_map,
+    power,
+    unit_ball,
+    voronoi,
+)
 from hypervoronoi.cli import main  # noqa: E402
 from hypervoronoi.documents import dump_json  # noqa: E402
 from hypervoronoi.sampling import random_klein_points, rational_hemisphere_points  # noqa: E402
@@ -153,6 +165,46 @@ def test_check_survives_mutated_documents(tmp_path, documents, data, capsys):
     assert code in (0, 1) or err.startswith("error: ")
 
 
+MODEL_NAMES = [tag.value for tag in ModelTag]
+
+
+def _survives(argv, capsys):
+    """Exit 0, or the typed error line with exit 2-5."""
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 0 or (code in range(2, 6) and err.startswith("error: ")), (code, err)
+
+
+@FUZZ
+@given(data=st.data())
+def test_render_survives_mutated_diagrams(tmp_path, documents, data, capsys):
+    name = data.draw(st.sampled_from(sorted(k for k in documents if k.endswith("-diagram"))))
+    path = tmp_path / "doc.json"
+    path.write_bytes(_encode(data, _mutate(data, documents[name])))
+    model = data.draw(st.sampled_from(MODEL_NAMES))
+    _survives(["render", str(path), "--model", model, "-o", str(tmp_path / "out.svg")], capsys)
+
+
+@FUZZ
+@given(data=st.data())
+def test_convert_survives_mutated_point_sets(tmp_path, documents, data, capsys):
+    name = data.draw(st.sampled_from(sorted(k for k in documents if not k.endswith("-diagram"))))
+    path = tmp_path / "doc.json"
+    path.write_bytes(_encode(data, _mutate(data, documents[name])))
+    model = data.draw(st.sampled_from(MODEL_NAMES))
+    _survives(["convert", str(path), "--to", model, "-o", str(tmp_path / "out.json")], capsys)
+
+
+@FUZZ
+@given(data=st.data())
+def test_delaunay_survives_mutated_point_sets(tmp_path, documents, data, capsys):
+    name = data.draw(st.sampled_from(sorted(k for k in documents if not k.endswith("-diagram"))))
+    path = tmp_path / "doc.json"
+    path.write_bytes(_encode(data, _mutate(data, documents[name])))
+    route = data.draw(st.sampled_from(["klein", "hemisphere"]))
+    _survives(["delaunay", str(path), "--route", route, "-o", str(tmp_path / "out.json")], capsys)
+
+
 def _hemisphere_point(t):
     """The rational hemisphere point over the parameter t in the unit ball."""
     n2 = sum(c * c for c in t)
@@ -179,3 +231,27 @@ def test_screened_build_equals_plain_build(case, cap):
         m.setattr(power, "BLOCK_PAIRS", cap)  # one block, one cell per block, a few cells
         cx = build_complex(sites, clip=unit_ball(d))
     assert_same_complex(cx, reference_complex(sites, unit_ball(d)))
+
+
+@st.composite
+def _point_sets_and_routes(draw):
+    d = draw(st.sampled_from([2, 3]))
+    if draw(st.booleans()):
+        coord = st.floats(-0.55, 0.55, allow_subnormal=False)
+        pts = draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=10 if d == 2 else 7, unique=True))
+        return d, [ModelPoint(ModelTag.KLEIN, p) for p in pts], "klein"
+    coord = st.fractions(Fraction(-1, 2), Fraction(1, 2), max_denominator=12)  # |t| < 1
+    ts = draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=8 if d == 2 else 5, unique=True))
+    return d, [ModelPoint(ModelTag.HEMISPHERE, _hemisphere_point(t)) for t in ts], "hemisphere"
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_point_sets_and_routes())
+def test_delaunay_simplices_are_made_of_adjacency_pairs(case):
+    """A power vertex strictly inside the ball ends each facet between two
+    of its d + 1 sites there, so those facets meet the open ball."""
+    d, points, route = case
+    dia = voronoi(points, route=route)
+    for face in delaunay(dia).faces:
+        if len(face) == d + 1:
+            assert set(itertools.combinations(sorted(face), 2)) <= dia.complex.adjacency

@@ -253,7 +253,7 @@ def test_unbounded_star_dual_is_a_tree():
     # all cells unbounded: every cell touches the clip boundary, checked
     # via its polygon reaching outside the unit disk
     for cell in dia.complex.cells:
-        reach = max(float(sum(c * c for c in v)) for v in cell.polygon.vertices)
+        reach = max(float(sum(c * c for c in v)) for v in cell.shape.vertices)
         assert reach > 1.0
 
 
@@ -303,6 +303,25 @@ def test_cocircular_square_gives_quadrilateral_face():
     dl = delaunay(voronoi(kpts(cocircular_square(0.4))))
     assert dl.faces == [frozenset({0, 1, 2, 3})]
     assert not dl.is_triangulation
+
+
+@pytest.mark.parametrize("scalar", [float, Fraction])
+def test_dual_faces_are_the_power_vertices_strictly_inside_the_clip_ball(scalar):
+    """Measured from the complex's own clip ball, with no tolerance: a vertex
+    1e-13 inside the unit circle is a face, one on or past it is not."""
+    near = 1 - scalar(1) / 10**13
+    points = [(near, 0), (0, 1), (0, -scalar(3) / 2), (-near, 0), (scalar(7) / 5, 0)]
+    vertices = [power.PowerVertex(tuple(map(scalar, p)), frozenset(range(k, k + 3))) for k, p in enumerate(points)]
+    hubs = tuple((1, 0, 0) for _ in range(7))
+
+    def faces(clip):
+        cx = power.PowerComplex(2, [], [], set(), vertices, {}, clip, True)
+        dia = hvd.VoronoiDiagram(ModelTag.KLEIN, Curvature(-1), (), cx, {}, ROUTE_KLEIN, hubs)
+        return sorted(tuple(sorted(f)) for f in dia.dual_faces)
+
+    assert faces(power.unit_ball(2)) == [(0, 1, 2), (3, 4, 5)]
+    # off centre: (near, 0) and (7/5, 0) lie within 1 of (1/2, 0); (-near, 0) does not
+    assert faces(power.Ball((scalar(1) / 2, 0), 1)) == [(0, 1, 2), (4, 5, 6)]
 
 
 def test_delaunay_needs_explicit_geometry():

@@ -96,6 +96,18 @@ def test_curvature_must_be_negative():
         Curvature(0.5)
 
 
+@pytest.mark.parametrize("kappa", [-math.inf, -1e-320, Fraction(-1, 10**700), -(10**700)])
+def test_curvature_needs_a_finite_positive_float_radius(kappa):
+    with pytest.raises(DomainViolation):
+        Curvature(kappa)
+
+
+def test_exact_curvature_radius_does_not_pass_through_float_kappa():
+    assert Curvature(Fraction(-1, 10**400)).radius == 1e200
+    assert Curvature(Fraction(-(10**400))).radius == 1e-200
+    assert Curvature(Fraction(-1, 3)).radius == math.sqrt(3.0)
+
+
 # --- distances ---------------------------------------------------------------
 
 def test_klein_distance_zero_at_identical_points():

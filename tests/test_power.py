@@ -303,8 +303,7 @@ def test_cell_in_the_window_that_misses_the_ball_is_empty(d, scalar):
     # facet comes no closer to the centre than sqrt(d) 3/4 > 1
     sites = [W((scalar(0),) * d, scalar(0), 0), W((scalar(3) / 2,) * d, scalar(0), 1)]
     cx = build_complex(sites, clip=unit_ball(d))
-    shape = cx.cells[1].polygon if d == 2 else cx.cells[1].polyhedron
-    assert not shape.empty
+    assert not cx.cells[1].shape.empty
     assert [cell.empty for cell in cx.cells] == [False, True]
     assert cx.adjacency == set() and cx.facets == {}
     assert [cell.halfspaces for cell in cx.cells] == [{}, {}]
@@ -501,8 +500,7 @@ def test_box_halfwidth_matches_scalar_loop(d):
         cx = build_complex(sites, clip=clip)
         assert cx.box_halfwidth == float(clip.radius + max(abs(c) for c in clip.center))
         for cell in cx.cells:
-            shape = cell.polygon if d == 2 else cell.polyhedron
-            for v in shape.vertices:
+            for v in cell.shape.vertices:
                 assert max(abs(float(c)) for c in v) <= cx.box_halfwidth
         # unclipped: every site centre, foot point and candidate vertex inside
         cx = build_complex(sites)
@@ -576,11 +574,8 @@ def test_filtered_build_equals_plain_build(d, scalar, fixture):
     cx = build_complex(sites, clip=unit_ball(d))
     assert_same_complex(cx, ref)
     if fixture == "one":  # no candidate: the cell keeps its box
-        cell = cx.cells[0]
-        if d == 2:
-            assert cell.polygon == clipping.box_polygon(cx.box_halfwidth)
-        else:
-            assert cell.polyhedron == clipping.box_polyhedron(cx.box_halfwidth)
+        box = clipping.box_polygon if d == 2 else clipping.box_polyhedron
+        assert cx.cells[0].shape == box(cx.box_halfwidth)
 
 
 @pytest.mark.parametrize("fixture", sorted(EQUIVALENCE_FIXTURES))
@@ -591,8 +586,9 @@ def test_exact_documents_do_not_depend_on_cut_order(monkeypatch, d, fixture):
     def document():
         dia = voronoi(pts, route="hemisphere")
         doc = dump_json(diagram_to_document(dia, delaunay(dia), detect_degeneracies(dia)))
-        # a polygon's ring is the cell's, not the document's
-        return doc, [cell.polygon for cell in dia.complex.cells]
+        # a polygon's ring is the cell's, not the document's; a polyhedron's
+        # vertex table is in cut order
+        return doc, [cell.shape for cell in dia.complex.cells] if d == 2 else None
 
     nearest_first = document()
     with monkeypatch.context() as m:

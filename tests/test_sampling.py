@@ -5,10 +5,19 @@ import pytest
 
 from hypervoronoi import Halfspace, ModelPoint, ModelTag, voronoi
 from hypervoronoi.hvd import cell_matrices, label_samples, sample_labels
-from hypervoronoi.sampling import ball_point, ball_points, random_klein_points
+from hypervoronoi import sampling
+from hypervoronoi.sampling import ball_points, random_klein_points
 
 # Both sides of the first blocks, a power-of-two boundary and the stream end.
 INDICES = (0, 1, 2, 3, 4, 5, 7, 8, 9, 127, 128, 255, 256, 257, 598, 599)
+
+
+def ball_point(seed, index, d):
+    """Sample `index` alone: a Philox generator advanced to its block."""
+    k = sampling._outputs_per_sample(d)
+    bits = np.random.Philox(key=seed)
+    bits.advance(index * k // 4)
+    return tuple(sampling._ball_from_raw(bits.random_raw(k).reshape(1, k), d)[0])
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
