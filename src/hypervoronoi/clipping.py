@@ -8,9 +8,20 @@ polyhedron is one table of points, `vertices`, and faces that are rings
 of indices into it, all wound the same way, as in Voro++'s cell (Rycroft,
 Chaos 19, 041111, 2009).  A cut evaluates each vertex once, makes each
 cut edge's crossing point once, keeps a vertex on the plane as it is, and
-closes the cell by chaining the clipped faces' new edges.  All
-intersection arithmetic is a single division, so rational inputs stay
-rational.
+closes the cell by chaining the clipped faces' new edges.
+
+One ring logic serves both routes; only a cut's two arithmetic steps
+depend on the vertices.  Affine vertices (float, or rational) take the
+side value <normal, x> + offset and a crossing by one division.  On the
+exact route a vertex is a primitive integer homogeneous tuple
+(X_1, ..., X_d, Z), Z > 0, whose entries have gcd 1, and the cut's row is
+integer: the side value <normal, X> + offset Z is one integer dot product
+with the sign of the rational value, and the crossing f1 v0 - f0 v1 needs
+no division, only its gcd (Yap, "Towards exact geometric computation",
+CGTA 7, 1997).  Such a tuple is unique for its point, so `==` on vertices
+is equality of points on both routes.  `to_homogeneous` and `to_affine`
+convert a rational point; the power engine makes `Fraction`s once per
+vertex, when a cell's cuts end.
 """
 
 from __future__ import annotations
@@ -19,6 +30,8 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
 
 from .scalars import as_floats, dot, norm_sq, vsub
 
@@ -54,9 +67,41 @@ def box_polygon(h) -> Polygon:
     return Polygon([(-h, -h), (h, -h), (h, h), (-h, h)], [BOX_TAG] * 4)
 
 
+def to_homogeneous(point) -> tuple:
+    """The primitive integer homogeneous tuple (X_1, ..., X_d, Z) of a
+    rational point: Z > 0 is the least common denominator."""
+    fracs = [Fraction(c) for c in point]
+    z = math.lcm(*(f.denominator for f in fracs))
+    return tuple(f.numerator * (z // f.denominator) for f in fracs) + (z,)
+
+
+def to_affine(vertex) -> tuple:
+    """The rational point X / Z of a homogeneous vertex, as Fractions."""
+    z = vertex[-1]
+    return tuple(Fraction(x, z) for x in vertex[:-1])
+
+
 def _cut_point(v0, v1, f0, f1):
     t = f0 / (f0 - f1)
     return tuple(a + t * (b - a) for a, b in zip(v0, v1))
+
+
+def _homogeneous_cut_point(v0, v1, f0, f1):
+    """f1 v0 - f0 v1 over its gcd, signed so that Z > 0: the plane's
+    crossing of the edge between two homogeneous vertices of opposite sides."""
+    w = [f1 * a - f0 * b for a, b in zip(v0, v1)]
+    g = math.gcd(*w)
+    if w[-1] < 0:
+        g = -g
+    return tuple(c // g for c in w)
+
+
+def _side_values(verts, normal, offset):
+    """Each vertex's side value and the crossing function of the cut."""
+    if len(verts[0]) > len(normal):  # homogeneous, on the exact route
+        row = (*normal, offset)
+        return [sum(map(mul, row, v)) for v in verts], _homogeneous_cut_point
+    return [dot(normal, v) + offset for v in verts], _cut_point
 
 
 def clip_polygon(poly: Polygon, normal, offset, tag) -> Polygon:
@@ -68,17 +113,17 @@ def clip_polygon(poly: Polygon, normal, offset, tag) -> Polygon:
     if poly.empty:
         return poly
     verts, tags = poly.vertices, poly.tags
-    vals = [dot(normal, v) + offset for v in verts]
+    vals, cut_point = _side_values(verts, normal, offset)
     out_v, out_t = [], []
     for v0, v1, f0, f1, t in zip(verts, verts[1:] + verts[:1], vals, vals[1:] + vals[:1], tags):
         if f0 <= 0:
             out_v.append(v0)
             out_t.append(t)
             if f1 > 0:
-                out_v.append(_cut_point(v0, v1, f0, f1))
+                out_v.append(cut_point(v0, v1, f0, f1))
                 out_t.append(tag)
         elif f1 <= 0:
-            out_v.append(_cut_point(v0, v1, f0, f1))
+            out_v.append(cut_point(v0, v1, f0, f1))
             out_t.append(t)
     keep = [not v == w for v, w in zip(out_v, out_v[1:] + out_v[:1])]
     if sum(keep) < 3:
@@ -162,7 +207,7 @@ def clip_polyhedron(poly: Polyhedron, normal, offset, tag) -> Polyhedron:
     """
     if poly.empty:
         return poly
-    vals = [dot(normal, v) + offset for v in poly.vertices]
+    vals, cut_point = _side_values(poly.vertices, normal, offset)
     if not any(f > 0 for f in vals):
         return poly
     points = list(poly.vertices)
@@ -175,7 +220,7 @@ def clip_polyhedron(poly: Polyhedron, normal, offset, tag) -> Polyhedron:
         k = crossings.get((a, b))
         if k is None:
             k = crossings[a, b] = len(points)
-            points.append(_cut_point(points[a], points[b], vals[a], vals[b]))
+            points.append(cut_point(points[a], points[b], vals[a], vals[b]))
         return k
 
     faces = []

@@ -25,6 +25,7 @@ from .scalars import (
     Scalar,
     acosh_clamped,
     all_exact,
+    bounded_str,
     dot,
     exact_sqrt,
     is_exact,
@@ -175,7 +176,8 @@ def validate_point(p: ModelPoint) -> None:
     Equality constraints (sphere/hyperboloid membership) are checked to
     MEMBERSHIP_TOL relative to max(1, x0^2) for float points and exactly
     for rational points; inequality constraints are strict.  Messages
-    quote exact values as rationals: they may lie beyond the float range.
+    quote exact values in `bounded_str` form, short whatever their size
+    (they may lie beyond the float range); `excess` keeps the exact value.
     """
     _require_arity(p)
     u = p.unit_coords()
@@ -184,14 +186,14 @@ def validate_point(p: ModelPoint) -> None:
         n2 = norm_sq(u)
         if not n2 < 1:
             raise DomainViolation(
-                f"{model.value} point has squared norm {n2} >= r^2",
+                f"{model.value} point has squared norm {bounded_str(n2)} >= r^2",
                 constraint="sum x_i^2 < r^2",
                 excess=n2 - 1,
             )
     elif model is ModelTag.UPPER_HALF_SPACE:
         if not u[-1] > 0:
             raise DomainViolation(
-                f"upper half-space height {u[-1]} is not positive",
+                f"upper half-space height {bounded_str(u[-1])} is not positive",
                 constraint="height > 0",
                 excess=-u[-1],
             )
@@ -211,7 +213,7 @@ def _check_membership(residual: Scalar, constraint: str, u: tuple) -> None:
     if all_exact(u):
         if residual != 0:
             raise DomainViolation(
-                f"exact point violates {constraint} by {residual}",
+                f"exact point violates {constraint} by {bounded_str(residual)}",
                 constraint=constraint,
                 excess=residual,
             )
@@ -227,7 +229,7 @@ def _check_membership(residual: Scalar, constraint: str, u: tuple) -> None:
 def _check_positive_x0(u: tuple) -> None:
     if not u[0] > 0:
         raise DomainViolation(
-            f"extra coordinate x_0 = {u[0]} is not positive",
+            f"extra coordinate x_0 = {bounded_str(u[0])} is not positive",
             constraint="x_0 > 0",
             excess=-u[0],
         )

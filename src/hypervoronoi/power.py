@@ -18,22 +18,27 @@ cell: such a cut would be a no-op now and at its turn, so the cells
 equal those of every cut, vertex for vertex.  Then each cell cuts by its
 nearest remaining candidate.  A radical hyperplane is made once; in a
 clipped build only for a cut that runs or a facet that survives (an
-unclipped window is sized from every pair).  Rings start at their
-least vertex, so no output depends on the cut order.  One predicate,
-"the facet comes closer to the clip centre than r" (d=2 exact on
-rational input), decides adjacency, facets, each cell's halfspaces
-(negated for a lower neighbour) and emptiness: a cell that misses the
-centre (the `locate` tie set) is empty without such a facet, since the
-window lies outside the open ball.  Vertices of neighbouring cells merge
-into power vertices within a tolerance.  Other dimensions keep every
-cell's n-1 halfspaces.
+unclipped window is sized from every pair).  On exact sites that
+hyperplane is a primitive integer row made from the two sites' integer
+rows (`WeightedSite.integer_row`), each cell is cut on integer
+homogeneous vertices (see `clipping`), the screen reads them as X / Z,
+and `Fraction`s are made once per vertex, when the cell's cuts end.
+Rings start at their least vertex, so no output depends on the cut
+order.  One predicate, "the facet comes closer to the clip centre than
+r" (d=2: exact, on the integers, on rational input), decides adjacency,
+facets, each cell's halfspaces (negated for a lower neighbour) and
+emptiness: a cell that misses the centre (the `locate` tie set) is empty
+without such a facet, since the window lies outside the open ball.
+Vertices of neighbouring cells merge into power vertices within a
+tolerance.  Other dimensions keep every cell's n-1 halfspaces.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -79,6 +84,18 @@ class WeightedSite:
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(self.center))
+
+    @functools.cached_property
+    def integer_row(self):
+        """(A, B, D) with centre A / D and |centre|^2 - weight = B / D in
+        integers, D > 0; None unless the site is exact."""
+        if not all_exact(self.center + (self.weight,)):
+            return None
+        fracs = [Fraction(c) for c in self.center]
+        b = norm_sq(fracs) - Fraction(self.weight)
+        den = math.lcm(*(f.denominator for f in fracs), b.denominator)
+        a = tuple(f.numerator * (den // f.denominator) for f in fracs)
+        return a, b.numerator * (den // b.denominator), den
 
 
 @dataclass(frozen=True)
@@ -158,10 +175,18 @@ def radical_hyperplane(s_i: WeightedSite, s_j: WeightedSite) -> Halfspace:
 
     Square-root free.  For equal centers with different weights the zero
     set is empty and the returned halfspace is the constant constraint
-    (the smaller-power site wins everywhere).
+    (the smaller-power site wins everywhere).  Two exact sites give the
+    primitive integer row of `canonical_halfspace` from their integer
+    rows: the rational row times D_i D_j > 0, over its gcd.
     """
     if s_i.center == s_j.center and s_i.weight == s_j.weight:
         raise CoincidentSites("radical hyperplane of identical weighted sites")
+    row_i, row_j = s_i.integer_row, s_j.integer_row
+    if row_i is not None and row_j is not None:
+        (a_i, b_i, d_i), (a_j, b_j, d_j) = row_i, row_j
+        row = [2 * (x_j * d_i - x_i * d_j) for x_i, x_j in zip(a_i, a_j)] + [b_i * d_j - b_j * d_i]
+        g = math.gcd(*row)
+        return Halfspace(tuple(c // g for c in row[:-1]), row[-1] // g)
     normal = tuple(2 * (b - a) for a, b in zip(s_i.center, s_j.center))
     offset = norm_sq(s_i.center) - norm_sq(s_j.center) + s_j.weight - s_i.weight
     return canonical_halfspace(Halfspace(normal, offset))
@@ -344,7 +369,8 @@ def _cut_block(shapes, cell, tags, R, halfspace, clip_fn):
     and |offset| and the rounding of each; halfspace(c, j): the exact
     halfspace, asked for when j's cut of cell c runs.  Each step
     screens every live pair against its cell's current vertices, then
-    every cell with a live pair cuts by its first.  A pair is dropped for
+    every cell with a live pair cuts by its first; homogeneous vertices
+    (the exact route) are read as X / Z.  A pair is dropped for
     good once its float value is finite and below -CLIP_SKIP_TOL *
     (max|vertex coordinate| * s1 + s0) at every vertex of its cell: the
     exact clip would keep every vertex.  Returns the cut shapes.
@@ -358,6 +384,8 @@ def _cut_block(shapes, cell, tags, R, halfspace, clip_fn):
         starts = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
         counts = np.diff(np.r_[starts, len(cell)])
         verts = [shapes[c].vertices for c in cell[starts].tolist()]
+        if len(verts[0][0]) > d:  # homogeneous: X_k / Z, correctly rounded
+            verts = [[tuple(x / v[-1] for x in v[:-1]) for v in vs] for vs in verts]
         slots = max(map(len, verts))  # pad with each cell's first vertex
         V = np.array([v + v[:1] * (slots - len(v)) for v in verts], dtype=float).T.copy()
         with np.errstate(over="ignore", invalid="ignore"):
@@ -381,22 +409,56 @@ def _cut_block(shapes, cell, tags, R, halfspace, clip_fn):
     return shapes
 
 
+def _ball_test(points, clip):
+    """Which points lie strictly inside the clip ball, and whether the
+    segment between points k and j comes closer to its centre than r."""
+    rel = [vsub(v, clip.center) for v in points]
+    r2 = clip.radius**2
+    return [norm_sq(v) < r2 for v in rel], lambda k, j: clipping.segment_min_norm_sq(rel[k], rel[j]) < r2
+
+
+def _integer_ball_test(points, clip):
+    """`_ball_test` on the integers, for rational points (a float centre
+    or squared radius is taken at its exact value).  With the centre C / D
+    and r^2 = M / N
+    cleared of denominators, a point X / Z is
+    P / Q for P = D X - C Z and Q = D Z > 0, inside when N |P|^2 < M Q^2.
+    A segment P0 / Q0 -> P1 / Q1 with neither end inside comes closer than
+    r when its foot parameter t = -<P0, E> Q1 / |E|^2, E = P1 Q0 - P0 Q1,
+    lies in (0, 1) and N (|P0|^2 |E|^2 - <P0, E>^2) < M Q0^2 |E|^2."""
+    centre = clipping.to_homogeneous(clip.center)
+    C, D = centre[:-1], centre[-1]
+    r2 = Fraction(clip.radius**2)
+    M, N = r2.numerator, r2.denominator
+    P, Q = [], []
+    for v in map(clipping.to_homogeneous, points):
+        P.append(tuple(D * x - c * v[-1] for x, c in zip(v, C)))
+        Q.append(D * v[-1])
+    inside = [N * norm_sq(p) < M * q * q for p, q in zip(P, Q)]
+
+    def meets(k, j):
+        (p0, q0), (p1, q1) = (P[k], Q[k]), (P[j], Q[j])
+        e = [a * q0 - b * q1 for a, b in zip(p1, p0)]
+        pe, ee = dot(p0, e), norm_sq(e)
+        return 0 < -pe * q1 < ee and N * (norm_sq(p0) * ee - pe * pe) < M * q0 * q0 * ee
+
+    return inside, meets
+
+
 def _polygon_facets(poly, tol, exact, clip):
     """Radical edges of positive length (exactly so on rational input)
-    that come closer to the clip centre than its radius (exact likewise).
-    An edge with an end strictly inside the ball does at once."""
+    that come closer to the clip centre than its radius (exact likewise,
+    on the integers).  An edge with an end strictly inside the ball does
+    at once."""
     if clip is not None:
-        rel = [vsub(v, clip.center) for v in poly.vertices]
-        r2 = clip.radius**2
-        inside = [norm_sq(v) < r2 for v in rel]
+        inside, meets = (_integer_ball_test if exact else _ball_test)(poly.vertices, clip)
     for k, (tag, v0, v1) in enumerate(poly.edges()):
         if tag is BOX_TAG:
             continue
-        length_sq = norm_sq(vsub(v1, v0))
-        if not ((length_sq > 0) if exact else (math.sqrt(float(length_sq)) > tol)):
+        if not ((v0 != v1) if exact else (math.sqrt(float(norm_sq(vsub(v1, v0)))) > tol)):
             continue
         j = (k + 1) % len(poly.vertices)
-        if clip is None or inside[k] or inside[j] or clipping.segment_min_norm_sq(rel[k], rel[j]) < r2:
+        if clip is None or inside[k] or inside[j] or meets(k, j):
             yield tag, (v0, v1)
 
 
@@ -491,6 +553,8 @@ def build_complex(sites, clip: Ball | None = None) -> PowerComplex:
     facets = {}
     vertex_candidates = []
     window = box(hw)
+    if exact:  # cut on integer homogeneous vertices
+        window = replace(window, vertices=[clipping.to_homogeneous(v) for v in window.vertices])
     per_block = max(1, BLOCK_PAIRS // max(1, n - 1))
     for start in range(0, n, per_block):
         block = np.arange(start, min(n, start + per_block))
@@ -510,6 +574,8 @@ def build_complex(sites, clip: Ball | None = None) -> PowerComplex:
             [window] * len(block), cell, tags, R, lambda c, j: side(start + c, j), clip_fn
         )
         for i, shape in enumerate(cut, start):
+            if exact:
+                shape = replace(shape, vertices=[clipping.to_affine(v) for v in shape.vertices])
             shape = shape.least_first()
             for j, facet in cell_facets(shape, facet_tol, exact, clip):
                 key = (i, j) if i < j else (j, i)

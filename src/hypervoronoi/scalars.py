@@ -27,6 +27,33 @@ def all_exact(coords: Sequence[Scalar]) -> bool:
     return all(is_exact(x) for x in coords)
 
 
+def bounded_str(x: Scalar) -> str:
+    """A value for a one-line message: a float as it prints, an exact value
+    as its sign and four significant digits times a power of ten
+    (-1.898e+399).  The exact form is computed on the integers, never
+    through float, so it stays short whatever the value's size."""
+    if not is_exact(x):
+        return str(x)
+    f = Fraction(x)
+    if not f:
+        return "0"
+    n, d = abs(f.numerator), f.denominator
+
+    def at_least(e):  # n / d >= 10^e
+        return n * 10**-e >= d if e < 0 else n >= d * 10**e
+
+    e = (n.bit_length() - d.bit_length()) * 30103 // 100000  # log10 from the digit counts
+    while not at_least(e):
+        e -= 1
+    while at_least(e + 1):
+        e += 1
+    num, den = (n * 10 ** (3 - e), d) if e <= 3 else (n, d * 10 ** (e - 3))
+    m = (2 * num + den) // (2 * den)  # n / d / 10^(e - 3), rounded half up
+    if m == 10000:
+        m, e = 1000, e + 1
+    return f"{'-' if f < 0 else ''}{m // 1000}.{m % 1000:03d}e{e:+03d}"
+
+
 def exact_sqrt(x: Scalar) -> Fraction:
     """Square root of a nonnegative rational, exact or error.
 

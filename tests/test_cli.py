@@ -373,10 +373,14 @@ def test_check_exact_d3_document_passes(tmp_path, capsys):
 
 # sha256 of the `compute --route hemisphere` documents of exact hemisphere
 # inputs (seed 1): exact documents change only by a declared change (the
-# last one: in-ball adjacency, the clip ball's window, rings least first)
+# last one: in-ball adjacency, the clip ball's window, rings least first).
+# The n = 200 and n = 40 digests were taken from the Fraction clipper,
+# before the integer homogeneous one replaced it.
 EXACT_DOCUMENT_SHA256 = {
     (2, 50): "50f63abd2410d12d118cc321fa20b64d710d500e1d0fdf64691cc90caaf7718f",
+    (2, 200): "0db59d3dcc5506d9ee4f7bfe134794e73f714887f42292aa8bd966c85d773342",
     (3, 20): "d511cf4847cafd6d86dd2b28654f1548677fb89375a13c6d653eb59525658f74",
+    (3, 40): "bea774f2d59da0ac80ef9d9783f606373556401e409ea648d46cfad828f79b83",
 }
 
 
@@ -816,6 +820,42 @@ def test_exact_point_far_off_the_sphere_exit_3(tmp_path, capsys):
     inp = _scaled_hemisphere_document(tmp_path / "p.json", Fraction(-(10**400)), 1, shift=1)
     assert_domain_error(capsys, ["compute", str(inp), "--route", "hemisphere", "-o", str(tmp_path / "o.json")])
     assert_domain_error(capsys, ["check", str(inp), "--samples", "200"])
+
+
+@pytest.mark.parametrize("command", ["compute", "check"])
+def test_domain_error_line_is_bounded_for_a_huge_exact_residual(tmp_path, capsys, command):
+    """x_0 = 10^50000 is off the sphere by a 10^5-digit residual; the line
+    gives its sign, four digits and a power of ten."""
+    doc = {
+        "dimension": 2,
+        "curvature": "-1/1",
+        "model": "hemisphere",
+        "scalar": "exact-rational",
+        "points": [["1e50000", "0", "0"], ["1", "0", "0"]],
+    }
+    inp = tmp_path / "p.json"
+    inp.write_text(json.dumps(doc))
+    extra = ["--route", "hemisphere", "-o", str(tmp_path / "o.json")] if command == "compute" else ["--samples", "50"]
+    err = assert_domain_error(capsys, [command, str(inp), *extra])
+    assert err.count("\n") == 1 and len(err) < 200
+    assert "1.000e+100000" in err
+
+
+def test_exact_radical_rows_past_the_float_range_exit_3(tmp_path, capsys):
+    """Parameters with 150-digit denominators give radical hyperplane rows
+    whose integers leave the float range, which the transported bisectors
+    need (`bisectors._to_klein_coeffs`): a typed error, not a traceback."""
+    big = 10**150
+    pts = []
+    for k in range(1, 7):
+        t = (Fraction(big // k, 3 * big + 7 * k + 1), Fraction(big + k, 4 * big + 11 * k + 3))
+        n2 = sum(c * c for c in t)
+        pts.append([(1 - n2) / (1 + n2)] + [2 * c / (1 + n2) for c in t])
+    rows = [[f"{c.numerator}/{c.denominator}" for c in p] for p in pts]
+    inp = write_point_set(tmp_path / "p.json", rows, "hemisphere", "exact-rational", "-1/1")
+    err = assert_domain_error(capsys, ["compute", str(inp), "--route", "hemisphere", "-o", str(tmp_path / "o.json")])
+    assert err.startswith("error: domain: radical hyperplane coefficient out of float range")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -350,3 +350,34 @@ def test_cut_through_a_tiny_edge_leaves_every_vertex_on_three_faces():
         assert_cut_vertices(before, got, normal, offset)
         assert_closed_surface(got)
     assert len(got.faces) == 5
+
+
+# --- the integer homogeneous kernel ----------------------------------------------
+
+def test_homogeneous_round_trip():
+    for point in [(Fraction(1, 2), Fraction(-2, 3)), (0, 5), (Fraction(7, 4), 0, Fraction(-7, 6))]:
+        v = clipping.to_homogeneous(point)
+        assert all(type(c) is int for c in v) and math.gcd(*v) == 1 and v[-1] > 0
+        assert clipping.to_affine(v) == point
+    assert clipping.to_homogeneous((Fraction(2, 4), Fraction(3, 6))) == (1, 1, 2)
+
+
+def test_every_crossing_is_primitive_with_positive_z():
+    rng = np.random.default_rng(31)
+    for trial in range(300):
+        d = 2 + trial % 2
+        v0, v1 = (
+            clipping.to_homogeneous(tuple(Fraction(int(a), int(b)) for a, b in zip(nums, dens)))
+            for nums, dens in ((rng.integers(-99, 99, d), rng.integers(1, 60, d)) for _ in range(2))
+        )
+        row = tuple(int(c) for c in rng.integers(-50, 50, d + 1))
+        f0, f1 = (sum(a * b for a, b in zip(row, v)) for v in (v0, v1))
+        if f0 * f1 >= 0:
+            continue
+        for w in (clipping._homogeneous_cut_point(v0, v1, f0, f1), clipping._homogeneous_cut_point(v1, v0, f1, f0)):
+            assert all(type(c) is int for c in w) and math.gcd(*w) == 1 and w[-1] > 0
+            assert sum(a * b for a, b in zip(row, w)) == 0  # on the plane
+            # the Fraction crossing, from either end
+            p0, p1 = clipping.to_affine(v0), clipping.to_affine(v1)
+            want = _ref_cut_point(p0, p1, Fraction(f0, v0[-1]), Fraction(f1, v1[-1]))
+            assert clipping.to_affine(w) == want

@@ -1,16 +1,20 @@
 """Hypothesis tests.
 
-Mutated point-set and diagram documents go through the CLI: every run
-must end in an exit code of 0-5 (typed errors print one `error: <kind>:
-...` line); no exception may escape `cli.main`.  Random small site sets
-go through the screened lockstep build and the plain every-candidate
-build, which must agree, and through `voronoi`, whose Delaunay faces
-must be made of its adjacency pairs.
+Mutated point-set and diagram documents, and exact inputs at the edges
+of the number range, go through the CLI: every run must end in an exit
+code of 0-5 (typed errors print one `error: <kind>: ...` line); no
+exception may escape `cli.main`.  Random small site sets go through the
+screened lockstep build and the plain every-candidate build, which must
+agree, and through `voronoi`, whose Delaunay faces must be made of its
+adjacency pairs.  Chains of exact cuts go through the integer homogeneous
+clippers and the Fraction clippers they replaced, which must agree.
 """
 
 import copy
 import itertools
 import json
+import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -23,6 +27,7 @@ from hypervoronoi import (  # noqa: E402
     ModelPoint,
     ModelTag,
     build_complex,
+    clipping,
     delaunay,
     hemisphere_site_map,
     klein_site_map,
@@ -33,7 +38,14 @@ from hypervoronoi import (  # noqa: E402
 from hypervoronoi.cli import main  # noqa: E402
 from hypervoronoi.documents import dump_json  # noqa: E402
 from hypervoronoi.sampling import random_klein_points, rational_hemisphere_points  # noqa: E402
-from util import assert_same_complex, reference_complex  # noqa: E402
+from hypervoronoi.power import Halfspace, canonical_halfspace  # noqa: E402
+from hypervoronoi.scalars import dot  # noqa: E402
+from util import (  # noqa: E402
+    assert_same_complex,
+    fraction_clip_polygon,
+    fraction_clip_polyhedron,
+    reference_complex,
+)
 
 
 def _rational(p):
@@ -211,6 +223,60 @@ def _hemisphere_point(t):
     return ((1 - n2) / (1 + n2),) + tuple(2 * c / (1 + n2) for c in t)
 
 
+def _with_digits(lo, hi):
+    """Positive integers of lo to hi decimal digits."""
+    return st.integers(lo, hi).flatmap(lambda k: st.integers(10 ** (k - 1), 10**k - 1))
+
+
+@st.composite
+def _range_edge_coordinate(draw):
+    """A rational in [-1/2, 1/2]: numerator and denominator of 1-80 digits,
+    or now and then one past the float range (a 10^-400 scale, or a
+    400-digit denominator)."""
+    kind = draw(st.sampled_from(["digits"] * 18 + ["tiny", "long"]))
+    if kind == "tiny":
+        return Fraction(draw(st.integers(-9, 9)), 10 ** draw(st.integers(309, 420)))
+    den = draw(_with_digits(380, 420) if kind == "long" else _with_digits(1, 80))
+    return Fraction(draw(st.integers(-(den // 2), den // 2)), den)
+
+
+@st.composite
+def _range_edge_documents(draw):
+    """Exact hemisphere point sets (d = 2 or 3) over range-edge parameters,
+    at model radius 1, 3 or 10^200; now and then a point is moved off the
+    sphere."""
+    d = draw(st.sampled_from([2, 3]))
+    ts = draw(st.lists(st.tuples(*[_range_edge_coordinate()] * d), min_size=1, max_size=6, unique=True))
+    scale = draw(st.sampled_from([1, 1, 3, 10**200]))
+    pts = [[c * scale for c in _hemisphere_point(t)] for t in ts]
+    if draw(st.sampled_from([False] * 9 + [True])):
+        pts[0][draw(st.integers(0, d))] += Fraction(1, draw(_with_digits(1, 80)))
+    kappa = Fraction(-1, scale * scale)
+    return {
+        "dimension": d,
+        "curvature": f"{kappa.numerator}/{kappa.denominator}",
+        "model": "hemisphere",
+        "scalar": "exact-rational",
+        "points": [_rational(p) for p in pts],
+    }
+
+
+@settings(
+    max_examples=150,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(_range_edge_documents())
+def test_exact_compute_survives_range_edge_numbers(tmp_path, capsys, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = main(["compute", str(path), "--route", "hemisphere", "-o", str(tmp_path / "out.json")])
+    err = capsys.readouterr().err
+    assert code == 0 or (code in range(2, 6) and err.startswith("error: ") and err.count("\n") == 1), (code, err)
+    assert len(err) < 200  # exact values are quoted in a bounded form
+
+
 @st.composite
 def _sites(draw):
     d = draw(st.sampled_from([2, 3]))
@@ -255,3 +321,65 @@ def test_delaunay_simplices_are_made_of_adjacency_pairs(case):
     for face in delaunay(dia).faces:
         if len(face) == d + 1:
             assert set(itertools.combinations(sorted(face), 2)) <= dia.complex.adjacency
+
+
+# --- the integer homogeneous clippers against the Fraction clippers ------------------
+
+def _integer_row(normal, offset):
+    """The primitive integer row of a rational cut (a zero row stays zero)."""
+    hs = canonical_halfspace(Halfspace(tuple(Fraction(c) for c in normal), Fraction(offset)))
+    return hs.normal, hs.offset
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _exact_cut(data, cell, d):
+    """An integer cut row of `cell` (in Fraction coordinates): random, through
+    one of its vertices, holding one of its edges, or with a zero normal."""
+    kind = data.draw(st.sampled_from(["random", "vertex", "edge", "zero"]))
+    if kind == "zero":
+        return (0,) * d, data.draw(st.integers(-1, 1))
+    big = data.draw(st.sampled_from([9, 10**6]))
+    normal = tuple(data.draw(st.integers(-big, big)) for _ in range(d))
+    if kind == "random" or cell.empty:
+        return normal, data.draw(st.integers(-3 * big, 3 * big))
+    sign = data.draw(st.sampled_from([1, -1]))
+    if kind == "vertex":
+        v = data.draw(st.sampled_from(cell.vertices))
+        return _integer_row([sign * c for c in normal], -sign * dot(normal, v))
+    if d == 2:
+        k = data.draw(st.integers(0, len(cell.vertices) - 1))
+        v0, v1 = cell.vertices[k], cell.vertices[(k + 1) % len(cell.vertices)]
+        edge_normal = (v0[1] - v1[1], v1[0] - v0[0])
+    else:
+        face = data.draw(st.sampled_from(cell.faces))
+        k = data.draw(st.integers(0, len(face.ring) - 1))
+        v0, v1 = cell.vertices[face.ring[k]], cell.vertices[face.ring[(k + 1) % len(face.ring)]]
+        edge_normal = _cross(tuple(b - a for a, b in zip(v0, v1)), normal)
+    if not any(edge_normal):
+        return normal, 0
+    edge_normal = tuple(sign * c for c in edge_normal)
+    return _integer_row(edge_normal, -dot(edge_normal, v0))
+
+
+KERNELS = {
+    2: (clipping.box_polygon, clipping.clip_polygon, fraction_clip_polygon),
+    3: (clipping.box_polyhedron, clipping.clip_polyhedron, fraction_clip_polyhedron),
+}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from([2, 3]), st.fractions(Fraction(1, 7), 7, max_denominator=50), st.data())
+def test_integer_cuts_equal_the_fraction_kernel(d, half, data):
+    box, clip_fn, reference = KERNELS[d]
+    want = box(half)
+    got = replace(want, vertices=[clipping.to_homogeneous(v) for v in want.vertices])
+    for step in range(data.draw(st.integers(1, 10))):
+        normal, offset = _exact_cut(data, want, d)
+        want = reference(want, normal, offset, step)
+        got = clip_fn(got, normal, offset, step)
+        assert replace(got, vertices=[clipping.to_affine(v) for v in got.vertices]) == want
+        for v in got.vertices:  # primitive, Z > 0
+            assert all(type(c) is int for c in v) and math.gcd(*v) == 1 and v[-1] > 0

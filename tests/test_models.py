@@ -1,5 +1,5 @@
 import math
-from decimal import Decimal, getcontext
+from decimal import ROUND_HALF_UP, Context, Decimal, getcontext
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +19,7 @@ from hypervoronoi import (
     validate_point,
 )
 
+from hypervoronoi.scalars import bounded_str
 from util import ALL_MODELS, random_klein_point, random_model_point
 
 
@@ -238,3 +239,32 @@ def test_klein_tensor_not_proportional_off_origin():
     eig = np.linalg.eigvalsh(g)
     margin = (eig.max() - eig.min()) / eig.max()
     assert margin > 0.1
+
+
+def test_bounded_str_rounds_the_exact_value_half_up():
+    rng = np.random.default_rng(8)
+    ctx = Context(prec=4, rounding=ROUND_HALF_UP)  # four significant digits
+    values = [Fraction(99995, 10), Fraction(10005, 10000), Fraction(-1, 3), Fraction(5, 10**9), Fraction(7), Fraction(-123456789)]
+    for _ in range(300):
+        num = int(rng.integers(1, 10**9)) * 10 ** int(rng.integers(0, 40))
+        den = int(rng.integers(1, 10**9)) * 10 ** int(rng.integers(0, 40))
+        values.append(Fraction(num if rng.integers(2) else -num, den))
+    for x in values:
+        want = ctx.divide(Decimal(x.numerator), Decimal(x.denominator))
+        mantissa, exponent = format(want, ".3e").split("e")
+        assert bounded_str(x) == f"{mantissa}e{int(exponent):+03d}"
+    assert bounded_str(0) == "0" and bounded_str(0.25) == "0.25"
+
+
+def test_bounded_str_is_short_past_the_float_range():
+    assert bounded_str(10**100000 - 1) == "1.000e+100000"
+    assert bounded_str(Fraction(-2, 3 * 10**400)) == "-6.667e-401"
+    assert bounded_str(-(2**5000)) == "-1.412e+1505"
+    assert bounded_str(Fraction(10005, 10000)) == "1.001e+00"
+
+
+def test_exact_membership_error_keeps_the_exact_excess():
+    with pytest.raises(DomainViolation) as e:
+        validate_point(ModelPoint(ModelTag.HEMISPHERE, (10**3000, 0, 0)))
+    assert e.value.excess == 10**6000 - 1
+    assert len(str(e.value)) < 100 and "1.000e+6000" in str(e.value)

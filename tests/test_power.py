@@ -36,7 +36,14 @@ from hypervoronoi.documents import diagram_to_document, dump_json
 from hypervoronoi.power import canonical_halfspace
 from hypervoronoi.sampling import ball_points, random_klein_points, rational_hemisphere_points
 
-from util import LinearIndex, assert_same_complex, plain_cut_block, random_klein_point, reference_complex
+from util import (
+    LinearIndex,
+    assert_same_complex,
+    plain_cut_block,
+    random_klein_point,
+    reference_complex,
+    reference_radical_hyperplane,
+)
 
 
 def W(center, weight, idx=-1):
@@ -95,6 +102,31 @@ def test_radical_is_square_root_free_exact():
     assert all(isinstance(c, int) for c in hs.normal + (hs.offset,))
     g = math.gcd(math.gcd(abs(hs.normal[0]), abs(hs.normal[1])), abs(hs.offset))
     assert g == 1
+
+
+def _random_exact_sites(rng, d, count):
+    def scalar():
+        return Fraction(int(rng.integers(-10**6, 10**6)), int(rng.integers(1, 10**int(rng.integers(1, 9)))))
+
+    return [W(tuple(scalar() for _ in range(d)), scalar(), k) for k in range(count)]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_integer_radical_rows_equal_the_rational_rows(d):
+    rng = np.random.default_rng(40 + d)
+    sites = _random_exact_sites(rng, d, 12)
+    sites += [W((Fraction(3, 7),) * d, Fraction(1, 9)), W((Fraction(3, 7),) * d, Fraction(-5, 2))]  # concentric
+    sites += [W((2,) * d, 3), W((Fraction(4, 2),) * d, Fraction(6, 2))]  # int and Fraction, coincident
+    for s_i, s_j in itertools.permutations(sites, 2):
+        if s_i.center == s_j.center and s_i.weight == s_j.weight:
+            with pytest.raises(CoincidentSites):
+                radical_hyperplane(s_i, s_j)
+            continue
+        hs = radical_hyperplane(s_i, s_j)
+        assert hs == reference_radical_hyperplane(s_i, s_j)
+        assert all(type(c) is int for c in hs.normal + (hs.offset,))
+        if s_i.center == s_j.center:  # the concentric pair's constant row
+            assert hs.normal == (0,) * d and abs(hs.offset) == 1
 
 
 def test_canonical_halfspace_float_unit_normal():
@@ -645,6 +677,52 @@ def test_candidates_come_nearest_first(monkeypatch, d):
         assert tags == sorted((j for j in range(len(sites)) if j != i), key=lambda j: (dist[j], j))
     k = seen[0].index(1)
     assert seen[0][k:k + 4] == [1, 2, 3, 4]
+
+
+def test_integer_ball_test_equals_the_rational_one():
+    # `_ball_test` on Fractions is exact: the reference
+    rng = np.random.default_rng(12)
+
+    def rational(size, scale):
+        nums, dens = rng.integers(-scale, scale, size), rng.integers(1, 40, size)
+        return tuple(Fraction(int(a), int(b)) for a, b in zip(nums, dens))
+
+    hits = 0
+    for trial in range(200):
+        radius = Fraction(int(rng.integers(1, 30)), int(rng.integers(1, 9)))
+        clip = Ball(rational(2, 10) if trial % 2 else (0, 0), radius)
+        points = [rational(2, 60) for _ in range(6)]
+        points.append(tuple(c + Fraction(1, 7) for c in clip.center))  # inside
+        inside, meets = power._integer_ball_test(points, clip)
+        want_inside, want_meets = power._ball_test(points, clip)
+        assert inside == want_inside
+        for k, j in itertools.permutations(range(len(points)), 2):
+            if not (inside[k] or inside[j]):  # `meets` is asked only then
+                assert meets(k, j) == want_meets(k, j)
+                hits += meets(k, j)
+    assert hits > 0  # segments that pass the ball between two outside ends
+
+
+@pytest.mark.parametrize("d, n", [(2, 30), (3, 15)])
+def test_exact_route_cuts_integer_homogeneous_vertices(monkeypatch, d, n):
+    # the speed of the exact route rests on this: no Fraction reaches the clipper
+    name = "clip_polygon" if d == 2 else "clip_polyhedron"
+    clip = getattr(clipping, name)
+    seen = []
+
+    def integer_only(shape, normal, offset, tag):
+        out = clip(shape, normal, offset, tag)
+        for vertices in (shape.vertices, out.vertices):
+            assert all(len(v) == d + 1 and all(type(c) is int for c in v) for v in vertices)
+        seen.append(len(shape.vertices))
+        return out
+
+    monkeypatch.setattr(clipping, name, integer_only)
+    pts = [ModelPoint(ModelTag.HEMISPHERE, p) for p in rational_hemisphere_points(n, d, seed=1)]
+    dia = voronoi(pts, route="hemisphere")
+    assert len(seen) > n and all(seen)
+    # the cells come out in Fractions
+    assert all(isinstance(c, Fraction) for cell in dia.complex.cells for v in cell.shape.vertices for c in v)
 
 
 def test_clip_screen_keeps_non_finite_candidates():

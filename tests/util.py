@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from hypervoronoi import ModelPoint, ModelTag, build_complex, clipping, convert, geodesic, power
+from hypervoronoi.clipping import Face, Polygon, Polyhedron
+from hypervoronoi.errors import CoincidentSites
 from hypervoronoi.hvd import COLLINEAR_MIN_SPAN
+from hypervoronoi.power import Halfspace, WeightedSite, canonical_halfspace
+from hypervoronoi.scalars import dot, norm_sq
 
 ALL_MODELS = (
     ModelTag.KLEIN,
@@ -135,3 +141,131 @@ def reference_collinear_groups(kleins, tol):
     out = [g for g in found if not any(set(g) < set(h) for h in found if h != g)]
     out.sort()
     return out
+
+
+# --- the rational kernel the integer homogeneous one replaced -----------------
+# The clippers and the radical hyperplane as they were before exact cells
+# were cut on integer homogeneous vertices, kept verbatim: every step in
+# Fraction arithmetic.  The references for the integer kernel.
+
+def _cut_point(v0, v1, f0, f1):
+    t = f0 / (f0 - f1)
+    return tuple(a + t * (b - a) for a, b in zip(v0, v1))
+
+
+def fraction_clip_polygon(poly: Polygon, normal, offset, tag) -> Polygon:
+    """Keep the side <normal, x> + offset <= 0; new edges get `tag`.
+
+    One Sutherland-Hodgman step.  The zero-length edges a grazing cut
+    leaves are dropped, keeping the later vertex and its tag.
+    """
+    if poly.empty:
+        return poly
+    verts, tags = poly.vertices, poly.tags
+    vals = [dot(normal, v) + offset for v in verts]
+    out_v, out_t = [], []
+    for v0, v1, f0, f1, t in zip(verts, verts[1:] + verts[:1], vals, vals[1:] + vals[:1], tags):
+        if f0 <= 0:
+            out_v.append(v0)
+            out_t.append(t)
+            if f1 > 0:
+                out_v.append(_cut_point(v0, v1, f0, f1))
+                out_t.append(tag)
+        elif f1 <= 0:
+            out_v.append(_cut_point(v0, v1, f0, f1))
+            out_t.append(t)
+    keep = [not v == w for v, w in zip(out_v, out_v[1:] + out_v[:1])]
+    if sum(keep) < 3:
+        return Polygon([], [])
+    return Polygon(list(itertools.compress(out_v, keep)), list(itertools.compress(out_t, keep)))
+
+
+def fraction_clip_polyhedron(poly: Polyhedron, normal, offset, tag) -> Polyhedron:
+    """Keep the side <normal, x> + offset <= 0; the cut face gets `tag`.
+
+    A face leaves the kept side at its exit point and comes back at its
+    entry point: a vertex on the plane, or the crossing of the edge to the
+    outside vertex, made once per edge from its kept end.  The clipped
+    face runs exit -> entry along the plane, so the cut face runs each
+    such edge entry -> exit, and chaining them gives its ring.
+    """
+    if poly.empty:
+        return poly
+    vals = [dot(normal, v) + offset for v in poly.vertices]
+    if not any(f > 0 for f in vals):
+        return poly
+    points = list(poly.vertices)
+    crossings = {}  # (kept, outside) vertex indices -> the crossing point's index
+
+    def meet(a, b):
+        """Where the edge from kept vertex a to outside vertex b meets the plane."""
+        if vals[a] == 0:
+            return a
+        k = crossings.get((a, b))
+        if k is None:
+            k = crossings[a, b] = len(points)
+            points.append(_cut_point(points[a], points[b], vals[a], vals[b]))
+        return k
+
+    faces = []
+    chain = {}  # entry -> exit of each clipped face's edge along the plane
+    for face in poly.faces:
+        ring = face.ring
+        kept = []
+        exit_k = first_entry = None
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            if vals[a] <= 0:
+                kept.append(a)
+                if vals[b] > 0:
+                    exit_k = meet(a, b)
+                    if exit_k != a:
+                        kept.append(exit_k)
+            elif vals[b] <= 0:
+                entry_k = meet(b, a)
+                if entry_k != b:
+                    kept.append(entry_k)
+                if exit_k is None:
+                    first_entry = entry_k
+                elif entry_k != exit_k:
+                    chain[entry_k] = exit_k
+        if first_entry is not None and first_entry != exit_k:
+            chain[first_entry] = exit_k
+        if len(kept) >= 3:
+            faces.append(Face(face.tag, kept))
+    while chain:
+        k = next(iter(chain))
+        ring = []
+        while k in chain:
+            ring.append(k)
+            k = chain.pop(k)
+        if len(ring) >= 3:
+            faces.append(Face(tag, ring))
+    # On float input a cut through a ~1e-16 edge can leave a vertex on two
+    # faces only, on the line they share: it leaves both rings, and a face
+    # left with fewer than three vertices goes.
+    on = Counter(k for face in faces for k in face.ring)
+    while thin := {k for k, count in on.items() if count < 3}:
+        rings = ((f.tag, [k for k in f.ring if k not in thin]) for f in faces)
+        faces = [Face(t, ring) for t, ring in rings if len(ring) >= 3]
+        on = Counter(k for face in faces for k in face.ring)
+    if len(faces) < 4:
+        return Polyhedron([], [])
+    used = sorted(on)
+    index = {k: m for m, k in enumerate(used)}
+    return Polyhedron(
+        [points[k] for k in used], [Face(f.tag, [index[k] for k in f.ring]) for f in faces]
+    )
+
+
+def reference_radical_hyperplane(s_i: WeightedSite, s_j: WeightedSite) -> Halfspace:
+    """Locus of equal power distance, oriented so s_i's side is <= 0.
+
+    Square-root free.  For equal centers with different weights the zero
+    set is empty and the returned halfspace is the constant constraint
+    (the smaller-power site wins everywhere).
+    """
+    if s_i.center == s_j.center and s_i.weight == s_j.weight:
+        raise CoincidentSites("radical hyperplane of identical weighted sites")
+    normal = tuple(2 * (b - a) for a, b in zip(s_i.center, s_j.center))
+    offset = norm_sq(s_i.center) - norm_sq(s_j.center) + s_j.weight - s_i.weight
+    return canonical_halfspace(Halfspace(normal, offset))
