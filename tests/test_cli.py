@@ -392,6 +392,22 @@ def test_exact_documents_are_pinned(tmp_path, dim, n):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == EXACT_DOCUMENT_SHA256[dim, n]
 
 
+# sha256 of the Klein `compute` documents of `random_klein_points` (seed 1),
+# the benchmark's float sizes: the float route is pinned as the exact one is.
+FLOAT_DOCUMENT_SHA256 = {
+    (2, 200): "abe45c9c484607e617233db353c1bc3fff53e90fde592bbdfdc76c2356069e2b",
+    (3, 50): "b30e9998f15774e954aac94af1bb5f61991ec5d0d77615189be70ac9758ea592",
+}
+
+
+@pytest.mark.parametrize("dim, n", sorted(FLOAT_DOCUMENT_SHA256))
+def test_float_documents_are_pinned(tmp_path, dim, n):
+    inp = write_point_set(tmp_path / "p.json", random_klein_points(n, dim, seed=1), dim=dim)
+    out = tmp_path / "d.json"
+    assert main(["compute", str(inp), "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FLOAT_DOCUMENT_SHA256[dim, n]
+
+
 def test_check_huge_exact_coefficients_report_as_scaled(tmp_path, capsys):
     # a stored halfspace times 10**400 is the same halfspace; its floats
     # would overflow without the power-of-two row scaling
