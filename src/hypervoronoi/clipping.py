@@ -96,24 +96,29 @@ def _homogeneous_cut_point(v0, v1, f0, f1):
     return tuple(c // g for c in w)
 
 
-def _side_values(verts, normal, offset):
-    """Each vertex's side value and the crossing function of the cut."""
+def _side_values(verts, normal, offset, vals=None):
+    """Each vertex's side value and the crossing function of the cut.
+    `vals`, given for affine vertices, are those side values, computed by
+    the caller as `dot(normal, v) + offset` computes them."""
     if len(verts[0]) > len(normal):  # homogeneous, on the exact route
         row = (*normal, offset)
         return [sum(map(mul, row, v)) for v in verts], _homogeneous_cut_point
-    return [dot(normal, v) + offset for v in verts], _cut_point
+    if vals is None:
+        vals = [dot(normal, v) + offset for v in verts]
+    return vals, _cut_point
 
 
-def clip_polygon(poly: Polygon, normal, offset, tag) -> Polygon:
+def clip_polygon(poly: Polygon, normal, offset, tag, vals=None) -> Polygon:
     """Keep the side <normal, x> + offset <= 0; new edges get `tag`.
 
     One Sutherland-Hodgman step.  The zero-length edges a grazing cut
-    leaves are dropped, keeping the later vertex and its tag.
+    leaves are dropped, keeping the later vertex and its tag.  `vals`:
+    the vertices' side values, if the caller has them (`_side_values`).
     """
     if poly.empty:
         return poly
     verts, tags = poly.vertices, poly.tags
-    vals, cut_point = _side_values(verts, normal, offset)
+    vals, cut_point = _side_values(verts, normal, offset, vals)
     out_v, out_t = [], []
     for v0, v1, f0, f1, t in zip(verts, verts[1:] + verts[:1], vals, vals[1:] + vals[:1], tags):
         if f0 <= 0:
@@ -196,18 +201,19 @@ def box_polyhedron(h) -> Polyhedron:
     return Polyhedron(corners, [Face(BOX_TAG, r) for r in rings])
 
 
-def clip_polyhedron(poly: Polyhedron, normal, offset, tag) -> Polyhedron:
+def clip_polyhedron(poly: Polyhedron, normal, offset, tag, vals=None) -> Polyhedron:
     """Keep the side <normal, x> + offset <= 0; the cut face gets `tag`.
 
     A face leaves the kept side at its exit point and comes back at its
     entry point: a vertex on the plane, or the crossing of the edge to the
     outside vertex, made once per edge from its kept end.  The clipped
     face runs exit -> entry along the plane, so the cut face runs each
-    such edge entry -> exit, and chaining them gives its ring.
+    such edge entry -> exit, and chaining them gives its ring.  `vals`:
+    the vertices' side values, if the caller has them (`_side_values`).
     """
     if poly.empty:
         return poly
-    vals, cut_point = _side_values(poly.vertices, normal, offset)
+    vals, cut_point = _side_values(poly.vertices, normal, offset, vals)
     if not any(f > 0 for f in vals):
         return poly
     points = list(poly.vertices)
@@ -284,8 +290,8 @@ def _newell_normal(fv) -> list:
 
 
 def face_area(verts) -> float:
-    """Area via Newell's formula (verts assumed planar, ordered)."""
-    n = _newell_normal([as_floats(v) for v in verts])
+    """Area via Newell's formula (float verts, assumed planar, ordered)."""
+    n = _newell_normal(verts)
     return 0.5 * math.sqrt(n[0] ** 2 + n[1] ** 2 + n[2] ** 2)
 
 

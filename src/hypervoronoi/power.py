@@ -11,12 +11,18 @@ per-dimension table, cuts each cell from a window (a clipped build's:
 the clip ball's bounding cube) with the exact clipper of `clipping`,
 nearest site centre first, as Voro++ does (Rycroft, Chaos 19, 041111,
 2009).  The cells of a block (at most BLOCK_PAIRS cell-candidate pairs,
-or one cell) advance in lockstep.  Each step, one float screen, whose
-rows come from the site arrays, evaluates every remaining pair at its
-cell's vertices and drops those whose candidate provably contains the
-cell: such a cut would be a no-op now and at its turn, so the cells
-equal those of every cut, vertex for vertex.  Then each cell cuts by its
-nearest remaining candidate.  A radical hyperplane is made once; in a
+or one cell) advance in lockstep.  A block's pair rows are made once, in
+numpy, from the site arrays: each the unit-normal row of the pair's
+radical hyperplane (`_pair_rows`).  Each step, one float screen
+evaluates every remaining pair at its cell's vertices and drops those
+whose candidate provably contains the cell: such a cut would be a no-op
+now and at its turn, so the cells equal those of every cut, vertex for
+vertex.  Then each cell cuts by its nearest remaining candidate.
+On float sites the screen's row is the cut: it is bit for bit the row
+`radical_hyperplane` would make, the clipper gets its Python floats and
+its side values at the cell's vertices from the same numpy expression,
+and `Halfspace`s are made only for the facets that survive, from the
+same rows.  On other sites a radical hyperplane is made once; in a
 clipped build only for a cut that runs or a facet that survives (an
 unclipped window is sized from every pair).  On exact sites that
 hyperplane is a primitive integer row made from the two sites' integer
@@ -72,6 +78,9 @@ BLOCK_PAIRS = 1 << 13
 PARALLEL_TOL = 1e-13
 # Cap on a candidate vertex coordinate that sizes an unclipped window.
 WINDOW_VERTEX_CAP = 1e9
+# Why two distinct float sites have no radical hyperplane: its normal's
+# squares underflow and its offset is 0.
+ROUNDS_TO_ZERO = "radical hyperplane rounds to zero in float64"
 
 
 @dataclass(frozen=True)
@@ -167,6 +176,8 @@ def canonical_halfspace(hs: Halfspace) -> Halfspace:
     scale = math.sqrt(sum(c * c for c in coeffs[:-1]))
     if scale == 0.0:
         scale = abs(coeffs[-1])
+    if scale == 0.0:
+        raise CoincidentSites(ROUNDS_TO_ZERO)
     return Halfspace(tuple(c / scale for c in coeffs[:-1]), coeffs[-1] / scale)
 
 
@@ -338,8 +349,21 @@ def _box_halfwidth(sites, side, d) -> float:
     return 2.0 * scale + 1.0
 
 
+def _side_table(X, R):
+    """<normal, x> + offset of each column of R at the vertices X, whose
+    first axis is the coordinate and last the column, in `dot`'s operation
+    order: summed from 0.0, as Python's `sum` starts from 0."""
+    d = len(X)
+    vals = X[0] * R[0]
+    vals += 0.0
+    for k in range(1, d):
+        vals += X[k] * R[k]
+    vals += R[d]
+    return vals
+
+
 def _screen(R, V, counts):
-    """Per pair, the max over its cell's vertices of <normal, x> + offset.
+    """Per pair, the max over its cell's vertices of its side value.
 
     R: the pairs' columns, as `_cut_block` takes them; V: the cells'
     vertices, (coordinate, slot, cell), padded; counts: the number of
@@ -347,33 +371,75 @@ def _screen(R, V, counts):
     Slots are taken a few at a time, so that no temporary holds much more
     than BLOCK_PAIRS values per coordinate.
     """
-    d, slots = V.shape[:2]
+    slots = V.shape[1]
     step = max(1, BLOCK_PAIRS // R.shape[1])
     worst = None
     for s in range(0, slots, step):
-        X = np.repeat(V[:, s:s + step], counts, axis=2)
-        val = X[0] * R[0]
-        for k in range(1, d):
-            val += X[k] * R[k]
-        val = (val + R[d]).max(axis=0)
+        val = _side_table(np.repeat(V[:, s:s + step], counts, axis=2), R).max(axis=0)
         worst = val if worst is None else np.maximum(worst, val)
     return worst
 
 
-def _cut_block(shapes, cell, tags, R, halfspace, clip_fn):
+def _site_arrays(sites, d):
+    """Float site arrays for `_pair_rows`: centres C, |c|^2 (in
+    `radical_hyperplane`'s operation order), weights W, and per site
+    |c|_1 and |c|^2 + |w|, which bound a row and its rounding."""
+    S = np.array([_floats(s.center + (s.weight,), "site") for s in sites]).reshape(len(sites), d + 1)
+    C, W = S[:, :d], S[:, d]
+    with np.errstate(over="ignore", invalid="ignore"):
+        N = sum(C[:, k] * C[:, k] for k in range(d))
+        return C, N, W, np.abs(C).sum(axis=1), N + np.abs(W)
+
+
+def _pair_rows(arrays, home, tags, strict):
+    """The float rows of the pairs (home[p], tags[p]), one column each:
+    [normal | offset] on home's side, then (s1, s0), which bound |normal|_1
+    and |offset| and the rounding of each, all over the row's scale.
+
+    On float sites a row is bit for bit `side(home, tag)`: the (lo, hi) row
+    in `radical_hyperplane`'s operation order, scaled as
+    `canonical_halfspace` scales it (its squares summed from 0.0, as
+    Python's `sum` starts from 0; by |offset| when they are 0), negated
+    when home is the higher index.  With `strict` (float sites) a row that
+    rounds to zero raises; otherwise its column is left inf or nan, which
+    the screen never skips.
+    """
+    C, N, W, L1, P = arrays
+    d = C.shape[1]
+    lo, hi = np.minimum(home, tags), np.maximum(home, tags)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        normal = (2 * (C[hi] - C[lo])).T
+        sq = 0.0
+        for c in normal:
+            sq = sq + c * c
+        offset = N[lo] - N[hi] + W[hi] - W[lo]
+        scale = np.sqrt(sq)
+        scale = np.where(scale == 0.0, np.abs(offset), scale)
+        if strict and not scale.all():
+            p = int(np.flatnonzero(scale == 0.0)[0])
+            raise CoincidentSites(f"sites {lo[p]} and {hi[p]}: {ROUNDS_TO_ZERO}")
+        R = np.vstack((normal, offset, 2 * (L1[home] + L1[tags]), P[home] + P[tags])) / scale
+    flip = home > tags
+    R[:d + 1, flip] = -R[:d + 1, flip]
+    return R
+
+
+def _cut_block(shapes, cell, tags, R, halfspace, clip_fn, table_cuts=False):
     """Cut a block of cells in lockstep, each by the candidates that change it.
 
     Pair p is candidate tags[p] of shapes[cell[p]]; each cell's pairs are
-    contiguous and in cut order.  R: one column per pair, its float row
-    [normal | offset] on its cell's side, then (s1, s0) bounding |normal|_1
-    and |offset| and the rounding of each; halfspace(c, j): the exact
-    halfspace, asked for when j's cut of cell c runs.  Each step
-    screens every live pair against its cell's current vertices, then
-    every cell with a live pair cuts by its first; homogeneous vertices
-    (the exact route) are read as X / Z.  A pair is dropped for
-    good once its float value is finite and below -CLIP_SKIP_TOL *
-    (max|vertex coordinate| * s1 + s0) at every vertex of its cell: the
-    exact clip would keep every vertex.  Returns the cut shapes.
+    contiguous and in cut order.  R: one column per pair, as `_pair_rows`
+    makes it.  With `table_cuts` (float sites) a column is its cut: the
+    clipper gets its normal and offset and its side values at the cell's
+    vertices, the screen's `_side_table` over the cells cut at the step.
+    Otherwise halfspace(c, j) gives the exact halfspace, asked for when
+    j's cut of cell c runs.  Each step screens every live pair against
+    its cell's current vertices, then every cell with a live pair cuts by
+    its first; homogeneous vertices (the exact route) are read as X / Z.
+    A pair is dropped for good once its float value is finite and below
+    -CLIP_SKIP_TOL * (max|vertex coordinate| * s1 + s0) at every vertex of
+    its cell: the exact clip would keep every vertex.  Returns the cut
+    shapes.
     """
     shapes = list(shapes)
     d = len(R) - 3
@@ -398,10 +464,19 @@ def _cut_block(shapes, cell, tags, R, halfspace, clip_fn):
             break
         held = cell[kept]
         first = kept[np.r_[True, held[1:] != held[:-1]]]  # each cell's next cut
-        for c, j in zip(cell[first].tolist(), ids[1, first].tolist()):
-            hs = halfspace(c, j)
-            shapes[c] = clip_fn(shapes[c], hs.normal, hs.offset, j)
-            live[c] = not shapes[c].empty
+        cuts = zip(cell[first].tolist(), ids[1, first].tolist())
+        if table_cuts:
+            at = np.repeat(np.arange(len(starts)), counts)[first]  # each cut's cell in V
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = _side_table(V[:, :, at], R[:, first]).T.tolist()
+            for (c, j), row, f in zip(cuts, R[:d + 1, first].T.tolist(), vals):
+                shapes[c] = clip_fn(shapes[c], row[:d], row[d], j, f[:len(shapes[c].vertices)])
+                live[c] = not shapes[c].empty
+        else:
+            for c, j in cuts:
+                hs = halfspace(c, j)
+                shapes[c] = clip_fn(shapes[c], hs.normal, hs.offset, j)
+                live[c] = not shapes[c].empty
         keep[first] = False
         keep &= live[cell]
         kept = np.flatnonzero(keep)
@@ -465,21 +540,22 @@ def _polygon_facets(poly, tol, exact, clip):
 def _polyhedron_facets(polyh, tol, exact, clip):
     """Radical faces of float area above tol^2 that come closer to the
     clip centre than its radius (float), on either route.  A face with a
-    vertex strictly inside the ball does at once."""
+    vertex strictly inside the ball does at once.  The vertex table is
+    taken in floats once."""
+    fv = [as_floats(v) for v in polyh.vertices]
     if clip is not None:
-        rel = [as_floats(vsub(v, clip.center)) for v in polyh.vertices]
+        rel = [as_floats(vsub(v, clip.center)) for v in polyh.vertices] if any(clip.center) else fv
         r2 = clip.radius**2
         inside = [norm_sq(v) < r2 for v in rel]
     for face in polyh.faces:
         if face.tag is BOX_TAG:
             continue
-        points = polyh.points(face)
-        if not clipping.face_area(points) > tol * tol:
+        if not clipping.face_area([fv[k] for k in face.ring]) > tol * tol:
             continue
         if clip is None or any(inside[k] for k in face.ring) or clipping.face_min_norm_sq(
             [rel[k] for k in face.ring]
         ) < r2:
-            yield face.tag, tuple(points)
+            yield face.tag, tuple(polyh.points(face))
 
 
 def _polygon_vertices(poly, i):
@@ -516,7 +592,10 @@ def build_complex(sites, clip: Ball | None = None) -> PowerComplex:
         key = (i, j) if i < j else (j, i)
         hs = made.get(key)
         if hs is None:
-            hs = made[key] = radical_hyperplane(sites[key[0]], sites[key[1]])
+            try:
+                hs = made[key] = radical_hyperplane(sites[key[0]], sites[key[1]])
+            except CoincidentSites as e:
+                raise CoincidentSites(f"sites {key[0]} and {key[1]}: {e}") from None
             _floats(hs.normal + (hs.offset,), "radical hyperplane coefficient")
         return hs if i < j else -hs
 
@@ -525,6 +604,8 @@ def build_complex(sites, clip: Ball | None = None) -> PowerComplex:
         return PowerComplex(d, sites, cells, set(), [], {}, clip, False)
 
     exact = all(all_exact(s.center + (s.weight,)) for s in sites)
+    # float sites: the table's rows are the cuts and the facets' halfspaces
+    floats = all(isinstance(x, float) for s in sites for x in s.center + (s.weight,))
     if clip is None:
         reach = _box_halfwidth(sites, side, d)
     else:  # the clip ball's bounding cube: its walls lie outside the open ball
@@ -534,13 +615,8 @@ def build_complex(sites, clip: Ball | None = None) -> PowerComplex:
     facet_tol = FACET_MEASURE_TOL * halfwidth
     merge_tol = VERTEX_MERGE_TOL * halfwidth
     holders = locate(clip.center, sites)[1] if clip is not None else ()  # cells holding the centre
-    # float site arrays, in `radical_hyperplane`'s operation order, and per
-    # site |c|_1 and |c|^2 + |w|, which bound a screen row and its rounding
-    S = np.array([_floats(s.center + (s.weight,), "site") for s in sites]).reshape(n, d + 1)
-    C, W = S[:, :d], S[:, d]
-    with np.errstate(over="ignore", invalid="ignore"):
-        N = sum(C[:, k] * C[:, k] for k in range(d))
-        L1, P = np.abs(C).sum(axis=1), N + np.abs(W)
+    arrays = _site_arrays(sites, d)
+    C = arrays[0]
 
     # per dimension: the window, its clipper, in-ball facets of positive
     # measure, vertex site sets
@@ -551,6 +627,7 @@ def build_complex(sites, clip: Ball | None = None) -> PowerComplex:
     shapes = []
     adjacency = set()
     facets = {}
+    rows = {}  # float sites: (i, j) -> cell i's table row of its facet j
     vertex_candidates = []
     window = box(hw)
     if exact:  # cut on integer homogeneous vertices
@@ -559,20 +636,15 @@ def build_complex(sites, clip: Ball | None = None) -> PowerComplex:
     for start in range(0, n, per_block):
         block = np.arange(start, min(n, start + per_block))
         cell = np.repeat(np.arange(len(block)), n - 1)
-        home = cell + start  # each pair's own site
         with np.errstate(over="ignore", invalid="ignore"):
             dist = ((C[None, :, :] - C[block, None, :]) ** 2).sum(axis=2)
-            order = np.argsort(dist, axis=1, kind="stable")  # nearest first
-            tags = order[order != block[:, None]]
-            R = np.vstack((  # per pair: normal, offset, s1, s0, as `_cut_block` takes them
-                (2 * (C[tags] - C[home])).T,
-                N[home] - N[tags] + W[tags] - W[home],
-                2 * (L1[home] + L1[tags]),
-                P[home] + P[tags],
-            ))
+        order = np.argsort(dist, axis=1, kind="stable")  # nearest first
+        tags = order[order != block[:, None]]
+        R = _pair_rows(arrays, cell + start, tags, floats)
         cut = _cut_block(
-            [window] * len(block), cell, tags, R, lambda c, j: side(start + c, j), clip_fn
+            [window] * len(block), cell, tags, R, lambda c, j: side(start + c, j), clip_fn, floats
         )
+        found = []  # (cell, neighbour) of each facet
         for i, shape in enumerate(cut, start):
             if exact:
                 shape = replace(shape, vertices=[clipping.to_affine(v) for v in shape.vertices])
@@ -581,12 +653,24 @@ def build_complex(sites, clip: Ball | None = None) -> PowerComplex:
                 key = (i, j) if i < j else (j, i)
                 adjacency.add(key)
                 facets.setdefault(key, facet)  # the lower cell's, if it has one
+                found.append((i, j))
             vertex_candidates.extend(cell_vertices(shape, i))
             shapes.append(shape)
+        if floats and found:
+            column = np.empty((len(block), n), dtype=np.intp)  # (cell, neighbour) -> pair
+            column[cell, tags] = np.arange(len(tags))
+            i, j = np.array(found).T
+            rows.update(zip(found, R[:d + 1, column[i - start, j]].T.tolist()))
+
+    def own_side(i, j):  # cell i's side of a facet's hyperplane
+        if not floats:
+            return side(i, j)
+        row = rows.get((i, j)) or [-c for c in rows[j, i]]
+        return Halfspace(row[:d], row[d])
 
     own = [{} for _ in range(n)]  # in ascending neighbour order
     for i, j in sorted(adjacency):
-        own[i][j], own[j][i] = side(i, j), side(j, i)
+        own[i][j], own[j][i] = own_side(i, j), own_side(j, i)
     cells = [
         ConvexCell(i, own[i], shape, shape.empty or (clip is not None and i not in holders and not own[i]))
         for i, shape in enumerate(shapes)

@@ -874,6 +874,16 @@ def test_exact_radical_rows_past_the_float_range_exit_3(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_near_coincident_float_sites_exit_3(tmp_path, capsys):
+    """Two distinct points 1e-170 apart: the squares of their radical
+    hyperplane's normal underflow and its offset is 0, so it has no float
+    form.  A typed error naming the pair, not a ZeroDivisionError."""
+    pts = [(1e-170, 0.2), (2e-170, 0.2), (0.5, -0.1)]
+    inp = write_point_set(tmp_path / "p.json", pts)
+    err = assert_domain_error(capsys, ["compute", str(inp), "-o", str(tmp_path / "o.json")])
+    assert err == "error: domain: sites 0 and 1: radical hyperplane rounds to zero in float64\n"
+
+
 @pytest.mark.parametrize(
     "model, scalar, curvature, point",
     [

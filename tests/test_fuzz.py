@@ -14,13 +14,15 @@ import copy
 import itertools
 import json
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from hypervoronoi import (  # noqa: E402
@@ -37,6 +39,7 @@ from hypervoronoi import (  # noqa: E402
 )
 from hypervoronoi.cli import main  # noqa: E402
 from hypervoronoi.documents import dump_json  # noqa: E402
+from hypervoronoi.errors import CoincidentSites  # noqa: E402
 from hypervoronoi.sampling import random_klein_points, rational_hemisphere_points  # noqa: E402
 from hypervoronoi.power import Halfspace, canonical_halfspace  # noqa: E402
 from hypervoronoi.scalars import dot  # noqa: E402
@@ -283,6 +286,13 @@ def _sites(draw):
     if draw(st.booleans()):  # float Klein points, |x| < 1 as each |coordinate| <= 0.55
         coord = st.floats(-0.55, 0.55, allow_subnormal=False)
         pts = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=10 if d == 2 else 7, unique=True))
+        if draw(st.integers(0, 3)) == 0:  # a near-coincident pair, whose row may round to zero
+            rest = draw(coord)
+            gap = draw(st.sampled_from([1e-170, 1e-300, 5e-324]))
+            pair = [(gap,) + (rest,) * (d - 1), (2 * gap,) + (rest,) * (d - 1)]
+            if draw(st.booleans()):  # one ulp apart: a row that does not round to zero
+                pair = [(rest,) * d, (math.nextafter(rest, 1.0),) + (rest,) * (d - 1)]
+            pts = list(dict.fromkeys(pts + pair))
         return d, [klein_site_map(p, i) for i, p in enumerate(pts)]
     coord = st.fractions(Fraction(-3, 5), Fraction(3, 5), max_denominator=12)
     ts = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=8 if d == 2 else 5, unique=True))
@@ -293,10 +303,19 @@ def _sites(draw):
 @given(_sites(), st.sampled_from([power.BLOCK_PAIRS, 1, 7]))
 def test_screened_build_equals_plain_build(case, cap):
     d, sites = case
+    try:
+        ref = reference_complex(sites, unit_ball(d))
+    except CoincidentSites as e:  # a row that rounds to zero: the same typed error
+        assert str(e).endswith(power.ROUNDS_TO_ZERO)
+        ref = e
     with pytest.MonkeyPatch.context() as m:
         m.setattr(power, "BLOCK_PAIRS", cap)  # one block, one cell per block, a few cells
+        if isinstance(ref, CoincidentSites):
+            with pytest.raises(CoincidentSites, match=re.escape(str(ref))):
+                build_complex(sites, clip=unit_ball(d))
+            return
         cx = build_complex(sites, clip=unit_ball(d))
-    assert_same_complex(cx, reference_complex(sites, unit_ball(d)))
+    assert_same_complex(cx, ref)
 
 
 @st.composite
@@ -383,3 +402,64 @@ def test_integer_cuts_equal_the_fraction_kernel(d, half, data):
         assert replace(got, vertices=[clipping.to_affine(v) for v in got.vertices]) == want
         for v in got.vertices:  # primitive, Z > 0
             assert all(type(c) is int for c in v) and math.gcd(*v) == 1 and v[-1] > 0
+
+
+# --- the float route's pair table against the Python rows ---------------------------
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e-170, -1e-170, 1e150, -1e150, 1e200, -1e300]
+
+
+@st.composite
+def _float_site_sets(draw):
+    """Float sites over small, -0.0, subnormal and large scalars; now and
+    then a site concentric with the first (a zero normal), its mirror image
+    (a zero offset, -0.0 on the higher index's side), or one whose row
+    rounds to zero."""
+    d = draw(st.sampled_from([2, 3]))
+    scalar = st.floats(-4.0, 4.0) | st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+    rows = draw(st.lists(st.tuples(*[scalar] * (d + 1)), min_size=2, max_size=6))
+    kind = draw(st.sampled_from(["plain", "concentric", "mirror", "near"]))
+    if kind == "concentric":
+        rows.append(rows[0][:d] + (draw(scalar),))
+    elif kind == "mirror":
+        rows.append(tuple(-c for c in rows[0][:d]) + rows[0][d:])
+    elif kind == "near":
+        rows.append((rows[0][0] + 1e-170,) + rows[0][1:])
+    rows = list(dict.fromkeys(rows))  # distinct sites (-0.0 == 0.0)
+    assume(len(rows) > 1)
+    return d, [power.WeightedSite(r[:d], r[d], k) for k, r in enumerate(rows)]
+
+
+def _hex(values):
+    return [float(c).hex() for c in values]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_float_site_sets(), st.data())
+def test_pair_table_is_the_python_rows(case, data):
+    """Every column of `_pair_rows` is `side(i, j)`'s row bit for bit, i < j
+    and i > j, or both raise the same typed error; `_side_table` gives
+    `clipping._side_values` at the same vertices."""
+    d, sites = case
+    n = len(sites)
+    home, tags = np.array([(i, j) for i in range(n) for j in range(n) if i != j]).T
+    arrays = power._site_arrays(sites, d)
+    table = power._pair_rows(arrays, home, tags, False)
+    scalar = st.floats(-2.0, 2.0) | st.sampled_from(EDGE_FLOATS)
+    zero = st.sampled_from([0.0, -0.0])
+    verts = data.draw(st.lists(st.tuples(*[scalar] * d) | st.tuples(*[zero] * d), min_size=1, max_size=6))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = power._side_table(np.array(verts, dtype=float).T[:, :, None], table).T.tolist()
+    for p, (i, j) in enumerate(zip(home.tolist(), tags.tolist())):
+        lo, hi = min(i, j), max(i, j)
+        try:
+            hs = power.radical_hyperplane(sites[lo], sites[hi])
+        except CoincidentSites as e:
+            assert str(e) == power.ROUNDS_TO_ZERO
+            with pytest.raises(CoincidentSites, match=f"^sites {lo} and {hi}: {re.escape(str(e))}$"):
+                power._pair_rows(arrays, home[p:p + 1], tags[p:p + 1], True)
+            continue
+        side = hs if i < j else -hs
+        row = table[:d + 1, p].tolist()
+        assert _hex(row) == _hex(side.normal + (side.offset,))
+        assert _hex(vals[p]) == _hex(clipping._side_values(verts, row[:d], row[d])[0])

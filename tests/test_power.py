@@ -561,7 +561,7 @@ def test_box_halfwidth_matches_scalar_loop(d):
 
 # --- filtered clipping against the plain sequential build ------------------------------
 
-def _reversed_cut_block(shapes, cell, tags, R, halfspace, clip_fn):
+def _reversed_cut_block(shapes, cell, tags, R, halfspace, clip_fn, table_cuts=False):
     """Every candidate, farthest first."""
     return plain_cut_block(shapes, cell[::-1], tags[::-1], R, halfspace, clip_fn)
 

@@ -90,9 +90,10 @@ class LinearIndex:
         return len(self.points) - 1
 
 
-def plain_cut_block(shapes, cell, tags, R, halfspace, clip_fn):
+def plain_cut_block(shapes, cell, tags, R, halfspace, clip_fn, table_cuts=False):
     """Reference for `power._cut_block`: every candidate of every cell in
-    the given (nearest-first) order, one cell after the other, no screen."""
+    the given (nearest-first) order, one cell after the other, no screen,
+    each cut by its Python row `halfspace(c, j)`, also on float sites."""
     shapes = list(shapes)
     for c, j in zip(cell.tolist(), tags.tolist()):
         hs = halfspace(c, j)
