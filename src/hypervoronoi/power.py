@@ -659,8 +659,8 @@ def build_complex(sites, clip: Ball | None = None) -> PowerComplex:
         if floats and found:
             column = np.empty((len(block), n), dtype=np.intp)  # (cell, neighbour) -> pair
             column[cell, tags] = np.arange(len(tags))
-            i, j = np.array(found).T
-            rows.update(zip(found, R[:d + 1, column[i - start, j]].T.tolist()))
+            at = np.array(found) - (start, 0)
+            rows.update(zip(found, R[:d + 1, column[at[:, 0], at[:, 1]]].T.tolist()))
 
     def own_side(i, j):  # cell i's side of a facet's hyperplane
         if not floats:
