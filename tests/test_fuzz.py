@@ -7,7 +7,9 @@ exception may escape `cli.main`.  Random small site sets go through the
 screened lockstep build and the plain every-candidate build, which must
 agree, and through `voronoi`, whose Delaunay faces must be made of its
 adjacency pairs.  Chains of exact cuts go through the integer homogeneous
-clippers and the Fraction clippers they replaced, which must agree.
+clippers and the Fraction clippers they replaced, which must agree.  The
+float route's pair table must equal the Python radical hyperplane rows
+bit for bit.
 """
 
 import copy

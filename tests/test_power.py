@@ -85,6 +85,19 @@ def test_radical_coincident_sites_rejected():
         radical_hyperplane(W((1, 2), 0.5), W((1, 2), 0.5))
 
 
+def test_float_row_that_rounds_to_zero_names_the_pair():
+    # distinct float sites whose normal's squares underflow, offset 0
+    sites = [klein_site_map(p, i) for i, p in enumerate([(1e-170, 0.2), (2e-170, 0.2), (0.5, -0.1)])]
+    with pytest.raises(CoincidentSites, match=f"^{power.ROUNDS_TO_ZERO}$"):
+        radical_hyperplane(sites[0], sites[1])
+    mixed = sites[:2] + [W((Fraction(1, 2), Fraction(0)), Fraction(1, 3), 2)]
+    named = f"^sites 0 and 1: {power.ROUNDS_TO_ZERO}$"
+    # the table; `side` sizing an unclipped window; `side` on mixed sites
+    for s, clip in ((sites, unit_ball(2)), (sites, None), (mixed, unit_ball(2))):
+        with pytest.raises(CoincidentSites, match=named):
+            build_complex(s, clip=clip)
+
+
 def test_radical_concentric_sites_constant():
     # equal centers, different weights: empty zero set; the constant
     # constraint excludes the smaller-weight (larger-power) site everywhere
