@@ -277,9 +277,7 @@ def diagram_to_document(
             }
             for cell in cx.cells
         ],
-        "clip": None
-        if cx.clip is None
-        else {
+        "clip": {
             "center": encode_vector(cx.clip.center, exact),
             "radius": enc(cx.clip.radius),
         },

@@ -7,8 +7,8 @@ site), hemisphere points through `hemisphere_site_map` (rational).  The
 two maps agree under the vertical lift.
 
 For d in {2, 3}, one loop over blocks of cells, with a small
-per-dimension table, cuts each cell from a window (a clipped build's:
-the clip ball's bounding cube) with the exact clipper of `clipping`,
+per-dimension table, cuts each cell from a window (the clip ball's
+bounding cube) with the exact clipper of `clipping`,
 nearest site centre first, as Voro++ does (Rycroft, Chaos 19, 041111,
 2009).  The cells of a block (at most BLOCK_PAIRS cell-candidate pairs,
 or one cell) advance in lockstep.  A block's pair rows are made once, in
@@ -22,9 +22,8 @@ On float sites the screen's row is the cut: it is bit for bit the row
 `radical_hyperplane` would make, the clipper gets its Python floats and
 its side values at the cell's vertices from the same numpy expression,
 and `Halfspace`s are made only for the facets that survive, from the
-same rows.  On other sites a radical hyperplane is made once; in a
-clipped build only for a cut that runs or a facet that survives (an
-unclipped window is sized from every pair).  On exact sites that
+same rows.  On other sites a radical hyperplane is made once, only for
+a cut that runs or a facet that survives.  On exact sites that
 hyperplane is a primitive integer row made from the two sites' integer
 rows (`WeightedSite.integer_row`), each cell is cut on integer
 homogeneous vertices (see `clipping`), the screen reads them as X / Z,
@@ -42,7 +41,6 @@ tolerance.  Other dimensions keep every cell's n-1 halfspaces.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -74,10 +72,6 @@ CLIP_SKIP_TOL = 1e-9
 # Most (cell, candidate) pairs one block of cells screens in lockstep, so
 # the screen's temporaries stay this size whatever the number of sites.
 BLOCK_PAIRS = 1 << 13
-# `_solve2` lines are parallel below |det| = this * max(1, largest |coefficient|).
-PARALLEL_TOL = 1e-13
-# Cap on a candidate vertex coordinate that sizes an unclipped window.
-WINDOW_VERTEX_CAP = 1e9
 # Why two distinct float sites have no radical hyperplane: its normal's
 # squares underflow and its offset is 0.
 ROUNDS_TO_ZERO = "radical hyperplane rounds to zero in float64"
@@ -283,9 +277,13 @@ class PowerComplex:
     adjacency: set  # {(i, j), i < j} whose shared facet meets the open clip ball
     power_vertices: list
     facets: dict  # (i, j) -> facet geometry: segment (d=2) or polygon (d=3)
-    clip: Ball | None
-    explicit: bool
-    box_halfwidth: float = 0.0
+    clip: Ball
+    box_halfwidth: float
+
+    @property
+    def explicit(self) -> bool:
+        """Whether cells carry their clipped geometry (d = 2 or 3)."""
+        return self.dimension in (2, 3)
 
 
 def _check_sites(sites) -> int:
@@ -309,44 +307,6 @@ def _floats(values, what: str) -> tuple:
         return as_floats(values)
     except OverflowError as e:
         raise DomainViolation(f"{what} out of float range: {e}") from e
-
-
-def _solve2(h1: Halfspace, h2: Halfspace):
-    (a1, b1), c1 = as_floats(h1.normal), float(h1.offset)
-    (a2, b2), c2 = as_floats(h2.normal), float(h2.offset)
-    det = a1 * b2 - a2 * b1
-    if abs(det) < PARALLEL_TOL * max(1.0, abs(a1), abs(b1), abs(a2), abs(b2)):
-        return None
-    return ((b1 * c2 - b2 * c1) / det, (a2 * c1 - a1 * c2) / det)
-
-
-def _solve3(h1, h2, h3):
-    a = np.array([as_floats(h.normal) for h in (h1, h2, h3)], dtype=float)
-    b = -np.array([float(h.offset) for h in (h1, h2, h3)], dtype=float)
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(x)):
-        return None
-    return tuple(float(v) for v in x)
-
-
-def _box_halfwidth(sites, side, d) -> float:
-    """An unclipped window big enough to contain every site centre, every
-    hyperplane foot point and every candidate vertex (capped)."""
-    scale = max([1.0] + [abs(float(c)) for s in sites for c in s.center])
-    for i, j in itertools.combinations(range(len(sites)), 2):
-        hs = side(i, j)
-        length = math.sqrt(sum(c * c for c in as_floats(hs.normal)))
-        if length > 0:  # foot point |offset| / |normal|; zero normals skipped
-            scale = max(scale, abs(float(hs.offset)) / length)
-    solve = _solve2 if d == 2 else _solve3
-    for i, *rest in itertools.combinations(range(len(sites)), d + 1):
-        pt = solve(*(side(i, j) for j in rest))
-        if pt is not None:
-            scale = max(scale, min(WINDOW_VERTEX_CAP, max(abs(v) for v in pt)))
-    return 2.0 * scale + 1.0
 
 
 def _side_table(X, R):
@@ -525,15 +485,14 @@ def _polygon_facets(poly, tol, exact, clip):
     that come closer to the clip centre than its radius (exact likewise,
     on the integers).  An edge with an end strictly inside the ball does
     at once."""
-    if clip is not None:
-        inside, meets = (_integer_ball_test if exact else _ball_test)(poly.vertices, clip)
+    inside, meets = (_integer_ball_test if exact else _ball_test)(poly.vertices, clip)
     for k, (tag, v0, v1) in enumerate(poly.edges()):
         if tag is BOX_TAG:
             continue
         if not ((v0 != v1) if exact else (math.sqrt(float(norm_sq(vsub(v1, v0)))) > tol)):
             continue
         j = (k + 1) % len(poly.vertices)
-        if clip is None or inside[k] or inside[j] or meets(k, j):
+        if inside[k] or inside[j] or meets(k, j):
             yield tag, (v0, v1)
 
 
@@ -543,16 +502,15 @@ def _polyhedron_facets(polyh, tol, exact, clip):
     vertex strictly inside the ball does at once.  The vertex table is
     taken in floats once."""
     fv = [as_floats(v) for v in polyh.vertices]
-    if clip is not None:
-        rel = [as_floats(vsub(v, clip.center)) for v in polyh.vertices] if any(clip.center) else fv
-        r2 = clip.radius**2
-        inside = [norm_sq(v) < r2 for v in rel]
+    rel = [as_floats(vsub(v, clip.center)) for v in polyh.vertices] if any(clip.center) else fv
+    r2 = clip.radius**2
+    inside = [norm_sq(v) < r2 for v in rel]
     for face in polyh.faces:
         if face.tag is BOX_TAG:
             continue
         if not clipping.face_area([fv[k] for k in face.ring]) > tol * tol:
             continue
-        if clip is None or any(inside[k] for k in face.ring) or clipping.face_min_norm_sq(
+        if any(inside[k] for k in face.ring) or clipping.face_min_norm_sq(
             [rel[k] for k in face.ring]
         ) < r2:
             yield face.tag, tuple(polyh.points(face))
@@ -578,14 +536,16 @@ def _polyhedron_vertices(polyh, i):
             yield point, frozenset(site_tags | {i})
 
 
-def build_complex(sites, clip: Ball | None = None) -> PowerComplex:
+def build_complex(sites, clip: Ball) -> PowerComplex:
     """Construct the power diagram of the given sites, restricted to the
-    open `clip` ball (the model ball for hyperbolic pipelines) if given."""
+    open `clip` ball (the model ball for hyperbolic pipelines)."""
     sites = list(sites)
     d = _check_sites(sites)
     n = len(sites)
-    if clip is not None and len(clip.center) != d:
+    if len(clip.center) != d:
         raise ArityMismatch("clip ball dimension does not match sites")
+    # the window is the clip ball's bounding cube: its walls lie outside the open ball
+    reach = clip.radius + max(abs(c) for c in clip.center)
     made = {}  # (i, j), i < j -> radical_hyperplane(sites[i], sites[j])
 
     def side(i, j):  # cell i's side of the (i, j) radical hyperplane
@@ -601,20 +561,16 @@ def build_complex(sites, clip: Ball | None = None) -> PowerComplex:
 
     if d not in (2, 3):
         cells = [ConvexCell(i, {j: side(i, j) for j in range(n) if j != i}, None, False) for i in range(n)]
-        return PowerComplex(d, sites, cells, set(), [], {}, clip, False)
+        return PowerComplex(d, sites, cells, set(), [], {}, clip, float(reach))
 
     exact = all(all_exact(s.center + (s.weight,)) for s in sites)
     # float sites: the table's rows are the cuts and the facets' halfspaces
     floats = all(isinstance(x, float) for s in sites for x in s.center + (s.weight,))
-    if clip is None:
-        reach = _box_halfwidth(sites, side, d)
-    else:  # the clip ball's bounding cube: its walls lie outside the open ball
-        reach = clip.radius + max(abs(c) for c in clip.center)
     hw = Fraction(reach) if exact else float(reach)
     halfwidth = float(hw)
     facet_tol = FACET_MEASURE_TOL * halfwidth
     merge_tol = VERTEX_MERGE_TOL * halfwidth
-    holders = locate(clip.center, sites)[1] if clip is not None else ()  # cells holding the centre
+    holders = locate(clip.center, sites)[1]  # cells holding the centre
     arrays = _site_arrays(sites, d)
     C = arrays[0]
 
@@ -672,11 +628,9 @@ def build_complex(sites, clip: Ball | None = None) -> PowerComplex:
     for i, j in sorted(adjacency):
         own[i][j], own[j][i] = own_side(i, j), own_side(j, i)
     cells = [
-        ConvexCell(i, own[i], shape, shape.empty or (clip is not None and i not in holders and not own[i]))
+        ConvexCell(i, own[i], shape, shape.empty or (i not in holders and not own[i]))
         for i, shape in enumerate(shapes)
     ]
     merged = clipping.merge_near(vertex_candidates, merge_tol)
     power_vertices = [PowerVertex(point, frozenset(sites)) for point, sites in merged if len(sites) >= d + 1]
-    return PowerComplex(
-        d, sites, cells, adjacency, power_vertices, facets, clip, True, halfwidth
-    )
+    return PowerComplex(d, sites, cells, adjacency, power_vertices, facets, clip, halfwidth)

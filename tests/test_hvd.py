@@ -277,13 +277,6 @@ def test_adjacency_is_the_delaunay_edges(raw, pairs):
     assert set(cx.facets) == set(dia.boundaries) == cx.adjacency
     for facet in cx.facets.values():  # every kept facet meets the open ball
         assert _segment_distance(*facet) < 1.0
-    if len(raw) < 20:
-        # the unclipped power diagram's facets that meet the open ball
-        sites = [power.klein_site_map(p, i) for i, p in enumerate(raw)]
-        full = power.build_complex(sites)
-        inside = {pair for pair, f in full.facets.items() if _segment_distance(*f) < 1.0}
-        assert inside == cx.adjacency
-        assert len(full.adjacency) > len(cx.adjacency)
 
 
 def test_wheel_all_bisectors_through_origin():
@@ -315,7 +308,8 @@ def test_dual_faces_are_the_power_vertices_strictly_inside_the_clip_ball(scalar)
     hubs = tuple((1, 0, 0) for _ in range(7))
 
     def faces(clip):
-        cx = power.PowerComplex(2, [], [], set(), vertices, {}, clip, True)
+        halfwidth = float(clip.radius + max(abs(c) for c in clip.center))
+        cx = power.PowerComplex(2, [], [], set(), vertices, {}, clip, halfwidth)
         dia = hvd.VoronoiDiagram(ModelTag.KLEIN, Curvature(-1), (), cx, {}, ROUTE_KLEIN, hubs)
         return sorted(tuple(sorted(f)) for f in dia.dual_faces)
 

@@ -35,6 +35,7 @@ from hypervoronoi.clipping import GridIndex
 from hypervoronoi.documents import diagram_to_document, dump_json
 from hypervoronoi.power import canonical_halfspace
 from hypervoronoi.sampling import ball_points, random_klein_points, rational_hemisphere_points
+from hypervoronoi.scalars import norm_sq
 
 from util import (
     LinearIndex,
@@ -91,9 +92,10 @@ def test_float_row_that_rounds_to_zero_names_the_pair():
     with pytest.raises(CoincidentSites, match=f"^{power.ROUNDS_TO_ZERO}$"):
         radical_hyperplane(sites[0], sites[1])
     mixed = sites[:2] + [W((Fraction(1, 2), Fraction(0)), Fraction(1, 3), 2)]
+    wide = [klein_site_map(s.center + (0.0, 0.0), i) for i, s in enumerate(sites)]
     named = f"^sites 0 and 1: {power.ROUNDS_TO_ZERO}$"
-    # the table; `side` sizing an unclipped window; `side` on mixed sites
-    for s, clip in ((sites, unit_ball(2)), (sites, None), (mixed, unit_ball(2))):
+    # the table; `side` on mixed sites; `side` on float sites, for d > 3
+    for s, clip in ((sites, unit_ball(2)), (mixed, unit_ball(2)), (wide, unit_ball(4))):
         with pytest.raises(CoincidentSites, match=named):
             build_complex(s, clip=clip)
 
@@ -373,7 +375,12 @@ def test_equal_center_site_loses_everywhere():
 
 def test_duplicate_sites_rejected():
     with pytest.raises(DuplicateSites):
-        build_complex([W((0, 0), 1, 0), W((0, 0), 1, 1)])
+        build_complex([W((0, 0), 1, 0), W((0, 0), 1, 1)], clip=unit_ball(2))
+
+
+def test_clip_ball_is_required():
+    with pytest.raises(TypeError):
+        build_complex([W((0, 0), 1, 0), W((1, 0), 1, 1)])
 
 
 def test_cells_win_power_minimization():
@@ -412,30 +419,34 @@ def test_translation_covariance():
     ]
     shift = (1.75, -0.6)
     moved = [W((s.center[0] + shift[0], s.center[1] + shift[1]), s.weight, i) for i, s in enumerate(sites)]
-    cx0 = build_complex(sites)
-    cx1 = build_complex(moved)
+    cx0 = build_complex(sites, clip=unit_ball(2))
+    cx1 = build_complex(moved, clip=Ball(shift, 1))
     assert cx0.adjacency == cx1.adjacency
-    v0 = {frozenset(v.sites): v.point for v in cx0.power_vertices}
-    v1 = {frozenset(v.sites): v.point for v in cx1.power_vertices}
-    assert set(v0) == set(v1)
+    assert [c.empty for c in cx0.cells] == [c.empty for c in cx1.cells]
+    v0 = {frozenset(v.sites): np.asarray(v.point, dtype=float) for v in cx0.power_vertices}
+    v1 = {frozenset(v.sites): np.asarray(v.point, dtype=float) for v in cx1.power_vertices}
+    # the window is the cube about the origin that holds the ball, so the
+    # shifted build's window holds the shifted first one
+    assert set(v0) <= set(v1)
     for key in v0:
-        assert np.allclose(
-            np.asarray([float(c) for c in v0[key]]) + np.asarray(shift),
-            np.asarray([float(c) for c in v1[key]]),
-            atol=1e-8,
-        )
+        assert np.allclose(v0[key] + shift, v1[key], atol=1e-8)
+    assert {key for key, v in v0.items() if v @ v < 1} == {
+        key for key, v in v1.items() if (v - shift) @ (v - shift) < 1
+    }
 
 
-def test_euler_relation_unclipped_general_position():
-    rng = np.random.default_rng(113)
-    for n in (4, 9, 17, 32):
-        pts = random_klein_points(n, seed=int(rng.integers(1, 10_000)))
-        sites = [klein_site_map(p, i) for i, p in enumerate(pts)]
-        cx = build_complex(sites)  # unclipped
-        V = len(cx.power_vertices)
-        E = len(cx.adjacency)
-        F = sum(1 for c in cx.cells if not c.empty) + 1  # plus the unbounded face
-        assert V - E + F == 2, (n, V, E, F)
+def test_euler_relation_clipped_general_position():
+    """The diagram clipped to the disk: each facet crossing the circle adds
+    one boundary vertex and one arc, so V - E + F = 1 counts only the
+    power vertices inside the disk, the adjacency and the non-empty cells."""
+    for n in (4, 9, 17, 32, 200):
+        for seed in range(1, 6):
+            sites = [klein_site_map(p, i) for i, p in enumerate(random_klein_points(n, seed=seed))]
+            cx = build_complex(sites, clip=unit_ball(2))
+            V = sum(1 for v in cx.power_vertices if norm_sq(v.point) < 1)
+            E = len(cx.adjacency)
+            F = sum(1 for c in cx.cells if not c.empty)
+            assert V - E + F == 1, (n, seed, V, E, F)
 
 
 def test_rational_mode_determinism():
@@ -492,7 +503,7 @@ def test_implicit_mode_high_dimension():
         W(tuple(rng.uniform(-1, 1, 5)), float(rng.uniform(-0.5, 0)), i)
         for i in range(12)
     ]
-    cx = build_complex(sites)
+    cx = build_complex(sites, clip=unit_ball(5))
     assert not cx.explicit
     assert all(len(c.halfspaces) == 11 for c in cx.cells)
 
@@ -540,36 +551,13 @@ def _window_fixtures(rng, d):
 def test_box_halfwidth_matches_scalar_loop(d):
     rng = np.random.default_rng(211 + d)
     for sites in _window_fixtures(rng, d):
-        # clipped: the clip ball's cube, and every cell inside it
+        # the clip ball's cube, and every cell inside it
         clip = Ball(tuple(rng.uniform(-0.1, 0.1, d)), 1)
         cx = build_complex(sites, clip=clip)
         assert cx.box_halfwidth == float(clip.radius + max(abs(c) for c in clip.center))
         for cell in cx.cells:
             for v in cell.shape.vertices:
                 assert max(abs(float(c)) for c in v) <= cx.box_halfwidth
-        # unclipped: every site centre, foot point and candidate vertex inside
-        cx = build_complex(sites)
-        need = [abs(float(c)) for s in sites for c in s.center]
-        planes = {
-            (i, j): radical_hyperplane(sites[i], sites[j])
-            for i in range(len(sites))
-            for j in range(i + 1, len(sites))
-        }
-        for hs in planes.values():
-            nf = [float(c) for c in hs.normal]
-            ln = math.sqrt(sum(c * c for c in nf))
-            if ln > 0:
-                need.append(abs(float(hs.offset)) / ln)
-        scale = max([1.0] + need)
-        if len(sites) <= d:  # no candidate vertex: the window is exactly this
-            assert cx.box_halfwidth == 2.0 * scale + 1.0
-        for combo in itertools.combinations(range(len(sites)), d + 1):
-            A = np.array([[float(c) for c in planes[combo[0], j].normal] for j in combo[1:]])
-            b = -np.array([float(planes[combo[0], j].offset) for j in combo[1:]])
-            if np.linalg.cond(A) < 1e8:
-                x = np.linalg.solve(A, b)
-                scale = max(scale, min(power.WINDOW_VERTEX_CAP, float(np.abs(x).max())))
-        assert cx.box_halfwidth >= (2.0 * scale + 1.0) * (1 - 1e-9)
 
 
 # --- filtered clipping against the plain sequential build ------------------------------

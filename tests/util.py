@@ -144,6 +144,112 @@ def reference_collinear_groups(kleins, tol):
     return out
 
 
+# --- the full power diagram from the lifted lower hull -------------------------
+
+class PowerHull:
+    """The full (unclipped) power diagram of `sites` from the lower convex
+    hull of the lifted points (c, |c|^2 - w) (Aurenhammer, "Power
+    diagrams", SIAM J. Comput. 16, 1987), taken with scipy's Qhull (Barber,
+    Dobkin and Huhdanpaa, ACM TOMS 22, 1996): a reference that shares no
+    code with `build_complex`.
+
+    `vertices` maps the site set of each lower facet (the simplices Qhull
+    triangulates one facet into, merged) to its power vertex; `pairs` holds
+    the pairs (i, j), i < j, whose cells share a facet: the lower hull's
+    edges, which lie on at least d facets (a diagonal inside a merged facet
+    lies on fewer).  Floats throughout, so for input in general position.
+    """
+
+    PLANE_TOL = 1e-9  # neighbouring simplices within this lie in one facet
+    TIE_TOL = 1e-9  # relative to max(1, |power|): a point ties the least power
+
+    def __init__(self, sites):
+        from scipy.spatial import ConvexHull
+
+        self.d = d = len(sites[0].center)
+        self.C = np.array([[float(c) for c in s.center] for s in sites])
+        self.W = np.array([float(s.weight) for s in sites])
+        self.H = (self.C * self.C).sum(axis=1) - self.W
+        hull = ConvexHull(np.column_stack((self.C, self.H)))
+        group = list(range(len(hull.simplices)))
+
+        def root(k):
+            while group[k] != k:
+                k = group[k]
+            return k
+
+        for k, near in enumerate(hull.neighbors.tolist()):
+            for m in near:
+                if np.abs(hull.equations[k] - hull.equations[m]).max() <= self.PLANE_TOL:
+                    group[root(k)] = root(m)
+        simplices = [sorted(s) for s in hull.simplices.tolist()]
+        roots = [root(k) for k in range(len(simplices))]
+        facets, around = {}, {}
+        for r, simplex in zip(roots, simplices):
+            facets.setdefault(r, set()).update(simplex)
+            for pair in itertools.combinations(simplex, 2):
+                around.setdefault(pair, set()).add(r)
+        self.lower = [s for s, eq in zip(simplices, hull.equations) if eq[d] < -self.PLANE_TOL]
+        lower_roots = {r for r, eq in zip(roots, hull.equations) if eq[d] < -self.PLANE_TOL}
+        origin = np.zeros(d)
+        self.vertices = {frozenset(facets[r]): self._tied(facets[r], origin) for r in lower_roots}
+        self.pairs = {
+            pair for s in self.lower for pair in itertools.combinations(s, 2) if len(around[pair]) >= d
+        }
+
+    def _tied(self, S, centre):
+        """The point closest to `centre` where the sites S have equal power."""
+        S = sorted(S)
+        A = 2 * (self.C[S[1:]] - self.C[S[0]])
+        b = self.H[S[1:]] - self.H[S[0]] - A @ centre
+        return centre + np.linalg.lstsq(A, b, rcond=None)[0]
+
+    def _in_face(self, x, S):
+        """Whether the sites S have the least power at x, within TIE_TOL."""
+        pw = ((self.C - x) ** 2).sum(axis=1) - self.W
+        return pw[sorted(S)].max() <= pw.min() + self.TIE_TOL * max(1.0, float(np.abs(pw).max()))
+
+    def vertices_inside(self, clip):
+        """{site set: power vertex} of the vertices strictly inside `clip`."""
+        c, r = np.array(clip.center, dtype=float), float(clip.radius)
+        return {S: v for S, v in self.vertices.items() if np.linalg.norm(v - c) < r}
+
+    def pairs_meeting(self, clip):
+        """The pairs whose facet comes closer to the clip centre than r.
+
+        A convex facet's closest point to the centre is the centre's
+        projection onto the span of one of its faces, lying in that face;
+        the faces are the duals of the lower hull's faces holding the pair,
+        which the lower simplices' vertex subsets cover.
+        """
+        c, r = np.array(clip.center, dtype=float), float(clip.radius)
+
+        def meets(S):
+            x = self._tied(S, c)
+            return np.linalg.norm(x - c) < r and self._in_face(x, S)
+
+        met = set()
+        for s in self.lower:
+            for pair in itertools.combinations(s, 2):
+                if pair in self.pairs and pair not in met:
+                    rest = [k for k in s if k not in pair]
+                    faces = (
+                        pair + extra for size in range(len(rest) + 1) for extra in itertools.combinations(rest, size)
+                    )
+                    if any(meets(S) for S in faces):
+                        met.add(pair)
+        return met
+
+    def faces_inside(self, clip):
+        """The Delaunay faces (site sets) whose power vertex lies inside
+        `clip`, and whether they make a triangulation: every face a
+        d-simplex, every pair meeting the ball an edge of a face."""
+        faces = set(self.vertices_inside(clip))
+        covered = {pair for f in faces for pair in itertools.combinations(sorted(f), 2)}
+        simplicial = all(len(f) == self.d + 1 for f in faces)
+        return faces, simplicial and self.pairs_meeting(clip) <= covered
+
+
 # --- the rational kernel the integer homogeneous one replaced -----------------
 # The clippers and the radical hyperplane as they were before exact cells
 # were cut on integer homogeneous vertices, kept verbatim: every step in
