@@ -29,7 +29,7 @@ from .models import (
     lorentz_inner,
     validate_point,
 )
-from .scalars import acosh_clamped, as_floats, dot, norm_sq, sqrt_scalar
+from .scalars import acosh_clamped, as_floats, dot, norm_sq, row_floats, sqrt_scalar
 
 CLASSIFY_TOL = 1e-12
 # Below this separation the sinh-based geodesic loses accuracy; fall back
@@ -80,7 +80,7 @@ class ImplicitSurface:
 
     def unit(self) -> "ImplicitSurface":
         """Float surface scaled to unit coefficient 2-norm, sign preserved."""
-        coeffs = as_floats(self.coefficients())
+        coeffs = row_floats(self.coefficients())
         scale = math.sqrt(sum(c * c for c in coeffs))
         return ImplicitSurface(
             coeffs[0] / scale,
@@ -96,7 +96,7 @@ def evaluate(s: ImplicitSurface, x) -> object:
 
 
 def classify(s: ImplicitSurface) -> SurfaceClass:
-    coeffs = as_floats(s.coefficients())
+    coeffs = row_floats(s.coefficients())
     bound = CLASSIFY_TOL * max(abs(c) for c in coeffs)
     lam, b = coeffs[0], coeffs[-1]
     if abs(lam) <= bound:
@@ -116,7 +116,7 @@ def classify(s: ImplicitSurface) -> SurfaceClass:
 
 def sphere_center_radius(s: ImplicitSurface) -> tuple[tuple, float]:
     """Center and radius of a SPHERE-classified surface (floats)."""
-    coeffs = as_floats(s.coefficients())
+    coeffs = row_floats(s.coefficients())
     lam, a, b = coeffs[0], coeffs[1:-1], coeffs[-1]
     center = tuple(-c / (2 * lam) for c in a)
     radius_sq = sum(c * c for c in center) - b / lam
@@ -223,32 +223,33 @@ def geodesic(p: ModelPoint, q: ModelPoint, t: float) -> ModelPoint:
 _TRANSPORT_TOL = 1e-9
 
 
-def _require_small(value, scale, what):
-    if abs(float(value)) > _TRANSPORT_TOL * scale:
-        raise UnsupportedPath(f"surface is not in the bisector family: {what}")
-
-
 def _to_klein_coeffs(s: ImplicitSurface) -> tuple[tuple, object]:
     """(a_K, b_K) of the Klein hyperplane with the same zero set."""
-    scale = max(abs(c) for c in as_floats(s.coefficients()))
+    lam_f, *a_f, b_f = coeffs = row_floats(s.coefficients())  # exact ones past the float range too
+    scale = max(map(abs, coeffs))
+
+    def require_small(value, what):
+        if abs(value) > _TRANSPORT_TOL * scale:
+            raise UnsupportedPath(f"surface is not in the bisector family: {what}")
+
     model = s.model
     if model is ModelTag.KLEIN:
-        _require_small(s.lam, scale, "Klein bisectors are hyperplanes")
+        require_small(lam_f, "Klein bisectors are hyperplanes")
         return s.a, s.b
     if model is ModelTag.POINCARE:
-        _require_small(s.lam - s.b, scale, "Poincare bisectors satisfy lam = b")
+        require_small(lam_f - b_f, "Poincare bisectors satisfy lam = b")
         return tuple(c / 2 for c in s.a), (s.lam + s.b) / 2
     if model is ModelTag.UPPER_HALF_SPACE:
-        _require_small(s.a[-1], scale, "upper bisectors have zero height coefficient")
+        require_small(a_f[-1], "upper bisectors have zero height coefficient")
         a = tuple(c / 2 for c in s.a[:-1]) + ((s.lam - s.b) / 2,)
         return a, (s.lam + s.b) / 2
     if model is ModelTag.HYPERBOLOID:
-        _require_small(s.lam, scale, "hyperboloid bisectors are linear")
-        _require_small(s.b, scale, "hyperboloid bisectors pass through the origin")
+        require_small(lam_f, "hyperboloid bisectors are linear")
+        require_small(b_f, "hyperboloid bisectors pass through the origin")
         return tuple(s.a[1:]), s.a[0]
     if model is ModelTag.HEMISPHERE:
-        _require_small(s.lam, scale, "hemisphere bisectors are vertical hyperplanes")
-        _require_small(s.a[0], scale, "hemisphere bisectors have zero x_0 coefficient")
+        require_small(lam_f, "hemisphere bisectors are vertical hyperplanes")
+        require_small(a_f[0], "hemisphere bisectors have zero x_0 coefficient")
         return tuple(s.a[1:]), s.b
     raise UnsupportedPath(f"unknown model {model}")  # pragma: no cover
 

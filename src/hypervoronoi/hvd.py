@@ -17,7 +17,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from .models import (
     distance,
 )
 from .power import PowerComplex, build_complex, unit_ball
-from .scalars import all_exact, as_floats, norm_sq, vsub
+from .scalars import as_floats, norm_sq, row_floats, vsub
 
 ROUTE_KLEIN = "klein"
 ROUTE_HEMISPHERE = "hemisphere"
@@ -367,26 +366,13 @@ def _collinear_groups(kleins, tol):
 # One core for `verify` on a built diagram and `check` on a stored document:
 # both supply (site, {neighbor: Halfspace}) cells and the sites' hub lifts.
 
-def _row_floats(hs) -> tuple:
-    """[normal | offset] as floats.  An exact row is first divided by a power
-    of two near its largest |coefficient|, so none leaves the float range;
-    the division is exact in floating point, so a row that converts without
-    it keeps its unit-normal form bit for bit."""
-    coeffs = hs.normal + (hs.offset,)
-    if not all_exact(coeffs):
-        return as_floats(coeffs)
-    e = max((c.numerator.bit_length() - c.denominator.bit_length() for c in coeffs if c), default=0)
-    return tuple(float(c / Fraction(2) ** e) for c in coeffs)
-
-
 def cell_matrices(cells, d: int) -> list:
-    """Per cell (site, A, b): halfspace rows in neighbor order, as floats,
-    scaled to unit normals (a zero normal is left unscaled)."""
+    """Per cell (site, A, b): halfspace rows in neighbor order, as
+    `row_floats`, scaled to unit normals (a zero normal is left unscaled)."""
     mats = []
     for site, halfspaces in cells:
-        rows = np.array(
-            [_row_floats(halfspaces[j]) for j in sorted(halfspaces)], dtype=float
-        ).reshape(-1, d + 1)
+        ordered = [halfspaces[j] for j in sorted(halfspaces)]
+        rows = np.array([row_floats(h.normal + (h.offset,)) for h in ordered], dtype=float).reshape(-1, d + 1)
         A, b = rows[:, :d], rows[:, d]
         norms = np.linalg.norm(A, axis=1)
         norms[norms == 0.0] = 1.0

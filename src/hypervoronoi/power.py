@@ -6,36 +6,38 @@ weighted sites through `klein_site_map` (algebraic: one square root per
 site), hemisphere points through `hemisphere_site_map` (rational).  The
 two maps agree under the vertical lift.
 
+A build has one arithmetic: exact sites (every centre coordinate and
+weight an int or a Fraction) are built exactly, any other site set as
+its sites' float64 images.  Every float row is a column of `_pair_rows`,
+made in numpy from the site arrays; every exact row is the primitive
+integer row made from two sites' `WeightedSite.integer_row`s.
+
 For d in {2, 3}, one loop over blocks of cells, with a small
 per-dimension table, cuts each cell from a window (the clip ball's
-bounding cube) with the exact clipper of `clipping`,
-nearest site centre first, as Voro++ does (Rycroft, Chaos 19, 041111,
-2009).  The cells of a block (at most BLOCK_PAIRS cell-candidate pairs,
-or one cell) advance in lockstep.  A block's pair rows are made once, in
-numpy, from the site arrays: each the unit-normal row of the pair's
-radical hyperplane (`_pair_rows`).  Each step, one float screen
-evaluates every remaining pair at its cell's vertices and drops those
-whose candidate provably contains the cell: such a cut would be a no-op
-now and at its turn, so the cells equal those of every cut, vertex for
-vertex.  Then each cell cuts by its nearest remaining candidate.
-On float sites the screen's row is the cut: it is bit for bit the row
-`radical_hyperplane` would make, the clipper gets its Python floats and
-its side values at the cell's vertices from the same numpy expression,
-and `Halfspace`s are made only for the facets that survive, from the
-same rows.  On other sites a radical hyperplane is made once, only for
-a cut that runs or a facet that survives.  On exact sites that
-hyperplane is a primitive integer row made from the two sites' integer
-rows (`WeightedSite.integer_row`), each cell is cut on integer
-homogeneous vertices (see `clipping`), the screen reads them as X / Z,
-and `Fraction`s are made once per vertex, when the cell's cuts end.
-Rings start at their least vertex, so no output depends on the cut
-order.  One predicate, "the facet comes closer to the clip centre than
-r" (d=2: exact, on the integers, on rational input), decides adjacency,
-facets, each cell's halfspaces (negated for a lower neighbour) and
-emptiness: a cell that misses the centre (the `locate` tie set) is empty
-without such a facet, since the window lies outside the open ball.
-Vertices of neighbouring cells merge into power vertices within a
-tolerance.  Other dimensions keep every cell's n-1 halfspaces.
+bounding cube: centre c, half-width r) with the exact clipper of
+`clipping`, nearest site centre first, as Voro++ does (Rycroft, Chaos
+19, 041111, 2009).  The cells of a block (at most BLOCK_PAIRS
+cell-candidate pairs, or one cell) advance in lockstep.  Each step, one
+float screen evaluates every remaining pair's row at its cell's vertices
+and drops those whose candidate provably contains the cell: such a cut
+would be a no-op now and at its turn, so the cells equal those of every
+cut, vertex for vertex.  Then each cell cuts by its nearest remaining
+candidate.  On float sites the screen's row is the cut: the clipper gets
+its Python floats and its side values at the cell's vertices from the
+same numpy expression, and `Halfspace`s are made only for the facets
+that survive, from the same rows.  On exact sites a radical hyperplane
+is made once, only for a cut that runs or a facet that survives, each
+cell is cut on integer homogeneous vertices (see `clipping`), the screen
+reads them as X / Z, and `Fraction`s are made once per vertex, when the
+cell's cuts end.  Rings start at their least vertex, so no output
+depends on the cut order.  One predicate, "the facet comes closer to the
+clip centre than r" (d=2: exact, on the integers, on rational input),
+decides adjacency, facets, each cell's halfspaces (negated for a lower
+neighbour) and emptiness: a cell that misses the centre (the `locate`
+tie set) is empty without such a facet, since the window lies outside
+the open ball.  Vertices of neighbouring cells merge into power vertices
+within a tolerance.  Other dimensions keep every cell's n-1 halfspaces:
+integer rows, or table columns made a block of cells at a time.
 """
 
 from __future__ import annotations
@@ -148,41 +150,15 @@ def power_distance(s: WeightedSite, x) -> object:
     return norm_sq(vsub(s.center, x)) - s.weight
 
 
-def canonical_halfspace(hs: Halfspace) -> Halfspace:
-    """Scale to unit normal (float) or primitive integer tuple (exact).
-
-    Scaling is always by a positive factor, so orientation survives.
-    """
-    coeffs = hs.normal + (hs.offset,)
-    if all_exact(coeffs):
-        fracs = [Fraction(c) for c in coeffs]
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // math.gcd(den, f.denominator)
-        ints = [int(f * den) for f in fracs]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, abs(v))
-        if g:
-            ints = [v // g for v in ints]
-        return Halfspace(tuple(ints[:-1]), ints[-1])
-    coeffs = as_floats(coeffs)
-    scale = math.sqrt(sum(c * c for c in coeffs[:-1]))
-    if scale == 0.0:
-        scale = abs(coeffs[-1])
-    if scale == 0.0:
-        raise CoincidentSites(ROUNDS_TO_ZERO)
-    return Halfspace(tuple(c / scale for c in coeffs[:-1]), coeffs[-1] / scale)
-
-
 def radical_hyperplane(s_i: WeightedSite, s_j: WeightedSite) -> Halfspace:
     """Locus of equal power distance, oriented so s_i's side is <= 0.
 
     Square-root free.  For equal centers with different weights the zero
     set is empty and the returned halfspace is the constant constraint
     (the smaller-power site wins everywhere).  Two exact sites give the
-    primitive integer row of `canonical_halfspace` from their integer
-    rows: the rational row times D_i D_j > 0, over its gcd.
+    primitive integer row from their integer rows: the rational row times
+    D_i D_j > 0, over its gcd.  Other sites give the unit-normal row of
+    their float64 images, the column `_pair_rows` makes for the pair.
     """
     if s_i.center == s_j.center and s_i.weight == s_j.weight:
         raise CoincidentSites("radical hyperplane of identical weighted sites")
@@ -192,9 +168,14 @@ def radical_hyperplane(s_i: WeightedSite, s_j: WeightedSite) -> Halfspace:
         row = [2 * (x_j * d_i - x_i * d_j) for x_i, x_j in zip(a_i, a_j)] + [b_i * d_j - b_j * d_i]
         g = math.gcd(*row)
         return Halfspace(tuple(c // g for c in row[:-1]), row[-1] // g)
-    normal = tuple(2 * (b - a) for a, b in zip(s_i.center, s_j.center))
-    offset = norm_sq(s_i.center) - norm_sq(s_j.center) + s_j.weight - s_i.weight
-    return canonical_halfspace(Halfspace(normal, offset))
+    d = len(s_i.center)
+    if len(s_j.center) != d:
+        raise ArityMismatch("sites have inconsistent dimensions")
+    try:
+        row = _pair_rows(_site_arrays([s_i, s_j], d), np.array([0]), np.array([1]), True)[:d + 1, 0].tolist()
+    except CoincidentSites:
+        raise CoincidentSites(ROUNDS_TO_ZERO) from None
+    return Halfspace(row[:d], row[d])
 
 
 def klein_site_map(p, origin_index: int = -1) -> WeightedSite:
@@ -301,14 +282,6 @@ def _check_sites(sites) -> int:
     return d
 
 
-def _floats(values, what: str) -> tuple:
-    """as_floats; a value beyond the float range is a domain error."""
-    try:
-        return as_floats(values)
-    except OverflowError as e:
-        raise DomainViolation(f"{what} out of float range: {e}") from e
-
-
 def _side_table(X, R):
     """<normal, x> + offset of each column of R at the vertices X, whose
     first axis is the coordinate and last the column, in `dot`'s operation
@@ -341,10 +314,14 @@ def _screen(R, V, counts):
 
 
 def _site_arrays(sites, d):
-    """Float site arrays for `_pair_rows`: centres C, |c|^2 (in
-    `radical_hyperplane`'s operation order), weights W, and per site
-    |c|_1 and |c|^2 + |w|, which bound a row and its rounding."""
-    S = np.array([_floats(s.center + (s.weight,), "site") for s in sites]).reshape(len(sites), d + 1)
+    """The sites' float64 images as arrays for `_pair_rows`: centres C,
+    |c|^2 (summed as `dot` sums), weights W, and per site |c|_1 and
+    |c|^2 + |w|, which bound a row and its rounding.  A site beyond the
+    float range is a domain error."""
+    try:
+        S = np.array([as_floats(s.center + (s.weight,)) for s in sites]).reshape(len(sites), d + 1)
+    except OverflowError as e:
+        raise DomainViolation(f"site out of float range: {e}") from e
     C, W = S[:, :d], S[:, d]
     with np.errstate(over="ignore", invalid="ignore"):
         N = sum(C[:, k] * C[:, k] for k in range(d))
@@ -356,13 +333,14 @@ def _pair_rows(arrays, home, tags, strict):
     [normal | offset] on home's side, then (s1, s0), which bound |normal|_1
     and |offset| and the rounding of each, all over the row's scale.
 
-    On float sites a row is bit for bit `side(home, tag)`: the (lo, hi) row
-    in `radical_hyperplane`'s operation order, scaled as
-    `canonical_halfspace` scales it (its squares summed from 0.0, as
-    Python's `sum` starts from 0; by |offset| when they are 0), negated
-    when home is the higher index.  With `strict` (float sites) a row that
-    rounds to zero raises; otherwise its column is left inf or nan, which
-    the screen never skips.
+    A row is (lo, hi)'s 2 (c_hi - c_lo), |c_lo|^2 - |c_hi|^2 + w_hi - w_lo,
+    divided by its normal's norm (its squares summed from 0.0, as Python's
+    `sum` starts from 0), or by |offset| when that is 0, and negated when
+    home is the higher index.  It is every non-exact row of the package:
+    `radical_hyperplane`'s on float sites, the cuts and halfspaces of a
+    build on them, and on exact sites the screen's estimate.  With
+    `strict` (non-exact sites) a row that rounds to zero raises;
+    otherwise its column is left inf or nan, which the screen never skips.
     """
     C, N, W, L1, P = arrays
     d = C.shape[1]
@@ -384,18 +362,18 @@ def _pair_rows(arrays, home, tags, strict):
     return R
 
 
-def _cut_block(shapes, cell, tags, R, halfspace, clip_fn, table_cuts=False):
+def _cut_block(shapes, cell, tags, R, halfspace, clip_fn):
     """Cut a block of cells in lockstep, each by the candidates that change it.
 
     Pair p is candidate tags[p] of shapes[cell[p]]; each cell's pairs are
     contiguous and in cut order.  R: one column per pair, as `_pair_rows`
-    makes it.  With `table_cuts` (float sites) a column is its cut: the
-    clipper gets its normal and offset and its side values at the cell's
-    vertices, the screen's `_side_table` over the cells cut at the step.
-    Otherwise halfspace(c, j) gives the exact halfspace, asked for when
-    j's cut of cell c runs.  Each step screens every live pair against
-    its cell's current vertices, then every cell with a live pair cuts by
-    its first; homogeneous vertices (the exact route) are read as X / Z.
+    makes it.  On affine (float) vertices a column is its cut: the clipper
+    gets its normal and offset and its side values at the cell's vertices,
+    the screen's `_side_table` over the cells cut at the step.  On integer
+    homogeneous vertices (the exact route), read as X / Z by the screen,
+    halfspace(c, j) gives the exact halfspace, asked for when j's cut of
+    cell c runs.  Each step screens every live pair against its cell's
+    current vertices, then every cell with a live pair cuts by its first.
     A pair is dropped for good once its float value is finite and below
     -CLIP_SKIP_TOL * (max|vertex coordinate| * s1 + s0) at every vertex of
     its cell: the exact clip would keep every vertex.  Returns the cut
@@ -410,7 +388,8 @@ def _cut_block(shapes, cell, tags, R, halfspace, clip_fn, table_cuts=False):
         starts = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
         counts = np.diff(np.r_[starts, len(cell)])
         verts = [shapes[c].vertices for c in cell[starts].tolist()]
-        if len(verts[0][0]) > d:  # homogeneous: X_k / Z, correctly rounded
+        homogeneous = len(verts[0][0]) > d
+        if homogeneous:  # X_k / Z, correctly rounded
             verts = [[tuple(x / v[-1] for x in v[:-1]) for v in vs] for vs in verts]
         slots = max(map(len, verts))  # pad with each cell's first vertex
         V = np.array([v + v[:1] * (slots - len(v)) for v in verts], dtype=float).T.copy()
@@ -425,17 +404,17 @@ def _cut_block(shapes, cell, tags, R, halfspace, clip_fn, table_cuts=False):
         held = cell[kept]
         first = kept[np.r_[True, held[1:] != held[:-1]]]  # each cell's next cut
         cuts = zip(cell[first].tolist(), ids[1, first].tolist())
-        if table_cuts:
+        if homogeneous:
+            for c, j in cuts:
+                hs = halfspace(c, j)
+                shapes[c] = clip_fn(shapes[c], hs.normal, hs.offset, j)
+                live[c] = not shapes[c].empty
+        else:
             at = np.repeat(np.arange(len(starts)), counts)[first]  # each cut's cell in V
             with np.errstate(over="ignore", invalid="ignore"):
                 vals = _side_table(V[:, :, at], R[:, first]).T.tolist()
             for (c, j), row, f in zip(cuts, R[:d + 1, first].T.tolist(), vals):
                 shapes[c] = clip_fn(shapes[c], row[:d], row[d], j, f[:len(shapes[c].vertices)])
-                live[c] = not shapes[c].empty
-        else:
-            for c, j in cuts:
-                hs = halfspace(c, j)
-                shapes[c] = clip_fn(shapes[c], hs.normal, hs.offset, j)
                 live[c] = not shapes[c].empty
         keep[first] = False
         keep &= live[cell]
@@ -536,42 +515,63 @@ def _polyhedron_vertices(polyh, i):
             yield point, frozenset(site_tags | {i})
 
 
+def _blocks(n):
+    """Cells 0..n-1 in blocks of at most BLOCK_PAIRS cell-candidate pairs,
+    or one cell."""
+    per_block = max(1, BLOCK_PAIRS // max(1, n - 1))
+    return (np.arange(start, min(n, start + per_block)) for start in range(0, n, per_block))
+
+
+def _table_halfspaces(arrays, n):
+    """Every cell's n - 1 halfspaces on non-exact sites, in ascending
+    neighbour order: the columns of `_pair_rows`, a block at a time."""
+    d = arrays[0].shape[1]
+    out = []
+    for block in _blocks(n):
+        others = np.tile(np.arange(n), (len(block), 1))
+        tags = others[others != block[:, None]]
+        rows = _pair_rows(arrays, np.repeat(block, n - 1), tags, True)[:d + 1].T.tolist()
+        pairs = [(j, Halfspace(r[:d], r[d])) for j, r in zip(tags.tolist(), rows)]
+        out.extend(dict(pairs[k:k + n - 1]) for k in range(0, len(pairs), n - 1))
+    return out
+
+
 def build_complex(sites, clip: Ball) -> PowerComplex:
     """Construct the power diagram of the given sites, restricted to the
-    open `clip` ball (the model ball for hyperbolic pipelines)."""
+    open `clip` ball (the model ball for hyperbolic pipelines).
+
+    Sites that are not all exact are built as their float64 images: the
+    result equals, but for `sites`, the build on those images."""
     sites = list(sites)
     d = _check_sites(sites)
     n = len(sites)
     if len(clip.center) != d:
         raise ArityMismatch("clip ball dimension does not match sites")
-    # the window is the clip ball's bounding cube: its walls lie outside the open ball
-    reach = clip.radius + max(abs(c) for c in clip.center)
-    made = {}  # (i, j), i < j -> radical_hyperplane(sites[i], sites[j])
+    exact = all(all_exact(s.center + (s.weight,)) for s in sites)
+    arrays = _site_arrays(sites, d)
+    # from here on one arithmetic: the exact sites, or the others' float64 images
+    images = zip(sites, arrays[0].tolist(), arrays[2].tolist())
+    work = sites if exact else [WeightedSite(tuple(c), w, s.origin_index) for s, c, w in images]
+    made = {}  # (i, j), i < j -> radical_hyperplane(work[i], work[j])
 
     def side(i, j):  # cell i's side of the (i, j) radical hyperplane
         key = (i, j) if i < j else (j, i)
-        hs = made.get(key)
-        if hs is None:
-            try:
-                hs = made[key] = radical_hyperplane(sites[key[0]], sites[key[1]])
-            except CoincidentSites as e:
-                raise CoincidentSites(f"sites {key[0]} and {key[1]}: {e}") from None
-            _floats(hs.normal + (hs.offset,), "radical hyperplane coefficient")
-        return hs if i < j else -hs
+        if key not in made:  # raises nothing: the sites are distinct, their table rows nonzero
+            made[key] = radical_hyperplane(work[key[0]], work[key[1]])
+        return made[key] if i < j else -made[key]
 
+    # the window is the clip ball's bounding cube: its walls lie outside the open ball
+    scalar = Fraction if exact else float
+    centre, r = tuple(map(scalar, clip.center)), scalar(clip.radius)
+    halfwidth = float(r)
     if d not in (2, 3):
-        cells = [ConvexCell(i, {j: side(i, j) for j in range(n) if j != i}, None, False) for i in range(n)]
-        return PowerComplex(d, sites, cells, set(), [], {}, clip, float(reach))
+        own = _table_halfspaces(arrays, n) if not exact else [
+            {j: side(i, j) for j in range(n) if j != i} for i in range(n)
+        ]
+        cells = [ConvexCell(i, own[i], None, False) for i in range(n)]
+        return PowerComplex(d, sites, cells, set(), [], {}, clip, halfwidth)
 
-    exact = all(all_exact(s.center + (s.weight,)) for s in sites)
-    # float sites: the table's rows are the cuts and the facets' halfspaces
-    floats = all(isinstance(x, float) for s in sites for x in s.center + (s.weight,))
-    hw = Fraction(reach) if exact else float(reach)
-    halfwidth = float(hw)
-    facet_tol = FACET_MEASURE_TOL * halfwidth
-    merge_tol = VERTEX_MERGE_TOL * halfwidth
-    holders = locate(clip.center, sites)[1]  # cells holding the centre
-    arrays = _site_arrays(sites, d)
+    holders = locate(clip.center, work)[1]  # cells holding the centre
     C = arrays[0]
 
     # per dimension: the window, its clipper, in-ball facets of positive
@@ -585,41 +585,38 @@ def build_complex(sites, clip: Ball) -> PowerComplex:
     facets = {}
     rows = {}  # float sites: (i, j) -> cell i's table row of its facet j
     vertex_candidates = []
-    window = box(hw)
-    if exact:  # cut on integer homogeneous vertices
-        window = replace(window, vertices=[clipping.to_homogeneous(v) for v in window.vertices])
-    per_block = max(1, BLOCK_PAIRS // max(1, n - 1))
-    for start in range(0, n, per_block):
-        block = np.arange(start, min(n, start + per_block))
+    window = box(r)  # about the centre; exact sites are cut on integer homogeneous vertices
+    corners = [tuple(a + b for a, b in zip(centre, v)) for v in window.vertices]
+    window = replace(window, vertices=[clipping.to_homogeneous(v) for v in corners] if exact else corners)
+    for block in _blocks(n):
+        start = int(block[0])
         cell = np.repeat(np.arange(len(block)), n - 1)
         with np.errstate(over="ignore", invalid="ignore"):
             dist = ((C[None, :, :] - C[block, None, :]) ** 2).sum(axis=2)
         order = np.argsort(dist, axis=1, kind="stable")  # nearest first
         tags = order[order != block[:, None]]
-        R = _pair_rows(arrays, cell + start, tags, floats)
-        cut = _cut_block(
-            [window] * len(block), cell, tags, R, lambda c, j: side(start + c, j), clip_fn, floats
-        )
+        R = _pair_rows(arrays, cell + start, tags, not exact)
+        cut = _cut_block([window] * len(block), cell, tags, R, lambda c, j: side(start + c, j), clip_fn)
         found = []  # (cell, neighbour) of each facet
         for i, shape in enumerate(cut, start):
             if exact:
                 shape = replace(shape, vertices=[clipping.to_affine(v) for v in shape.vertices])
             shape = shape.least_first()
-            for j, facet in cell_facets(shape, facet_tol, exact, clip):
+            for j, facet in cell_facets(shape, FACET_MEASURE_TOL * halfwidth, exact, clip):
                 key = (i, j) if i < j else (j, i)
                 adjacency.add(key)
                 facets.setdefault(key, facet)  # the lower cell's, if it has one
                 found.append((i, j))
             vertex_candidates.extend(cell_vertices(shape, i))
             shapes.append(shape)
-        if floats and found:
+        if not exact and found:
             column = np.empty((len(block), n), dtype=np.intp)  # (cell, neighbour) -> pair
             column[cell, tags] = np.arange(len(tags))
             at = np.array(found) - (start, 0)
             rows.update(zip(found, R[:d + 1, column[at[:, 0], at[:, 1]]].T.tolist()))
 
     def own_side(i, j):  # cell i's side of a facet's hyperplane
-        if not floats:
+        if exact:
             return side(i, j)
         row = rows.get((i, j)) or [-c for c in rows[j, i]]
         return Halfspace(row[:d], row[d])
@@ -631,6 +628,6 @@ def build_complex(sites, clip: Ball) -> PowerComplex:
         ConvexCell(i, own[i], shape, shape.empty or (i not in holders and not own[i]))
         for i, shape in enumerate(shapes)
     ]
-    merged = clipping.merge_near(vertex_candidates, merge_tol)
+    merged = clipping.merge_near(vertex_candidates, VERTEX_MERGE_TOL * halfwidth)
     power_vertices = [PowerVertex(point, frozenset(sites)) for point, sites in merged if len(sites) >= d + 1]
     return PowerComplex(d, sites, cells, adjacency, power_vertices, facets, clip, halfwidth)

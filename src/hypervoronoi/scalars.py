@@ -112,3 +112,17 @@ def vsub(u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
 
 def as_floats(u: Sequence[Scalar]) -> tuple[float, ...]:
     return tuple(float(a) for a in u)
+
+
+def row_floats(coeffs: Sequence[Scalar]) -> tuple[float, ...]:
+    """Projective coefficients as floats.  An exact tuple is first divided
+    by a power of two near its largest |coefficient|, so none leaves the
+    float range; the division is exact in floating point, so every ratio
+    of a tuple that converts without it stays bit for bit."""
+    if not all_exact(coeffs):
+        return as_floats(coeffs)
+    e = max((c.numerator.bit_length() - c.denominator.bit_length() for c in coeffs if c), default=0)
+    # n / (d 2^e) as one correctly rounded integer division, no Fraction made
+    if e >= 0:
+        return tuple(c.numerator / (c.denominator << e) for c in coeffs)
+    return tuple((c.numerator << -e) / c.denominator for c in coeffs)

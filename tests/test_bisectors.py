@@ -162,6 +162,21 @@ def test_midpoint_evaluates_to_zero():
 
 # --- classification ------------------------------------------------------------
 
+@pytest.mark.parametrize("scale", [1, 10**400], ids=["small", "past-the-range"])
+def test_exact_surfaces_past_the_float_range(scale):
+    """Exact coefficients are read as `row_floats`, divided by a power of
+    two, so a surface past the float range classifies, transports and
+    scales like the same surface with small coefficients."""
+    plane = ImplicitSurface(0, (3 * scale, 4 * scale), scale, ModelTag.KLEIN)  # 3x + 4y + 1 = 0
+    norm = math.sqrt(26.0)
+    assert plane.unit().coefficients() == pytest.approx((0, 3 / norm, 4 / norm, 1 / norm))
+    assert classify(plane) is SurfaceClass.HYPERPLANE
+    moved = transport_surface(plane, ModelTag.POINCARE)
+    assert classify(moved) is SurfaceClass.SPHERE
+    center, radius = sphere_center_radius(moved)
+    assert center == pytest.approx((-3.0, -4.0)) and radius == pytest.approx(math.sqrt(24.0))
+
+
 def test_classify_degenerate_sphere_raises():
     with pytest.raises(DegenerateSurface):
         classify(ImplicitSurface(1.0, (0.0, 0.0), 1.0, ModelTag.POINCARE))

@@ -150,33 +150,6 @@ def test_compute_domain_violation_exit_3(tmp_path, capsys):
     assert "\n" not in err.strip()
 
 
-def test_compute_coefficient_beyond_float_range_exit_3(tmp_path, capsys):
-    # t = (1/3**400, 0) lifts to an exact hemisphere point whose radical
-    # hyperplanes have integer coefficients far beyond the float range
-    def lift(t):
-        n2 = sum(c * c for c in t)
-        return [(1 - n2) / (1 + n2)] + [2 * c / (1 + n2) for c in t]
-
-    ts = [
-        (Fraction(1, 3**400), Fraction(0)),
-        (Fraction(1, 3), Fraction(1, 5)),
-        (Fraction(-1, 4), Fraction(1, 7)),
-    ]
-    doc = {
-        "dimension": 2,
-        "curvature": "-1/1",
-        "model": "hemisphere",
-        "scalar": "exact-rational",
-        "points": [[f"{c.numerator}/{c.denominator}" for c in lift(t)] for t in ts],
-    }
-    inp = tmp_path / "far.json"
-    inp.write_text(dump_json(doc))
-    assert main(["compute", str(inp), "--route", "hemisphere", "-o", "-"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: domain:")
-    assert "\n" not in err.strip()
-
-
 def test_compute_with_verification_section(tmp_path):
     inp = write_point_set(tmp_path / "p.json", random_klein_points(5, seed=6))
     out = tmp_path / "d.json"
@@ -857,21 +830,63 @@ def test_domain_error_line_is_bounded_for_a_huge_exact_residual(tmp_path, capsys
     assert "1.000e+100000" in err
 
 
-def test_exact_radical_rows_past_the_float_range_exit_3(tmp_path, capsys):
-    """Parameters with 150-digit denominators give radical hyperplane rows
-    whose integers leave the float range, which the transported bisectors
-    need (`bisectors._to_klein_coeffs`): a typed error, not a traceback."""
-    big = 10**150
-    pts = []
-    for k in range(1, 7):
-        t = (Fraction(big // k, 3 * big + 7 * k + 1), Fraction(big + k, 4 * big + 11 * k + 3))
-        n2 = sum(c * c for c in t)
-        pts.append([(1 - n2) / (1 + n2)] + [2 * c / (1 + n2) for c in t])
-    rows = [[f"{c.numerator}/{c.denominator}" for c in p] for p in pts]
+def _lift(t):
+    """The rational hemisphere point over the parameter t in the unit disk."""
+    n2 = sum(c * c for c in t)
+    return [(1 - n2) / (1 + n2)] + [2 * c / (1 + n2) for c in t]
+
+
+def _long_parameters(digits):
+    big = 10**digits
+    return [(Fraction(big // k, 3 * big + 7 * k + 1), Fraction(big + k, 4 * big + 11 * k + 3)) for k in range(1, 7)]
+
+
+@pytest.mark.parametrize(
+    "ts",
+    [
+        [(Fraction(1, 3**400), Fraction(0)), (Fraction(1, 3), Fraction(1, 5)), (Fraction(-1, 4), Fraction(1, 7))],
+        _long_parameters(80),
+        _long_parameters(150),
+    ],
+    ids=["tiny-parameter", "digits-80", "digits-150"],
+)
+def test_exact_rows_past_the_float_range_compute_check_render(tmp_path, capsys, ts):
+    """Parameters with a 3^-400 coordinate or 80- and 150-digit denominators
+    give radical hyperplane rows whose integers leave the float range.  The
+    exact route never needs them as floats: their float images are scaled
+    by a power of two (`scalars.row_floats`), so the diagram computes,
+    checks and renders in every model."""
+    rows = [[f"{c.numerator}/{c.denominator}" for c in _lift(t)] for t in ts]
     inp = write_point_set(tmp_path / "p.json", rows, "hemisphere", "exact-rational", "-1/1")
-    err = assert_domain_error(capsys, ["compute", str(inp), "--route", "hemisphere", "-o", str(tmp_path / "o.json")])
-    assert err.startswith("error: domain: radical hyperplane coefficient out of float range")
-    assert err.count("\n") == 1
+    out = tmp_path / "o.json"
+    assert main(["compute", str(inp), "--route", "hemisphere", "-o", str(out)]) == 0
+    cells = json.loads(out.read_text())["cells"]
+    assert max(abs(Fraction(c)) for cell in cells for hs in cell["halfspaces"] for c in hs["normal"]) > 10**308
+    assert main(["check", str(out), "--samples", "2000"]) == 0
+    for model in ("klein", "poincare", "upper-half-space"):
+        svg = tmp_path / f"{model}.svg"
+        assert main(["render", str(out), "--model", model, "-o", str(svg)]) == 0
+        ET.parse(svg)
+    assert "error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "route, d, n", [("hemisphere", 2, 40), ("klein", 2, 30), ("hemisphere", 3, 15), ("hemisphere", 4, 8)]
+)
+def test_float_documents_store_unit_normal_halfspaces(tmp_path, route, d, n):
+    """A float64 document may write some points as "p/q" strings; its
+    halfspaces are still the unit-normal rows of the float route (a zero
+    normal has offset +-1), never exact integer rows."""
+    pts = rational_hemisphere_points(n, d, seed=3)
+    rows = [[f"{c.numerator}/{c.denominator}" for c in p] if k % 2 else list(map(float, p)) for k, p in enumerate(pts)]
+    inp = write_point_set(tmp_path / "p.json", rows, "hemisphere", dim=d)
+    out = tmp_path / "o.json"
+    assert main(["compute", str(inp), "--route", route, "-o", str(out)]) == 0
+    halfspaces = [hs for cell in json.loads(out.read_text())["cells"] for hs in cell["halfspaces"]]
+    assert len(halfspaces) >= n
+    for hs in halfspaces:
+        norm = math.sqrt(sum(c * c for c in hs["normal"]))
+        assert abs(norm - 1) < 1e-12 or (norm == 0 and abs(hs["offset"]) == 1)
 
 
 def test_near_coincident_float_sites_exit_3(tmp_path, capsys):

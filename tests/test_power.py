@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -33,13 +34,13 @@ from hypervoronoi import (
 from hypervoronoi import clipping, power
 from hypervoronoi.clipping import GridIndex
 from hypervoronoi.documents import diagram_to_document, dump_json
-from hypervoronoi.power import canonical_halfspace
 from hypervoronoi.sampling import ball_points, random_klein_points, rational_hemisphere_points
 from hypervoronoi.scalars import norm_sq
 
 from util import (
     LinearIndex,
     assert_same_complex,
+    canonical_halfspace,
     plain_cut_block,
     random_klein_point,
     reference_complex,
@@ -93,9 +94,11 @@ def test_float_row_that_rounds_to_zero_names_the_pair():
         radical_hyperplane(sites[0], sites[1])
     mixed = sites[:2] + [W((Fraction(1, 2), Fraction(0)), Fraction(1, 3), 2)]
     wide = [klein_site_map(s.center + (0.0, 0.0), i) for i, s in enumerate(sites)]
+    # distinct sites, one exact, whose float64 images coincide
+    twins = [W((0.1, 0.2), -1.0, 0), W((Fraction(0.1) + Fraction(1, 10**40), Fraction(0.2)), -1, 1), sites[2]]
     named = f"^sites 0 and 1: {power.ROUNDS_TO_ZERO}$"
-    # the table; `side` on mixed sites; `side` on float sites, for d > 3
-    for s, clip in ((sites, unit_ball(2)), (mixed, unit_ball(2)), (wide, unit_ball(4))):
+    # the table, for cuts and facets and for d > 3's halfspaces
+    for s, clip in ((sites, unit_ball(2)), (mixed, unit_ball(2)), (wide, unit_ball(4)), (twins, unit_ball(2))):
         with pytest.raises(CoincidentSites, match=named):
             build_complex(s, clip=clip)
 
@@ -142,6 +145,21 @@ def test_integer_radical_rows_equal_the_rational_rows(d):
         assert all(type(c) is int for c in hs.normal + (hs.offset,))
         if s_i.center == s_j.center:  # the concentric pair's constant row
             assert hs.normal == (0,) * d and abs(hs.offset) == 1
+
+
+@pytest.mark.parametrize("d, n", [(2, 40), (3, 15), (4, 8)])
+def test_non_exact_build_is_the_build_on_float_images(d, n):
+    """Sites that are not all exact, here hemisphere sites of which every
+    other one is exact, are built as their float64 images: the same
+    complex but for `sites`, so unit-normal halfspaces throughout."""
+    for seed in range(3):
+        pts = rational_hemisphere_points(n, d, seed=seed)
+        pts = [p if k % 2 else tuple(map(float, p)) for k, p in enumerate(pts)]
+        sites = [hemisphere_site_map(p, i) for i, p in enumerate(pts)]
+        images = [W(tuple(map(float, s.center)), float(s.weight), s.origin_index) for s in sites]
+        cx = build_complex(sites, clip=unit_ball(d))
+        assert cx.sites == sites
+        assert_same_complex(replace(cx, sites=images), build_complex(images, clip=unit_ball(d)))
 
 
 def test_canonical_halfspace_float_unit_normal():
@@ -425,9 +443,8 @@ def test_translation_covariance():
     assert [c.empty for c in cx0.cells] == [c.empty for c in cx1.cells]
     v0 = {frozenset(v.sites): np.asarray(v.point, dtype=float) for v in cx0.power_vertices}
     v1 = {frozenset(v.sites): np.asarray(v.point, dtype=float) for v in cx1.power_vertices}
-    # the window is the cube about the origin that holds the ball, so the
-    # shifted build's window holds the shifted first one
-    assert set(v0) <= set(v1)
+    # the window is the ball's own cube, so it shifts with the ball
+    assert set(v0) == set(v1)
     for key in v0:
         assert np.allclose(v0[key] + shift, v1[key], atol=1e-8)
     assert {key for key, v in v0.items() if v @ v < 1} == {
@@ -551,18 +568,18 @@ def _window_fixtures(rng, d):
 def test_box_halfwidth_matches_scalar_loop(d):
     rng = np.random.default_rng(211 + d)
     for sites in _window_fixtures(rng, d):
-        # the clip ball's cube, and every cell inside it
+        # the clip ball's own cube, and every cell inside it (Chebyshev)
         clip = Ball(tuple(rng.uniform(-0.1, 0.1, d)), 1)
         cx = build_complex(sites, clip=clip)
-        assert cx.box_halfwidth == float(clip.radius + max(abs(c) for c in clip.center))
+        assert cx.box_halfwidth == float(clip.radius)
         for cell in cx.cells:
             for v in cell.shape.vertices:
-                assert max(abs(float(c)) for c in v) <= cx.box_halfwidth
+                assert max(abs(float(c) - float(o)) for c, o in zip(v, clip.center)) <= cx.box_halfwidth
 
 
 # --- filtered clipping against the plain sequential build ------------------------------
 
-def _reversed_cut_block(shapes, cell, tags, R, halfspace, clip_fn, table_cuts=False):
+def _reversed_cut_block(shapes, cell, tags, R, halfspace, clip_fn):
     """Every candidate, farthest first."""
     return plain_cut_block(shapes, cell[::-1], tags[::-1], R, halfspace, clip_fn)
 
@@ -726,10 +743,17 @@ def test_exact_route_cuts_integer_homogeneous_vertices(monkeypatch, d, n):
     assert all(isinstance(c, Fraction) for cell in dia.complex.cells for v in cell.shape.vertices for c in v)
 
 
+def _integer_box(h):
+    """The square [-h, h]^2 on integer homogeneous vertices: the exact
+    route's window, whose cuts `_cut_block` asks `halfspace` for."""
+    box = clipping.box_polygon(h)
+    return replace(box, vertices=[clipping.to_homogeneous(v) for v in box.vertices])
+
+
 def test_clip_screen_keeps_non_finite_candidates():
     # huge exact coefficients can float to inf or nan: such a row is never skipped
-    hs = Halfspace((1, 0), Fraction(-1, 2))
-    box = clipping.box_polygon(Fraction(2))
+    hs = Halfspace((2, 0), -1)
+    box = _integer_box(2)
     want = clipping.clip_polygon(box, hs.normal, hs.offset, 7)
     for bad in ([math.inf, 0.0, -0.5], [math.nan, 0.0, 0.0], [1e308, 1e308, 0.0], [0.0, 0.0, -math.inf]):
         for scale in ([1.0, 0.5], [math.inf, math.inf]):
@@ -747,9 +771,9 @@ def test_clip_screen_skips_only_containing_halfspaces():
         calls.append(tag)
         return clipping.clip_polygon(shape, normal, offset, tag)
 
-    far = Halfspace((1, 0), -10.0)  # x <= 10 contains the box
-    cut = Halfspace((1, 0), -0.5)  # x <= 0.5 cuts it
-    gone = Halfspace((1, 0), 10.0)  # x <= -10 misses it
+    far = Halfspace((1, 0), -10)  # x <= 10 contains the box
+    cut = Halfspace((2, 0), -1)  # x <= 1/2 cuts it
+    gone = Halfspace((1, 0), 10)  # x <= -10 misses it
     planes = (far, cut, gone)
     made = []
 
@@ -761,11 +785,11 @@ def test_clip_screen_skips_only_containing_halfspaces():
     cell, tags = np.array([0, 0, 1, 1, 2, 2]), np.array([0, 1, 1, 0, 2, 1])
     rows = np.array([[*planes[j].normal, planes[j].offset] for j in tags], dtype=float)
     R = np.vstack((rows.T, np.abs(rows[:, :-1]).sum(axis=1), np.abs(rows[:, -1])))
-    box = clipping.box_polygon(2.0)
+    box = _integer_box(2)
     got = power._cut_block([box] * 3, cell, tags, R, halfspace, counting_clip)
     assert calls == [1, 1, 2]  # each cell's first live pair, in lockstep
     assert made == [(0, 1), (1, 1), (2, 2)]  # skipped candidates are never asked for
-    half = clipping.clip_polygon(box, (1, 0), -0.5, 1)
+    half = clipping.clip_polygon(box, (2, 0), -1, 1)
     assert got[:2] == [half, half]
     assert got[2].empty  # an empty cell cuts no more
 

@@ -1,4 +1,5 @@
-"""README's "Tolerances" table against the package's named constants."""
+"""README's "Tolerances" table against the package's named constants, and
+its library example."""
 
 import ast
 import re
@@ -35,3 +36,11 @@ def test_every_tolerance_row_names_a_constant_of_its_module():
 def test_every_named_tolerance_has_a_row():
     tolerances = {(name, module) for name, module in module_constants() if name.endswith("_TOL")}
     assert tolerances <= tolerance_rows()
+
+
+def test_library_example_runs():
+    """README's `python` block, executed as it stands."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, flags=re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from hypervoronoi import ModelPoint, ModelTag, build_complex, clipping, convert,
 from hypervoronoi.clipping import Face, Polygon, Polyhedron
 from hypervoronoi.errors import CoincidentSites
 from hypervoronoi.hvd import COLLINEAR_MIN_SPAN
-from hypervoronoi.power import Halfspace, WeightedSite, canonical_halfspace
-from hypervoronoi.scalars import dot, norm_sq
+from hypervoronoi.power import ROUNDS_TO_ZERO, Halfspace, WeightedSite
+from hypervoronoi.scalars import all_exact, as_floats, dot, norm_sq
 
 ALL_MODELS = (
     ModelTag.KLEIN,
@@ -90,10 +91,10 @@ class LinearIndex:
         return len(self.points) - 1
 
 
-def plain_cut_block(shapes, cell, tags, R, halfspace, clip_fn, table_cuts=False):
+def plain_cut_block(shapes, cell, tags, R, halfspace, clip_fn):
     """Reference for `power._cut_block`: every candidate of every cell in
     the given (nearest-first) order, one cell after the other, no screen,
-    each cut by its Python row `halfspace(c, j)`, also on float sites."""
+    each cut by `halfspace(c, j)`, also on float sites."""
     shapes = list(shapes)
     for c, j in zip(cell.tolist(), tags.tolist()):
         hs = halfspace(c, j)
@@ -102,9 +103,12 @@ def plain_cut_block(shapes, cell, tags, R, halfspace, clip_fn, table_cuts=False)
 
 
 def reference_complex(sites, clip):
-    """build_complex with the window-then-every-candidate loop and linear merges."""
+    """build_complex with the window-then-every-candidate loop, linear
+    merges and the Python radical hyperplanes, so float cells are cut by
+    Python rows, not by the pair table's columns."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(power, "_cut_block", plain_cut_block)
+        m.setattr(power, "radical_hyperplane", reference_radical_hyperplane)
         m.setattr(clipping, "GridIndex", LinearIndex)
         return build_complex(sites, clip=clip)
 
@@ -362,6 +366,33 @@ def fraction_clip_polyhedron(poly: Polyhedron, normal, offset, tag) -> Polyhedro
     return Polyhedron(
         [points[k] for k in used], [Face(f.tag, [index[k] for k in f.ring]) for f in faces]
     )
+
+
+def canonical_halfspace(hs: Halfspace) -> Halfspace:
+    """Scale to unit normal (float) or primitive integer tuple (exact).
+
+    Scaling is always by a positive factor, so orientation survives.
+    """
+    coeffs = hs.normal + (hs.offset,)
+    if all_exact(coeffs):
+        fracs = [Fraction(c) for c in coeffs]
+        den = 1
+        for f in fracs:
+            den = den * f.denominator // math.gcd(den, f.denominator)
+        ints = [int(f * den) for f in fracs]
+        g = 0
+        for v in ints:
+            g = math.gcd(g, abs(v))
+        if g:
+            ints = [v // g for v in ints]
+        return Halfspace(tuple(ints[:-1]), ints[-1])
+    coeffs = as_floats(coeffs)
+    scale = math.sqrt(sum(c * c for c in coeffs[:-1]))
+    if scale == 0.0:
+        scale = abs(coeffs[-1])
+    if scale == 0.0:
+        raise CoincidentSites(ROUNDS_TO_ZERO)
+    return Halfspace(tuple(c / scale for c in coeffs[:-1]), coeffs[-1] / scale)
 
 
 def reference_radical_hyperplane(s_i: WeightedSite, s_j: WeightedSite) -> Halfspace:
