@@ -16,8 +16,6 @@ from .bisectors import (
     transport_surface,
 )
 from .conversions import (
-    ConversionPath,
-    conversion_path,
     convert,
     drop_to_klein,
     lift_to_hemisphere,

@@ -12,7 +12,6 @@ those paths stay exact on rational input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainViolation, ExactArithmeticUnavailable, ModelMismatch, NumericalUnderflow
@@ -100,48 +99,6 @@ _FROM_HUB = {
     ModelTag.HEMISPHERE: lambda x: tuple(x),
     ModelTag.HYPERBOLOID: _hub_to_hyperboloid,
 }
-
-
-# Step labels of `conversion_path`, per model: (model -> Klein, Klein ->
-# model).  A label names a half-step through the lift, not a function of
-# its own; looking a label up on this module (`__getattr__`) gives the
-# composition it names, so a path's steps can be run in order.
-_PRIMITIVE_NAMES = {
-    ModelTag.KLEIN: ("lift_to_hemisphere", "drop_to_klein"),
-    ModelTag.POINCARE: ("poincare_to_klein", "klein_to_poincare"),
-    ModelTag.UPPER_HALF_SPACE: ("upper_to_klein", "klein_to_upper"),
-    ModelTag.HEMISPHERE: ("drop_to_klein", "lift_to_hemisphere"),
-    ModelTag.HYPERBOLOID: ("hyperboloid_to_klein", "klein_to_hyperboloid"),
-}
-
-
-def __getattr__(name):
-    for model, (to_klein, from_klein) in _PRIMITIVE_NAMES.items():
-        if name == to_klein:
-            return lambda x: drop_to_klein(_TO_HUB[model](x))
-        if name == from_klein:
-            return lambda x: _FROM_HUB[model](lift_to_hemisphere(x))
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-@dataclass(frozen=True)
-class ConversionPath:
-    """Description of how a conversion factors through Klein coordinates."""
-
-    source: ModelTag
-    target: ModelTag
-    steps: tuple[str, ...]
-
-
-def conversion_path(source: ModelTag, target: ModelTag) -> ConversionPath:
-    if source is target:
-        return ConversionPath(source, target, ())
-    steps = []
-    if source is not ModelTag.KLEIN:
-        steps.append(_PRIMITIVE_NAMES[source][0])
-    if target is not ModelTag.KLEIN:
-        steps.append(_PRIMITIVE_NAMES[target][1])
-    return ConversionPath(source, target, tuple(steps))
 
 
 def square_root_free(source: ModelTag, target: ModelTag) -> bool:

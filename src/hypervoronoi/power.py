@@ -12,32 +12,35 @@ its sites' float64 images.  Every float row is a column of `_pair_rows`,
 made in numpy from the site arrays; every exact row is the primitive
 integer row made from two sites' `WeightedSite.integer_row`s.
 
-For d in {2, 3}, one loop over blocks of cells, with a small
-per-dimension table, cuts each cell from a window (the clip ball's
-bounding cube: centre c, half-width r) with the exact clipper of
-`clipping`, nearest site centre first, as Voro++ does (Rycroft, Chaos
-19, 041111, 2009).  The cells of a block (at most BLOCK_PAIRS
-cell-candidate pairs, or one cell) advance in lockstep.  Each step, one
-float screen evaluates every remaining pair's row at its cell's vertices
-and drops those whose candidate provably contains the cell: such a cut
-would be a no-op now and at its turn, so the cells equal those of every
-cut, vertex for vertex.  Then each cell cuts by its nearest remaining
-candidate.  On float sites the screen's row is the cut: the clipper gets
-its Python floats and its side values at the cell's vertices from the
-same numpy expression, and `Halfspace`s are made only for the facets
-that survive, from the same rows.  On exact sites a radical hyperplane
-is made once, only for a cut that runs or a facet that survives, each
-cell is cut on integer homogeneous vertices (see `clipping`), the screen
-reads them as X / Z, and `Fraction`s are made once per vertex, when the
-cell's cuts end.  Rings start at their least vertex, so no output
-depends on the cut order.  One predicate, "the facet comes closer to the
-clip centre than r" (d=2: exact, on the integers, on rational input),
-decides adjacency, facets, each cell's halfspaces (negated for a lower
-neighbour) and emptiness: a cell that misses the centre (the `locate`
-tie set) is empty without such a facet, since the window lies outside
-the open ball.  Vertices of neighbouring cells merge into power vertices
-within a tolerance.  Other dimensions keep every cell's n-1 halfspaces:
-integer rows, or table columns made a block of cells at a time.
+For d in {2, 3}, `build_complex` runs in four stages.
+1. Cut: one loop over blocks of cells, with a small per-dimension
+   table, cuts each cell from a window (the clip ball's bounding cube:
+   centre c, half-width r) with the exact clipper of `clipping`, nearest
+   site centre first, as Voro++ does (Rycroft, Chaos 19, 041111, 2009).
+   The cells of a block (at most BLOCK_PAIRS cell-candidate pairs, or
+   one cell) advance in lockstep.  Each step, one float screen evaluates
+   every remaining pair's row at its cell's vertices and drops those
+   whose candidate provably contains the cell: such a cut would be a
+   no-op now and at its turn, so the cells equal those of every cut,
+   vertex for vertex.  Then each cell cuts by its nearest remaining
+   candidate.  On float sites the screen's row is the cut.  On exact
+   sites a radical hyperplane is made once, only for a cut that runs or
+   a facet that survives, each cell is cut on integer homogeneous
+   vertices (see `clipping`), the screen reads them as X / Z, and
+   `Fraction`s are made once per vertex, when the cell's cuts end.
+2. Facets: one pass over the finished cells, their rings started at
+   their least vertex (no output depends on the cut order), reads the
+   vertex candidates and the facets that come closer to the clip centre
+   than r (d=2: exact, on the integers, on rational input).  The facets'
+   keys are the adjacency.
+3. Halfspaces: `_halfspaces` gives each facet's lower cell its row and
+   the higher cell the negation; a float row is its cut's `_pair_rows`
+   column, bit for bit.  A cell that misses the centre (the `locate` tie
+   set) is empty without a facet, since the window lies outside the
+   open ball.
+4. Merge: vertices of neighbouring cells merge into power vertices
+   within a tolerance.
+Other dimensions keep every cell's n-1 halfspaces, from `_halfspaces`.
 """
 
 from __future__ import annotations
@@ -255,11 +258,15 @@ class PowerComplex:
     dimension: int
     sites: list
     cells: list
-    adjacency: set  # {(i, j), i < j} whose shared facet meets the open clip ball
     power_vertices: list
-    facets: dict  # (i, j) -> facet geometry: segment (d=2) or polygon (d=3)
+    facets: dict  # (i, j), i < j -> facet geometry: segment (d=2) or polygon (d=3)
     clip: Ball
-    box_halfwidth: float
+
+    @property
+    def adjacency(self) -> set:
+        """{(i, j), i < j} whose shared facet meets the open clip ball: the
+        keys of `facets`."""
+        return set(self.facets)
 
     @property
     def explicit(self) -> bool:
@@ -317,11 +324,14 @@ def _site_arrays(sites, d):
     """The sites' float64 images as arrays for `_pair_rows`: centres C,
     |c|^2 (summed as `dot` sums), weights W, and per site |c|_1 and
     |c|^2 + |w|, which bound a row and its rounding.  A site beyond the
-    float range is a domain error."""
+    float range (its image overflows, or is inf or nan) is a domain error."""
     try:
         S = np.array([as_floats(s.center + (s.weight,)) for s in sites]).reshape(len(sites), d + 1)
     except OverflowError as e:
         raise DomainViolation(f"site out of float range: {e}") from e
+    bad = np.flatnonzero(~np.isfinite(S).all(axis=1))
+    if len(bad):
+        raise DomainViolation(f"site {bad[0]} is out of float range")
     C, W = S[:, :d], S[:, d]
     with np.errstate(over="ignore", invalid="ignore"):
         N = sum(C[:, k] * C[:, k] for k in range(d))
@@ -522,18 +532,24 @@ def _blocks(n):
     return (np.arange(start, min(n, start + per_block)) for start in range(0, n, per_block))
 
 
-def _table_halfspaces(arrays, n):
-    """Every cell's n - 1 halfspaces on non-exact sites, in ascending
-    neighbour order: the columns of `_pair_rows`, a block at a time."""
+def _halfspaces(pairs, n, arrays, side=None):
+    """Every cell's halfspaces, {neighbour: Halfspace} in ascending
+    neighbour order, for the sorted pairs (i, j), i < j: cell i gets the
+    exact row side(i, j) on exact sites, or else the pair's `_pair_rows`
+    column, made BLOCK_PAIRS pairs at a time; cell j gets its negation."""
     d = arrays[0].shape[1]
-    out = []
-    for block in _blocks(n):
-        others = np.tile(np.arange(n), (len(block), 1))
-        tags = others[others != block[:, None]]
-        rows = _pair_rows(arrays, np.repeat(block, n - 1), tags, True)[:d + 1].T.tolist()
-        pairs = [(j, Halfspace(r[:d], r[d])) for j, r in zip(tags.tolist(), rows)]
-        out.extend(dict(pairs[k:k + n - 1]) for k in range(0, len(pairs), n - 1))
-    return out
+    own = [{} for _ in range(n)]
+    for start in range(0, len(pairs), BLOCK_PAIRS):
+        part = pairs[start:start + BLOCK_PAIRS]
+        if side is None:
+            home, tags = np.array(part, dtype=np.intp).T
+            rows = _pair_rows(arrays, home, tags, True)[:d + 1].T.tolist()
+            made = [Halfspace(r[:d], r[d]) for r in rows]
+        else:
+            made = [side(i, j) for i, j in part]
+        for (i, j), hs in zip(part, made):
+            own[i][j], own[j][i] = hs, -hs
+    return own
 
 
 def build_complex(sites, clip: Ball) -> PowerComplex:
@@ -541,7 +557,10 @@ def build_complex(sites, clip: Ball) -> PowerComplex:
     open `clip` ball (the model ball for hyperbolic pipelines).
 
     Sites that are not all exact are built as their float64 images: the
-    result equals, but for `sites`, the build on those images."""
+    result equals, but for `sites`, the build on those images.  For d in
+    {2, 3} it runs in four stages: cut every cell, read the finished
+    cells' facets and vertex candidates, make the facets' halfspaces,
+    merge the vertices.  Other dimensions make every pair's halfspaces."""
     sites = list(sites)
     d = _check_sites(sites)
     n = len(sites)
@@ -560,74 +579,60 @@ def build_complex(sites, clip: Ball) -> PowerComplex:
             made[key] = radical_hyperplane(work[key[0]], work[key[1]])
         return made[key] if i < j else -made[key]
 
+    exact_side = side if exact else None
+    if d not in (2, 3):
+        own = _halfspaces([(i, j) for i in range(n) for j in range(i + 1, n)], n, arrays, exact_side)
+        cells = [ConvexCell(i, own[i], None, False) for i in range(n)]
+        return PowerComplex(d, sites, cells, [], {}, clip)
+
     # the window is the clip ball's bounding cube: its walls lie outside the open ball
     scalar = Fraction if exact else float
     centre, r = tuple(map(scalar, clip.center)), scalar(clip.radius)
-    halfwidth = float(r)
-    if d not in (2, 3):
-        own = _table_halfspaces(arrays, n) if not exact else [
-            {j: side(i, j) for j in range(n) if j != i} for i in range(n)
-        ]
-        cells = [ConvexCell(i, own[i], None, False) for i in range(n)]
-        return PowerComplex(d, sites, cells, set(), [], {}, clip, halfwidth)
-
-    holders = locate(clip.center, work)[1]  # cells holding the centre
-    C = arrays[0]
-
     # per dimension: the window, its clipper, in-ball facets of positive
     # measure, vertex site sets
     box, clip_fn, cell_facets, cell_vertices = {
         2: (clipping.box_polygon, clipping.clip_polygon, _polygon_facets, _polygon_vertices),
         3: (clipping.box_polyhedron, clipping.clip_polyhedron, _polyhedron_facets, _polyhedron_vertices),
     }[d]
-    shapes = []
-    adjacency = set()
-    facets = {}
-    rows = {}  # float sites: (i, j) -> cell i's table row of its facet j
-    vertex_candidates = []
     window = box(r)  # about the centre; exact sites are cut on integer homogeneous vertices
     corners = [tuple(a + b for a, b in zip(centre, v)) for v in window.vertices]
     window = replace(window, vertices=[clipping.to_homogeneous(v) for v in corners] if exact else corners)
+
+    # 1. cut every cell, a block of cells at a time, nearest centre first
+    C = arrays[0]
+    shapes = []
     for block in _blocks(n):
         start = int(block[0])
         cell = np.repeat(np.arange(len(block)), n - 1)
         with np.errstate(over="ignore", invalid="ignore"):
             dist = ((C[None, :, :] - C[block, None, :]) ** 2).sum(axis=2)
-        order = np.argsort(dist, axis=1, kind="stable")  # nearest first
+        order = np.argsort(dist, axis=1, kind="stable")
         tags = order[order != block[:, None]]
         R = _pair_rows(arrays, cell + start, tags, not exact)
-        cut = _cut_block([window] * len(block), cell, tags, R, lambda c, j: side(start + c, j), clip_fn)
-        found = []  # (cell, neighbour) of each facet
-        for i, shape in enumerate(cut, start):
-            if exact:
-                shape = replace(shape, vertices=[clipping.to_affine(v) for v in shape.vertices])
-            shape = shape.least_first()
-            for j, facet in cell_facets(shape, FACET_MEASURE_TOL * halfwidth, exact, clip):
-                key = (i, j) if i < j else (j, i)
-                adjacency.add(key)
-                facets.setdefault(key, facet)  # the lower cell's, if it has one
-                found.append((i, j))
-            vertex_candidates.extend(cell_vertices(shape, i))
-            shapes.append(shape)
-        if not exact and found:
-            column = np.empty((len(block), n), dtype=np.intp)  # (cell, neighbour) -> pair
-            column[cell, tags] = np.arange(len(tags))
-            at = np.array(found) - (start, 0)
-            rows.update(zip(found, R[:d + 1, column[at[:, 0], at[:, 1]]].T.tolist()))
+        shapes += _cut_block([window] * len(block), cell, tags, R, lambda c, j: side(start + c, j), clip_fn)
 
-    def own_side(i, j):  # cell i's side of a facet's hyperplane
+    # 2. the finished cells' facets (the lower cell's, if it has one) and vertex candidates
+    facets = {}
+    vertex_candidates = []
+    tol = FACET_MEASURE_TOL * float(r)
+    for i, shape in enumerate(shapes):
         if exact:
-            return side(i, j)
-        row = rows.get((i, j)) or [-c for c in rows[j, i]]
-        return Halfspace(row[:d], row[d])
+            shape = replace(shape, vertices=[clipping.to_affine(v) for v in shape.vertices])
+        shapes[i] = shape = shape.least_first()
+        for j, facet in cell_facets(shape, tol, exact, clip):
+            facets.setdefault((i, j) if i < j else (j, i), facet)
+        vertex_candidates.extend(cell_vertices(shape, i))
 
-    own = [{} for _ in range(n)]  # in ascending neighbour order
-    for i, j in sorted(adjacency):
-        own[i][j], own[j][i] = own_side(i, j), own_side(j, i)
+    # 3. the facets' halfspaces; a cell that misses the centre (the `locate`
+    # tie set) is empty without one, since the window lies outside the open ball
+    own = _halfspaces(sorted(facets), n, arrays, exact_side)
+    holders = locate(clip.center, work)[1]
     cells = [
         ConvexCell(i, own[i], shape, shape.empty or (i not in holders and not own[i]))
         for i, shape in enumerate(shapes)
     ]
-    merged = clipping.merge_near(vertex_candidates, VERTEX_MERGE_TOL * halfwidth)
+
+    # 4. merge the vertices of neighbouring cells into power vertices
+    merged = clipping.merge_near(vertex_candidates, VERTEX_MERGE_TOL * float(r))
     power_vertices = [PowerVertex(point, frozenset(sites)) for point, sites in merged if len(sites) >= d + 1]
-    return PowerComplex(d, sites, cells, adjacency, power_vertices, facets, clip, halfwidth)
+    return PowerComplex(d, sites, cells, power_vertices, facets, clip)

@@ -919,6 +919,20 @@ def test_point_past_the_float_range_exit_3(tmp_path, capsys, command, model, sca
     assert_domain_error(capsys, [command, str(inp), *extra, "-o", str(tmp_path / "o.json")])
 
 
+@pytest.mark.parametrize("command", ["compute", "check", "delaunay"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_site_weight_past_the_float_range_exit_3(tmp_path, capsys, d, command):
+    """A hemisphere point with x_0 = 1e-160 has a finite lift but a site
+    weight |c|^2 - 1/x_0 that overflows float64: a typed error naming the
+    site, not an IndexError from `locate` or nan halfspaces."""
+    far = [1e-160] + [0.0] * (d - 1) + [1.0]
+    pts = [far, [0.6, 0.8] + [0.0] * (d - 1)]
+    inp = write_point_set(tmp_path / "p.json", pts, model="hemisphere", dim=d)
+    extra = ["--samples", "100"] if command == "check" else ["-o", str(tmp_path / "o.json")]
+    err = assert_domain_error(capsys, [command, str(inp), "--route", "hemisphere", *extra])
+    assert err == "error: domain: site 0 is out of float range\n"
+
+
 @pytest.mark.parametrize("value", ["x", None, [1.0], {"r": 1}, True])
 @pytest.mark.parametrize("command", ["check", "render"])
 def test_non_numeric_clip_radius_exit_2(tmp_path, capsys, command, value):

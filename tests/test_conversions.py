@@ -4,13 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import hypervoronoi.conversions as conv
 from hypervoronoi import (
     ExactArithmeticUnavailable,
     ModelPoint,
     ModelTag,
     NumericalUnderflow,
-    conversion_path,
     convert,
     distance,
     drop_to_klein,
@@ -102,19 +100,6 @@ def test_hub_consistency_direct_equals_via_klein():
                 direct = convert(p, dst)
                 hubbed = convert(convert(p, ModelTag.KLEIN), dst)
                 assert direct.coords == pytest.approx(hubbed.coords, abs=1e-12)
-
-
-def test_conversion_path_factors_through_klein():
-    path = conversion_path(ModelTag.POINCARE, ModelTag.HYPERBOLOID)
-    assert path.steps == ("poincare_to_klein", "klein_to_hyperboloid")
-    assert conversion_path(ModelTag.KLEIN, ModelTag.KLEIN).steps == ()
-    # executing the named steps reproduces convert()
-    p = ModelPoint(ModelTag.POINCARE, (0.3, -0.2))
-    coords = p.coords
-    for step in path.steps:
-        coords = getattr(conv, step)(coords)
-    expected = convert(p, ModelTag.HYPERBOLOID).coords
-    assert tuple(float(c) for c in coords) == pytest.approx(expected, abs=1e-14)
 
 
 def test_square_root_free_paths():

@@ -15,7 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from hypervoronoi import cli, documents, hvd  # noqa: E402
+from hypervoronoi import ModelPoint, ModelTag, cli, clipping, documents, hvd, power  # noqa: E402
 from hypervoronoi.documents import dump_json  # noqa: E402
 from hypervoronoi.sampling import random_klein_points, rational_hemisphere_points  # noqa: E402
 
@@ -176,11 +176,26 @@ def test_cli_documents_match_json_dumps(tmp_path, monkeypatch, name, argv):
         (documents, "diagram_to_document"),
         (hvd, "detect_degeneracies"),
         (hvd, "delaunay"),
+        (power, "build_complex"),
+        (power, "radical_hyperplane"),
+        (power, "klein_site_map"),
+        (power, "hemisphere_site_map"),
+        (clipping, "clip_polygon"),
+        (clipping, "clip_polyhedron"),
+        (cli, "_check_stored_diagram"),
     ],
 )
 def test_benchmark_spans_still_name_module_functions(module, name):
-    """The traced benchmark times encoding, Delaunay extraction and the
-    degeneracy scan by wrapping these module-level functions; a stage whose
-    function moved would drop out of its per-layer metrics unnoticed."""
+    """The traced benchmark times encoding, Delaunay extraction, the
+    degeneracy scan, the site maps, the power build, clipping and the
+    stored-diagram check by wrapping these module-level functions; a stage
+    whose function moved would drop out of its per-layer metrics unnoticed."""
     fn = getattr(module, name, None)
     assert callable(fn) and fn.__module__ == module.__name__
+
+
+def test_benchmark_observer_reads_adjacency():
+    """The traced benchmark counts `len(dia.complex.adjacency)` after each
+    `voronoi`: the facets' key set."""
+    dia = hvd.voronoi([ModelPoint(ModelTag.KLEIN, p) for p in random_klein_points(8, seed=3)])
+    assert len(dia.complex.adjacency) > 0 and dia.complex.adjacency == set(dia.complex.facets)

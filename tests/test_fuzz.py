@@ -1,8 +1,8 @@
 """Hypothesis tests.
 
-Mutated point-set and diagram documents, and exact inputs at the edges
-of the number range, go through the CLI: every run must end in an exit
-code of 0-5 (typed errors print one `error: <kind>: ...` line); no
+Mutated point-set and diagram documents, and exact and float64 inputs at
+the edges of the number range, go through the CLI: every run must end in
+an exit code of 0-5 (typed errors print one `error: <kind>: ...` line); no
 exception may escape `cli.main`.  Random small site sets go through the
 screened lockstep build and the plain every-candidate build, which must
 agree, and through `voronoi`, whose Delaunay faces must be made of its
@@ -283,6 +283,62 @@ def test_exact_compute_survives_range_edge_numbers(tmp_path, capsys, doc):
     assert code == 0 or (code in range(2, 6) and err.startswith("error: ") and err.count("\n") == 1), (code, err)
     assert len(err) < 200  # exact values are quoted in a bounded form
     assert "radical hyperplane coefficient" not in err  # exact rows never need the float range
+
+
+def _log_uniform(lo, hi):
+    """Positive floats from 10^lo to 10^hi, even in the exponent, and its ends."""
+    return st.sampled_from([10.0**lo, 10.0**hi]) | st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _float_range_edge_documents(draw):
+    """float64 point sets (d = 2 to 4) with range-edge points among ordinary
+    ones: hemisphere x_0 from 1e-150 down to the least subnormal,
+    upper half-space heights from 1e-300 to 1e300, hyperboloid x_0 up to
+    1e300."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    model = draw(st.sampled_from(["hemisphere", "upper-half-space", "hyperboloid"]))
+    unit = st.lists(st.floats(-1, 1), min_size=d, max_size=d).filter(lambda u: math.hypot(*u) > 0.1)
+    pts = []
+    for _ in range(draw(st.integers(1, 4))):
+        edge = draw(st.booleans())
+        u = draw(unit)
+        if model == "hemisphere":  # x_0 and a point of the sphere over it
+            x0 = draw(st.sampled_from([5e-324]) | _log_uniform(-323, -150)) if edge else draw(st.floats(0.05, 1))
+            s = math.sqrt((1 - x0) * (1 + x0)) / math.hypot(*u)
+            pts.append([x0] + [c * s for c in u])
+        elif model == "upper-half-space":
+            h = draw(_log_uniform(-300, 300) if edge else st.floats(0.1, 10))
+            pts.append([c * 3 for c in u[1:]] + [h])
+        else:  # x_0 and a point of the sheet under it
+            x0 = draw(_log_uniform(0, 300) if edge else st.floats(1, 10))
+            s = math.sqrt(x0 - 1) * math.sqrt(x0 + 1) / math.hypot(*u)
+            pts.append([x0] + [c * s for c in u])
+    return {"dimension": d, "model": model, "points": pts}
+
+
+@settings(
+    max_examples=25,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(_float_range_edge_documents())
+def test_float_commands_survive_range_edge_numbers(tmp_path, capsys, doc):
+    """No traceback on either route: a result, a verification verdict, or
+    one typed error line."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for command, extra in [
+        ("compute", ["-o", str(tmp_path / "out.json")]),
+        ("check", ["--samples", "50"]),
+        ("delaunay", ["-o", str(tmp_path / "out.json")]),
+    ]:
+        for route in ("klein", "hemisphere"):
+            code = main([command, str(path), "--route", route, *extra])
+            err = capsys.readouterr().err
+            ok = code in (0, 1) or (code in range(2, 6) and err.startswith("error: ") and err.count("\n") == 1)
+            assert ok, (command, route, code, err)
 
 
 @st.composite

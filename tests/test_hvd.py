@@ -308,8 +308,7 @@ def test_dual_faces_are_the_power_vertices_strictly_inside_the_clip_ball(scalar)
     hubs = tuple((1, 0, 0) for _ in range(7))
 
     def faces(clip):
-        halfwidth = float(clip.radius + max(abs(c) for c in clip.center))
-        cx = power.PowerComplex(2, [], [], set(), vertices, {}, clip, halfwidth)
+        cx = power.PowerComplex(2, [], [], vertices, {}, clip)
         dia = hvd.VoronoiDiagram(ModelTag.KLEIN, Curvature(-1), (), cx, {}, ROUTE_KLEIN, hubs)
         return sorted(tuple(sorted(f)) for f in dia.dual_faces)
 

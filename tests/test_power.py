@@ -548,6 +548,29 @@ def test_cell_halfspaces_are_radical_hyperplanes(d, n):
     assert cx.explicit == (d in (2, 3))
 
 
+@pytest.mark.parametrize("cap", [power.BLOCK_PAIRS, 1, 7])
+@pytest.mark.parametrize("scalar", ["float", "exact"])
+@pytest.mark.parametrize("d, n", [(4, 9), (5, 7)])
+def test_high_dimension_halfspaces_pair_up(monkeypatch, d, n, scalar, cap):
+    """Above d = 3 every cell keeps n - 1 halfspaces keyed by plain ints,
+    ascending; cell i's for j > i is the pair's radical hyperplane, bit for
+    bit, and cell j's for i its negation, whatever the slice size."""
+    pts = rational_hemisphere_points(n, d, seed=31)
+    if scalar == "float":
+        pts = [tuple(map(float, p)) for p in pts]
+    sites = [hemisphere_site_map(p, i) for i, p in enumerate(pts)]
+    monkeypatch.setattr(power, "BLOCK_PAIRS", cap)
+    cx = build_complex(sites, clip=unit_ball(d))
+    for cell in cx.cells:
+        i = cell.site_index
+        assert list(cell.halfspaces) == [j for j in range(n) if j != i]
+        assert all(type(j) is int for j in cell.halfspaces)
+        for j, hs in cell.halfspaces.items():
+            if i < j:
+                assert repr(hs) == repr(radical_hyperplane(sites[i], sites[j]))
+            assert repr(cx.cells[j].halfspaces[i]) == repr(-hs)
+
+
 def _window_fixtures(rng, d):
     """Sites whose heavy weights put the foot points far outside the ball."""
     for trial in range(12):
@@ -566,15 +589,15 @@ def _window_fixtures(rng, d):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_box_halfwidth_matches_scalar_loop(d):
+    """The window is the clip ball's own cube: every cell vertex lies
+    within r of the centre in the Chebyshev norm."""
     rng = np.random.default_rng(211 + d)
     for sites in _window_fixtures(rng, d):
-        # the clip ball's own cube, and every cell inside it (Chebyshev)
         clip = Ball(tuple(rng.uniform(-0.1, 0.1, d)), 1)
         cx = build_complex(sites, clip=clip)
-        assert cx.box_halfwidth == float(clip.radius)
         for cell in cx.cells:
             for v in cell.shape.vertices:
-                assert max(abs(float(c) - float(o)) for c, o in zip(v, clip.center)) <= cx.box_halfwidth
+                assert max(abs(float(c) - float(o)) for c, o in zip(v, clip.center)) <= float(clip.radius)
 
 
 # --- filtered clipping against the plain sequential build ------------------------------
@@ -625,7 +648,7 @@ def test_filtered_build_equals_plain_build(d, scalar, fixture):
     assert_same_complex(cx, ref)
     if fixture == "one":  # no candidate: the cell keeps its box
         box = clipping.box_polygon if d == 2 else clipping.box_polyhedron
-        assert cx.cells[0].shape == box(cx.box_halfwidth)
+        assert cx.cells[0].shape == box(1)
 
 
 @pytest.mark.parametrize("fixture", sorted(EQUIVALENCE_FIXTURES))
