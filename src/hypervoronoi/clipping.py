@@ -56,6 +56,11 @@ class Polygon:
         for k in range(m):
             yield self.tags[k], self.vertices[k], self.vertices[(k + 1) % m]
 
+    def compact(self) -> Polygon:
+        """The polygon itself: its ring holds no dead vertex (see
+        `Polyhedron.compact`)."""
+        return self
+
     def least_first(self) -> Polygon:
         """The same polygon, its ring starting at its least vertex."""
         k = self.vertices.index(min(self.vertices)) if self.vertices else 0
@@ -96,29 +101,26 @@ def _homogeneous_cut_point(v0, v1, f0, f1):
     return tuple(c // g for c in w)
 
 
-def _side_values(verts, normal, offset, vals=None):
-    """Each vertex's side value and the crossing function of the cut.
-    `vals`, given for affine vertices, are those side values, computed by
-    the caller as `dot(normal, v) + offset` computes them."""
-    if len(verts[0]) > len(normal):  # homogeneous, on the exact route
+def _side_values(verts, normal, offset):
+    """Each vertex's side value and the crossing function of the cut.  A
+    polyhedron's dead vertices (None, see `clip_polyhedron`) read 0."""
+    live = verts[0] if verts[0] is not None else next(v for v in verts if v is not None)
+    if len(live) > len(normal):  # homogeneous, on the exact route
         row = (*normal, offset)
-        return [sum(map(mul, row, v)) for v in verts], _homogeneous_cut_point
-    if vals is None:
-        vals = [dot(normal, v) + offset for v in verts]
-    return vals, _cut_point
+        return [0 if v is None else sum(map(mul, row, v)) for v in verts], _homogeneous_cut_point
+    return [0.0 if v is None else dot(normal, v) + offset for v in verts], _cut_point
 
 
-def clip_polygon(poly: Polygon, normal, offset, tag, vals=None) -> Polygon:
+def clip_polygon(poly: Polygon, normal, offset, tag) -> Polygon:
     """Keep the side <normal, x> + offset <= 0; new edges get `tag`.
 
     One Sutherland-Hodgman step.  The zero-length edges a grazing cut
-    leaves are dropped, keeping the later vertex and its tag.  `vals`:
-    the vertices' side values, if the caller has them (`_side_values`).
+    leaves are dropped, keeping the later vertex and its tag.
     """
     if poly.empty:
         return poly
     verts, tags = poly.vertices, poly.tags
-    vals, cut_point = _side_values(verts, normal, offset, vals)
+    vals, cut_point = _side_values(verts, normal, offset)
     out_v, out_t = [], []
     for v0, v1, f0, f1, t in zip(verts, verts[1:] + verts[:1], vals, vals[1:] + vals[:1], tags):
         if f0 <= 0:
@@ -166,7 +168,9 @@ class Polyhedron:
     """Convex polyhedron: one point table and faces of indices into it.
 
     Every ring runs clockwise seen from outside, so each edge lies on two
-    faces, once in each direction.
+    faces, once in each direction.  Every vertex a face uses lies on at
+    least three faces.  A vertex no face uses any more is None in the
+    table (dead) until `compact` takes it out.
     """
 
     vertices: list
@@ -178,6 +182,17 @@ class Polyhedron:
 
     def points(self, face: Face) -> list:
         return [self.vertices[k] for k in face.ring]
+
+    def compact(self) -> Polyhedron:
+        """The same polyhedron, its dead vertices taken out of the table;
+        the others keep their order."""
+        if None not in self.vertices:
+            return self
+        used = [k for k, v in enumerate(self.vertices) if v is not None]
+        index = dict(zip(used, range(len(used))))
+        return Polyhedron(
+            [self.vertices[k] for k in used], [Face(f.tag, [index[k] for k in f.ring]) for f in self.faces]
+        )
 
     def least_first(self) -> Polyhedron:
         """The same polyhedron, each ring starting at its least vertex."""
@@ -208,15 +223,26 @@ def clip_polyhedron(poly: Polyhedron, normal, offset, tag, vals=None) -> Polyhed
     entry point: a vertex on the plane, or the crossing of the edge to the
     outside vertex, made once per edge from its kept end.  The clipped
     face runs exit -> entry along the plane, so the cut face runs each
-    such edge entry -> exit, and chaining them gives its ring.  `vals`:
-    the vertices' side values, if the caller has them (`_side_values`).
+    such edge entry -> exit, and chaining them gives its ring.  A face
+    with no outside vertex is kept as it is.  The outside vertices die
+    (None) in place and the crossings are appended, so a cell's table,
+    compacted once when its cuts end, is the table that compacting after
+    every cut would give.  `vals`: the side values of affine vertices, if
+    the caller has them, as `dot(normal, v) + offset` computes them; at a
+    dead vertex, a value not positive or one a live vertex has.
     """
     if poly.empty:
         return poly
-    vals, cut_point = _side_values(poly.vertices, normal, offset, vals)
-    if not any(f > 0 for f in vals):
+    if vals is None:
+        vals, cut_point = _side_values(poly.vertices, normal, offset)
+    else:
+        cut_point = _cut_point
+    outside = [k for k, f in enumerate(vals) if not f <= 0]
+    if not any(vals[k] > 0 for k in outside):
         return poly
+    gone = set(outside)
     points = list(poly.vertices)
+    old = len(points)
     crossings = {}  # (kept, outside) vertex indices -> the crossing point's index
 
     def meet(a, b):
@@ -229,10 +255,14 @@ def clip_polyhedron(poly: Polyhedron, normal, offset, tag, vals=None) -> Polyhed
             points.append(cut_point(points[a], points[b], vals[a], vals[b]))
         return k
 
-    faces = []
+    faces, changed = [], []
+    dropped = False  # whether a ring with a kept vertex went
     chain = {}  # entry -> exit of each clipped face's edge along the plane
     for face in poly.faces:
         ring = face.ring
+        if gone.isdisjoint(ring):
+            faces.append(face)
+            continue
         kept = []
         exit_k = first_entry = None
         for a, b in zip(ring, ring[1:] + ring[:1]):
@@ -253,7 +283,10 @@ def clip_polyhedron(poly: Polyhedron, normal, offset, tag, vals=None) -> Polyhed
         if first_entry is not None and first_entry != exit_k:
             chain[first_entry] = exit_k
         if len(kept) >= 3:
-            faces.append(Face(face.tag, kept))
+            changed.append(Face(face.tag, kept))
+            faces.append(changed[-1])
+        else:
+            dropped = dropped or bool(kept)
     while chain:
         k = next(iter(chain))
         ring = []
@@ -261,22 +294,30 @@ def clip_polyhedron(poly: Polyhedron, normal, offset, tag, vals=None) -> Polyhed
             ring.append(k)
             k = chain.pop(k)
         if len(ring) >= 3:
-            faces.append(Face(tag, ring))
-    # On float input a cut through a ~1e-16 edge can leave a vertex on two
-    # faces only, on the line they share: it leaves both rings, and a face
-    # left with fewer than three vertices goes.
-    on = Counter(k for face in faces for k in face.ring)
-    while thin := {k for k, count in on.items() if count < 3}:
-        rings = ((f.tag, [k for k in f.ring if k not in thin]) for f in faces)
-        faces = [Face(t, ring) for t, ring in rings if len(ring) >= 3]
+            changed.append(Face(tag, ring))
+            faces.append(changed[-1])
+        else:
+            dropped = dropped or bool(ring)
+    # Unless a ring with a kept vertex went, a kept vertex stays on all its
+    # faces, so only a crossing can lie on fewer than three.  On float input
+    # a cut through a ~1e-16 edge can leave a vertex on two faces only, on
+    # the line they share: it leaves both rings, and a face left with fewer
+    # than three vertices goes.
+    on = Counter(itertools.chain.from_iterable(face.ring for face in changed))
+    if dropped or any(on[k] < 3 for k in range(old, len(points))):
         on = Counter(k for face in faces for k in face.ring)
+        while thin := {k for k, count in on.items() if count < 3}:
+            rings = ((f.tag, [k for k in f.ring if k not in thin]) for f in faces)
+            faces = [Face(t, ring) for t, ring in rings if len(ring) >= 3]
+            on = Counter(k for face in faces for k in face.ring)
+        dead = (k for k in range(len(points)) if k not in on)
+    else:
+        dead = outside
     if len(faces) < 4:
         return Polyhedron([], [])
-    used = sorted(on)
-    index = {k: m for m, k in enumerate(used)}
-    return Polyhedron(
-        [points[k] for k in used], [Face(f.tag, [index[k] for k in f.ring]) for f in faces]
-    )
+    for k in dead:
+        points[k] = None
+    return Polyhedron(points, faces)
 
 
 def _newell_normal(fv) -> list:

@@ -37,7 +37,7 @@ from .models import (
     distance,
 )
 from .power import PowerComplex, build_complex, unit_ball
-from .scalars import as_floats, norm_sq, row_floats, vsub
+from .scalars import as_floats, norm_sq, row_floats, sqrt_scalar, vsub
 
 ROUTE_KLEIN = "klein"
 ROUTE_HEMISPHERE = "hemisphere"
@@ -155,6 +155,8 @@ def voronoi(points, route: str = ROUTE_KLEIN) -> VoronoiDiagram:
     hubs = [hub_coords(p) for p in points]
     if route == ROUTE_KLEIN:
         sites = [power.klein_site_map(h[1:], i) for i, h in enumerate(hubs)]
+        # the oracle's lifts are those of the Klein coordinates the build uses
+        hubs = [(sqrt_scalar(1 - norm_sq(h[1:])),) + tuple(h[1:]) for h in hubs]
     else:
         sites = [power.hemisphere_site_map(h, i) for i, h in enumerate(hubs)]
     d = points[0].dim

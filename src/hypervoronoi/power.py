@@ -15,19 +15,26 @@ integer row made from two sites' `WeightedSite.integer_row`s.
 For d in {2, 3}, `build_complex` runs in four stages.
 1. Cut: one loop over blocks of cells, with a small per-dimension
    table, cuts each cell from a window (the clip ball's bounding cube:
-   centre c, half-width r) with the exact clipper of `clipping`, nearest
-   site centre first, as Voro++ does (Rycroft, Chaos 19, 041111, 2009).
-   The cells of a block (at most BLOCK_PAIRS cell-candidate pairs, or
-   one cell) advance in lockstep.  Each step, one float screen evaluates
-   every remaining pair's row at its cell's vertices and drops those
-   whose candidate provably contains the cell: such a cut would be a
-   no-op now and at its turn, so the cells equal those of every cut,
-   vertex for vertex.  Then each cell cuts by its nearest remaining
-   candidate.  On float sites the screen's row is the cut.  On exact
-   sites a radical hyperplane is made once, only for a cut that runs or
-   a facet that survives, each cell is cut on integer homogeneous
-   vertices (see `clipping`), the screen reads them as X / Z, and
-   `Fraction`s are made once per vertex, when the cell's cuts end.
+   centre c, half-width r), nearest site centre first, as Voro++ does
+   (Rycroft, Chaos 19, 041111, 2009).  A cell is first fed its k nearest
+   other centres (NEAREST_FEED; a block holds at most BLOCK_PAIRS such
+   pairs, or one cell).  The cells of a block advance in lockstep.  Each
+   step, one float screen evaluates every remaining pair's row at its
+   cell's vertices and drops those whose candidate provably contains the
+   cell: such a cut would be a no-op now and at its turn, so the cells
+   equal those of every cut, vertex for vertex.  Then each cell cuts by
+   its nearest remaining candidate.  Once the first candidates are spent,
+   one query on a kd-tree over the lifted sites (c_j, |c_j|^2 - w_j)
+   (Aurenhammer, SIAM J. Comput. 16, 1987) feeds each cell, nearest
+   first, every other site the screen would keep (`_LiftedTree`), and
+   the lockstep runs again.  On float sites the screen's row is the cut:
+   float polygons are cut in numpy (`_Rings`), with the IEEE operations
+   of `clipping.clip_polygon`; polyhedra by `clipping.clip_polyhedron`.
+   On exact sites a radical hyperplane is made once, only for a cut that
+   runs or a facet that survives, each cell is cut on integer
+   homogeneous vertices (see `clipping`), the screen reads them as X / Z,
+   made once per vertex, and `Fraction`s are made once per vertex, when
+   the cell's cuts end.
 2. Facets: one pass over the finished cells, their rings started at
    their least vertex (no output depends on the cut order), reads the
    vertex candidates and the facets that come closer to the clip centre
@@ -47,6 +54,7 @@ from __future__ import annotations
 
 import functools
 import math
+from itertools import chain
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -70,13 +78,16 @@ KLEIN_WEIGHT_SIGN_THRESHOLD = 4.0 * (math.sqrt(5.0) - 2.0)
 TIE_TOL = 1e-12
 FACET_MEASURE_TOL = 1e-10
 VERTEX_MERGE_TOL = 1e-12
-# Relative margin of the float screen in `_cut_block`.  It only decides
+# Relative margin of the float screen in `_lockstep`.  It only decides
 # which provable no-op cuts are skipped, never the geometry: a hyperplane
 # within the margin of the cell is cut with exactly, as before.
 CLIP_SKIP_TOL = 1e-9
 # Most (cell, candidate) pairs one block of cells screens in lockstep, so
 # the screen's temporaries stay this size whatever the number of sites.
 BLOCK_PAIRS = 1 << 13
+# Per dimension, how many nearest other centres a cell is fed before its
+# lifted query (see `_Feed`): enough that the query rarely keeps any.
+NEAREST_FEED = {2: 32, 3: 64}
 # Why two distinct float sites have no radical hyperplane: its normal's
 # squares underflow and its offset is 0.
 ROUNDS_TO_ZERO = "radical hyperplane rounds to zero in float64"
@@ -372,37 +383,385 @@ def _pair_rows(arrays, home, tags, strict):
     return R
 
 
-def _cut_block(shapes, cell, tags, R, halfspace, clip_fn):
-    """Cut a block of cells in lockstep, each by the candidates that change it.
+def _sq_dist(A, B):
+    """|b - a|^2 along the last axis, its squares summed from the first
+    coordinate: the order of the nearest-first feed."""
+    D = B - A
+    out = D[..., 0] * D[..., 0]
+    for k in range(1, D.shape[-1]):
+        out = out + D[..., k] * D[..., k]
+    return out
 
-    Pair p is candidate tags[p] of shapes[cell[p]]; each cell's pairs are
-    contiguous and in cut order.  R: one column per pair, as `_pair_rows`
-    makes it.  On affine (float) vertices a column is its cut: the clipper
-    gets its normal and offset and its side values at the cell's vertices,
-    the screen's `_side_table` over the cells cut at the step.  On integer
-    homogeneous vertices (the exact route), read as X / Z by the screen,
-    halfspace(c, j) gives the exact halfspace, asked for when j's cut of
-    cell c runs.  Each step screens every live pair against its cell's
-    current vertices, then every cell with a live pair cuts by its first.
-    A pair is dropped for good once its float value is finite and below
-    -CLIP_SKIP_TOL * (max|vertex coordinate| * s1 + s0) at every vertex of
-    its cell: the exact clip would keep every vertex.  Returns the cut
-    shapes.
+
+def _nearest_first(q, j, dist, n):
+    """The pairs (q, j) and their distances, sorted by cell q, distance,
+    index j < n: one sort on a unique integer key."""
+    rank = np.unique(dist, return_inverse=True)[1].reshape(-1)
+    order = np.argsort((q * (len(dist) + 1) + rank) * n + j)
+    return q[order], j[order], dist[order]
+
+
+class _LiftedTree:
+    """A kd-tree over the lifted sites (c_j, h_j = |c_j|^2 - w_j), the
+    power diagram's lifting (Aurenhammer, SIAM J. Comput. 16, 1987).
+
+    Each level halves every node at its middle along the node's widest
+    centre axis, down to at most LEAF sites per node; node u's children
+    are nodes 2u and 2u + 1 of the next level.  A level holds its nodes'
+    ranges in `perm`, their boxes and their largest |c|_1 and
+    |c|^2 + |w|.  A query walks the levels for many cells at once in
+    numpy, and returns the sites of the leaves it did not prune.
     """
-    shapes = list(shapes)
+
+    LEAF = 8
+
+    def __init__(self, arrays):
+        C, N, W, L1, P = self.arrays = arrays
+        n, d = C.shape
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.lifted = lifted = np.column_stack((C, N - W))
+        perm = np.arange(n)
+        starts, stops = np.array([0]), np.array([n])
+        self.levels = []
+        while True:
+            box = [f.reduceat(a[perm], starts) for f, a in (
+                (np.minimum, lifted), (np.maximum, lifted), (np.maximum, L1), (np.maximum, P))]
+            self.levels.append((starts, stops, *box))
+            if (stops - starts).max() <= self.LEAF:
+                break
+            seg = np.repeat(np.arange(len(starts)), stops - starts)
+            with np.errstate(over="ignore", invalid="ignore"):
+                axis = (box[1][:, :d] - box[0][:, :d]).argmax(axis=1)
+            perm = perm[np.lexsort((C[perm, axis[seg]], seg))]
+            mids = starts + (stops - starts) // 2
+            starts, stops = np.column_stack((starts, mids)).ravel(), np.column_stack((mids, stops)).ravel()
+        self.perm = perm
+        self.pos = np.empty(n, dtype=np.intp)
+        self.pos[perm] = np.arange(n)
+
+    def _search(self, count, pruned):
+        """(q, j) for queries 0..count-1: the sites j of every leaf that
+        pruned(q, level, node) spares, with all its ancestors."""
+        q, node = np.arange(count), np.zeros(count, dtype=np.intp)
+        for t in range(len(self.levels)):
+            if t:
+                q, node = np.repeat(q, 2), (2 * node[:, None] + np.array([0, 1])).ravel()
+            spared = np.flatnonzero(~pruned(q, t, node))
+            q, node = q[spared], node[spared]
+        starts, stops = self.levels[-1][:2]
+        sizes = stops[node] - starts[node]
+        first = np.repeat(starts[node] - np.cumsum(sizes) + sizes, sizes)
+        return np.repeat(q, sizes), self.perm[first + np.arange(sizes.sum())]
+
+    def near(self, home, k):
+        """Per cell (site home[q]), candidates holding its k nearest other
+        centres: the sites no farther than the k-th nearest of the 2k others
+        around it in `perm`.  A box is pruned when its nearest point is
+        farther; its distance rounds no higher than any of its sites', so
+        none of those is lost."""
+        C = self.arrays[0]
+        width = min(len(C), 2 * k + 1)
+        J = self.perm[np.clip(self.pos[home] - k, 0, len(C) - width)[:, None] + np.arange(width)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            D = _sq_dist(C[home][:, None, :], C[J])
+        D[J == home[:, None]] = np.inf
+        reach = np.partition(D, k - 1, axis=1)[:, k - 1]
+
+        def pruned(q, t, node):
+            c = C[home[q]]
+            with np.errstate(over="ignore", invalid="ignore"):
+                return _sq_dist(c, np.clip(c, self.levels[t][2][node, :-1], self.levels[t][3][node, :-1])) > reach[q]
+
+        q, j = self._search(len(home), pruned)
+        return q, j, reach
+
+    def cutters(self, home, V):
+        """Per cell (site home[q], vertices V[:, :, q] padded as the screen
+        reads them), candidates holding every site the screen would keep
+        now.  Site j can cut cell i only if, at some vertex v,
+        h_j - 2<v, c_j> < h_i - 2<v, c_i>, the power of j at v below that
+        of i.  A box, and then a site, is pruned when the least of the left
+        side over it exceeds the right side at every vertex by twice the
+        screen's slack, taken with the largest |c|_1 and |c|^2 + |w| in it:
+        every site it holds is one the screen drops."""
+        C, N, W, L1, P = self.arrays
+        d = C.shape[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            own = N[home] - W[home] - 2 * sum(V[k] * C[home, k] for k in range(d))
+            reach = np.abs(V).max(axis=(0, 1))
+        step = max(1, BLOCK_PAIRS // V.shape[1])
+
+        def pruned(q, lo, hi, l1, p):
+            out = np.empty(len(q), dtype=bool)
+            for s in range(0, len(q), step):
+                qs, part = q[s:s + step], slice(s, s + step)
+                X = V[:, :, qs]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    least = sum(np.maximum(X[k] * lo[part, k], X[k] * hi[part, k]) for k in range(d))
+                    least = (lo[part, d] - 2 * least - own[:, qs]).min(axis=0)
+                    margin = 2 * CLIP_SKIP_TOL * (reach[qs] * 2 * (L1[home[qs]] + l1[part]) + P[home[qs]] + p[part])
+                    out[part] = np.isfinite(least) & (least > margin)
+            return out
+
+        q, j = self._search(len(home), lambda q, t, node: pruned(q, *(a[node] for a in self.levels[t][2:])))
+        spared = np.flatnonzero(~pruned(q, self.lifted[j], self.lifted[j], L1[j], P[j]))
+        return q[spared], j[spared]
+
+
+class _Feed:
+    """Every cell's candidates, nearest centre first, ties by index.
+
+    A cell is first fed its k nearest other centres (and every further one
+    at distance 0, so that any row that rounds to zero is made), then, once
+    those are cut or screened away, the others its lifted query keeps.  The
+    query keeps every candidate the screen would keep, and the cuts of a
+    cell run nearest first, so the cuts that run are those of feeding every
+    candidate at once, in the same order.  Below 2k + 2 sites the query
+    would cost more than it saves: each cell is fed every other site, and
+    `tree` is None."""
+
+    def __init__(self, arrays, k, strict):
+        self.arrays, self.strict = arrays, strict
+        n = len(arrays[0])
+        self.k = k if 2 * k < n - 1 else n - 1
+        self.tree = _LiftedTree(arrays) if self.k < n - 1 else None
+
+    def rows(self, home, tags):
+        return _pair_rows(self.arrays, home, tags, self.strict)
+
+    def nearest(self, home):
+        """(q, j, last): the first candidates j of each cell q, site home[q],
+        and per cell the (distance, index) of its last one."""
+        C = self.arrays[0]
+        m, n, k = len(home), len(C), self.k
+        if not k:  # one site
+            return np.zeros(0, np.intp), np.zeros(0, np.intp), None
+        if self.tree is None:
+            q, j = np.repeat(np.arange(m), n), np.tile(np.arange(n), m)
+        else:
+            q, j, reach = self.tree.near(home, k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dist = _sq_dist(C[home[q]], C[j])
+        keep = np.flatnonzero((j != home[q]) & (True if self.tree is None else dist <= reach[q]))
+        q, j, dist = _nearest_first(q[keep], j[keep], dist[keep], n)
+        # the k nearest, and every further one at distance 0
+        first = np.searchsorted(q, np.arange(m))
+        count = np.maximum(k, np.bincount(q[dist == 0], minlength=m))
+        fed = np.flatnonzero(np.arange(len(q)) - first[q] < count[q])
+        end = first + count - 1
+        return q[fed], j[fed], (dist[end], j[end])
+
+    def beyond(self, home, V, last):
+        """(q, j): the candidates after each cell's first, that its lifted
+        query at its vertices V keeps, nearest first."""
+        q, j = self.tree.cutters(home, V)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dist = _sq_dist(self.arrays[0][home[q]], self.arrays[0][j])
+        after = (dist > last[0][q]) | ((dist == last[0][q]) & (j > last[1][q]))
+        later = np.flatnonzero(after & (j != home[q]))
+        return _nearest_first(q[later], j[later], dist[later], len(self.arrays[0]))[:2]
+
+
+class _Rings:
+    """A block's float polygons as padded arrays, cut in numpy.
+
+    P[coordinate, slot, cell]: each ring, padded with its first vertex, as
+    the screen reads it; T[slot, cell]: its edge tags (-1 for the
+    window's); L[cell]: its length, 0 once empty.  A cut makes the IEEE
+    operations of `clipping.clip_polygon` in the same order, so its
+    `Polygon`s, made once when the block's cuts end, are the clipper's."""
+
+    def __init__(self, window, m):
+        self.P = np.repeat(np.array(window.vertices, dtype=float).T[:, :, None], m, axis=2)
+        self.T = np.repeat(np.array([[-1 if t is BOX_TAG else t] for t in window.tags]), m, axis=1)
+        self.L = np.full(m, len(window.vertices))
+
+    @property
+    def V(self):
+        return self.P
+
+    @property
+    def live(self):
+        return self.L > 0
+
+    def cut(self, cs, R, tags):
+        """Cut ring cs[p] to the side <= 0 of column R[:, p]; its new edges
+        get tags[p]."""
+        P, T, L = self.P[:, :, cs], self.T[:, cs], self.L[cs]
+        d, S, m = P.shape
+        col = np.arange(m)
+        slot = np.arange(S)[:, None]
+        valid = slot < L
+        nxt = np.where(slot + 1 < L, slot + 1, 0)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            f0 = _side_table(P, R)
+            f1 = f0[nxt, col]
+            t = f0 / (f0 - f1)
+            X = P + t * (P[:, nxt, col] - P)
+        inside = f0 <= 0
+        # slot 2k: vertex k, kept inside; slot 2k + 1: edge k's crossing
+        emit = np.stack((valid & inside, valid & np.where(inside, f1 > 0, f1 <= 0)), axis=1)
+        P, T, L = _compress(
+            np.stack((P, X), axis=2).reshape(d, 2 * S, m),
+            np.stack((T, np.where(inside, tags, T)), axis=1).reshape(2 * S, m),
+            emit.reshape(2 * S, m),
+        )
+        slot = np.arange(P.shape[1])[:, None]
+        nxt = np.where(slot + 1 < L, slot + 1, 0)
+        long = (slot < L) & ~(P == P[:, nxt, col]).all(axis=0)  # drop zero-length edges
+        P, T, L = _compress(P, T, long)
+        L[L < 3] = 0
+        grow = P.shape[1] - self.P.shape[1]
+        if grow > 0:
+            self.P = np.concatenate((self.P, np.repeat(self.P[:, :1], grow, axis=1)), axis=1)
+            self.T = np.concatenate((self.T, np.repeat(self.T[:1], grow, axis=0)), axis=0)
+        W = P.shape[1]
+        self.P[:, :W, cs], self.P[:, W:, cs] = P, P[:, :1]
+        self.T[:W, cs] = T
+        self.L[cs] = L
+        width = max(1, self.L.max())
+        self.P, self.T = self.P[:, :width], self.T[:width]
+
+    def shapes(self):
+        return [
+            Polygon(
+                list(map(tuple, self.P[:, :n, c].T.tolist())),
+                [BOX_TAG if t < 0 else t for t in self.T[:n, c].tolist()],
+            ) if n else Polygon([], [])
+            for c, n in enumerate(self.L.tolist())
+        ]
+
+
+def _compress(P, T, keep):
+    """The kept slots of each ring first, in order, padded with its first;
+    and the counts."""
+    L = keep.sum(axis=0)
+    order = np.argsort(~keep, axis=0, kind="stable")[:max(1, L.max())]
+    col = np.arange(P.shape[2])
+    P, T = P[:, order, col], T[order, col]
+    return np.where(np.arange(len(order))[:, None] < L, P, P[:, :1]), T, L
+
+
+class _Cells:
+    """A block's cells, cut one at a time by `clip_fn`, and the float images
+    of their vertices in one padded table V[coordinate, slot, cell], as the
+    screen reads it: slot k of a cell is its vertex k, and a dead vertex's
+    slot and the padding repeat its first live vertex.  A cut rewrites only
+    the slots of the vertices it made or killed, unless it killed the first
+    live vertex.  Float cells get their side values from the table.
+    Homogeneous vertices (the exact route) are cut by halfspace(c, j), and
+    imaged as X / Z, correctly rounded, once per vertex of a polyhedron's
+    table or anew after each cut of a polygon.  A polyhedron's table is
+    compacted once its dead vertices outnumber its live ones, and when its
+    cuts end."""
+
+    def __init__(self, window, m, clip_fn, halfspace):
+        self.clip_fn, self.halfspace = clip_fn, halfspace
+        self.homogeneous = len(window.vertices[0]) > (2 if isinstance(window, Polygon) else 3)
+        self.cells = [window] * m
+        self.images = [self._images(window, window, [])] * m
+        self.table = np.repeat(np.array(self.images[0], dtype=float).T[:, :, None], m, axis=2)
+        self.count = np.full(m, len(window.vertices))  # table lengths, 0 once empty
+        self.first = [0] * m  # first live vertex
+
+    @property
+    def V(self):
+        return self.table[:, :self.count.max()]
+
+    @property
+    def live(self):
+        return self.count > 0
+
+    def _images(self, shape, before, old):
+        """The float images of shape's vertices; old: those of before's."""
+        if not self.homogeneous:
+            return shape.vertices
+        if isinstance(shape, Polyhedron):  # its table kept before's and appended
+            return [v if v is None else old[k] if k < len(old) else _image(v) for k, v in enumerate(shape.vertices)]
+        known = dict(zip(map(id, before.vertices), old))  # a kept vertex is the same object
+        return [known.get(id(v)) or _image(v) for v in shape.vertices]
+
+    def cut(self, cs, R, tags):
+        d = len(R) - 3
+        if self.homogeneous:
+            rows = ((hs.normal, hs.offset, None) for hs in map(self.halfspace, cs.tolist(), tags.tolist()))
+        else:  # the cut's row and its side values, slot by slot
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = _side_table(self.table[:, :, cs], R).T.tolist()
+            rows = ((row[:d], row[d], f) for row, f in zip(R[:d + 1].T.tolist(), vals))
+        rewrite = []  # (cell, every slot's image)
+        made, killed = [], []  # (slot, cell, image); (slot, cell, its first live slot)
+        for c, j, (normal, offset, f) in zip(cs.tolist(), tags.tolist(), rows):
+            before = self.cells[c]
+            if f is None:
+                cell = self.clip_fn(before, normal, offset, j)
+            else:
+                cell = self.clip_fn(before, normal, offset, j, f[:len(before.vertices)])
+            if cell is before:
+                continue
+            self.cells[c] = cell
+            if cell.empty:
+                self.count[c] = 0
+                continue
+            images = self._images(cell, before, self.images[c])
+            first = self.first[c]
+            if isinstance(cell, Polygon):
+                rewrite.append((c, images))
+            elif 2 * (dead := images.count(None)) > len(images) or images[first] is None:
+                if 2 * dead > len(images):
+                    self.cells[c] = cell.compact()
+                    images = [v for v in images if v is not None]
+                first = self.first[c] = next(k for k, v in enumerate(images) if v is not None)
+                rewrite.append((c, [images[first] if v is None else v for v in images]))
+            else:
+                old = len(before.vertices)
+                made.extend((k, c, images[first] if images[k] is None else images[k]) for k in range(old, len(images)))
+                killed.extend((k, c, first) for k in range(old) if images[k] is None and before.vertices[k] is not None)
+            self.images[c], self.count[c] = images, len(images)
+        grow = self.count.max() - self.table.shape[1]
+        if grow > 0:
+            ends = self.table[:, self.first, np.arange(len(self.first))]
+            self.table = np.concatenate((self.table, np.repeat(ends[:, None], grow, axis=1)), axis=1)
+        width = self.table.shape[1]
+        if rewrite:
+            cols = (col + col[:1] * (width - len(col)) for _, col in rewrite)
+            flat = np.fromiter(chain.from_iterable(chain.from_iterable(cols)), float, len(rewrite) * width * d)
+            self.table[:, :, [c for c, _ in rewrite]] = flat.reshape(-1, width, d).T
+        if made:
+            slot, c, images = zip(*made)
+            self.table[:, slot, c] = np.fromiter(chain.from_iterable(images), float, len(made) * d).reshape(-1, d).T
+        if killed:
+            slot, c, first = zip(*killed)
+            self.table[:, slot, c] = self.table[:, first, c]
+
+    def shapes(self):
+        return [cell.compact() for cell in self.cells]
+
+
+def _image(v):
+    """X / Z of a homogeneous vertex, correctly rounded."""
+    return tuple(x / v[-1] for x in v[:-1])
+
+
+def _lockstep(cells, cell, tags, R):
+    """Cut a block's cells in lockstep, each by the candidates that change it.
+
+    Pair p is candidate tags[p] of cell cell[p] of `cells` (`_Rings` or
+    `_Cells`); each cell's pairs are contiguous and in cut order.  R: one
+    column per pair, as `_pair_rows` makes it.  Each step screens every
+    live pair against its cell's current vertices, then every cell with a
+    live pair cuts by its first.  A pair is dropped for good once its float
+    value is finite and below -CLIP_SKIP_TOL * (max|vertex coordinate| *
+    s1 + s0) at every vertex of its cell: the exact clip would keep every
+    vertex.
+    """
     d = len(R) - 3
-    ids = np.array((cell, tags), dtype=np.intp)
-    live = np.ones(len(shapes), dtype=bool)  # cells not yet empty
+    ids = np.array((cell, tags), dtype=np.intp).reshape(2, -1)
     while ids.shape[1]:
         cell = ids[0]
         starts = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
         counts = np.diff(np.r_[starts, len(cell)])
-        verts = [shapes[c].vertices for c in cell[starts].tolist()]
-        homogeneous = len(verts[0][0]) > d
-        if homogeneous:  # X_k / Z, correctly rounded
-            verts = [[tuple(x / v[-1] for x in v[:-1]) for v in vs] for vs in verts]
-        slots = max(map(len, verts))  # pad with each cell's first vertex
-        V = np.array([v + v[:1] * (slots - len(v)) for v in verts], dtype=float).T.copy()
+        V = cells.V[:, :, cell[starts]]
         with np.errstate(over="ignore", invalid="ignore"):
             worst = _screen(R, V, counts)
             reach = np.repeat(np.abs(V).max(axis=(0, 1)), counts)
@@ -413,24 +772,32 @@ def _cut_block(shapes, cell, tags, R, halfspace, clip_fn):
             break
         held = cell[kept]
         first = kept[np.r_[True, held[1:] != held[:-1]]]  # each cell's next cut
-        cuts = zip(cell[first].tolist(), ids[1, first].tolist())
-        if homogeneous:
-            for c, j in cuts:
-                hs = halfspace(c, j)
-                shapes[c] = clip_fn(shapes[c], hs.normal, hs.offset, j)
-                live[c] = not shapes[c].empty
-        else:
-            at = np.repeat(np.arange(len(starts)), counts)[first]  # each cut's cell in V
-            with np.errstate(over="ignore", invalid="ignore"):
-                vals = _side_table(V[:, :, at], R[:, first]).T.tolist()
-            for (c, j), row, f in zip(cuts, R[:d + 1, first].T.tolist(), vals):
-                shapes[c] = clip_fn(shapes[c], row[:d], row[d], j, f[:len(shapes[c].vertices)])
-                live[c] = not shapes[c].empty
+        cells.cut(cell[first], R[:, first], ids[1, first])
         keep[first] = False
-        keep &= live[cell]
+        keep &= cells.live[cell]
         kept = np.flatnonzero(keep)
         R, ids = R.take(kept, axis=1), ids.take(kept, axis=1)
-    return shapes
+
+
+def _cut_block(window, home, feed, halfspace, clip_fn):
+    """The cells of the sites `home`, each cut from the window by the
+    candidates that change it, nearest first: in lockstep by the feed's
+    first candidates, then by those their lifted queries keep.  Float
+    polygons are cut in numpy (`_Rings`), other cells by `clip_fn`;
+    halfspace(i, j) is site i's side of its radical hyperplane with j, asked
+    for on homogeneous vertices when j's cut of cell i runs."""
+    if len(window.vertices[0]) == 2:
+        cells = _Rings(window, len(home))
+    else:
+        cells = _Cells(window, len(home), clip_fn, lambda c, j: halfspace(int(home[c]), j))
+    q, tags, last = feed.nearest(home)
+    _lockstep(cells, q, tags, feed.rows(home[q], tags))
+    if feed.tree is not None:
+        alive = np.flatnonzero(cells.live)
+        q, tags = feed.beyond(home[alive], cells.V[:, :, alive], (last[0][alive], last[1][alive]))
+        q = alive[q]
+        _lockstep(cells, q, tags, feed.rows(home[q], tags))
+    return cells.shapes()
 
 
 def _ball_test(points, clip):
@@ -525,10 +892,10 @@ def _polyhedron_vertices(polyh, i):
             yield point, frozenset(site_tags | {i})
 
 
-def _blocks(n):
-    """Cells 0..n-1 in blocks of at most BLOCK_PAIRS cell-candidate pairs,
-    or one cell."""
-    per_block = max(1, BLOCK_PAIRS // max(1, n - 1))
+def _blocks(n, k):
+    """Cells 0..n-1 in blocks of at most BLOCK_PAIRS first candidates (k
+    per cell), or one cell."""
+    per_block = max(1, BLOCK_PAIRS // max(1, k))
     return (np.arange(start, min(n, start + per_block)) for start in range(0, n, per_block))
 
 
@@ -599,17 +966,10 @@ def build_complex(sites, clip: Ball) -> PowerComplex:
     window = replace(window, vertices=[clipping.to_homogeneous(v) for v in corners] if exact else corners)
 
     # 1. cut every cell, a block of cells at a time, nearest centre first
-    C = arrays[0]
+    feed = _Feed(arrays, NEAREST_FEED[d], not exact)
     shapes = []
-    for block in _blocks(n):
-        start = int(block[0])
-        cell = np.repeat(np.arange(len(block)), n - 1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            dist = ((C[None, :, :] - C[block, None, :]) ** 2).sum(axis=2)
-        order = np.argsort(dist, axis=1, kind="stable")
-        tags = order[order != block[:, None]]
-        R = _pair_rows(arrays, cell + start, tags, not exact)
-        shapes += _cut_block([window] * len(block), cell, tags, R, lambda c, j: side(start + c, j), clip_fn)
+    for home in _blocks(n, feed.k):
+        shapes += _cut_block(window, home, feed, side, clip_fn)
 
     # 2. the finished cells' facets (the lower cell's, if it has one) and vertex candidates
     facets = {}

@@ -1,4 +1,4 @@
-"""Deterministic samplers and the named point-set fixtures used in tests.
+"""Deterministic samplers: the verification stream and random point sets.
 
 The verification sampler is a pure function of (seed, index).  Sample i
 of a stream is made from a fixed block of raw outputs of the
@@ -72,29 +72,6 @@ def random_klein_points(n: int, d: int = 2, seed: int = 0, max_norm: float = 0.9
         if p not in points:
             points.append(p)
     return points
-
-
-def wheel_points(count: int = 8, radius: float = 0.6):
-    """Equal-norm sites on a circle: the degenerate 'wheel' configuration."""
-    pts = []
-    for k in range(count):
-        theta = 2.0 * np.pi * k / count
-        pts.append((radius * float(np.cos(theta)), radius * float(np.sin(theta))))
-    return pts
-
-
-def unbounded_star_points(outer: int = 8, radius: float = 0.998):
-    """One site at the origin plus a near-boundary co-circular ring.
-
-    For the dual complex to be a star tree the ring's power vertices must
-    leave the unit disk, which needs radius > ~0.9969 for outer = 8.
-    """
-    return [(0.0, 0.0)] + wheel_points(outer, radius)
-
-
-def cocircular_square(radius: float = 0.4):
-    """Four co-circular, equal-norm sites whose dual face is a quadrilateral."""
-    return [(radius, 0.0), (0.0, radius), (-radius, 0.0), (0.0, -radius)]
 
 
 def rational_hemisphere_points(n: int, d: int = 2, seed: int = 0, max_norm: float = 0.8):

@@ -33,14 +33,19 @@ from hypervoronoi import (
 from hypervoronoi.documents import dump_json
 from hypervoronoi.hvd import sample_labels
 from hypervoronoi.sampling import (
-    cocircular_square,
     random_klein_points,
     rational_hemisphere_points,
+)
+
+from util import (
+    ALL_MODELS,
+    bisector_sample_point,
+    cocircular_square,
+    random_klein_point,
+    random_model_point,
     unbounded_star_points,
     wheel_points,
 )
-
-from util import ALL_MODELS, bisector_sample_point, random_klein_point, random_model_point
 
 
 def kpts(raw):

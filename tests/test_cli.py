@@ -19,9 +19,8 @@ from hypervoronoi.documents import (
 from hypervoronoi.sampling import (
     rational_hemisphere_points,
     random_klein_points,
-    unbounded_star_points,
-    wheel_points,
 )
+from util import unbounded_star_points, wheel_points
 
 
 def write_point_set(path, points, model="klein", scalar="float64", curvature=-1.0, dim=2):
@@ -897,6 +896,19 @@ def test_near_coincident_float_sites_exit_3(tmp_path, capsys):
     inp = write_point_set(tmp_path / "p.json", pts)
     err = assert_domain_error(capsys, ["compute", str(inp), "-o", str(tmp_path / "o.json")])
     assert err == "error: domain: sites 0 and 1: radical hyperplane rounds to zero in float64\n"
+
+
+def test_klein_route_check_lifts_the_klein_coordinates(tmp_path, capsys):
+    """A float hemisphere point whose x0 underflows while its Klein
+    coordinates stay inside the ball (allowed by MEMBERSHIP_TOL): the Klein
+    route builds on those coordinates, so its oracle lifts them again, and
+    does not divide by the given x0 (a divide-by-zero warning, an error
+    under the warnings-as-errors test run)."""
+    doc = {"dimension": 2, "model": "hemisphere", "scalar": "float64", "points": [[5e-324, 0.0, 0.9999999999999999]]}
+    inp = tmp_path / "p.json"
+    inp.write_text(json.dumps(doc))
+    assert main(["check", str(inp), "--route", "klein", "--samples", "500"]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("PASS")
 
 
 @pytest.mark.parametrize(

@@ -27,14 +27,18 @@ from hypervoronoi.bisectors import ImplicitSurface, scale_surface, transport_sur
 from hypervoronoi.cli import main
 from hypervoronoi.hvd import _collinear_groups, sample_labels
 from hypervoronoi.sampling import (
-    cocircular_square,
     random_klein_points,
     rational_hemisphere_points,
+)
+
+from util import (
+    ALL_MODELS,
+    cocircular_square,
+    random_klein_point,
+    reference_collinear_groups,
     unbounded_star_points,
     wheel_points,
 )
-
-from util import ALL_MODELS, random_klein_point, reference_collinear_groups
 
 
 def kpts(raw):

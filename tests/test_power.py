@@ -602,9 +602,9 @@ def test_box_halfwidth_matches_scalar_loop(d):
 
 # --- filtered clipping against the plain sequential build ------------------------------
 
-def _reversed_cut_block(shapes, cell, tags, R, halfspace, clip_fn):
+def _reversed_cut_block(*args):
     """Every candidate, farthest first."""
-    return plain_cut_block(shapes, cell[::-1], tags[::-1], R, halfspace, clip_fn)
+    return plain_cut_block(*args, reverse=True)
 
 
 def _hemi(t):
@@ -651,6 +651,33 @@ def test_filtered_build_equals_plain_build(d, scalar, fixture):
         assert cx.cells[0].shape == box(1)
 
 
+@pytest.mark.parametrize("feed", [1, 2, 32])
+@pytest.mark.parametrize("scalar", ["float", "exact"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_two_phase_feed_equals_plain_build(monkeypatch, d, scalar, feed):
+    """Sets large enough for a many-level lifted tree: every cell fed its
+    `feed` nearest, then what its query keeps, builds what cutting by every
+    candidate builds."""
+    n = {("float", 2): 120, ("float", 3): 50, ("exact", 2): 60, ("exact", 3): 24}[scalar, d]
+    if scalar == "float":
+        sites = [klein_site_map(p, i) for i, p in enumerate(random_klein_points(n, d, seed=5))]
+    else:
+        sites = [hemisphere_site_map(p, i) for i, p in enumerate(rational_hemisphere_points(n, d, seed=5))]
+    monkeypatch.setitem(power.NEAREST_FEED, d, feed)
+    kept = []
+    beyond = power._Feed.beyond
+
+    def counting(self, *args):
+        q, j = beyond(self, *args)
+        kept.append(len(q))
+        return q, j
+
+    monkeypatch.setattr(power._Feed, "beyond", counting)
+    assert_same_complex(build_complex(sites, clip=unit_ball(d)), reference_complex(sites, unit_ball(d)))
+    if (scalar, d, feed) == ("float", 2, 32):  # once the 32 nearest have cut, few others can
+        assert kept and sum(kept) < n
+
+
 @pytest.mark.parametrize("fixture", sorted(EQUIVALENCE_FIXTURES))
 @pytest.mark.parametrize("d", [2, 3])
 def test_exact_documents_do_not_depend_on_cut_order(monkeypatch, d, fixture):
@@ -678,22 +705,27 @@ def test_build_over_several_blocks_equals_one_block(monkeypatch, d, scalar, fixt
         pts = [tuple(float(c) for c in p) for p in pts]
     sites = [hemisphere_site_map(p, i) for i, p in enumerate(pts)]
     n = len(sites)
-    one = build_complex(sites, clip=unit_ball(d))
     blocks = []
     cut_block = power._cut_block
 
-    def counting(shapes, *rest):
-        blocks.append(len(shapes))
-        return cut_block(shapes, *rest)
+    def counting(window, home, *rest):
+        blocks.append(len(home))
+        return cut_block(window, home, *rest)
 
-    monkeypatch.setattr(power, "_cut_block", counting)
-    for cap in (1, n - 1, 3 * (n - 1) - 1):  # one cell per block, then two
-        blocks.clear()
-        monkeypatch.setattr(power, "BLOCK_PAIRS", cap)
-        cx = build_complex(sites, clip=unit_ball(d))
-        assert sum(blocks) == n and len(blocks) > 1
-        assert max(blocks) == max(1, cap // (n - 1))
-        assert_same_complex(cx, one)
+    # feed 2: every cell is fed its two nearest, then its lifted query's
+    for feed in (power.NEAREST_FEED[d], 2):
+        monkeypatch.setitem(power.NEAREST_FEED, d, feed)
+        k = power._Feed(power._site_arrays(sites, d), feed, False).k  # first candidates per cell
+        one = build_complex(sites, clip=unit_ball(d))
+        with monkeypatch.context() as m:
+            m.setattr(power, "_cut_block", counting)
+            for cap in (1, k, 3 * k - 1):  # one cell per block, then two
+                blocks.clear()
+                m.setattr(power, "BLOCK_PAIRS", cap)
+                cx = build_complex(sites, clip=unit_ball(d))
+                assert sum(blocks) == n and len(blocks) > 1
+                assert max(blocks) == max(1, cap // k)
+                assert_same_complex(cx, one)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -702,22 +734,46 @@ def test_candidates_come_nearest_first(monkeypatch, d):
     axis = [(0.5, 0.0), (0.0, 0.5), (-0.5, 0.0), (0.0, -0.5)]
     pts = [(0.0,) * d] + [p + (0.0,) * (d - 2) for p in axis] + random_klein_points(6, d, seed=3)
     sites = [klein_site_map(p, i) for i, p in enumerate(pts)]
-    seen = []
-    cut_block = power._cut_block
+    n = len(sites)
+    homes, first, ran = [], {}, {}  # blocks, first candidates and cuts that ran per cell
+    cut_block, nearest = power._cut_block, power._Feed.nearest
 
-    def recording(shapes, cell, tags, *rest):
-        seen.extend(tags[cell == c].tolist() for c in range(len(shapes)))
-        return cut_block(shapes, cell, tags, *rest)
+    def recording_block(window, home, *rest):
+        homes.append(home)
+        return cut_block(window, home, *rest)
 
-    monkeypatch.setattr(power, "_cut_block", recording)
-    monkeypatch.setattr(power, "BLOCK_PAIRS", 4 * (len(sites) - 1))  # three blocks
-    build_complex(sites, clip=unit_ball(d))
-    assert len(seen) == len(sites)
-    for i, tags in enumerate(seen):
-        dist = [sum((a - b) ** 2 for a, b in zip(sites[i].center, s.center)) for s in sites]
-        assert tags == sorted((j for j in range(len(sites)) if j != i), key=lambda j: (dist[j], j))
-    k = seen[0].index(1)
-    assert seen[0][k:k + 4] == [1, 2, 3, 4]
+    def recording_nearest(self, home):
+        q, j, last = nearest(self, home)
+        for c, i in enumerate(home.tolist()):
+            first[i] = j[q == c].tolist()
+        return q, j, last
+
+    def recording(cut):
+        def wrapped(self, cs, R, tags):
+            for c, j in zip(cs.tolist(), tags.tolist()):
+                ran[int(homes[-1][c])].append(j)
+            return cut(self, cs, R, tags)
+        return wrapped
+
+    monkeypatch.setattr(power, "_cut_block", recording_block)
+    monkeypatch.setattr(power._Feed, "nearest", recording_nearest)
+    for cls in (power._Rings, power._Cells):
+        monkeypatch.setattr(cls, "cut", recording(cls.cut))
+    # feed 2: the tied four straddle the first candidates and the lifted query's
+    for feed in (power.NEAREST_FEED[d], 2):
+        monkeypatch.setitem(power.NEAREST_FEED, d, feed)
+        k = power._Feed(power._site_arrays(sites, d), feed, True).k
+        homes.clear()
+        ran.update((i, []) for i in range(n))
+        monkeypatch.setattr(power, "BLOCK_PAIRS", 4 * k)  # three blocks
+        build_complex(sites, clip=unit_ball(d))
+        assert len(homes) == 3 and len(first) == n
+        for i in range(n):
+            dist = [sum((a - b) ** 2 for a, b in zip(sites[i].center, s.center)) for s in sites]
+            order = sorted((j for j in range(n) if j != i), key=lambda j: (dist[j], j))
+            assert first[i] == order[:k]
+            assert ran[i] == sorted(ran[i], key=order.index) and len(set(ran[i])) == len(ran[i])
+        assert [j for j in ran[0] if j in (1, 2, 3, 4)] == [1, 2, 3, 4]
 
 
 def test_integer_ball_test_equals_the_rational_one():
@@ -753,8 +809,8 @@ def test_exact_route_cuts_integer_homogeneous_vertices(monkeypatch, d, n):
 
     def integer_only(shape, normal, offset, tag):
         out = clip(shape, normal, offset, tag)
-        for vertices in (shape.vertices, out.vertices):
-            assert all(len(v) == d + 1 and all(type(c) is int for c in v) for v in vertices)
+        for vertices in (shape.vertices, out.vertices):  # a polyhedron's dead vertices are None
+            assert all(len(v) == d + 1 and all(type(c) is int for c in v) for v in vertices if v is not None)
         seen.append(len(shape.vertices))
         return out
 
@@ -768,7 +824,7 @@ def test_exact_route_cuts_integer_homogeneous_vertices(monkeypatch, d, n):
 
 def _integer_box(h):
     """The square [-h, h]^2 on integer homogeneous vertices: the exact
-    route's window, whose cuts `_cut_block` asks `halfspace` for."""
+    route's window, whose cuts `_Cells` asks `halfspace` for."""
     box = clipping.box_polygon(h)
     return replace(box, vertices=[clipping.to_homogeneous(v) for v in box.vertices])
 
@@ -781,10 +837,9 @@ def test_clip_screen_keeps_non_finite_candidates():
     for bad in ([math.inf, 0.0, -0.5], [math.nan, 0.0, 0.0], [1e308, 1e308, 0.0], [0.0, 0.0, -math.inf]):
         for scale in ([1.0, 0.5], [math.inf, math.inf]):
             R = np.array([bad + scale]).T  # one column: [normal | offset | s1, s0]
-            got = power._cut_block(
-                [box], np.array([0]), np.array([7]), R, lambda c, j: hs, clipping.clip_polygon
-            )
-            assert got == [want]
+            cells = power._Cells(box, 1, clipping.clip_polygon, lambda c, j: hs)
+            power._lockstep(cells, np.array([0]), np.array([7]), R)
+            assert cells.shapes() == [want]
 
 
 def test_clip_screen_skips_only_containing_halfspaces():
@@ -809,7 +864,9 @@ def test_clip_screen_skips_only_containing_halfspaces():
     rows = np.array([[*planes[j].normal, planes[j].offset] for j in tags], dtype=float)
     R = np.vstack((rows.T, np.abs(rows[:, :-1]).sum(axis=1), np.abs(rows[:, -1])))
     box = _integer_box(2)
-    got = power._cut_block([box] * 3, cell, tags, R, halfspace, counting_clip)
+    cells = power._Cells(box, 3, counting_clip, halfspace)
+    power._lockstep(cells, cell, tags, R)
+    got = cells.shapes()
     assert calls == [1, 1, 2]  # each cell's first live pair, in lockstep
     assert made == [(0, 1), (1, 1), (2, 2)]  # skipped candidates are never asked for
     half = clipping.clip_polygon(box, (2, 0), -1, 1)

@@ -8,13 +8,11 @@ pytest.importorskip("scipy")
 
 from hypervoronoi import ModelPoint, ModelTag, delaunay, power, voronoi  # noqa: E402
 from hypervoronoi.sampling import (  # noqa: E402
-    cocircular_square,
     random_klein_points,
     rational_hemisphere_points,
-    unbounded_star_points,
 )
 
-from util import PowerHull  # noqa: E402
+from util import PowerHull, cocircular_square, unbounded_star_points  # noqa: E402
 
 # (route, d, n): float Klein input and exact hemisphere input, d = 2 and 3
 CASES = [

@@ -7,7 +7,8 @@ import pytest
 from hypervoronoi import ModelPoint, ModelTag, convert, delaunay, voronoi
 from hypervoronoi.documents import diagram_to_document, parse_diagram
 from hypervoronoi.render import _Viewport, _arc, render_svg
-from hypervoronoi.sampling import random_klein_points, wheel_points
+from hypervoronoi.sampling import random_klein_points
+from util import wheel_points
 
 
 def document_for(points, model=ModelTag.KLEIN):

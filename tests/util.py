@@ -73,6 +73,31 @@ def bisector_sample_point(p: ModelPoint, q: ModelPoint, surface, rng, max_norm=0
     return None
 
 
+# --- named degenerate point sets ------------------------------------------------
+
+def wheel_points(count: int = 8, radius: float = 0.6):
+    """Equal-norm sites on a circle: the degenerate 'wheel' configuration."""
+    pts = []
+    for k in range(count):
+        theta = 2.0 * np.pi * k / count
+        pts.append((radius * float(np.cos(theta)), radius * float(np.sin(theta))))
+    return pts
+
+
+def unbounded_star_points(outer: int = 8, radius: float = 0.998):
+    """One site at the origin plus a near-boundary co-circular ring.
+
+    For the dual complex to be a star tree the ring's power vertices must
+    leave the unit disk, which needs radius > ~0.9969 for outer = 8.
+    """
+    return [(0.0, 0.0)] + wheel_points(outer, radius)
+
+
+def cocircular_square(radius: float = 0.4):
+    """Four co-circular, equal-norm sites whose dual face is a quadrilateral."""
+    return [(radius, 0.0), (0.0, radius), (-radius, 0.0), (0.0, -radius)]
+
+
 class LinearIndex:
     """First-match scan over stored points: the reference for GridIndex."""
 
@@ -91,14 +116,21 @@ class LinearIndex:
         return len(self.points) - 1
 
 
-def plain_cut_block(shapes, cell, tags, R, halfspace, clip_fn):
-    """Reference for `power._cut_block`: every candidate of every cell in
-    the given (nearest-first) order, one cell after the other, no screen,
-    each cut by `halfspace(c, j)`, also on float sites."""
-    shapes = list(shapes)
-    for c, j in zip(cell.tolist(), tags.tolist()):
-        hs = halfspace(c, j)
-        shapes[c] = clip_fn(shapes[c], hs.normal, hs.offset, j)
+def plain_cut_block(window, home, feed, halfspace, clip_fn, reverse=False):
+    """Reference for `power._cut_block`: every other site of every cell,
+    nearest centre first (ties by index; farthest first with `reverse`),
+    one cell after the other, no screen and no query, each cut by
+    `halfspace(i, j)`, also on float sites."""
+    C = feed.arrays[0]
+    shapes = []
+    for i in home.tolist():
+        shape = window
+        order = np.argsort(((C - C[i]) ** 2).sum(axis=1), kind="stable").tolist()
+        for j in order[::-1] if reverse else order:
+            if j != i:
+                hs = halfspace(i, j)
+                shape = clip_fn(shape, hs.normal, hs.offset, j)
+        shapes.append(shape.compact())
     return shapes
 
 
