@@ -88,7 +88,7 @@ def to_affine(vertex) -> tuple:
 
 def _cut_point(v0, v1, f0, f1):
     t = f0 / (f0 - f1)
-    return tuple(a + t * (b - a) for a, b in zip(v0, v1))
+    return tuple([a + t * (b - a) for a, b in zip(v0, v1)])
 
 
 def _homogeneous_cut_point(v0, v1, f0, f1):

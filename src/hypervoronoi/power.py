@@ -54,9 +54,9 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import chain
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -418,20 +418,18 @@ class _LiftedTree:
     def __init__(self, arrays):
         C, N, W, L1, P = self.arrays = arrays
         n, d = C.shape
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.lifted = lifted = np.column_stack((C, N - W))
         perm = np.arange(n)
         starts, stops = np.array([0]), np.array([n])
         self.levels = []
         while True:
             box = [f.reduceat(a[perm], starts) for f, a in (
-                (np.minimum, lifted), (np.maximum, lifted), (np.maximum, L1), (np.maximum, P))]
+                (np.minimum, C), (np.maximum, C), (np.maximum, W), (np.maximum, L1), (np.maximum, P))]
             self.levels.append((starts, stops, *box))
             if (stops - starts).max() <= self.LEAF:
                 break
             seg = np.repeat(np.arange(len(starts)), stops - starts)
             with np.errstate(over="ignore", invalid="ignore"):
-                axis = (box[1][:, :d] - box[0][:, :d]).argmax(axis=1)
+                axis = (box[1] - box[0]).argmax(axis=1)
             perm = perm[np.lexsort((C[perm, axis[seg]], seg))]
             mids = starts + (stops - starts) // 2
             starts, stops = np.column_stack((starts, mids)).ravel(), np.column_stack((mids, stops)).ravel()
@@ -470,41 +468,55 @@ class _LiftedTree:
         def pruned(q, t, node):
             c = C[home[q]]
             with np.errstate(over="ignore", invalid="ignore"):
-                return _sq_dist(c, np.clip(c, self.levels[t][2][node, :-1], self.levels[t][3][node, :-1])) > reach[q]
+                return _sq_dist(c, np.clip(c, self.levels[t][2][node], self.levels[t][3][node])) > reach[q]
 
         q, j = self._search(len(home), pruned)
         return q, j, reach
 
-    def cutters(self, home, V):
+    def cutters(self, home, V, done):
         """Per cell (site home[q], vertices V[:, :, q] padded as the screen
-        reads them), candidates holding every site the screen would keep
-        now.  Site j can cut cell i only if, at some vertex v,
-        h_j - 2<v, c_j> < h_i - 2<v, c_i>, the power of j at v below that
-        of i.  A box, and then a site, is pruned when the least of the left
-        side over it exceeds the right side at every vertex by twice the
-        screen's slack, taken with the largest |c|_1 and |c|^2 + |w| in it:
-        every site it holds is one the screen drops."""
+        reads them), candidates holding every site not yet fed that the
+        screen would keep now.  done: q * n + the tree position of each site
+        fed to cell q, and of home[q], sorted.  Site j can cut cell i only
+        if its power |c_j - v|^2 - w_j is below that of i at some vertex v:
+        in the lifting, the plane of j lies below that of i there.  A box is
+        pruned when it holds only sites in done; a box, and then a site,
+        when its least power (its distance from v, less its largest weight)
+        exceeds that of i at every vertex by twice the screen's slack, taken
+        with the largest |c|_1 and |c|^2 + |w| in it, plus the rounding of
+        |v|^2: every site it holds is one the screen drops."""
         C, N, W, L1, P = self.arrays
-        d = C.shape[1]
+        n = len(C)
+        X = V.transpose(1, 2, 0)  # slot, cell, coordinate
         with np.errstate(over="ignore", invalid="ignore"):
-            own = N[home] - W[home] - 2 * sum(V[k] * C[home, k] for k in range(d))
+            own = _sq_dist(X, C[home]) - W[home]
             reach = np.abs(V).max(axis=(0, 1))
         step = max(1, BLOCK_PAIRS // V.shape[1])
 
-        def pruned(q, lo, hi, l1, p):
+        def pruned(q, lo, hi, w, l1, p):
             out = np.empty(len(q), dtype=bool)
             for s in range(0, len(q), step):
                 qs, part = q[s:s + step], slice(s, s + step)
-                X = V[:, :, qs]
+                v = X[:, qs]
                 with np.errstate(over="ignore", invalid="ignore"):
-                    least = sum(np.maximum(X[k] * lo[part, k], X[k] * hi[part, k]) for k in range(d))
-                    least = (lo[part, d] - 2 * least - own[:, qs]).min(axis=0)
-                    margin = 2 * CLIP_SKIP_TOL * (reach[qs] * 2 * (L1[home[qs]] + l1[part]) + P[home[qs]] + p[part])
+                    least = (_sq_dist(v, np.clip(v, lo[part], hi[part])) - w[part] - own[:, qs]).min(axis=0)
+                    r = reach[qs]
+                    margin = 2 * CLIP_SKIP_TOL * (r * 2 * (L1[home[qs]] + l1[part]) + P[home[qs]] + p[part] + r * r)
                     out[part] = np.isfinite(least) & (least > margin)
             return out
 
-        q, j = self._search(len(home), lambda q, t, node: pruned(q, *(a[node] for a in self.levels[t][2:])))
-        spared = np.flatnonzero(~pruned(q, self.lifted[j], self.lifted[j], L1[j], P[j]))
+        def spent_or_pruned(q, t, node):
+            starts, stops, *box = (a[node] for a in self.levels[t])
+            spent = np.searchsorted(done, q * n + stops) - np.searchsorted(done, q * n + starts) == stops - starts
+            out = spent.copy()
+            out[~spent] = pruned(q[~spent], *(a[~spent] for a in box))
+            return out
+
+        q, j = self._search(len(home), spent_or_pruned)
+        key = q * n + self.pos[j]
+        fresh = done[np.minimum(np.searchsorted(done, key), len(done) - 1)] != key
+        q, j = q[fresh], j[fresh]
+        spared = np.flatnonzero(~pruned(q, C[j], C[j], W[j], L1[j], P[j]))
         return q[spared], j[spared]
 
 
@@ -530,36 +542,33 @@ class _Feed:
         return _pair_rows(self.arrays, home, tags, self.strict)
 
     def nearest(self, home):
-        """(q, j, last): the first candidates j of each cell q, site home[q],
-        and per cell the (distance, index) of its last one."""
+        """(q, j): the first candidates j of each cell q, site home[q]."""
         C = self.arrays[0]
         m, n, k = len(home), len(C), self.k
-        if not k:  # one site
-            return np.zeros(0, np.intp), np.zeros(0, np.intp), None
-        if self.tree is None:
-            q, j = np.repeat(np.arange(m), n), np.tile(np.arange(n), m)
-        else:
-            q, j, reach = self.tree.near(home, k)
+        if self.tree is None:  # every other site
+            with np.errstate(over="ignore", invalid="ignore"):
+                order = np.argsort(_sq_dist(C[home][:, None, :], C), axis=1, kind="stable")
+            return np.repeat(np.arange(m), n - 1), order[order != home[:, None]]
+        q, j, reach = self.tree.near(home, k)
         with np.errstate(over="ignore", invalid="ignore"):
             dist = _sq_dist(C[home[q]], C[j])
-        keep = np.flatnonzero((j != home[q]) & (True if self.tree is None else dist <= reach[q]))
+        keep = np.flatnonzero((j != home[q]) & (dist <= reach[q]))
         q, j, dist = _nearest_first(q[keep], j[keep], dist[keep], n)
         # the k nearest, and every further one at distance 0
         first = np.searchsorted(q, np.arange(m))
         count = np.maximum(k, np.bincount(q[dist == 0], minlength=m))
         fed = np.flatnonzero(np.arange(len(q)) - first[q] < count[q])
-        end = first + count - 1
-        return q[fed], j[fed], (dist[end], j[end])
+        return q[fed], j[fed]
 
-    def beyond(self, home, V, last):
-        """(q, j): the candidates after each cell's first, that its lifted
-        query at its vertices V keeps, nearest first."""
-        q, j = self.tree.cutters(home, V)
+    def beyond(self, home, V, fed):
+        """(q, j): the candidates after the pairs fed (q, j) of each cell q,
+        that its lifted query at its vertices V keeps, nearest first."""
+        n, pos = len(self.arrays[0]), self.tree.pos
+        done = np.sort(np.r_[fed[0], np.arange(len(home))] * n + pos[np.r_[fed[1], home]])
+        q, j = self.tree.cutters(home, V, done)
         with np.errstate(over="ignore", invalid="ignore"):
             dist = _sq_dist(self.arrays[0][home[q]], self.arrays[0][j])
-        after = (dist > last[0][q]) | ((dist == last[0][q]) & (j > last[1][q]))
-        later = np.flatnonzero(after & (j != home[q]))
-        return _nearest_first(q[later], j[later], dist[later], len(self.arrays[0]))[:2]
+        return _nearest_first(q, j, dist, n)[:2]
 
 
 class _Rings:
@@ -646,14 +655,14 @@ class _Cells:
     """A block's cells, cut one at a time by `clip_fn`, and the float images
     of their vertices in one padded table V[coordinate, slot, cell], as the
     screen reads it: slot k of a cell is its vertex k, and a dead vertex's
-    slot and the padding repeat its first live vertex.  A cut rewrites only
-    the slots of the vertices it made or killed, unless it killed the first
-    live vertex.  Float cells get their side values from the table.
-    Homogeneous vertices (the exact route) are cut by halfspace(c, j), and
-    imaged as X / Z, correctly rounded, once per vertex of a polyhedron's
-    table or anew after each cut of a polygon.  A polyhedron's table is
-    compacted once its dead vertices outnumber its live ones, and when its
-    cuts end."""
+    slot and the padding repeat its first live vertex.  A cut of a
+    polyhedron rewrites only the slots of the vertices it made or killed,
+    unless it killed the first live vertex; a polygon's column is rewritten.
+    Float cells get their side values from the table.  Homogeneous vertices
+    (the exact route) are cut by halfspace(c, j), and imaged as X / Z,
+    correctly rounded, once per vertex: a cut keeps its survivors' images.
+    A polyhedron's table is compacted once its dead vertices outnumber its
+    live ones, and when its cuts end."""
 
     def __init__(self, window, m, clip_fn, halfspace):
         self.clip_fn, self.halfspace = clip_fn, halfspace
@@ -713,10 +722,10 @@ class _Cells:
                     images = [v for v in images if v is not None]
                 first = self.first[c] = next(k for k, v in enumerate(images) if v is not None)
                 rewrite.append((c, [images[first] if v is None else v for v in images]))
-            else:
-                old = len(before.vertices)
-                made.extend((k, c, images[first] if images[k] is None else images[k]) for k in range(old, len(images)))
-                killed.extend((k, c, first) for k in range(old) if images[k] is None and before.vertices[k] is not None)
+            else:  # the table kept the old images, but those it killed, and appended
+                old = self.images[c]
+                made.extend((k, c, images[first] if images[k] is None else images[k]) for k in range(len(old), len(images)))
+                killed.extend((k, c, first) for k, (v, w) in enumerate(zip(images, old)) if v is not w)
             self.images[c], self.count[c] = images, len(images)
         grow = self.count.max() - self.table.shape[1]
         if grow > 0:
@@ -790,11 +799,13 @@ def _cut_block(window, home, feed, halfspace, clip_fn):
         cells = _Rings(window, len(home))
     else:
         cells = _Cells(window, len(home), clip_fn, lambda c, j: halfspace(int(home[c]), j))
-    q, tags, last = feed.nearest(home)
+    q, tags = feed.nearest(home)
     _lockstep(cells, q, tags, feed.rows(home[q], tags))
     if feed.tree is not None:
         alive = np.flatnonzero(cells.live)
-        q, tags = feed.beyond(home[alive], cells.V[:, :, alive], (last[0][alive], last[1][alive]))
+        local = np.cumsum(cells.live) - 1
+        ok = cells.live[q]
+        q, tags = feed.beyond(home[alive], cells.V[:, :, alive], (local[q[ok]], tags[ok]))
         q = alive[q]
         _lockstep(cells, q, tags, feed.rows(home[q], tags))
     return cells.shapes()

@@ -743,10 +743,10 @@ def test_candidates_come_nearest_first(monkeypatch, d):
         return cut_block(window, home, *rest)
 
     def recording_nearest(self, home):
-        q, j, last = nearest(self, home)
+        q, j = nearest(self, home)
         for c, i in enumerate(home.tolist()):
             first[i] = j[q == c].tolist()
-        return q, j, last
+        return q, j
 
     def recording(cut):
         def wrapped(self, cs, R, tags):
