@@ -402,22 +402,23 @@ def _nearest_first(q, j, dist, n):
 
 
 class _LiftedTree:
-    """A kd-tree over the lifted sites (c_j, h_j = |c_j|^2 - w_j), the
-    power diagram's lifting (Aurenhammer, SIAM J. Comput. 16, 1987).
+    """A kd-tree over the sites, for queries on their lifted planes: at a
+    point v, the plane of site j lies |c_j - v|^2 - w_j, its power, above
+    the paraboloid (Aurenhammer, SIAM J. Comput. 16, 1987).
 
     Each level halves every node at its middle along the node's widest
     centre axis, down to at most LEAF sites per node; node u's children
     are nodes 2u and 2u + 1 of the next level.  A level holds its nodes'
-    ranges in `perm`, their boxes and their largest |c|_1 and
-    |c|^2 + |w|.  A query walks the levels for many cells at once in
-    numpy, and returns the sites of the leaves it did not prune.
+    ranges in `perm`, their centres' boxes, and their largest weight,
+    |c|_1 and |c|^2 + |w|.  A query walks the levels for many cells at
+    once in numpy, and returns the sites of the leaves it did not prune.
     """
 
     LEAF = 8
 
     def __init__(self, arrays):
-        C, N, W, L1, P = self.arrays = arrays
-        n, d = C.shape
+        C, _, W, L1, P = self.arrays = arrays
+        n = len(C)
         perm = np.arange(n)
         starts, stops = np.array([0]), np.array([n])
         self.levels = []
@@ -485,7 +486,7 @@ class _LiftedTree:
         exceeds that of i at every vertex by twice the screen's slack, taken
         with the largest |c|_1 and |c|^2 + |w| in it, plus the rounding of
         |v|^2: every site it holds is one the screen drops."""
-        C, N, W, L1, P = self.arrays
+        C, _, W, L1, P = self.arrays
         n = len(C)
         X = V.transpose(1, 2, 0)  # slot, cell, coordinate
         with np.errstate(over="ignore", invalid="ignore"):
