@@ -24,10 +24,10 @@ For d in {2, 3}, `build_complex` runs in four stages.
    cell: such a cut would be a no-op now and at its turn, so the cells
    equal those of every cut, vertex for vertex.  Then each cell cuts by
    its nearest remaining candidate.  Once the first candidates are spent,
-   one query on a kd-tree over the lifted sites (c_j, |c_j|^2 - w_j)
-   (Aurenhammer, SIAM J. Comput. 16, 1987) feeds each cell, nearest
-   first, every other site the screen would keep (`_LiftedTree`), and
-   the lockstep runs again.  On float sites the screen's row is the cut:
+   one query on a kd-tree that bounds the sites' powers |c_j - v|^2 - w_j,
+   their lifted planes (Aurenhammer, SIAM J. Comput. 16, 1987), at the
+   cell's vertices v feeds each cell, nearest first, every other site the
+   screen would keep (`_LiftedTree`), and the lockstep runs again.  On float sites the screen's row is the cut:
    float polygons are cut in numpy (`_Rings`), with the IEEE operations
    of `clipping.clip_polygon`; polyhedra by `clipping.clip_polyhedron`.
    On exact sites a radical hyperplane is made once, only for a cut that
