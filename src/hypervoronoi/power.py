@@ -395,9 +395,14 @@ def _sq_dist(A, B):
 
 def _nearest_first(q, j, dist, n):
     """The pairs (q, j) and their distances, sorted by cell q, distance,
-    index j < n: one sort on a unique integer key."""
+    index j < n: one sort on a unique integer key, or three sorts where
+    that key would not fit in int64."""
     rank = np.unique(dist, return_inverse=True)[1].reshape(-1)
-    order = np.argsort((q * (len(dist) + 1) + rank) * n + j)
+    span = int(rank.max(initial=0)) + 1
+    if (int(q.max(initial=0)) + 1) * span * n < 1 << 62:
+        order = np.argsort((q * span + rank) * n + j)
+    else:
+        order = np.lexsort((j, rank, q))
     return q[order], j[order], dist[order]
 
 

@@ -678,6 +678,19 @@ def test_two_phase_feed_equals_plain_build(monkeypatch, d, scalar, feed):
         assert kept and sum(kept) < n
 
 
+def test_nearest_first_orders_by_cell_distance_index():
+    # ties in distance go by index; an index range too wide for one int64
+    # key takes the three-sort path, with the same order
+    rng = np.random.default_rng(4)
+    q = rng.integers(0, 5, 300)
+    j = rng.permutation(300)
+    dist = rng.choice([0.0, 0.25, 1e-300, 2.0, np.inf], 300)
+    want = sorted(zip(q.tolist(), dist.tolist(), j.tolist()))
+    for n in (300, 1 << 60):
+        got = power._nearest_first(q, j, dist, n)
+        assert list(zip(got[0].tolist(), got[2].tolist(), got[1].tolist())) == want
+
+
 @pytest.mark.parametrize("fixture", sorted(EQUIVALENCE_FIXTURES))
 @pytest.mark.parametrize("d", [2, 3])
 def test_exact_documents_do_not_depend_on_cut_order(monkeypatch, d, fixture):
