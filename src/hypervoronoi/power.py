@@ -395,8 +395,9 @@ def _sq_dist(A, B):
 
 def _nearest_first(q, j, dist, n):
     """The pairs (q, j) and their distances, sorted by cell q, distance,
-    index j < n: one sort on a unique integer key, or three sorts where
-    that key would not fit in int64."""
+    index j < n: one sort on a unique integer key, or, where that key would
+    not fit in int64, `np.lexsort` (several times slower on a block's
+    pairs)."""
     rank = np.unique(dist, return_inverse=True)[1].reshape(-1)
     span = int(rank.max(initial=0)) + 1
     if (int(q.max(initial=0)) + 1) * span * n < 1 << 62:
@@ -443,26 +444,42 @@ class _LiftedTree:
         self.pos = np.empty(n, dtype=np.intp)
         self.pos[perm] = np.arange(n)
 
-    def _search(self, count, pruned):
+    def _search(self, count, pruned, kept):
         """(q, j) for queries 0..count-1: the sites j of every leaf that
-        pruned(q, level, node) spares, with all its ancestors."""
-        q, node = np.arange(count), np.zeros(count, dtype=np.intp)
-        for t in range(len(self.levels)):
-            if t:
-                q, node = np.repeat(q, 2), (2 * node[:, None] + np.array([0, 1])).ravel()
+        pruned(q, level, node) spares, with all its ancestors, that
+        kept(q, j) keeps (it returns their indices).  The walk goes down a
+        level at a time, depth first over chunks of at most BLOCK_PAIRS
+        (q, node) pairs, and takes a chunk's leaves BLOCK_PAIRS sites at a
+        time, so that no temporary holds much more than BLOCK_PAIRS pairs."""
+        starts, stops = self.levels[-1][:2]
+        leaves = max(1, BLOCK_PAIRS // self.LEAF)
+        found = [(np.empty(0, dtype=np.intp),) * 2]
+        chunks = [(0, np.arange(count), np.zeros(count, dtype=np.intp))]
+        while chunks:
+            t, q, node = chunks.pop()
+            if len(q) > BLOCK_PAIRS:
+                chunks += [(t, q[BLOCK_PAIRS:], node[BLOCK_PAIRS:]), (t, q[:BLOCK_PAIRS], node[:BLOCK_PAIRS])]
+                continue
             spared = np.flatnonzero(~pruned(q, t, node))
             q, node = q[spared], node[spared]
-        starts, stops = self.levels[-1][:2]
-        sizes = stops[node] - starts[node]
-        first = np.repeat(starts[node] - np.cumsum(sizes) + sizes, sizes)
-        return np.repeat(q, sizes), self.perm[first + np.arange(sizes.sum())]
+            if t + 1 < len(self.levels):
+                chunks.append((t + 1, np.repeat(q, 2), (2 * node[:, None] + np.array([0, 1])).ravel()))
+                continue
+            for s in range(0, len(q), leaves):
+                qs, ns = q[s:s + leaves], node[s:s + leaves]
+                sizes = stops[ns] - starts[ns]
+                first = np.repeat(starts[ns] - np.cumsum(sizes) + sizes, sizes)
+                qs, js = np.repeat(qs, sizes), self.perm[first + np.arange(sizes.sum())]
+                keep = kept(qs, js)
+                found.append((qs[keep], js[keep]))
+        return tuple(map(np.concatenate, zip(*found)))
 
     def near(self, home, k):
-        """Per cell (site home[q]), candidates holding its k nearest other
-        centres: the sites no farther than the k-th nearest of the 2k others
-        around it in `perm`.  A box is pruned when its nearest point is
-        farther; its distance rounds no higher than any of its sites', so
-        none of those is lost."""
+        """Per cell q (site home[q]), (q, j) for the other sites j no farther
+        than its k-th nearest: the k-th nearest of the 2k others around it
+        in `perm` bounds that distance.  A box is pruned when its nearest
+        point is farther; its distance rounds no higher than any of its
+        sites', so none of those is lost."""
         C = self.arrays[0]
         width = min(len(C), 2 * k + 1)
         J = self.perm[np.clip(self.pos[home] - k, 0, len(C) - width)[:, None] + np.arange(width)]
@@ -476,21 +493,25 @@ class _LiftedTree:
             with np.errstate(over="ignore", invalid="ignore"):
                 return _sq_dist(c, np.clip(c, self.levels[t][2][node], self.levels[t][3][node])) > reach[q]
 
-        q, j = self._search(len(home), pruned)
-        return q, j, reach
+        def kept(q, j):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return np.flatnonzero((j != home[q]) & (_sq_dist(C[home[q]], C[j]) <= reach[q]))
+
+        return self._search(len(home), pruned, kept)
 
     def cutters(self, home, V, done):
-        """Per cell (site home[q], vertices V[:, :, q] padded as the screen
-        reads them), candidates holding every site not yet fed that the
-        screen would keep now.  done: q * n + the tree position of each site
-        fed to cell q, and of home[q], sorted.  Site j can cut cell i only
-        if its power |c_j - v|^2 - w_j is below that of i at some vertex v:
-        in the lifting, the plane of j lies below that of i there.  A box is
-        pruned when it holds only sites in done; a box, and then a site,
-        when its least power (its distance from v, less its largest weight)
-        exceeds that of i at every vertex by twice the screen's slack, taken
-        with the largest |c|_1 and |c|^2 + |w| in it, plus the rounding of
-        |v|^2: every site it holds is one the screen drops."""
+        """Per cell q (site home[q], vertices V[:, :, q] padded as the
+        screen reads them), (q, j) for every site j not yet fed that the
+        screen would keep now, and perhaps a few more.  done: q * n + the
+        tree position of each site fed to cell q, and of home[q], sorted.
+        Site j can cut cell i only if its power |c_j - v|^2 - w_j is below
+        that of i at some vertex v: in the lifting, the plane of j lies
+        below that of i there.  A box is pruned when it holds only sites in
+        done; a box, and then a site, when its least power (its distance
+        from v, less its largest weight) exceeds that of i at every vertex
+        by twice the screen's slack, taken with the largest |c|_1 and
+        |c|^2 + |w| in it, plus the rounding of |v|^2: every site it holds
+        is one the screen drops."""
         C, _, W, L1, P = self.arrays
         n = len(C)
         X = V.transpose(1, 2, 0)  # slot, cell, coordinate
@@ -518,12 +539,13 @@ class _LiftedTree:
             out[~spent] = pruned(q[~spent], *(a[~spent] for a in box))
             return out
 
-        q, j = self._search(len(home), spent_or_pruned)
-        key = q * n + self.pos[j]
-        fresh = done[np.minimum(np.searchsorted(done, key), len(done) - 1)] != key
-        q, j = q[fresh], j[fresh]
-        spared = np.flatnonzero(~pruned(q, C[j], C[j], W[j], L1[j], P[j]))
-        return q[spared], j[spared]
+        def kept(q, j):
+            key = q * n + self.pos[j]
+            fresh = np.flatnonzero(done[np.minimum(np.searchsorted(done, key), len(done) - 1)] != key)
+            q, j = q[fresh], j[fresh]
+            return fresh[~pruned(q, C[j], C[j], W[j], L1[j], P[j])]
+
+        return self._search(len(home), spent_or_pruned, kept)
 
 
 class _Feed:
@@ -555,11 +577,9 @@ class _Feed:
             with np.errstate(over="ignore", invalid="ignore"):
                 order = np.argsort(_sq_dist(C[home][:, None, :], C), axis=1, kind="stable")
             return np.repeat(np.arange(m), n - 1), order[order != home[:, None]]
-        q, j, reach = self.tree.near(home, k)
+        q, j = self.tree.near(home, k)
         with np.errstate(over="ignore", invalid="ignore"):
-            dist = _sq_dist(C[home[q]], C[j])
-        keep = np.flatnonzero((j != home[q]) & (dist <= reach[q]))
-        q, j, dist = _nearest_first(q[keep], j[keep], dist[keep], n)
+            q, j, dist = _nearest_first(q, j, _sq_dist(C[home[q]], C[j]), n)
         # the k nearest, and every further one at distance 0
         first = np.searchsorted(q, np.arange(m))
         count = np.maximum(k, np.bincount(q[dist == 0], minlength=m))
@@ -661,23 +681,20 @@ class _Cells:
     """A block's cells, cut one at a time by `clip_fn`, and the float images
     of their vertices in one padded table V[coordinate, slot, cell], as the
     screen reads it: slot k of a cell is its vertex k, and a dead vertex's
-    slot and the padding repeat its first live vertex.  A cut of a
-    polyhedron rewrites only the slots of the vertices it made or killed,
-    unless it killed the first live vertex; a polygon's column is rewritten.
-    Float cells get their side values from the table.  Homogeneous vertices
-    (the exact route) are cut by halfspace(c, j), and imaged as X / Z,
-    correctly rounded, once per vertex: a cut keeps its survivors' images.
-    A polyhedron's table is compacted once its dead vertices outnumber its
+    slot and the padding repeat its first live vertex.  A cut rewrites the
+    column of each cell it changed.  Float cells get their side values from
+    the table.  Homogeneous vertices (the exact route) are cut by
+    halfspace(c, j), and imaged as X / Z, correctly rounded, once per
+    vertex: a cut keeps its survivors' images.  A polyhedron's table is compacted once its dead vertices outnumber its
     live ones, and when its cuts end."""
 
     def __init__(self, window, m, clip_fn, halfspace):
         self.clip_fn, self.halfspace = clip_fn, halfspace
         self.homogeneous = len(window.vertices[0]) > (2 if isinstance(window, Polygon) else 3)
         self.cells = [window] * m
-        self.images = [self._images(window, window, [])] * m
+        self.images = [self._images(window, [])] * m
         self.table = np.repeat(np.array(self.images[0], dtype=float).T[:, :, None], m, axis=2)
         self.count = np.full(m, len(window.vertices))  # table lengths, 0 once empty
-        self.first = [0] * m  # first live vertex
 
     @property
     def V(self):
@@ -687,75 +704,59 @@ class _Cells:
     def live(self):
         return self.count > 0
 
-    def _images(self, shape, before, old):
-        """The float images of shape's vertices; old: those of before's."""
+    def _images(self, shape, old):
+        """The float images of shape's vertices, X / Z correctly rounded;
+        old: those of the cell it was cut from.  A polyhedron's table keeps
+        the old vertices in place (dead ones None) and appends the
+        crossings."""
         if not self.homogeneous:
             return shape.vertices
-        if isinstance(shape, Polyhedron):  # its table kept before's and appended
-            return [v if v is None else old[k] if k < len(old) else _image(v) for k, v in enumerate(shape.vertices)]
-        known = dict(zip(map(id, before.vertices), old))  # a kept vertex is the same object
-        return [known.get(id(v)) or _image(v) for v in shape.vertices]
+        if isinstance(shape, Polyhedron):
+            made = [(x / w, y / w, z / w) for x, y, z, w in shape.vertices[len(old):]]
+            return [None if v is None else u for v, u in zip(shape.vertices, old + made)]
+        return [(x / z, y / z) for x, y, z in shape.vertices]
 
     def cut(self, cs, R, tags):
         d = len(R) - 3
+        cs, tags = cs.tolist(), tags.tolist()
         if self.homogeneous:
-            rows = ((hs.normal, hs.offset, None) for hs in map(self.halfspace, cs.tolist(), tags.tolist()))
+            cuts = [(self.clip_fn, hs.normal, hs.offset, j) for hs, j in zip(map(self.halfspace, cs, tags), tags)]
         else:  # the cut's row and its side values, slot by slot
             with np.errstate(over="ignore", invalid="ignore"):
                 vals = _side_table(self.table[:, :, cs], R).T.tolist()
-            rows = ((row[:d], row[d], f) for row, f in zip(R[:d + 1].T.tolist(), vals))
+            cuts = [
+                (functools.partial(self.clip_fn, vals=f[:k]), row[:d], row[d], j)
+                for row, f, k, j in zip(R[:d + 1].T.tolist(), vals, self.count[cs].tolist(), tags)
+            ]
         rewrite = []  # (cell, every slot's image)
-        made, killed = [], []  # (slot, cell, image); (slot, cell, its first live slot)
-        for c, j, (normal, offset, f) in zip(cs.tolist(), tags.tolist(), rows):
+        for c, (clip_fn, normal, offset, j) in zip(cs, cuts):
             before = self.cells[c]
-            if f is None:
-                cell = self.clip_fn(before, normal, offset, j)
-            else:
-                cell = self.clip_fn(before, normal, offset, j, f[:len(before.vertices)])
+            cell = self.cells[c] = clip_fn(before, normal, offset, j)
             if cell is before:
                 continue
-            self.cells[c] = cell
             if cell.empty:
                 self.count[c] = 0
                 continue
-            images = self._images(cell, before, self.images[c])
-            first = self.first[c]
-            if isinstance(cell, Polygon):
-                rewrite.append((c, images))
-            elif 2 * (dead := images.count(None)) > len(images) or images[first] is None:
-                if 2 * dead > len(images):
-                    self.cells[c] = cell.compact()
-                    images = [v for v in images if v is not None]
-                first = self.first[c] = next(k for k, v in enumerate(images) if v is not None)
-                rewrite.append((c, [images[first] if v is None else v for v in images]))
-            else:  # the table kept the old images, but those it killed, and appended
-                old = self.images[c]
-                made.extend((k, c, images[first] if images[k] is None else images[k]) for k in range(len(old), len(images)))
-                killed.extend((k, c, first) for k, (v, w) in enumerate(zip(images, old)) if v is not w)
+            images = self._images(cell, self.images[c])
+            if isinstance(cell, Polyhedron) and 2 * images.count(None) > len(images):
+                self.cells[c] = cell.compact()
+                images = [v for v in images if v is not None]
             self.images[c], self.count[c] = images, len(images)
+            rewrite.append((c, images))
         grow = self.count.max() - self.table.shape[1]
-        if grow > 0:
-            ends = self.table[:, self.first, np.arange(len(self.first))]
-            self.table = np.concatenate((self.table, np.repeat(ends[:, None], grow, axis=1)), axis=1)
-        width = self.table.shape[1]
+        if grow > 0:  # slot 0 holds a live vertex's image
+            self.table = np.concatenate((self.table, np.repeat(self.table[:, :1], grow, axis=1)), axis=1)
         if rewrite:
-            cols = (col + col[:1] * (width - len(col)) for _, col in rewrite)
-            flat = np.fromiter(chain.from_iterable(chain.from_iterable(cols)), float, len(rewrite) * width * d)
+            width = self.table.shape[1]
+            cols = []
+            for _, images in rewrite:
+                first = next(filter(None, images))
+                cols += [first if v is None else v for v in images] + [first] * (width - len(images))
+            flat = np.fromiter(chain.from_iterable(cols), float, len(cols) * d)
             self.table[:, :, [c for c, _ in rewrite]] = flat.reshape(-1, width, d).T
-        if made:
-            slot, c, images = zip(*made)
-            self.table[:, slot, c] = np.fromiter(chain.from_iterable(images), float, len(made) * d).reshape(-1, d).T
-        if killed:
-            slot, c, first = zip(*killed)
-            self.table[:, slot, c] = self.table[:, first, c]
 
     def shapes(self):
         return [cell.compact() for cell in self.cells]
-
-
-def _image(v):
-    """X / Z of a homogeneous vertex, correctly rounded."""
-    return tuple(x / v[-1] for x in v[:-1])
 
 
 def _lockstep(cells, cell, tags, R):

@@ -428,6 +428,9 @@ def _point_sets_and_routes(draw):
     if draw(st.booleans()):
         coord = st.floats(-0.55, 0.55, allow_subnormal=False)
         pts = draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=10 if d == 2 else 7, unique=True))
+        # points closer than ~1e-160 may have no float diagram (their radical
+        # hyperplane rounds to zero; `test_near_coincident_float_sites_exit_3`)
+        assume(all(math.dist(p, q) > 1e-100 for p, q in itertools.combinations(pts, 2)))
         return d, [ModelPoint(ModelTag.KLEIN, p) for p in pts], "klein"
     coord = st.fractions(Fraction(-1, 2), Fraction(1, 2), max_denominator=12)  # |t| < 1
     ts = draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=8 if d == 2 else 5, unique=True))
@@ -438,15 +441,9 @@ def _point_sets_and_routes(draw):
 @given(_point_sets_and_routes())
 def test_delaunay_simplices_are_made_of_adjacency_pairs(case):
     """A power vertex strictly inside the ball ends each facet between two
-    of its d + 1 sites there, so those facets meet the open ball.  Distinct
-    float points ~1e-255 apart have no diagram: their radical hyperplane
-    rounds to zero, the one typed error such a set may raise."""
+    of its d + 1 sites there, so those facets meet the open ball."""
     d, points, route = case
-    try:
-        dia = voronoi(points, route=route)
-    except CoincidentSites as e:
-        assert route == "klein" and str(e).endswith(power.ROUNDS_TO_ZERO)
-        return
+    dia = voronoi(points, route=route)
     for face in delaunay(dia).faces:
         if len(face) == d + 1:
             assert set(itertools.combinations(sorted(face), 2)) <= dia.complex.adjacency
