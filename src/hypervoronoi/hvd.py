@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import clipping, power, sampling
+from . import clipping, cutting, power, sampling
 from .bisectors import ImplicitSurface, scale_surface, transport_surface
 from .conversions import hub_coords
 from .errors import (
@@ -305,7 +305,7 @@ def _collinear_groups(kleins, tol):
     slack = 4 tol plus rounding.  A point within slack of the anchor may
     lie on every line through it: then every row of the anchor is a
     candidate.  O(n^2 log n) for points in general position; anchors are
-    taken in blocks of at most `power.BLOCK_PAIRS` (anchor, point) pairs.
+    taken in blocks of at most `cutting.BLOCK_PAIRS` (anchor, point) pairs.
     """
     if any(len(k) != 2 for k in kleins):
         return []  # collinearity scan is planar only
@@ -314,7 +314,7 @@ def _collinear_groups(kleins, tol):
     if n < 3:
         return []
     slack = 4 * tol + 64 * np.finfo(float).eps
-    step = max(1, power.BLOCK_PAIRS // n)
+    step = max(1, cutting.BLOCK_PAIRS // n)
     rows_i, rows_j = [], []
     for lo in range(0, n, step):
         anchors = np.arange(lo, min(n, lo + step))

@@ -8,32 +8,16 @@ two maps agree under the vertical lift.
 
 A build has one arithmetic: exact sites (every centre coordinate and
 weight an int or a Fraction) are built exactly, any other site set as
-its sites' float64 images.  Every float row is a column of `_pair_rows`,
-made in numpy from the site arrays; every exact row is the primitive
-integer row made from two sites' `WeightedSite.integer_row`s.
+its sites' float64 images.  Every float row is a column of
+`cutting.pair_rows`, made in numpy from the site arrays; every exact row
+is the primitive integer row made from two sites' `WeightedSite.integer_row`s.
 
 For d in {2, 3}, `build_complex` runs in four stages.
-1. Cut: one loop over blocks of cells, with a small per-dimension
-   table, cuts each cell from a window (the clip ball's bounding cube:
-   centre c, half-width r), nearest site centre first, as Voro++ does
-   (Rycroft, Chaos 19, 041111, 2009).  A cell is first fed its k nearest
-   other centres (NEAREST_FEED; a block holds at most BLOCK_PAIRS such
-   pairs, or one cell).  The cells of a block advance in lockstep.  Each
-   step, one float screen evaluates every remaining pair's row at its
-   cell's vertices and drops those whose candidate provably contains the
-   cell: such a cut would be a no-op now and at its turn, so the cells
-   equal those of every cut, vertex for vertex.  Then each cell cuts by
-   its nearest remaining candidate.  Once the first candidates are spent,
-   one query on a kd-tree that bounds the sites' powers |c_j - v|^2 - w_j,
-   their lifted planes (Aurenhammer, SIAM J. Comput. 16, 1987), at the
-   cell's vertices v feeds each cell, nearest first, every other site the
-   screen would keep (`_LiftedTree`), and the lockstep runs again.  On float sites the screen's row is the cut:
-   float polygons are cut in numpy (`_Rings`), with the IEEE operations
-   of `clipping.clip_polygon`; polyhedra by `clipping.clip_polyhedron`.
-   On exact sites a radical hyperplane is made once, only for a cut that
-   runs or a facet that survives, each cell is cut on integer
-   homogeneous vertices (see `clipping`), the screen reads them as X / Z,
-   made once per vertex, and `Fraction`s are made once per vertex, when
+1. Cut (`cutting`): every cell is cut from a window (the clip ball's
+   bounding cube: centre c, half-width r) by the candidates that change
+   it, nearest site centre first, a block of cells at a time.  On exact
+   sites a radical hyperplane is made once, only for a cut that runs or
+   a facet that survives, and `Fraction`s are made once per vertex, when
    the cell's cuts end.
 2. Facets: one pass over the finished cells, their rings started at
    their least vertex (no output depends on the cut order), reads the
@@ -41,7 +25,7 @@ For d in {2, 3}, `build_complex` runs in four stages.
    than r (d=2: exact, on the integers, on rational input).  The facets'
    keys are the adjacency.
 3. Halfspaces: `_halfspaces` gives each facet's lower cell its row and
-   the higher cell the negation; a float row is its cut's `_pair_rows`
+   the higher cell the negation; a float row is its cut's `pair_rows`
    column, bit for bit.  A cell that misses the centre (the `locate` tie
    set) is empty without a facet, since the window lies outside the
    open ball.
@@ -56,11 +40,10 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
-from . import clipping
+from . import clipping, cutting
 from .clipping import BOX_TAG, Polygon, Polyhedron
 from .errors import (
     ArityMismatch,
@@ -78,19 +61,6 @@ KLEIN_WEIGHT_SIGN_THRESHOLD = 4.0 * (math.sqrt(5.0) - 2.0)
 TIE_TOL = 1e-12
 FACET_MEASURE_TOL = 1e-10
 VERTEX_MERGE_TOL = 1e-12
-# Relative margin of the float screen in `_lockstep`.  It only decides
-# which provable no-op cuts are skipped, never the geometry: a hyperplane
-# within the margin of the cell is cut with exactly, as before.
-CLIP_SKIP_TOL = 1e-9
-# Most (cell, candidate) pairs one block of cells screens in lockstep, so
-# the screen's temporaries stay this size whatever the number of sites.
-BLOCK_PAIRS = 1 << 13
-# Per dimension, how many nearest other centres a cell is fed before its
-# lifted query (see `_Feed`): enough that the query rarely keeps any.
-NEAREST_FEED = {2: 32, 3: 64}
-# Why two distinct float sites have no radical hyperplane: its normal's
-# squares underflow and its offset is 0.
-ROUNDS_TO_ZERO = "radical hyperplane rounds to zero in float64"
 
 
 @dataclass(frozen=True)
@@ -172,7 +142,7 @@ def radical_hyperplane(s_i: WeightedSite, s_j: WeightedSite) -> Halfspace:
     (the smaller-power site wins everywhere).  Two exact sites give the
     primitive integer row from their integer rows: the rational row times
     D_i D_j > 0, over its gcd.  Other sites give the unit-normal row of
-    their float64 images, the column `_pair_rows` makes for the pair.
+    their float64 images, the column `cutting.pair_rows` makes for the pair.
     """
     if s_i.center == s_j.center and s_i.weight == s_j.weight:
         raise CoincidentSites("radical hyperplane of identical weighted sites")
@@ -186,9 +156,10 @@ def radical_hyperplane(s_i: WeightedSite, s_j: WeightedSite) -> Halfspace:
     if len(s_j.center) != d:
         raise ArityMismatch("sites have inconsistent dimensions")
     try:
-        row = _pair_rows(_site_arrays([s_i, s_j], d), np.array([0]), np.array([1]), True)[:d + 1, 0].tolist()
+        arrays = cutting.site_arrays([s_i, s_j], d)
+        row = cutting.pair_rows(arrays, np.array([0]), np.array([1]), True)[:d + 1, 0].tolist()
     except CoincidentSites:
-        raise CoincidentSites(ROUNDS_TO_ZERO) from None
+        raise CoincidentSites(cutting.ROUNDS_TO_ZERO) from None
     return Halfspace(row[:d], row[d])
 
 
@@ -300,524 +271,6 @@ def _check_sites(sites) -> int:
     return d
 
 
-def _side_table(X, R):
-    """<normal, x> + offset of each column of R at the vertices X, whose
-    first axis is the coordinate and last the column, in `dot`'s operation
-    order: summed from 0.0, as Python's `sum` starts from 0."""
-    d = len(X)
-    vals = X[0] * R[0]
-    vals += 0.0
-    for k in range(1, d):
-        vals += X[k] * R[k]
-    vals += R[d]
-    return vals
-
-
-def _screen(R, V, counts):
-    """Per pair, the max over its cell's vertices of its side value.
-
-    R: the pairs' columns, as `_cut_block` takes them; V: the cells'
-    vertices, (coordinate, slot, cell), padded; counts: the number of
-    pairs of each cell, whose pairs are contiguous and in cell order.
-    Slots are taken a few at a time, so that no temporary holds much more
-    than BLOCK_PAIRS values per coordinate.
-    """
-    slots = V.shape[1]
-    step = max(1, BLOCK_PAIRS // R.shape[1])
-    worst = None
-    for s in range(0, slots, step):
-        val = _side_table(np.repeat(V[:, s:s + step], counts, axis=2), R).max(axis=0)
-        worst = val if worst is None else np.maximum(worst, val)
-    return worst
-
-
-def _site_arrays(sites, d):
-    """The sites' float64 images as arrays for `_pair_rows`: centres C,
-    |c|^2 (summed as `dot` sums), weights W, and per site |c|_1 and
-    |c|^2 + |w|, which bound a row and its rounding.  A site beyond the
-    float range (its image overflows, or is inf or nan) is a domain error."""
-    try:
-        S = np.array([as_floats(s.center + (s.weight,)) for s in sites]).reshape(len(sites), d + 1)
-    except OverflowError as e:
-        raise DomainViolation(f"site out of float range: {e}") from e
-    bad = np.flatnonzero(~np.isfinite(S).all(axis=1))
-    if len(bad):
-        raise DomainViolation(f"site {bad[0]} is out of float range")
-    C, W = S[:, :d], S[:, d]
-    with np.errstate(over="ignore", invalid="ignore"):
-        N = sum(C[:, k] * C[:, k] for k in range(d))
-        return C, N, W, np.abs(C).sum(axis=1), N + np.abs(W)
-
-
-def _pair_rows(arrays, home, tags, strict):
-    """The float rows of the pairs (home[p], tags[p]), one column each:
-    [normal | offset] on home's side, then (s1, s0), which bound |normal|_1
-    and |offset| and the rounding of each, all over the row's scale.
-
-    A row is (lo, hi)'s 2 (c_hi - c_lo), |c_lo|^2 - |c_hi|^2 + w_hi - w_lo,
-    divided by its normal's norm (its squares summed from 0.0, as Python's
-    `sum` starts from 0), or by |offset| when that is 0, and negated when
-    home is the higher index.  It is every non-exact row of the package:
-    `radical_hyperplane`'s on float sites, the cuts and halfspaces of a
-    build on them, and on exact sites the screen's estimate.  With
-    `strict` (non-exact sites) a row that rounds to zero raises;
-    otherwise its column is left inf or nan, which the screen never skips.
-    """
-    C, N, W, L1, P = arrays
-    d = C.shape[1]
-    lo, hi = np.minimum(home, tags), np.maximum(home, tags)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        normal = (2 * (C[hi] - C[lo])).T
-        sq = 0.0
-        for c in normal:
-            sq = sq + c * c
-        offset = N[lo] - N[hi] + W[hi] - W[lo]
-        scale = np.sqrt(sq)
-        scale = np.where(scale == 0.0, np.abs(offset), scale)
-        if strict and not scale.all():
-            p = int(np.flatnonzero(scale == 0.0)[0])
-            raise CoincidentSites(f"sites {lo[p]} and {hi[p]}: {ROUNDS_TO_ZERO}")
-        R = np.vstack((normal, offset, 2 * (L1[home] + L1[tags]), P[home] + P[tags])) / scale
-    flip = home > tags
-    R[:d + 1, flip] = -R[:d + 1, flip]
-    return R
-
-
-def _sq_dist(A, B):
-    """|b - a|^2 along the last axis, its squares summed from the first
-    coordinate: the order of the nearest-first feed."""
-    D = B - A
-    out = D[..., 0] * D[..., 0]
-    for k in range(1, D.shape[-1]):
-        out = out + D[..., k] * D[..., k]
-    return out
-
-
-def _nearest_first(q, j, dist, n):
-    """The pairs (q, j) and their distances, sorted by cell q, distance,
-    index j < n: one sort on a unique integer key, or, where that key would
-    not fit in int64, `np.lexsort` (several times slower on a block's
-    pairs)."""
-    rank = np.unique(dist, return_inverse=True)[1].reshape(-1)
-    span = int(rank.max(initial=0)) + 1
-    if (int(q.max(initial=0)) + 1) * span * n < 1 << 62:
-        order = np.argsort((q * span + rank) * n + j)
-    else:
-        order = np.lexsort((j, rank, q))
-    return q[order], j[order], dist[order]
-
-
-class _LiftedTree:
-    """A kd-tree over the sites, for queries on their lifted planes: at a
-    point v, the plane of site j lies |c_j - v|^2 - w_j, its power, above
-    the paraboloid (Aurenhammer, SIAM J. Comput. 16, 1987).
-
-    Each level halves every node at its middle along the node's widest
-    centre axis, down to at most LEAF sites per node; node u's children
-    are nodes 2u and 2u + 1 of the next level.  A level holds its nodes'
-    ranges in `perm`, their centres' boxes, and their largest weight,
-    |c|_1 and |c|^2 + |w|.  A query walks the levels for many cells at
-    once in numpy, and returns the sites of the leaves it did not prune.
-    """
-
-    LEAF = 8
-
-    def __init__(self, arrays):
-        C, _, W, L1, P = self.arrays = arrays
-        n = len(C)
-        perm = np.arange(n)
-        starts, stops = np.array([0]), np.array([n])
-        self.levels = []
-        while True:
-            box = [f.reduceat(a[perm], starts) for f, a in (
-                (np.minimum, C), (np.maximum, C), (np.maximum, W), (np.maximum, L1), (np.maximum, P))]
-            self.levels.append((starts, stops, *box))
-            if (stops - starts).max() <= self.LEAF:
-                break
-            seg = np.repeat(np.arange(len(starts)), stops - starts)
-            with np.errstate(over="ignore", invalid="ignore"):
-                axis = (box[1] - box[0]).argmax(axis=1)
-            perm = perm[np.lexsort((C[perm, axis[seg]], seg))]
-            mids = starts + (stops - starts) // 2
-            starts, stops = np.column_stack((starts, mids)).ravel(), np.column_stack((mids, stops)).ravel()
-        self.perm = perm
-        self.pos = np.empty(n, dtype=np.intp)
-        self.pos[perm] = np.arange(n)
-
-    def _search(self, count, pruned, kept):
-        """(q, j) for queries 0..count-1: the sites j of every leaf that
-        pruned(q, level, node) spares, with all its ancestors, that
-        kept(q, j) keeps (it returns their indices).  The walk goes down a
-        level at a time, depth first over chunks of at most BLOCK_PAIRS
-        (q, node) pairs, and takes a chunk's leaves BLOCK_PAIRS sites at a
-        time, so that no temporary holds much more than BLOCK_PAIRS pairs."""
-        starts, stops = self.levels[-1][:2]
-        leaves = max(1, BLOCK_PAIRS // self.LEAF)
-        found = [(np.empty(0, dtype=np.intp),) * 2]
-        chunks = [(0, np.arange(count), np.zeros(count, dtype=np.intp))]
-        while chunks:
-            t, q, node = chunks.pop()
-            if len(q) > BLOCK_PAIRS:
-                chunks += [(t, q[BLOCK_PAIRS:], node[BLOCK_PAIRS:]), (t, q[:BLOCK_PAIRS], node[:BLOCK_PAIRS])]
-                continue
-            spared = np.flatnonzero(~pruned(q, t, node))
-            q, node = q[spared], node[spared]
-            if t + 1 < len(self.levels):
-                chunks.append((t + 1, np.repeat(q, 2), (2 * node[:, None] + np.array([0, 1])).ravel()))
-                continue
-            for s in range(0, len(q), leaves):
-                qs, ns = q[s:s + leaves], node[s:s + leaves]
-                sizes = stops[ns] - starts[ns]
-                first = np.repeat(starts[ns] - np.cumsum(sizes) + sizes, sizes)
-                qs, js = np.repeat(qs, sizes), self.perm[first + np.arange(sizes.sum())]
-                keep = kept(qs, js)
-                found.append((qs[keep], js[keep]))
-        return tuple(map(np.concatenate, zip(*found)))
-
-    def near(self, home, k):
-        """Per cell q (site home[q]), (q, j) for the other sites j no farther
-        than its k-th nearest: the k-th nearest of the 2k others around it
-        in `perm` bounds that distance.  A box is pruned when its nearest
-        point is farther; its distance rounds no higher than any of its
-        sites', so none of those is lost."""
-        C = self.arrays[0]
-        width = min(len(C), 2 * k + 1)
-        J = self.perm[np.clip(self.pos[home] - k, 0, len(C) - width)[:, None] + np.arange(width)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            D = _sq_dist(C[home][:, None, :], C[J])
-        D[J == home[:, None]] = np.inf
-        reach = np.partition(D, k - 1, axis=1)[:, k - 1]
-
-        def pruned(q, t, node):
-            c = C[home[q]]
-            with np.errstate(over="ignore", invalid="ignore"):
-                return _sq_dist(c, np.clip(c, self.levels[t][2][node], self.levels[t][3][node])) > reach[q]
-
-        def kept(q, j):
-            with np.errstate(over="ignore", invalid="ignore"):
-                return np.flatnonzero((j != home[q]) & (_sq_dist(C[home[q]], C[j]) <= reach[q]))
-
-        return self._search(len(home), pruned, kept)
-
-    def cutters(self, home, V, done):
-        """Per cell q (site home[q], vertices V[:, :, q] padded as the
-        screen reads them), (q, j) for every site j not yet fed that the
-        screen would keep now, and perhaps a few more.  done: q * n + the
-        tree position of each site fed to cell q, and of home[q], sorted.
-        Site j can cut cell i only if its power |c_j - v|^2 - w_j is below
-        that of i at some vertex v: in the lifting, the plane of j lies
-        below that of i there.  A box is pruned when it holds only sites in
-        done; a box, and then a site, when its least power (its distance
-        from v, less its largest weight) exceeds that of i at every vertex
-        by twice the screen's slack, taken with the largest |c|_1 and
-        |c|^2 + |w| in it, plus the rounding of |v|^2: every site it holds
-        is one the screen drops."""
-        C, _, W, L1, P = self.arrays
-        n = len(C)
-        X = V.transpose(1, 2, 0)  # slot, cell, coordinate
-        with np.errstate(over="ignore", invalid="ignore"):
-            own = _sq_dist(X, C[home]) - W[home]
-            reach = np.abs(V).max(axis=(0, 1))
-        step = max(1, BLOCK_PAIRS // V.shape[1])
-
-        def pruned(q, lo, hi, w, l1, p):
-            out = np.empty(len(q), dtype=bool)
-            for s in range(0, len(q), step):
-                qs, part = q[s:s + step], slice(s, s + step)
-                v = X[:, qs]
-                with np.errstate(over="ignore", invalid="ignore"):
-                    least = (_sq_dist(v, np.clip(v, lo[part], hi[part])) - w[part] - own[:, qs]).min(axis=0)
-                    r = reach[qs]
-                    margin = 2 * CLIP_SKIP_TOL * (r * 2 * (L1[home[qs]] + l1[part]) + P[home[qs]] + p[part] + r * r)
-                    out[part] = np.isfinite(least) & (least > margin)
-            return out
-
-        def spent_or_pruned(q, t, node):
-            starts, stops, *box = (a[node] for a in self.levels[t])
-            spent = np.searchsorted(done, q * n + stops) - np.searchsorted(done, q * n + starts) == stops - starts
-            out = spent.copy()
-            out[~spent] = pruned(q[~spent], *(a[~spent] for a in box))
-            return out
-
-        def kept(q, j):
-            key = q * n + self.pos[j]
-            fresh = np.flatnonzero(done[np.minimum(np.searchsorted(done, key), len(done) - 1)] != key)
-            q, j = q[fresh], j[fresh]
-            return fresh[~pruned(q, C[j], C[j], W[j], L1[j], P[j])]
-
-        return self._search(len(home), spent_or_pruned, kept)
-
-
-class _Feed:
-    """Every cell's candidates, nearest centre first, ties by index.
-
-    A cell is first fed its k nearest other centres (and every further one
-    at distance 0, so that any row that rounds to zero is made), then, once
-    those are cut or screened away, the others its lifted query keeps.  The
-    query keeps every candidate the screen would keep, and the cuts of a
-    cell run nearest first, so the cuts that run are those of feeding every
-    candidate at once, in the same order.  Below 2k + 2 sites the query
-    would cost more than it saves: each cell is fed every other site, and
-    `tree` is None."""
-
-    def __init__(self, arrays, k, strict):
-        self.arrays, self.strict = arrays, strict
-        n = len(arrays[0])
-        self.k = k if 2 * k < n - 1 else n - 1
-        self.tree = _LiftedTree(arrays) if self.k < n - 1 else None
-
-    def rows(self, home, tags):
-        return _pair_rows(self.arrays, home, tags, self.strict)
-
-    def nearest(self, home):
-        """(q, j): the first candidates j of each cell q, site home[q]."""
-        C = self.arrays[0]
-        m, n, k = len(home), len(C), self.k
-        if self.tree is None:  # every other site
-            with np.errstate(over="ignore", invalid="ignore"):
-                order = np.argsort(_sq_dist(C[home][:, None, :], C), axis=1, kind="stable")
-            return np.repeat(np.arange(m), n - 1), order[order != home[:, None]]
-        q, j = self.tree.near(home, k)
-        with np.errstate(over="ignore", invalid="ignore"):
-            q, j, dist = _nearest_first(q, j, _sq_dist(C[home[q]], C[j]), n)
-        # the k nearest, and every further one at distance 0
-        first = np.searchsorted(q, np.arange(m))
-        count = np.maximum(k, np.bincount(q[dist == 0], minlength=m))
-        fed = np.flatnonzero(np.arange(len(q)) - first[q] < count[q])
-        return q[fed], j[fed]
-
-    def beyond(self, home, V, fed):
-        """(q, j): the candidates after the pairs fed (q, j) of each cell q,
-        that its lifted query at its vertices V keeps, nearest first."""
-        n, pos = len(self.arrays[0]), self.tree.pos
-        done = np.sort(np.r_[fed[0], np.arange(len(home))] * n + pos[np.r_[fed[1], home]])
-        q, j = self.tree.cutters(home, V, done)
-        with np.errstate(over="ignore", invalid="ignore"):
-            dist = _sq_dist(self.arrays[0][home[q]], self.arrays[0][j])
-        return _nearest_first(q, j, dist, n)[:2]
-
-
-class _Rings:
-    """A block's float polygons as padded arrays, cut in numpy.
-
-    P[coordinate, slot, cell]: each ring, padded with its first vertex, as
-    the screen reads it; T[slot, cell]: its edge tags (-1 for the
-    window's); L[cell]: its length, 0 once empty.  A cut makes the IEEE
-    operations of `clipping.clip_polygon` in the same order, so its
-    `Polygon`s, made once when the block's cuts end, are the clipper's."""
-
-    def __init__(self, window, m):
-        self.P = np.repeat(np.array(window.vertices, dtype=float).T[:, :, None], m, axis=2)
-        self.T = np.repeat(np.array([[-1 if t is BOX_TAG else t] for t in window.tags]), m, axis=1)
-        self.L = np.full(m, len(window.vertices))
-
-    @property
-    def V(self):
-        return self.P
-
-    @property
-    def live(self):
-        return self.L > 0
-
-    def cut(self, cs, R, tags):
-        """Cut ring cs[p] to the side <= 0 of column R[:, p]; its new edges
-        get tags[p]."""
-        P, T, L = self.P[:, :, cs], self.T[:, cs], self.L[cs]
-        d, S, m = P.shape
-        col = np.arange(m)
-        slot = np.arange(S)[:, None]
-        valid = slot < L
-        nxt = np.where(slot + 1 < L, slot + 1, 0)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            f0 = _side_table(P, R)
-            f1 = f0[nxt, col]
-            t = f0 / (f0 - f1)
-            X = P + t * (P[:, nxt, col] - P)
-        inside = f0 <= 0
-        # slot 2k: vertex k, kept inside; slot 2k + 1: edge k's crossing
-        emit = np.stack((valid & inside, valid & np.where(inside, f1 > 0, f1 <= 0)), axis=1)
-        P, T, L = _compress(
-            np.stack((P, X), axis=2).reshape(d, 2 * S, m),
-            np.stack((T, np.where(inside, tags, T)), axis=1).reshape(2 * S, m),
-            emit.reshape(2 * S, m),
-        )
-        slot = np.arange(P.shape[1])[:, None]
-        nxt = np.where(slot + 1 < L, slot + 1, 0)
-        long = (slot < L) & ~(P == P[:, nxt, col]).all(axis=0)  # drop zero-length edges
-        P, T, L = _compress(P, T, long)
-        L[L < 3] = 0
-        grow = P.shape[1] - self.P.shape[1]
-        if grow > 0:
-            self.P = np.concatenate((self.P, np.repeat(self.P[:, :1], grow, axis=1)), axis=1)
-            self.T = np.concatenate((self.T, np.repeat(self.T[:1], grow, axis=0)), axis=0)
-        W = P.shape[1]
-        self.P[:, :W, cs], self.P[:, W:, cs] = P, P[:, :1]
-        self.T[:W, cs] = T
-        self.L[cs] = L
-        width = max(1, self.L.max())
-        self.P, self.T = self.P[:, :width], self.T[:width]
-
-    def shapes(self):
-        return [
-            Polygon(
-                list(map(tuple, self.P[:, :n, c].T.tolist())),
-                [BOX_TAG if t < 0 else t for t in self.T[:n, c].tolist()],
-            ) if n else Polygon([], [])
-            for c, n in enumerate(self.L.tolist())
-        ]
-
-
-def _compress(P, T, keep):
-    """The kept slots of each ring first, in order, padded with its first;
-    and the counts."""
-    L = keep.sum(axis=0)
-    order = np.argsort(~keep, axis=0, kind="stable")[:max(1, L.max())]
-    col = np.arange(P.shape[2])
-    P, T = P[:, order, col], T[order, col]
-    return np.where(np.arange(len(order))[:, None] < L, P, P[:, :1]), T, L
-
-
-class _Cells:
-    """A block's cells, cut one at a time by `clip_fn`, and the float images
-    of their vertices in one padded table V[coordinate, slot, cell], as the
-    screen reads it: slot k of a cell is its vertex k, and a dead vertex's
-    slot and the padding repeat its first live vertex.  A cut rewrites the
-    column of each cell it changed.  Float cells get their side values from
-    the table.  Homogeneous vertices (the exact route) are cut by
-    halfspace(c, j), and imaged as X / Z, correctly rounded, once per
-    vertex: a cut keeps its survivors' images.  A polyhedron's table is compacted once its dead vertices outnumber its
-    live ones, and when its cuts end."""
-
-    def __init__(self, window, m, clip_fn, halfspace):
-        self.clip_fn, self.halfspace = clip_fn, halfspace
-        self.homogeneous = len(window.vertices[0]) > (2 if isinstance(window, Polygon) else 3)
-        self.cells = [window] * m
-        self.images = [self._images(window, [])] * m
-        self.table = np.repeat(np.array(self.images[0], dtype=float).T[:, :, None], m, axis=2)
-        self.count = np.full(m, len(window.vertices))  # table lengths, 0 once empty
-
-    @property
-    def V(self):
-        return self.table[:, :self.count.max()]
-
-    @property
-    def live(self):
-        return self.count > 0
-
-    def _images(self, shape, old):
-        """The float images of shape's vertices, X / Z correctly rounded;
-        old: those of the cell it was cut from.  A polyhedron's table keeps
-        the old vertices in place (dead ones None) and appends the
-        crossings."""
-        if not self.homogeneous:
-            return shape.vertices
-        if isinstance(shape, Polyhedron):
-            made = [(x / w, y / w, z / w) for x, y, z, w in shape.vertices[len(old):]]
-            return [None if v is None else u for v, u in zip(shape.vertices, old + made)]
-        return [(x / z, y / z) for x, y, z in shape.vertices]
-
-    def cut(self, cs, R, tags):
-        d = len(R) - 3
-        cs, tags = cs.tolist(), tags.tolist()
-        if self.homogeneous:
-            cuts = [(self.clip_fn, hs.normal, hs.offset, j) for hs, j in zip(map(self.halfspace, cs, tags), tags)]
-        else:  # the cut's row and its side values, slot by slot
-            with np.errstate(over="ignore", invalid="ignore"):
-                vals = _side_table(self.table[:, :, cs], R).T.tolist()
-            cuts = [
-                (functools.partial(self.clip_fn, vals=f[:k]), row[:d], row[d], j)
-                for row, f, k, j in zip(R[:d + 1].T.tolist(), vals, self.count[cs].tolist(), tags)
-            ]
-        rewrite = []  # (cell, every slot's image)
-        for c, (clip_fn, normal, offset, j) in zip(cs, cuts):
-            before = self.cells[c]
-            cell = self.cells[c] = clip_fn(before, normal, offset, j)
-            if cell is before:
-                continue
-            if cell.empty:
-                self.count[c] = 0
-                continue
-            images = self._images(cell, self.images[c])
-            if isinstance(cell, Polyhedron) and 2 * images.count(None) > len(images):
-                self.cells[c] = cell.compact()
-                images = [v for v in images if v is not None]
-            self.images[c], self.count[c] = images, len(images)
-            rewrite.append((c, images))
-        grow = self.count.max() - self.table.shape[1]
-        if grow > 0:  # slot 0 holds a live vertex's image
-            self.table = np.concatenate((self.table, np.repeat(self.table[:, :1], grow, axis=1)), axis=1)
-        if rewrite:
-            width = self.table.shape[1]
-            cols = []
-            for _, images in rewrite:
-                first = next(filter(None, images))
-                cols += [first if v is None else v for v in images] + [first] * (width - len(images))
-            flat = np.fromiter(chain.from_iterable(cols), float, len(cols) * d)
-            self.table[:, :, [c for c, _ in rewrite]] = flat.reshape(-1, width, d).T
-
-    def shapes(self):
-        return [cell.compact() for cell in self.cells]
-
-
-def _lockstep(cells, cell, tags, R):
-    """Cut a block's cells in lockstep, each by the candidates that change it.
-
-    Pair p is candidate tags[p] of cell cell[p] of `cells` (`_Rings` or
-    `_Cells`); each cell's pairs are contiguous and in cut order.  R: one
-    column per pair, as `_pair_rows` makes it.  Each step screens every
-    live pair against its cell's current vertices, then every cell with a
-    live pair cuts by its first.  A pair is dropped for good once its float
-    value is finite and below -CLIP_SKIP_TOL * (max|vertex coordinate| *
-    s1 + s0) at every vertex of its cell: the exact clip would keep every
-    vertex.
-    """
-    d = len(R) - 3
-    ids = np.array((cell, tags), dtype=np.intp).reshape(2, -1)
-    while ids.shape[1]:
-        cell = ids[0]
-        starts = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
-        counts = np.diff(np.r_[starts, len(cell)])
-        V = cells.V[:, :, cell[starts]]
-        with np.errstate(over="ignore", invalid="ignore"):
-            worst = _screen(R, V, counts)
-            reach = np.repeat(np.abs(V).max(axis=(0, 1)), counts)
-            slack = CLIP_SKIP_TOL * (reach * R[d + 1] + R[d + 2])
-            keep = ~(np.isfinite(worst) & (worst < -slack))
-        kept = np.flatnonzero(keep)
-        if not len(kept):
-            break
-        held = cell[kept]
-        first = kept[np.r_[True, held[1:] != held[:-1]]]  # each cell's next cut
-        cells.cut(cell[first], R[:, first], ids[1, first])
-        keep[first] = False
-        keep &= cells.live[cell]
-        kept = np.flatnonzero(keep)
-        R, ids = R.take(kept, axis=1), ids.take(kept, axis=1)
-
-
-def _cut_block(window, home, feed, halfspace, clip_fn):
-    """The cells of the sites `home`, each cut from the window by the
-    candidates that change it, nearest first: in lockstep by the feed's
-    first candidates, then by those their lifted queries keep.  Float
-    polygons are cut in numpy (`_Rings`), other cells by `clip_fn`;
-    halfspace(i, j) is site i's side of its radical hyperplane with j, asked
-    for on homogeneous vertices when j's cut of cell i runs."""
-    if len(window.vertices[0]) == 2:
-        cells = _Rings(window, len(home))
-    else:
-        cells = _Cells(window, len(home), clip_fn, lambda c, j: halfspace(int(home[c]), j))
-    q, tags = feed.nearest(home)
-    _lockstep(cells, q, tags, feed.rows(home[q], tags))
-    if feed.tree is not None:
-        alive = np.flatnonzero(cells.live)
-        local = np.cumsum(cells.live) - 1
-        ok = cells.live[q]
-        q, tags = feed.beyond(home[alive], cells.V[:, :, alive], (local[q[ok]], tags[ok]))
-        q = alive[q]
-        _lockstep(cells, q, tags, feed.rows(home[q], tags))
-    return cells.shapes()
-
-
 def _ball_test(points, clip):
     """Which points lie strictly inside the clip ball, and whether the
     segment between points k and j comes closer to its centre than r."""
@@ -910,25 +363,20 @@ def _polyhedron_vertices(polyh, i):
             yield point, frozenset(site_tags | {i})
 
 
-def _blocks(n, k):
-    """Cells 0..n-1 in blocks of at most BLOCK_PAIRS first candidates (k
-    per cell), or one cell."""
-    per_block = max(1, BLOCK_PAIRS // max(1, k))
-    return (np.arange(start, min(n, start + per_block)) for start in range(0, n, per_block))
-
-
 def _halfspaces(pairs, n, arrays, side=None):
     """Every cell's halfspaces, {neighbour: Halfspace} in ascending
     neighbour order, for the sorted pairs (i, j), i < j: cell i gets the
-    exact row side(i, j) on exact sites, or else the pair's `_pair_rows`
-    column, made BLOCK_PAIRS pairs at a time; cell j gets its negation."""
+    exact row side(i, j) on exact sites, or else the pair's
+    `cutting.pair_rows` column, made `cutting.BLOCK_PAIRS` pairs at a time;
+    cell j gets its negation."""
     d = arrays[0].shape[1]
     own = [{} for _ in range(n)]
-    for start in range(0, len(pairs), BLOCK_PAIRS):
-        part = pairs[start:start + BLOCK_PAIRS]
+    step = cutting.BLOCK_PAIRS
+    for start in range(0, len(pairs), step):
+        part = pairs[start:start + step]
         if side is None:
             home, tags = np.array(part, dtype=np.intp).T
-            rows = _pair_rows(arrays, home, tags, True)[:d + 1].T.tolist()
+            rows = cutting.pair_rows(arrays, home, tags, True)[:d + 1].T.tolist()
             made = [Halfspace(r[:d], r[d]) for r in rows]
         else:
             made = [side(i, j) for i, j in part]
@@ -952,7 +400,7 @@ def build_complex(sites, clip: Ball) -> PowerComplex:
     if len(clip.center) != d:
         raise ArityMismatch("clip ball dimension does not match sites")
     exact = all(all_exact(s.center + (s.weight,)) for s in sites)
-    arrays = _site_arrays(sites, d)
+    arrays = cutting.site_arrays(sites, d)
     # from here on one arithmetic: the exact sites, or the others' float64 images
     images = zip(sites, arrays[0].tolist(), arrays[2].tolist())
     work = sites if exact else [WeightedSite(tuple(c), w, s.origin_index) for s, c, w in images]
@@ -984,10 +432,7 @@ def build_complex(sites, clip: Ball) -> PowerComplex:
     window = replace(window, vertices=[clipping.to_homogeneous(v) for v in corners] if exact else corners)
 
     # 1. cut every cell, a block of cells at a time, nearest centre first
-    feed = _Feed(arrays, NEAREST_FEED[d], not exact)
-    shapes = []
-    for home in _blocks(n, feed.k):
-        shapes += _cut_block(window, home, feed, side, clip_fn)
+    shapes = cutting.cut_cells(window, arrays, exact, side, clip_fn)
 
     # 2. the finished cells' facets (the lower cell's, if it has one) and vertex candidates
     facets = {}

@@ -32,6 +32,7 @@ from hypervoronoi import (  # noqa: E402
     ModelTag,
     build_complex,
     clipping,
+    cutting,
     delaunay,
     hemisphere_site_map,
     klein_site_map,
@@ -361,7 +362,7 @@ def _sites(draw):
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(_sites(), st.sampled_from([power.BLOCK_PAIRS, 1, 7]), st.sampled_from([1, 2, 32]))
+@given(_sites(), st.sampled_from([cutting.BLOCK_PAIRS, 1, 7]), st.sampled_from([1, 2, 32]))
 def test_screened_build_equals_plain_build(case, cap, feed):
     """The screened two-phase build, each cell fed its `feed` nearest and
     then what its lifted query keeps, equals the plain build that cuts by
@@ -370,13 +371,13 @@ def test_screened_build_equals_plain_build(case, cap, feed):
     try:
         ref = reference_complex(sites, unit_ball(d))
     except CoincidentSites as e:  # a row that rounds to zero: the same typed error
-        assert str(e).endswith(power.ROUNDS_TO_ZERO)
+        assert str(e).endswith(cutting.ROUNDS_TO_ZERO)
         ref = e
     except DuplicateSites as e:  # two points whose sites' images coincide: likewise
         ref = e
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(power, "BLOCK_PAIRS", cap)  # one block, one cell per block, a few cells
-        m.setitem(power.NEAREST_FEED, d, feed)
+        m.setattr(cutting, "BLOCK_PAIRS", cap)  # one block, one cell per block, a few cells
+        m.setitem(cutting.NEAREST_FEED, d, feed)
         if isinstance(ref, Exception):
             with pytest.raises(type(ref), match=re.escape(str(ref))):
                 build_complex(sites, clip=unit_ball(d))
@@ -388,7 +389,7 @@ def test_screened_build_equals_plain_build(case, cap, feed):
 @settings(max_examples=150, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_numpy_ring_step_equals_clip_polygon(data):
-    """`power._Rings` cuts a block of float polygons in numpy; after every
+    """`cutting._Rings` cuts a block of float polygons in numpy; after every
     step each ring is `clipping.clip_polygon`'s, by `==` and `repr`: cuts
     through a vertex or along an edge (the crossings they make repeat a
     vertex, and the zero-length edges go), cuts that empty a cell, and
@@ -396,7 +397,7 @@ def test_numpy_ring_step_equals_clip_polygon(data):
     coord = st.floats(-4.0, 4.0) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0])
     m = data.draw(st.integers(1, 4))
     window = clipping.box_polygon(data.draw(st.sampled_from([1.0, 0.75, 3.0])))
-    rings, want = power._Rings(window, m), [window] * m
+    rings, want = cutting._Rings(window, m), [window] * m
     for step in range(data.draw(st.integers(1, 8))):
         cs = [c for c in range(m) if not want[c].empty and data.draw(st.booleans())]
         rows = []
@@ -559,20 +560,20 @@ def test_pair_table_is_the_python_rows(case, data):
     n = len(sites)
     images = [power.WeightedSite(tuple(map(float, s.center)), float(s.weight), s.origin_index) for s in sites]
     home, tags = np.array([(i, j) for i in range(n) for j in range(n) if i != j]).T
-    arrays = power._site_arrays(sites, d)
-    table = power._pair_rows(arrays, home, tags, False)
+    arrays = cutting.site_arrays(sites, d)
+    table = cutting.pair_rows(arrays, home, tags, False)
     scalar = st.floats(-2.0, 2.0) | st.sampled_from(EDGE_FLOATS)
     zero = st.sampled_from([0.0, -0.0])
     verts = data.draw(st.lists(st.tuples(*[scalar] * d) | st.tuples(*[zero] * d), min_size=1, max_size=6))
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = power._side_table(np.array(verts, dtype=float).T[:, :, None], table).T.tolist()
+        vals = cutting._side_table(np.array(verts, dtype=float).T[:, :, None], table).T.tolist()
     for p, (i, j) in enumerate(zip(home.tolist(), tags.tolist())):
         lo, hi = min(i, j), max(i, j)
         try:  # identical images, or a row that rounds to zero
             hs = reference_radical_hyperplane(images[lo], images[hi])
         except CoincidentSites:
-            with pytest.raises(CoincidentSites, match=f"^sites {lo} and {hi}: {power.ROUNDS_TO_ZERO}$"):
-                power._pair_rows(arrays, home[p:p + 1], tags[p:p + 1], True)
+            with pytest.raises(CoincidentSites, match=f"^sites {lo} and {hi}: {cutting.ROUNDS_TO_ZERO}$"):
+                cutting.pair_rows(arrays, home[p:p + 1], tags[p:p + 1], True)
             continue
         side = hs if i < j else -hs
         row = table[:d + 1, p].tolist()

@@ -31,7 +31,7 @@ from hypervoronoi import (
     unit_ball,
     voronoi,
 )
-from hypervoronoi import clipping, power
+from hypervoronoi import clipping, cutting, power
 from hypervoronoi.clipping import GridIndex
 from hypervoronoi.documents import diagram_to_document, dump_json
 from hypervoronoi.sampling import ball_points, random_klein_points, rational_hemisphere_points
@@ -90,13 +90,13 @@ def test_radical_coincident_sites_rejected():
 def test_float_row_that_rounds_to_zero_names_the_pair():
     # distinct float sites whose normal's squares underflow, offset 0
     sites = [klein_site_map(p, i) for i, p in enumerate([(1e-170, 0.2), (2e-170, 0.2), (0.5, -0.1)])]
-    with pytest.raises(CoincidentSites, match=f"^{power.ROUNDS_TO_ZERO}$"):
+    with pytest.raises(CoincidentSites, match=f"^{cutting.ROUNDS_TO_ZERO}$"):
         radical_hyperplane(sites[0], sites[1])
     mixed = sites[:2] + [W((Fraction(1, 2), Fraction(0)), Fraction(1, 3), 2)]
     wide = [klein_site_map(s.center + (0.0, 0.0), i) for i, s in enumerate(sites)]
     # distinct sites, one exact, whose float64 images coincide
     twins = [W((0.1, 0.2), -1.0, 0), W((Fraction(0.1) + Fraction(1, 10**40), Fraction(0.2)), -1, 1), sites[2]]
-    named = f"^sites 0 and 1: {power.ROUNDS_TO_ZERO}$"
+    named = f"^sites 0 and 1: {cutting.ROUNDS_TO_ZERO}$"
     # the table, for cuts and facets and for d > 3's halfspaces
     for s, clip in ((sites, unit_ball(2)), (mixed, unit_ball(2)), (wide, unit_ball(4)), (twins, unit_ball(2))):
         with pytest.raises(CoincidentSites, match=named):
@@ -548,7 +548,7 @@ def test_cell_halfspaces_are_radical_hyperplanes(d, n):
     assert cx.explicit == (d in (2, 3))
 
 
-@pytest.mark.parametrize("cap", [power.BLOCK_PAIRS, 1, 7])
+@pytest.mark.parametrize("cap", [cutting.BLOCK_PAIRS, 1, 7])
 @pytest.mark.parametrize("scalar", ["float", "exact"])
 @pytest.mark.parametrize("d, n", [(4, 9), (5, 7)])
 def test_high_dimension_halfspaces_pair_up(monkeypatch, d, n, scalar, cap):
@@ -559,7 +559,7 @@ def test_high_dimension_halfspaces_pair_up(monkeypatch, d, n, scalar, cap):
     if scalar == "float":
         pts = [tuple(map(float, p)) for p in pts]
     sites = [hemisphere_site_map(p, i) for i, p in enumerate(pts)]
-    monkeypatch.setattr(power, "BLOCK_PAIRS", cap)
+    monkeypatch.setattr(cutting, "BLOCK_PAIRS", cap)
     cx = build_complex(sites, clip=unit_ball(d))
     for cell in cx.cells:
         i = cell.site_index
@@ -663,16 +663,16 @@ def test_two_phase_feed_equals_plain_build(monkeypatch, d, scalar, feed):
         sites = [klein_site_map(p, i) for i, p in enumerate(random_klein_points(n, d, seed=5))]
     else:
         sites = [hemisphere_site_map(p, i) for i, p in enumerate(rational_hemisphere_points(n, d, seed=5))]
-    monkeypatch.setitem(power.NEAREST_FEED, d, feed)
+    monkeypatch.setitem(cutting.NEAREST_FEED, d, feed)
     kept = []
-    beyond = power._Feed.beyond
+    beyond = cutting._Feed.beyond
 
     def counting(self, *args):
         q, j = beyond(self, *args)
         kept.append(len(q))
         return q, j
 
-    monkeypatch.setattr(power._Feed, "beyond", counting)
+    monkeypatch.setattr(cutting._Feed, "beyond", counting)
     assert_same_complex(build_complex(sites, clip=unit_ball(d)), reference_complex(sites, unit_ball(d)))
     if (scalar, d, feed) == ("float", 2, 32):  # once the 32 nearest have cut, few others can
         assert kept and sum(kept) < n
@@ -687,7 +687,7 @@ def test_nearest_first_orders_by_cell_distance_index():
     dist = rng.choice([0.0, 0.25, 1e-300, 2.0, np.inf], 300)
     want = sorted(zip(q.tolist(), dist.tolist(), j.tolist()))
     for n in (300, 1 << 60):
-        got = power._nearest_first(q, j, dist, n)
+        got = cutting._nearest_first(q, j, dist, n)
         assert list(zip(got[0].tolist(), got[2].tolist(), got[1].tolist())) == want
 
 
@@ -705,7 +705,7 @@ def test_exact_documents_do_not_depend_on_cut_order(monkeypatch, d, fixture):
 
     nearest_first = document()
     with monkeypatch.context() as m:
-        m.setattr(power, "_cut_block", _reversed_cut_block)
+        m.setattr(cutting, "_cut_block", _reversed_cut_block)
         assert document() == nearest_first
 
 
@@ -719,22 +719,22 @@ def test_build_over_several_blocks_equals_one_block(monkeypatch, d, scalar, fixt
     sites = [hemisphere_site_map(p, i) for i, p in enumerate(pts)]
     n = len(sites)
     blocks = []
-    cut_block = power._cut_block
+    cut_block = cutting._cut_block
 
     def counting(window, home, *rest):
         blocks.append(len(home))
         return cut_block(window, home, *rest)
 
     # feed 2: every cell is fed its two nearest, then its lifted query's
-    for feed in (power.NEAREST_FEED[d], 2):
-        monkeypatch.setitem(power.NEAREST_FEED, d, feed)
-        k = power._Feed(power._site_arrays(sites, d), feed, False).k  # first candidates per cell
+    for feed in (cutting.NEAREST_FEED[d], 2):
+        monkeypatch.setitem(cutting.NEAREST_FEED, d, feed)
+        k = cutting._Feed(cutting.site_arrays(sites, d), feed, False).k  # first candidates per cell
         one = build_complex(sites, clip=unit_ball(d))
         with monkeypatch.context() as m:
-            m.setattr(power, "_cut_block", counting)
+            m.setattr(cutting, "_cut_block", counting)
             for cap in (1, k, 3 * k - 1):  # one cell per block, then two
                 blocks.clear()
-                m.setattr(power, "BLOCK_PAIRS", cap)
+                m.setattr(cutting, "BLOCK_PAIRS", cap)
                 cx = build_complex(sites, clip=unit_ball(d))
                 assert sum(blocks) == n and len(blocks) > 1
                 assert max(blocks) == max(1, cap // k)
@@ -749,7 +749,7 @@ def test_candidates_come_nearest_first(monkeypatch, d):
     sites = [klein_site_map(p, i) for i, p in enumerate(pts)]
     n = len(sites)
     homes, first, ran = [], {}, {}  # blocks, first candidates and cuts that ran per cell
-    cut_block, nearest = power._cut_block, power._Feed.nearest
+    cut_block, nearest = cutting._cut_block, cutting._Feed.nearest
 
     def recording_block(window, home, *rest):
         homes.append(home)
@@ -768,17 +768,17 @@ def test_candidates_come_nearest_first(monkeypatch, d):
             return cut(self, cs, R, tags)
         return wrapped
 
-    monkeypatch.setattr(power, "_cut_block", recording_block)
-    monkeypatch.setattr(power._Feed, "nearest", recording_nearest)
-    for cls in (power._Rings, power._Cells):
+    monkeypatch.setattr(cutting, "_cut_block", recording_block)
+    monkeypatch.setattr(cutting._Feed, "nearest", recording_nearest)
+    for cls in (cutting._Rings, cutting._Cells):
         monkeypatch.setattr(cls, "cut", recording(cls.cut))
     # feed 2: the tied four straddle the first candidates and the lifted query's
-    for feed in (power.NEAREST_FEED[d], 2):
-        monkeypatch.setitem(power.NEAREST_FEED, d, feed)
-        k = power._Feed(power._site_arrays(sites, d), feed, True).k
+    for feed in (cutting.NEAREST_FEED[d], 2):
+        monkeypatch.setitem(cutting.NEAREST_FEED, d, feed)
+        k = cutting._Feed(cutting.site_arrays(sites, d), feed, True).k
         homes.clear()
         ran.update((i, []) for i in range(n))
-        monkeypatch.setattr(power, "BLOCK_PAIRS", 4 * k)  # three blocks
+        monkeypatch.setattr(cutting, "BLOCK_PAIRS", 4 * k)  # three blocks
         build_complex(sites, clip=unit_ball(d))
         assert len(homes) == 3 and len(first) == n
         for i in range(n):
@@ -850,8 +850,8 @@ def test_clip_screen_keeps_non_finite_candidates():
     for bad in ([math.inf, 0.0, -0.5], [math.nan, 0.0, 0.0], [1e308, 1e308, 0.0], [0.0, 0.0, -math.inf]):
         for scale in ([1.0, 0.5], [math.inf, math.inf]):
             R = np.array([bad + scale]).T  # one column: [normal | offset | s1, s0]
-            cells = power._Cells(box, 1, clipping.clip_polygon, lambda c, j: hs)
-            power._lockstep(cells, np.array([0]), np.array([7]), R)
+            cells = cutting._Cells(box, 1, clipping.clip_polygon, lambda c, j: hs)
+            cutting._lockstep(cells, np.array([0]), np.array([7]), R)
             assert cells.shapes() == [want]
 
 
@@ -877,8 +877,8 @@ def test_clip_screen_skips_only_containing_halfspaces():
     rows = np.array([[*planes[j].normal, planes[j].offset] for j in tags], dtype=float)
     R = np.vstack((rows.T, np.abs(rows[:, :-1]).sum(axis=1), np.abs(rows[:, -1])))
     box = _integer_box(2)
-    cells = power._Cells(box, 3, counting_clip, halfspace)
-    power._lockstep(cells, cell, tags, R)
+    cells = cutting._Cells(box, 3, counting_clip, halfspace)
+    cutting._lockstep(cells, cell, tags, R)
     got = cells.shapes()
     assert calls == [1, 1, 2]  # each cell's first live pair, in lockstep
     assert made == [(0, 1), (1, 1), (2, 2)]  # skipped candidates are never asked for

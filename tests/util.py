@@ -10,11 +10,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypervoronoi import ModelPoint, ModelTag, build_complex, clipping, convert, geodesic, power
+from hypervoronoi import ModelPoint, ModelTag, build_complex, clipping, convert, cutting, geodesic, power
 from hypervoronoi.clipping import Face, Polygon, Polyhedron
+from hypervoronoi.cutting import ROUNDS_TO_ZERO
 from hypervoronoi.errors import CoincidentSites
 from hypervoronoi.hvd import COLLINEAR_MIN_SPAN
-from hypervoronoi.power import ROUNDS_TO_ZERO, Halfspace, WeightedSite
+from hypervoronoi.power import Halfspace, WeightedSite
 from hypervoronoi.scalars import all_exact, as_floats, dot, norm_sq
 
 ALL_MODELS = (
@@ -117,7 +118,7 @@ class LinearIndex:
 
 
 def plain_cut_block(window, home, feed, halfspace, clip_fn, reverse=False):
-    """Reference for `power._cut_block`: every other site of every cell,
+    """Reference for `cutting._cut_block`: every other site of every cell,
     nearest centre first (ties by index; farthest first with `reverse`),
     one cell after the other, no screen and no query, each cut by
     `halfspace(i, j)`, also on float sites."""
@@ -139,7 +140,7 @@ def reference_complex(sites, clip):
     merges and the Python radical hyperplanes, so float cells are cut by
     Python rows, not by the pair table's columns."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(power, "_cut_block", plain_cut_block)
+        m.setattr(cutting, "_cut_block", plain_cut_block)
         m.setattr(power, "radical_hyperplane", reference_radical_hyperplane)
         m.setattr(clipping, "GridIndex", LinearIndex)
         return build_complex(sites, clip=clip)
