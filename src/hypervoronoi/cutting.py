@@ -29,7 +29,6 @@ from the site arrays of `site_arrays`.
 
 from __future__ import annotations
 
-import functools
 from itertools import chain
 
 import numpy as np
@@ -437,9 +436,10 @@ class _Cells:
     slot and the padding repeat its first live vertex.  A cut rewrites the
     column of each cell it changed.  Float cells get their side values from
     the table.  Homogeneous vertices (the exact route) are cut by
-    halfspace(c, j), and imaged as X / Z, correctly rounded, once per
-    vertex: a cut keeps its survivors' images.  A polyhedron's table is compacted once its dead vertices outnumber its
-    live ones, and when its cuts end."""
+    halfspace(c, j), and imaged as X / Z, correctly rounded: a polygon's
+    at each cut that changes it, a polyhedron's once per vertex (a cut
+    keeps its survivors' images).  A polyhedron's table is compacted once
+    its dead vertices outnumber its live ones, and when its cuts end."""
 
     def __init__(self, window, m, clip_fn, halfspace):
         self.clip_fn, self.halfspace = clip_fn, halfspace
@@ -473,18 +473,16 @@ class _Cells:
         d = len(R) - 3
         cs, tags = cs.tolist(), tags.tolist()
         if self.homogeneous:
-            cuts = [(self.clip_fn, hs.normal, hs.offset, j) for hs, j in zip(map(self.halfspace, cs, tags), tags)]
-        else:  # the cut's row and its side values, slot by slot
+            cuts = [(hs.normal, hs.offset, j) for hs, j in zip(map(self.halfspace, cs, tags), tags)]
+        else:  # the cut's row and its side values at the cell's vertices
             with np.errstate(over="ignore", invalid="ignore"):
                 vals = _side_table(self.table[:, :, cs], R).T.tolist()
-            cuts = [
-                (functools.partial(self.clip_fn, vals=f[:k]), row[:d], row[d], j)
-                for row, f, k, j in zip(R[:d + 1].T.tolist(), vals, self.count[cs].tolist(), tags)
-            ]
+            counts = self.count[cs].tolist()
+            cuts = [(row[:d], row[d], j, f[:k]) for row, j, f, k in zip(R[:d + 1].T.tolist(), tags, vals, counts)]
         rewrite = []  # (cell, every slot's image)
-        for c, (clip_fn, normal, offset, j) in zip(cs, cuts):
+        for c, cut in zip(cs, cuts):
             before = self.cells[c]
-            cell = self.cells[c] = clip_fn(before, normal, offset, j)
+            cell = self.cells[c] = self.clip_fn(before, *cut)
             if cell is before:
                 continue
             if cell.empty:
