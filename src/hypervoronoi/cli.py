@@ -35,7 +35,6 @@ from .errors import (
 )
 from .hvd import delaunay, detect_degeneracies, verify, verify_cells, voronoi
 from .models import Curvature, ModelTag
-from .render import render_svg
 from .sampling import SEED_LIMIT
 
 EXIT_OK = 0
@@ -131,6 +130,8 @@ def cmd_delaunay(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .render import render_svg  # imported here: no other command needs it at start-up
+
     if args.width < 1:
         raise ParseError(f"--width must be >= 1, got {args.width}")
     doc = load_diagram(args.diagram)
