@@ -22,6 +22,9 @@ CGTA 7, 1997).  Such a tuple is unique for its point, so `==` on vertices
 is equality of points on both routes.  `to_homogeneous` and `to_affine`
 convert a rational point; the power engine makes `Fraction`s once per
 vertex, when a cell's cuts end.
+
+`merge_near` is the one merge of near points, for power vertices and
+Delaunay faces.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+
+import numpy as np
 
 from .scalars import as_floats, dot, norm_sq, vsub
 
@@ -359,73 +364,65 @@ def face_min_norm_sq(verts) -> float:
     return best
 
 
-# --- proximity index ---------------------------------------------------------
+# --- merging near points ----------------------------------------------------
 
-class GridIndex:
-    """Float points, answering "the first stored point within `tol`".
-
-    `find(p)` returns the least index of a stored point whose Chebyshev
-    distance to p is <= tol (computed as `abs(a - b) <= tol` per
-    coordinate), the answer a scan of the stored points in insertion order
-    gives.  Points are bucketed by `c // (2 tol)` per coordinate and a query
-    searches the 3^d neighbouring buckets.  The bucket width is 2 tol, not
-    tol: with width tol, a pair such as (tol, -1e-30), whose float
-    difference rounds to tol, lies two buckets apart.  With tol == 0 the
-    bucket key is the point itself.
-    """
-
-    def __init__(self, tol: float):
-        self.tol = tol
-        self.width = 2.0 * tol
-        self.points = []
-        self.buckets = {}  # key -> indices, increasing
-
-    def _key(self, p):
-        if not self.width:
-            return tuple(p)
-        return tuple(c // self.width for c in p)
-
-    def find(self, p):
-        """Least index of a stored point within tol of p, or None."""
-        key = self._key(p)
-        if not self.width:
-            hits = self.buckets.get(key)
-            return hits[0] if hits else None
-        tol, points, buckets = self.tol, self.points, self.buckets
-        best = None
-        for near in itertools.product(*((c - 1.0, c, c + 1.0) for c in key)):
-            for idx in buckets.get(near, ()):
-                if best is not None and idx >= best:
-                    break
-                if all(abs(a - b) <= tol for a, b in zip(points[idx], p)):
-                    best = idx
-                    break
-        return best
-
-    def add(self, p) -> int:
-        """Store p and return its index."""
-        k = len(self.points)
-        self.points.append(tuple(p))
-        self.buckets.setdefault(self._key(p), []).append(k)
-        return k
+def _near_pairs(P, tol):
+    """Every pair (a, b), a < b, of rows of the float array P whose
+    coordinates all differ by at most tol (`abs(a - b) <= tol`), as two
+    arrays sorted by b, then a.  Rows sorted on their first coordinate x
+    are paired within a window: a row past fl(x + 2 tol) lies more than
+    2 tol beyond x, so its float difference from x rounds above tol."""
+    order = np.argsort(P[:, 0], kind="stable")
+    x = P[order, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach = np.where(np.isnan(x), 0, np.searchsorted(x, x + 2 * tol, side="right"))
+        count = np.maximum(reach - np.arange(len(x)) - 1, 0)
+        first = np.repeat(np.arange(len(x)), count)
+        second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(count) - count, count)
+        a, b = order[first], order[second]
+        near = (np.abs(P[a] - P[b]) <= tol).all(axis=1)
+    a, b = np.minimum(a, b)[near], np.maximum(a, b)[near]
+    by = np.lexsort((a, b))
+    return a[by], b[by]
 
 
 def merge_near(items, tol, accept=None) -> list:
     """Group (point, sites) items, taken in order, by float proximity.
 
-    An item joins the first group whose point lies within `tol` of its
-    own (`GridIndex.find`), if `accept(group point, union of sites)` holds
-    or no `accept` is given; otherwise it starts a group of its own.
-    Returns [group point, set of sites] lists, in order of creation.
+    An item joins the earliest group whose point lies within `tol` of its
+    own in every coordinate (`abs(a - b) <= tol` on their float images),
+    if `accept(group point, union of sites)` holds or no `accept` is
+    given; otherwise it starts a group of its own.  Returns [group point,
+    set of sites] lists, in order of creation.  Every pair within tol is
+    found at once (`_near_pairs`); only the items with an earlier one are
+    taken in turn.
     """
-    index = GridIndex(tol)
+    items = list(items)
+    if not items:
+        return []
+    P = np.fromiter(itertools.chain.from_iterable(p for p, _ in items), float).reshape(len(items), -1)
+    a, b = _near_pairs(P, tol)
+    earlier, later = a.tolist(), b.tolist()
+    starts = np.flatnonzero(np.diff(b, prepend=-1)).tolist()
+    lead = [True] * len(items)  # whether each item starts a group
+    members = {}  # a group's first item -> the items that joined it, in order
+    for start, stop in zip(starts, starts[1:] + [len(later)]):
+        k = earlier[start]
+        if not lead[k]:
+            k = next((k for k in earlier[start + 1:stop] if lead[k]), None)
+            if k is None:
+                continue
+        item = later[start]
+        if accept is not None:
+            union = set(items[k][1]).union(*(items[m][1] for m in members.get(k, ())), items[item][1])
+            if not accept(items[k][0], union):
+                continue
+        members.setdefault(k, []).append(item)
+        lead[item] = False
     groups = []
-    for point, sites in items:
-        fpt = as_floats(point)
-        k = index.find(fpt)
-        if k is not None and (accept is None or accept(groups[k][0], groups[k][1] | set(sites))):
-            groups[k][1].update(sites)
-        else:
-            index.add(fpt)
-            groups.append([point, set(sites)])
+    for k in itertools.compress(range(len(items)), lead):
+        sites = set(items[k][1])
+        for m in members.get(k, ()):
+            sites.update(items[m][1])
+        groups.append([items[k][0], sites])
     return groups

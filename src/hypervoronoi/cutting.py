@@ -409,13 +409,32 @@ class _Rings:
         width = max(1, self.L.max())
         self.P, self.T = self.P[:, :width], self.T[:width]
 
+    def least_first(self):
+        """Start each ring at its least vertex, the first of them, as
+        `Polygon.least_first` does (on a ring with a nan coordinate, by
+        that very call)."""
+        P, L = self.P, self.L
+        col = np.arange(P.shape[2])
+        slot = np.arange(P.shape[1])[:, None]
+        valid = slot < L
+        x = np.where(valid, P[0], np.inf).min(axis=0)
+        at = valid & (P[0] == x)
+        y = np.where(at, P[1], np.inf).min(axis=0)
+        k = (at & (P[1] == y)).argmax(axis=0)
+        for c in np.flatnonzero((np.isnan(P) & valid).any(axis=(0, 1))).tolist():
+            ring = list(map(tuple, P[:, :L[c], c].T.tolist()))
+            k[c] = ring.index(min(ring))
+        turn = np.where(valid, (k + slot) % np.maximum(L, 1), k)
+        self.P, self.T = P[:, turn, col], self.T[turn, col]
+
     def shapes(self):
+        live = np.arange(self.P.shape[1]) < self.L[:, None]  # cell, slot
+        points = list(zip(*(x.T[live].tolist() for x in self.P)))
+        tags = [BOX_TAG if t < 0 else t for t in self.T.T[live].tolist()]
+        ends = np.cumsum(self.L).tolist()
         return [
-            Polygon(
-                list(map(tuple, self.P[:, :n, c].T.tolist())),
-                [BOX_TAG if t < 0 else t for t in self.T[:n, c].tolist()],
-            ) if n else Polygon([], [])
-            for c, n in enumerate(self.L.tolist())
+            Polygon(points[e - n:e], tags[e - n:e]) if n else Polygon([], [])
+            for e, n in zip(ends, self.L.tolist())
         ]
 
 
@@ -552,7 +571,8 @@ def _cut_block(window, home, feed, halfspace, clip_fn):
     first candidates, then by those their lifted queries keep.  Float
     polygons are cut in numpy (`_Rings`), other cells by `clip_fn`;
     halfspace(i, j) is site i's side of its radical hyperplane with j, asked
-    for on homogeneous vertices when j's cut of cell i runs."""
+    for on homogeneous vertices when j's cut of cell i runs.  Returns the
+    `_Rings`, or the other cells' shapes."""
     if len(window.vertices[0]) == 2:
         cells = _Rings(window, len(home))
     else:
@@ -566,7 +586,7 @@ def _cut_block(window, home, feed, halfspace, clip_fn):
         q, tags = feed.beyond(home[alive], cells.V[:, :, alive], (local[q[ok]], tags[ok]))
         q = alive[q]
         _lockstep(cells, q, tags, feed.rows(home[q], tags))
-    return cells.shapes()
+    return cells if isinstance(cells, _Rings) else cells.shapes()
 
 
 def _blocks(n, k):
@@ -577,13 +597,11 @@ def _blocks(n, k):
 
 
 def cut_cells(window, arrays, exact, halfspace, clip_fn):
-    """Every cell's shape, each cut from the window, a block of cells at a
-    time: site arrays as `site_arrays` makes them; `exact`: the sites
-    are exact, and are cut on homogeneous vertices; halfspace(i, j): site
-    i's side of its radical hyperplane with j; clip_fn: the exact clipper
-    of the window's dimension."""
+    """Every cell cut from the window, one block of cells at a time, as a
+    list of blocks in cell order: a block of float polygons stays a
+    `_Rings`, any other is a list of shapes.  Site arrays as `site_arrays`
+    makes them; `exact`: the sites are exact, and are cut on homogeneous
+    vertices; halfspace(i, j): site i's side of its radical hyperplane
+    with j; clip_fn: the exact clipper of the window's dimension."""
     feed = _Feed(arrays, NEAREST_FEED[arrays[0].shape[1]], not exact)
-    shapes = []
-    for home in _blocks(len(arrays[0]), feed.k):
-        shapes += _cut_block(window, home, feed, halfspace, clip_fn)
-    return shapes
+    return [_cut_block(window, home, feed, halfspace, clip_fn) for home in _blocks(len(arrays[0]), feed.k)]

@@ -23,14 +23,15 @@ For d in {2, 3}, `build_complex` runs in four stages.
    their least vertex (no output depends on the cut order), reads the
    vertex candidates and the facets that come closer to the clip centre
    than r (d=2: exact, on the integers, on rational input).  The facets'
-   keys are the adjacency.
+   keys are the adjacency.  Float polygons are read a block at a time in
+   numpy (`_read_rings`), other cells one at a time.
 3. Halfspaces: `_halfspaces` gives each facet's lower cell its row and
    the higher cell the negation; a float row is its cut's `pair_rows`
    column, bit for bit.  A cell that misses the centre (the `locate` tie
    set) is empty without a facet, since the window lies outside the
    open ball.
 4. Merge: vertices of neighbouring cells merge into power vertices
-   within a tolerance.
+   within a tolerance, in one array pass (`clipping.merge_near`).
 Other dimensions keep every cell's n-1 halfspaces, from `_halfspaces`.
 """
 
@@ -40,6 +41,7 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -271,20 +273,13 @@ def _check_sites(sites) -> int:
     return d
 
 
-def _ball_test(points, clip):
-    """Which points lie strictly inside the clip ball, and whether the
-    segment between points k and j comes closer to its centre than r."""
-    rel = [vsub(v, clip.center) for v in points]
-    r2 = clip.radius**2
-    return [norm_sq(v) < r2 for v in rel], lambda k, j: clipping.segment_min_norm_sq(rel[k], rel[j]) < r2
-
-
 def _integer_ball_test(points, clip):
-    """`_ball_test` on the integers, for rational points (a float centre
-    or squared radius is taken at its exact value).  With the centre C / D
-    and r^2 = M / N
-    cleared of denominators, a point X / Z is
-    P / Q for P = D X - C Z and Q = D Z > 0, inside when N |P|^2 < M Q^2.
+    """Which rational points lie strictly inside the clip ball, and whether
+    the segment between points k and j comes closer to its centre than r,
+    on the integers (a float centre or squared radius is taken at its
+    exact value).  With the centre C / D and r^2 = M / N cleared of
+    denominators, a point X / Z is P / Q for P = D X - C Z and Q = D Z > 0,
+    inside when N |P|^2 < M Q^2.
     A segment P0 / Q0 -> P1 / Q1 with neither end inside comes closer than
     r when its foot parameter t = -<P0, E> Q1 / |E|^2, E = P1 Q0 - P0 Q1,
     lies in (0, 1) and N (|P0|^2 |E|^2 - <P0, E>^2) < M Q0^2 |E|^2."""
@@ -308,19 +303,78 @@ def _integer_ball_test(points, clip):
 
 
 def _polygon_facets(poly, tol, exact, clip):
-    """Radical edges of positive length (exactly so on rational input)
-    that come closer to the clip centre than its radius (exact likewise,
-    on the integers).  An edge with an end strictly inside the ball does
-    at once."""
-    inside, meets = (_integer_ball_test if exact else _ball_test)(poly.vertices, clip)
+    """Radical edges of an exact polygon that have positive length and
+    come closer to the clip centre than its radius, exactly, on the
+    integers; an edge with an end strictly inside the ball does at once.
+    Float polygons are read in numpy (`_read_rings`)."""
+    inside, meets = _integer_ball_test(poly.vertices, clip)
     for k, (tag, v0, v1) in enumerate(poly.edges()):
-        if tag is BOX_TAG:
-            continue
-        if not ((v0 != v1) if exact else (math.sqrt(float(norm_sq(vsub(v1, v0)))) > tol)):
+        if tag is BOX_TAG or v0 == v1:
             continue
         j = (k + 1) % len(poly.vertices)
         if inside[k] or inside[j] or meets(k, j):
             yield tag, (v0, v1)
+
+
+def _below(bound):
+    """(f, strict) such that a float x is below the real bound >= 0 (an
+    int, float or Fraction), compared exactly as Python compares them, iff
+    x < f when strict, x <= f otherwise."""
+    try:
+        f = float(bound)
+    except OverflowError:
+        return math.inf, True
+    return f, not math.isfinite(f) or Fraction(f) >= bound
+
+
+def _read_rings(rings, first, clip, tol):
+    """The Python reader's result on a block of float polygons
+    (`cutting._Rings`, cells first, first + 1, ...), in numpy.
+
+    Each ring starts at its least vertex.  A facet is a radical edge
+    longer than tol that comes closer to the clip centre than r: an end
+    strictly inside, or the foot of the centre strictly between its ends
+    and inside (`clipping.segment_min_norm_sq`: the same IEEE operations in
+    the same order, sums from +0.0; the test against r^2 exact).  Returns
+    the polygons, the facets ((i, j), (v0, v1)), i < j, each at its first
+    occurrence, and the vertex candidates: the corners where two radical
+    edges of different tags meet, with cell i and those tags."""
+    rings.least_first()
+    P, T, L = rings.P, rings.T, rings.L
+    col = np.arange(P.shape[2])
+    slot = np.arange(P.shape[1])[:, None]
+    nxt = np.where(slot + 1 < L, slot + 1, 0)
+    radical = (slot < L) & (T >= 0)
+    r2, strict = _below(clip.radius**2)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        E = P[:, nxt, col] - P
+        long = np.sqrt(E[0] * E[0] + E[1] * E[1]) > tol
+        X = P - np.array([float(c) for c in clip.center])[:, None, None]
+        sq = X[0] * X[0] + X[1] * X[1]
+        D = X[:, nxt, col] - X
+        dd = D[0] * D[0] + D[1] * D[1]
+        t = -(0.0 + X[0] * D[0] + X[1] * D[1]) / dd
+        W = X + t * D
+        foot = W[0] * W[0] + W[1] * W[1]
+        inside = sq < r2 if strict else sq <= r2
+        meets = (dd != 0) & (t > 0) & (t < 1) & (foot < r2 if strict else foot <= r2)
+    facet = radical & long & (inside | inside[nxt, col] | meets)
+    prev = T[np.where(slot > 0, slot - 1, L - 1), col]
+    corner = radical & (prev >= 0) & (prev != T)
+    polys = rings.shapes()
+    vertex = list(chain.from_iterable(p.vertices for p in polys)).__getitem__  # cell by cell
+    base = np.cumsum(L) - L
+    c, k = np.nonzero(facet.T)
+    i, j = first + c, T[k, c]
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    once = np.sort(np.unique(lo * (int(hi.max(initial=0)) + 1) + hi, return_index=True)[1])
+    c, k = c[once], k[once]
+    ends = (base[c] + k).tolist(), (base[c] + nxt[k, c]).tolist()
+    found = list(zip(zip(lo[once].tolist(), hi[once].tolist()), zip(*(map(vertex, e) for e in ends))))
+    c, k = np.nonzero(corner.T)
+    sites = zip((first + c).tolist(), prev[k, c].tolist(), T[k, c].tolist())
+    candidates = list(zip(map(vertex, (base[c] + k).tolist()), map(frozenset, sites)))
+    return polys, found, candidates
 
 
 def _polyhedron_facets(polyh, tol, exact, clip):
@@ -422,7 +476,7 @@ def build_complex(sites, clip: Ball) -> PowerComplex:
     scalar = Fraction if exact else float
     centre, r = tuple(map(scalar, clip.center)), scalar(clip.radius)
     # per dimension: the window, its clipper, in-ball facets of positive
-    # measure, vertex site sets
+    # measure, vertex site sets (float polygons: `_read_rings`)
     box, clip_fn, cell_facets, cell_vertices = {
         2: (clipping.box_polygon, clipping.clip_polygon, _polygon_facets, _polygon_vertices),
         3: (clipping.box_polyhedron, clipping.clip_polyhedron, _polyhedron_facets, _polyhedron_vertices),
@@ -432,19 +486,28 @@ def build_complex(sites, clip: Ball) -> PowerComplex:
     window = replace(window, vertices=[clipping.to_homogeneous(v) for v in corners] if exact else corners)
 
     # 1. cut every cell, a block of cells at a time, nearest centre first
-    shapes = cutting.cut_cells(window, arrays, exact, side, clip_fn)
+    blocks = cutting.cut_cells(window, arrays, exact, side, clip_fn)
 
-    # 2. the finished cells' facets (the lower cell's, if it has one) and vertex candidates
-    facets = {}
-    vertex_candidates = []
+    # 2. the finished cells' facets (the lower cell's, if it has one) and
+    # vertex candidates, each ring started at its least vertex
+    shapes, facets, vertex_candidates = [], {}, []
     tol = FACET_MEASURE_TOL * float(r)
-    for i, shape in enumerate(shapes):
-        if exact:
-            shape = replace(shape, vertices=[clipping.to_affine(v) for v in shape.vertices])
-        shapes[i] = shape = shape.least_first()
-        for j, facet in cell_facets(shape, tol, exact, clip):
-            facets.setdefault((i, j) if i < j else (j, i), facet)
-        vertex_candidates.extend(cell_vertices(shape, i))
+    for block in blocks:
+        if isinstance(block, cutting._Rings):
+            block, found, candidates = _read_rings(block, len(shapes), clip, tol)
+            shapes += block
+            vertex_candidates += candidates
+            for key, facet in found:
+                facets.setdefault(key, facet)
+            continue
+        for shape in block:
+            i = len(shapes)
+            if exact:
+                shape = replace(shape, vertices=[clipping.to_affine(v) for v in shape.vertices])
+            shapes.append(shape.least_first())
+            for j, facet in cell_facets(shapes[i], tol, exact, clip):
+                facets.setdefault((i, j) if i < j else (j, i), facet)
+            vertex_candidates.extend(cell_vertices(shapes[i], i))
 
     # 3. the facets' halfspaces; a cell that misses the centre (the `locate`
     # tie set) is empty without one, since the window lies outside the open ball

@@ -51,6 +51,7 @@ from util import (  # noqa: E402
     canonical_halfspace,
     fraction_clip_polygon,
     fraction_clip_polyhedron,
+    least_first,
     reference_complex,
     reference_radical_hyperplane,
 )
@@ -342,6 +343,31 @@ def test_float_commands_survive_range_edge_numbers(tmp_path, capsys, doc):
             assert ok, (command, route, code, err)
 
 
+@settings(
+    max_examples=100,  # at 25, no planar document builds, so none would be rendered
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(_float_range_edge_documents())
+def test_convert_and_render_survive_range_edge_numbers(tmp_path, capsys, doc):
+    """`convert` to every model, and `render` in every model of the
+    diagram each route computes: a result or one typed error line."""
+    path, diagram = tmp_path / "doc.json", tmp_path / "diagram.json"
+    path.write_text(json.dumps(doc))
+    runs = [["convert", str(path), "--to", model.value, "-o", str(tmp_path / "out.json")] for model in ModelTag]
+    for route in ("klein", "hemisphere"):
+        if main(["compute", str(path), "--route", route, "-o", str(diagram)]) == 0:
+            runs += [["render", str(diagram), "--model", model.value, "-o", str(tmp_path / "out.svg")]
+                     for model in ModelTag]
+        capsys.readouterr()
+    for argv in runs:
+        code = main(argv)
+        err = capsys.readouterr().err
+        ok = code == 0 or (code in range(2, 6) and err.startswith("error: ") and err.count("\n") == 1)
+        assert ok, (argv[0], argv[-3], code, err)
+
+
 @st.composite
 def _sites(draw):
     d = draw(st.sampled_from([2, 3]))
@@ -421,6 +447,28 @@ def test_numpy_ring_step_equals_clip_polygon(data):
             rings.cut(np.array(cs), R, np.full(len(cs), step))
         got = rings.shapes()
         assert got == want and repr(got) == repr(want)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_numpy_least_first_equals_polygon_least_first(data):
+    """`cutting._Rings.least_first` starts each ring where
+    `Polygon.least_first` does, by `repr`: on rings with equal points (0.0
+    and -0.0 among them), infinite and nan coordinates, and empty rings."""
+    value = st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]) | st.floats()
+    ring = st.just([]) | st.lists(st.tuples(value, value), min_size=3, max_size=7)
+    given_rings = data.draw(st.lists(ring, min_size=1, max_size=5))
+    m, width = len(given_rings), max(3, *map(len, given_rings))
+    rings = cutting._Rings(clipping.box_polygon(1.0), m)
+    rings.P = np.zeros((2, width, m))
+    for c, points in enumerate(given_rings):
+        if points:
+            rings.P[:, :, c] = np.array(points + points[:1] * (width - len(points))).T
+    rings.T = np.arange(width * m).reshape(width, m) - 1
+    rings.L = np.array([len(points) for points in given_rings])
+    want = [least_first(p) for p in rings.shapes()]
+    rings.least_first()
+    assert repr(rings.shapes()) == repr(want)
 
 
 @st.composite

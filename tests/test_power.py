@@ -32,19 +32,23 @@ from hypervoronoi import (
     voronoi,
 )
 from hypervoronoi import clipping, cutting, power
-from hypervoronoi.clipping import GridIndex
 from hypervoronoi.documents import diagram_to_document, dump_json
 from hypervoronoi.sampling import ball_points, random_klein_points, rational_hemisphere_points
 from hypervoronoi.scalars import norm_sq
 
 from util import (
-    LinearIndex,
     assert_same_complex,
+    ball_test,
     canonical_halfspace,
+    cocircular_square,
+    linear_merge_near,
     plain_cut_block,
+    python_reader,
     random_klein_point,
     reference_complex,
     reference_radical_hyperplane,
+    unbounded_star_points,
+    wheel_points,
 )
 
 
@@ -790,7 +794,7 @@ def test_candidates_come_nearest_first(monkeypatch, d):
 
 
 def test_integer_ball_test_equals_the_rational_one():
-    # `_ball_test` on Fractions is exact: the reference
+    # `util.ball_test` on Fractions is exact: the reference
     rng = np.random.default_rng(12)
 
     def rational(size, scale):
@@ -804,7 +808,7 @@ def test_integer_ball_test_equals_the_rational_one():
         points = [rational(2, 60) for _ in range(6)]
         points.append(tuple(c + Fraction(1, 7) for c in clip.center))  # inside
         inside, meets = power._integer_ball_test(points, clip)
-        want_inside, want_meets = power._ball_test(points, clip)
+        want_inside, want_meets = ball_test(points, clip)
         assert inside == want_inside
         for k, j in itertools.permutations(range(len(points)), 2):
             if not (inside[k] or inside[j]):  # `meets` is asked only then
@@ -887,7 +891,7 @@ def test_clip_screen_skips_only_containing_halfspaces():
     assert got[2].empty  # an empty cell cuts no more
 
 
-# --- grid index -------------------------------------------------------------------------
+# --- merging near points -------------------------------------------------------------
 
 def _grid_sequence(rng, tol, d):
     """Clustered points with exact-tol gaps, bucket edges and sign changes."""
@@ -904,24 +908,89 @@ def _grid_sequence(rng, tol, d):
     return [pts[k] for k in order]
 
 
+def _every_other(calls):
+    """An `accept` that records its calls and refuses every other one."""
+    def accept(point, union):
+        calls.append((point, sorted(union)))
+        return len(calls) % 2 == 0
+    return accept
+
+
+# The two tests below are named for the grid index the array merge
+# replaced; they test `merge_near` on that index's inputs.
+
 @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9, 0.1, 0.25])
 @pytest.mark.parametrize("d", [2, 3])
 def test_grid_index_matches_linear_first_match(tol, d):
+    # each item joins the least-index group within tol, not the nearest; a
+    # refused item leads a group of its own, which later items can join
     rng = np.random.default_rng(int(tol * 1e12) + d)
     for trial in range(20):
-        grid, lin = GridIndex(tol), LinearIndex(tol)
-        always_add = trial % 2 == 1  # the dual merge stores refused matches too
-        for p in _grid_sequence(rng, tol, d):
-            k = grid.find(p)
-            assert k == lin.find(p)
-            if k is None or always_add:
-                assert grid.add(p) == lin.add(p)
+        pts = _grid_sequence(rng, tol, d)
+        items = [(p, frozenset((k, k % 7 + 1000))) for k, p in enumerate(pts)]
+        got = clipping.merge_near(items, tol)
+        assert repr(got) == repr(linear_merge_near(items, tol))
+        calls, want_calls = [], []
+        got = clipping.merge_near(items, tol, _every_other(calls))
+        assert repr(got) == repr(linear_merge_near(items, tol, _every_other(want_calls)))
+        assert calls == want_calls
 
 
 def test_grid_index_pair_rounding_across_zero():
-    # (tol, -1e-30) is within tol in float arithmetic; with buckets of width
-    # tol the two would lie two buckets apart
+    # (tol, -1e-30) is within tol in float arithmetic, though its exact
+    # difference is not
     tol = 1e-9
-    grid = GridIndex(tol)
-    grid.add((tol, 0.5))
-    assert grid.find((-1e-30, 0.5)) == 0
+    items = [((tol, 0.5), {0}), ((-1e-30, 0.5), {1}), ((-1e-30, 0.5 + 2 * tol), {2})]
+    assert clipping.merge_near(items, tol) == [[(tol, 0.5), {0, 1}], [(-1e-30, 0.5 + 2 * tol), {2}]]
+    assert clipping.merge_near([], tol) == []
+
+
+# --- the array reader of float polygons ------------------------------------------------
+
+def _turned(pts, eps, seed):
+    """Each point turned about the origin by eps times a random sign."""
+    signs = np.random.default_rng(seed).choice([-1.0, 1.0], len(pts))
+    return [(x * math.cos(s * eps) - y * math.sin(s * eps), x * math.sin(s * eps) + y * math.cos(s * eps))
+            for (x, y), s in zip(pts, signs.tolist())]
+
+
+READER_FIXTURES = {
+    **{f"wheel{m}-{eps:g}": (lambda m=m, eps=eps: _turned(wheel_points(m, 0.6), eps, m) + [(0.05, -0.02)])
+       for m in (6, 8, 12) for eps in (1e-8, 1e-11, 1e-13, 1e-15)},
+    # wide wheels: radical edges 1e-18 to 1e-14 long, which the length test drops
+    **{f"wide-wheel{m}-{eps:g}": (lambda m=m, eps=eps: _turned(wheel_points(m, 0.9), eps, m))
+       for m in (8, 12, 16) for eps in (0.0, 1e-13, 1e-15)},
+    **{f"square-{eps:g}": (lambda eps=eps: _turned(cocircular_square(0.4), eps, 3) + [(0.0, 0.0)])
+       for eps in (1e-8, 1e-12, 1e-15)},
+    "star": lambda: unbounded_star_points(8, 0.998),
+    "boundary": lambda: _turned(wheel_points(7, 0.9999999), 1e-9, 7) + [(0.999999, 0.0), (0.0, -0.99999)],
+    "grid": lambda: [(a, b) for a in (-0.4, 0.0, 0.4) for b in (-0.4, 0.0, 0.4)],
+    "negative-zero": lambda: [(-0.0, 0.3), (0.3, -0.0), (-0.0, -0.0), (-0.3, -0.0), (-0.0, -0.3)],
+    "random": lambda: random_klein_points(60, 2, seed=9),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(READER_FIXTURES))
+@pytest.mark.parametrize(
+    "clip", [unit_ball(2), Ball((Fraction(1, 3), -0.25), Fraction(7, 10)), Ball((0.0, -0.0), 0.1)]
+)
+def test_array_reader_equals_python_reader(fixture, clip):
+    # near-degenerate wheels and squares make short edges and grazing cuts;
+    # a rational clip radius is compared exactly, as Python compares it
+    sites = [klein_site_map(p, i) for i, p in enumerate(READER_FIXTURES[fixture]())]
+    with python_reader():
+        want = build_complex(sites, clip=clip)
+    assert_same_complex(build_complex(sites, clip=clip), want)
+
+
+def test_array_reader_compares_the_radius_exactly():
+    # r^2 = 1/9 lies between two floats: a float bound in either direction
+    # would be wrong for one of them
+    r2 = Fraction(1, 9)
+    below, above = float(r2), math.nextafter(float(r2), 1.0)
+    if below > r2:
+        below, above = math.nextafter(below, 0.0), below
+    for x in (below, above, math.inf, math.nan):
+        f, strict = power._below(r2)
+        assert (x < f if strict else x <= f) == (x < r2)
+    assert power._below(10**400) == (math.inf, True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from collections import Counter
@@ -11,12 +12,12 @@ import numpy as np
 import pytest
 
 from hypervoronoi import ModelPoint, ModelTag, build_complex, clipping, convert, cutting, geodesic, power
-from hypervoronoi.clipping import Face, Polygon, Polyhedron
+from hypervoronoi.clipping import BOX_TAG, Face, Polygon, Polyhedron
 from hypervoronoi.cutting import ROUNDS_TO_ZERO
 from hypervoronoi.errors import CoincidentSites
 from hypervoronoi.hvd import COLLINEAR_MIN_SPAN
 from hypervoronoi.power import Halfspace, WeightedSite
-from hypervoronoi.scalars import all_exact, as_floats, dot, norm_sq
+from hypervoronoi.scalars import all_exact, as_floats, dot, norm_sq, vsub
 
 ALL_MODELS = (
     ModelTag.KLEIN,
@@ -99,22 +100,79 @@ def cocircular_square(radius: float = 0.4):
     return [(radius, 0.0), (0.0, radius), (-radius, 0.0), (0.0, -radius)]
 
 
-class LinearIndex:
-    """First-match scan over stored points: the reference for GridIndex."""
+def linear_merge_near(items, tol, accept=None):
+    """Reference for `clipping.merge_near`: each item scans the groups made
+    so far, first to last, and tries the first whose point is within tol
+    of its own in every coordinate."""
+    groups, points = [], []
+    for point, sites in items:
+        fpt = as_floats(point)
+        k = next((k for k, q in enumerate(points) if all(abs(a - b) <= tol for a, b in zip(q, fpt))), None)
+        if k is not None and (accept is None or accept(groups[k][0], groups[k][1] | set(sites))):
+            groups[k][1].update(sites)
+        else:
+            points.append(fpt)
+            groups.append([point, set(sites)])
+    return groups
 
-    def __init__(self, tol):
-        self.tol = tol
-        self.points = []
 
-    def find(self, p):
-        for k, q in enumerate(self.points):
-            if all(abs(a - b) <= self.tol for a, b in zip(q, p)):
-                return k
-        return None
+# --- the Python reader of float polygons: the reference for `power._read_rings` --
 
-    def add(self, p):
-        self.points.append(tuple(p))
-        return len(self.points) - 1
+def least_first(self) -> Polygon:
+    """The same polygon, its ring starting at its least vertex."""
+    k = self.vertices.index(min(self.vertices)) if self.vertices else 0
+    return Polygon(self.vertices[k:] + self.vertices[:k], self.tags[k:] + self.tags[:k])
+
+
+def ball_test(points, clip):
+    """Which points lie strictly inside the clip ball, and whether the
+    segment between points k and j comes closer to its centre than r."""
+    rel = [vsub(v, clip.center) for v in points]
+    r2 = clip.radius**2
+    return [norm_sq(v) < r2 for v in rel], lambda k, j: clipping.segment_min_norm_sq(rel[k], rel[j]) < r2
+
+
+def polygon_facets(poly, tol, exact, clip):
+    """Radical edges of positive length (exactly so on rational input)
+    that come closer to the clip centre than its radius (exact likewise,
+    on the integers).  An edge with an end strictly inside the ball does
+    at once."""
+    inside, meets = (power._integer_ball_test if exact else ball_test)(poly.vertices, clip)
+    for k, (tag, v0, v1) in enumerate(poly.edges()):
+        if tag is BOX_TAG:
+            continue
+        if not ((v0 != v1) if exact else (math.sqrt(float(norm_sq(vsub(v1, v0)))) > tol)):
+            continue
+        j = (k + 1) % len(poly.vertices)
+        if inside[k] or inside[j] or meets(k, j):
+            yield tag, (v0, v1)
+
+
+def polygon_vertices(poly, i):
+    """Corners where two radical edges meet: cells i, previous and next tag."""
+    for k, point in enumerate(poly.vertices):
+        t_prev, t_cur = poly.tags[k - 1], poly.tags[k]
+        if t_prev is not BOX_TAG and t_cur is not BOX_TAG and t_prev != t_cur:
+            yield point, frozenset((i, t_prev, t_cur))
+
+
+@contextlib.contextmanager
+def python_reader():
+    """Stage 2 of `build_complex` by the Python reader, a cell at a time,
+    also on float polygons: a block `cutting._cut_block` cuts in numpy is
+    read as its polygons."""
+    cut_block = cutting._cut_block
+
+    def as_shapes(*args):
+        block = cut_block(*args)
+        return block.shapes() if isinstance(block, cutting._Rings) else block
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cutting, "_cut_block", as_shapes)
+        m.setattr(Polygon, "least_first", least_first)
+        m.setattr(power, "_polygon_facets", polygon_facets)
+        m.setattr(power, "_polygon_vertices", polygon_vertices)
+        yield
 
 
 def plain_cut_block(window, home, feed, halfspace, clip_fn, reverse=False):
@@ -137,13 +195,14 @@ def plain_cut_block(window, home, feed, halfspace, clip_fn, reverse=False):
 
 def reference_complex(sites, clip):
     """build_complex with the window-then-every-candidate loop, linear
-    merges and the Python radical hyperplanes, so float cells are cut by
-    Python rows, not by the pair table's columns."""
+    merges, the Python radical hyperplanes, so float cells are cut by
+    Python rows, not by the pair table's columns, and the Python reader."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(cutting, "_cut_block", plain_cut_block)
         m.setattr(power, "radical_hyperplane", reference_radical_hyperplane)
-        m.setattr(clipping, "GridIndex", LinearIndex)
-        return build_complex(sites, clip=clip)
+        m.setattr(clipping, "merge_near", linear_merge_near)
+        with python_reader():
+            return build_complex(sites, clip=clip)
 
 
 def assert_same_complex(cx, ref):
