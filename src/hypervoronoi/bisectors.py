@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .conversions import hub_coords, _hub_to_hyperboloid, _hyperboloid_to_hub, from_hub, lift_to_hemisphere
 from .errors import (
     ArityMismatch,
@@ -112,6 +114,26 @@ def classify(s: ImplicitSurface) -> SurfaceClass:
             f"quadric with lam = {lam} has squared radius {radius_sq} <= 0"
         )
     return SurfaceClass.SPHERE
+
+
+def classify_rows(rows, model: ModelTag) -> list:
+    """`classify(s).value` for each row of `row_floats(s.coefficients())`,
+    "degenerate" where it raises DegenerateSurface: its arithmetic, all
+    rows at once (its sums run left to right; a NaN radius is a sphere)."""
+    R = np.asarray(rows, dtype=float)
+    with np.errstate(all="ignore"):
+        bound = CLASSIFY_TOL * np.abs(R).max(axis=1)
+        lam, b = R[:, 0], R[:, -1]
+        plane = np.abs(lam) <= bound
+        vertical = plane & (np.abs(R[:, 1]) <= bound) & (model is ModelTag.HEMISPHERE)
+        a_sq = R[:, 1] * R[:, 1]
+        for c in range(2, R.shape[1] - 1):
+            a_sq = a_sq + R[:, c] * R[:, c]
+        degenerate = a_sq / (4 * lam * lam) - b / lam <= 0
+    code = np.select([vertical, plane & (np.abs(b) <= bound), plane, degenerate], [0, 1, 2, 3], 4)
+    names = (SurfaceClass.VERTICAL_SPHERE.value, SurfaceClass.HYPERPLANE_THROUGH_ORIGIN.value,
+             SurfaceClass.HYPERPLANE.value, "degenerate", SurfaceClass.SPHERE.value)
+    return [names[c] for c in code.tolist()]
 
 
 def sphere_center_radius(s: ImplicitSurface) -> tuple[tuple, float]:

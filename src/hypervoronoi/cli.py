@@ -99,8 +99,7 @@ def cmd_compute(args) -> int:
     verification = (
         verify(dia, args.verify, args.seed) if args.verify else None
     )
-    out = diagram_to_document(dia, dual, degeneracies, verification, input_doc=doc)
-    _write_output(dump_json(out), args.output)
+    _write_output(diagram_to_document(dia, dual, degeneracies, verification, input_doc=doc), args.output)
     return EXIT_OK
 
 
@@ -180,7 +179,7 @@ def _check_stored_diagram(doc: DiagramDocument, samples: int, seed: int):
     halfspace lists, the oracle from the echoed input points.
     """
     return verify_cells(
-        [(site, halfspaces) for site, _, halfspaces in doc.cells],
+        doc.cells,  # (site, empty, halfspaces): an empty cell labels no sample
         [hub_coords(p) for p in doc.input.model_points()],
         Curvature(doc.input.curvature).radius,
         samples,

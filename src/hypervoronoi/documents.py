@@ -14,13 +14,14 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
-from .bisectors import DegenerateSurface, classify
+import numpy as np
+
+from .bisectors import classify_rows
 from .errors import ParseError
 from .models import Curvature, ModelPoint, ModelTag
 from .power import Halfspace
-from .scalars import is_exact
+from .scalars import is_exact, row_floats
 
 SCALAR_FLOAT = "float64"
 SCALAR_EXACT = "exact-rational"
@@ -139,87 +140,21 @@ def _nonfinite_error(xs):
     return ValueError("Out of range float values are not JSON compliant: " + repr(bad))
 
 
-def _key(k) -> str:
-    """A dict key that is not a string, written as `json.dumps` writes it."""
-    if k is None or isinstance(k, (int, float)):
-        return encode_basestring_ascii(_encode(k, ""))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-
-
-# Writers of flat lists whose items all have one of these exact types.
-_FLAT_WRITERS = {float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii}
-
-
-def _join_flat(xs, sep: str):
-    """`xs` written and joined in one call when all its items are plain
-    floats, plain ints or plain strings; else None."""
-    kinds = set(map(type, xs))
-    write = _FLAT_WRITERS.get(kinds.pop()) if len(kinds) == 1 else None
-    if write is None:
-        return None
-    body = sep.join(map(write, xs))
-    if write is float.__repr__ and "n" in body:  # nan, inf, -inf
-        raise _nonfinite_error(xs)
-    return body
-
-
-def _encode(o, indent: str) -> str:
-    if isinstance(o, float):
-        text = float.__repr__(o)
-        if "n" in text:
-            raise _nonfinite_error((o,))
-        return text
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        inner = indent + "  "
-        sep = ",\n" + inner
-        body = _join_flat(o, sep)
-        if body is None:
-            body = sep.join([_encode(x, inner) for x in o])
-        return "[\n" + inner + body + "\n" + indent + "]"
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        inner = indent + "  "
-        items = [
-            (encode_basestring_ascii(k) if isinstance(k, str) else _key(k)) + ": " + _encode(v, inner)
-            for k, v in o.items()
-        ]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
 def dump_json(data) -> str:
-    """`json.dumps(data, indent=2, allow_nan=False) + "\\n"`, byte for byte,
-    from `str.join` and the C string escaper instead of the pure-Python
-    indenting encoder.  A flat list of floats, ints or strings is written
-    in one call.  NaN and infinities raise ValueError, objects `json.dumps`
-    cannot write TypeError (circular containers are not detected)."""
-    return _encode(data, "") + "\n"
+    """`json.dumps(data, indent=2, allow_nan=False)` and a newline."""
+    return json.dumps(data, indent=2, allow_nan=False) + "\n"
+
+
+def _nested(data, indent: str) -> str:
+    """`data` as `dump_json` writes it nested at `indent`, with no newline
+    (a JSON string holds no raw line break)."""
+    return json.dumps(data, indent=2, allow_nan=False).replace("\n", "\n" + indent)
 
 
 # --- diagram documents --------------------------------------------------------
 
-def _surface_class_name(surface) -> str:
-    try:
-        return classify(surface).value
-    except DegenerateSurface:
-        return "degenerate"
-
-
 def delaunay_section(dual) -> dict:
-    """The `delaunay` section of a diagram document (and of CLI `delaunay`)."""
+    """The `delaunay` section of CLI `delaunay`; a diagram document's holds the same."""
     return {
         "edges": [list(e) for e in sorted(dual.edges)],
         "faces": [sorted(f) for f in dual.faces],
@@ -227,112 +162,152 @@ def delaunay_section(dual) -> dict:
     }
 
 
-def diagram_to_document(
-    diagram,
-    dual=None,
-    degeneracies=None,
-    verification=None,
-    input_doc: PointSetDocument | None = None,
-) -> dict:
-    """Serialize a VoronoiDiagram (plus optional sections) to a document."""
+# A diagram document is written in one pass, straight from the complex.
+# Each record kind is one %-template at its fixed indent, and each large
+# section one `%` over a flat argument list whose numbers were written a
+# whole column at a time.  Only ints and model names enter a template as
+# text, so no data is read as a % conversion.
+
+def _array(items, indent: str) -> str:
+    """A JSON array of written items, one a line at `indent` + 2 spaces."""
+    if not items:
+        return "[]"
+    inner = ",\n" + indent + "  "
+    return "[" + inner[1:] + inner.join(items) + "\n" + indent + "]"
+
+
+def _object(items, indent: str) -> str:
+    """A JSON object of (key, written value) items."""
+    inner = ",\n" + indent + "  "
+    return "{" + inner[1:] + inner.join(['"%s": %s' % kv for kv in items]) + "\n" + indent + "}"
+
+
+def _slots(count: int, indent: str) -> str:
+    return _array(["%s"] * count, indent)
+
+
+def _filled(templates, indent: str, *columns) -> str:
+    """The array of `templates`, filled with the columns' items row by row."""
+    args = [None] * sum(map(len, columns))
+    for k, column in enumerate(columns):
+        args[k :: len(columns)] = column
+    return _array(templates, indent) % tuple(args)
+
+
+def _numbers(xs, exact: bool) -> list:
+    """JSON texts of numbers, as `dump_json` writes their `encode_number`;
+    NaN and infinities raise its ValueError.  A float is written as its
+    magnitude with the sign in front, so each magnitude is written once."""
+    if exact:
+        return ['"%s"' % encode_number(x, True) for x in xs]
+    v = np.array(xs, dtype=float).reshape(-1)
+    magnitudes, index = np.unique(np.abs(v), return_inverse=True)
+    texts = list(map(float.__repr__, magnitudes.tolist()))
+    if "n" in "".join(texts):  # nan, inf
+        raise _nonfinite_error(v.tolist())
+    texts += ["-" + t for t in texts]
+    return list(map(texts.__getitem__, (index + len(texts) // 2 * np.signbit(v)).tolist()))
+
+
+def diagram_to_document(diagram, dual=None, degeneracies=None, verification=None,
+                        input_doc: PointSetDocument | None = None) -> str:
+    """The text of a VoronoiDiagram's document (plus optional sections):
+    byte for byte `dump_json` of the dict `tests/util.reference_document`
+    builds, written without building it."""
     cx = diagram.complex
-    exact = all(
-        is_exact(c) for s in cx.sites for c in s.center + (s.weight,)
-    )
-    scalar = SCALAR_EXACT if exact else SCALAR_FLOAT
+    exact = all(is_exact(c) for s in cx.sites for c in s.center + (s.weight,))
     if input_doc is None:
-        input_doc = PointSetDocument(
-            dimension=diagram.dimension,
-            curvature=diagram.curvature.kappa,
-            model=diagram.model,
-            scalar=scalar,
-            points=[p.coords for p in diagram.sites],
-        )
-    enc = lambda x: encode_number(x, exact)
-    doc = {
-        "format": DIAGRAM_FORMAT,
-        "input": input_doc.to_json(),
-        "route": diagram.route,
-        "chart": {"model": "klein", "curvature": -1.0},
-        "sites": [
-            {
-                "index": s.origin_index if s.origin_index >= 0 else k,
-                "center": encode_vector(s.center, exact),
-                "weight": enc(s.weight),
-            }
-            for k, s in enumerate(cx.sites)
-        ],
-        "cells": [
-            {
-                "site": cell.site_index,
-                "empty": cell.empty,
-                "halfspaces": [
-                    {
-                        "neighbor": j,
-                        "normal": encode_vector(cell.halfspaces[j].normal, exact),
-                        "offset": enc(cell.halfspaces[j].offset),
-                    }
-                    for j in sorted(cell.halfspaces)
-                ],
-            }
-            for cell in cx.cells
-        ],
-        "clip": {
-            "center": encode_vector(cx.clip.center, exact),
-            "radius": enc(cx.clip.radius),
-        },
-        "adjacency": [list(pair) for pair in sorted(cx.adjacency)],
-        "facets": [
-            {
-                "pair": list(pair),
-                "points": [encode_vector(v, exact) for v in cx.facets[pair]],
-            }
-            for pair in sorted(cx.facets)
-        ],
-        "power_vertices": [
-            {
-                "point": encode_vector(v.point, exact),
-                "sites": sorted(v.sites),
-            }
-            for v in sorted(
-                cx.power_vertices, key=lambda v: tuple(sorted(v.sites))
-            )
-        ],
-        "boundaries": [
-            {
-                "pair": list(pair),
-                "model": diagram.model.value,
-                "lambda": enc(surface.lam),
-                "a": encode_vector(surface.a, exact),
-                "b": enc(surface.b),
-                "class": _surface_class_name(surface),
-            }
-            for pair, surface in sorted(diagram.boundaries.items())
-        ],
-    }
+        input_doc = PointSetDocument(diagram.dimension, diagram.curvature.kappa, diagram.model,
+                                     SCALAR_EXACT if exact else SCALAR_FLOAT, [p.coords for p in diagram.sites])
+    d = cx.dimension
+    I4, I6, I8 = " " * 4, " " * 6, " " * 8
+    point, pair = _slots(d, I6), _slots(2, I6)
+    flat, ends = [], []  # the numbers of sites, cells, clip, facets, vertices, boundaries
+
+    def numbers(xs):
+        flat.extend(xs)
+        ends.append(len(flat))
+
+    points = input_doc.points
+    vector = {k: _slots(k, I6) for k in set(map(len, points))}
+    inp = [
+        ("dimension", _nested(input_doc.dimension, "")),
+        ("curvature", _numbers([input_doc.curvature], input_doc.exact)[0]),
+        ("model", _nested(input_doc.model.value, "")),
+        ("scalar", _nested(input_doc.scalar, "")),
+        ("points", _filled([vector[len(p)] for p in points], I4,
+                           _numbers([x for p in points for x in p], input_doc.exact))),
+    ]
+
+    sites = cx.sites
+    index = [s.origin_index if s.origin_index >= 0 else k for k, s in enumerate(sites)]
+    numbers([x for s in sites for x in s.center + (s.weight,)])
+
+    half = _object([("neighbor", "%s"), ("normal", _slots(d, " " * 10)), ("offset", "%s")], I8)
+    halves = [_array([half] * k, I6) for k in range(max(len(c.halfspaces) for c in cx.cells) + 1)]
+    cell = _object([("site", "%s"), ("empty", "%s"), ("halfspaces", "%s")], I4)
+    cells, neighbors, rows = [], [], []
+    for c in cx.cells:
+        order = sorted(c.halfspaces)
+        neighbors += order
+        rows += map(c.halfspaces.__getitem__, order)
+        cells.append(cell % (c.site_index, "true" if c.empty else "false", halves[len(order)]))
+    numbers([x for h in rows for x in h.normal + (h.offset,)])
+    numbers(cx.clip.center + (cx.clip.radius,))
+
+    adjacency = sorted(cx.adjacency)
+    facets = sorted(cx.facets)
+    facet = _object([("pair", pair), ("points", "%s")], I4)
+    runs = [_array([_slots(d, I8)] * k, I6) for k in range(max(map(len, cx.facets.values()), default=0) + 1)]
+    numbers([x for p in facets for v in cx.facets[p] for x in v])
+
+    vertices = sorted(((tuple(sorted(v.sites)), v.point) for v in cx.power_vertices), key=lambda t: t[0])
+    vertex = _object([("point", "%s"), ("sites", "%s")], I4)
+    numbers([x for _, v in vertices for x in v])
+
+    bounds = sorted(diagram.boundaries.items())
+    numbers([x for _, s in bounds for x in s.coefficients()])
+    k = (ends[-1] - ends[-2]) // len(bounds) if bounds else 2
+    # a float build's rows all hold floats (`build_complex`), so row_floats is float() there
+    rows = [row_floats(s.coefficients()) for _, s in bounds] if exact else np.reshape(flat[ends[-2]:], (-1, k))
+    classes = classify_rows(rows, diagram.model) if bounds else []
+    boundary = _object([("pair", pair), ("model", _nested(diagram.model.value, "")), ("lambda", "%s"),
+                        ("a", _slots(k - 2, I6)), ("b", "%s"), ("class", "%s")], I4)
+
+    texts = _numbers(flat, exact)
+    S, H, C, F, V, B = (texts[lo:hi] for lo, hi in zip([0] + ends, ends))
+    doc = [
+        ("format", _nested(DIAGRAM_FORMAT, "")),
+        ("input", _object(inp, "  ")),
+        ("route", _nested(diagram.route, "")),
+        ("chart", _nested({"model": "klein", "curvature": -1.0}, "  ")),
+        ("sites", _filled([_object([("index", "%s"), ("center", point), ("weight", "%s")], I4)] * len(sites),
+                          "  ", index, *(S[c :: d + 1] for c in range(d + 1)))),
+        ("cells", _filled(cells, "  ", neighbors, *(H[c :: d + 1] for c in range(d + 1)))),
+        ("clip", _object([("center", _slots(len(C) - 1, I4) % tuple(C[:-1])), ("radius", C[-1])], "  ")),
+        ("adjacency", _filled([_slots(2, I4)] * len(adjacency), "  ", *zip(*adjacency))),
+        ("facets", _filled([facet % (p + (runs[len(cx.facets[p])],)) for p in facets], "  ", F)),
+        ("power_vertices", _filled([vertex % (point, _array(list(map(str, s)), I6)) for s, _ in vertices], "  ", V)),
+        ("boundaries", _filled([boundary] * len(bounds), "  ", *zip(*[p for p, _ in bounds]),
+                               *(B[c::k] for c in range(k)), ['"%s"' % c for c in classes])),
+    ]
     if dual is not None:
-        doc["delaunay"] = delaunay_section(dual)
+        section = delaunay_section(dual)
+        edges, faces = section["edges"], section["faces"]
+        doc.append(("delaunay", _object([
+            ("edges", _filled([pair] * len(edges), I4, *zip(*edges))),
+            ("faces", _filled([_slots(len(f), I6) for f in faces], I4, [x for f in faces for x in f])),
+            ("is_triangulation", _nested(section["is_triangulation"], "")),
+        ], "  ")))
     if degeneracies is not None:
-        doc["degeneracies"] = {
-            "cocircular_groups": [list(g) for g in degeneracies.cocircular_groups],
-            "collinear_groups": [list(g) for g in degeneracies.collinear_groups],
-            "equal_norm_groups": [list(g) for g in degeneracies.equal_norm_groups],
-            "equal_height_groups": [list(g) for g in degeneracies.equal_height_groups],
-            "notes": list(degeneracies.notes),
-        }
+        groups = ("cocircular_groups", "collinear_groups", "equal_norm_groups", "equal_height_groups")
+        section = {g: [list(x) for x in getattr(degeneracies, g)] for g in groups}
+        doc.append(("degeneracies", _nested({**section, "notes": list(degeneracies.notes)}, "  ")))
     if verification is not None:
-        doc["verification"] = {
-            "sample_count": verification.sample_count,
-            "excluded": verification.excluded,
-            "checked": verification.checked,
-            "disagreements": verification.disagreements,
-            "agreement_rate": verification.agreement_rate,
-            "max_gap": verification.max_gap,
-            "seed": verification.seed,
-            "band": verification.band,
-            "witness": verification.witness,
-        }
-    return doc
+        fields = ("sample_count", "excluded", "checked", "disagreements", "agreement_rate", "max_gap",
+                  "seed", "band", "witness")
+        doc.append(("verification", _nested({f: getattr(verification, f) for f in fields}, "  ")))
+    return _object(doc, "") + "\n"
 
 
 @dataclass

@@ -366,7 +366,7 @@ def _collinear_groups(kleins, tol):
 
 # --- sampling-based verification ---------------------------------------------
 # One core for `verify` on a built diagram and `check` on a stored document:
-# both supply (site, {neighbor: Halfspace}) cells and the sites' hub lifts.
+# both supply (site, empty, {neighbor: Halfspace}) cells and the sites' hub lifts.
 
 def cell_matrices(cells, d: int) -> list:
     """Per cell (site, A, b): halfspace rows in neighbor order, as
@@ -386,12 +386,13 @@ def label_samples(X: np.ndarray, mats) -> tuple[np.ndarray, np.ndarray]:
     """Each sample's cell and its boundary margin.
 
     The label is the site of the cell with the least maximum halfspace
-    value, the first such cell on ties; the margin is the least |value|
-    over that cell's own halfspaces.  A cell without halfspaces is the
-    whole space.  Loops over cells: temporaries are samples x facets.
+    value, the first such cell on ties (-1 when there is no cell); the
+    margin is the least |value| over that cell's own halfspaces.  A cell
+    without halfspaces is the whole space.  Loops over cells: temporaries
+    are samples x facets.
     """
     XT = np.ascontiguousarray(X.T)  # facets x samples rows reduce fastest
-    labels = np.zeros(len(X), dtype=np.intp)
+    labels = np.full(len(X), -1, dtype=np.intp)
     margin = np.full(len(X), np.inf)
     best = np.full(len(X), np.inf)
     for site, A, b in mats:
@@ -429,6 +430,7 @@ def oracle_report(
     excluded = margin < band
     rows = np.nonzero(~excluded & (labels != oracle))[0]
     da = radius * np.arccosh(np.maximum(1.0, cosh[rows, labels[rows]]))
+    da[labels[rows] < 0] = np.inf  # no cell claims the sample
     db = radius * np.arccosh(np.maximum(1.0, cosh[rows, oracle[rows]]))
     gaps = np.abs(da - db)
     wrong = gaps > NEAREST_TIE_TOL
@@ -459,12 +461,13 @@ def _labelled_samples(cells, hub_points, sample_count: int, seed: int):
     hubs = np.array([as_floats(h) for h in hub_points], dtype=float)
     d = hubs.shape[1] - 1
     X = sampling.ball_points(seed, sample_count, d)
-    labels, margin = label_samples(X, cell_matrices(cells, d))
+    # an empty cell has no halfspaces: it would be the whole space
+    labels, margin = label_samples(X, cell_matrices([(i, h) for i, empty, h in cells if not empty], d))
     return X, labels, margin, hubs
 
 
 def _diagram_cells(diagram: VoronoiDiagram) -> list:
-    return [(cell.site_index, cell.halfspaces) for cell in diagram.complex.cells]
+    return [(cell.site_index, cell.empty, cell.halfspaces) for cell in diagram.complex.cells]
 
 
 def sample_labels(diagram: VoronoiDiagram, sample_count: int, seed: int):
@@ -489,8 +492,9 @@ def verify_cells(
     seed: int,
     band: float = BOUNDARY_BAND,
 ) -> VerificationReport:
-    """Check (site, {neighbor: Halfspace}) cells against the nearest-site
-    oracle of the sites' hub lifts, on samples 0..sample_count-1 of `seed`."""
+    """Check (site, empty, {neighbor: Halfspace}) cells against the
+    nearest-site oracle of the sites' hub lifts, on samples 0..sample_count-1
+    of `seed`; a cell flagged empty labels no sample."""
     X, labels, margin, hubs = _labelled_samples(cells, hub_points, sample_count, seed)
     return oracle_report(X, labels, margin, hubs, radius, seed, band)
 

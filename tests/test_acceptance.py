@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v` for one pass/fail line per
 criterion (the PASS prints also appear with -s).
 """
 
+import json
 import math
 import subprocess
 import sys
@@ -332,7 +333,7 @@ def test_acceptance_11_rendering_adjacency_across_models(tmp_path):
         from hypervoronoi.documents import diagram_to_document, parse_diagram
         from hypervoronoi.render import render_svg
 
-        doc = parse_diagram(diagram_to_document(dia, delaunay(dia)))
+        doc = parse_diagram(json.loads(diagram_to_document(dia, delaunay(dia))))
         svg = render_svg(doc, tag, width=640)
         assert svg.startswith("<?xml") and "svg" in svg
     assert adjacency["klein"] == adjacency["poincare"] == adjacency["upper-half-space"]

@@ -5,6 +5,7 @@ import re
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hypervoronoi import ModelPoint, ModelTag, convert, verify, voronoi
@@ -16,6 +17,7 @@ from hypervoronoi.documents import (
     parse_diagram,
     parse_point_set,
 )
+from hypervoronoi.hvd import BOUNDARY_BAND, sample_labels
 from hypervoronoi.sampling import (
     rational_hemisphere_points,
     random_klein_points,
@@ -428,6 +430,29 @@ def test_check_corrupted_diagram_fails_with_witness(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_check_fails_only_where_a_cell_rewritten_as_empty_is(tmp_path, capsys):
+    """A cell flagged empty labels no sample: its samples go to the cells
+    around it, so `check` fails there and agrees everywhere else."""
+    pts = random_klein_points(12, seed=31)
+    inp, stored, k = write_point_set(tmp_path / "p.json", pts), tmp_path / "d.json", 4
+    assert main(["compute", str(inp), "-o", str(stored)]) == 0
+    doc = json.loads(stored.read_text())
+    doc["cells"][k] = {"site": k, "empty": True, "halfspaces": []}
+    stored.write_text(dump_json(doc))
+    capsys.readouterr()
+    assert main(["check", str(stored), "--samples", "4000", "--seed", "7"]) == 1
+    out = capsys.readouterr().out
+    assert 0.5 < float(re.search(r"agreement: (\S+)", out).group(1)) < 1
+    assert f"oracle={k} " in out and "FAIL" in out
+    dia = voronoi([ModelPoint(ModelTag.KLEIN, p) for p in pts])
+    dia.complex.cells[k].empty, dia.complex.cells[k].halfspaces = True, {}
+    _, labels, oracle, margin = sample_labels(dia, 4000, 7)
+    wrong = (labels != oracle) & (margin >= BOUNDARY_BAND)
+    assert set(oracle[wrong].tolist()) == {k} and (labels != k).all()
+    report = _check_stored_diagram(load_diagram(stored), 4000, 7)
+    assert report.disagreements == np.count_nonzero(wrong) and report.witness["oracle_label"] == k
+
+
 @pytest.mark.parametrize("corrupt", [False, True])
 @pytest.mark.parametrize("fixture", ["float", "exact"])
 def test_verify_and_stored_check_report_identically(tmp_path, capsys, fixture, corrupt):
@@ -441,7 +466,7 @@ def test_verify_and_stored_check_report_identically(tmp_path, capsys, fixture, c
         c0, c1 = dia.complex.cells[0], dia.complex.cells[1]
         c0.halfspaces, c1.halfspaces = c1.halfspaces, c0.halfspaces
     stored = tmp_path / "d.json"
-    stored.write_text(dump_json(diagram_to_document(dia)))
+    stored.write_text(diagram_to_document(dia))
     report = verify(dia, 3000, 17)
     assert report.ok is not corrupt
     assert main(["check", str(stored), "--samples", "3000", "--seed", "17"]) == int(corrupt)

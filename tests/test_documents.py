@@ -1,8 +1,11 @@
-"""`documents.dump_json` against its reference, `json.dumps(indent=2)`.
+"""The two JSON writers against their references.
 
-The encoder must write the reference's bytes for every JSON tree, raise
-the reference's errors for non-finite floats and unserializable objects,
-and agree on the documents `compute`, `convert` and `delaunay` write.
+`documents.dump_json` must write the bytes of `json.dumps(indent=2)` for
+every JSON tree and raise its errors for non-finite floats and
+unserializable objects.  `documents.diagram_to_document` must write the
+bytes `dump_json` writes for the dict `util.reference_document` builds,
+and raise the same ValueError for NaN and infinities.  Both must agree
+with the documents `compute`, `convert` and `delaunay` write.
 """
 
 import json
@@ -15,9 +18,25 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from hypervoronoi import ModelPoint, ModelTag, cli, clipping, documents, hvd, power  # noqa: E402
-from hypervoronoi.documents import dump_json  # noqa: E402
+from hypervoronoi import (  # noqa: E402
+    ModelPoint,
+    ModelTag,
+    cli,
+    clipping,
+    convert,
+    delaunay,
+    detect_degeneracies,
+    documents,
+    hvd,
+    power,
+    verify,
+    voronoi,
+)
+from hypervoronoi.documents import diagram_to_document, dump_json, parse_point_set  # noqa: E402
+from hypervoronoi.errors import NoExplicitGeometry  # noqa: E402
+from hypervoronoi.power import Halfspace, WeightedSite  # noqa: E402
 from hypervoronoi.sampling import random_klein_points, rational_hemisphere_points  # noqa: E402
+from util import reference_document  # noqa: E402
 
 
 def reference(data) -> str:
@@ -149,6 +168,8 @@ def _write(path, points, model="klein", exact=False):
     ],
 )
 def test_cli_documents_match_json_dumps(tmp_path, monkeypatch, name, argv):
+    """`convert` and `delaunay` write through `dump_json`; `compute` writes
+    with the one-pass writer, whose text is the reference dict's."""
     inputs = {
         "k2": _write(tmp_path / "k2.json", random_klein_points(40, 2, seed=5)),
         "k3": _write(tmp_path / "k3.json", random_klein_points(15, 3, seed=5)),
@@ -163,10 +184,107 @@ def test_cli_documents_match_json_dumps(tmp_path, monkeypatch, name, argv):
         written.append(text)
         return text
 
+    def one_pass(*args, **kwargs):
+        text = diagram_to_document(*args, **kwargs)
+        assert text == dump_json(reference_document(*args, **kwargs))
+        written.append(text)
+        return text
+
     monkeypatch.setattr(cli, "dump_json", checked)
+    monkeypatch.setattr(cli, "diagram_to_document", one_pass)
     out = tmp_path / "out.json"
     assert cli.main([a.format(**inputs) for a in argv] + ["-o", str(out)]) == 0
-    assert written and out.read_text() == written[0]
+    text = out.read_text()
+    assert written == [text]
+    if argv[0] == "compute":
+        assert text == reference(json.loads(text))
+
+
+def _signed_zeros(points):
+    """The points with the first coordinate of the first four set to zero,
+    of every other one to -0.0."""
+    return [(-0.0,) + p[1:] if k % 2 else (0.0,) + p[1:] for k, p in enumerate(points[:4])] + points[4:]
+
+
+@st.composite
+def diagrams(draw):
+    """Small diagrams with every optional section, on both arithmetics: float
+    Klein input at d = 2, 3 and 4, moved to a drawn model, or exact
+    hemisphere input at d = 2 and 3; with -0.0 coordinates, the complex's
+    dicts and lists in reverse order, a cell flagged empty, and a
+    verification section whose witness that cell makes."""
+    kind = draw(st.sampled_from(["float", "exact"]))
+    d = draw(st.sampled_from([2, 3, 4] if kind == "float" else [2, 3]))
+    n = draw(st.integers(1, 10 if d < 4 else 7))
+    seed = draw(st.integers(0, 2**16))
+    if kind == "float":
+        klein = random_klein_points(n, d, seed=seed)
+        if draw(st.booleans()):
+            klein = _signed_zeros(klein)
+        model = draw(st.sampled_from(list(ModelTag)))
+        dia = voronoi([convert(ModelPoint(ModelTag.KLEIN, p), model) for p in klein])
+    else:
+        dia = voronoi([ModelPoint(ModelTag.HEMISPHERE, p) for p in rational_hemisphere_points(n, d, seed=seed)],
+                      route="hemisphere")
+    try:
+        dual = delaunay(dia)
+    except NoExplicitGeometry:
+        dual = None
+    if draw(st.booleans()):  # the document sorts what the complex holds in build order
+        cx = dia.complex
+        for c in cx.cells:
+            c.halfspaces = dict(reversed(c.halfspaces.items()))
+        cx.facets = dict(reversed(cx.facets.items()))
+        cx.power_vertices = cx.power_vertices[::-1]
+        dia.boundaries = dict(reversed(dia.boundaries.items()))
+    if n > 1 and draw(st.booleans()):  # another cell claims its samples
+        dia.complex.cells[draw(st.integers(0, n - 1))].empty = True
+    verification = verify(dia, 200, seed) if draw(st.booleans()) else None
+    input_doc = None
+    if draw(st.booleans()):  # as `compute` passes it: the parsed input
+        scalar = "float64" if kind == "float" else "exact-rational"
+        raw = documents.PointSetDocument(d, -1, dia.model, scalar, [p.coords for p in dia.sites]).to_json()
+        input_doc = parse_point_set(json.loads(json.dumps(raw)))
+    return dia, dual, detect_degeneracies(dia), verification, input_doc
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(diagrams())
+def test_diagram_document_is_the_reference_dicts_text(args):
+    text = diagram_to_document(*args)
+    assert text == dump_json(reference_document(*args))
+    assert text == reference(reference_document(*args))
+
+
+def _poison(dia, where, bad):
+    """Put `bad` into one number of the diagram's document."""
+    cx = dia.complex
+    if where == "site":
+        s = cx.sites[1]
+        cx.sites[1] = WeightedSite(s.center, bad, s.origin_index)
+    elif where == "halfspace":
+        hs = cx.cells[0].halfspaces
+        j = max(hs)
+        hs[j] = Halfspace(hs[j].normal, bad)
+    elif where == "facet":
+        pair = max(cx.facets)
+        cx.facets[pair] = ((bad,) + cx.facets[pair][0][1:],) + cx.facets[pair][1:]
+    else:
+        pair = max(dia.boundaries)
+        s = dia.boundaries[pair]
+        dia.boundaries[pair] = type(s)(s.lam, s.a, bad, s.model)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["site", "halfspace", "facet", "boundary"])
+def test_diagram_document_rejects_non_finite_numbers(where, bad):
+    dia = voronoi([ModelPoint(ModelTag.KLEIN, p) for p in random_klein_points(8, seed=3)])
+    _poison(dia, where, bad)
+    with pytest.raises(ValueError) as ref:
+        dump_json(reference_document(dia))
+    with pytest.raises(ValueError) as got:
+        diagram_to_document(dia)
+    assert str(got.value) == str(ref.value)
 
 
 @pytest.mark.parametrize(

@@ -34,6 +34,7 @@ from hypervoronoi import (  # noqa: E402
     clipping,
     cutting,
     delaunay,
+    detect_degeneracies,
     hemisphere_site_map,
     klein_site_map,
     power,
@@ -41,8 +42,8 @@ from hypervoronoi import (  # noqa: E402
     voronoi,
 )
 from hypervoronoi.cli import main  # noqa: E402
-from hypervoronoi.documents import dump_json  # noqa: E402
-from hypervoronoi.errors import CoincidentSites, DuplicateSites  # noqa: E402
+from hypervoronoi.documents import diagram_to_document, dump_json, parse_point_set  # noqa: E402
+from hypervoronoi.errors import CoincidentSites, DuplicateSites, GeometryError  # noqa: E402
 from hypervoronoi.sampling import random_klein_points, rational_hemisphere_points  # noqa: E402
 from hypervoronoi.power import Halfspace  # noqa: E402
 from hypervoronoi.scalars import dot  # noqa: E402
@@ -53,6 +54,7 @@ from util import (  # noqa: E402
     fraction_clip_polyhedron,
     least_first,
     reference_complex,
+    reference_document,
     reference_radical_hyperplane,
 )
 
@@ -366,6 +368,36 @@ def test_convert_and_render_survive_range_edge_numbers(tmp_path, capsys, doc):
         err = capsys.readouterr().err
         ok = code == 0 or (code in range(2, 6) and err.startswith("error: ") and err.count("\n") == 1)
         assert ok, (argv[0], argv[-3], code, err)
+
+
+def _written(write):
+    """The text `write()` returns, or the type and message of the error it raises."""
+    try:
+        return write()
+    except (ValueError, OverflowError) as e:
+        return type(e), str(e)
+
+
+@settings(
+    max_examples=100,  # at 25, no planar document builds
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_float_range_edge_documents())
+def test_range_edge_documents_are_the_reference_dicts_text(doc):
+    """The one-pass writer writes the reference dict's text, or raises its
+    error, on every diagram either route builds of range-edge input."""
+    source = parse_point_set(doc)
+    for route in ("klein", "hemisphere"):
+        try:
+            dia = voronoi(source.model_points(), route=route)
+            dual = delaunay(dia) if dia.complex.explicit else None
+            args = (dia, dual, detect_degeneracies(dia), None, source)
+        except GeometryError:
+            continue
+        text = _written(lambda: diagram_to_document(*args))
+        assert text == _written(lambda: dump_json(reference_document(*args)))
 
 
 @st.composite

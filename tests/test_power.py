@@ -32,7 +32,7 @@ from hypervoronoi import (
     voronoi,
 )
 from hypervoronoi import clipping, cutting, power
-from hypervoronoi.documents import diagram_to_document, dump_json
+from hypervoronoi.documents import diagram_to_document
 from hypervoronoi.sampling import ball_points, random_klein_points, rational_hemisphere_points
 from hypervoronoi.scalars import norm_sq
 
@@ -702,7 +702,7 @@ def test_exact_documents_do_not_depend_on_cut_order(monkeypatch, d, fixture):
 
     def document():
         dia = voronoi(pts, route="hemisphere")
-        doc = dump_json(diagram_to_document(dia, delaunay(dia), detect_degeneracies(dia)))
+        doc = diagram_to_document(dia, delaunay(dia), detect_degeneracies(dia))
         # a polygon's ring is the cell's, not the document's; a polyhedron's
         # vertex table is in cut order
         return doc, [cell.shape for cell in dia.complex.cells] if d == 2 else None

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import xml.etree.ElementTree as ET
@@ -14,7 +15,7 @@ from util import wheel_points
 def document_for(points, model=ModelTag.KLEIN):
     pts = [convert(ModelPoint(ModelTag.KLEIN, p), model) for p in points]
     dia = voronoi(pts)
-    return parse_diagram(diagram_to_document(dia, delaunay(dia)))
+    return parse_diagram(json.loads(diagram_to_document(dia, delaunay(dia))))
 
 
 NUM = r"-?[0-9]+\.[0-9]+"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hypervoronoi import Halfspace, ModelPoint, ModelTag, voronoi
-from hypervoronoi.hvd import cell_matrices, label_samples, sample_labels
+from hypervoronoi.hvd import cell_matrices, label_samples, sample_labels, verify_cells
 from hypervoronoi import sampling
 from hypervoronoi.sampling import ball_points, random_klein_points
 
@@ -92,3 +92,14 @@ def test_labeller_first_cell_wins_ties_and_bare_cell_is_everything():
     labels, margin = label_samples(X, cell_matrices([(3, left), (0, {})], 2))
     assert labels.tolist() == [0, 0, 0]
     assert np.isinf(margin).all()
+
+
+def test_cells_flagged_empty_label_no_sample():
+    # with every cell flagged empty no cell claims a sample: each one is a
+    # disagreement, at an infinite distance gap
+    labels, margin = label_samples(np.zeros((3, 2)), [])
+    assert labels.tolist() == [-1, -1, -1] and np.isinf(margin).all()
+    hubs = [(1.0, 0.0, 0.0), (0.8, 0.6, 0.0)]  # hemisphere lifts of (0, 0) and (0.6, 0)
+    report = verify_cells([(0, True, {}), (1, True, {})], hubs, 1.0, 50, 3)
+    assert report.checked == report.disagreements == 50 and report.witness["diagram_label"] == -1
+    assert report.max_gap == np.inf

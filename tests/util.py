@@ -11,13 +11,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypervoronoi import ModelPoint, ModelTag, build_complex, clipping, convert, cutting, geodesic, power
+from hypervoronoi import ModelPoint, ModelTag, build_complex, classify, clipping, convert, cutting, geodesic, power
 from hypervoronoi.clipping import BOX_TAG, Face, Polygon, Polyhedron
 from hypervoronoi.cutting import ROUNDS_TO_ZERO
-from hypervoronoi.errors import CoincidentSites
+from hypervoronoi.documents import (
+    DIAGRAM_FORMAT,
+    SCALAR_EXACT,
+    SCALAR_FLOAT,
+    PointSetDocument,
+    delaunay_section,
+    encode_number,
+    encode_vector,
+)
+from hypervoronoi.errors import CoincidentSites, DegenerateSurface
 from hypervoronoi.hvd import COLLINEAR_MIN_SPAN
 from hypervoronoi.power import Halfspace, WeightedSite
-from hypervoronoi.scalars import all_exact, as_floats, dot, norm_sq, vsub
+from hypervoronoi.scalars import all_exact, as_floats, dot, is_exact, norm_sq, vsub
 
 ALL_MODELS = (
     ModelTag.KLEIN,
@@ -499,3 +508,124 @@ def reference_radical_hyperplane(s_i: WeightedSite, s_j: WeightedSite) -> Halfsp
     normal = tuple(2 * (b - a) for a, b in zip(s_i.center, s_j.center))
     offset = norm_sq(s_i.center) - norm_sq(s_j.center) + s_j.weight - s_i.weight
     return canonical_halfspace(Halfspace(normal, offset))
+
+
+# --- the diagram document as a dict --------------------------------------------
+# The reference of the one-pass writer `documents.diagram_to_document`, whose
+# text must be `dump_json` of this dict byte for byte.
+
+
+def _surface_class_name(surface) -> str:
+    try:
+        return classify(surface).value
+    except DegenerateSurface:
+        return "degenerate"
+
+
+def reference_document(
+    diagram,
+    dual=None,
+    degeneracies=None,
+    verification=None,
+    input_doc: PointSetDocument | None = None,
+) -> dict:
+    """The dict of a VoronoiDiagram's document (plus optional sections):
+    `dump_json` of it is the text `documents.diagram_to_document` writes."""
+    cx = diagram.complex
+    exact = all(
+        is_exact(c) for s in cx.sites for c in s.center + (s.weight,)
+    )
+    scalar = SCALAR_EXACT if exact else SCALAR_FLOAT
+    if input_doc is None:
+        input_doc = PointSetDocument(
+            dimension=diagram.dimension,
+            curvature=diagram.curvature.kappa,
+            model=diagram.model,
+            scalar=scalar,
+            points=[p.coords for p in diagram.sites],
+        )
+    enc = lambda x: encode_number(x, exact)
+    doc = {
+        "format": DIAGRAM_FORMAT,
+        "input": input_doc.to_json(),
+        "route": diagram.route,
+        "chart": {"model": "klein", "curvature": -1.0},
+        "sites": [
+            {
+                "index": s.origin_index if s.origin_index >= 0 else k,
+                "center": encode_vector(s.center, exact),
+                "weight": enc(s.weight),
+            }
+            for k, s in enumerate(cx.sites)
+        ],
+        "cells": [
+            {
+                "site": cell.site_index,
+                "empty": cell.empty,
+                "halfspaces": [
+                    {
+                        "neighbor": j,
+                        "normal": encode_vector(cell.halfspaces[j].normal, exact),
+                        "offset": enc(cell.halfspaces[j].offset),
+                    }
+                    for j in sorted(cell.halfspaces)
+                ],
+            }
+            for cell in cx.cells
+        ],
+        "clip": {
+            "center": encode_vector(cx.clip.center, exact),
+            "radius": enc(cx.clip.radius),
+        },
+        "adjacency": [list(pair) for pair in sorted(cx.adjacency)],
+        "facets": [
+            {
+                "pair": list(pair),
+                "points": [encode_vector(v, exact) for v in cx.facets[pair]],
+            }
+            for pair in sorted(cx.facets)
+        ],
+        "power_vertices": [
+            {
+                "point": encode_vector(v.point, exact),
+                "sites": sorted(v.sites),
+            }
+            for v in sorted(
+                cx.power_vertices, key=lambda v: tuple(sorted(v.sites))
+            )
+        ],
+        "boundaries": [
+            {
+                "pair": list(pair),
+                "model": diagram.model.value,
+                "lambda": enc(surface.lam),
+                "a": encode_vector(surface.a, exact),
+                "b": enc(surface.b),
+                "class": _surface_class_name(surface),
+            }
+            for pair, surface in sorted(diagram.boundaries.items())
+        ],
+    }
+    if dual is not None:
+        doc["delaunay"] = delaunay_section(dual)
+    if degeneracies is not None:
+        doc["degeneracies"] = {
+            "cocircular_groups": [list(g) for g in degeneracies.cocircular_groups],
+            "collinear_groups": [list(g) for g in degeneracies.collinear_groups],
+            "equal_norm_groups": [list(g) for g in degeneracies.equal_norm_groups],
+            "equal_height_groups": [list(g) for g in degeneracies.equal_height_groups],
+            "notes": list(degeneracies.notes),
+        }
+    if verification is not None:
+        doc["verification"] = {
+            "sample_count": verification.sample_count,
+            "excluded": verification.excluded,
+            "checked": verification.checked,
+            "disagreements": verification.disagreements,
+            "agreement_rate": verification.agreement_rate,
+            "max_gap": verification.max_gap,
+            "seed": verification.seed,
+            "band": verification.band,
+            "witness": verification.witness,
+        }
+    return doc
