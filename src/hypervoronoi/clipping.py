@@ -221,7 +221,7 @@ def box_polyhedron(h) -> Polyhedron:
     return Polyhedron(corners, [Face(BOX_TAG, r) for r in rings])
 
 
-def clip_polyhedron(poly: Polyhedron, normal, offset, tag, vals=None) -> Polyhedron:
+def clip_polyhedron(poly: Polyhedron, normal, offset, tag) -> Polyhedron:
     """Keep the side <normal, x> + offset <= 0; the cut face gets `tag`.
 
     A face leaves the kept side at its exit point and comes back at its
@@ -232,16 +232,11 @@ def clip_polyhedron(poly: Polyhedron, normal, offset, tag, vals=None) -> Polyhed
     with no outside vertex is kept as it is.  The outside vertices die
     (None) in place and the crossings are appended, so a cell's table,
     compacted once when its cuts end, is the table that compacting after
-    every cut would give.  `vals`: the side values of affine vertices, if
-    the caller has them, as `dot(normal, v) + offset` computes them; at a
-    dead vertex, a value not positive or one a live vertex has.
+    every cut would give.
     """
     if poly.empty:
         return poly
-    if vals is None:
-        vals, cut_point = _side_values(poly.vertices, normal, offset)
-    else:
-        cut_point = _cut_point
+    vals, cut_point = _side_values(poly.vertices, normal, offset)
     outside = [k for k, f in enumerate(vals) if not f <= 0]
     if not any(vals[k] > 0 for k in outside):
         return poly

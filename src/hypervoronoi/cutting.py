@@ -16,12 +16,14 @@ their lifted planes (Aurenhammer, SIAM J. Comput. 16, 1987), at the
 cell's vertices v feeds each cell, nearest first, every other site the
 screen would keep (`_LiftedTree`), and the lockstep runs again.
 
-On float sites the screen's row is the cut: float polygons are cut in
-numpy (`_Rings`), with the IEEE operations of `clipping.clip_polygon`;
-polyhedra by `clipping.clip_polyhedron`.  On exact sites a radical
-hyperplane is made only for a cut that runs, each cell is cut on integer
-homogeneous vertices (see `clipping`), and the screen reads them as
-X / Z, each made once per vertex of a polyhedron (`_Cells`).
+On float sites the screen's row is the cut, and a block's cells are cut
+in numpy with the IEEE operations of the Python clippers: polygons as
+rings (`_Rings`, `clipping.clip_polygon`), polyhedra as vertex tables and
+face rings (`_Polyhedra`, `clipping.clip_polyhedron`).  On exact sites a
+radical hyperplane is made only for a cut that runs, each cell is cut on
+integer homogeneous vertices by the Python clippers (see `clipping`), and
+the screen reads them as X / Z, each made once per vertex of a
+polyhedron (`_Cells`).
 
 Every float row of the package is a column of `pair_rows`, made in numpy
 from the site arrays of `site_arrays`.
@@ -33,7 +35,7 @@ from itertools import chain
 
 import numpy as np
 
-from .clipping import BOX_TAG, Polygon, Polyhedron
+from .clipping import BOX_TAG, Face, Polygon, Polyhedron
 from .errors import CoincidentSites, DomainViolation
 from .scalars import as_floats
 
@@ -448,21 +450,253 @@ def _compress(P, T, keep):
     return np.where(np.arange(len(order))[:, None] < L, P, P[:, :1]), T, L
 
 
+class _Polyhedra:
+    """A block's float polyhedra as padded arrays, cut in numpy.
+
+    V[coordinate, slot, cell]: each vertex table, compacted (see
+    `Polyhedron.compact`) and padded with its first vertex, as the screen
+    reads it; N[cell]: its length, 0 once empty.  F[cell, face, position]:
+    each face's ring of slots, padded with 0; FL[cell, face]: its length, 0
+    past the cell's faces; FT[cell, face]: its tag (-1 for the window's).
+    A step cuts every cell it is given at once, with the IEEE operations of
+    `clipping.clip_polyhedron` in the same order, to its compacted table,
+    faces and rings: the crossings are appended in the order its face walk
+    first meets them, and the cut face's ring starts where its chain does.
+    A cut that would not leave one cut face and every vertex on three faces
+    (a thin edge's cleanup), or that meets a nan side value, is made by
+    clip_fn on that cell alone.  The `Polyhedron`s are made once, when the
+    block's cuts end."""
+
+    def __init__(self, window, m, clip_fn):
+        self.clip_fn = clip_fn
+        self.V = np.repeat(np.array(window.vertices, dtype=float).T[:, :, None], m, axis=2)
+        self.N = np.full(m, len(window.vertices))
+        self.F, self.FL, self.FT = np.zeros((m, 0, 0), dtype=np.intp), *np.zeros((2, m, 0), dtype=np.intp)
+        self._write(np.arange(m), window)
+
+    @property
+    def live(self):
+        return self.N > 0
+
+    def cut(self, cs, R, tags):
+        """Cut cell cs[p] to the side <= 0 of column R[:, p]; its cut face
+        gets tags[p]."""
+        V = self.V[:, :, cs]
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = _side_table(V, R)
+        valid = np.arange(V.shape[1])[:, None] < self.N[cs]
+        kept = valid & (f <= 0)
+        cut = (valid & (f > 0)).any(axis=0)
+        odd = cut & (valid & np.isnan(f)).any(axis=0)
+        gone = cut & ~odd & ~kept.any(axis=0)
+        if gone.any():
+            self._clear(cs[gone])
+        step = np.flatnonzero(cut & ~odd & ~gone)
+        if len(step):
+            odd[step[~self._step(cs[step], V[:, :, step], f[:, step], kept[:, step], tags[step])]] = True
+        for p in np.flatnonzero(odd).tolist():
+            c, row = int(cs[p]), R[:4, p].tolist()
+            self._write([c], self.clip_fn(self.shape(c), row[:3], row[3], int(tags[p])).compact())
+        self.V = self.V[:, :max(1, self.N.max())]
+
+    def _step(self, cells, V, f, kept, tags):
+        """Cut cells by the side values f of their vertices V (kept: f <= 0;
+        each cell has an outside vertex, a kept one, and no nan); write
+        those whose cut closes one face with every vertex on three, and
+        return which they are."""
+        F, FL, FT = self.F[cells], self.FL[cells], self.FT[cells]
+        m, G, K = F.shape
+        S = V.shape[1]
+        col = np.arange(m)
+        at = F * m + col[:, None, None]  # flat (slot, cell) of each ring entry
+        ring = np.arange(K) < FL[:, :, None]
+        renumber = np.cumsum(kept, axis=0) - 1
+        # the faces with an outside vertex, one row each, in cell and face order
+        hit = np.flatnonzero((ring & ~kept.take(at)).any(axis=2))
+        c = hit // G
+        Fh, Lh = F.reshape(-1, K)[hit], FL.ravel()[hit]
+        B = np.where(np.arange(K) + 1 == Lh[:, None], Fh[:, :1], np.concatenate((Fh[:, 1:], Fh[:, :1]), axis=1))
+        at_a, at_b = Fh * m + c[:, None], B * m + c[:, None]
+        fa, ra, fb, rb = f.take(at_a), renumber.take(at_a), f.take(at_b), renumber.take(at_b)
+        live = np.arange(K) < Lh[:, None]
+        ka = live & (fa <= 0)
+        exits, entries = ka & (fb > 0), live & (fa > 0) & (fb <= 0)
+        made = (exits & (fa != 0)) | (entries & (fb != 0))  # the edge's crossing joins the ring
+        # one crossing per (kept, outside) edge, from its kept end, numbered
+        # after the kept vertices in the order the face walk first meets it
+        lin = np.flatnonzero(made)
+        cm = c[lin // K]
+        a, b, ex = Fh.ravel()[lin], B.ravel()[lin], exits.ravel()[lin]
+        near, far = np.where(ex, a, b), np.where(ex, b, a)
+        key = (cm * S + near) * S + far
+        order = np.argsort(key, kind="stable")
+        new = np.ones(len(key), dtype=bool)
+        new[1:] = key[order[1:]] != key[order[:-1]]
+        first, inv = order[new], np.empty_like(order)
+        inv[order] = np.cumsum(new) - 1
+        owner = cm[first]
+        count = np.bincount(owner, minlength=m)
+        kept_count = kept.sum(axis=0)
+        size = kept_count + count
+        by_made = np.argsort(first)
+        slot = np.empty_like(first)
+        slot[by_made] = (kept_count - np.cumsum(count) + count)[owner[by_made]] + np.arange(len(first))
+        crossing = np.zeros(Fh.shape, dtype=np.intp)
+        crossing.ravel()[lin] = slot[inv]
+        # each face's kept part: its kept vertices, each followed by its edge's crossing
+        emitted = ka.astype(np.intp) + made
+        end = np.cumsum(emitted, axis=1)
+        L = end[:, -1]
+        width = max(1, int(L.max(initial=0)))
+        E = np.zeros((len(hit), width + 1), dtype=np.intp)  # the last column takes what is not emitted
+        row = np.arange(len(hit))[:, None] * (width + 1)
+        E.ravel()[np.where(ka, row + end - emitted, row + width)] = ra
+        E.ravel()[(row + end - 1).ravel()[lin]] = slot[inv]
+        # the cut face: each clipped face's entry -> exit, chained from the first face's entry
+        exit_count = exits.sum(axis=1)
+        pair = np.flatnonzero((exit_count == 1) & (L >= 3))
+        exit_at = (exits * np.where(fa != 0, crossing, ra)).sum(axis=1)[pair]
+        entry_at = (entries * np.where(fb != 0, crossing, rb)).sum(axis=1)[pair]
+        cp = c[pair]
+        P = np.bincount(cp, minlength=m)
+        start = np.append(entry_at, -1)[np.searchsorted(cp, col)]  # each cell's first face's
+        span = int(size.max()) + 1
+        succ = np.full((m, span), -1)  # the last column: -1 stays -1
+        succ[cp, entry_at] = exit_at
+        succ = succ.ravel()
+        top = int(P.max())
+        walk = np.empty((top + 1, m), dtype=np.intp)
+        walk[0] = start
+        for t in range(top):
+            walk[t + 1] = succ.take(col * span + walk[t])
+        steps = np.arange(top + 1)[:, None]
+        early = (steps > 0) & (steps < P) & ((walk == start) | (walk < 0))
+        bad = np.zeros(m, dtype=bool)
+        bad[c[(exit_count > 1) | ((L > 0) & (L < 3))]] = True
+        bad[owner[np.bincount(inv, minlength=len(first)) < 2]] = True  # a crossing on fewer than three faces
+        ok = (walk[np.minimum(P, top), col] == start) & ~early.any(axis=0) & (P >= 3) & ~bad
+        # faces in order, the cut face last
+        FL = FL.copy()
+        FL.ravel()[hit] = L
+        keep = FL >= 3
+        nf = keep.sum(axis=1)
+        self._fit(int(size.max()), int(nf.max()) + 1, max(K, width, top))
+        _, G2, K2 = self.F.shape
+        rings = np.zeros((m * G, K2), dtype=np.intp)
+        rings[:, :K] = np.where(ring, renumber.take(at), 0).reshape(-1, K)
+        rings[hit] = 0
+        rings[hit, :width] = E[:, :width]
+        rings = rings.reshape(m, G, K2)
+        F2 = np.zeros((m, G2, K2), dtype=np.intp)
+        L2, T2 = np.zeros((2, m, G2), dtype=np.intp)
+        kc = np.nonzero(keep)[0]
+        to = np.cumsum(keep, axis=1)[keep] - 1
+        F2[kc, to] = rings[keep]
+        L2[kc, to] = FL[keep]
+        T2[kc, to] = FT[keep]
+        F2[col, nf, :top] = np.where(steps[:top] < P, walk[:top], 0).T
+        L2[col, nf], T2[col, nf] = P, tags
+        # the kept vertices, then the crossings
+        V2 = np.empty((3, self.V.shape[1], m))
+        V2[...] = V[:, kept.argmax(axis=0), col][:, None]  # the padding: the first kept vertex
+        ks, kc = np.nonzero(kept)
+        V2.reshape(3, -1)[:, renumber[ks, kc] * m + kc] = V.reshape(3, -1)[:, ks * m + kc]
+        a, b = near[first], far[first]
+        f0, f1 = f[a, owner], f[b, owner]
+        v0 = V[:, a, owner]
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = f0 / (f0 - f1)
+            V2.reshape(3, -1)[:, slot * m + owner] = v0 + t * (V[:, b, owner] - v0)
+        empty = ok & (nf + 1 < 4)
+        if empty.any():
+            self._clear(cells[empty])
+        w = ok & ~empty
+        if not w.all():
+            cells, V2, size, F2, L2, T2 = cells[w], V2[:, :, w], size[w], F2[w], L2[w], T2[w]
+        self.V[:, :, cells], self.N[cells], self.F[cells], self.FL[cells], self.FT[cells] = V2, size, F2, L2, T2
+        return ok
+
+    def _fit(self, S, G, K):
+        """Widen the block's tables to at least S slots, G faces and K ring
+        positions."""
+        grow = S - self.V.shape[1]
+        if grow > 0:
+            self.V = np.concatenate((self.V, np.repeat(self.V[:, :1], grow, axis=1)), axis=1)
+        m, G0, K0 = self.F.shape
+        if G > G0 or K > K0:
+            F = np.zeros((m, max(G, G0), max(K, K0)), dtype=np.intp)
+            F[:, :G0, :K0] = self.F
+            FL, FT = np.zeros((2, m, F.shape[1]), dtype=np.intp)
+            FL[:, :G0], FT[:, :G0] = self.FL, self.FT
+            self.F, self.FL, self.FT = F, FL, FT
+
+    def _clear(self, cells):
+        self.N[cells] = 0
+        self.F[cells] = 0
+        self.FL[cells] = 0
+
+    def _write(self, cells, poly):
+        """Write cells' tables from one compacted `Polyhedron`."""
+        self._clear(cells)
+        if poly.empty:
+            return
+        S, G = len(poly.vertices), len(poly.faces)
+        self._fit(S, G, max(len(face.ring) for face in poly.faces))
+        self.V[:, :S, cells] = np.array(poly.vertices, dtype=float).T[:, :, None]
+        self.V[:, S:, cells] = self.V[:, :1, cells]
+        self.N[cells] = S
+        for g, face in enumerate(poly.faces):
+            self.F[cells, g, :len(face.ring)] = face.ring
+            self.FL[cells, g] = len(face.ring)
+            self.FT[cells, g] = -1 if face.tag is BOX_TAG else face.tag
+
+    def shape(self, c):
+        """Cell c as a `Polyhedron`."""
+        faces = [Face(BOX_TAG if t < 0 else t, ring[:n])
+                 for ring, n, t in zip(self.F[c].tolist(), self.FL[c].tolist(), self.FT[c].tolist()) if n]
+        return Polyhedron(list(map(tuple, self.V[:, :self.N[c], c].T.tolist())), faces)
+
+    def least_first(self):
+        """Start each ring at its least vertex, the first of them, as
+        `Polyhedron.least_first` does (on tables with no nan)."""
+        F, FL = self.F, self.FL
+        pos = np.arange(F.shape[2])
+        ring = at = pos < FL[:, :, None]
+        for x in self.V:
+            x = x.take(F * len(F) + np.arange(len(F))[:, None, None])
+            at = at & (x == np.where(at, x, np.inf).min(axis=2, keepdims=True))
+        turn = np.where(ring, (at.argmax(axis=2)[:, :, None] + pos) % np.maximum(FL, 1)[:, :, None], 0)
+        self.F = np.take_along_axis(F, turn, axis=2)
+
+    def shapes(self):
+        live = np.arange(self.V.shape[1]) < self.N[:, None]  # cell, slot
+        points = list(zip(*(x.T[live].tolist() for x in self.V)))
+        has = self.FL > 0
+        lengths = self.FL[has].tolist()
+        flat = self.F[np.arange(self.F.shape[2]) < self.FL[:, :, None]].tolist()
+        ends = np.cumsum(lengths).tolist()
+        tags = [BOX_TAG if t < 0 else t for t in self.FT[has].tolist()]
+        faces = [Face(t, flat[e - n:e]) for t, e, n in zip(tags, ends, lengths)]
+        counts = has.sum(axis=1).tolist()
+        return [
+            Polyhedron(points[v - n:v], faces[e - k:e])
+            for v, n, e, k in zip(np.cumsum(self.N).tolist(), self.N.tolist(), np.cumsum(counts).tolist(), counts)
+        ]
+
+
 class _Cells:
-    """A block's cells, cut one at a time by `clip_fn`, and the float images
-    of their vertices in one padded table V[coordinate, slot, cell], as the
-    screen reads it: slot k of a cell is its vertex k, and a dead vertex's
-    slot and the padding repeat its first live vertex.  A cut rewrites the
-    column of each cell it changed.  Float cells get their side values from
-    the table.  Homogeneous vertices (the exact route) are cut by
-    halfspace(c, j), and imaged as X / Z, correctly rounded: a polygon's
-    at each cut that changes it, a polyhedron's once per vertex (a cut
-    keeps its survivors' images).  A polyhedron's table is compacted once
-    its dead vertices outnumber its live ones, and when its cuts end."""
+    """A block's exact cells, on integer homogeneous vertices, cut one at a
+    time by `clip_fn`, and the float images of their vertices in one padded
+    table V[coordinate, slot, cell], as the screen reads it: slot k of a
+    cell is its vertex k, and a dead vertex's slot and the padding repeat
+    its first live vertex.  A cut by halfspace(c, j) rewrites the column of
+    each cell it changed.  Vertices are imaged as X / Z, correctly rounded:
+    a polygon's at each cut that changes it, a polyhedron's once per vertex
+    (a cut keeps its survivors' images).  A polyhedron's table is compacted
+    once its dead vertices outnumber its live ones, and when its cuts end."""
 
     def __init__(self, window, m, clip_fn, halfspace):
         self.clip_fn, self.halfspace = clip_fn, halfspace
-        self.homogeneous = len(window.vertices[0]) > (2 if isinstance(window, Polygon) else 3)
         self.cells = [window] * m
         self.images = [self._images(window, [])] * m
         self.table = np.repeat(np.array(self.images[0], dtype=float).T[:, :, None], m, axis=2)
@@ -481,8 +715,6 @@ class _Cells:
         old: those of the cell it was cut from.  A polyhedron's table keeps
         the old vertices in place (dead ones None) and appends the
         crossings."""
-        if not self.homogeneous:
-            return shape.vertices
         if isinstance(shape, Polyhedron):
             made = [(x / w, y / w, z / w) for x, y, z, w in shape.vertices[len(old):]]
             return [None if v is None else u for v, u in zip(shape.vertices, old + made)]
@@ -491,13 +723,7 @@ class _Cells:
     def cut(self, cs, R, tags):
         d = len(R) - 3
         cs, tags = cs.tolist(), tags.tolist()
-        if self.homogeneous:
-            cuts = [(hs.normal, hs.offset, j) for hs, j in zip(map(self.halfspace, cs, tags), tags)]
-        else:  # the cut's row and its side values at the cell's vertices
-            with np.errstate(over="ignore", invalid="ignore"):
-                vals = _side_table(self.table[:, :, cs], R).T.tolist()
-            counts = self.count[cs].tolist()
-            cuts = [(row[:d], row[d], j, f[:k]) for row, j, f, k in zip(R[:d + 1].T.tolist(), tags, vals, counts)]
+        cuts = [(hs.normal, hs.offset, j) for hs, j in zip(map(self.halfspace, cs, tags), tags)]
         rewrite = []  # (cell, every slot's image)
         for c, cut in zip(cs, cuts):
             before = self.cells[c]
@@ -532,8 +758,8 @@ class _Cells:
 def _lockstep(cells, cell, tags, R):
     """Cut a block's cells in lockstep, each by the candidates that change it.
 
-    Pair p is candidate tags[p] of cell cell[p] of `cells` (`_Rings` or
-    `_Cells`); each cell's pairs are contiguous and in cut order.  R: one
+    Pair p is candidate tags[p] of cell cell[p] of `cells` (`_Rings`,
+    `_Polyhedra` or `_Cells`); each cell's pairs are contiguous and in cut order.  R: one
     column per pair, as `pair_rows` makes it.  Each step screens every
     live pair against its cell's current vertices, then every cell with a
     live pair cuts by its first.  A pair is dropped for good once its float
@@ -568,15 +794,17 @@ def _lockstep(cells, cell, tags, R):
 def _cut_block(window, home, feed, halfspace, clip_fn):
     """The cells of the sites `home`, each cut from the window by the
     candidates that change it, nearest first: in lockstep by the feed's
-    first candidates, then by those their lifted queries keep.  Float
-    polygons are cut in numpy (`_Rings`), other cells by `clip_fn`;
+    first candidates, then by those their lifted queries keep.  Float cells
+    are cut in numpy (`_Rings`, `_Polyhedra`), exact ones by `clip_fn`;
     halfspace(i, j) is site i's side of its radical hyperplane with j, asked
     for on homogeneous vertices when j's cut of cell i runs.  Returns the
-    `_Rings`, or the other cells' shapes."""
-    if len(window.vertices[0]) == 2:
+    `_Rings` or `_Polyhedra`, or the exact cells' shapes."""
+    if not feed.strict:
+        cells = _Cells(window, len(home), clip_fn, lambda c, j: halfspace(int(home[c]), j))
+    elif isinstance(window, Polygon):
         cells = _Rings(window, len(home))
     else:
-        cells = _Cells(window, len(home), clip_fn, lambda c, j: halfspace(int(home[c]), j))
+        cells = _Polyhedra(window, len(home), clip_fn)
     q, tags = feed.nearest(home)
     _lockstep(cells, q, tags, feed.rows(home[q], tags))
     if feed.tree is not None:
@@ -586,7 +814,7 @@ def _cut_block(window, home, feed, halfspace, clip_fn):
         q, tags = feed.beyond(home[alive], cells.V[:, :, alive], (local[q[ok]], tags[ok]))
         q = alive[q]
         _lockstep(cells, q, tags, feed.rows(home[q], tags))
-    return cells if isinstance(cells, _Rings) else cells.shapes()
+    return cells.shapes() if isinstance(cells, _Cells) else cells
 
 
 def _blocks(n, k):
@@ -599,9 +827,10 @@ def _blocks(n, k):
 def cut_cells(window, arrays, exact, halfspace, clip_fn):
     """Every cell cut from the window, one block of cells at a time, as a
     list of blocks in cell order: a block of float polygons stays a
-    `_Rings`, any other is a list of shapes.  Site arrays as `site_arrays`
-    makes them; `exact`: the sites are exact, and are cut on homogeneous
-    vertices; halfspace(i, j): site i's side of its radical hyperplane
-    with j; clip_fn: the exact clipper of the window's dimension."""
+    `_Rings`, of float polyhedra a `_Polyhedra`, of exact cells it is a
+    list of shapes.  Site arrays as `site_arrays` makes them; `exact`: the
+    sites are exact, and are cut on homogeneous vertices; halfspace(i, j):
+    site i's side of its radical hyperplane with j; clip_fn: the clipper of
+    the window's dimension."""
     feed = _Feed(arrays, NEAREST_FEED[arrays[0].shape[1]], not exact)
     return [_cut_block(window, home, feed, halfspace, clip_fn) for home in _blocks(len(arrays[0]), feed.k)]

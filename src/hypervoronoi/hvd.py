@@ -28,6 +28,7 @@ from .errors import (
     EmptySites,
     ModelMismatch,
     NoExplicitGeometry,
+    NumericalUnderflow,
 )
 from .models import (
     Curvature,
@@ -146,7 +147,10 @@ def voronoi(points, route: str = ROUTE_KLEIN) -> VoronoiDiagram:
 
     The diagram is computed on the unit-Klein chart as a power diagram
     clipped to the unit ball; boundary surfaces are transported back to
-    the input model at the input curvature.
+    the input model at the input curvature.  A hyperbolic Voronoi cell
+    holds its own site, so a cell the build leaves empty (float sites
+    too near the boundary for float64) raises NumericalUnderflow naming
+    the first such site, instead of making a wrong diagram.
     """
     points = [p if isinstance(p, ModelPoint) else ModelPoint(*p) for p in points]
     if route not in (ROUTE_KLEIN, ROUTE_HEMISPHERE):
@@ -161,6 +165,9 @@ def voronoi(points, route: str = ROUTE_KLEIN) -> VoronoiDiagram:
         sites = [power.hemisphere_site_map(h, i) for i, h in enumerate(hubs)]
     d = points[0].dim
     cx = build_complex(sites, clip=unit_ball(d))
+    empty = next((cell.site_index for cell in cx.cells if cell.empty), None)
+    if empty is not None:
+        raise NumericalUnderflow(f"site {empty}: its cell is empty in float64, too near the boundary")
     model = points[0].model
     curvature = points[0].curvature
     boundaries = {}

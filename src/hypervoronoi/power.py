@@ -23,8 +23,8 @@ For d in {2, 3}, `build_complex` runs in four stages.
    their least vertex (no output depends on the cut order), reads the
    vertex candidates and the facets that come closer to the clip centre
    than r (d=2: exact, on the integers, on rational input).  The facets'
-   keys are the adjacency.  Float polygons are read a block at a time in
-   numpy (`_read_rings`), other cells one at a time.
+   keys are the adjacency.  Float cells are read a block at a time in
+   numpy (`_read_rings`, `_read_polyhedra`), exact ones one at a time.
 3. Halfspaces: `_halfspaces` gives each facet's lower cell its row and
    the higher cell the negation; a float row is its cut's `pair_rows`
    column, bit for bit.  A cell that misses the centre (the `locate` tie
@@ -377,6 +377,107 @@ def _read_rings(rings, first, clip, tol):
     return polys, found, candidates
 
 
+def _read_polyhedra(cells, first, clip, tol):
+    """The Python reader's result on a block of float polyhedra
+    (`cutting._Polyhedra`, cells first, first + 1, ...), in numpy.
+
+    Each ring starts at its least vertex.  A facet is a radical face of
+    Newell area above tol^2 that comes closer to the clip centre than r: a
+    vertex strictly inside, or `clipping.face_min_norm_sq` below r^2.  The
+    IEEE operations are `clipping`'s, in the same order, sums from +0.0;
+    the test against r^2 is exact, and an area within 1e-12 of tol^2 is
+    taken by `clipping.face_area` itself (Python squares by `pow`, which
+    can round x * x the other way).  Coordinates of magnitude over 1e60,
+    whose products could overflow, and clip centres that are not floats
+    send the block to the Python reader.  Returns the polyhedra, the
+    facets ((i, j), points), i < j, each at its first occurrence, and the
+    vertex candidates: the vertices on three radical faces or more, with
+    cell i and their tags."""
+    if not (np.abs(cells.V) <= 1e60).all() or not all(isinstance(c, (int, float)) for c in clip.center):
+        polys = [p.least_first() for p in cells.shapes()]
+        found, candidates = [], []
+        for i, p in enumerate(polys, first):
+            found += [((i, j) if i < j else (j, i), facet) for j, facet in _polyhedron_facets(p, tol, False, clip)]
+            candidates += _polyhedron_vertices(p, i)
+        return polys, found, candidates
+    cells.least_first()
+    polys = cells.shapes()
+    V, F, FL, FT = cells.V, cells.F, cells.FL, cells.FT
+    m, S, K = len(F), V.shape[1], F.shape[2]
+    c, g = np.nonzero((FL > 0) & (FT >= 0))  # the radical faces, one row each
+    rows, L, tags = F[c, g], FL[c, g], FT[c, g]
+    pos = np.arange(K)
+    ring = pos < L[:, None]
+    tt = tol * tol
+    r2, strict = _below(clip.radius**2)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        U = np.stack([x.take(rows * m + c[:, None]) for x in V])  # coordinate, face, position
+        W = np.where(pos + 1 == L[:, None], U[..., :1], np.concatenate((U[..., 1:], U[..., :1]), axis=2))
+        n = _newell_sums(U, W, L)
+        area = 0.5 * np.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
+        big = area > tt
+        for f in np.flatnonzero(np.abs(area - tt) <= 1e-12 * tt).tolist():
+            big[f] = clipping.face_area([tuple(p) for p in U[:, f, :L[f]].T.tolist()]) > tt
+        if any(clip.center):
+            centre = np.array([float(x) for x in clip.center])[:, None, None]
+            U, W = U - centre, W - centre
+            n = _newell_sums(U, W, L)
+        below = (lambda x: x < r2) if strict else (lambda x: x <= r2)
+        facet = big & (ring & below(U[0] * U[0] + U[1] * U[1] + U[2] * U[2])).any(axis=1)
+        # `face_min_norm_sq` where no vertex is inside
+        rest = np.flatnonzero(big & ~facet)
+        U, W, n, ring = U[:, rest], W[:, rest], n[:, rest], ring[rest]
+        D = W - U
+        dd = D[0] * D[0] + D[1] * D[1] + D[2] * D[2]
+        t = -(0.0 + U[0] * D[0] + U[1] * D[1] + U[2] * D[2]) / dd
+        X = U + t * D
+        meets = (dd != 0) & (t > 0) & (t < 1) & below(X[0] * X[0] + X[1] * X[1] + X[2] * X[2])
+        # the centre's foot on the face plane, inside when no two edges see it on opposite sides
+        nn = n[0] * n[0] + n[1] * n[1] + n[2] * n[2]
+        foot = (0.0 + U[0, :, 0] * n[0] + U[1, :, 0] * n[1] + U[2, :, 0] * n[2]) / nn * n
+        R = foot[..., None] - U
+        side = (
+            0.0 + (D[1] * R[2] - D[2] * R[1]) * n[0, :, None] + (D[2] * R[0] - D[0] * R[2]) * n[1, :, None]
+            + (D[0] * R[1] - D[1] * R[0]) * n[2, :, None]
+        )
+        interior = (nn != 0) & (((side >= 0) | ~ring).all(axis=1) | ((side <= 0) | ~ring).all(axis=1))
+        interior &= below(foot[0] * foot[0] + foot[1] * foot[1] + foot[2] * foot[2])
+        facet[rest] = (ring & meets).any(axis=1) | interior
+    i, j = first + c[facet], tags[facet]
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    once = np.flatnonzero(facet)[np.sort(np.unique(lo * (int(hi.max(initial=0)) + 1) + hi, return_index=True)[1])]
+    found = [
+        ((min(i, j), max(i, j)), tuple(map(polys[i - first].vertices.__getitem__, polys[i - first].faces[g].ring)))
+        for i, j, g in zip((first + c[once]).tolist(), tags[once].tolist(), g[once].tolist())
+    ]
+    # each vertex's radical tags, vertices in table order, tags in face
+    # order: each set is made as `_polyhedron_vertices` makes it
+    f, k = np.nonzero(pos < L[:, None])
+    key = c[f] * S + rows[f, k]
+    order = np.argsort(key, kind="stable")
+    key, tag = key[order], tags[f][order].tolist()
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    ends = np.r_[starts[1:], len(key)]
+    three = np.flatnonzero(ends - starts >= 3)
+    candidates = []
+    for v, s, e in zip(key[starts[three]].tolist(), starts[three].tolist(), ends[three].tolist()):
+        site_tags = set(tag[s:e])
+        if len(site_tags) >= 3:
+            candidates.append((polys[v // S].vertices[v % S], frozenset(site_tags | {first + v // S})))
+    return polys, found, candidates
+
+
+def _newell_sums(U, W, L):
+    """`clipping._newell_normal` of each ring, its edges' ends U and W
+    (coordinate, ring, position), L long: the terms summed in ring order
+    from 0.0."""
+    terms = np.stack((
+        (U[1] - W[1]) * (U[2] + W[2]), (U[2] - W[2]) * (U[0] + W[0]), (U[0] - W[0]) * (U[1] + W[1]),
+    ))
+    sums = np.cumsum(np.concatenate((np.zeros_like(terms[..., :1]), terms), axis=2), axis=2)
+    return sums[:, np.arange(len(L)), L]
+
+
 def _polyhedron_facets(polyh, tol, exact, clip):
     """Radical faces of float area above tol^2 that come closer to the
     clip centre than its radius (float), on either route.  A face with a
@@ -476,7 +577,7 @@ def build_complex(sites, clip: Ball) -> PowerComplex:
     scalar = Fraction if exact else float
     centre, r = tuple(map(scalar, clip.center)), scalar(clip.radius)
     # per dimension: the window, its clipper, in-ball facets of positive
-    # measure, vertex site sets (float polygons: `_read_rings`)
+    # measure, vertex site sets (float cells: `_read_rings`, `_read_polyhedra`)
     box, clip_fn, cell_facets, cell_vertices = {
         2: (clipping.box_polygon, clipping.clip_polygon, _polygon_facets, _polygon_vertices),
         3: (clipping.box_polyhedron, clipping.clip_polyhedron, _polyhedron_facets, _polyhedron_vertices),
@@ -493,8 +594,9 @@ def build_complex(sites, clip: Ball) -> PowerComplex:
     shapes, facets, vertex_candidates = [], {}, []
     tol = FACET_MEASURE_TOL * float(r)
     for block in blocks:
-        if isinstance(block, cutting._Rings):
-            block, found, candidates = _read_rings(block, len(shapes), clip, tol)
+        if not isinstance(block, list):  # float cells, read in numpy
+            read = _read_rings if isinstance(block, cutting._Rings) else _read_polyhedra
+            block, found, candidates = read(block, len(shapes), clip, tol)
             shapes += block
             vertex_candidates += candidates
             for key, facet in found:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypervoronoi import ModelPoint, ModelTag, convert, verify, voronoi
+from hypervoronoi import ModelPoint, ModelTag, convert, hvd, power, verify, voronoi
 from hypervoronoi.cli import _check_stored_diagram, _print_report, main
 from hypervoronoi.documents import (
     diagram_to_document,
@@ -17,6 +17,7 @@ from hypervoronoi.documents import (
     parse_diagram,
     parse_point_set,
 )
+from hypervoronoi.errors import NumericalUnderflow
 from hypervoronoi.hvd import BOUNDARY_BAND, sample_labels
 from hypervoronoi.sampling import (
     rational_hemisphere_points,
@@ -451,6 +452,46 @@ def test_check_fails_only_where_a_cell_rewritten_as_empty_is(tmp_path, capsys):
     assert set(oracle[wrong].tolist()) == {k} and (labels != k).all()
     report = _check_stored_diagram(load_diagram(stored), 4000, 7)
     assert report.disagreements == np.count_nonzero(wrong) and report.witness["oracle_label"] == k
+
+
+def boundary_fan(delta):
+    """Thirty Klein points at 1 - |x|^2 = delta, sqrt(delta) rad apart (about
+    one apart hyperbolically), and ten interior points."""
+    r, step = math.sqrt(1 - delta), math.sqrt(delta)
+    return [(r * math.cos(k * step), r * math.sin(k * step)) for k in range(30)] + random_klein_points(10, 2, 7)
+
+
+@pytest.mark.parametrize("route", ["klein", "hemisphere"])
+@pytest.mark.parametrize("delta", [1e-8, 1e-12, 1e-13])
+def test_a_cell_built_empty_is_a_typed_error(tmp_path, capsys, monkeypatch, delta, route):
+    """A hyperbolic Voronoi cell holds its own site, so a cell the float
+    build leaves empty (sites too near the boundary for float64) is a
+    defect: `voronoi` raises NumericalUnderflow naming the first such site,
+    and `compute` prints that one typed line and exits 3, writing no
+    document.  At delta = 1e-8 both routes build."""
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(power.build_complex(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(hvd, "build_complex", recording)
+    pts = [ModelPoint(ModelTag.KLEIN, p) for p in boundary_fan(delta)]
+    inp, out = write_point_set(tmp_path / "p.json", boundary_fan(delta)), tmp_path / "d.json"
+    defect = (delta, route) in {(1e-12, "klein"), (1e-13, "klein"), (1e-13, "hemisphere")}
+    if not defect:
+        assert not any(cell.empty for cell in voronoi(pts, route=route).complex.cells)
+        assert main(["compute", str(inp), "--route", route, "-o", str(out)]) == 0
+        assert main(["check", str(out), "--samples", "2000"]) == 0
+        return
+    with pytest.raises(NumericalUnderflow) as err:
+        voronoi(pts, route=route)
+    first = next(cell.site_index for cell in built[-1].cells if cell.empty)
+    assert str(err.value).startswith(f"site {first}: its cell is empty")
+    capsys.readouterr()
+    assert main(["compute", str(inp), "--route", route, "-o", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: domain: {err.value}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("corrupt", [False, True])

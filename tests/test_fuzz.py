@@ -46,7 +46,7 @@ from hypervoronoi.documents import diagram_to_document, dump_json, parse_point_s
 from hypervoronoi.errors import CoincidentSites, DuplicateSites, GeometryError  # noqa: E402
 from hypervoronoi.sampling import random_klein_points, rational_hemisphere_points  # noqa: E402
 from hypervoronoi.power import Halfspace  # noqa: E402
-from hypervoronoi.scalars import dot  # noqa: E402
+from hypervoronoi.scalars import dot, vsub  # noqa: E402
 from util import (  # noqa: E402
     assert_same_complex,
     canonical_halfspace,
@@ -321,6 +321,41 @@ def _float_range_edge_documents(draw):
     return {"dimension": d, "model": model, "points": pts}
 
 
+@st.composite
+def _planar_range_edge_documents(draw):
+    """Planar float64 point sets with points near the boundary that float64
+    still builds: Klein points 1e-8 to 1e-2 inside the unit circle in
+    1 - |x|^2, Poincare points 1e-4 to 1e-2 inside it in 1 - |x|, upper
+    half-space heights from 1e-4 to 1e4, among ordinary points."""
+    model = draw(st.sampled_from(["klein", "poincare", "upper-half-space"]))
+
+    @st.composite
+    def point(draw):
+        edge = draw(st.booleans())
+        if model == "upper-half-space":
+            return draw(st.floats(-3, 3)), draw(_log_uniform(-4, 4) if edge else st.floats(0.1, 10))
+        depth = draw(_log_uniform(*((-8, -2) if model == "klein" else (-4, -2))) if edge else st.floats(0.2, 1))
+        r, a = math.sqrt(1 - depth) if model == "klein" else 1 - depth, draw(st.floats(0, 2 * math.pi))
+        return r * math.cos(a), r * math.sin(a)
+
+    pts = draw(st.lists(point(), min_size=2, max_size=8, unique=True))
+    return {"dimension": 2, "model": model, "points": [list(p) for p in pts]}
+
+
+def _float_commands(tmp_path, capsys, doc):
+    """Each float command's (command, route, exit code, stderr) on doc."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for command, extra in [
+        ("compute", ["-o", str(tmp_path / "out.json")]),
+        ("check", ["--samples", "50"]),
+        ("delaunay", ["-o", str(tmp_path / "out.json")]),
+    ]:
+        for route in ("klein", "hemisphere"):
+            code = main([command, str(path), "--route", route, *extra])
+            yield command, route, code, capsys.readouterr().err
+
+
 @settings(
     max_examples=25,
     derandomize=True,
@@ -331,18 +366,23 @@ def _float_range_edge_documents(draw):
 def test_float_commands_survive_range_edge_numbers(tmp_path, capsys, doc):
     """No traceback on either route: a result, a verification verdict, or
     one typed error line."""
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
-    for command, extra in [
-        ("compute", ["-o", str(tmp_path / "out.json")]),
-        ("check", ["--samples", "50"]),
-        ("delaunay", ["-o", str(tmp_path / "out.json")]),
-    ]:
-        for route in ("klein", "hemisphere"):
-            code = main([command, str(path), "--route", route, *extra])
-            err = capsys.readouterr().err
-            ok = code in (0, 1) or (code in range(2, 6) and err.startswith("error: ") and err.count("\n") == 1)
-            assert ok, (command, route, code, err)
+    for command, route, code, err in _float_commands(tmp_path, capsys, doc):
+        ok = code in (0, 1) or (code in range(2, 6) and err.startswith("error: ") and err.count("\n") == 1)
+        assert ok, (command, route, code, err)
+
+
+@settings(
+    max_examples=25,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(_planar_range_edge_documents())
+def test_float_commands_build_planar_range_edge_documents(tmp_path, capsys, doc):
+    """Planar documents near the boundary that float64 still resolves:
+    `compute`, `check` and `delaunay` succeed on both routes."""
+    for command, route, code, err in _float_commands(tmp_path, capsys, doc):
+        assert code == 0 and not err, (command, route, code, err)
 
 
 @settings(
@@ -501,6 +541,46 @@ def test_numpy_least_first_equals_polygon_least_first(data):
     want = [least_first(p) for p in rings.shapes()]
     rings.least_first()
     assert repr(rings.shapes()) == repr(want)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_numpy_polyhedron_step_equals_clip_polyhedron(data):
+    """`cutting._Polyhedra` cuts a block of float polyhedra in numpy; after
+    every step each cell's compacted table, faces and rings are
+    `clipping.clip_polyhedron`'s, by `==` and `repr`: cuts through a
+    vertex, along an edge or through a face's plane (side values 0 keep a
+    vertex as it is), cuts that empty a cell, and -0.0 in normals and
+    offsets.  A cut through a face's plane can leave a ring of two
+    vertices, which the step leaves to `clip_fn`, here the clipper itself."""
+    coord = st.floats(-4.0, 4.0) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0])
+    m = data.draw(st.integers(1, 4))
+    window = clipping.box_polyhedron(data.draw(st.sampled_from([1.0, 0.75, 3.0])))
+    cells, want = cutting._Polyhedra(window, m, clipping.clip_polyhedron), [window] * m
+    for step in range(data.draw(st.integers(1, 10))):
+        cs = [c for c in range(m) if not want[c].empty and data.draw(st.booleans())]
+        rows = []
+        for c in cs:
+            normal = tuple(data.draw(coord) for _ in range(3))
+            verts, faces = want[c].vertices, want[c].faces
+            kind = data.draw(st.sampled_from(["random", "vertex", "edge", "face", "empty"]))
+            if kind == "vertex":
+                offset = -dot(normal, data.draw(st.sampled_from(verts)))
+            elif kind in ("edge", "face"):
+                ring = data.draw(st.sampled_from(faces)).ring
+                k = data.draw(st.integers(0, len(ring) - 1))
+                v0, v1, v2 = (verts[ring[(k + i) % len(ring)]] for i in range(3))
+                normal = _cross(vsub(v1, v0), normal if kind == "edge" else vsub(v2, v0))
+                offset = -dot(normal, v0)
+            else:
+                offset = 100.0 if kind == "empty" else data.draw(coord)
+            rows.append(normal + (offset,))
+            want[c] = clipping.clip_polyhedron(want[c], normal, offset, step).compact()
+        if cs:
+            R = np.array([r + (0.0, 0.0) for r in rows]).T.reshape(6, -1)
+            cells.cut(np.array(cs), R, np.full(len(cs), step))
+        got = cells.shapes()
+        assert got == want and repr(got) == repr(want)
 
 
 @st.composite

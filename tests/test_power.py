@@ -774,7 +774,7 @@ def test_candidates_come_nearest_first(monkeypatch, d):
 
     monkeypatch.setattr(cutting, "_cut_block", recording_block)
     monkeypatch.setattr(cutting._Feed, "nearest", recording_nearest)
-    for cls in (cutting._Rings, cutting._Cells):
+    for cls in (cutting._Rings, cutting._Polyhedra, cutting._Cells):
         monkeypatch.setattr(cls, "cut", recording(cls.cut))
     # feed 2: the tied four straddle the first candidates and the lifted query's
     for feed in (cutting.NEAREST_FEED[d], 2):
@@ -994,3 +994,132 @@ def test_array_reader_compares_the_radius_exactly():
         f, strict = power._below(r2)
         assert (x < f if strict else x <= f) == (x < r2)
     assert power._below(10**400) == (math.inf, True)
+
+
+# --- the array cut and reader of float polyhedra -------------------------------------
+
+def _icosahedron(r):
+    g = (1 + 5**0.5) / 2
+    corners = [p for a in (-1, 1) for b in (-g, g) for p in ((0, a, b), (a, b, 0), (b, 0, a))]
+    return [tuple(r * c / math.hypot(1, g) for c in p) for p in corners]
+
+
+def _turned3(pts, eps, seed):
+    """Each point turned about the z axis by eps times a random sign."""
+    signs = np.random.default_rng(seed).choice([-1.0, 1.0], len(pts))
+    return [(x * math.cos(s * eps) - y * math.sin(s * eps), x * math.sin(s * eps) + y * math.cos(s * eps), z)
+            for (x, y, z), s in zip(pts, signs.tolist())]
+
+
+def _wheel3(m, r, h):
+    """m points on a horizontal circle and two poles: degree > 3 vertices."""
+    return [(x, y, 0.0) for x, y in wheel_points(m, r)] + [(0.0, 0.0, h), (0.0, 0.0, -h)]
+
+
+POLYHEDRON_FIXTURES = {
+    "grid": lambda: [(a, b, c) for a in (-0.4, 0.0, 0.4) for b in (-0.4, 0.0, 0.4) for c in (-0.4, 0.0, 0.4)],
+    "cube": lambda: [(a, b, c) for a in (-0.3, 0.3) for b in (-0.3, 0.3) for c in (-0.3, 0.3)] + [(0.0, 0.0, 0.0)],
+    "icosahedron": lambda: _icosahedron(0.6) + [(0.0, 0.0, 0.0)],
+    **{f"wheel{m}-{eps:g}": (lambda m=m, eps=eps: _turned3(_wheel3(m, 0.9, 0.9), eps, m) + [(0.05, -0.02, 0.01)])
+       for m in (8, 12) for eps in (0.0, 1e-11, 1e-15)},
+    "negative-zero": lambda: [(-0.0, 0.3, 0.0), (0.3, -0.0, -0.0), (-0.0, -0.0, -0.0), (-0.3, -0.0, 0.2),
+                              (-0.0, -0.3, -0.2)],
+    "random": lambda: random_klein_points(60, 3, seed=9),
+}
+
+
+def _touching(poly, normal, offset):
+    """Whether a cut leaves some face a kept part of one or two vertices."""
+    vals = [None if v is None else sum(a * b for a, b in zip(normal, v)) + offset for v in poly.vertices]
+    kept = [[k for k in face.ring if vals[k] <= 0] for face in poly.faces]
+    return any(0 < len(k) < min(3, len(face.ring)) for k, face in zip(kept, poly.faces))
+
+
+@pytest.mark.parametrize("fixture", sorted(POLYHEDRON_FIXTURES))
+def test_float_polyhedra_leave_only_touching_cuts_to_the_clipper(monkeypatch, fixture):
+    """`cutting._Polyhedra` cuts float polyhedra in numpy and leaves to
+    `clipping.clip_polyhedron` only the cells whose cut touches a face at a
+    vertex or an edge (its thin-vertex cleanup): none on random input, a
+    few where vertices of degree > 3 lie on the cutting planes.  The
+    builds equal the reference's, which cuts every cell by the clipper."""
+    sites = [klein_site_map(p, i) for i, p in enumerate(POLYHEDRON_FIXTURES[fixture]())]
+    left = []
+    clip = clipping.clip_polyhedron
+
+    def counting(poly, normal, offset, tag):
+        left.append(_touching(poly, normal, offset))
+        return clip(poly, normal, offset, tag)
+
+    with monkeypatch.context() as m:
+        m.setattr(clipping, "clip_polyhedron", counting)
+        cx = build_complex(sites, clip=unit_ball(3))
+    assert all(left)
+    if fixture in ("random", "grid", "cube"):
+        assert not left
+    assert_same_complex(cx, reference_complex(sites, unit_ball(3)))
+
+
+@pytest.mark.parametrize("n, seed", [(50, 1), (200, 2)])
+def test_float_polyhedra_are_cut_without_the_python_clipper(monkeypatch, n, seed):
+    # a silent fall-back to the clipper would pass every equality test
+    # and show only as lost speed
+    def refuse(*args):
+        raise AssertionError("clip_polyhedron called on a float build")
+
+    monkeypatch.setattr(clipping, "clip_polyhedron", refuse)
+    dia = voronoi([ModelPoint(ModelTag.KLEIN, p) for p in random_klein_points(n, 3, seed)])
+    assert len(dia.complex.cells) == n and dia.complex.adjacency
+
+
+@pytest.mark.parametrize("fixture", sorted(POLYHEDRON_FIXTURES))
+@pytest.mark.parametrize(
+    "clip", [unit_ball(3), Ball((Fraction(1, 3), -0.25, 0), Fraction(7, 10)), Ball((0.0, -0.0, 0.1), 0.3)]
+)
+def test_polyhedron_array_reader_equals_python_reader(monkeypatch, fixture, clip):
+    """`power._read_polyhedra` gives each block the Python reader's
+    least-first polyhedra, facets (first occurrences) and vertex candidates,
+    by `repr` (so each candidate's frozenset is made as the Python reader
+    makes it), and the build equals the Python reader's.  A rational clip
+    centre sends the block to the Python reader itself."""
+    sites = [klein_site_map(p, i) for i, p in enumerate(POLYHEDRON_FIXTURES[fixture]())]
+    read, blocks = power._read_polyhedra, []
+
+    def both(cells, first, clip, tol):
+        polys = [p.least_first() for p in cells.shapes()]
+        facets, candidates = {}, []
+        for i, p in enumerate(polys, first):
+            for j, facet in power._polyhedron_facets(p, tol, False, clip):
+                facets.setdefault((i, j) if i < j else (j, i), facet)
+            candidates += power._polyhedron_vertices(p, i)
+        got, found, got_candidates = read(cells, first, clip, tol)
+        got_facets = {}
+        for key, facet in found:
+            got_facets.setdefault(key, facet)
+        assert got == polys and repr(got) == repr(polys)
+        assert repr(got_facets) == repr(facets)
+        assert repr(got_candidates) == repr(candidates)
+        blocks.append(len(got))
+        return got, found, got_candidates
+
+    with monkeypatch.context() as m:
+        m.setattr(power, "_read_polyhedra", both)
+        cx = build_complex(sites, clip=clip)
+    assert sum(blocks) == len(sites)
+    with python_reader():
+        want = build_complex(sites, clip=clip)
+    assert_same_complex(cx, want)
+
+
+def test_polyhedron_reader_takes_areas_at_the_bound_from_face_area():
+    # Python squares by pow, which can round x * x the other way: an area
+    # within 1e-12 of tol^2 is taken by `clipping.face_area` itself
+    cells = cutting._Polyhedra(clipping.box_polyhedron(1.0), 1, clipping.clip_polyhedron)
+    cells.cut(np.array([0]), np.array([[0.6], [0.8], [0.0], [-0.5], [0.0], [0.0]]), np.array([7]))
+    face = next(f for f in cells.shapes()[0].faces if f.tag == 7)
+    area = clipping.face_area([cells.shapes()[0].vertices[k] for k in face.ring])
+    for tol in (math.sqrt(area), math.nextafter(math.sqrt(area), 0.0), math.nextafter(math.sqrt(area), 1.0)):
+        fresh = cutting._Polyhedra(clipping.box_polyhedron(1.0), 1, clipping.clip_polyhedron)
+        fresh.cut(np.array([0]), np.array([[0.6], [0.8], [0.0], [-0.5], [0.0], [0.0]]), np.array([7]))
+        polys, found, _ = power._read_polyhedra(fresh, 0, unit_ball(3), tol)
+        want = [(j, facet) for j, facet in power._polyhedron_facets(polys[0], tol, False, unit_ball(3))]
+        assert [((0, 7), facet) for _, facet in want] == found

@@ -168,13 +168,13 @@ def polygon_vertices(poly, i):
 @contextlib.contextmanager
 def python_reader():
     """Stage 2 of `build_complex` by the Python reader, a cell at a time,
-    also on float polygons: a block `cutting._cut_block` cuts in numpy is
-    read as its polygons."""
+    also on float cells: a block `cutting._cut_block` cuts in numpy is read
+    as its polygons or polyhedra."""
     cut_block = cutting._cut_block
 
     def as_shapes(*args):
         block = cut_block(*args)
-        return block.shapes() if isinstance(block, cutting._Rings) else block
+        return block if isinstance(block, list) else block.shapes()
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(cutting, "_cut_block", as_shapes)
