@@ -153,7 +153,7 @@ def _print_report(report, label: str) -> int:
         print(
             f"witness: sample={w['sample_index']} point=({point}) "
             f"diagram={w['diagram_label']} oracle={w['oracle_label']} "
-            f"gap={w['distance_gap']:.3e}"
+            f"facet={'none' if w['facet'] is None else w['facet']} gap={w['distance_gap']:.3e}"
         )
     print(_verdict(report.ok))
     return EXIT_OK if report.ok else EXIT_DISAGREEMENT

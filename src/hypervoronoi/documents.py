@@ -53,8 +53,12 @@ def encode_vector(xs, exact: bool):
 
 
 def decode_vector(vs):
+    """A coordinate array: a list of finite floats is taken in one pass,
+    anything else number by number through `decode_number`."""
     if not isinstance(vs, list):
         raise ParseError(f"expected a coordinate array, got {vs!r}")
+    if {*map(type, vs)} == {float} and math.isfinite(sum(vs)):
+        return tuple(vs)
     return tuple(decode_number(v) for v in vs)
 
 

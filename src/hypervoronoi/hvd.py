@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -53,6 +54,11 @@ DUAL_MERGE_TOL = 1e-9
 DEGENERACY_TOL = DUAL_MERGE_TOL
 # Klein pairs closer than this (absolute) span no line in the collinear scan.
 COLLINEAR_MIN_SPAN = 1e-15
+# A row whose least value over a tile exceeds TILE_EXCLUDE_TOL times its
+# scale there excludes its cell from the tile (README: Tolerances).
+TILE_EXCLUDE_TOL = 1e-12
+# (sample, row) or (sample, site) values the labeller and the oracle hold at a time.
+BLOCK_VALUES = 1 << 16
 
 
 @dataclass
@@ -375,70 +381,252 @@ def _collinear_groups(kleins, tol):
 # One core for `verify` on a built diagram and `check` on a stored document:
 # both supply (site, empty, {neighbor: Halfspace}) cells and the sites' hub lifts.
 
-def cell_matrices(cells, d: int) -> list:
-    """Per cell (site, A, b): halfspace rows in neighbor order, as
-    `row_floats`, scaled to unit normals (a zero normal is left unscaled)."""
-    mats = []
+def cell_matrices(cells, d: int) -> tuple:
+    """One row table of (site, {neighbor: Halfspace}) cells: (sites,
+    offsets, neighbors, A, b), cell k's rows being offsets[k] to
+    offsets[k + 1], in neighbor order.  Rows are `row_floats` (all-float
+    rows as they are), scaled to unit normals (a zero normal is left
+    unscaled)."""
+    sites, counts, neighbors, rows = [], [], [], []
     for site, halfspaces in cells:
-        ordered = [halfspaces[j] for j in sorted(halfspaces)]
-        rows = np.array([row_floats(h.normal + (h.offset,)) for h in ordered], dtype=float).reshape(-1, d + 1)
-        A, b = rows[:, :d], rows[:, d]
-        norms = np.linalg.norm(A, axis=1)
-        norms[norms == 0.0] = 1.0
-        mats.append((site, A / norms[:, None], b / norms))
-    return mats
+        sites.append(site)
+        counts.append(len(halfspaces))
+        for j in sorted(halfspaces):
+            neighbors.append(j)
+            rows.append(halfspaces[j].normal + (halfspaces[j].offset,))
+    flat = [c for row in rows for c in row]
+    if {*map(type, flat)} <= {float}:
+        M = np.array(flat, dtype=float).reshape(-1, d + 1)
+    else:
+        M = np.array([row_floats(row) for row in rows], dtype=float).reshape(-1, d + 1)
+    norms = np.linalg.norm(M[:, :d], axis=1)
+    norms[norms == 0.0] = 1.0
+    offsets = np.zeros(len(sites) + 1, dtype=np.intp)
+    np.cumsum(counts, out=offsets[1:])
+    columns = np.ascontiguousarray(M[:, :d].T) / norms  # A's columns, each contiguous
+    return np.array(sites, dtype=np.intp), offsets, np.array(neighbors, dtype=np.intp), columns.T, M[:, d] / norms
 
 
-def label_samples(X: np.ndarray, mats) -> tuple[np.ndarray, np.ndarray]:
-    """Each sample's cell and its boundary margin.
+def _row_values(a, b, x) -> np.ndarray:
+    """a . x + b for matching rows, from coordinate columns a[i] and x[i],
+    one coordinate at a time, so a value never depends on what else
+    shares the call."""
+    v = a[0] * x[0]
+    for i in range(1, len(x)):
+        v += a[i] * x[i]
+    return v + b
 
-    The label is the site of the cell with the least maximum halfspace
-    value, the first such cell on ties (-1 when there is no cell); the
-    margin is the least |value| over that cell's own halfspaces.  A cell
-    without halfspaces is the whole space.  Loops over cells: temporaries
-    are samples x facets.
+
+def _extremes(a, b, offsets, cells, x) -> tuple:
+    """The max row value and the least |row value| of each of `cells` at
+    the point of coordinate columns x[i] (-inf and inf without rows).
+
+    Columns a[i] and b hold the rows, a cell's from offsets[cell].  Rows
+    are taken rank by rank, the cells with the most rows first, so each
+    rank is one pass over a prefix."""
+    count = np.diff(offsets)[cells]
+    order = np.argsort(-count)
+    ends = np.searchsorted(-count[order], -np.arange(count.max(initial=0)))
+    base, x = offsets[cells[order]], [xi[order] for xi in x]
+    worst, near = np.full(len(cells), -np.inf), np.full(len(cells), np.inf)
+    for j, e in enumerate(ends):
+        row = base[:e] + j
+        v = _row_values([ai[row] for ai in a], b[row], [xi[:e] for xi in x])
+        np.maximum(worst[:e], v, out=worst[:e])
+        np.minimum(near[:e], np.abs(v, out=v), out=near[:e])
+    worst[order], near[order] = worst.copy(), near.copy()
+    return worst, near
+
+
+def _ranges(lo, counts) -> np.ndarray:
+    """The index ranges lo[k] .. lo[k] + counts[k] - 1, concatenated."""
+    ends = np.cumsum(counts)
+    return np.repeat(lo - ends + counts, counts) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def _chunks(cost):
+    """Ranges of consecutive items whose costs add up to at most
+    BLOCK_VALUES, or of one item."""
+    total = np.cumsum(cost)
+    a = 0
+    while a < len(total):
+        z = max(a + 1, int(np.searchsorted(total, total[a] - cost[a] + BLOCK_VALUES, side="right")))
+        yield a, z
+        a = z
+
+
+def _tile_candidates(X, table) -> tuple:
+    """Samples in tiles and the cells each tile may hold.
+
+    The samples' bounding box is cut into 2^L tiles an axis, about two a
+    cell width: 2^d tiles per cell, 4n in the plane.  Tiles are refined level by level (Morton order), from
+    the finest level whose whole grid makes at most BLOCK_VALUES / 8
+    (tile, cell) pairs.  A cell stays with a tile unless one of its rows
+    (a, b) has a . c + b - |a| . h > TILE_EXCLUDE_TOL (|a|_1 m + |b|) there
+    (centre c, half-widths h, m = max(1, max_i |c_i| + h_i)).  That bound
+    is far above the rounding of the test and of the row at any sample of
+    the tile, so the row is > 0 at each.  Refinement stops early where
+    tiles no longer separate cells (more than BLOCK_VALUES pairs and 16
+    cells a tile).  Returns (order, tile, cells, start): the samples in
+    tile order, the tile of each, and each tile's cells, ascending, at
+    start[t] to start[t + 1] of cells.
     """
-    XT = np.ascontiguousarray(X.T)  # facets x samples rows reduce fastest
+    sites, offsets, _, A, b = table
+    n, d = X.shape
+    levels = 1 + round(math.log2(len(sites)) / d)
+    lo = X.min(axis=0)
+    span = X.max(axis=0) - lo
+    span[span == 0.0] = 1.0
+    T = np.minimum(((X - lo) * ((1 << levels) / span)).astype(np.int64), (1 << levels) - 1)
+    code = np.zeros(n, dtype=np.int64)
+    for bit in range(levels):
+        for i in range(d):
+            code |= ((T[:, i] >> bit) & 1) << (bit * d + i)
+    order = np.argsort(code)
+    code = code[order]
+    a = list(A.T) + [-TILE_EXCLUDE_TOL * np.abs(A).sum(axis=1)]
+    top = max(0, min(levels, (((BLOCK_VALUES >> 3) // len(sites)).bit_length() - 1) // d))
+    for level in range(top, levels + 1):
+        tag = code >> (d * (levels - level))
+        first = np.flatnonzero(np.r_[True, tag[1:] != tag[:-1]])
+        if level == top:
+            tiles = np.repeat(np.arange(len(first)), len(sites))
+            cells = np.tile(np.arange(len(sites)), len(first))
+        else:
+            child = np.searchsorted(tag[first], occupied << d)
+            fan = (np.searchsorted(tag[first], (occupied + 1) << d) - child)[tiles]
+            if fan.sum() > max(BLOCK_VALUES, 16 * len(first)):
+                break
+            tiles, cells = _ranges(child[tiles], fan), np.repeat(cells, fan)
+        occupied, at = tag[first], first
+        half = span / (2 << level)
+        centre = lo + ((T[order[first]] >> (levels - level)) * 2 + 1) * half
+        x = [ci[tiles] for ci in centre.T] + [np.maximum(1.0, (np.abs(centre) + half).max(axis=1))[tiles]]
+        shift = b - TILE_EXCLUDE_TOL * np.abs(b) - sum(h * np.abs(ai) for h, ai in zip(half, a))
+        keep = ~(_extremes(a, shift, offsets, cells, x)[0] > 0.0)
+        tiles, cells = tiles[keep], cells[keep]
+    keep = np.lexsort((cells, tiles))
+    tile = np.repeat(np.arange(len(at)), np.diff(np.r_[at, n]))
+    return order, tile, cells[keep], np.searchsorted(tiles[keep], np.arange(len(at) + 1))
+
+
+def _assign(X, table, samples, per, cells, labels, margin, bound) -> np.ndarray:
+    """Label each of `samples` from its `per` next `cells`, ascending: the
+    first cell of least max row value, when that is <= bound (nan counting
+    as inf).  Every per is >= 1.  Returns the samples left unlabelled."""
+    sites, offsets, _, A, b = table
+    at = np.repeat(samples, per)
+    worst, near = _extremes(A.T, b, offsets, cells, [X[at, i] for i in range(X.shape[1])])
+    worst[np.isnan(worst)] = np.inf
+    least = np.minimum.reduceat(worst, np.cumsum(per) - per)
+    hit = np.flatnonzero(worst == np.repeat(least, per))
+    win = hit[np.r_[True, at[hit[1:]] != at[hit[:-1]]]]
+    ok = least <= bound
+    labels[samples[ok]] = sites[cells[win[ok]]]
+    margin[samples[ok]] = near[win[ok]]
+    return samples[~ok]
+
+
+def label_samples(X: np.ndarray, table) -> tuple[np.ndarray, np.ndarray]:
+    """Each sample's cell and its boundary margin, for a `cell_matrices` table.
+
+    The label is the site of the cell with the least maximum row value,
+    the first such cell on ties (-1 when no value is below inf; nan counts
+    as inf); the margin is the least |value| over that cell's rows.  A cell
+    without rows is the whole space.  A sample is labelled from the cells
+    its tile may hold (`_tile_candidates`) when their least value is <= 0,
+    for every other cell is > 0 there; any other sample, and every sample
+    when a coordinate reaches 2^1000 in magnitude or d > 60, against all
+    cells.
+    Values are made one coordinate at a time, so labels and margins are
+    those of the loop over all cells, bit for bit.  Samples go about
+    BLOCK_VALUES rows at a time.
+    """
+    sites, offsets = table[0], table[1]
     labels = np.full(len(X), -1, dtype=np.intp)
     margin = np.full(len(X), np.inf)
-    best = np.full(len(X), np.inf)
-    for site, A, b in mats:
-        if len(b):
-            vals = A @ XT
-            vals += b[:, None]
-            worst = vals.max(axis=0)
-            near = np.abs(vals, out=vals).min(axis=0)
-        else:
-            worst, near = np.full(len(X), -np.inf), np.full(len(X), np.inf)
-        win = worst < best
-        np.copyto(best, worst, where=win)
-        np.copyto(labels, site, where=win)
-        np.copyto(margin, near, where=win)
+    if not len(X) or not len(sites):
+        return labels, margin
+    cost = np.maximum(np.diff(offsets), 1)
+    rest = [np.arange(len(X))]
+    if X.shape[1] <= 60 and np.abs(X).max() < 2.0**1000:
+        order, tile, cells, start = _tile_candidates(X, table)
+        per = np.diff(start)[tile]
+        rest = [order[per == 0]]
+        load = np.r_[0, np.cumsum(cost[cells])]
+        load = (load[start[1:]] - load[start[:-1]])[tile]
+        live = per > 0
+        order, tile, per, load = order[live], tile[live], per[live], load[live]
+        for a, z in _chunks(load):
+            pc = cells[_ranges(start[tile[a:z]], per[a:z])]
+            rest.append(_assign(X, table, order[a:z], per[a:z], pc, labels, margin, 0.0))
+    rest, m = np.concatenate(rest), len(sites)
+    for a, z in _chunks(np.full(len(rest), cost.sum())):
+        every = np.tile(np.arange(m), z - a)
+        _assign(X, table, rest[a:z], np.full(z - a, m), every, labels, margin, sys.float_info.max)
     return labels, margin
 
 
-def _oracle_cosh(X: np.ndarray, hubs: np.ndarray) -> np.ndarray:
-    """cosh of the unit-curvature distance from each sample to each site."""
-    xnorm = 1.0 - (X**2).sum(axis=1)
-    return (1.0 - X @ hubs[:, 1:].T) / (np.sqrt(xnorm)[:, None] * hubs[None, :, 0])
+def _cosh(X: np.ndarray, hubs: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """cosh of the unit-curvature distance from each sample to its site,
+    (1 - x . k) / (sqrt(1 - |x|^2) h0) for the hub lift (h0, k), one
+    coordinate at a time; nan where the site is -1."""
+    h = hubs[sites]
+    dot, norm = X[:, 0] * h[:, 1], X[:, 0] * X[:, 0]
+    for i in range(1, X.shape[1]):
+        dot += X[:, i] * h[:, i + 1]
+        norm += X[:, i] * X[:, i]
+    cosh = (1.0 - dot) / (np.sqrt(1.0 - norm) * h[:, 0])
+    cosh[sites < 0] = np.nan
+    return cosh
+
+
+def _oracle(X: np.ndarray, hubs: np.ndarray, labels: np.ndarray) -> tuple:
+    """The nearest-site oracle: per sample the site of least hyperbolic
+    distance, the first on ties, and the `_cosh` of it and of the
+    labelled site.  The nearest site has the least (1 - x . k) / h0, the
+    cosh times the sample's sqrt(1 - |x|^2), made BLOCK_VALUES (sample,
+    site) values at a time, one coordinate at a time."""
+    nearest = np.empty(len(X), dtype=np.intp)
+    step = max(1, BLOCK_VALUES // len(hubs))
+    for a in range(0, len(X), step):
+        x = X[a : a + step]
+        g = x[:, :1] * hubs[:, 1]
+        for i in range(1, x.shape[1]):
+            g += x[:, i : i + 1] * hubs[:, i + 1]
+        np.subtract(1.0, g, out=g)
+        nearest[a : a + step] = np.argmin(np.divide(g, hubs[:, 0], out=g), axis=1)
+    return nearest, _cosh(X, hubs, nearest), _cosh(X, hubs, labels)
+
+
+def _facet(x, table, site):
+    """The neighbor of `site`'s first cell whose row is largest at x (None
+    when the site has no cell or the cell no rows)."""
+    sites, offsets, neighbors, A, b = table
+    k = np.flatnonzero(sites == site)
+    if not len(k) or offsets[k[0]] == offsets[k[0] + 1]:
+        return None
+    rows = slice(offsets[k[0]], offsets[k[0] + 1])
+    v = _row_values(A.T[:, rows], b[rows], x)
+    return int(neighbors[rows][np.argmax(v)])
 
 
 def oracle_report(
-    X, labels, margin, hubs, radius: float, seed: int, band: float
+    X, labels, margin, hubs, table, radius: float, seed: int, band: float
 ) -> VerificationReport:
     """Compare labels with the nearest-site oracle.
 
     Samples with margin below `band` are excluded; a label that is not the
     oracle's disagrees unless the two distances are within NEAREST_TIE_TOL.
-    The witness is the first disagreeing sample.
+    The witness is the first disagreeing sample, with the facet of the
+    oracle site's cell that excludes it (`_facet`).
     """
-    cosh = _oracle_cosh(X, hubs)
-    oracle = np.argmin(cosh, axis=1)
+    oracle, at_oracle, at_label = _oracle(X, hubs, labels)
     excluded = margin < band
     rows = np.nonzero(~excluded & (labels != oracle))[0]
-    da = radius * np.arccosh(np.maximum(1.0, cosh[rows, labels[rows]]))
+    da = radius * np.arccosh(np.maximum(1.0, at_label[rows]))
     da[labels[rows] < 0] = np.inf  # no cell claims the sample
-    db = radius * np.arccosh(np.maximum(1.0, cosh[rows, oracle[rows]]))
+    db = radius * np.arccosh(np.maximum(1.0, at_oracle[rows]))
     gaps = np.abs(da - db)
     wrong = gaps > NEAREST_TIE_TOL
     rows, gaps = rows[wrong], gaps[wrong]
@@ -450,6 +638,7 @@ def oracle_report(
             "chart_point": tuple(float(c) for c in X[k]),
             "diagram_label": int(labels[k]),
             "oracle_label": int(oracle[k]),
+            "facet": _facet(X[k], table, oracle[k]),
             "distance_gap": float(gaps[0]),
         }
     return VerificationReport(
@@ -469,8 +658,9 @@ def _labelled_samples(cells, hub_points, sample_count: int, seed: int):
     d = hubs.shape[1] - 1
     X = sampling.ball_points(seed, sample_count, d)
     # an empty cell has no halfspaces: it would be the whole space
-    labels, margin = label_samples(X, cell_matrices([(i, h) for i, empty, h in cells if not empty], d))
-    return X, labels, margin, hubs
+    table = cell_matrices([(i, h) for i, empty, h in cells if not empty], d)
+    labels, margin = label_samples(X, table)
+    return X, labels, margin, hubs, table
 
 
 def _diagram_cells(diagram: VoronoiDiagram) -> list:
@@ -485,10 +675,10 @@ def sample_labels(diagram: VoronoiDiagram, sample_count: int, seed: int):
     oracle labels from hyperbolic nearest-site, and each sample's distance
     to the nearest facet hyperplane of its cell.
     """
-    X, labels, margin, hubs = _labelled_samples(
+    X, labels, margin, hubs, _ = _labelled_samples(
         _diagram_cells(diagram), diagram.hub_points, sample_count, seed
     )
-    return X, labels, np.argmin(_oracle_cosh(X, hubs), axis=1), margin
+    return X, labels, _oracle(X, hubs, labels)[0], margin
 
 
 def verify_cells(
@@ -502,8 +692,8 @@ def verify_cells(
     """Check (site, empty, {neighbor: Halfspace}) cells against the
     nearest-site oracle of the sites' hub lifts, on samples 0..sample_count-1
     of `seed`; a cell flagged empty labels no sample."""
-    X, labels, margin, hubs = _labelled_samples(cells, hub_points, sample_count, seed)
-    return oracle_report(X, labels, margin, hubs, radius, seed, band)
+    X, labels, margin, hubs, table = _labelled_samples(cells, hub_points, sample_count, seed)
+    return oracle_report(X, labels, margin, hubs, table, radius, seed, band)
 
 
 def verify(

@@ -429,6 +429,17 @@ def test_check_corrupted_diagram_fails_with_witness(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "witness:" in out
     assert "FAIL" in out
+    # the witness names the facet of the oracle site's stored cell that
+    # excludes the sample: the neighbor whose unit-normal row is largest there
+    witness = _check_stored_diagram(load_diagram(dia), 2000, 42).witness
+    assert f"oracle={witness['oracle_label']} facet={witness['facet']} " in out
+    x = witness["chart_point"]
+    (cell,) = [c for c in doc["cells"] if c["site"] == witness["oracle_label"]]
+    rows = {
+        h["neighbor"]: (sum(a * b for a, b in zip(h["normal"], x)) + h["offset"]) / math.hypot(*h["normal"])
+        for h in cell["halfspaces"]
+    }
+    assert witness["facet"] == max(rows, key=rows.get) and rows[witness["facet"]] > 0
 
 
 def test_check_fails_only_where_a_cell_rewritten_as_empty_is(tmp_path, capsys):
@@ -444,7 +455,7 @@ def test_check_fails_only_where_a_cell_rewritten_as_empty_is(tmp_path, capsys):
     assert main(["check", str(stored), "--samples", "4000", "--seed", "7"]) == 1
     out = capsys.readouterr().out
     assert 0.5 < float(re.search(r"agreement: (\S+)", out).group(1)) < 1
-    assert f"oracle={k} " in out and "FAIL" in out
+    assert f"oracle={k} facet=none " in out and "FAIL" in out  # a cell flagged empty has no facet
     dia = voronoi([ModelPoint(ModelTag.KLEIN, p) for p in pts])
     dia.complex.cells[k].empty, dia.complex.cells[k].halfspaces = True, {}
     _, labels, oracle, margin = sample_labels(dia, 4000, 7)

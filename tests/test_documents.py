@@ -5,11 +5,14 @@ every JSON tree and raise its errors for non-finite floats and
 unserializable objects.  `documents.diagram_to_document` must write the
 bytes `dump_json` writes for the dict `util.reference_document` builds,
 and raise the same ValueError for NaN and infinities.  Both must agree
-with the documents `compute`, `convert` and `delaunay` write.
+with the documents `compute`, `convert` and `delaunay` write.  The
+coordinate reader must take what it took and refuse what it refused.
 """
 
 import json
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,7 +36,7 @@ from hypervoronoi import (  # noqa: E402
     voronoi,
 )
 from hypervoronoi.documents import diagram_to_document, dump_json, parse_point_set  # noqa: E402
-from hypervoronoi.errors import NoExplicitGeometry  # noqa: E402
+from hypervoronoi.errors import NoExplicitGeometry, ParseError  # noqa: E402
 from hypervoronoi.power import Halfspace, WeightedSite  # noqa: E402
 from hypervoronoi.sampling import random_klein_points, rational_hemisphere_points  # noqa: E402
 from util import reference_document  # noqa: E402
@@ -317,3 +320,35 @@ def test_benchmark_observer_reads_adjacency():
     `voronoi`: the facets' key set."""
     dia = hvd.voronoi([ModelPoint(ModelTag.KLEIN, p) for p in random_klein_points(8, seed=3)])
     assert len(dia.complex.adjacency) > 0 and dia.complex.adjacency == set(dia.complex.facets)
+
+
+def test_decode_vector_takes_floats_in_one_pass_and_anything_else_by_number():
+    assert documents.decode_vector([0.25, -0.5]) == (0.25, -0.5)
+    assert documents.decode_vector([1e308, 1e308]) == (1e308, 1e308)  # their sum overflows
+    assert documents.decode_vector([]) == ()
+    decoded = documents.decode_vector([1, "1/2", -0.0])
+    assert decoded == (1.0, Fraction(1, 2), 0.0) and type(decoded[0]) is float
+    assert math.copysign(1.0, decoded[2]) == -1.0
+
+
+@pytest.mark.parametrize("at", [0, 1])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (True, "expected a finite number, got True"),
+        (math.inf, "expected a finite number, got inf"),
+        (-math.inf, "expected a finite number, got -inf"),
+        (math.nan, "expected a finite number, got nan"),
+        (None, "expected a finite number, got None"),
+        ([0.5], "expected a finite number, got [0.5]"),
+        ("1/0", "bad rational literal '1/0'"),
+        ("half", "bad rational literal 'half'"),
+    ],
+)
+def test_decode_vector_rejects_each_bad_coordinate(bad, message, at):
+    coords = [0.25, -0.5]
+    coords[at] = bad
+    with pytest.raises(ParseError, match="^" + re.escape(message) + "$"):
+        documents.decode_vector(coords)
+    with pytest.raises(ParseError, match="^expected a coordinate array, got 0.5$"):
+        documents.decode_vector(0.5)

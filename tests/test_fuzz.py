@@ -9,7 +9,9 @@ agree, and through `voronoi`, whose Delaunay faces must be made of its
 adjacency pairs.  Chains of exact cuts go through the integer homogeneous
 clippers and the Fraction clippers they replaced, which must agree.  The
 pair table must equal the Python radical hyperplane rows of the sites'
-float64 images bit for bit.
+float64 images bit for bit.  Built and tampered cells, labelled and
+checked against the oracle, must give what the exhaustive references
+give, bit for bit.
 """
 
 import copy
@@ -36,6 +38,7 @@ from hypervoronoi import (  # noqa: E402
     delaunay,
     detect_degeneracies,
     hemisphere_site_map,
+    hvd,
     klein_site_map,
     power,
     unit_ball,
@@ -44,7 +47,7 @@ from hypervoronoi import (  # noqa: E402
 from hypervoronoi.cli import main  # noqa: E402
 from hypervoronoi.documents import diagram_to_document, dump_json, parse_point_set  # noqa: E402
 from hypervoronoi.errors import CoincidentSites, DuplicateSites, GeometryError  # noqa: E402
-from hypervoronoi.sampling import random_klein_points, rational_hemisphere_points  # noqa: E402
+from hypervoronoi.sampling import ball_points, random_klein_points, rational_hemisphere_points  # noqa: E402
 from hypervoronoi.power import Halfspace  # noqa: E402
 from hypervoronoi.scalars import dot, vsub  # noqa: E402
 from util import (  # noqa: E402
@@ -55,7 +58,10 @@ from util import (  # noqa: E402
     least_first,
     reference_complex,
     reference_document,
+    reference_label_samples,
+    reference_oracle,
     reference_radical_hyperplane,
+    reference_report,
 )
 
 
@@ -454,7 +460,8 @@ def _sites(draw):
                 pair = [(rest,) * d, (math.nextafter(rest, 1.0),) + (rest,) * (d - 1)]
             pts = list(dict.fromkeys(pts + pair))
         return d, [klein_site_map(p, i) for i, p in enumerate(pts)]
-    coord = st.fractions(Fraction(-3, 5), Fraction(3, 5), max_denominator=12)
+    edge = Fraction(3, 5) if d == 2 else Fraction(1, 2)  # |t|^2 <= d edge^2 < 1
+    coord = st.fractions(-edge, edge, max_denominator=12)
     ts = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=8 if d == 2 else 5, unique=True))
     return d, [hemisphere_site_map(_hemisphere_point(t), i) for i, t in enumerate(ts)]
 
@@ -742,3 +749,66 @@ def test_pair_table_is_the_python_rows(case, data):
             public = power.radical_hyperplane(sites[lo], sites[hi])
             assert _hex(public.normal + (public.offset,)) == _hex(hs.normal + (hs.offset,))
         assert _hex(vals[p]) == _hex(clipping._side_values(verts, row[:d], row[d])[0])
+
+
+@st.composite
+def _labelling_cases(draw):
+    """A built diagram's cells (d = 2, 3), maybe tampered with, and samples:
+    none, one or many, in the ball or out to 3, 2^1001 or 1e308 times its
+    radius.  Tampering swaps two cells' halfspaces, shifts an offset,
+    copies a cell (exact ties), grows a cell over its neighbors, strips a
+    cell's halfspaces, adds a zero-normal row or a 1e300 offset, or flags
+    a cell empty."""
+    d = draw(st.sampled_from([2, 3]))
+    n = (15 if d == 2 else 10) - draw(st.integers(1, 14 if d == 2 else 9))  # many sites first
+    seed = draw(st.integers(0, 2**16))
+    dia = voronoi([ModelPoint(ModelTag.KLEIN, p) for p in random_klein_points(n, d, seed)])
+    cells = [[c.site_index, c.empty, dict(c.halfspaces)] for c in dia.complex.cells]
+    k = draw(st.integers(0, n - 1))
+    hs = cells[k][2]
+    tamper = draw(st.sampled_from(["duplicate", "grow", "swap", "shift", "zero", "huge", "bare", "empty", "none"]))
+    if tamper == "swap":
+        other = cells[(k + 1) % n]
+        hs, other[2] = other[2], hs
+    elif tamper == "shift" and hs:
+        j = draw(st.sampled_from(sorted(hs)))
+        hs[j] = Halfspace(hs[j].normal, hs[j].offset + draw(st.floats(-0.5, 0.5)))
+    elif tamper == "duplicate":  # exact ties with a new cell, of this site or the next
+        cells.insert(draw(st.integers(0, n)), [draw(st.sampled_from([k, (k + 1) % n])), False, dict(hs)])
+    elif tamper == "grow":  # every facet moved out by delta: the cell overlaps its neighbors
+        delta = draw(st.sampled_from([0.05, 0.01, 0.2]))
+        hs = {j: Halfspace(h.normal, h.offset - delta * math.hypot(*h.normal)) for j, h in hs.items()}
+    elif tamper == "bare":
+        hs = {}
+    elif tamper == "zero":
+        hs[n] = Halfspace((0.0,) * d, draw(st.sampled_from([-1.0, 0.0, 1.0])))
+    elif tamper == "huge" and hs:
+        j = draw(st.sampled_from(sorted(hs)))
+        hs[j] = Halfspace(hs[j].normal, draw(st.sampled_from([1e300, -1e300])))
+    elif tamper == "empty":
+        cells[k][1] = True
+    cells[k][2] = hs
+    count = draw(st.sampled_from([3000, 3000, 3000, 400, 2, 1, 0]))
+    scale = draw(st.sampled_from([1.0, 1.0, 1.0, 3.0, 2.0**1001, 1e308]))
+    X = ball_points(seed, count, d) * scale
+    hubs = np.array([[float(c) for c in h] for h in dia.hub_points])
+    return d, [tuple(c) for c in cells], X, hubs
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_labelling_cases(), st.sampled_from([1.0, 2.5]))
+def test_labelling_and_oracle_equal_the_exhaustive_references(case, radius):
+    """`label_samples` (tiles, then every cell for the samples they do not
+    settle) equals the loop over every cell at every sample, and the
+    blocked oracle and its report equal the oracle made as one matrix,
+    bit for bit, on built and tampered cells."""
+    d, cells, X, hubs = case
+    table = hvd.cell_matrices([(i, h) for i, empty, h in cells if not empty], d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        labels, margin = hvd.label_samples(X, table)
+        ref_labels, ref_margin = reference_label_samples(X, table)
+        assert labels.tolist() == ref_labels.tolist()
+        assert _hex(margin) == _hex(ref_margin)
+        assert np.array_equal(hvd._oracle(X, hubs, labels)[0], reference_oracle(X, hubs)[0])
+        report = hvd.oracle_report(X, labels, margin, hubs, table, radius, 5, hvd.BOUNDARY_BAND)
+        assert report == reference_report(X, ref_labels, ref_margin, hubs, table, radius, 5, hvd.BOUNDARY_BAND)

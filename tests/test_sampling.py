@@ -61,12 +61,13 @@ def test_labeller_matches_per_sample_loop():
     pts = [ModelPoint(ModelTag.KLEIN, p) for p in random_klein_points(9, seed=4)]
     dia = voronoi(pts)
     X = ball_points(12, 400, 2)
-    mats = cell_matrices([(c.site_index, c.halfspaces) for c in dia.complex.cells], 2)
-    labels, margin = label_samples(X, mats)
+    table = cell_matrices([(c.site_index, c.halfspaces) for c in dia.complex.cells], 2)
+    labels, margin = label_samples(X, table)
+    sites, offsets, _, A, b = table
     for k, x in enumerate(X):
         best = None
-        for site, A, b in mats:
-            vals = A @ x + b
+        for c, site in enumerate(sites):
+            vals = A[offsets[c] : offsets[c + 1]] @ x + b[offsets[c] : offsets[c + 1]]
             if best is None or vals.max() < best[0]:
                 best = (vals.max(), site, np.abs(vals).min())
         if abs(best[2]) > 1e-12:  # summation order may differ on a boundary
@@ -77,8 +78,8 @@ def test_labeller_matches_per_sample_loop():
 def test_cell_matrices_unit_normals_in_neighbor_order():
     exact = Halfspace((Fraction(3), Fraction(4)), Fraction(5))
     cells = [(0, {2: exact, 1: Halfspace((0.0, 2.0), 1.0)})]
-    ((site, A, b),) = cell_matrices(cells, 2)
-    assert site == 0
+    sites, offsets, neighbors, A, b = cell_matrices(cells, 2)
+    assert sites.tolist() == [0] and offsets.tolist() == [0, 2] and neighbors.tolist() == [1, 2]
     assert A.tolist() == [[0.0, 1.0], [0.6, 0.8]]
     assert b.tolist() == [0.5, 1.0]
 
@@ -97,7 +98,7 @@ def test_labeller_first_cell_wins_ties_and_bare_cell_is_everything():
 def test_cells_flagged_empty_label_no_sample():
     # with every cell flagged empty no cell claims a sample: each one is a
     # disagreement, at an infinite distance gap
-    labels, margin = label_samples(np.zeros((3, 2)), [])
+    labels, margin = label_samples(np.zeros((3, 2)), cell_matrices([], 2))
     assert labels.tolist() == [-1, -1, -1] and np.isinf(margin).all()
     hubs = [(1.0, 0.0, 0.0), (0.8, 0.6, 0.0)]  # hemisphere lifts of (0, 0) and (0.6, 0)
     report = verify_cells([(0, True, {}), (1, True, {})], hubs, 1.0, 50, 3)

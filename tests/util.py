@@ -629,3 +629,85 @@ def reference_document(
             "witness": verification.witness,
         }
     return doc
+
+
+def _reference_values(A, b, X):
+    """Row values, rows x samples, with `hvd._row_values`' arithmetic."""
+    vals = A[:, 0, None] * X[:, 0]
+    for i in range(1, X.shape[1]):
+        vals += A[:, i, None] * X[:, i]
+    return vals + b[:, None]
+
+
+def reference_label_samples(X, table):
+    """`hvd.label_samples` as the loop over every cell at every sample."""
+    sites, offsets, _, A, b = table
+    labels = np.full(len(X), -1, dtype=np.intp)
+    margin = np.full(len(X), np.inf)
+    best = np.full(len(X), np.inf)
+    for k, site in enumerate(sites):
+        rows = slice(offsets[k], offsets[k + 1])
+        if offsets[k] < offsets[k + 1]:
+            vals = _reference_values(A[rows], b[rows], X)
+            worst, near = vals.max(axis=0), np.abs(vals).min(axis=0)
+        else:
+            worst, near = np.full(len(X), -np.inf), np.full(len(X), np.inf)
+        win = worst < best
+        best[win], labels[win], margin[win] = worst[win], site, near[win]
+    return labels, margin
+
+
+def reference_oracle(X, hubs):
+    """The oracle as whole (sample, site) matrices, with `hvd._oracle`'s
+    arithmetic: each sample's nearest site and every cosh."""
+    dot, norm = X[:, :1] * hubs[:, 1], X[:, 0] * X[:, 0]
+    for i in range(1, X.shape[1]):
+        dot += X[:, i : i + 1] * hubs[:, i + 1]
+        norm += X[:, i] * X[:, i]
+    cosh = (1.0 - dot) / (np.sqrt(1.0 - norm)[:, None] * hubs[:, 0])
+    return np.argmin((1.0 - dot) / hubs[:, 0], axis=1), cosh
+
+
+def reference_report(X, labels, margin, hubs, table, radius, seed, band):
+    """`hvd.oracle_report` from the whole cosh matrix, with the witness
+    facet found by a loop over the oracle site's first cell."""
+    from hypervoronoi.hvd import NEAREST_TIE_TOL, VerificationReport
+
+    oracle, cosh = reference_oracle(X, hubs)
+    excluded = margin < band
+    rows = np.nonzero(~excluded & (labels != oracle))[0]
+    da = radius * np.arccosh(np.maximum(1.0, cosh[rows, labels[rows]]))
+    da[labels[rows] < 0] = np.inf
+    db = radius * np.arccosh(np.maximum(1.0, cosh[rows, oracle[rows]]))
+    gaps = np.abs(da - db)
+    rows, gaps = rows[gaps > NEAREST_TIE_TOL], gaps[gaps > NEAREST_TIE_TOL]
+    witness = None
+    if len(rows):
+        k = int(rows[0])
+        sites, offsets, neighbors, A, b = table
+        facet, best = None, None
+        for c, site in enumerate(sites):
+            if site == oracle[k]:
+                for r in range(offsets[c], offsets[c + 1]):
+                    v = _reference_values(A[r : r + 1], b[r : r + 1], X[k : k + 1])[0, 0]
+                    if best is None or v > best:
+                        facet, best = int(neighbors[r]), v
+                break
+        witness = {
+            "sample_index": k,
+            "chart_point": tuple(float(c) for c in X[k]),
+            "diagram_label": int(labels[k]),
+            "oracle_label": int(oracle[k]),
+            "facet": facet,
+            "distance_gap": float(gaps[0]),
+        }
+    return VerificationReport(
+        sample_count=len(X),
+        excluded=int(excluded.sum()),
+        checked=int((~excluded).sum()),
+        disagreements=len(rows),
+        max_gap=float(gaps.max()) if len(rows) else 0.0,
+        witness=witness,
+        seed=seed,
+        band=band,
+    )
