@@ -1,6 +1,7 @@
 """Command-line front end: compute, convert, delaunay, render, check.
 
-Exit codes: 0 success; 1 verification disagreement; 2 parse error;
+Exit codes: 0 success; 1 verification disagreement; 2 parse error
+(an unreadable input or an unwritable output path among them);
 3 domain violation; 4 unsupported dimension; 5 exact arithmetic
 unavailable on the requested path.  Every failure prints a single
 machine-parseable line `error: <kind>: <reason>` on stderr.
@@ -9,7 +10,9 @@ machine-parseable line `error: <kind>: <reason>` on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
+import stat
 import sys
 from fractions import Fraction
 
@@ -58,11 +61,35 @@ def _verdict(ok: bool) -> str:
 
 
 def _write_output(text: str, path: str | None) -> None:
+    """Write a command's output to `path`, or to stdout for None and "-".
+
+    The one writer of every command.  A file is overwritten in place and
+    then cut to the bytes written, not truncated on open: a file system
+    may start writing back a file truncated to zero when it is closed
+    (ext4's auto_da_alloc), and the next command to the same path then
+    waits for that I/O in `open`.  A target that is not a regular file
+    (/dev/null, a FIFO) is never cut.  A write that fails leaves a prefix
+    of the new document, as `open(path, "w")` would.  An unwritable path
+    raises ParseError.
+    """
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return
+    data = memoryview(text.encode("utf-8"))
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            written = 0
+            try:
+                while written < len(data):
+                    written += os.write(fd, data[written:])
+            finally:
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, written)
+        finally:
+            os.close(fd)
+    except OSError as e:
+        raise ParseError(f"{path}: {e}") from e
 
 
 def _apply_overrides(doc: PointSetDocument, args) -> PointSetDocument:
@@ -247,8 +274,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args keeps no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as e:

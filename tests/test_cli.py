@@ -1,6 +1,9 @@
+import ast
+import errno
 import hashlib
 import json
 import math
+import os
 import re
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -9,7 +12,7 @@ import numpy as np
 import pytest
 
 from hypervoronoi import ModelPoint, ModelTag, convert, hvd, power, verify, voronoi
-from hypervoronoi.cli import _check_stored_diagram, _print_report, main
+from hypervoronoi.cli import _check_stored_diagram, _parser, _print_report, build_parser, main
 from hypervoronoi.documents import (
     diagram_to_document,
     dump_json,
@@ -1031,3 +1034,139 @@ def test_non_numeric_clip_radius_exit_2(tmp_path, capsys, command, value):
     dia.write_text(dump_json(doc))
     extra = ["--samples", "100"] if command == "check" else ["-o", str(tmp_path / "o.svg")]
     assert_parse_error(capsys, [command, str(dia), *extra])
+
+
+# --- output --------------------------------------------------------------------
+
+def test_shorter_output_overwrites_a_longer_file_in_place(tmp_path):
+    inp, dia = stored_fixture(tmp_path)
+    out, link = tmp_path / "out.json", tmp_path / "link.json"
+    out.write_bytes(b"x" * (dia.stat().st_size + 100_000))
+    os.link(out, link)
+    inode = out.stat().st_ino
+    assert main(["compute", str(inp), "-o", str(out)]) == 0
+    assert out.read_bytes() == dia.read_bytes()
+    assert out.stat().st_ino == inode
+    assert link.read_bytes() == dia.read_bytes()
+
+
+def test_output_to_dev_null_exits_0(tmp_path, capsys):
+    inp, _ = stored_fixture(tmp_path)
+    assert main(["compute", str(inp), "-o", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_dash_and_no_output_write_stdout(tmp_path, capsys):
+    inp, dia = stored_fixture(tmp_path)
+    capsys.readouterr()
+    assert main(["compute", str(inp), "-o", "-"]) == 0
+    dash = capsys.readouterr().out
+    assert main(["compute", str(inp)]) == 0
+    assert dash == capsys.readouterr().out == dia.read_text()
+
+
+@pytest.mark.parametrize(
+    "raw, code",
+    [('{"dimension": 2, "model": "klein", "points": [[0.5, 0.0], [0.1, 2.0]]}', 3), ("{not json", 2)],
+    ids=["domain", "parse"],
+)
+def test_failed_compute_leaves_the_target_untouched(tmp_path, capsys, raw, code):
+    inp = tmp_path / "p.json"
+    inp.write_text(raw)
+    out = tmp_path / "out.json"
+    out.write_bytes(b"previous document")
+    assert main(["compute", str(inp), "-o", str(out)]) == code
+    assert out.read_bytes() == b"previous document"
+
+
+def test_write_failing_partway_leaves_the_bytes_written(tmp_path, capsys, monkeypatch):
+    inp, dia = stored_fixture(tmp_path)
+    out = tmp_path / "out.json"
+    out.write_bytes(b"x" * (2 * dia.stat().st_size))
+    real_write = os.write
+    calls = []
+
+    def write_then_fail(fd, data):
+        calls.append(fd)
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_write(fd, data[:1000])
+
+    monkeypatch.setattr(os, "write", write_then_fail)
+    assert_parse_error(capsys, ["compute", str(inp), "-o", str(out)])
+    assert out.read_bytes() == dia.read_bytes()[:1000]
+
+
+@pytest.mark.parametrize("target", ["missing/dir/out", "directory"])
+@pytest.mark.parametrize("command", ["compute", "convert", "delaunay", "render"])
+def test_unwritable_output_exit_2(tmp_path, capsys, command, target):
+    inp, dia = stored_fixture(tmp_path)
+    output = tmp_path / target
+    if target == "directory":
+        output.mkdir()
+    source = dia if command == "render" else inp
+    extra = ["--to", "poincare"] if command == "convert" else []
+    capsys.readouterr()
+    assert main([command, str(source), *extra, "-o", str(output)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: parse: {output}: ")
+    assert "\n" not in err.strip()
+
+
+def test_one_parser_serves_every_call_as_a_fresh_one_would(tmp_path):
+    inp, dia = stored_fixture(tmp_path)
+    argvs = [
+        ["compute", str(inp), "--exact", "--route", "hemisphere", "-o", "a.json"],
+        ["convert", str(inp), "--to", "poincare"],
+        ["compute", str(inp), "--verify", "10", "--model", "klein"],
+        ["check", str(dia), "--samples", "5"],
+        ["delaunay", str(inp), "--curvature", "-2"],
+        ["render", str(dia), "--width", "7"],
+        ["compute", str(inp)],
+        ["check", str(inp), "--seed", "3"],
+    ]
+    assert _parser() is _parser()
+    for argv in argvs + argvs[::-1]:
+        assert vars(_parser().parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+
+def _file_writers(tree):
+    """(function, truncates) of each call in `tree` that can open a file for
+    writing: os.open, os.fdopen, Path.write_text/write_bytes, or any `open`
+    whose mode is not a constant read mode.  A mode that is not a constant
+    counts as truncating."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                on_os = isinstance(f, ast.Attribute) and getattr(f.value, "id", None) == "os"
+                mode = child.args[1] if len(child.args) > 1 else next(
+                    (k.value for k in child.keywords if k.arg == "mode"), None
+                )
+                text = str(mode.value) if isinstance(mode, ast.Constant) else "w"
+                if on_os and name in ("open", "fdopen"):
+                    found.append((function, "O_TRUNC" in ast.unparse(child)))
+                elif name in ("write_text", "write_bytes"):
+                    found.append((function, True))
+                elif name == "open" and mode is not None and set("wax+") & set(text):
+                    found.append((function, "w" in text))
+            visit(child, inner)
+
+    visit(tree, None)
+    return found
+
+
+def test_the_output_writer_is_the_only_code_that_opens_a_file_for_writing():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "hypervoronoi")
+    writers = set()
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                text = fh.read()
+            assert "O_TRUNC" not in text, name
+            writers |= {(name, fn, truncates) for fn, truncates in _file_writers(ast.parse(text))}
+    assert writers == {("cli.py", "_write_output", False)}
