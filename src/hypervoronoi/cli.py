@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .conversions import convert, hub_coords
+from .conversions import convert
 from .documents import (
     SCALAR_EXACT,
     DiagramDocument,
@@ -36,7 +36,7 @@ from .errors import (
     NoExplicitGeometry,
     ParseError,
 )
-from .hvd import delaunay, detect_degeneracies, verify, verify_cells, voronoi
+from .hvd import delaunay, detect_degeneracies, oracle_hubs, verify, verify_cells, voronoi
 from .models import Curvature, ModelTag
 from .sampling import SEED_LIMIT
 
@@ -203,11 +203,12 @@ def _check_stored_diagram(doc: DiagramDocument, samples: int, seed: int):
     """Validate a stored diagram's cell data against the distance oracle.
 
     Consumes the document only: labels come from the stored per-cell
-    halfspace lists, the oracle from the echoed input points.
+    halfspace lists, the oracle from the echoed input points, lifted as
+    the stored route's build lifted them.
     """
     return verify_cells(
         doc.cells,  # (site, empty, halfspaces): an empty cell labels no sample
-        [hub_coords(p) for p in doc.input.model_points()],
+        oracle_hubs(doc.input.model_points(), doc.route),
         Curvature(doc.input.curvature).radius,
         samples,
         seed,

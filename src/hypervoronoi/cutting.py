@@ -1,5 +1,5 @@
 """Stage 1 of `power.build_complex`: cut every cell from its window by
-the candidates that change it.
+the candidates that change it, and read each cell where it is cut.
 
 A cell is cut from a window (the clip ball's bounding cube), nearest
 site centre first, as Voro++ does (Rycroft, Chaos 19, 041111, 2009),
@@ -25,19 +25,29 @@ integer homogeneous vertices by the Python clippers (see `clipping`), and
 the screen reads them as X / Z, each made once per vertex of a
 polyhedron (`_Cells`).
 
+Each block is read as soon as its cuts end, its rings started at their
+least vertex (no output depends on the cut order): `_Rings` and
+`_Polyhedra` read their arrays in numpy, with the IEEE operations of the
+Python tests they replace, `_Cells` each exact cell in `Fraction`s.  No
+other module reads a block.
+
 Every float row of the package is a column of `pair_rows`, made in numpy
 from the site arrays of `site_arrays`.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+from fractions import Fraction
 from itertools import chain
 
 import numpy as np
 
-from .clipping import BOX_TAG, Face, Polygon, Polyhedron
+from .clipping import (
+    BOX_TAG, Face, Polygon, Polyhedron, face_area, face_min_norm_sq, to_affine, to_homogeneous,
+)
 from .errors import CoincidentSites, DomainViolation
-from .scalars import as_floats
+from .scalars import as_floats, dot, norm_sq, vsub
 
 # Relative margin of the float screen in `_lockstep`.  It only decides
 # which provable no-op cuts are skipped, never the geometry: a hyperplane
@@ -354,20 +364,16 @@ class _Feed:
 class _Rings:
     """A block's float polygons as padded arrays, cut in numpy.
 
-    P[coordinate, slot, cell]: each ring, padded with its first vertex, as
+    V[coordinate, slot, cell]: each ring, padded with its first vertex, as
     the screen reads it; T[slot, cell]: its edge tags (-1 for the
     window's); L[cell]: its length, 0 once empty.  A cut makes the IEEE
-    operations of `clipping.clip_polygon` in the same order, so its
-    `Polygon`s, made once when the block's cuts end, are the clipper's."""
+    operations of `clipping.clip_polygon` in the same order, so each ring
+    is the clipper's polygon."""
 
     def __init__(self, window, m):
-        self.P = np.repeat(np.array(window.vertices, dtype=float).T[:, :, None], m, axis=2)
+        self.V = np.repeat(np.array(window.vertices, dtype=float).T[:, :, None], m, axis=2)
         self.T = np.repeat(np.array([[-1 if t is BOX_TAG else t] for t in window.tags]), m, axis=1)
         self.L = np.full(m, len(window.vertices))
-
-    @property
-    def V(self):
-        return self.P
 
     @property
     def live(self):
@@ -376,7 +382,7 @@ class _Rings:
     def cut(self, cs, R, tags):
         """Cut ring cs[p] to the side <= 0 of column R[:, p]; its new edges
         get tags[p]."""
-        P, T, L = self.P[:, :, cs], self.T[:, cs], self.L[cs]
+        P, T, L = self.V[:, :, cs], self.T[:, cs], self.L[cs]
         d, S, m = P.shape
         col = np.arange(m)
         slot = np.arange(S)[:, None]
@@ -400,22 +406,22 @@ class _Rings:
         long = (slot < L) & ~(P == P[:, nxt, col]).all(axis=0)  # drop zero-length edges
         P, T, L = _compress(P, T, long)
         L[L < 3] = 0
-        grow = P.shape[1] - self.P.shape[1]
+        grow = P.shape[1] - self.V.shape[1]
         if grow > 0:
-            self.P = np.concatenate((self.P, np.repeat(self.P[:, :1], grow, axis=1)), axis=1)
+            self.V = np.concatenate((self.V, np.repeat(self.V[:, :1], grow, axis=1)), axis=1)
             self.T = np.concatenate((self.T, np.repeat(self.T[:1], grow, axis=0)), axis=0)
         W = P.shape[1]
-        self.P[:, :W, cs], self.P[:, W:, cs] = P, P[:, :1]
+        self.V[:, :W, cs], self.V[:, W:, cs] = P, P[:, :1]
         self.T[:W, cs] = T
         self.L[cs] = L
         width = max(1, self.L.max())
-        self.P, self.T = self.P[:, :width], self.T[:width]
+        self.V, self.T = self.V[:, :width], self.T[:width]
 
     def least_first(self):
         """Start each ring at its least vertex, the first of them, as
         `Polygon.least_first` does (on a ring with a nan coordinate, by
         that very call)."""
-        P, L = self.P, self.L
+        P, L = self.V, self.L
         col = np.arange(P.shape[2])
         slot = np.arange(P.shape[1])[:, None]
         valid = slot < L
@@ -427,17 +433,64 @@ class _Rings:
             ring = list(map(tuple, P[:, :L[c], c].T.tolist()))
             k[c] = ring.index(min(ring))
         turn = np.where(valid, (k + slot) % np.maximum(L, 1), k)
-        self.P, self.T = P[:, turn, col], self.T[turn, col]
+        self.V, self.T = P[:, turn, col], self.T[turn, col]
 
-    def shapes(self):
-        live = np.arange(self.P.shape[1]) < self.L[:, None]  # cell, slot
-        points = list(zip(*(x.T[live].tolist() for x in self.P)))
-        tags = [BOX_TAG if t < 0 else t for t in self.T.T[live].tolist()]
-        ends = np.cumsum(self.L).tolist()
-        return [
-            Polygon(points[e - n:e], tags[e - n:e]) if n else Polygon([], [])
-            for e, n in zip(ends, self.L.tolist())
-        ]
+    def read(self, first, clip, tol):
+        """`cut_cells`' reading of cells first, first + 1, ..., in numpy.  A
+        facet (v0, v1) is a radical edge longer than tol that comes closer
+        to the clip centre (its float64 image) than r: an end strictly
+        inside, or the foot of the centre strictly between its ends and
+        inside (`clipping.segment_min_norm_sq`: the same IEEE operations in
+        the same order, sums from +0.0; the test against r^2 exact).  A
+        vertex candidate is a corner where two radical edges of different
+        tags meet, with cell i and those tags."""
+        self.least_first()
+        P, T, L = self.V, self.T, self.L
+        col = np.arange(P.shape[2])
+        slot = np.arange(P.shape[1])[:, None]
+        nxt = np.where(slot + 1 < L, slot + 1, 0)
+        radical = (slot < L) & (T >= 0)
+        r2, strict = _below(clip.radius**2)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            E = P[:, nxt, col] - P
+            long = np.sqrt(E[0] * E[0] + E[1] * E[1]) > tol
+            X = P - np.array([float(c) for c in clip.center])[:, None, None]
+            sq = X[0] * X[0] + X[1] * X[1]
+            D = X[:, nxt, col] - X
+            dd = D[0] * D[0] + D[1] * D[1]
+            t = -(0.0 + X[0] * D[0] + X[1] * D[1]) / dd
+            W = X + t * D
+            foot = W[0] * W[0] + W[1] * W[1]
+            inside = sq < r2 if strict else sq <= r2
+            meets = (dd != 0) & (t > 0) & (t < 1) & (foot < r2 if strict else foot <= r2)
+        facet = radical & long & (inside | inside[nxt, col] | meets)
+        prev = T[np.where(slot > 0, slot - 1, L - 1), col]
+        corner = radical & (prev >= 0) & (prev != T)
+        vertex = _points(P, slot.T < L[:, None]).__getitem__  # cell by cell
+        base = np.cumsum(L) - L
+        c, k = np.nonzero(facet.T)
+        once, pairs = _first_pairs(first + c, T[k, c])
+        c, k = c[once], k[once]
+        ends = (base[c] + k).tolist(), (base[c] + nxt[k, c]).tolist()
+        found = list(zip(pairs, zip(*(map(vertex, e) for e in ends))))
+        c, k = np.nonzero(corner.T)
+        sites = zip((first + c).tolist(), prev[k, c].tolist(), T[k, c].tolist())
+        candidates = list(zip(map(vertex, (base[c] + k).tolist()), map(frozenset, sites)))
+        return (~self.live).tolist(), found, candidates
+
+
+def _points(V, live):
+    """The vertices V[:, slot, cell] where live[cell, slot], as tuples of
+    floats, cell by cell."""
+    return list(zip(*(x.T[live].tolist() for x in V)))
+
+
+def _first_pairs(i, j):
+    """Where each pair {i[p], j[p]} first occurs, in order, and the pairs
+    there as (lo, hi)."""
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    once = np.sort(np.unique(lo * (int(hi.max(initial=0)) + 1) + hi, return_index=True)[1])
+    return once, list(zip(lo[once].tolist(), hi[once].tolist()))
 
 
 def _compress(P, T, keep):
@@ -464,8 +517,8 @@ class _Polyhedra:
     first meets them, and the cut face's ring starts where its chain does.
     A cut that would not leave one cut face and every vertex on three faces
     (a thin edge's cleanup), or that meets a nan side value, is made by
-    clip_fn on that cell alone.  The `Polyhedron`s are made once, when the
-    block's cuts end."""
+    clip_fn on that cell alone, the one place a float cell becomes a
+    `Polyhedron`."""
 
     def __init__(self, window, m, clip_fn):
         self.clip_fn = clip_fn
@@ -668,20 +721,81 @@ class _Polyhedra:
         turn = np.where(ring, (at.argmax(axis=2)[:, :, None] + pos) % np.maximum(FL, 1)[:, :, None], 0)
         self.F = np.take_along_axis(F, turn, axis=2)
 
-    def shapes(self):
-        live = np.arange(self.V.shape[1]) < self.N[:, None]  # cell, slot
-        points = list(zip(*(x.T[live].tolist() for x in self.V)))
-        has = self.FL > 0
-        lengths = self.FL[has].tolist()
-        flat = self.F[np.arange(self.F.shape[2]) < self.FL[:, :, None]].tolist()
-        ends = np.cumsum(lengths).tolist()
-        tags = [BOX_TAG if t < 0 else t for t in self.FT[has].tolist()]
-        faces = [Face(t, flat[e - n:e]) for t, e, n in zip(tags, ends, lengths)]
-        counts = has.sum(axis=1).tolist()
-        return [
-            Polyhedron(points[v - n:v], faces[e - k:e])
-            for v, n, e, k in zip(np.cumsum(self.N).tolist(), self.N.tolist(), np.cumsum(counts).tolist(), counts)
+    def read(self, first, clip, tol):
+        """`cut_cells`' reading of cells first, first + 1, ..., in numpy.  A
+        facet is a radical face of Newell area above tol^2 that comes closer
+        to the clip centre (its float64 image) than r: a vertex strictly
+        inside, or `clipping.face_min_norm_sq` below r^2.  The IEEE
+        operations are `clipping`'s, in the same order, sums from +0.0; the
+        test against r^2 is exact, and an area within 1e-12 of tol^2 is
+        taken by `clipping.face_area` itself (Python squares by `pow`, which
+        can round x * x the other way).  A vertex candidate is a vertex on
+        three radical faces or more, with cell i and their tags."""
+        self.least_first()
+        V, F, FL, FT = self.V, self.F, self.FL, self.FT
+        m, S, K = len(F), V.shape[1], F.shape[2]
+        c, g = np.nonzero((FL > 0) & (FT >= 0))  # the radical faces, one row each
+        rows, L, tags = F[c, g], FL[c, g], FT[c, g]
+        pos = np.arange(K)
+        ring = pos < L[:, None]
+        tt = tol * tol
+        r2, strict = _below(clip.radius**2)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            U = np.stack([x.take(rows * m + c[:, None]) for x in V])  # coordinate, face, position
+            W = np.where(pos + 1 == L[:, None], U[..., :1], np.concatenate((U[..., 1:], U[..., :1]), axis=2))
+            n = _newell_sums(U, W, L)
+            area = 0.5 * np.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
+            big = area > tt
+            for f in np.flatnonzero(np.abs(area - tt) <= 1e-12 * tt).tolist():
+                big[f] = face_area([tuple(p) for p in U[:, f, :L[f]].T.tolist()]) > tt
+            if any(clip.center):
+                centre = np.array([float(x) for x in clip.center])[:, None, None]
+                U, W = U - centre, W - centre
+                n = _newell_sums(U, W, L)
+            below = (lambda x: x < r2) if strict else (lambda x: x <= r2)
+            facet = big & (ring & below(U[0] * U[0] + U[1] * U[1] + U[2] * U[2])).any(axis=1)
+            # `face_min_norm_sq` where no vertex is inside
+            rest = np.flatnonzero(big & ~facet)
+            U, W, n, ring = U[:, rest], W[:, rest], n[:, rest], ring[rest]
+            D = W - U
+            dd = D[0] * D[0] + D[1] * D[1] + D[2] * D[2]
+            t = -(0.0 + U[0] * D[0] + U[1] * D[1] + U[2] * D[2]) / dd
+            X = U + t * D
+            meets = (dd != 0) & (t > 0) & (t < 1) & below(X[0] * X[0] + X[1] * X[1] + X[2] * X[2])
+            # the centre's foot on the face plane, inside when no two edges see it on opposite sides
+            nn = n[0] * n[0] + n[1] * n[1] + n[2] * n[2]
+            foot = (0.0 + U[0, :, 0] * n[0] + U[1, :, 0] * n[1] + U[2, :, 0] * n[2]) / nn * n
+            R = foot[..., None] - U
+            side = (
+                0.0 + (D[1] * R[2] - D[2] * R[1]) * n[0, :, None] + (D[2] * R[0] - D[0] * R[2]) * n[1, :, None]
+                + (D[0] * R[1] - D[1] * R[0]) * n[2, :, None]
+            )
+            interior = (nn != 0) & (((side >= 0) | ~ring).all(axis=1) | ((side <= 0) | ~ring).all(axis=1))
+            interior &= below(foot[0] * foot[0] + foot[1] * foot[1] + foot[2] * foot[2])
+            facet[rest] = (ring & meets).any(axis=1) | interior
+        vertex = _points(V, np.arange(S) < self.N[:, None]).__getitem__  # cell by cell
+        base = np.cumsum(self.N) - self.N
+        once, pairs = _first_pairs(first + c[facet], tags[facet])
+        once = np.flatnonzero(facet)[once]
+        found = [
+            (pair, tuple(map(vertex, at[:k])))
+            for pair, at, k in zip(pairs, (rows[once] + base[c[once], None]).tolist(), L[once].tolist())
         ]
+        # each vertex's radical tags, vertices in table order, tags in face
+        # order: each set is made as `_polyhedron_vertices` makes it
+        f, k = np.nonzero(pos < L[:, None])
+        key = c[f] * S + rows[f, k]
+        order = np.argsort(key, kind="stable")
+        key, tag = key[order], tags[f][order].tolist()
+        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        ends = np.r_[starts[1:], len(key)]
+        three = np.flatnonzero(ends - starts >= 3)
+        candidates = []
+        for v, s, e in zip(key[starts[three]].tolist(), starts[three].tolist(), ends[three].tolist()):
+            site_tags = set(tag[s:e])
+            if len(site_tags) >= 3:
+                candidates.append((vertex(int(base[v // S]) + v % S), frozenset(site_tags | {first + v // S})))
+        return ((FL > 0).sum(axis=1) < 4).tolist(), found, candidates
 
 
 class _Cells:
@@ -751,8 +865,120 @@ class _Cells:
             flat = np.fromiter(chain.from_iterable(cols), float, len(cols) * d)
             self.table[:, :, [c for c, _ in rewrite]] = flat.reshape(-1, width, d).T
 
-    def shapes(self):
-        return [cell.compact() for cell in self.cells]
+    def read(self, first, clip, tol):
+        """`cut_cells`' reading of cells first, first + 1, ..., one at a
+        time, in `Fraction`s."""
+        empty, found, candidates = [], [], []
+        for i, cell in enumerate(self.cells, first):
+            cell = cell.compact()
+            cell = replace(cell, vertices=[to_affine(v) for v in cell.vertices]).least_first()
+            empty.append(cell.empty)
+            if isinstance(cell, Polyhedron):
+                facets, vertices = _polyhedron_facets(cell, tol, clip), _polyhedron_vertices(cell, i)
+            else:
+                facets, vertices = _polygon_facets(cell, clip), _polygon_vertices(cell, i)
+            found += [((i, j) if i < j else (j, i), facet) for j, facet in facets]
+            candidates += vertices
+        return empty, found, candidates
+
+
+def _integer_ball_test(points, clip):
+    """Which rational points lie strictly inside the clip ball, and whether
+    the segment between points k and j comes closer to its centre than r,
+    on the integers (a float centre or squared radius is taken at its
+    exact value).  With the centre C / D and r^2 = M / N cleared of
+    denominators, a point X / Z is P / Q for P = D X - C Z and Q = D Z > 0,
+    inside when N |P|^2 < M Q^2.
+    A segment P0 / Q0 -> P1 / Q1 with neither end inside comes closer than
+    r when its foot parameter t = -<P0, E> Q1 / |E|^2, E = P1 Q0 - P0 Q1,
+    lies in (0, 1) and N (|P0|^2 |E|^2 - <P0, E>^2) < M Q0^2 |E|^2."""
+    centre = to_homogeneous(clip.center)
+    C, D = centre[:-1], centre[-1]
+    r2 = Fraction(clip.radius**2)
+    M, N = r2.numerator, r2.denominator
+    P, Q = [], []
+    for v in map(to_homogeneous, points):
+        P.append(tuple(D * x - c * v[-1] for x, c in zip(v, C)))
+        Q.append(D * v[-1])
+    inside = [N * norm_sq(p) < M * q * q for p, q in zip(P, Q)]
+
+    def meets(k, j):
+        (p0, q0), (p1, q1) = (P[k], Q[k]), (P[j], Q[j])
+        e = [a * q0 - b * q1 for a, b in zip(p1, p0)]
+        pe, ee = dot(p0, e), norm_sq(e)
+        return 0 < -pe * q1 < ee and N * (norm_sq(p0) * ee - pe * pe) < M * q0 * q0 * ee
+
+    return inside, meets
+
+
+def _polygon_facets(poly, clip):
+    """Radical edges of an exact polygon that have positive length and
+    come closer to the clip centre than its radius, exactly, on the
+    integers; an edge with an end strictly inside the ball does at once."""
+    inside, meets = _integer_ball_test(poly.vertices, clip)
+    for k, (tag, v0, v1) in enumerate(poly.edges()):
+        if tag is BOX_TAG or v0 == v1:
+            continue
+        j = (k + 1) % len(poly.vertices)
+        if inside[k] or inside[j] or meets(k, j):
+            yield tag, (v0, v1)
+
+
+def _polyhedron_facets(polyh, tol, clip):
+    """Radical faces of an exact polyhedron whose float area is above
+    tol^2 and that come closer to the clip centre than its radius (float);
+    a face with a vertex strictly inside the ball does at once.  The
+    vertex table is taken in floats once."""
+    fv = [as_floats(v) for v in polyh.vertices]
+    rel = [as_floats(vsub(v, clip.center)) for v in polyh.vertices] if any(clip.center) else fv
+    r2 = clip.radius**2
+    inside = [norm_sq(v) < r2 for v in rel]
+    for face in polyh.faces:
+        if face.tag is BOX_TAG:
+            continue
+        if not face_area([fv[k] for k in face.ring]) > tol * tol:
+            continue
+        if any(inside[k] for k in face.ring) or face_min_norm_sq([rel[k] for k in face.ring]) < r2:
+            yield face.tag, tuple(polyh.points(face))
+
+
+def _polygon_vertices(poly, i):
+    """Corners where two radical edges meet: cells i, previous and next tag."""
+    for k, point in enumerate(poly.vertices):
+        t_prev, t_cur = poly.tags[k - 1], poly.tags[k]
+        if t_prev is not BOX_TAG and t_cur is not BOX_TAG and t_prev != t_cur:
+            yield point, frozenset((i, t_prev, t_cur))
+
+
+def _polyhedron_vertices(polyh, i):
+    """Vertices on at least three radical faces, with cell i."""
+    tags = [set() for _ in polyh.vertices]
+    for face in polyh.faces:
+        if face.tag is not BOX_TAG:
+            for k in face.ring:
+                tags[k].add(face.tag)
+    for point, site_tags in zip(polyh.vertices, tags):
+        if len(site_tags) >= 3:
+            yield point, frozenset(site_tags | {i})
+
+
+def _below(bound):
+    """(f, strict) such that a float x is below the real bound >= 0 (an
+    int, float or Fraction within the float range), compared exactly as
+    Python compares them, iff x < f when strict, x <= f otherwise."""
+    f = float(bound)
+    return f, Fraction(f) >= bound
+
+
+def _newell_sums(U, W, L):
+    """`clipping._newell_normal` of each ring, its edges' ends U and W
+    (coordinate, ring, position), L long: the terms summed in ring order
+    from 0.0."""
+    terms = np.stack((
+        (U[1] - W[1]) * (U[2] + W[2]), (U[2] - W[2]) * (U[0] + W[0]), (U[0] - W[0]) * (U[1] + W[1]),
+    ))
+    sums = np.cumsum(np.concatenate((np.zeros_like(terms[..., :1]), terms), axis=2), axis=2)
+    return sums[:, np.arange(len(L)), L]
 
 
 def _lockstep(cells, cell, tags, R):
@@ -795,10 +1021,10 @@ def _cut_block(window, home, feed, halfspace, clip_fn):
     """The cells of the sites `home`, each cut from the window by the
     candidates that change it, nearest first: in lockstep by the feed's
     first candidates, then by those their lifted queries keep.  Float cells
-    are cut in numpy (`_Rings`, `_Polyhedra`), exact ones by `clip_fn`;
-    halfspace(i, j) is site i's side of its radical hyperplane with j, asked
-    for on homogeneous vertices when j's cut of cell i runs.  Returns the
-    `_Rings` or `_Polyhedra`, or the exact cells' shapes."""
+    are cut in numpy (`_Rings`, `_Polyhedra`), exact ones by `clip_fn`
+    (`_Cells`); halfspace(i, j) is site i's side of its radical hyperplane
+    with j, asked for on homogeneous vertices when j's cut of cell i runs.
+    Returns the block."""
     if not feed.strict:
         cells = _Cells(window, len(home), clip_fn, lambda c, j: halfspace(int(home[c]), j))
     elif isinstance(window, Polygon):
@@ -814,7 +1040,7 @@ def _cut_block(window, home, feed, halfspace, clip_fn):
         q, tags = feed.beyond(home[alive], cells.V[:, :, alive], (local[q[ok]], tags[ok]))
         q = alive[q]
         _lockstep(cells, q, tags, feed.rows(home[q], tags))
-    return cells.shapes() if isinstance(cells, _Cells) else cells
+    return cells
 
 
 def _blocks(n, k):
@@ -824,13 +1050,23 @@ def _blocks(n, k):
     return (np.arange(start, min(n, start + per_block)) for start in range(0, n, per_block))
 
 
-def cut_cells(window, arrays, exact, halfspace, clip_fn):
-    """Every cell cut from the window, one block of cells at a time, as a
-    list of blocks in cell order: a block of float polygons stays a
-    `_Rings`, of float polyhedra a `_Polyhedra`, of exact cells it is a
-    list of shapes.  Site arrays as `site_arrays` makes them; `exact`: the
-    sites are exact, and are cut on homogeneous vertices; halfspace(i, j):
-    site i's side of its radical hyperplane with j; clip_fn: the clipper of
-    the window's dimension."""
+def cut_cells(window, arrays, exact, halfspace, clip_fn, clip, tol):
+    """Every cell cut from the window, a block of cells at a time, each
+    block read (its `read`) as soon as it is cut, its rings started at
+    their least vertex: whether each cell is empty, the facets
+    {(i, j): points}, i < j, of measure above tol (a length, or an area's
+    square root) that meet the open `clip` ball, as the first cell to have
+    one reads it, and the vertex candidates (point, site set), in cell
+    order.  `exact`: the sites are, and are cut on homogeneous vertices;
+    halfspace(i, j): site i's side of its radical hyperplane with j;
+    clip_fn: the clipper of the window's dimension."""
     feed = _Feed(arrays, NEAREST_FEED[arrays[0].shape[1]], not exact)
-    return [_cut_block(window, home, feed, halfspace, clip_fn) for home in _blocks(len(arrays[0]), feed.k)]
+    empty, facets, candidates = [], {}, []
+    for home in _blocks(len(arrays[0]), feed.k):
+        block_empty, found, block_candidates = _cut_block(window, home, feed, halfspace, clip_fn).read(
+            len(empty), clip, tol)
+        empty += block_empty
+        candidates += block_candidates
+        for key, facet in found:
+            facets.setdefault(key, facet)
+    return empty, facets, candidates

@@ -19,6 +19,7 @@ import numpy as np
 
 from .bisectors import classify_rows
 from .errors import ParseError
+from .hvd import ROUTE_HEMISPHERE, ROUTE_KLEIN
 from .models import Curvature, ModelPoint, ModelTag
 from .power import Halfspace
 from .scalars import is_exact, row_floats
@@ -319,6 +320,7 @@ class DiagramDocument:
     """Parsed diagram document: typed access to the stored sections."""
 
     input: PointSetDocument
+    route: str  # the build's: "klein" or "hemisphere"
     cells: list  # (site_index, empty, {neighbor: Halfspace})
     adjacency: list
     facets: dict
@@ -366,6 +368,9 @@ def parse_diagram(data) -> DiagramDocument:
     try:
         input_doc = parse_point_set(data["input"])
         count, dim = len(input_doc.points), input_doc.dimension
+        route = data["route"]
+        if route not in (ROUTE_KLEIN, ROUTE_HEMISPHERE):
+            raise ParseError(f"route must be {ROUTE_KLEIN!r} or {ROUTE_HEMISPHERE!r}, got {route!r}")
         cells = []
         for k, cell in enumerate(data["cells"]):
             site = _site_index(cell["site"], count, f"cell {k} site")
@@ -412,6 +417,7 @@ def parse_diagram(data) -> DiagramDocument:
         raise ParseError(f"malformed diagram document: {e!r}") from e
     return DiagramDocument(
         input=input_doc,
+        route=route,
         cells=cells,
         adjacency=adjacency,
         facets=facets,

@@ -39,7 +39,7 @@ from .models import (
     distance,
 )
 from .power import PowerComplex, build_complex, unit_ball
-from .scalars import as_floats, norm_sq, row_floats, sqrt_scalar, vsub
+from .scalars import as_floats, norm_sq, row_floats, vsub
 
 ROUTE_KLEIN = "klein"
 ROUTE_HEMISPHERE = "hemisphere"
@@ -148,6 +148,16 @@ def _check_point_set(points):
         seen[p.coords] = k
 
 
+def oracle_hubs(points, route: str) -> list:
+    """The hub lifts of `points` that the nearest-site oracle measures from,
+    for a diagram built on `route`: `hub_coords` on the hemisphere route.
+    The Klein route builds on the Klein coordinates alone, so their lift is
+    made again (`power.klein_lift`): a hemisphere point's given x0 can be
+    far from it, 5e-324 where the Klein lift is 1.5e-8."""
+    hubs = [hub_coords(p) for p in points]
+    return [power.klein_lift(h[1:]) for h in hubs] if route == ROUTE_KLEIN else hubs
+
+
 def voronoi(points, route: str = ROUTE_KLEIN) -> VoronoiDiagram:
     """Hyperbolic Voronoi diagram of a finite point set.
 
@@ -162,11 +172,9 @@ def voronoi(points, route: str = ROUTE_KLEIN) -> VoronoiDiagram:
     if route not in (ROUTE_KLEIN, ROUTE_HEMISPHERE):
         raise ValueError(f"unknown route {route!r}")
     _check_point_set(points)
-    hubs = [hub_coords(p) for p in points]
+    hubs = oracle_hubs(points, route)
     if route == ROUTE_KLEIN:
         sites = [power.klein_site_map(h[1:], i) for i, h in enumerate(hubs)]
-        # the oracle's lifts are those of the Klein coordinates the build uses
-        hubs = [(sqrt_scalar(1 - norm_sq(h[1:])),) + tuple(h[1:]) for h in hubs]
     else:
         sites = [power.hemisphere_site_map(h, i) for i, h in enumerate(hubs)]
     d = points[0].dim

@@ -12,25 +12,21 @@ its sites' float64 images.  Every float row is a column of
 `cutting.pair_rows`, made in numpy from the site arrays; every exact row
 is the primitive integer row made from two sites' `WeightedSite.integer_row`s.
 
-For d in {2, 3}, `build_complex` runs in four stages.
-1. Cut (`cutting`): every cell is cut from a window (the clip ball's
-   bounding cube: centre c, half-width r) by the candidates that change
-   it, nearest site centre first, a block of cells at a time.  On exact
-   sites a radical hyperplane is made once, only for a cut that runs or
-   a facet that survives, and `Fraction`s are made once per vertex, when
-   the cell's cuts end.
-2. Facets: one pass over the finished cells, their rings started at
-   their least vertex (no output depends on the cut order), reads the
-   vertex candidates and the facets that come closer to the clip centre
-   than r (d=2: exact, on the integers, on rational input).  The facets'
-   keys are the adjacency.  Float cells are read a block at a time in
-   numpy (`_read_rings`, `_read_polyhedra`), exact ones one at a time.
-3. Halfspaces: `_halfspaces` gives each facet's lower cell its row and
+For d in {2, 3}, `build_complex` runs in three stages.
+1. Cut and read (`cutting.cut_cells`): every cell is cut from a window
+   (the clip ball's bounding cube: centre c, half-width r) by the
+   candidates that change it, nearest site centre first, a block of cells
+   at a time, and each block is read as soon as it is cut: its cells'
+   emptiness, their vertex candidates, and the facets that come closer to
+   the clip centre than r (d=2: exact, on the integers, on rational
+   input).  The facets' keys are the adjacency.  The clip ball must lie
+   within CLIP_RANGE, the range the readers' products need.
+2. Halfspaces: `_halfspaces` gives each facet's lower cell its row and
    the higher cell the negation; a float row is its cut's `pair_rows`
    column, bit for bit.  A cell that misses the centre (the `locate` tie
-   set) is empty without a facet, since the window lies outside the
-   open ball.
-4. Merge: vertices of neighbouring cells merge into power vertices
+   set) is empty without a facet, since the window lies outside the open
+   ball.
+3. Merge: vertices of neighbouring cells merge into power vertices
    within a tolerance, in one array pass (`clipping.merge_near`).
 Other dimensions keep every cell's n-1 halfspaces, from `_halfspaces`.
 """
@@ -41,12 +37,10 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
 from . import clipping, cutting
-from .clipping import BOX_TAG, Polygon, Polyhedron
 from .errors import (
     ArityMismatch,
     CoincidentSites,
@@ -54,7 +48,7 @@ from .errors import (
     DuplicateSites,
     EmptySites,
 )
-from .scalars import all_exact, as_floats, dot, norm_sq, sqrt_scalar, vsub
+from .scalars import all_exact, dot, norm_sq, sqrt_scalar, vsub
 
 # Klein-mapped sites switch from imaginary to real ball radius exactly at
 # |p|^2 = 4 (sqrt(5) - 2); kept as a named constant for tests.
@@ -63,6 +57,10 @@ KLEIN_WEIGHT_SIGN_THRESHOLD = 4.0 * (math.sqrt(5.0) - 2.0)
 TIE_TOL = 1e-12
 FACET_MEASURE_TOL = 1e-10
 VERTEX_MERGE_TOL = 1e-12
+# The most a clip ball's centre coordinate or radius may be in magnitude
+# at d = 2 and 3: the cut's readers multiply up to four vertex coordinates,
+# which must stay far below float64's overflow (README, "Tolerances").
+CLIP_RANGE = 1e60
 
 
 @dataclass(frozen=True)
@@ -174,17 +172,24 @@ def klein_site_map(p, origin_index: int = -1) -> WeightedSite:
     Requires a square root: rational input raises unless 1 - |p|^2 is a
     perfect square (use the hemisphere map for rational pipelines).
     """
+    s = klein_lift(p)[0]
     n2 = norm_sq(p)
-    s2 = 1 - n2
-    if not float(s2) > 0:
+    center = tuple(x / (2 * s) for x in p)
+    weight = n2 / (4 * (1 - n2)) - 1 / s
+    return WeightedSite(center, weight, origin_index)
+
+
+def klein_lift(p) -> tuple:
+    """(sqrt(1 - |p|^2), p): the hemisphere lift of a unit-Klein point, its
+    square root as `klein_site_map` takes it.  A point on or past the
+    boundary is a domain error; an exact one needs 1 - |p|^2 a square."""
+    n2 = norm_sq(p)
+    if not float(1 - n2) > 0:
         raise DomainViolation(
             f"Klein point has squared norm {float(n2)} >= 1",
             constraint="sum x_i^2 < 1",
         )
-    s = sqrt_scalar(s2)
-    center = tuple(x / (2 * s) for x in p)
-    weight = n2 / (4 * s2) - 1 / s
-    return WeightedSite(center, weight, origin_index)
+    return (sqrt_scalar(1 - n2),) + tuple(p)
 
 
 def hemisphere_site_map(p, origin_index: int = -1) -> WeightedSite:
@@ -227,7 +232,6 @@ def locate(x, sites) -> tuple[int, tuple[int, ...]]:
 class ConvexCell:
     site_index: int
     halfspaces: dict  # neighbor index -> Halfspace (this cell's side <= 0)
-    shape: Polygon | Polyhedron | None  # the clipped cell for d = 2 or 3; None above
     empty: bool
 
 
@@ -254,7 +258,7 @@ class PowerComplex:
 
     @property
     def explicit(self) -> bool:
-        """Whether cells carry their clipped geometry (d = 2 or 3)."""
+        """Whether the complex has facets and power vertices (d = 2 or 3)."""
         return self.dimension in (2, 3)
 
 
@@ -271,251 +275,6 @@ def _check_sites(sites) -> int:
             raise DuplicateSites(f"sites {seen[key]} and {k} coincide")
         seen[key] = k
     return d
-
-
-def _integer_ball_test(points, clip):
-    """Which rational points lie strictly inside the clip ball, and whether
-    the segment between points k and j comes closer to its centre than r,
-    on the integers (a float centre or squared radius is taken at its
-    exact value).  With the centre C / D and r^2 = M / N cleared of
-    denominators, a point X / Z is P / Q for P = D X - C Z and Q = D Z > 0,
-    inside when N |P|^2 < M Q^2.
-    A segment P0 / Q0 -> P1 / Q1 with neither end inside comes closer than
-    r when its foot parameter t = -<P0, E> Q1 / |E|^2, E = P1 Q0 - P0 Q1,
-    lies in (0, 1) and N (|P0|^2 |E|^2 - <P0, E>^2) < M Q0^2 |E|^2."""
-    centre = clipping.to_homogeneous(clip.center)
-    C, D = centre[:-1], centre[-1]
-    r2 = Fraction(clip.radius**2)
-    M, N = r2.numerator, r2.denominator
-    P, Q = [], []
-    for v in map(clipping.to_homogeneous, points):
-        P.append(tuple(D * x - c * v[-1] for x, c in zip(v, C)))
-        Q.append(D * v[-1])
-    inside = [N * norm_sq(p) < M * q * q for p, q in zip(P, Q)]
-
-    def meets(k, j):
-        (p0, q0), (p1, q1) = (P[k], Q[k]), (P[j], Q[j])
-        e = [a * q0 - b * q1 for a, b in zip(p1, p0)]
-        pe, ee = dot(p0, e), norm_sq(e)
-        return 0 < -pe * q1 < ee and N * (norm_sq(p0) * ee - pe * pe) < M * q0 * q0 * ee
-
-    return inside, meets
-
-
-def _polygon_facets(poly, tol, exact, clip):
-    """Radical edges of an exact polygon that have positive length and
-    come closer to the clip centre than its radius, exactly, on the
-    integers; an edge with an end strictly inside the ball does at once.
-    Float polygons are read in numpy (`_read_rings`)."""
-    inside, meets = _integer_ball_test(poly.vertices, clip)
-    for k, (tag, v0, v1) in enumerate(poly.edges()):
-        if tag is BOX_TAG or v0 == v1:
-            continue
-        j = (k + 1) % len(poly.vertices)
-        if inside[k] or inside[j] or meets(k, j):
-            yield tag, (v0, v1)
-
-
-def _below(bound):
-    """(f, strict) such that a float x is below the real bound >= 0 (an
-    int, float or Fraction), compared exactly as Python compares them, iff
-    x < f when strict, x <= f otherwise."""
-    try:
-        f = float(bound)
-    except OverflowError:
-        return math.inf, True
-    return f, not math.isfinite(f) or Fraction(f) >= bound
-
-
-def _read_rings(rings, first, clip, tol):
-    """The Python reader's result on a block of float polygons
-    (`cutting._Rings`, cells first, first + 1, ...), in numpy.
-
-    Each ring starts at its least vertex.  A facet is a radical edge
-    longer than tol that comes closer to the clip centre than r: an end
-    strictly inside, or the foot of the centre strictly between its ends
-    and inside (`clipping.segment_min_norm_sq`: the same IEEE operations in
-    the same order, sums from +0.0; the test against r^2 exact).  Returns
-    the polygons, the facets ((i, j), (v0, v1)), i < j, each at its first
-    occurrence, and the vertex candidates: the corners where two radical
-    edges of different tags meet, with cell i and those tags."""
-    rings.least_first()
-    P, T, L = rings.P, rings.T, rings.L
-    col = np.arange(P.shape[2])
-    slot = np.arange(P.shape[1])[:, None]
-    nxt = np.where(slot + 1 < L, slot + 1, 0)
-    radical = (slot < L) & (T >= 0)
-    r2, strict = _below(clip.radius**2)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        E = P[:, nxt, col] - P
-        long = np.sqrt(E[0] * E[0] + E[1] * E[1]) > tol
-        X = P - np.array([float(c) for c in clip.center])[:, None, None]
-        sq = X[0] * X[0] + X[1] * X[1]
-        D = X[:, nxt, col] - X
-        dd = D[0] * D[0] + D[1] * D[1]
-        t = -(0.0 + X[0] * D[0] + X[1] * D[1]) / dd
-        W = X + t * D
-        foot = W[0] * W[0] + W[1] * W[1]
-        inside = sq < r2 if strict else sq <= r2
-        meets = (dd != 0) & (t > 0) & (t < 1) & (foot < r2 if strict else foot <= r2)
-    facet = radical & long & (inside | inside[nxt, col] | meets)
-    prev = T[np.where(slot > 0, slot - 1, L - 1), col]
-    corner = radical & (prev >= 0) & (prev != T)
-    polys = rings.shapes()
-    vertex = list(chain.from_iterable(p.vertices for p in polys)).__getitem__  # cell by cell
-    base = np.cumsum(L) - L
-    c, k = np.nonzero(facet.T)
-    i, j = first + c, T[k, c]
-    lo, hi = np.minimum(i, j), np.maximum(i, j)
-    once = np.sort(np.unique(lo * (int(hi.max(initial=0)) + 1) + hi, return_index=True)[1])
-    c, k = c[once], k[once]
-    ends = (base[c] + k).tolist(), (base[c] + nxt[k, c]).tolist()
-    found = list(zip(zip(lo[once].tolist(), hi[once].tolist()), zip(*(map(vertex, e) for e in ends))))
-    c, k = np.nonzero(corner.T)
-    sites = zip((first + c).tolist(), prev[k, c].tolist(), T[k, c].tolist())
-    candidates = list(zip(map(vertex, (base[c] + k).tolist()), map(frozenset, sites)))
-    return polys, found, candidates
-
-
-def _read_polyhedra(cells, first, clip, tol):
-    """The Python reader's result on a block of float polyhedra
-    (`cutting._Polyhedra`, cells first, first + 1, ...), in numpy.
-
-    Each ring starts at its least vertex.  A facet is a radical face of
-    Newell area above tol^2 that comes closer to the clip centre than r: a
-    vertex strictly inside, or `clipping.face_min_norm_sq` below r^2.  The
-    IEEE operations are `clipping`'s, in the same order, sums from +0.0;
-    the test against r^2 is exact, and an area within 1e-12 of tol^2 is
-    taken by `clipping.face_area` itself (Python squares by `pow`, which
-    can round x * x the other way).  Coordinates of magnitude over 1e60,
-    whose products could overflow, and clip centres that are not floats
-    send the block to the Python reader.  Returns the polyhedra, the
-    facets ((i, j), points), i < j, each at its first occurrence, and the
-    vertex candidates: the vertices on three radical faces or more, with
-    cell i and their tags."""
-    if not (np.abs(cells.V) <= 1e60).all() or not all(isinstance(c, (int, float)) for c in clip.center):
-        polys = [p.least_first() for p in cells.shapes()]
-        found, candidates = [], []
-        for i, p in enumerate(polys, first):
-            found += [((i, j) if i < j else (j, i), facet) for j, facet in _polyhedron_facets(p, tol, False, clip)]
-            candidates += _polyhedron_vertices(p, i)
-        return polys, found, candidates
-    cells.least_first()
-    polys = cells.shapes()
-    V, F, FL, FT = cells.V, cells.F, cells.FL, cells.FT
-    m, S, K = len(F), V.shape[1], F.shape[2]
-    c, g = np.nonzero((FL > 0) & (FT >= 0))  # the radical faces, one row each
-    rows, L, tags = F[c, g], FL[c, g], FT[c, g]
-    pos = np.arange(K)
-    ring = pos < L[:, None]
-    tt = tol * tol
-    r2, strict = _below(clip.radius**2)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        U = np.stack([x.take(rows * m + c[:, None]) for x in V])  # coordinate, face, position
-        W = np.where(pos + 1 == L[:, None], U[..., :1], np.concatenate((U[..., 1:], U[..., :1]), axis=2))
-        n = _newell_sums(U, W, L)
-        area = 0.5 * np.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
-        big = area > tt
-        for f in np.flatnonzero(np.abs(area - tt) <= 1e-12 * tt).tolist():
-            big[f] = clipping.face_area([tuple(p) for p in U[:, f, :L[f]].T.tolist()]) > tt
-        if any(clip.center):
-            centre = np.array([float(x) for x in clip.center])[:, None, None]
-            U, W = U - centre, W - centre
-            n = _newell_sums(U, W, L)
-        below = (lambda x: x < r2) if strict else (lambda x: x <= r2)
-        facet = big & (ring & below(U[0] * U[0] + U[1] * U[1] + U[2] * U[2])).any(axis=1)
-        # `face_min_norm_sq` where no vertex is inside
-        rest = np.flatnonzero(big & ~facet)
-        U, W, n, ring = U[:, rest], W[:, rest], n[:, rest], ring[rest]
-        D = W - U
-        dd = D[0] * D[0] + D[1] * D[1] + D[2] * D[2]
-        t = -(0.0 + U[0] * D[0] + U[1] * D[1] + U[2] * D[2]) / dd
-        X = U + t * D
-        meets = (dd != 0) & (t > 0) & (t < 1) & below(X[0] * X[0] + X[1] * X[1] + X[2] * X[2])
-        # the centre's foot on the face plane, inside when no two edges see it on opposite sides
-        nn = n[0] * n[0] + n[1] * n[1] + n[2] * n[2]
-        foot = (0.0 + U[0, :, 0] * n[0] + U[1, :, 0] * n[1] + U[2, :, 0] * n[2]) / nn * n
-        R = foot[..., None] - U
-        side = (
-            0.0 + (D[1] * R[2] - D[2] * R[1]) * n[0, :, None] + (D[2] * R[0] - D[0] * R[2]) * n[1, :, None]
-            + (D[0] * R[1] - D[1] * R[0]) * n[2, :, None]
-        )
-        interior = (nn != 0) & (((side >= 0) | ~ring).all(axis=1) | ((side <= 0) | ~ring).all(axis=1))
-        interior &= below(foot[0] * foot[0] + foot[1] * foot[1] + foot[2] * foot[2])
-        facet[rest] = (ring & meets).any(axis=1) | interior
-    i, j = first + c[facet], tags[facet]
-    lo, hi = np.minimum(i, j), np.maximum(i, j)
-    once = np.flatnonzero(facet)[np.sort(np.unique(lo * (int(hi.max(initial=0)) + 1) + hi, return_index=True)[1])]
-    found = [
-        ((min(i, j), max(i, j)), tuple(map(polys[i - first].vertices.__getitem__, polys[i - first].faces[g].ring)))
-        for i, j, g in zip((first + c[once]).tolist(), tags[once].tolist(), g[once].tolist())
-    ]
-    # each vertex's radical tags, vertices in table order, tags in face
-    # order: each set is made as `_polyhedron_vertices` makes it
-    f, k = np.nonzero(pos < L[:, None])
-    key = c[f] * S + rows[f, k]
-    order = np.argsort(key, kind="stable")
-    key, tag = key[order], tags[f][order].tolist()
-    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    ends = np.r_[starts[1:], len(key)]
-    three = np.flatnonzero(ends - starts >= 3)
-    candidates = []
-    for v, s, e in zip(key[starts[three]].tolist(), starts[three].tolist(), ends[three].tolist()):
-        site_tags = set(tag[s:e])
-        if len(site_tags) >= 3:
-            candidates.append((polys[v // S].vertices[v % S], frozenset(site_tags | {first + v // S})))
-    return polys, found, candidates
-
-
-def _newell_sums(U, W, L):
-    """`clipping._newell_normal` of each ring, its edges' ends U and W
-    (coordinate, ring, position), L long: the terms summed in ring order
-    from 0.0."""
-    terms = np.stack((
-        (U[1] - W[1]) * (U[2] + W[2]), (U[2] - W[2]) * (U[0] + W[0]), (U[0] - W[0]) * (U[1] + W[1]),
-    ))
-    sums = np.cumsum(np.concatenate((np.zeros_like(terms[..., :1]), terms), axis=2), axis=2)
-    return sums[:, np.arange(len(L)), L]
-
-
-def _polyhedron_facets(polyh, tol, exact, clip):
-    """Radical faces of float area above tol^2 that come closer to the
-    clip centre than its radius (float), on either route.  A face with a
-    vertex strictly inside the ball does at once.  The vertex table is
-    taken in floats once."""
-    fv = [as_floats(v) for v in polyh.vertices]
-    rel = [as_floats(vsub(v, clip.center)) for v in polyh.vertices] if any(clip.center) else fv
-    r2 = clip.radius**2
-    inside = [norm_sq(v) < r2 for v in rel]
-    for face in polyh.faces:
-        if face.tag is BOX_TAG:
-            continue
-        if not clipping.face_area([fv[k] for k in face.ring]) > tol * tol:
-            continue
-        if any(inside[k] for k in face.ring) or clipping.face_min_norm_sq(
-            [rel[k] for k in face.ring]
-        ) < r2:
-            yield face.tag, tuple(polyh.points(face))
-
-
-def _polygon_vertices(poly, i):
-    """Corners where two radical edges meet: cells i, previous and next tag."""
-    for k, point in enumerate(poly.vertices):
-        t_prev, t_cur = poly.tags[k - 1], poly.tags[k]
-        if t_prev is not BOX_TAG and t_cur is not BOX_TAG and t_prev != t_cur:
-            yield point, frozenset((i, t_prev, t_cur))
-
-
-def _polyhedron_vertices(polyh, i):
-    """Vertices on at least three radical faces, with cell i."""
-    tags = [set() for _ in polyh.vertices]
-    for face in polyh.faces:
-        if face.tag is not BOX_TAG:
-            for k in face.ring:
-                tags[k].add(face.tag)
-    for point, site_tags in zip(polyh.vertices, tags):
-        if len(site_tags) >= 3:
-            yield point, frozenset(site_tags | {i})
 
 
 def _halfspaces(pairs, n, arrays, side=None):
@@ -546,9 +305,10 @@ def build_complex(sites, clip: Ball) -> PowerComplex:
 
     Sites that are not all exact are built as their float64 images: the
     result equals, but for `sites`, the build on those images.  For d in
-    {2, 3} it runs in four stages: cut every cell, read the finished
-    cells' facets and vertex candidates, make the facets' halfspaces,
-    merge the vertices.  Other dimensions make every pair's halfspaces."""
+    {2, 3} it runs in three stages: cut every cell and read its facets and
+    vertex candidates, make the facets' halfspaces, merge the vertices;
+    a clip ball past CLIP_RANGE is a domain error there.  Other dimensions
+    make every pair's halfspaces."""
     sites = list(sites)
     d = _check_sites(sites)
     n = len(sites)
@@ -570,57 +330,39 @@ def build_complex(sites, clip: Ball) -> PowerComplex:
     exact_side = side if exact else None
     if d not in (2, 3):
         own = _halfspaces([(i, j) for i in range(n) for j in range(i + 1, n)], n, arrays, exact_side)
-        cells = [ConvexCell(i, own[i], None, False) for i in range(n)]
+        cells = [ConvexCell(i, own[i], False) for i in range(n)]
         return PowerComplex(d, sites, cells, [], {}, clip)
 
+    if not all(-CLIP_RANGE <= x <= CLIP_RANGE for x in clip.center + (clip.radius,)):
+        raise DomainViolation(
+            f"clip ball past the cut's range: a centre coordinate or the radius exceeds {CLIP_RANGE:g}",
+            constraint=f"|clip centre coordinates|, |clip radius| <= {CLIP_RANGE:g}",
+        )
     # the window is the clip ball's bounding cube: its walls lie outside the open ball
     scalar = Fraction if exact else float
     centre, r = tuple(map(scalar, clip.center)), scalar(clip.radius)
-    # per dimension: the window, its clipper, in-ball facets of positive
-    # measure, vertex site sets (float cells: `_read_rings`, `_read_polyhedra`)
-    box, clip_fn, cell_facets, cell_vertices = {
-        2: (clipping.box_polygon, clipping.clip_polygon, _polygon_facets, _polygon_vertices),
-        3: (clipping.box_polyhedron, clipping.clip_polyhedron, _polyhedron_facets, _polyhedron_vertices),
+    box, clip_fn = {
+        2: (clipping.box_polygon, clipping.clip_polygon),
+        3: (clipping.box_polyhedron, clipping.clip_polyhedron),
     }[d]
     window = box(r)  # about the centre; exact sites are cut on integer homogeneous vertices
     corners = [tuple(a + b for a, b in zip(centre, v)) for v in window.vertices]
     window = replace(window, vertices=[clipping.to_homogeneous(v) for v in corners] if exact else corners)
 
-    # 1. cut every cell, a block of cells at a time, nearest centre first
-    blocks = cutting.cut_cells(window, arrays, exact, side, clip_fn)
+    # 1. cut every cell, a block of cells at a time, nearest centre first,
+    # and read each block's facets (the lower cell's, if it has one) and
+    # vertex candidates
+    empty, facets, vertex_candidates = cutting.cut_cells(
+        window, arrays, exact, side, clip_fn, clip, FACET_MEASURE_TOL * float(r)
+    )
 
-    # 2. the finished cells' facets (the lower cell's, if it has one) and
-    # vertex candidates, each ring started at its least vertex
-    shapes, facets, vertex_candidates = [], {}, []
-    tol = FACET_MEASURE_TOL * float(r)
-    for block in blocks:
-        if not isinstance(block, list):  # float cells, read in numpy
-            read = _read_rings if isinstance(block, cutting._Rings) else _read_polyhedra
-            block, found, candidates = read(block, len(shapes), clip, tol)
-            shapes += block
-            vertex_candidates += candidates
-            for key, facet in found:
-                facets.setdefault(key, facet)
-            continue
-        for shape in block:
-            i = len(shapes)
-            if exact:
-                shape = replace(shape, vertices=[clipping.to_affine(v) for v in shape.vertices])
-            shapes.append(shape.least_first())
-            for j, facet in cell_facets(shapes[i], tol, exact, clip):
-                facets.setdefault((i, j) if i < j else (j, i), facet)
-            vertex_candidates.extend(cell_vertices(shapes[i], i))
-
-    # 3. the facets' halfspaces; a cell that misses the centre (the `locate`
+    # 2. the facets' halfspaces; a cell that misses the centre (the `locate`
     # tie set) is empty without one, since the window lies outside the open ball
     own = _halfspaces(sorted(facets), n, arrays, exact_side)
     holders = locate(clip.center, work)[1]
-    cells = [
-        ConvexCell(i, own[i], shape, shape.empty or (i not in holders and not own[i]))
-        for i, shape in enumerate(shapes)
-    ]
+    cells = [ConvexCell(i, own[i], e or (i not in holders and not own[i])) for i, e in enumerate(empty)]
 
-    # 4. merge the vertices of neighbouring cells into power vertices
+    # 3. merge the vertices of neighbouring cells into power vertices
     merged = clipping.merge_near(vertex_candidates, VERTEX_MERGE_TOL * float(r))
     power_vertices = [PowerVertex(point, frozenset(sites)) for point, sites in merged if len(sites) >= d + 1]
     return PowerComplex(d, sites, cells, power_vertices, facets, clip)

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -989,6 +991,24 @@ def test_klein_route_check_lifts_the_klein_coordinates(tmp_path, capsys):
     inp.write_text(json.dumps(doc))
     assert main(["check", str(inp), "--route", "klein", "--samples", "500"]) == 0
     assert capsys.readouterr().out.rstrip().endswith("PASS")
+
+
+def test_stored_check_lifts_the_points_as_the_build_did(tmp_path):
+    """`check` of the stored diagram of the point set above, with two more
+    points, reads the document's route and lifts the points as `voronoi`
+    did (`hvd.oracle_hubs`): no numpy warning, under `python -W error`."""
+    doc = {
+        "dimension": 2, "model": "hemisphere", "scalar": "float64",
+        "points": [[5e-324, 0.0, 0.9999999999999999], [0.8, 0.6, 0.0], [1.0, 0.0, 0.0]],
+    }
+    inp, out = tmp_path / "p.json", tmp_path / "d.json"
+    inp.write_text(json.dumps(doc))
+    for argv in (["compute", str(inp), "-o", str(out)], ["check", str(out), "--samples", "2000"]):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "hypervoronoi.cli", *argv], capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.rstrip().endswith("PASS")
 
 
 @pytest.mark.parametrize(

@@ -52,7 +52,9 @@ from hypervoronoi.power import Halfspace  # noqa: E402
 from hypervoronoi.scalars import dot, vsub  # noqa: E402
 from util import (  # noqa: E402
     assert_same_complex,
+    block_shapes,
     canonical_halfspace,
+    cut_and_build,
     fraction_clip_polygon,
     fraction_clip_polyhedron,
     least_first,
@@ -487,8 +489,8 @@ def test_screened_build_equals_plain_build(case, cap, feed):
             with pytest.raises(type(ref), match=re.escape(str(ref))):
                 build_complex(sites, clip=unit_ball(d))
             return
-        cx = build_complex(sites, clip=unit_ball(d))
-    assert_same_complex(cx, ref)
+        got = cut_and_build(sites, unit_ball(d))
+    assert_same_complex(got, ref)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -524,7 +526,7 @@ def test_numpy_ring_step_equals_clip_polygon(data):
         if cs:
             R = np.array([r + (0.0, 0.0) for r in rows]).T.reshape(5, -1)
             rings.cut(np.array(cs), R, np.full(len(cs), step))
-        got = rings.shapes()
+        got = block_shapes(rings)
         assert got == want and repr(got) == repr(want)
 
 
@@ -539,15 +541,15 @@ def test_numpy_least_first_equals_polygon_least_first(data):
     given_rings = data.draw(st.lists(ring, min_size=1, max_size=5))
     m, width = len(given_rings), max(3, *map(len, given_rings))
     rings = cutting._Rings(clipping.box_polygon(1.0), m)
-    rings.P = np.zeros((2, width, m))
+    rings.V = np.zeros((2, width, m))
     for c, points in enumerate(given_rings):
         if points:
-            rings.P[:, :, c] = np.array(points + points[:1] * (width - len(points))).T
+            rings.V[:, :, c] = np.array(points + points[:1] * (width - len(points))).T
     rings.T = np.arange(width * m).reshape(width, m) - 1
     rings.L = np.array([len(points) for points in given_rings])
-    want = [least_first(p) for p in rings.shapes()]
+    want = [least_first(p) for p in block_shapes(rings)]
     rings.least_first()
-    assert repr(rings.shapes()) == repr(want)
+    assert repr(block_shapes(rings)) == repr(want)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -586,7 +588,7 @@ def test_numpy_polyhedron_step_equals_clip_polyhedron(data):
         if cs:
             R = np.array([r + (0.0, 0.0) for r in rows]).T.reshape(6, -1)
             cells.cut(np.array(cs), R, np.full(len(cs), step))
-        got = cells.shapes()
+        got = block_shapes(cells)
         assert got == want and repr(got) == repr(want)
 
 

@@ -35,6 +35,7 @@ from util import (
     ALL_MODELS,
     cocircular_square,
     random_klein_point,
+    recorded_cells,
     reference_collinear_groups,
     unbounded_star_points,
     wheel_points,
@@ -249,15 +250,17 @@ def test_three_generic_sites_one_triangle():
 
 
 def test_unbounded_star_dual_is_a_tree():
-    dia = voronoi(kpts(unbounded_star_points(8, 0.998)))
+    with recorded_cells() as cells:
+        dia = voronoi(kpts(unbounded_star_points(8, 0.998)))
     dl = delaunay(dia)
     assert dl.faces == []
     assert dl.edges == {(0, k) for k in range(1, 9)}
     assert not dl.is_triangulation
     # all cells unbounded: every cell touches the clip boundary, checked
     # via its polygon reaching outside the unit disk
-    for cell in dia.complex.cells:
-        reach = max(float(sum(c * c for c in v)) for v in cell.shape.vertices)
+    assert len(cells) == 9
+    for cell in cells:
+        reach = max(float(sum(c * c for c in v)) for v in cell.vertices)
         assert reach > 1.0
 
 

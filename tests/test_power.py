@@ -1,5 +1,7 @@
+import ast
 import itertools
 import math
+import os
 from dataclasses import replace
 from fractions import Fraction
 
@@ -33,18 +35,23 @@ from hypervoronoi import (
 )
 from hypervoronoi import clipping, cutting, power
 from hypervoronoi.documents import diagram_to_document
+from hypervoronoi.errors import DomainViolation
 from hypervoronoi.sampling import ball_points, random_klein_points, rational_hemisphere_points
 from hypervoronoi.scalars import norm_sq
 
 from util import (
+    ShapeBlock,
     assert_same_complex,
     ball_test,
+    block_shapes,
     canonical_halfspace,
     cocircular_square,
+    cut_and_build,
     linear_merge_near,
     plain_cut_block,
     python_reader,
     random_klein_point,
+    recorded_cells,
     reference_complex,
     reference_radical_hyperplane,
     unbounded_star_points,
@@ -161,9 +168,9 @@ def test_non_exact_build_is_the_build_on_float_images(d, n):
         pts = [p if k % 2 else tuple(map(float, p)) for k, p in enumerate(pts)]
         sites = [hemisphere_site_map(p, i) for i, p in enumerate(pts)]
         images = [W(tuple(map(float, s.center)), float(s.weight), s.origin_index) for s in sites]
-        cx = build_complex(sites, clip=unit_ball(d))
+        cx, cells = cut_and_build(sites, unit_ball(d))
         assert cx.sites == sites
-        assert_same_complex(replace(cx, sites=images), build_complex(images, clip=unit_ball(d)))
+        assert_same_complex((replace(cx, sites=images), cells), cut_and_build(images, unit_ball(d)))
 
 
 def test_canonical_halfspace_float_unit_normal():
@@ -356,6 +363,30 @@ def test_off_centre_clip_ball_is_measured_from_its_centre(d, scalar):
     assert [cell.empty for cell in cx.cells] == [False, False, True]
 
 
+def _range_sites(d, scalar):
+    if scalar == "float":
+        return [klein_site_map(p, i) for i, p in enumerate(random_klein_points(12, d, seed=1))]
+    return [hemisphere_site_map(p, i) for i, p in enumerate(rational_hemisphere_points(8, d, seed=1))]
+
+
+@pytest.mark.parametrize("scalar", ["float", "exact"])
+@pytest.mark.parametrize("d, far", [(2, 1e160), (2, 10**100), (3, 1e80), (3, 2 * power.CLIP_RANGE)])
+def test_a_clip_ball_past_the_cut_range_is_a_domain_error(d, far, scalar):
+    # squaring such a radius, or the Newell normal of a face as wide, overflows
+    sites = _range_sites(d, scalar)
+    for clip in (Ball((0,) * d, far), Ball((0,) * (d - 1) + (-far,), 1)):
+        with pytest.raises(DomainViolation, match="clip ball"):
+            build_complex(sites, clip=clip)
+
+
+@pytest.mark.parametrize("scalar", ["float", "exact"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_clip_ball_at_the_cut_range_is_read_as_the_python_reader_reads_it(d, scalar):
+    sites = _range_sites(d, scalar)
+    for clip in (Ball((0,) * d, power.CLIP_RANGE), Ball((power.CLIP_RANGE / 2,) * d, power.CLIP_RANGE / 2)):
+        assert_same_complex(cut_and_build(sites, clip), reference_complex(sites, clip))
+
+
 @pytest.mark.parametrize("scalar", [Fraction, float])
 def test_cell_meeting_the_ball_inside_a_face_is_not_empty(scalar):
     # cell 0 holds the centre; cell 1 (x >= 4/5) meets the ball inside a
@@ -371,8 +402,8 @@ def test_cell_in_the_window_that_misses_the_ball_is_empty(d, scalar):
     # cell 1 (coordinate sum >= 3d/4) holds a corner of the window, but its
     # facet comes no closer to the centre than sqrt(d) 3/4 > 1
     sites = [W((scalar(0),) * d, scalar(0), 0), W((scalar(3) / 2,) * d, scalar(0), 1)]
-    cx = build_complex(sites, clip=unit_ball(d))
-    assert not cx.cells[1].shape.empty
+    cx, cut = cut_and_build(sites, unit_ball(d))
+    assert not cut[1].empty
     assert [cell.empty for cell in cx.cells] == [False, True]
     assert cx.adjacency == set() and cx.facets == {}
     assert [cell.halfspaces for cell in cx.cells] == [{}, {}]
@@ -598,10 +629,34 @@ def test_box_halfwidth_matches_scalar_loop(d):
     rng = np.random.default_rng(211 + d)
     for sites in _window_fixtures(rng, d):
         clip = Ball(tuple(rng.uniform(-0.1, 0.1, d)), 1)
-        cx = build_complex(sites, clip=clip)
-        for cell in cx.cells:
-            for v in cell.shape.vertices:
+        for cell in cut_and_build(sites, clip)[1]:
+            for v in cell.vertices:
                 assert max(abs(float(c) - float(o)) for c, o in zip(v, clip.center)) <= float(clip.radius)
+
+
+def _private_names_of(module, tree):
+    """Every `_`-prefixed attribute of the package module `module` that a
+    parsed module names: as `module._x`, or by `from .module import _x`."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == module:
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == module and node.level == 1:
+            found.update(alias.name for alias in node.names)
+    return {name for name in found if name.startswith("_")}
+
+
+def test_only_cutting_knows_a_cut_block_s_layout():
+    # a block's padded arrays are read where they are written
+    probe = "from . import cutting\nfrom .cutting import _Rings, pair_rows\ncutting._below(cutting.BLOCK_PAIRS)"
+    assert _private_names_of("cutting", ast.parse(probe)) == {"_Rings", "_below"}
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "hypervoronoi")
+    named = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py") and name != "cutting.py":
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                named[name] = _private_names_of("cutting", ast.parse(fh.read()))
+    assert "power.py" in named and not any(named.values()), named
 
 
 # --- filtered clipping against the plain sequential build ------------------------------
@@ -648,11 +703,11 @@ def test_filtered_build_equals_plain_build(d, scalar, fixture):
         pts = [tuple(float(c) for c in p) for p in pts]
     sites = [hemisphere_site_map(p, i) for i, p in enumerate(pts)]
     ref = reference_complex(sites, unit_ball(d))
-    cx = build_complex(sites, clip=unit_ball(d))
-    assert_same_complex(cx, ref)
+    got = cut_and_build(sites, unit_ball(d))
+    assert_same_complex(got, ref)
     if fixture == "one":  # no candidate: the cell keeps its box
         box = clipping.box_polygon if d == 2 else clipping.box_polyhedron
-        assert cx.cells[0].shape == box(1)
+        assert got[1] == [box(1)]
 
 
 @pytest.mark.parametrize("feed", [1, 2, 32])
@@ -677,7 +732,7 @@ def test_two_phase_feed_equals_plain_build(monkeypatch, d, scalar, feed):
         return q, j
 
     monkeypatch.setattr(cutting._Feed, "beyond", counting)
-    assert_same_complex(build_complex(sites, clip=unit_ball(d)), reference_complex(sites, unit_ball(d)))
+    assert_same_complex(cut_and_build(sites, unit_ball(d)), reference_complex(sites, unit_ball(d)))
     if (scalar, d, feed) == ("float", 2, 32):  # once the 32 nearest have cut, few others can
         assert kept and sum(kept) < n
 
@@ -701,11 +756,12 @@ def test_exact_documents_do_not_depend_on_cut_order(monkeypatch, d, fixture):
     pts = [ModelPoint(ModelTag.HEMISPHERE, p) for p in EQUIVALENCE_FIXTURES[fixture](d)]
 
     def document():
-        dia = voronoi(pts, route="hemisphere")
+        with recorded_cells() as cells:
+            dia = voronoi(pts, route="hemisphere")
         doc = diagram_to_document(dia, delaunay(dia), detect_degeneracies(dia))
         # a polygon's ring is the cell's, not the document's; a polyhedron's
         # vertex table is in cut order
-        return doc, [cell.shape for cell in dia.complex.cells] if d == 2 else None
+        return doc, cells if d == 2 else None
 
     nearest_first = document()
     with monkeypatch.context() as m:
@@ -733,16 +789,16 @@ def test_build_over_several_blocks_equals_one_block(monkeypatch, d, scalar, fixt
     for feed in (cutting.NEAREST_FEED[d], 2):
         monkeypatch.setitem(cutting.NEAREST_FEED, d, feed)
         k = cutting._Feed(cutting.site_arrays(sites, d), feed, False).k  # first candidates per cell
-        one = build_complex(sites, clip=unit_ball(d))
+        one = cut_and_build(sites, unit_ball(d))
         with monkeypatch.context() as m:
             m.setattr(cutting, "_cut_block", counting)
             for cap in (1, k, 3 * k - 1):  # one cell per block, then two
                 blocks.clear()
                 m.setattr(cutting, "BLOCK_PAIRS", cap)
-                cx = build_complex(sites, clip=unit_ball(d))
+                got = cut_and_build(sites, unit_ball(d))
                 assert sum(blocks) == n and len(blocks) > 1
                 assert max(blocks) == max(1, cap // k)
-                assert_same_complex(cx, one)
+                assert_same_complex(got, one)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -807,7 +863,7 @@ def test_integer_ball_test_equals_the_rational_one():
         clip = Ball(rational(2, 10) if trial % 2 else (0, 0), radius)
         points = [rational(2, 60) for _ in range(6)]
         points.append(tuple(c + Fraction(1, 7) for c in clip.center))  # inside
-        inside, meets = power._integer_ball_test(points, clip)
+        inside, meets = cutting._integer_ball_test(points, clip)
         want_inside, want_meets = ball_test(points, clip)
         assert inside == want_inside
         for k, j in itertools.permutations(range(len(points)), 2):
@@ -835,8 +891,10 @@ def test_exact_route_cuts_integer_homogeneous_vertices(monkeypatch, d, n):
     pts = [ModelPoint(ModelTag.HEMISPHERE, p) for p in rational_hemisphere_points(n, d, seed=1)]
     dia = voronoi(pts, route="hemisphere")
     assert len(seen) > n and all(seen)
-    # the cells come out in Fractions
-    assert all(isinstance(c, Fraction) for cell in dia.complex.cells for v in cell.shape.vertices for c in v)
+    # the cells are read in Fractions
+    points = [v for facet in dia.complex.facets.values() for v in facet]
+    points += [v.point for v in dia.complex.power_vertices]
+    assert points and all(isinstance(c, Fraction) for v in points for c in v)
 
 
 def _integer_box(h):
@@ -856,7 +914,7 @@ def test_clip_screen_keeps_non_finite_candidates():
             R = np.array([bad + scale]).T  # one column: [normal | offset | s1, s0]
             cells = cutting._Cells(box, 1, clipping.clip_polygon, lambda c, j: hs)
             cutting._lockstep(cells, np.array([0]), np.array([7]), R)
-            assert cells.shapes() == [want]
+            assert block_shapes(cells) == [want]
 
 
 def test_clip_screen_skips_only_containing_halfspaces():
@@ -883,7 +941,7 @@ def test_clip_screen_skips_only_containing_halfspaces():
     box = _integer_box(2)
     cells = cutting._Cells(box, 3, counting_clip, halfspace)
     cutting._lockstep(cells, cell, tags, R)
-    got = cells.shapes()
+    got = block_shapes(cells)
     assert calls == [1, 1, 2]  # each cell's first live pair, in lockstep
     assert made == [(0, 1), (1, 1), (2, 2)]  # skipped candidates are never asked for
     half = clipping.clip_polygon(box, (2, 0), -1, 1)
@@ -979,8 +1037,8 @@ def test_array_reader_equals_python_reader(fixture, clip):
     # a rational clip radius is compared exactly, as Python compares it
     sites = [klein_site_map(p, i) for i, p in enumerate(READER_FIXTURES[fixture]())]
     with python_reader():
-        want = build_complex(sites, clip=clip)
-    assert_same_complex(build_complex(sites, clip=clip), want)
+        want = cut_and_build(sites, clip)
+    assert_same_complex(cut_and_build(sites, clip), want)
 
 
 def test_array_reader_compares_the_radius_exactly():
@@ -991,9 +1049,8 @@ def test_array_reader_compares_the_radius_exactly():
     if below > r2:
         below, above = math.nextafter(below, 0.0), below
     for x in (below, above, math.inf, math.nan):
-        f, strict = power._below(r2)
+        f, strict = cutting._below(r2)
         assert (x < f if strict else x <= f) == (x < r2)
-    assert power._below(10**400) == (math.inf, True)
 
 
 # --- the array cut and reader of float polyhedra -------------------------------------
@@ -1052,11 +1109,11 @@ def test_float_polyhedra_leave_only_touching_cuts_to_the_clipper(monkeypatch, fi
 
     with monkeypatch.context() as m:
         m.setattr(clipping, "clip_polyhedron", counting)
-        cx = build_complex(sites, clip=unit_ball(3))
+        got = cut_and_build(sites, unit_ball(3))
     assert all(left)
     if fixture in ("random", "grid", "cube"):
         assert not left
-    assert_same_complex(cx, reference_complex(sites, unit_ball(3)))
+    assert_same_complex(got, reference_complex(sites, unit_ball(3)))
 
 
 @pytest.mark.parametrize("n, seed", [(50, 1), (200, 2)])
@@ -1076,38 +1133,37 @@ def test_float_polyhedra_are_cut_without_the_python_clipper(monkeypatch, n, seed
     "clip", [unit_ball(3), Ball((Fraction(1, 3), -0.25, 0), Fraction(7, 10)), Ball((0.0, -0.0, 0.1), 0.3)]
 )
 def test_polyhedron_array_reader_equals_python_reader(monkeypatch, fixture, clip):
-    """`power._read_polyhedra` gives each block the Python reader's
-    least-first polyhedra, facets (first occurrences) and vertex candidates,
-    by `repr` (so each candidate's frozenset is made as the Python reader
-    makes it), and the build equals the Python reader's.  A rational clip
-    centre sends the block to the Python reader itself."""
+    """`cutting._Polyhedra.read` starts each block's rings where the Python
+    reader does, and gives its emptiness, facets (first occurrences) and
+    vertex candidates, by `repr` (so each candidate's frozenset is made as
+    the Python reader makes it); the build equals the Python reader's.  A
+    rational clip centre is read as its float64 image, by both."""
     sites = [klein_site_map(p, i) for i, p in enumerate(POLYHEDRON_FIXTURES[fixture]())]
-    read, blocks = power._read_polyhedra, []
+    read, blocks = cutting._Polyhedra.read, []
 
     def both(cells, first, clip, tol):
-        polys = [p.least_first() for p in cells.shapes()]
-        facets, candidates = {}, []
-        for i, p in enumerate(polys, first):
-            for j, facet in power._polyhedron_facets(p, tol, False, clip):
-                facets.setdefault((i, j) if i < j else (j, i), facet)
-            candidates += power._polyhedron_vertices(p, i)
-        got, found, got_candidates = read(cells, first, clip, tol)
-        got_facets = {}
+        polys = [p.least_first() for p in block_shapes(cells)]
+        empty, found, candidates = ShapeBlock(block_shapes(cells)).read(first, clip, tol)
+        got = read(cells, first, clip, tol)
+        assert block_shapes(cells) == polys and repr(block_shapes(cells)) == repr(polys)
+        facets, got_facets = {}, {}
         for key, facet in found:
+            facets.setdefault(key, facet)
+        for key, facet in got[1]:
             got_facets.setdefault(key, facet)
-        assert got == polys and repr(got) == repr(polys)
+        assert got[0] == empty
         assert repr(got_facets) == repr(facets)
-        assert repr(got_candidates) == repr(candidates)
-        blocks.append(len(got))
-        return got, found, got_candidates
+        assert repr(got[2]) == repr(candidates)
+        blocks.append(len(polys))
+        return got
 
     with monkeypatch.context() as m:
-        m.setattr(power, "_read_polyhedra", both)
-        cx = build_complex(sites, clip=clip)
+        m.setattr(cutting._Polyhedra, "read", both)
+        got = cut_and_build(sites, clip)
     assert sum(blocks) == len(sites)
     with python_reader():
-        want = build_complex(sites, clip=clip)
-    assert_same_complex(cx, want)
+        want = cut_and_build(sites, clip)
+    assert_same_complex(got, want)
 
 
 def test_polyhedron_reader_takes_areas_at_the_bound_from_face_area():
@@ -1115,11 +1171,12 @@ def test_polyhedron_reader_takes_areas_at_the_bound_from_face_area():
     # within 1e-12 of tol^2 is taken by `clipping.face_area` itself
     cells = cutting._Polyhedra(clipping.box_polyhedron(1.0), 1, clipping.clip_polyhedron)
     cells.cut(np.array([0]), np.array([[0.6], [0.8], [0.0], [-0.5], [0.0], [0.0]]), np.array([7]))
-    face = next(f for f in cells.shapes()[0].faces if f.tag == 7)
-    area = clipping.face_area([cells.shapes()[0].vertices[k] for k in face.ring])
+    cell = block_shapes(cells)[0]
+    face = next(f for f in cell.faces if f.tag == 7)
+    area = clipping.face_area([cell.vertices[k] for k in face.ring])
     for tol in (math.sqrt(area), math.nextafter(math.sqrt(area), 0.0), math.nextafter(math.sqrt(area), 1.0)):
         fresh = cutting._Polyhedra(clipping.box_polyhedron(1.0), 1, clipping.clip_polyhedron)
         fresh.cut(np.array([0]), np.array([[0.6], [0.8], [0.0], [-0.5], [0.0], [0.0]]), np.array([7]))
-        polys, found, _ = power._read_polyhedra(fresh, 0, unit_ball(3), tol)
-        want = [(j, facet) for j, facet in power._polyhedron_facets(polys[0], tol, False, unit_ball(3))]
+        _, found, _ = fresh.read(0, unit_ball(3), tol)
+        want = cutting._polyhedron_facets(block_shapes(fresh)[0], tol, unit_ball(3))
         assert [((0, 7), facet) for _, facet in want] == found

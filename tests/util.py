@@ -6,6 +6,7 @@ import contextlib
 import itertools
 import math
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,7 @@ from hypervoronoi.documents import (
 )
 from hypervoronoi.errors import CoincidentSites, DegenerateSurface
 from hypervoronoi.hvd import COLLINEAR_MIN_SPAN
-from hypervoronoi.power import Halfspace, WeightedSite
+from hypervoronoi.power import Ball, Halfspace, WeightedSite
 from hypervoronoi.scalars import all_exact, as_floats, dot, is_exact, norm_sq, vsub
 
 ALL_MODELS = (
@@ -125,7 +126,7 @@ def linear_merge_near(items, tol, accept=None):
     return groups
 
 
-# --- the Python reader of float polygons: the reference for `power._read_rings` --
+# --- cut blocks as shapes, and the Python reader: the references for `read` --
 
 def least_first(self) -> Polygon:
     """The same polygon, its ring starting at its least vertex."""
@@ -146,7 +147,7 @@ def polygon_facets(poly, tol, exact, clip):
     that come closer to the clip centre than its radius (exact likewise,
     on the integers).  An edge with an end strictly inside the ball does
     at once."""
-    inside, meets = (power._integer_ball_test if exact else ball_test)(poly.vertices, clip)
+    inside, meets = (cutting._integer_ball_test if exact else ball_test)(poly.vertices, clip)
     for k, (tag, v0, v1) in enumerate(poly.edges()):
         if tag is BOX_TAG:
             continue
@@ -157,38 +158,95 @@ def polygon_facets(poly, tol, exact, clip):
             yield tag, (v0, v1)
 
 
-def polygon_vertices(poly, i):
-    """Corners where two radical edges meet: cells i, previous and next tag."""
-    for k, point in enumerate(poly.vertices):
-        t_prev, t_cur = poly.tags[k - 1], poly.tags[k]
-        if t_prev is not BOX_TAG and t_cur is not BOX_TAG and t_prev != t_cur:
-            yield point, frozenset((i, t_prev, t_cur))
+def block_shapes(block):
+    """A cut block's cells as Python shapes, as they stand: `_Rings` and
+    `_Polyhedra` made from their arrays, `_Cells` compacted, on integer
+    homogeneous vertices; a `ShapeBlock`'s own."""
+    if isinstance(block, ShapeBlock):
+        return block.shapes
+    if isinstance(block, cutting._Cells):
+        return [cell.compact() for cell in block.cells]
+    if isinstance(block, cutting._Polyhedra):
+        return [block.shape(c) for c in range(len(block.N))]
+    live = np.arange(block.V.shape[1]) < block.L[:, None]  # cell, slot
+    points = list(zip(*(x.T[live].tolist() for x in block.V)))
+    tags = [BOX_TAG if t < 0 else t for t in block.T.T[live].tolist()]
+    ends = np.cumsum(block.L).tolist()
+    return [Polygon(points[e - n:e], tags[e - n:e]) if n else Polygon([], []) for e, n in zip(ends, block.L.tolist())]
+
+
+def as_read(shape):
+    """A cut cell as its block's reader takes it: in Fractions if it is on
+    homogeneous vertices, each ring started at its least vertex."""
+    if shape.vertices and len(shape.vertices[0]) > (2 if isinstance(shape, Polygon) else 3):
+        shape = replace(shape, vertices=[clipping.to_affine(v) for v in shape.vertices])
+    return shape.least_first()
+
+
+class ShapeBlock:
+    """A block of cells as Python shapes, read by the Python reader, a cell
+    at a time: the reference for every block's `read`.  A float cell is read
+    against the float64 image of the clip centre, as the array readers
+    read it."""
+
+    def __init__(self, shapes):
+        self.shapes = shapes
+
+    def read(self, first, clip, tol):
+        float_clip = Ball(tuple(float(c) for c in clip.center), clip.radius)
+        empty, found, candidates = [], [], []
+        for i, shape in enumerate(map(as_read, self.shapes), first):
+            exact = all(all_exact(v) for v in shape.vertices)
+            at = clip if exact else float_clip
+            if isinstance(shape, Polygon):
+                facets, vertices = polygon_facets(shape, tol, exact, at), cutting._polygon_vertices(shape, i)
+            else:
+                facets, vertices = cutting._polyhedron_facets(shape, tol, at), cutting._polyhedron_vertices(shape, i)
+            empty.append(shape.empty)
+            found += [((i, j) if i < j else (j, i), facet) for j, facet in facets]
+            candidates += vertices
+        return empty, found, candidates
 
 
 @contextlib.contextmanager
 def python_reader():
-    """Stage 2 of `build_complex` by the Python reader, a cell at a time,
-    also on float cells: a block `cutting._cut_block` cuts in numpy is read
-    as its polygons or polyhedra."""
+    """Every block a build cuts read by the Python reader (`ShapeBlock`)."""
+    cut_block = cutting._cut_block
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cutting, "_cut_block", lambda *args: ShapeBlock(block_shapes(cut_block(*args))))
+        yield
+
+
+@contextlib.contextmanager
+def recorded_cells():
+    """A list that receives every cell the builds inside the block cut, in
+    cut order, as its reader takes it (`as_read`)."""
+    cells = []
     cut_block = cutting._cut_block
 
-    def as_shapes(*args):
+    def recording(*args):
         block = cut_block(*args)
-        return block if isinstance(block, list) else block.shapes()
+        cells.extend(map(as_read, block_shapes(block)))
+        return block
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(cutting, "_cut_block", as_shapes)
-        m.setattr(Polygon, "least_first", least_first)
-        m.setattr(power, "_polygon_facets", polygon_facets)
-        m.setattr(power, "_polygon_vertices", polygon_vertices)
-        yield
+        m.setattr(cutting, "_cut_block", recording)
+        yield cells
+
+
+def cut_and_build(sites, clip):
+    """build_complex, and the cells its cut made (`recorded_cells`)."""
+    with recorded_cells() as cells:
+        cx = build_complex(sites, clip=clip)
+    assert len(cells) == (len(cx.cells) if cx.explicit else 0)
+    return cx, cells
 
 
 def plain_cut_block(window, home, feed, halfspace, clip_fn, reverse=False):
     """Reference for `cutting._cut_block`: every other site of every cell,
     nearest centre first (ties by index; farthest first with `reverse`),
     one cell after the other, no screen and no query, each cut by
-    `halfspace(i, j)`, also on float sites."""
+    `halfspace(i, j)`, also on float sites, and read by the Python reader."""
     C = feed.arrays[0]
     shapes = []
     for i in home.tolist():
@@ -199,24 +257,26 @@ def plain_cut_block(window, home, feed, halfspace, clip_fn, reverse=False):
                 hs = halfspace(i, j)
                 shape = clip_fn(shape, hs.normal, hs.offset, j)
         shapes.append(shape.compact())
-    return shapes
+    return ShapeBlock(shapes)
 
 
 def reference_complex(sites, clip):
-    """build_complex with the window-then-every-candidate loop, linear
+    """`cut_and_build` with the window-then-every-candidate loop, linear
     merges, the Python radical hyperplanes, so float cells are cut by
     Python rows, not by the pair table's columns, and the Python reader."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(cutting, "_cut_block", plain_cut_block)
         m.setattr(power, "radical_hyperplane", reference_radical_hyperplane)
         m.setattr(clipping, "merge_near", linear_merge_near)
-        with python_reader():
-            return build_complex(sites, clip=clip)
+        return cut_and_build(sites, clip)
 
 
-def assert_same_complex(cx, ref):
-    """Equal, and equal in repr: that tells -0.0 from 0.0 and shows vertex
-    order, tags and faces."""
+def assert_same_complex(got, want):
+    """Two `cut_and_build` results are equal, and equal in repr (which
+    tells -0.0 from 0.0 and shows vertex order, tags and faces): every
+    cut cell, vertex for vertex, and the complex."""
+    (cx, cells), (ref, ref_cells) = got, want
+    assert cells == ref_cells and repr(cells) == repr(ref_cells)
     assert cx == ref
     for field in ("cells", "adjacency", "facets", "power_vertices"):
         assert repr(getattr(cx, field)) == repr(getattr(ref, field))
