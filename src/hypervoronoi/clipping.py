@@ -331,9 +331,10 @@ def _newell_normal(fv) -> list:
 
 
 def face_area(verts) -> float:
-    """Area via Newell's formula (float verts, assumed planar, ordered)."""
+    """Area via Newell's formula (float verts, assumed planar, ordered);
+    squares by multiplication, as `cutting`'s numpy reader does."""
     n = _newell_normal(verts)
-    return 0.5 * math.sqrt(n[0] ** 2 + n[1] ** 2 + n[2] ** 2)
+    return 0.5 * math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
 
 
 def face_min_norm_sq(verts) -> float:

@@ -1,20 +1,22 @@
-"""Stage 1 of `power.build_complex`: cut every cell from its window by
+"""The cut of `power.build_complex`: cut every cell from its window by
 the candidates that change it, and read each cell where it is cut.
 
-A cell is cut from a window (the clip ball's bounding cube), nearest
-site centre first, as Voro++ does (Rycroft, Chaos 19, 041111, 2009),
-one block of cells at a time (`cut_cells`).  A cell is first fed its k
-nearest other centres (NEAREST_FEED; a block holds at most BLOCK_PAIRS
-such pairs, or one cell).  The cells of a block advance in lockstep.
-Each step, one float screen evaluates every remaining pair's row at its
-cell's vertices and drops those whose candidate provably contains the
-cell: such a cut would be a no-op now and at its turn, so the cells
-equal those of every cut, vertex for vertex.  Then each cell cuts by its
-nearest remaining candidate.  Once the first candidates are spent, one
-query on a kd-tree that bounds the sites' powers |c_j - v|^2 - w_j,
-their lifted planes (Aurenhammer, SIAM J. Comput. 16, 1987), at the
-cell's vertices v feeds each cell, nearest first, every other site the
-screen would keep (`_LiftedTree`), and the lockstep runs again.
+`cut_cells`, the cut's one entry point, takes the site arrays, the clip
+ball and the exact rows, and makes its own window, block and clipper.  A
+cell is cut from the window (the ball's bounding cube), nearest site
+centre first, as Voro++ does (Rycroft, Chaos 19, 041111, 2009), one
+block of cells at a time.  A cell is first fed its k nearest other
+centres (NEAREST_FEED; a block holds at most BLOCK_PAIRS such pairs, or
+one cell).  The cells of a block advance in lockstep.  Each step, one
+float screen evaluates every remaining pair's row at its cell's vertices
+and drops those whose candidate provably contains the cell: such a cut
+would be a no-op now and at its turn, so the cells equal those of every
+cut, vertex for vertex.  Then each cell cuts by its nearest remaining
+candidate.  Once the first candidates are spent, one query on a kd-tree
+that bounds the sites' powers |c_j - v|^2 - w_j, their lifted planes
+(Aurenhammer, SIAM J. Comput. 16, 1987), at the cell's vertices v
+feeds each cell, nearest first, every other site the screen would keep
+(`_LiftedTree`), and the lockstep runs again.
 
 On float sites the screen's row is the cut, and a block's cells are cut
 in numpy with the IEEE operations of the Python clippers: polygons as
@@ -43,6 +45,7 @@ from itertools import chain
 
 import numpy as np
 
+from . import clipping
 from .clipping import (
     BOX_TAG, Face, Polygon, Polyhedron, face_area, face_min_norm_sq, to_affine, to_homogeneous,
 )
@@ -62,6 +65,12 @@ NEAREST_FEED = {2: 32, 3: 64}
 # Why two distinct float sites have no radical hyperplane: its normal's
 # squares underflow and its offset is 0.
 ROUNDS_TO_ZERO = "radical hyperplane rounds to zero in float64"
+# A facet's least measure, relative to the clip radius (see `cut_cells`).
+FACET_MEASURE_TOL = 1e-10
+# The most a clip ball's centre coordinate or radius may be in magnitude:
+# the readers multiply up to four vertex coordinates, which must stay far
+# below float64's overflow (README, "Tolerances").
+CLIP_RANGE = 1e60
 
 
 def _side_table(X, R):
@@ -517,11 +526,10 @@ class _Polyhedra:
     first meets them, and the cut face's ring starts where its chain does.
     A cut that would not leave one cut face and every vertex on three faces
     (a thin edge's cleanup), or that meets a nan side value, is made by
-    clip_fn on that cell alone, the one place a float cell becomes a
-    `Polyhedron`."""
+    `clipping.clip_polyhedron` on that cell alone, the one place a float
+    cell becomes a `Polyhedron`."""
 
-    def __init__(self, window, m, clip_fn):
-        self.clip_fn = clip_fn
+    def __init__(self, window, m):
         self.V = np.repeat(np.array(window.vertices, dtype=float).T[:, :, None], m, axis=2)
         self.N = np.full(m, len(window.vertices))
         self.F, self.FL, self.FT = np.zeros((m, 0, 0), dtype=np.intp), *np.zeros((2, m, 0), dtype=np.intp)
@@ -549,7 +557,7 @@ class _Polyhedra:
             odd[step[~self._step(cs[step], V[:, :, step], f[:, step], kept[:, step], tags[step])]] = True
         for p in np.flatnonzero(odd).tolist():
             c, row = int(cs[p]), R[:4, p].tolist()
-            self._write([c], self.clip_fn(self.shape(c), row[:3], row[3], int(tags[p])).compact())
+            self._write([c], clipping.clip_polyhedron(self.shape(c), row[:3], row[3], int(tags[p])).compact())
         self.V = self.V[:, :max(1, self.N.max())]
 
     def _step(self, cells, V, f, kept, tags):
@@ -660,12 +668,9 @@ class _Polyhedra:
         with np.errstate(over="ignore", invalid="ignore"):
             t = f0 / (f0 - f1)
             V2.reshape(3, -1)[:, slot * m + owner] = v0 + t * (V[:, b, owner] - v0)
-        empty = ok & (nf + 1 < 4)
-        if empty.any():
-            self._clear(cells[empty])
-        w = ok & ~empty
-        if not w.all():
-            cells, V2, size, F2, L2, T2 = cells[w], V2[:, :, w], size[w], F2[w], L2[w], T2[w]
+        # a cell written keeps its P >= 3 clipped faces and the cut face: none is empty
+        if not ok.all():
+            cells, V2, size, F2, L2, T2 = cells[ok], V2[:, :, ok], size[ok], F2[ok], L2[ok], T2[ok]
         self.V[:, :, cells], self.N[cells], self.F[cells], self.FL[cells], self.FT[cells] = V2, size, F2, L2, T2
         return ok
 
@@ -726,11 +731,10 @@ class _Polyhedra:
         facet is a radical face of Newell area above tol^2 that comes closer
         to the clip centre (its float64 image) than r: a vertex strictly
         inside, or `clipping.face_min_norm_sq` below r^2.  The IEEE
-        operations are `clipping`'s, in the same order, sums from +0.0; the
-        test against r^2 is exact, and an area within 1e-12 of tol^2 is
-        taken by `clipping.face_area` itself (Python squares by `pow`, which
-        can round x * x the other way).  A vertex candidate is a vertex on
-        three radical faces or more, with cell i and their tags."""
+        operations are `clipping`'s (`face_area` among them), in the same
+        order, sums from +0.0; the test against r^2 is exact.  A vertex
+        candidate is a vertex on three radical faces or more, with cell i
+        and their tags."""
         self.least_first()
         V, F, FL, FT = self.V, self.F, self.FL, self.FT
         m, S, K = len(F), V.shape[1], F.shape[2]
@@ -746,8 +750,6 @@ class _Polyhedra:
             n = _newell_sums(U, W, L)
             area = 0.5 * np.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
             big = area > tt
-            for f in np.flatnonzero(np.abs(area - tt) <= 1e-12 * tt).tolist():
-                big[f] = face_area([tuple(p) for p in U[:, f, :L[f]].T.tolist()]) > tt
             if any(clip.center):
                 centre = np.array([float(x) for x in clip.center])[:, None, None]
                 U, W = U - centre, W - centre
@@ -800,17 +802,19 @@ class _Polyhedra:
 
 class _Cells:
     """A block's exact cells, on integer homogeneous vertices, cut one at a
-    time by `clip_fn`, and the float images of their vertices in one padded
-    table V[coordinate, slot, cell], as the screen reads it: slot k of a
-    cell is its vertex k, and a dead vertex's slot and the padding repeat
-    its first live vertex.  A cut by halfspace(c, j) rewrites the column of
-    each cell it changed.  Vertices are imaged as X / Z, correctly rounded:
-    a polygon's at each cut that changes it, a polyhedron's once per vertex
-    (a cut keeps its survivors' images).  A polyhedron's table is compacted
-    once its dead vertices outnumber its live ones, and when its cuts end."""
+    time by the Python clipper of the window's kind, and the float images
+    of their vertices in one padded table V[coordinate, slot, cell], as the
+    screen reads it: slot k of a cell is its vertex k, and a dead vertex's
+    slot and the padding repeat its first live vertex.  A cut by
+    halfspace(c, j) rewrites the column of each cell it changed.  Vertices
+    are imaged as X / Z, correctly rounded: a polygon's at each cut that
+    changes it, a polyhedron's once per vertex (a cut keeps its survivors'
+    images).  A polyhedron's table is compacted once its dead vertices
+    outnumber its live ones, and when its cuts end."""
 
-    def __init__(self, window, m, clip_fn, halfspace):
-        self.clip_fn, self.halfspace = clip_fn, halfspace
+    def __init__(self, window, m, halfspace):
+        self.clip_fn = clipping.clip_polygon if isinstance(window, Polygon) else clipping.clip_polyhedron
+        self.halfspace = halfspace
         self.cells = [window] * m
         self.images = [self._images(window, [])] * m
         self.table = np.repeat(np.array(self.images[0], dtype=float).T[:, :, None], m, axis=2)
@@ -1017,20 +1021,20 @@ def _lockstep(cells, cell, tags, R):
         R, ids = R.take(kept, axis=1), ids.take(kept, axis=1)
 
 
-def _cut_block(window, home, feed, halfspace, clip_fn):
+def _cut_block(window, home, feed, side):
     """The cells of the sites `home`, each cut from the window by the
     candidates that change it, nearest first: in lockstep by the feed's
     first candidates, then by those their lifted queries keep.  Float cells
-    are cut in numpy (`_Rings`, `_Polyhedra`), exact ones by `clip_fn`
-    (`_Cells`); halfspace(i, j) is site i's side of its radical hyperplane
-    with j, asked for on homogeneous vertices when j's cut of cell i runs.
-    Returns the block."""
+    are cut in numpy (`_Rings`, `_Polyhedra`), exact ones by the Python
+    clippers (`_Cells`); side(i, j) is exact site i's side of its radical
+    hyperplane with j, asked for when j's cut of cell i runs.  Returns the
+    block."""
     if not feed.strict:
-        cells = _Cells(window, len(home), clip_fn, lambda c, j: halfspace(int(home[c]), j))
+        cells = _Cells(window, len(home), lambda c, j: side(int(home[c]), j))
     elif isinstance(window, Polygon):
         cells = _Rings(window, len(home))
     else:
-        cells = _Polyhedra(window, len(home), clip_fn)
+        cells = _Polyhedra(window, len(home))
     q, tags = feed.nearest(home)
     _lockstep(cells, q, tags, feed.rows(home[q], tags))
     if feed.tree is not None:
@@ -1050,21 +1054,37 @@ def _blocks(n, k):
     return (np.arange(start, min(n, start + per_block)) for start in range(0, n, per_block))
 
 
-def cut_cells(window, arrays, exact, halfspace, clip_fn, clip, tol):
-    """Every cell cut from the window, a block of cells at a time, each
-    block read (its `read`) as soon as it is cut, its rings started at
-    their least vertex: whether each cell is empty, the facets
-    {(i, j): points}, i < j, of measure above tol (a length, or an area's
-    square root) that meet the open `clip` ball, as the first cell to have
-    one reads it, and the vertex candidates (point, site set), in cell
-    order.  `exact`: the sites are, and are cut on homogeneous vertices;
-    halfspace(i, j): site i's side of its radical hyperplane with j;
-    clip_fn: the clipper of the window's dimension."""
-    feed = _Feed(arrays, NEAREST_FEED[arrays[0].shape[1]], not exact)
+def _window(clip, exact):
+    """The clip ball's bounding cube, whose walls lie outside the open
+    ball: float vertices, or integer homogeneous ones on exact sites."""
+    scalar = Fraction if exact else float
+    centre, r = tuple(map(scalar, clip.center)), scalar(clip.radius)
+    window = (clipping.box_polygon if len(centre) == 2 else clipping.box_polyhedron)(r)
+    corners = [tuple(a + b for a, b in zip(centre, v)) for v in window.vertices]
+    return replace(window, vertices=[to_homogeneous(v) for v in corners] if exact else corners)
+
+
+def cut_cells(arrays, clip, side):
+    """Every cell of the sites' arrays (d = 2 or 3) cut from the window, a
+    block of cells at a time, each block read (its `read`) as soon as it
+    is cut, its rings started at their least vertex: whether each cell is
+    empty, the facets {(i, j): points}, i < j, of measure above
+    FACET_MEASURE_TOL * r (a length, or an area's square root) that meet
+    the open `clip` ball, as the first cell to have one reads it, and the
+    vertex candidates (point, site set), in cell order.  side(i, j): exact
+    site i's side of its radical hyperplane with j, or None on float
+    sites.  A clip ball past CLIP_RANGE is a domain error."""
+    if not all(-CLIP_RANGE <= x <= CLIP_RANGE for x in clip.center + (clip.radius,)):
+        raise DomainViolation(
+            f"clip ball past the cut's range: a centre coordinate or the radius exceeds {CLIP_RANGE:g}",
+            constraint=f"|clip centre coordinates|, |clip radius| <= {CLIP_RANGE:g}",
+        )
+    d, exact = arrays[0].shape[1], side is not None
+    window, tol = _window(clip, exact), FACET_MEASURE_TOL * float(clip.radius)
+    feed = _Feed(arrays, NEAREST_FEED[d], not exact)
     empty, facets, candidates = [], {}, []
     for home in _blocks(len(arrays[0]), feed.k):
-        block_empty, found, block_candidates = _cut_block(window, home, feed, halfspace, clip_fn).read(
-            len(empty), clip, tol)
+        block_empty, found, block_candidates = _cut_block(window, home, feed, side).read(len(empty), clip, tol)
         empty += block_empty
         candidates += block_candidates
         for key, facet in found:

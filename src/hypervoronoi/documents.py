@@ -245,18 +245,17 @@ def diagram_to_document(diagram, dual=None, degeneracies=None, verification=None
     ]
 
     sites = cx.sites
-    index = [s.origin_index if s.origin_index >= 0 else k for k, s in enumerate(sites)]
     numbers([x for s in sites for x in s.center + (s.weight,)])
 
     half = _object([("neighbor", "%s"), ("normal", _slots(d, " " * 10)), ("offset", "%s")], I8)
     halves = [_array([half] * k, I6) for k in range(max(len(c.halfspaces) for c in cx.cells) + 1)]
     cell = _object([("site", "%s"), ("empty", "%s"), ("halfspaces", "%s")], I4)
     cells, neighbors, rows = [], [], []
-    for c in cx.cells:
+    for k, c in enumerate(cx.cells):
         order = sorted(c.halfspaces)
         neighbors += order
         rows += map(c.halfspaces.__getitem__, order)
-        cells.append(cell % (c.site_index, "true" if c.empty else "false", halves[len(order)]))
+        cells.append(cell % (k, "true" if c.empty else "false", halves[len(order)]))
     numbers([x for h in rows for x in h.normal + (h.offset,)])
     numbers(cx.clip.center + (cx.clip.radius,))
 
@@ -287,7 +286,7 @@ def diagram_to_document(diagram, dual=None, degeneracies=None, verification=None
         ("route", _nested(diagram.route, "")),
         ("chart", _nested({"model": "klein", "curvature": -1.0}, "  ")),
         ("sites", _filled([_object([("index", "%s"), ("center", point), ("weight", "%s")], I4)] * len(sites),
-                          "  ", index, *(S[c :: d + 1] for c in range(d + 1)))),
+                          "  ", range(len(sites)), *(S[c :: d + 1] for c in range(d + 1)))),
         ("cells", _filled(cells, "  ", neighbors, *(H[c :: d + 1] for c in range(d + 1)))),
         ("clip", _object([("center", _slots(len(C) - 1, I4) % tuple(C[:-1])), ("radius", C[-1])], "  ")),
         ("adjacency", _filled([_slots(2, I4)] * len(adjacency), "  ", *zip(*adjacency))),

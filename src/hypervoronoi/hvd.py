@@ -174,12 +174,12 @@ def voronoi(points, route: str = ROUTE_KLEIN) -> VoronoiDiagram:
     _check_point_set(points)
     hubs = oracle_hubs(points, route)
     if route == ROUTE_KLEIN:
-        sites = [power.klein_site_map(h[1:], i) for i, h in enumerate(hubs)]
+        sites = [power.klein_site_map(h[1:]) for h in hubs]
     else:
-        sites = [power.hemisphere_site_map(h, i) for i, h in enumerate(hubs)]
+        sites = [power.hemisphere_site_map(h) for h in hubs]
     d = points[0].dim
     cx = build_complex(sites, clip=unit_ball(d))
-    empty = next((cell.site_index for cell in cx.cells if cell.empty), None)
+    empty = next((i for i, cell in enumerate(cx.cells) if cell.empty), None)
     if empty is not None:
         raise NumericalUnderflow(f"site {empty}: its cell is empty in float64, too near the boundary")
     model = points[0].model
@@ -619,18 +619,17 @@ def _facet(x, table, site):
     return int(neighbors[rows][np.argmax(v)])
 
 
-def oracle_report(
-    X, labels, margin, hubs, table, radius: float, seed: int, band: float
-) -> VerificationReport:
+def oracle_report(X, labels, margin, hubs, table, radius: float, seed: int) -> VerificationReport:
     """Compare labels with the nearest-site oracle.
 
-    Samples with margin below `band` are excluded; a label that is not the
-    oracle's disagrees unless the two distances are within NEAREST_TIE_TOL.
+    Samples with margin below BOUNDARY_BAND are excluded; a label that is
+    not the oracle's disagrees unless the two distances are within
+    NEAREST_TIE_TOL.
     The witness is the first disagreeing sample, with the facet of the
     oracle site's cell that excludes it (`_facet`).
     """
     oracle, at_oracle, at_label = _oracle(X, hubs, labels)
-    excluded = margin < band
+    excluded = margin < BOUNDARY_BAND
     rows = np.nonzero(~excluded & (labels != oracle))[0]
     da = radius * np.arccosh(np.maximum(1.0, at_label[rows]))
     da[labels[rows] < 0] = np.inf  # no cell claims the sample
@@ -657,7 +656,7 @@ def oracle_report(
         max_gap=float(gaps.max()) if len(rows) else 0.0,
         witness=witness,
         seed=seed,
-        band=band,
+        band=BOUNDARY_BAND,
     )
 
 
@@ -672,7 +671,7 @@ def _labelled_samples(cells, hub_points, sample_count: int, seed: int):
 
 
 def _diagram_cells(diagram: VoronoiDiagram) -> list:
-    return [(cell.site_index, cell.empty, cell.halfspaces) for cell in diagram.complex.cells]
+    return [(i, cell.empty, cell.halfspaces) for i, cell in enumerate(diagram.complex.cells)]
 
 
 def sample_labels(diagram: VoronoiDiagram, sample_count: int, seed: int):
@@ -695,27 +694,26 @@ def verify_cells(
     radius: float,
     sample_count: int,
     seed: int,
-    band: float = BOUNDARY_BAND,
 ) -> VerificationReport:
     """Check (site, empty, {neighbor: Halfspace}) cells against the
     nearest-site oracle of the sites' hub lifts, on samples 0..sample_count-1
     of `seed`; a cell flagged empty labels no sample."""
     X, labels, margin, hubs, table = _labelled_samples(cells, hub_points, sample_count, seed)
-    return oracle_report(X, labels, margin, hubs, table, radius, seed, band)
+    return oracle_report(X, labels, margin, hubs, table, radius, seed)
 
 
 def verify(
     diagram: VoronoiDiagram,
     sample_count: int = 10_000,
     seed: int = 42,
-    band: float = BOUNDARY_BAND,
 ) -> VerificationReport:
     """Compare diagram cell membership against the nearest-site oracle.
 
     Samples are uniform in the unit-Klein chart ball; samples within
-    `band` of a facet hyperplane of their cell are excluded and counted.
+    BOUNDARY_BAND of a facet hyperplane of their cell are excluded and
+    counted.
     """
     return verify_cells(
         _diagram_cells(diagram), diagram.hub_points, diagram.curvature.radius,
-        sample_count, seed, band,
+        sample_count, seed,
     )

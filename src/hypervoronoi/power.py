@@ -1,10 +1,10 @@
 """Power (Laguerre) diagram engine: weighted sites, radical hyperplanes,
-halfspace-clipped cells, ball clipping and point location.
+cells restricted to a clip ball, and point location.
 
 The hyperbolic pipelines reduce to this module: Klein points map to
 weighted sites through `klein_site_map` (algebraic: one square root per
 site), hemisphere points through `hemisphere_site_map` (rational).  The
-two maps agree under the vertical lift.
+two maps agree under the vertical lift.  Site k's cell is `cells[k]`.
 
 A build has one arithmetic: exact sites (every centre coordinate and
 weight an int or a Fraction) are built exactly, any other site set as
@@ -14,13 +14,11 @@ is the primitive integer row made from two sites' `WeightedSite.integer_row`s.
 
 For d in {2, 3}, `build_complex` runs in three stages.
 1. Cut and read (`cutting.cut_cells`): every cell is cut from a window
-   (the clip ball's bounding cube: centre c, half-width r) by the
-   candidates that change it, nearest site centre first, a block of cells
-   at a time, and each block is read as soon as it is cut: its cells'
-   emptiness, their vertex candidates, and the facets that come closer to
-   the clip centre than r (d=2: exact, on the integers, on rational
-   input).  The facets' keys are the adjacency.  The clip ball must lie
-   within CLIP_RANGE, the range the readers' products need.
+   around the clip ball and read as soon as it is cut: its emptiness,
+   its vertex candidates, and the facets that meet the open ball.  The
+   facets' keys are the adjacency.  The cut owns its window, its
+   clippers, its tolerance and the range of clip balls it accepts; it
+   asks this module only for the exact rows of the cuts that run.
 2. Halfspaces: `_halfspaces` gives each facet's lower cell its row and
    the higher cell the negation; a float row is its cut's `pair_rows`
    column, bit for bit.  A cell that misses the centre (the `locate` tie
@@ -35,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -55,12 +53,7 @@ from .scalars import all_exact, dot, norm_sq, sqrt_scalar, vsub
 KLEIN_WEIGHT_SIGN_THRESHOLD = 4.0 * (math.sqrt(5.0) - 2.0)
 
 TIE_TOL = 1e-12
-FACET_MEASURE_TOL = 1e-10
 VERTEX_MERGE_TOL = 1e-12
-# The most a clip ball's centre coordinate or radius may be in magnitude
-# at d = 2 and 3: the cut's readers multiply up to four vertex coordinates,
-# which must stay far below float64's overflow (README, "Tolerances").
-CLIP_RANGE = 1e60
 
 
 @dataclass(frozen=True)
@@ -69,7 +62,6 @@ class WeightedSite:
 
     center: tuple
     weight: object
-    origin_index: int = -1
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(self.center))
@@ -163,7 +155,7 @@ def radical_hyperplane(s_i: WeightedSite, s_j: WeightedSite) -> Halfspace:
     return Halfspace(row[:d], row[d])
 
 
-def klein_site_map(p, origin_index: int = -1) -> WeightedSite:
+def klein_site_map(p) -> WeightedSite:
     """Map a unit-Klein point to its power-diagram site.
 
     center = p / (2 sqrt(1 - |p|^2)),
@@ -176,7 +168,7 @@ def klein_site_map(p, origin_index: int = -1) -> WeightedSite:
     n2 = norm_sq(p)
     center = tuple(x / (2 * s) for x in p)
     weight = n2 / (4 * (1 - n2)) - 1 / s
-    return WeightedSite(center, weight, origin_index)
+    return WeightedSite(center, weight)
 
 
 def klein_lift(p) -> tuple:
@@ -192,7 +184,7 @@ def klein_lift(p) -> tuple:
     return (sqrt_scalar(1 - n2),) + tuple(p)
 
 
-def hemisphere_site_map(p, origin_index: int = -1) -> WeightedSite:
+def hemisphere_site_map(p) -> WeightedSite:
     """Map a unit-hemisphere point (d+1 coords) to its power site on H_0.
 
     center = (p_1, ..., p_d) / (2 p_0),  weight = <c, c> - 1/p_0.
@@ -209,7 +201,7 @@ def hemisphere_site_map(p, origin_index: int = -1) -> WeightedSite:
         )
     center = tuple(x / (2 * p[0]) for x in p[1:])
     weight = norm_sq(center) - 1 / p[0]
-    return WeightedSite(center, weight, origin_index)
+    return WeightedSite(center, weight)
 
 
 def locate(x, sites) -> tuple[int, tuple[int, ...]]:
@@ -230,7 +222,8 @@ def locate(x, sites) -> tuple[int, tuple[int, ...]]:
 
 @dataclass
 class ConvexCell:
-    site_index: int
+    """The cell of the site at its own index in `PowerComplex.sites`."""
+
     halfspaces: dict  # neighbor index -> Halfspace (this cell's side <= 0)
     empty: bool
 
@@ -306,9 +299,10 @@ def build_complex(sites, clip: Ball) -> PowerComplex:
     Sites that are not all exact are built as their float64 images: the
     result equals, but for `sites`, the build on those images.  For d in
     {2, 3} it runs in three stages: cut every cell and read its facets and
-    vertex candidates, make the facets' halfspaces, merge the vertices;
-    a clip ball past CLIP_RANGE is a domain error there.  Other dimensions
-    make every pair's halfspaces."""
+    vertex candidates (`cutting.cut_cells`; a clip ball past
+    `cutting.CLIP_RANGE` is a domain error there), make the facets'
+    halfspaces, merge the vertices.  Other dimensions make every pair's
+    halfspaces."""
     sites = list(sites)
     d = _check_sites(sites)
     n = len(sites)
@@ -317,52 +311,32 @@ def build_complex(sites, clip: Ball) -> PowerComplex:
     exact = all(all_exact(s.center + (s.weight,)) for s in sites)
     arrays = cutting.site_arrays(sites, d)
     # from here on one arithmetic: the exact sites, or the others' float64 images
-    images = zip(sites, arrays[0].tolist(), arrays[2].tolist())
-    work = sites if exact else [WeightedSite(tuple(c), w, s.origin_index) for s, c, w in images]
-    made = {}  # (i, j), i < j -> radical_hyperplane(work[i], work[j])
+    work = sites if exact else [WeightedSite(tuple(c), w) for c, w in zip(arrays[0].tolist(), arrays[2].tolist())]
+    made = {}  # (i, j), i < j -> radical_hyperplane(sites[i], sites[j])
 
-    def side(i, j):  # cell i's side of the (i, j) radical hyperplane
+    def side(i, j):  # exact cell i's side of the (i, j) radical hyperplane
         key = (i, j) if i < j else (j, i)
-        if key not in made:  # raises nothing: the sites are distinct, their table rows nonzero
-            made[key] = radical_hyperplane(work[key[0]], work[key[1]])
+        if key not in made:  # raises nothing: the sites are distinct, their rows nonzero
+            made[key] = radical_hyperplane(sites[key[0]], sites[key[1]])
         return made[key] if i < j else -made[key]
 
     exact_side = side if exact else None
     if d not in (2, 3):
         own = _halfspaces([(i, j) for i in range(n) for j in range(i + 1, n)], n, arrays, exact_side)
-        cells = [ConvexCell(i, own[i], False) for i in range(n)]
-        return PowerComplex(d, sites, cells, [], {}, clip)
-
-    if not all(-CLIP_RANGE <= x <= CLIP_RANGE for x in clip.center + (clip.radius,)):
-        raise DomainViolation(
-            f"clip ball past the cut's range: a centre coordinate or the radius exceeds {CLIP_RANGE:g}",
-            constraint=f"|clip centre coordinates|, |clip radius| <= {CLIP_RANGE:g}",
-        )
-    # the window is the clip ball's bounding cube: its walls lie outside the open ball
-    scalar = Fraction if exact else float
-    centre, r = tuple(map(scalar, clip.center)), scalar(clip.radius)
-    box, clip_fn = {
-        2: (clipping.box_polygon, clipping.clip_polygon),
-        3: (clipping.box_polyhedron, clipping.clip_polyhedron),
-    }[d]
-    window = box(r)  # about the centre; exact sites are cut on integer homogeneous vertices
-    corners = [tuple(a + b for a, b in zip(centre, v)) for v in window.vertices]
-    window = replace(window, vertices=[clipping.to_homogeneous(v) for v in corners] if exact else corners)
+        return PowerComplex(d, sites, [ConvexCell(h, False) for h in own], [], {}, clip)
 
     # 1. cut every cell, a block of cells at a time, nearest centre first,
     # and read each block's facets (the lower cell's, if it has one) and
     # vertex candidates
-    empty, facets, vertex_candidates = cutting.cut_cells(
-        window, arrays, exact, side, clip_fn, clip, FACET_MEASURE_TOL * float(r)
-    )
+    empty, facets, vertex_candidates = cutting.cut_cells(arrays, clip, exact_side)
 
     # 2. the facets' halfspaces; a cell that misses the centre (the `locate`
     # tie set) is empty without one, since the window lies outside the open ball
     own = _halfspaces(sorted(facets), n, arrays, exact_side)
     holders = locate(clip.center, work)[1]
-    cells = [ConvexCell(i, own[i], e or (i not in holders and not own[i])) for i, e in enumerate(empty)]
+    cells = [ConvexCell(own[i], e or (i not in holders and not own[i])) for i, e in enumerate(empty)]
 
     # 3. merge the vertices of neighbouring cells into power vertices
-    merged = clipping.merge_near(vertex_candidates, VERTEX_MERGE_TOL * float(r))
+    merged = clipping.merge_near(vertex_candidates, VERTEX_MERGE_TOL * float(clip.radius))
     power_vertices = [PowerVertex(point, frozenset(sites)) for point, sites in merged if len(sites) >= d + 1]
     return PowerComplex(d, sites, cells, power_vertices, facets, clip)

@@ -60,7 +60,7 @@ def done(n, message):
 def test_acceptance_01_oracle_agreement_16_sites():
     t0 = time.monotonic()
     dia = voronoi(kpts(random_klein_points(16, seed=42)), route=ROUTE_KLEIN)
-    report = verify(dia, 10_000, 42, band=1e-7)
+    report = verify(dia, 10_000, 42)
     elapsed = time.monotonic() - t0
     assert report.disagreements == 0
     assert report.agreement_rate == 1.0

@@ -502,7 +502,7 @@ def test_a_cell_built_empty_is_a_typed_error(tmp_path, capsys, monkeypatch, delt
         return
     with pytest.raises(NumericalUnderflow) as err:
         voronoi(pts, route=route)
-    first = next(cell.site_index for cell in built[-1].cells if cell.empty)
+    first = next(i for i, cell in enumerate(built[-1].cells) if cell.empty)
     assert str(err.value).startswith(f"site {first}: its cell is empty")
     capsys.readouterr()
     assert main(["compute", str(inp), "--route", route, "-o", str(out)]) == 3
@@ -859,6 +859,37 @@ def test_curvature_without_a_float_radius_exit_3(tmp_path, capsys, kappa, exact)
         inp = write_point_set(tmp_path / "p.json", random_klein_points(5, seed=2))
     err = assert_domain_error(capsys, ["compute", str(inp), f"--curvature={kappa}", "-o", str(tmp_path / "o.json")])
     assert "radius" in err
+
+
+def test_curvature_override_equals_the_written_curvature(tmp_path):
+    # --curvature applied to a float point set
+    pts = [tuple(c / 2 for c in p) for p in random_klein_points(12, seed=6)]
+    given = write_point_set(tmp_path / "given.json", pts)
+    written = write_point_set(tmp_path / "written.json", pts, curvature=-4.0)
+    got, want = tmp_path / "got.json", tmp_path / "want.json"
+    assert main(["compute", str(given), "--curvature", "-4", "-o", str(got)]) == 0
+    assert main(["compute", str(written), "-o", str(want)]) == 0
+    assert got.read_bytes() == want.read_bytes()
+    assert json.loads(got.read_text())["input"]["curvature"] == -4.0
+
+
+def test_exact_override_equals_the_written_rationals(tmp_path):
+    # --exact converting a float point set: each coordinate becomes its exact value
+    pts = [(0.1, 0.2), (-0.3, 0.25), (0.05, -0.4), (0.35, 0.3), (-0.2, -0.15)]
+    given = write_point_set(tmp_path / "given.json", pts, model="poincare")
+    written = tmp_path / "written.json"
+    written.write_text(dump_json({
+        "dimension": 2,
+        "curvature": "-1/1",
+        "model": "poincare",
+        "scalar": "exact-rational",
+        "points": [[f"{Fraction(c).numerator}/{Fraction(c).denominator}" for c in p] for p in pts],
+    }))
+    got, want = tmp_path / "got.json", tmp_path / "want.json"
+    assert main(["compute", str(given), "--exact", "--route", "hemisphere", "-o", str(got)]) == 0
+    assert main(["compute", str(written), "--route", "hemisphere", "-o", str(want)]) == 0
+    assert got.read_bytes() == want.read_bytes()
+    assert json.loads(got.read_text())["input"]["scalar"] == "exact-rational"
 
 
 def _scaled_hemisphere_document(path, kappa, scale, shift=0):

@@ -264,7 +264,7 @@ def _poison(dia, where, bad):
     cx = dia.complex
     if where == "site":
         s = cx.sites[1]
-        cx.sites[1] = WeightedSite(s.center, bad, s.origin_index)
+        cx.sites[1] = WeightedSite(s.center, bad)
     elif where == "halfspace":
         hs = cx.cells[0].halfspaces
         j = max(hs)

@@ -461,11 +461,11 @@ def _sites(draw):
             if draw(st.booleans()):  # one ulp apart: a row that does not round to zero
                 pair = [(rest,) * d, (math.nextafter(rest, 1.0),) + (rest,) * (d - 1)]
             pts = list(dict.fromkeys(pts + pair))
-        return d, [klein_site_map(p, i) for i, p in enumerate(pts)]
+        return d, [klein_site_map(p) for p in pts]
     edge = Fraction(3, 5) if d == 2 else Fraction(1, 2)  # |t|^2 <= d edge^2 < 1
     coord = st.fractions(-edge, edge, max_denominator=12)
     ts = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=8 if d == 2 else 5, unique=True))
-    return d, [hemisphere_site_map(_hemisphere_point(t), i) for i, t in enumerate(ts)]
+    return d, [hemisphere_site_map(_hemisphere_point(t)) for t in ts]
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -561,11 +561,11 @@ def test_numpy_polyhedron_step_equals_clip_polyhedron(data):
     vertex, along an edge or through a face's plane (side values 0 keep a
     vertex as it is), cuts that empty a cell, and -0.0 in normals and
     offsets.  A cut through a face's plane can leave a ring of two
-    vertices, which the step leaves to `clip_fn`, here the clipper itself."""
+    vertices, which the step leaves to the clipper itself."""
     coord = st.floats(-4.0, 4.0) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0])
     m = data.draw(st.integers(1, 4))
     window = clipping.box_polyhedron(data.draw(st.sampled_from([1.0, 0.75, 3.0])))
-    cells, want = cutting._Polyhedra(window, m, clipping.clip_polyhedron), [window] * m
+    cells, want = cutting._Polyhedra(window, m), [window] * m
     for step in range(data.draw(st.integers(1, 10))):
         cs = [c for c in range(m) if not want[c].empty and data.draw(st.booleans())]
         rows = []
@@ -710,7 +710,7 @@ def _float_site_sets(draw):
     if draw(st.booleans()):
         exact = st.sampled_from([Fraction, lambda x: Fraction(x) + Fraction(1, 10**30)])
         rows = [tuple(draw(exact)(c) if draw(st.booleans()) else c for c in r) for r in rows]
-    return d, [power.WeightedSite(r[:d], r[d], k) for k, r in enumerate(rows)]
+    return d, [power.WeightedSite(r[:d], r[d]) for r in rows]
 
 
 def _hex(values):
@@ -727,7 +727,7 @@ def test_pair_table_is_the_python_rows(case, data):
     `clipping._side_values` at the same vertices."""
     d, sites = case
     n = len(sites)
-    images = [power.WeightedSite(tuple(map(float, s.center)), float(s.weight), s.origin_index) for s in sites]
+    images = [power.WeightedSite(tuple(map(float, s.center)), float(s.weight)) for s in sites]
     home, tags = np.array([(i, j) for i in range(n) for j in range(n) if i != j]).T
     arrays = cutting.site_arrays(sites, d)
     table = cutting.pair_rows(arrays, home, tags, False)
@@ -765,7 +765,7 @@ def _labelling_cases(draw):
     n = (15 if d == 2 else 10) - draw(st.integers(1, 14 if d == 2 else 9))  # many sites first
     seed = draw(st.integers(0, 2**16))
     dia = voronoi([ModelPoint(ModelTag.KLEIN, p) for p in random_klein_points(n, d, seed)])
-    cells = [[c.site_index, c.empty, dict(c.halfspaces)] for c in dia.complex.cells]
+    cells = [[i, c.empty, dict(c.halfspaces)] for i, c in enumerate(dia.complex.cells)]
     k = draw(st.integers(0, n - 1))
     hs = cells[k][2]
     tamper = draw(st.sampled_from(["duplicate", "grow", "swap", "shift", "zero", "huge", "bare", "empty", "none"]))
@@ -812,5 +812,5 @@ def test_labelling_and_oracle_equal_the_exhaustive_references(case, radius):
         assert labels.tolist() == ref_labels.tolist()
         assert _hex(margin) == _hex(ref_margin)
         assert np.array_equal(hvd._oracle(X, hubs, labels)[0], reference_oracle(X, hubs)[0])
-        report = hvd.oracle_report(X, labels, margin, hubs, table, radius, 5, hvd.BOUNDARY_BAND)
+        report = hvd.oracle_report(X, labels, margin, hubs, table, radius, 5)
         assert report == reference_report(X, ref_labels, ref_margin, hubs, table, radius, 5, hvd.BOUNDARY_BAND)

@@ -653,11 +653,12 @@ def test_compute_makes_each_radical_hyperplane_once(tmp_path, monkeypatch, d, ro
     calls = []
     planes = {}  # (normal, offset) of each made hyperplane -> its pair
     cuts = set()  # pair of every cut that ran
+    index = {}  # site centre -> site index
     make = power.radical_hyperplane
     clip = (clipping.clip_polygon, "clip_polygon") if d == 2 else (clipping.clip_polyhedron, "clip_polyhedron")
 
     def counting(s_i, s_j):
-        calls.append((s_i.origin_index, s_j.origin_index))
+        calls.append((index[s_i.center], index[s_j.center]))
         hs = make(s_i, s_j)
         planes[hs.normal, hs.offset] = calls[-1]
         return hs
@@ -677,6 +678,9 @@ def test_compute_makes_each_radical_hyperplane_once(tmp_path, monkeypatch, d, ro
     monkeypatch.setattr(clipping, clip[1], recording)
     n = 30 if d == 2 else 15
     pts = rational_hemisphere_points(n, d, seed=23)  # rational lifts: both routes exact
+    hubs = hvd.oracle_hubs([ModelPoint(ModelTag.HEMISPHERE, p) for p in pts], route)
+    index.update((power.hemisphere_site_map(h).center, k) for k, h in enumerate(hubs))
+    assert len(index) == n
     doc = {
         "dimension": d,
         "model": "hemisphere",

@@ -59,8 +59,8 @@ from util import (
 )
 
 
-def W(center, weight, idx=-1):
-    return WeightedSite(tuple(center), weight, idx)
+def W(center, weight):
+    return WeightedSite(tuple(center), weight)
 
 
 # --- power distance -----------------------------------------------------------
@@ -100,13 +100,13 @@ def test_radical_coincident_sites_rejected():
 
 def test_float_row_that_rounds_to_zero_names_the_pair():
     # distinct float sites whose normal's squares underflow, offset 0
-    sites = [klein_site_map(p, i) for i, p in enumerate([(1e-170, 0.2), (2e-170, 0.2), (0.5, -0.1)])]
+    sites = [klein_site_map(p) for p in [(1e-170, 0.2), (2e-170, 0.2), (0.5, -0.1)]]
     with pytest.raises(CoincidentSites, match=f"^{cutting.ROUNDS_TO_ZERO}$"):
         radical_hyperplane(sites[0], sites[1])
-    mixed = sites[:2] + [W((Fraction(1, 2), Fraction(0)), Fraction(1, 3), 2)]
-    wide = [klein_site_map(s.center + (0.0, 0.0), i) for i, s in enumerate(sites)]
+    mixed = sites[:2] + [W((Fraction(1, 2), Fraction(0)), Fraction(1, 3))]
+    wide = [klein_site_map(s.center + (0.0, 0.0)) for s in sites]
     # distinct sites, one exact, whose float64 images coincide
-    twins = [W((0.1, 0.2), -1.0, 0), W((Fraction(0.1) + Fraction(1, 10**40), Fraction(0.2)), -1, 1), sites[2]]
+    twins = [W((0.1, 0.2), -1.0), W((Fraction(0.1) + Fraction(1, 10**40), Fraction(0.2)), -1), sites[2]]
     named = f"^sites 0 and 1: {cutting.ROUNDS_TO_ZERO}$"
     # the table, for cuts and facets and for d > 3's halfspaces
     for s, clip in ((sites, unit_ball(2)), (mixed, unit_ball(2)), (wide, unit_ball(4)), (twins, unit_ball(2))):
@@ -137,7 +137,7 @@ def _random_exact_sites(rng, d, count):
     def scalar():
         return Fraction(int(rng.integers(-10**6, 10**6)), int(rng.integers(1, 10**int(rng.integers(1, 9)))))
 
-    return [W(tuple(scalar() for _ in range(d)), scalar(), k) for k in range(count)]
+    return [W(tuple(scalar() for _ in range(d)), scalar()) for _ in range(count)]
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -166,8 +166,8 @@ def test_non_exact_build_is_the_build_on_float_images(d, n):
     for seed in range(3):
         pts = rational_hemisphere_points(n, d, seed=seed)
         pts = [p if k % 2 else tuple(map(float, p)) for k, p in enumerate(pts)]
-        sites = [hemisphere_site_map(p, i) for i, p in enumerate(pts)]
-        images = [W(tuple(map(float, s.center)), float(s.weight), s.origin_index) for s in sites]
+        sites = [hemisphere_site_map(p) for p in pts]
+        images = [W(tuple(map(float, s.center)), float(s.weight)) for s in sites]
         cx, cells = cut_and_build(sites, unit_ball(d))
         assert cx.sites == sites
         assert_same_complex((replace(cx, sites=images), cells), cut_and_build(images, unit_ball(d)))
@@ -295,7 +295,7 @@ def test_locate_single_site():
 
 
 def test_locate_tie_on_radical_hyperplane():
-    sites = [W((-1, 0), 0, 0), W((1, 0), 0, 1)]
+    sites = [W((-1, 0), 0), W((1, 0), 0)]
     idx, ties = locate((0.0, 3.0), sites)
     assert idx == 0 and ties == (0, 1)
 
@@ -310,11 +310,11 @@ def test_locate_matches_exact_recomputation_high_dimension():
     rng = np.random.default_rng(107)
     d, n = 6, 100
     sites = [
-        W(tuple(rng.uniform(-1, 1, d)), float(rng.uniform(-0.5, 0.5)), i)
-        for i in range(n)
+        W(tuple(rng.uniform(-1, 1, d)), float(rng.uniform(-0.5, 0.5)))
+        for _ in range(n)
     ]
     exact_sites = [
-        W(tuple(Fraction(c) for c in s.center), Fraction(s.weight), s.origin_index)
+        W(tuple(Fraction(c) for c in s.center), Fraction(s.weight))
         for s in sites
     ]
     for _ in range(50):
@@ -327,8 +327,8 @@ def test_locate_matches_exact_recomputation_high_dimension():
 
 def test_locate_exact_ties():
     sites = [
-        W((Fraction(-1), Fraction(0)), Fraction(0), 0),
-        W((Fraction(1), Fraction(0)), Fraction(0), 1),
+        W((Fraction(-1), Fraction(0)), Fraction(0)),
+        W((Fraction(1), Fraction(0)), Fraction(0)),
     ]
     idx, ties = locate((Fraction(0), Fraction(7)), sites)
     assert ties == (0, 1)
@@ -338,14 +338,14 @@ def test_locate_exact_ties():
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_single_site_complex_is_whole_ball(d):
-    cx = build_complex([W((0.1, 0.2, 0.0)[:d], -1.0, 0)], clip=unit_ball(d))
+    cx = build_complex([W((0.1, 0.2, 0.0)[:d], -1.0)], clip=unit_ball(d))
     assert len(cx.cells) == 1
     assert not cx.cells[0].empty
     assert cx.adjacency == set()
 
 
 def _sites_on_axis(xs, d, scalar):
-    return [W((scalar(x),) + (scalar(0),) * (d - 1), scalar(0), k) for k, x in enumerate(xs)]
+    return [W((scalar(x),) + (scalar(0),) * (d - 1), scalar(0)) for x in xs]
 
 
 @pytest.mark.parametrize(
@@ -365,12 +365,12 @@ def test_off_centre_clip_ball_is_measured_from_its_centre(d, scalar):
 
 def _range_sites(d, scalar):
     if scalar == "float":
-        return [klein_site_map(p, i) for i, p in enumerate(random_klein_points(12, d, seed=1))]
-    return [hemisphere_site_map(p, i) for i, p in enumerate(rational_hemisphere_points(8, d, seed=1))]
+        return [klein_site_map(p) for p in random_klein_points(12, d, seed=1)]
+    return [hemisphere_site_map(p) for p in rational_hemisphere_points(8, d, seed=1)]
 
 
 @pytest.mark.parametrize("scalar", ["float", "exact"])
-@pytest.mark.parametrize("d, far", [(2, 1e160), (2, 10**100), (3, 1e80), (3, 2 * power.CLIP_RANGE)])
+@pytest.mark.parametrize("d, far", [(2, 1e160), (2, 10**100), (3, 1e80), (3, 2 * cutting.CLIP_RANGE)])
 def test_a_clip_ball_past_the_cut_range_is_a_domain_error(d, far, scalar):
     # squaring such a radius, or the Newell normal of a face as wide, overflows
     sites = _range_sites(d, scalar)
@@ -383,7 +383,7 @@ def test_a_clip_ball_past_the_cut_range_is_a_domain_error(d, far, scalar):
 @pytest.mark.parametrize("d", [2, 3])
 def test_a_clip_ball_at_the_cut_range_is_read_as_the_python_reader_reads_it(d, scalar):
     sites = _range_sites(d, scalar)
-    for clip in (Ball((0,) * d, power.CLIP_RANGE), Ball((power.CLIP_RANGE / 2,) * d, power.CLIP_RANGE / 2)):
+    for clip in (Ball((0,) * d, cutting.CLIP_RANGE), Ball((cutting.CLIP_RANGE / 2,) * d, cutting.CLIP_RANGE / 2)):
         assert_same_complex(cut_and_build(sites, clip), reference_complex(sites, clip))
 
 
@@ -401,7 +401,7 @@ def test_cell_meeting_the_ball_inside_a_face_is_not_empty(scalar):
 def test_cell_in_the_window_that_misses_the_ball_is_empty(d, scalar):
     # cell 1 (coordinate sum >= 3d/4) holds a corner of the window, but its
     # facet comes no closer to the centre than sqrt(d) 3/4 > 1
-    sites = [W((scalar(0),) * d, scalar(0), 0), W((scalar(3) / 2,) * d, scalar(0), 1)]
+    sites = [W((scalar(0),) * d, scalar(0)), W((scalar(3) / 2,) * d, scalar(0))]
     cx, cut = cut_and_build(sites, unit_ball(d))
     assert not cut[1].empty
     assert [cell.empty for cell in cx.cells] == [False, True]
@@ -410,7 +410,7 @@ def test_cell_in_the_window_that_misses_the_ball_is_empty(d, scalar):
 
 
 def test_two_equal_sites_split_by_perpendicular_bisector():
-    cx = build_complex([W((-0.3, 0), -1, 0), W((0.3, 0), -1, 1)], clip=unit_ball(2))
+    cx = build_complex([W((-0.3, 0), -1), W((0.3, 0), -1)], clip=unit_ball(2))
     assert cx.adjacency == {(0, 1)}
     seg = cx.facets[(0, 1)]
     for v in seg:
@@ -420,7 +420,7 @@ def test_two_equal_sites_split_by_perpendicular_bisector():
 
 
 def test_equal_center_site_loses_everywhere():
-    cx = build_complex([W((0, 0), 1.0, 0), W((0, 0), -1.0, 1)], clip=unit_ball(2))
+    cx = build_complex([W((0, 0), 1.0), W((0, 0), -1.0)], clip=unit_ball(2))
     # site 0 has larger power everywhere (weight subtracts): cell 1 wins
     assert cx.cells[1].empty
     assert not cx.cells[0].empty
@@ -428,18 +428,18 @@ def test_equal_center_site_loses_everywhere():
 
 def test_duplicate_sites_rejected():
     with pytest.raises(DuplicateSites):
-        build_complex([W((0, 0), 1, 0), W((0, 0), 1, 1)], clip=unit_ball(2))
+        build_complex([W((0, 0), 1), W((0, 0), 1)], clip=unit_ball(2))
 
 
 def test_clip_ball_is_required():
     with pytest.raises(TypeError):
-        build_complex([W((0, 0), 1, 0), W((1, 0), 1, 1)])
+        build_complex([W((0, 0), 1), W((1, 0), 1)])
 
 
 def test_cells_win_power_minimization():
     # brute-force oracle over 10^4 samples: argmin power == containing cell
     pts = random_klein_points(16, seed=5)
-    sites = [klein_site_map(p, i) for i, p in enumerate(pts)]
+    sites = [klein_site_map(p) for p in pts]
     cx = build_complex(sites, clip=unit_ball(2))
     X = ball_points(1234, 10_000, 2)
     C = np.array([s.center for s in sites])
@@ -457,7 +457,7 @@ def test_cells_win_power_minimization():
 
 def test_adjacency_symmetric_and_facets_present():
     pts = random_klein_points(12, seed=9)
-    sites = [klein_site_map(p, i) for i, p in enumerate(pts)]
+    sites = [klein_site_map(p) for p in pts]
     cx = build_complex(sites, clip=unit_ball(2))
     for (i, j) in cx.adjacency:
         assert i < j
@@ -467,11 +467,11 @@ def test_adjacency_symmetric_and_facets_present():
 def test_translation_covariance():
     rng = np.random.default_rng(109)
     sites = [
-        W(tuple(rng.uniform(-1, 1, 2)), float(rng.uniform(-0.5, 0.5)), i)
-        for i in range(8)
+        W(tuple(rng.uniform(-1, 1, 2)), float(rng.uniform(-0.5, 0.5)))
+        for _ in range(8)
     ]
     shift = (1.75, -0.6)
-    moved = [W((s.center[0] + shift[0], s.center[1] + shift[1]), s.weight, i) for i, s in enumerate(sites)]
+    moved = [W((s.center[0] + shift[0], s.center[1] + shift[1]), s.weight) for s in sites]
     cx0 = build_complex(sites, clip=unit_ball(2))
     cx1 = build_complex(moved, clip=Ball(shift, 1))
     assert cx0.adjacency == cx1.adjacency
@@ -493,7 +493,7 @@ def test_euler_relation_clipped_general_position():
     power vertices inside the disk, the adjacency and the non-empty cells."""
     for n in (4, 9, 17, 32, 200):
         for seed in range(1, 6):
-            sites = [klein_site_map(p, i) for i, p in enumerate(random_klein_points(n, seed=seed))]
+            sites = [klein_site_map(p) for p in random_klein_points(n, seed=seed)]
             cx = build_complex(sites, clip=unit_ball(2))
             V = sum(1 for v in cx.power_vertices if norm_sq(v.point) < 1)
             E = len(cx.adjacency)
@@ -505,7 +505,7 @@ def test_rational_mode_determinism():
     pts = rational_hemisphere_points(10, seed=3)
     runs = []
     for _ in range(2):
-        sites = [hemisphere_site_map(p, i) for i, p in enumerate(pts)]
+        sites = [hemisphere_site_map(p) for p in pts]
         cx = build_complex(sites, clip=unit_ball(2))
         table = tuple(
             (i, j, cx.cells[i].halfspaces[j].normal, cx.cells[i].halfspaces[j].offset)
@@ -520,7 +520,7 @@ def test_rational_mode_determinism():
 
 def test_exact_pipeline_geometry_is_rational():
     pts = rational_hemisphere_points(6, seed=8)
-    sites = [hemisphere_site_map(p, i) for i, p in enumerate(pts)]
+    sites = [hemisphere_site_map(p) for p in pts]
     cx = build_complex(sites, clip=unit_ball(2))
     for v in cx.power_vertices:
         assert all(isinstance(c, (int, Fraction)) for c in v.point)
@@ -533,7 +533,7 @@ def test_three_dimensional_cells():
         x = rng.uniform(-0.6, 0.6, 3)
         if float(x @ x) < 0.36:
             pts.append(tuple(float(c) for c in x))
-    sites = [klein_site_map(p, i) for i, p in enumerate(pts)]
+    sites = [klein_site_map(p) for p in pts]
     cx = build_complex(sites, clip=unit_ball(3))
     assert cx.dimension == 3
     assert all(not cell.empty for cell in cx.cells)
@@ -552,8 +552,8 @@ def test_three_dimensional_cells():
 def test_implicit_mode_high_dimension():
     rng = np.random.default_rng(131)
     sites = [
-        W(tuple(rng.uniform(-1, 1, 5)), float(rng.uniform(-0.5, 0)), i)
-        for i in range(12)
+        W(tuple(rng.uniform(-1, 1, 5)), float(rng.uniform(-0.5, 0)))
+        for _ in range(12)
     ]
     cx = build_complex(sites, clip=unit_ball(5))
     assert not cx.explicit
@@ -563,10 +563,9 @@ def test_implicit_mode_high_dimension():
 @pytest.mark.parametrize("d, n", [(2, 9), (3, 7), (4, 6)])
 def test_cell_halfspaces_are_radical_hyperplanes(d, n):
     pts = rational_hemisphere_points(n, d, seed=29)
-    sites = [hemisphere_site_map(p, i) for i, p in enumerate(pts)]
+    sites = [hemisphere_site_map(p) for p in pts]
     cx = build_complex(sites, clip=unit_ball(d))
-    for cell in cx.cells:
-        i = cell.site_index
+    for i, cell in enumerate(cx.cells):
         if d == 4:  # implicit: every other site
             assert list(cell.halfspaces) == [j for j in range(n) if j != i]
         else:  # explicit: the neighbours across an in-ball facet, ascending
@@ -593,11 +592,10 @@ def test_high_dimension_halfspaces_pair_up(monkeypatch, d, n, scalar, cap):
     pts = rational_hemisphere_points(n, d, seed=31)
     if scalar == "float":
         pts = [tuple(map(float, p)) for p in pts]
-    sites = [hemisphere_site_map(p, i) for i, p in enumerate(pts)]
+    sites = [hemisphere_site_map(p) for p in pts]
     monkeypatch.setattr(cutting, "BLOCK_PAIRS", cap)
     cx = build_complex(sites, clip=unit_ball(d))
-    for cell in cx.cells:
-        i = cell.site_index
+    for i, cell in enumerate(cx.cells):
         assert list(cell.halfspaces) == [j for j in range(n) if j != i]
         assert all(type(j) is int for j in cell.halfspaces)
         for j, hs in cell.halfspaces.items():
@@ -611,12 +609,12 @@ def _window_fixtures(rng, d):
     for trial in range(12):
         spread = 10.0 ** int(rng.integers(-2, 4))
         sites = [
-            W(tuple(rng.uniform(-1, 1, d)), float(rng.uniform(-spread, spread)), i)
-            for i in range(int(rng.integers(2, 9)))
+            W(tuple(rng.uniform(-1, 1, d)), float(rng.uniform(-spread, spread)))
+            for _ in range(int(rng.integers(2, 9)))
         ]
         if trial % 2:  # exact: primitive integer pair coefficients
             sites = [
-                W(tuple(Fraction(c) for c in s.center), Fraction(s.weight), s.origin_index)
+                W(tuple(Fraction(c) for c in s.center), Fraction(s.weight))
                 for s in sites
             ]
         yield sites
@@ -656,6 +654,33 @@ def test_only_cutting_knows_a_cut_block_s_layout():
         if name.endswith(".py") and name != "cutting.py":
             with open(os.path.join(src, name), encoding="utf-8") as fh:
                 named[name] = _private_names_of("cutting", ast.parse(fh.read()))
+    assert "power.py" in named and not any(named.values()), named
+
+
+def _names_in(tree):
+    """Every name a parsed module uses: bare, as an attribute, or imported."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_only_the_cut_names_a_window_builder_or_clipper():
+    # the cut makes its own window and picks its own clipper
+    window_and_clippers = {"box_polygon", "box_polyhedron", "clip_polygon", "clip_polyhedron"}
+    probe = "from .clipping import clip_polygon as f\nclipping.box_polyhedron(1)\nbox_polygon\nclip_polyhedron = 1"
+    assert _names_in(ast.parse(probe)) >= window_and_clippers
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "hypervoronoi")
+    named = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py") and name not in ("cutting.py", "clipping.py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                named[name] = _names_in(ast.parse(fh.read())) & window_and_clippers
     assert "power.py" in named and not any(named.values()), named
 
 
@@ -701,7 +726,7 @@ def test_filtered_build_equals_plain_build(d, scalar, fixture):
     pts = EQUIVALENCE_FIXTURES[fixture](d)
     if scalar == "float":
         pts = [tuple(float(c) for c in p) for p in pts]
-    sites = [hemisphere_site_map(p, i) for i, p in enumerate(pts)]
+    sites = [hemisphere_site_map(p) for p in pts]
     ref = reference_complex(sites, unit_ball(d))
     got = cut_and_build(sites, unit_ball(d))
     assert_same_complex(got, ref)
@@ -719,9 +744,9 @@ def test_two_phase_feed_equals_plain_build(monkeypatch, d, scalar, feed):
     candidate builds."""
     n = {("float", 2): 120, ("float", 3): 50, ("exact", 2): 60, ("exact", 3): 24}[scalar, d]
     if scalar == "float":
-        sites = [klein_site_map(p, i) for i, p in enumerate(random_klein_points(n, d, seed=5))]
+        sites = [klein_site_map(p) for p in random_klein_points(n, d, seed=5)]
     else:
-        sites = [hemisphere_site_map(p, i) for i, p in enumerate(rational_hemisphere_points(n, d, seed=5))]
+        sites = [hemisphere_site_map(p) for p in rational_hemisphere_points(n, d, seed=5)]
     monkeypatch.setitem(cutting.NEAREST_FEED, d, feed)
     kept = []
     beyond = cutting._Feed.beyond
@@ -776,7 +801,7 @@ def test_build_over_several_blocks_equals_one_block(monkeypatch, d, scalar, fixt
     pts = EQUIVALENCE_FIXTURES[fixture](d)
     if scalar == "float":
         pts = [tuple(float(c) for c in p) for p in pts]
-    sites = [hemisphere_site_map(p, i) for i, p in enumerate(pts)]
+    sites = [hemisphere_site_map(p) for p in pts]
     n = len(sites)
     blocks = []
     cut_block = cutting._cut_block
@@ -806,7 +831,7 @@ def test_candidates_come_nearest_first(monkeypatch, d):
     # four sites at one distance from site 0 tie; ties go by index
     axis = [(0.5, 0.0), (0.0, 0.5), (-0.5, 0.0), (0.0, -0.5)]
     pts = [(0.0,) * d] + [p + (0.0,) * (d - 2) for p in axis] + random_klein_points(6, d, seed=3)
-    sites = [klein_site_map(p, i) for i, p in enumerate(pts)]
+    sites = [klein_site_map(p) for p in pts]
     n = len(sites)
     homes, first, ran = [], {}, {}  # blocks, first candidates and cuts that ran per cell
     cut_block, nearest = cutting._cut_block, cutting._Feed.nearest
@@ -912,17 +937,18 @@ def test_clip_screen_keeps_non_finite_candidates():
     for bad in ([math.inf, 0.0, -0.5], [math.nan, 0.0, 0.0], [1e308, 1e308, 0.0], [0.0, 0.0, -math.inf]):
         for scale in ([1.0, 0.5], [math.inf, math.inf]):
             R = np.array([bad + scale]).T  # one column: [normal | offset | s1, s0]
-            cells = cutting._Cells(box, 1, clipping.clip_polygon, lambda c, j: hs)
+            cells = cutting._Cells(box, 1, lambda c, j: hs)
             cutting._lockstep(cells, np.array([0]), np.array([7]), R)
             assert block_shapes(cells) == [want]
 
 
-def test_clip_screen_skips_only_containing_halfspaces():
+def test_clip_screen_skips_only_containing_halfspaces(monkeypatch):
     calls = []
+    clip = clipping.clip_polygon
 
     def counting_clip(shape, normal, offset, tag):
         calls.append(tag)
-        return clipping.clip_polygon(shape, normal, offset, tag)
+        return clip(shape, normal, offset, tag)
 
     far = Halfspace((1, 0), -10)  # x <= 10 contains the box
     cut = Halfspace((2, 0), -1)  # x <= 1/2 cuts it
@@ -939,12 +965,13 @@ def test_clip_screen_skips_only_containing_halfspaces():
     rows = np.array([[*planes[j].normal, planes[j].offset] for j in tags], dtype=float)
     R = np.vstack((rows.T, np.abs(rows[:, :-1]).sum(axis=1), np.abs(rows[:, -1])))
     box = _integer_box(2)
-    cells = cutting._Cells(box, 3, counting_clip, halfspace)
+    monkeypatch.setattr(clipping, "clip_polygon", counting_clip)
+    cells = cutting._Cells(box, 3, halfspace)
     cutting._lockstep(cells, cell, tags, R)
     got = block_shapes(cells)
     assert calls == [1, 1, 2]  # each cell's first live pair, in lockstep
     assert made == [(0, 1), (1, 1), (2, 2)]  # skipped candidates are never asked for
-    half = clipping.clip_polygon(box, (2, 0), -1, 1)
+    half = clip(box, (2, 0), -1, 1)
     assert got[:2] == [half, half]
     assert got[2].empty  # an empty cell cuts no more
 
@@ -1035,7 +1062,7 @@ READER_FIXTURES = {
 def test_array_reader_equals_python_reader(fixture, clip):
     # near-degenerate wheels and squares make short edges and grazing cuts;
     # a rational clip radius is compared exactly, as Python compares it
-    sites = [klein_site_map(p, i) for i, p in enumerate(READER_FIXTURES[fixture]())]
+    sites = [klein_site_map(p) for p in READER_FIXTURES[fixture]()]
     with python_reader():
         want = cut_and_build(sites, clip)
     assert_same_complex(cut_and_build(sites, clip), want)
@@ -1099,7 +1126,7 @@ def test_float_polyhedra_leave_only_touching_cuts_to_the_clipper(monkeypatch, fi
     vertex or an edge (its thin-vertex cleanup): none on random input, a
     few where vertices of degree > 3 lie on the cutting planes.  The
     builds equal the reference's, which cuts every cell by the clipper."""
-    sites = [klein_site_map(p, i) for i, p in enumerate(POLYHEDRON_FIXTURES[fixture]())]
+    sites = [klein_site_map(p) for p in POLYHEDRON_FIXTURES[fixture]()]
     left = []
     clip = clipping.clip_polyhedron
 
@@ -1138,7 +1165,7 @@ def test_polyhedron_array_reader_equals_python_reader(monkeypatch, fixture, clip
     vertex candidates, by `repr` (so each candidate's frozenset is made as
     the Python reader makes it); the build equals the Python reader's.  A
     rational clip centre is read as its float64 image, by both."""
-    sites = [klein_site_map(p, i) for i, p in enumerate(POLYHEDRON_FIXTURES[fixture]())]
+    sites = [klein_site_map(p) for p in POLYHEDRON_FIXTURES[fixture]()]
     read, blocks = cutting._Polyhedra.read, []
 
     def both(cells, first, clip, tol):
@@ -1167,15 +1194,14 @@ def test_polyhedron_array_reader_equals_python_reader(monkeypatch, fixture, clip
 
 
 def test_polyhedron_reader_takes_areas_at_the_bound_from_face_area():
-    # Python squares by pow, which can round x * x the other way: an area
-    # within 1e-12 of tol^2 is taken by `clipping.face_area` itself
-    cells = cutting._Polyhedra(clipping.box_polyhedron(1.0), 1, clipping.clip_polyhedron)
+    # an area at tol^2 or next to it is read as `clipping.face_area` reads it
+    cells = cutting._Polyhedra(clipping.box_polyhedron(1.0), 1)
     cells.cut(np.array([0]), np.array([[0.6], [0.8], [0.0], [-0.5], [0.0], [0.0]]), np.array([7]))
     cell = block_shapes(cells)[0]
     face = next(f for f in cell.faces if f.tag == 7)
     area = clipping.face_area([cell.vertices[k] for k in face.ring])
     for tol in (math.sqrt(area), math.nextafter(math.sqrt(area), 0.0), math.nextafter(math.sqrt(area), 1.0)):
-        fresh = cutting._Polyhedra(clipping.box_polyhedron(1.0), 1, clipping.clip_polyhedron)
+        fresh = cutting._Polyhedra(clipping.box_polyhedron(1.0), 1)
         fresh.cut(np.array([0]), np.array([[0.6], [0.8], [0.0], [-0.5], [0.0], [0.0]]), np.array([7]))
         _, found, _ = fresh.read(0, unit_ball(3), tol)
         want = cutting._polyhedron_facets(block_shapes(fresh)[0], tol, unit_ball(3))

@@ -91,7 +91,7 @@ def test_degenerate_delaunay_is_the_lower_hulls(raw, faces):
 def test_adjacency_is_the_full_diagrams_pairs_meeting_the_ball(raw, d):
     """The full power diagram's facets that meet the open ball are the
     clipped build's adjacency, and the full diagram has more."""
-    sites = [power.klein_site_map(p, i) for i, p in enumerate(raw)]
+    sites = [power.klein_site_map(p) for p in raw]
     cx = power.build_complex(sites, power.unit_ball(d))
     hull = PowerHull(sites)
     assert hull.pairs_meeting(cx.clip) == cx.adjacency

@@ -61,7 +61,7 @@ def test_labeller_matches_per_sample_loop():
     pts = [ModelPoint(ModelTag.KLEIN, p) for p in random_klein_points(9, seed=4)]
     dia = voronoi(pts)
     X = ball_points(12, 400, 2)
-    table = cell_matrices([(c.site_index, c.halfspaces) for c in dia.complex.cells], 2)
+    table = cell_matrices(list(enumerate(c.halfspaces for c in dia.complex.cells)), 2)
     labels, margin = label_samples(X, table)
     sites, offsets, _, A, b = table
     for k, x in enumerate(X):

@@ -242,19 +242,25 @@ def cut_and_build(sites, clip):
     return cx, cells
 
 
-def plain_cut_block(window, home, feed, halfspace, clip_fn, reverse=False):
+def plain_cut_block(window, home, feed, side, reverse=False):
     """Reference for `cutting._cut_block`: every other site of every cell,
     nearest centre first (ties by index; farthest first with `reverse`),
-    one cell after the other, no screen and no query, each cut by
-    `halfspace(i, j)`, also on float sites, and read by the Python reader."""
-    C = feed.arrays[0]
+    one cell after the other, no screen and no query, each cut by the
+    Python clipper: by `side(i, j)` on exact sites, on float sites by the
+    lower site's `power.radical_hyperplane` with the higher, of their
+    float images, or its negation, and read by the Python reader."""
+    C, _, W, _, _ = feed.arrays
+    if side is None:
+        images = [WeightedSite(tuple(c), w) for c, w in zip(C.tolist(), W.tolist())]
+        side = lambda i, j: power.radical_hyperplane(images[i], images[j]) if i < j else -side(j, i)
+    clip_fn = clipping.clip_polygon if isinstance(window, Polygon) else clipping.clip_polyhedron
     shapes = []
     for i in home.tolist():
         shape = window
         order = np.argsort(((C - C[i]) ** 2).sum(axis=1), kind="stable").tolist()
         for j in order[::-1] if reverse else order:
             if j != i:
-                hs = halfspace(i, j)
+                hs = side(i, j)
                 shape = clip_fn(shape, hs.normal, hs.offset, j)
         shapes.append(shape.compact())
     return ShapeBlock(shapes)
@@ -612,7 +618,7 @@ def reference_document(
         "chart": {"model": "klein", "curvature": -1.0},
         "sites": [
             {
-                "index": s.origin_index if s.origin_index >= 0 else k,
+                "index": k,
                 "center": encode_vector(s.center, exact),
                 "weight": enc(s.weight),
             }
@@ -620,7 +626,7 @@ def reference_document(
         ],
         "cells": [
             {
-                "site": cell.site_index,
+                "site": k,
                 "empty": cell.empty,
                 "halfspaces": [
                     {
@@ -631,7 +637,7 @@ def reference_document(
                     for j in sorted(cell.halfspaces)
                 ],
             }
-            for cell in cx.cells
+            for k, cell in enumerate(cx.cells)
         ],
         "clip": {
             "center": encode_vector(cx.clip.center, exact),
