@@ -20,8 +20,9 @@ with the sign of the rational value, and the crossing f1 v0 - f0 v1 needs
 no division, only its gcd (Yap, "Towards exact geometric computation",
 CGTA 7, 1997).  Such a tuple is unique for its point, so `==` on vertices
 is equality of points on both routes.  `to_homogeneous` and `to_affine`
-convert a rational point; the power engine makes `Fraction`s once per
-vertex, when a cell's cuts end.
+convert a rational point; the exact reader tests vertices against the
+ball on the integers (`integer_ball_test`) and makes `Fraction`s only
+for the points it returns.
 
 `merge_near` is the one merge of near points, for power vertices and
 Delaunay faces.
@@ -66,11 +67,6 @@ class Polygon:
         `Polyhedron.compact`)."""
         return self
 
-    def least_first(self) -> Polygon:
-        """The same polygon, its ring starting at its least vertex."""
-        k = self.vertices.index(min(self.vertices)) if self.vertices else 0
-        return Polygon(self.vertices[k:] + self.vertices[:k], self.tags[k:] + self.tags[:k])
-
 
 def box_polygon(h) -> Polygon:
     """The square [-h, h]^2 around the origin, counterclockwise."""
@@ -80,7 +76,7 @@ def box_polygon(h) -> Polygon:
 def to_homogeneous(point) -> tuple:
     """The primitive integer homogeneous tuple (X_1, ..., X_d, Z) of a
     rational point: Z > 0 is the least common denominator."""
-    fracs = [Fraction(c) for c in point]
+    fracs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in point]
     z = math.lcm(*(f.denominator for f in fracs))
     return tuple(f.numerator * (z // f.denominator) for f in fracs) + (z,)
 
@@ -158,6 +154,34 @@ def segment_min_norm_sq(v0, v1):
     return norm_sq(w)
 
 
+def integer_ball_test(vertices, centre, r2):
+    """Which integer homogeneous vertices lie strictly inside a ball, and
+    whether the segment between vertices k and j comes closer to its
+    centre than r, on the integers (a float centre or squared radius is
+    taken at its exact value).  With the centre's homogeneous
+    tuple C + (D,) and r^2 = M / N, a vertex X / Z is P / Q for
+    P = D X - C Z and Q = D Z > 0, inside when N |P|^2 < M Q^2.
+    A segment P0 / Q0 -> P1 / Q1 with neither end inside comes closer than
+    r when its foot parameter t = -<P0, E> Q1 / |E|^2, E = P1 Q0 - P0 Q1,
+    lies in (0, 1) and N (|P0|^2 |E|^2 - <P0, E>^2) < M Q0^2 |E|^2."""
+    C, D = centre[:-1], centre[-1]
+    r2 = Fraction(r2)
+    M, N = r2.numerator, r2.denominator
+    P, Q = [], []
+    for v in vertices:
+        P.append(tuple(D * x - c * v[-1] for x, c in zip(v, C)))
+        Q.append(D * v[-1])
+    inside = [N * norm_sq(p) < M * q * q for p, q in zip(P, Q)]
+
+    def meets(k, j):
+        (p0, q0), (p1, q1) = (P[k], Q[k]), (P[j], Q[j])
+        e = [a * q0 - b * q1 for a, b in zip(p1, p0)]
+        pe, ee = dot(p0, e), norm_sq(e)
+        return 0 < -pe * q1 < ee and N * (norm_sq(p0) * ee - pe * pe) < M * q0 * q0 * ee
+
+    return inside, meets
+
+
 # --- polyhedra (d = 3) -------------------------------------------------------
 
 @dataclass
@@ -198,12 +222,6 @@ class Polyhedron:
         return Polyhedron(
             [self.vertices[k] for k in used], [Face(f.tag, [index[k] for k in f.ring]) for f in self.faces]
         )
-
-    def least_first(self) -> Polyhedron:
-        """The same polyhedron, each ring starting at its least vertex."""
-        starts = [f.ring.index(min(f.ring, key=self.vertices.__getitem__)) for f in self.faces]
-        rings = (f.ring[k:] + f.ring[:k] for f, k in zip(self.faces, starts))
-        return Polyhedron(self.vertices, [Face(f.tag, r) for f, r in zip(self.faces, rings)])
 
 
 def box_polyhedron(h) -> Polyhedron:

@@ -30,8 +30,11 @@ polyhedron (`_Cells`).
 Each block is read as soon as its cuts end, its rings started at their
 least vertex (no output depends on the cut order): `_Rings` and
 `_Polyhedra` read their arrays in numpy, with the IEEE operations of the
-Python tests they replace, `_Cells` each exact cell in `Fraction`s.  No
-other module reads a block.
+Python tests they replace.  `_Cells` reads each exact cell on its integer
+vertices (least-first order, a polygon's in-ball tests, site sets), but
+for a polyhedron's area and in-ball tests, which read the float images
+X / Z its cut made, bit for bit `float(Fraction(X, Z))`; it makes a
+`Fraction` only for a point it returns.  No other module reads a block.
 
 Every float row of the package is a column of `pair_rows`, made in numpy
 from the site arrays of `site_arrays`.
@@ -50,7 +53,7 @@ from .clipping import (
     BOX_TAG, Face, Polygon, Polyhedron, face_area, face_min_norm_sq, to_affine, to_homogeneous,
 )
 from .errors import CoincidentSites, DomainViolation
-from .scalars import as_floats, dot, norm_sq, vsub
+from .scalars import as_floats, norm_sq, vsub
 
 # Relative margin of the float screen in `_lockstep`.  It only decides
 # which provable no-op cuts are skipped, never the geometry: a hyperplane
@@ -427,9 +430,9 @@ class _Rings:
         self.V, self.T = self.V[:, :width], self.T[:width]
 
     def least_first(self):
-        """Start each ring at its least vertex, the first of them, as
-        `Polygon.least_first` does (on a ring with a nan coordinate, by
-        that very call)."""
+        """Start each ring at its least vertex as tuples compare, the first
+        of them (on a ring with a nan coordinate, by `ring.index(min(ring))`
+        itself)."""
         P, L = self.V, self.L
         col = np.arange(P.shape[2])
         slot = np.arange(P.shape[1])[:, None]
@@ -715,8 +718,8 @@ class _Polyhedra:
         return Polyhedron(list(map(tuple, self.V[:, :self.N[c], c].T.tolist())), faces)
 
     def least_first(self):
-        """Start each ring at its least vertex, the first of them, as
-        `Polyhedron.least_first` does (on tables with no nan)."""
+        """Start each ring at its least vertex as tuples compare, the first
+        of them (on tables with no nan)."""
         F, FL = self.F, self.FL
         pos = np.arange(F.shape[2])
         ring = at = pos < FL[:, :, None]
@@ -871,55 +874,53 @@ class _Cells:
 
     def read(self, first, clip, tol):
         """`cut_cells`' reading of cells first, first + 1, ..., one at a
-        time, in `Fraction`s."""
+        time, on their integer vertices, but for a polyhedron's area and
+        in-ball tests, which read the float images its cut made.  A
+        `Fraction` point is made once per vertex the block returns."""
+        centre, r2, affine = to_homogeneous(clip.center), clip.radius**2, {}
         empty, found, candidates = [], [], []
-        for i, cell in enumerate(self.cells, first):
+
+        def point(v):
+            return affine.get(v) or affine.setdefault(v, to_affine(v))
+
+        for i, (cell, images) in enumerate(zip(self.cells, self.images), first):
             cell = cell.compact()
-            cell = replace(cell, vertices=[to_affine(v) for v in cell.vertices]).least_first()
             empty.append(cell.empty)
             if isinstance(cell, Polyhedron):
-                facets, vertices = _polyhedron_facets(cell, tol, clip), _polyhedron_vertices(cell, i)
+                fv = [v for v in images if v is not None]
+                rel = [as_floats(vsub(point(v), clip.center)) for v in cell.vertices] if any(clip.center) else fv
+                rings = ((f, _least(cell.vertices, f.ring)) for f in cell.faces)
+                cell = Polyhedron(cell.vertices, [Face(f.tag, f.ring[k:] + f.ring[:k]) for f, k in rings])
+                facets, vertices = _polyhedron_facets(cell, tol, r2, fv, rel), _polyhedron_vertices(cell, i)
             else:
-                facets, vertices = _polygon_facets(cell, clip), _polygon_vertices(cell, i)
-            found += [((i, j) if i < j else (j, i), facet) for j, facet in facets]
-            candidates += vertices
+                k = _least(cell.vertices, range(len(cell.vertices)))
+                cell = Polygon(cell.vertices[k:] + cell.vertices[:k], cell.tags[k:] + cell.tags[:k])
+                facets, vertices = _polygon_facets(cell, centre, r2), _polygon_vertices(cell, i)
+            found += [((i, j) if i < j else (j, i), tuple(map(point, facet))) for j, facet in facets]
+            candidates += [(point(v), sites) for v, sites in vertices]
         return empty, found, candidates
 
 
-def _integer_ball_test(points, clip):
-    """Which rational points lie strictly inside the clip ball, and whether
-    the segment between points k and j comes closer to its centre than r,
-    on the integers (a float centre or squared radius is taken at its
-    exact value).  With the centre C / D and r^2 = M / N cleared of
-    denominators, a point X / Z is P / Q for P = D X - C Z and Q = D Z > 0,
-    inside when N |P|^2 < M Q^2.
-    A segment P0 / Q0 -> P1 / Q1 with neither end inside comes closer than
-    r when its foot parameter t = -<P0, E> Q1 / |E|^2, E = P1 Q0 - P0 Q1,
-    lies in (0, 1) and N (|P0|^2 |E|^2 - <P0, E>^2) < M Q0^2 |E|^2."""
-    centre = to_homogeneous(clip.center)
-    C, D = centre[:-1], centre[-1]
-    r2 = Fraction(clip.radius**2)
-    M, N = r2.numerator, r2.denominator
-    P, Q = [], []
-    for v in map(to_homogeneous, points):
-        P.append(tuple(D * x - c * v[-1] for x, c in zip(v, C)))
-        Q.append(D * v[-1])
-    inside = [N * norm_sq(p) < M * q * q for p, q in zip(P, Q)]
-
-    def meets(k, j):
-        (p0, q0), (p1, q1) = (P[k], Q[k]), (P[j], Q[j])
-        e = [a * q0 - b * q1 for a, b in zip(p1, p0)]
-        pe, ee = dot(p0, e), norm_sq(e)
-        return 0 < -pe * q1 < ee and N * (norm_sq(p0) * ee - pe * pe) < M * q0 * q0 * ee
-
-    return inside, meets
+def _least(vertices, ring):
+    """Where in ring its least vertex is, the first of equals: the points
+    X / Z compared as tuples compare, on the integers."""
+    k = 0
+    for p in range(1, len(ring)):
+        u, v = vertices[ring[p]], vertices[ring[k]]
+        for x, y in zip(u, v):  # x / u[-1] against y / v[-1]
+            if x * v[-1] != y * u[-1]:
+                if x * v[-1] < y * u[-1]:
+                    k = p
+                break
+    return k
 
 
-def _polygon_facets(poly, clip):
-    """Radical edges of an exact polygon that have positive length and
-    come closer to the clip centre than its radius, exactly, on the
-    integers; an edge with an end strictly inside the ball does at once."""
-    inside, meets = _integer_ball_test(poly.vertices, clip)
+def _polygon_facets(poly, centre, r2):
+    """Radical edges of a polygon on integer homogeneous vertices that
+    have positive length and come closer to the clip centre than its
+    radius, exactly (`clipping.integer_ball_test`); an edge with an end
+    strictly inside the ball does at once."""
+    inside, meets = clipping.integer_ball_test(poly.vertices, centre, r2)
     for k, (tag, v0, v1) in enumerate(poly.edges()):
         if tag is BOX_TAG or v0 == v1:
             continue
@@ -928,14 +929,11 @@ def _polygon_facets(poly, clip):
             yield tag, (v0, v1)
 
 
-def _polyhedron_facets(polyh, tol, clip):
-    """Radical faces of an exact polyhedron whose float area is above
-    tol^2 and that come closer to the clip centre than its radius (float);
-    a face with a vertex strictly inside the ball does at once.  The
-    vertex table is taken in floats once."""
-    fv = [as_floats(v) for v in polyh.vertices]
-    rel = [as_floats(vsub(v, clip.center)) for v in polyh.vertices] if any(clip.center) else fv
-    r2 = clip.radius**2
+def _polyhedron_facets(polyh, tol, r2, fv, rel):
+    """Radical faces of a polyhedron whose float area is above tol^2 and
+    that come closer to the clip centre than its radius (float); a face
+    with a vertex strictly inside the ball does at once.  fv: the float
+    images of the vertices; rel: those of their offsets from the centre."""
     inside = [norm_sq(v) < r2 for v in rel]
     for face in polyh.faces:
         if face.tag is BOX_TAG:

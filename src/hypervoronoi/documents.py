@@ -201,10 +201,12 @@ def _filled(templates, indent: str, *columns) -> str:
 
 def _numbers(xs, exact: bool) -> list:
     """JSON texts of numbers, as `dump_json` writes their `encode_number`;
-    NaN and infinities raise its ValueError.  A float is written as its
+    NaN and infinities raise its ValueError.  An exact int or `Fraction`
+    is written from its numerator and denominator; a float as its
     magnitude with the sign in front, so each magnitude is written once."""
     if exact:
-        return ['"%s"' % encode_number(x, True) for x in xs]
+        return ['"%d/%d"' % (x.numerator, x.denominator) if isinstance(x, (int, Fraction))
+                else '"%s"' % encode_number(x, True) for x in xs]
     v = np.array(xs, dtype=float).reshape(-1)
     magnitudes, index = np.unique(np.abs(v), return_inverse=True)
     texts = list(map(float.__repr__, magnitudes.tolist()))

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from . import clipping, cutting, power, sampling
-from .bisectors import ImplicitSurface, scale_surface, transport_surface
+from .bisectors import _from_klein_coeffs, scale_surface
 from .conversions import hub_coords
 from .errors import (
     DuplicateSites,
@@ -39,7 +39,7 @@ from .models import (
     distance,
 )
 from .power import PowerComplex, build_complex, unit_ball
-from .scalars import as_floats, norm_sq, row_floats, vsub
+from .scalars import all_exact, as_floats, norm_sq, row_floats, vsub
 
 ROUTE_KLEIN = "klein"
 ROUTE_HEMISPHERE = "hemisphere"
@@ -78,12 +78,17 @@ class VoronoiDiagram:
     @cached_property
     def dual_faces(self) -> tuple:
         """Site sets of the power vertices strictly inside the complex's clip
-        ball (|v - centre|^2 < r^2, exact on rational input, as for facets),
-        merged within DUAL_MERGE_TOL: the Delaunay faces, unsorted.  Made
-        once per diagram for `delaunay` and `detect_degeneracies`."""
-        clip = self.complex.clip
-        r2 = clip.radius**2
-        inside = [v for v in self.complex.power_vertices if norm_sq(vsub(v.point, clip.center)) < r2]
+        ball (|v - centre|^2 < r^2, as for facets: on the integers on
+        rational input), merged within DUAL_MERGE_TOL: the Delaunay faces,
+        unsorted.  Made once per diagram for `delaunay` and
+        `detect_degeneracies`."""
+        clip, vertices = self.complex.clip, self.complex.power_vertices
+        if all_exact([c for v in vertices for c in v.point] + [*clip.center, clip.radius]):
+            test = clipping.integer_ball_test([clipping.to_homogeneous(v.point) for v in vertices],
+                                              clipping.to_homogeneous(clip.center), clip.radius**2)[0]
+        else:
+            test = [norm_sq(vsub(v.point, clip.center)) < clip.radius**2 for v in vertices]
+        inside = list(itertools.compress(vertices, test))
         kleins = [h[1:] for h in self.hub_points]
         return tuple(frozenset(g[1]) for g in _merge_dual_vertices(inside, kleins, DUAL_MERGE_TOL))
 
@@ -137,15 +142,17 @@ def _check_point_set(points):
     if not points:
         raise EmptySites("need at least one site")
     first = points[0]
+    exact = all(all_exact(p.coords) for p in points)  # keyed by numerator and denominator: no Fraction hashed
     seen = {}
     for k, p in enumerate(points):
         if p.model is not first.model:
             raise ModelMismatch(f"site {k} is in model {p.model.value}")
         if p.curvature.kappa != first.curvature.kappa:
             raise ModelMismatch(f"site {k} has curvature {p.curvature.kappa}")
-        if p.coords in seen:
-            raise DuplicateSites(f"sites {seen[p.coords]} and {k} coincide")
-        seen[p.coords] = k
+        key = tuple((c.numerator, c.denominator) for c in p.coords) if exact else p.coords
+        if key in seen:
+            raise DuplicateSites(f"sites {seen[key]} and {k} coincide")
+        seen[key] = k
 
 
 def oracle_hubs(points, route: str) -> list:
@@ -187,9 +194,8 @@ def voronoi(points, route: str = ROUTE_KLEIN) -> VoronoiDiagram:
     boundaries = {}
     for (i, j) in sorted(cx.adjacency):
         hs = cx.cells[i].halfspaces[j]
-        chart = ImplicitSurface(0, hs.normal, hs.offset, ModelTag.KLEIN)
-        moved = transport_surface(chart, model)
-        boundaries[(i, j)] = scale_surface(moved, curvature, to_unit=False)
+        surface = _from_klein_coeffs(hs.normal, hs.offset, model)  # the chart's row, in the input model
+        boundaries[(i, j)] = scale_surface(surface, curvature, to_unit=False)
     return VoronoiDiagram(
         model=model,
         curvature=curvature,

@@ -22,8 +22,8 @@ For d in {2, 3}, `build_complex` runs in three stages.
 2. Halfspaces: `_halfspaces` gives each facet's lower cell its row and
    the higher cell the negation; a float row is its cut's `pair_rows`
    column, bit for bit.  A cell that misses the centre (the `locate` tie
-   set) is empty without a facet, since the window lies outside the open
-   ball.
+   set, on the integer rows of exact sites) is empty without a facet,
+   since the window lies outside the open ball.
 3. Merge: vertices of neighbouring cells merge into power vertices
    within a tolerance, in one array pass (`clipping.merge_near`).
 Other dimensions keep every cell's n-1 halfspaces, from `_halfspaces`.
@@ -255,7 +255,8 @@ class PowerComplex:
         return self.dimension in (2, 3)
 
 
-def _check_sites(sites) -> int:
+def _check_sites(sites, exact) -> int:
+    """The sites' dimension; exact sites are keyed by integer row, so no `Fraction` is hashed."""
     if not sites:
         raise EmptySites("build_complex needs at least one site")
     d = len(sites[0].center)
@@ -263,19 +264,29 @@ def _check_sites(sites) -> int:
     for k, s in enumerate(sites):
         if len(s.center) != d:
             raise ArityMismatch("sites have inconsistent dimensions")
-        key = (s.center, s.weight)
+        key = s.integer_row if exact else (s.center, s.weight)
         if key in seen:
             raise DuplicateSites(f"sites {seen[key]} and {k} coincide")
         seen[key] = k
     return d
 
 
+def _centre_ties(sites, centre):
+    """`locate`'s tie set at a rational centre X / Z for exact sites, on
+    their integer rows: site k's power there, less |x|^2 and times Z > 0,
+    is (B_k Z - 2 <A_k, X>) / D_k."""
+    *X, Z = clipping.to_homogeneous(centre)
+    powers = [(b * Z - 2 * dot(a, X), den) for a, b, den in (s.integer_row for s in sites)]
+    least, over = min(powers, key=functools.cmp_to_key(lambda u, v: u[0] * v[1] - v[0] * u[1]))
+    return tuple(k for k, (p, q) in enumerate(powers) if p * over == least * q)
+
+
 def _halfspaces(pairs, n, arrays, side=None):
     """Every cell's halfspaces, {neighbour: Halfspace} in ascending
-    neighbour order, for the sorted pairs (i, j), i < j: cell i gets the
-    exact row side(i, j) on exact sites, or else the pair's
-    `cutting.pair_rows` column, made `cutting.BLOCK_PAIRS` pairs at a time;
-    cell j gets its negation."""
+    neighbour order, for the sorted pairs (i, j), i < j: on exact sites
+    cell i gets the exact row side(i, j) and cell j side(j, i); on others
+    cell i gets the pair's `cutting.pair_rows` column, made
+    `cutting.BLOCK_PAIRS` pairs at a time, and cell j its negation."""
     d = arrays[0].shape[1]
     own = [{} for _ in range(n)]
     step = cutting.BLOCK_PAIRS
@@ -284,11 +295,11 @@ def _halfspaces(pairs, n, arrays, side=None):
         if side is None:
             home, tags = np.array(part, dtype=np.intp).T
             rows = cutting.pair_rows(arrays, home, tags, True)[:d + 1].T.tolist()
-            made = [Halfspace(r[:d], r[d]) for r in rows]
+            made = [(hs, -hs) for hs in (Halfspace(r[:d], r[d]) for r in rows)]
         else:
-            made = [side(i, j) for i, j in part]
-        for (i, j), hs in zip(part, made):
-            own[i][j], own[j][i] = hs, -hs
+            made = [(side(i, j), side(j, i)) for i, j in part]
+        for (i, j), (hs, other) in zip(part, made):
+            own[i][j], own[j][i] = hs, other
     return own
 
 
@@ -304,21 +315,22 @@ def build_complex(sites, clip: Ball) -> PowerComplex:
     halfspaces, merge the vertices.  Other dimensions make every pair's
     halfspaces."""
     sites = list(sites)
-    d = _check_sites(sites)
+    exact = all(all_exact(s.center + (s.weight,)) for s in sites)
+    d = _check_sites(sites, exact)
     n = len(sites)
     if len(clip.center) != d:
         raise ArityMismatch("clip ball dimension does not match sites")
-    exact = all(all_exact(s.center + (s.weight,)) for s in sites)
     arrays = cutting.site_arrays(sites, d)
     # from here on one arithmetic: the exact sites, or the others' float64 images
     work = sites if exact else [WeightedSite(tuple(c), w) for c, w in zip(arrays[0].tolist(), arrays[2].tolist())]
-    made = {}  # (i, j), i < j -> radical_hyperplane(sites[i], sites[j])
+    made = {}  # (i, j) -> exact cell i's side of the (i, j) radical hyperplane, both ways
 
-    def side(i, j):  # exact cell i's side of the (i, j) radical hyperplane
-        key = (i, j) if i < j else (j, i)
-        if key not in made:  # raises nothing: the sites are distinct, their rows nonzero
-            made[key] = radical_hyperplane(sites[key[0]], sites[key[1]])
-        return made[key] if i < j else -made[key]
+    def side(i, j):
+        if (i, j) not in made:  # raises nothing: the sites are distinct, their rows nonzero
+            lo, hi = min(i, j), max(i, j)
+            made[lo, hi] = radical_hyperplane(sites[lo], sites[hi])
+            made[hi, lo] = -made[lo, hi]
+        return made[i, j]
 
     exact_side = side if exact else None
     if d not in (2, 3):
@@ -333,7 +345,8 @@ def build_complex(sites, clip: Ball) -> PowerComplex:
     # 2. the facets' halfspaces; a cell that misses the centre (the `locate`
     # tie set) is empty without one, since the window lies outside the open ball
     own = _halfspaces(sorted(facets), n, arrays, exact_side)
-    holders = locate(clip.center, work)[1]
+    exact_centre = exact and all_exact(clip.center)
+    holders = _centre_ties(sites, clip.center) if exact_centre else locate(clip.center, work)[1]
     cells = [ConvexCell(own[i], e or (i not in holders and not own[i])) for i, e in enumerate(empty)]
 
     # 3. merge the vertices of neighbouring cells into power vertices

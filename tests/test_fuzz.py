@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
+from hypothesis import HealthCheck, assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from hypervoronoi import (  # noqa: E402
@@ -54,6 +54,7 @@ from util import (  # noqa: E402
     assert_same_complex,
     block_shapes,
     canonical_halfspace,
+    cocircular_square,
     cut_and_build,
     fraction_clip_polygon,
     fraction_clip_polyhedron,
@@ -64,6 +65,7 @@ from util import (  # noqa: E402
     reference_oracle,
     reference_radical_hyperplane,
     reference_report,
+    wheel_points,
 )
 
 
@@ -534,7 +536,7 @@ def test_numpy_ring_step_equals_clip_polygon(data):
 @given(st.data())
 def test_numpy_least_first_equals_polygon_least_first(data):
     """`cutting._Rings.least_first` starts each ring where
-    `Polygon.least_first` does, by `repr`: on rings with equal points (0.0
+    `util.least_first` does, by `repr`: on rings with equal points (0.0
     and -0.0 among them), infinite and nan coordinates, and empty rings."""
     value = st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]) | st.floats()
     ring = st.just([]) | st.lists(st.tuples(value, value), min_size=3, max_size=7)
@@ -617,6 +619,61 @@ def test_delaunay_simplices_are_made_of_adjacency_pairs(case):
     for face in delaunay(dia).faces:
         if len(face) == d + 1:
             assert set(itertools.combinations(sorted(face), 2)) <= dia.complex.adjacency
+
+
+def _relabelled(dia, name):
+    """A diagram's combinatorics with site k called name[k]: adjacency, each
+    cell's emptiness and halfspaces, power-vertex site sets, the Delaunay
+    complex and the degeneracy groups."""
+    cx, dual, report = dia.complex, delaunay(dia), detect_degeneracies(dia)
+
+    def group(g):
+        return tuple(sorted(name[k] for k in g))
+
+    return {
+        "adjacency": sorted(map(group, cx.adjacency)),
+        "cells": sorted((name[k], c.empty, sorted((name[j], h) for j, h in c.halfspaces.items()))
+                        for k, c in enumerate(cx.cells)),
+        "power vertices": sorted(group(v.sites) for v in cx.power_vertices),
+        "delaunay": (sorted(map(group, dual.faces)), sorted(map(group, dual.edges)), dual.is_triangulation),
+        "degeneracies": [sorted(map(group, getattr(report, g))) for g in (
+            "cocircular_groups", "collinear_groups", "equal_norm_groups", "equal_height_groups")],
+    }
+
+
+# stereographic parameters of a rational hemisphere point each (`_hemisphere_point`)
+_WHEEL = wheel_points(8)
+_SQUARE = cocircular_square()
+_TIED = [(0.25, 0.0), (0.0, 0.25), (0.5, 0.375), (-0.5, 0.125), (0.125, -0.625)]  # the centre's tie set: 0, 1
+_OCTAHEDRON = [tuple(s * (k == axis) / 3 for k in range(3)) for axis in range(3) for s in (1, -1)]
+_TIED_3 = [(0.25, 0, 0), (0, 0.25, 0), (0.5, 0.375, 0.25), (-0.5, 0.125, 0), (0.125, -0.5, 0.25)]
+
+
+@st.composite
+def _parameter_sets(draw):
+    d = draw(st.sampled_from([2, 3]))
+    coord = st.fractions(Fraction(-1, 2), Fraction(1, 2), max_denominator=12)  # |t| < 1
+    return draw(st.lists(st.tuples(*[coord] * d), min_size=2, max_size=9 if d == 2 else 6, unique=True))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_parameter_sets(), st.integers(0, 2**16))
+@example(_WHEEL, 1)
+@example(_SQUARE, 2)
+@example(_TIED, 3)
+@example(_OCTAHEDRON, 4)
+@example(_TIED_3, 5)
+def test_exact_build_of_permuted_points_is_the_relabelled_build(ts, seed):
+    """The exact build of a permutation of the points is the build of the
+    points with its sites renamed, with no tolerance: the same adjacency,
+    halfspaces, emptiness, power-vertex site sets, Delaunay faces and
+    degeneracy groups.  The explicit examples hold a wheel, a co-circular
+    set, and a set whose clip centre two sites tie for, at d = 2 and 3."""
+    points = [ModelPoint(ModelTag.HEMISPHERE, _hemisphere_point(tuple(map(Fraction, t)))) for t in ts]
+    order = np.random.default_rng(seed).permutation(len(points)).tolist()  # site m of the moved set is site order[m]
+    want = _relabelled(voronoi(points, route="hemisphere"), range(len(points)))
+    got = _relabelled(voronoi([points[k] for k in order], route="hemisphere"), order)
+    assert got == want
 
 
 # --- the integer homogeneous clippers against the Fraction clippers ------------------

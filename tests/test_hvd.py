@@ -762,3 +762,64 @@ def test_boundaries_are_transported_radical_hyperplanes(make, route):
         want[i, j] = scale_surface(moved, dia.curvature, to_unit=False)
     assert len(want) >= 10
     assert repr(dia.boundaries) == repr(want)
+
+
+# --- duplicates and the exact route's arithmetic ------------------------------
+
+@pytest.mark.parametrize(
+    "raw, pair",
+    [
+        # an exact point set with a repeated point: keyed by numerator and denominator
+        ([(Fraction(1, 3), 0), (0, Fraction(1, 4)), (Fraction(-1, 5), Fraction(1, 7)), (Fraction(2, 6), 0)], (0, 3)),
+        # one value spelled as an int and as a Fraction
+        ([(0, Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 4)), (Fraction(0), Fraction(2, 4))], (0, 2)),
+        # and as a float: a mixed set finds it as Python equality does
+        ([(0, Fraction(1, 2)), (Fraction(1, 3), 0.25), (0.0, 0.5)], (0, 2)),
+        ([(Fraction(1, 3), 0.25), (0.5, 0.0), (Fraction(1, 3), Fraction(1, 4))], (0, 2)),
+    ],
+)
+def test_duplicate_points_name_the_first_pair(raw, pair):
+    with pytest.raises(DuplicateSites, match=f"sites {pair[0]} and {pair[1]} coincide"):
+        voronoi(kpts(raw))
+
+
+def test_exact_voronoi_decides_on_integers(monkeypatch):
+    """An exact d=2 build converts only the window and the clip centre to
+    homogeneous tuples, hashes no `Fraction` and negates each radical
+    hyperplane at most once: the cell reader, the duplicate checks, the
+    centre's tie set and the halfspaces work on the integers."""
+    from hypervoronoi import cutting
+
+    pts = [ModelPoint(ModelTag.HEMISPHERE, p) for p in rational_hemisphere_points(20, 2, seed=4)]
+    homogeneous, hashes, negations, rows = [], [], [], []
+    to_homogeneous, fraction_hash = clipping.to_homogeneous, Fraction.__hash__
+    neg, radical = power.Halfspace.__neg__, power.radical_hyperplane
+
+    def counting_to_homogeneous(point):
+        homogeneous.append(tuple(point))
+        return to_homogeneous(point)
+
+    def counting_hash(self):
+        hashes.append(self)
+        return fraction_hash(self)
+
+    def counting_neg(self):
+        negations.append(self)
+        return neg(self)
+
+    def counting_radical(s_i, s_j):
+        rows.append((s_i, s_j))
+        return radical(s_i, s_j)
+
+    for module in (clipping, cutting):
+        monkeypatch.setattr(module, "to_homogeneous", counting_to_homogeneous)
+    monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+    monkeypatch.setattr(power.Halfspace, "__neg__", counting_neg)
+    monkeypatch.setattr(power, "radical_hyperplane", counting_radical)
+    dia = voronoi(pts, route=ROUTE_HEMISPHERE)
+    monkeypatch.undo()
+    corners = {(x, y) for x in (-1, 1) for y in (-1, 1)}
+    assert set(homogeneous) <= corners | {(0, 0)} and len(homogeneous) <= len(corners) + 2
+    assert not hashes
+    assert len(dia.complex.adjacency) >= 20 and len(negations) <= len(rows)
+    assert len(rows) == len(set(map(frozenset, rows)))

@@ -47,8 +47,10 @@ from util import (
     canonical_halfspace,
     cocircular_square,
     cut_and_build,
+    least_first,
     linear_merge_near,
     plain_cut_block,
+    polyhedron_facets,
     python_reader,
     random_klein_point,
     recorded_cells,
@@ -429,6 +431,23 @@ def test_equal_center_site_loses_everywhere():
 def test_duplicate_sites_rejected():
     with pytest.raises(DuplicateSites):
         build_complex([W((0, 0), 1), W((0, 0), 1)], clip=unit_ball(2))
+
+
+@pytest.mark.parametrize(
+    "sites, pair",
+    [
+        # exact sites, keyed by their integer rows: one value as an int and as a Fraction
+        ([W((0, Fraction(1, 2)), 1), W((Fraction(1, 3), 0), 0), W((Fraction(0), Fraction(2, 4)), Fraction(1))], (0, 2)),
+        # and as a float: a mixed set finds it as Python equality does
+        ([W((0, Fraction(1, 2)), Fraction(1, 4)), W((Fraction(1, 3), 0), 0), W((0.0, 0.5), 0.25)], (0, 2)),
+        ([W((Fraction(1, 3), 0.25), 0), W((0.5, 0.0), 1), W((Fraction(1, 3), Fraction(1, 4)), 0.0)], (0, 2)),
+    ],
+)
+def test_duplicate_sites_name_the_first_pair(sites, pair):
+    with pytest.raises(DuplicateSites, match=f"sites {pair[0]} and {pair[1]} coincide"):
+        build_complex(sites, clip=unit_ball(2))
+    # a site with another weight is another site
+    build_complex(sites[:pair[1]] + [W(sites[pair[1]].center, Fraction(1, 9))], clip=unit_ball(2))
 
 
 def test_clip_ball_is_required():
@@ -888,7 +907,8 @@ def test_integer_ball_test_equals_the_rational_one():
         clip = Ball(rational(2, 10) if trial % 2 else (0, 0), radius)
         points = [rational(2, 60) for _ in range(6)]
         points.append(tuple(c + Fraction(1, 7) for c in clip.center))  # inside
-        inside, meets = cutting._integer_ball_test(points, clip)
+        homogeneous = [clipping.to_homogeneous(p) for p in points]
+        inside, meets = clipping.integer_ball_test(homogeneous, clipping.to_homogeneous(clip.center), clip.radius**2)
         want_inside, want_meets = ball_test(points, clip)
         assert inside == want_inside
         for k, j in itertools.permutations(range(len(points)), 2):
@@ -1169,7 +1189,7 @@ def test_polyhedron_array_reader_equals_python_reader(monkeypatch, fixture, clip
     read, blocks = cutting._Polyhedra.read, []
 
     def both(cells, first, clip, tol):
-        polys = [p.least_first() for p in block_shapes(cells)]
+        polys = [least_first(p) for p in block_shapes(cells)]
         empty, found, candidates = ShapeBlock(block_shapes(cells)).read(first, clip, tol)
         got = read(cells, first, clip, tol)
         assert block_shapes(cells) == polys and repr(block_shapes(cells)) == repr(polys)
@@ -1204,5 +1224,5 @@ def test_polyhedron_reader_takes_areas_at_the_bound_from_face_area():
         fresh = cutting._Polyhedra(clipping.box_polyhedron(1.0), 1)
         fresh.cut(np.array([0]), np.array([[0.6], [0.8], [0.0], [-0.5], [0.0], [0.0]]), np.array([7]))
         _, found, _ = fresh.read(0, unit_ball(3), tol)
-        want = cutting._polyhedron_facets(block_shapes(fresh)[0], tol, unit_ball(3))
+        want = polyhedron_facets(block_shapes(fresh)[0], tol, unit_ball(3))
         assert [((0, 7), facet) for _, facet in want] == found

@@ -128,10 +128,15 @@ def linear_merge_near(items, tol, accept=None):
 
 # --- cut blocks as shapes, and the Python reader: the references for `read` --
 
-def least_first(self) -> Polygon:
-    """The same polygon, its ring starting at its least vertex."""
-    k = self.vertices.index(min(self.vertices)) if self.vertices else 0
-    return Polygon(self.vertices[k:] + self.vertices[:k], self.tags[k:] + self.tags[:k])
+def least_first(shape):
+    """The same polygon or polyhedron, each ring starting at its least
+    vertex, the first of them: the start every reader gives a ring."""
+    if isinstance(shape, Polygon):
+        k = shape.vertices.index(min(shape.vertices)) if shape.vertices else 0
+        return Polygon(shape.vertices[k:] + shape.vertices[:k], shape.tags[k:] + shape.tags[:k])
+    starts = [f.ring.index(min(f.ring, key=shape.vertices.__getitem__)) for f in shape.faces]
+    rings = (f.ring[k:] + f.ring[:k] for f, k in zip(shape.faces, starts))
+    return Polyhedron(shape.vertices, [Face(f.tag, r) for f, r in zip(shape.faces, rings)])
 
 
 def ball_test(points, clip):
@@ -147,7 +152,11 @@ def polygon_facets(poly, tol, exact, clip):
     that come closer to the clip centre than its radius (exact likewise,
     on the integers).  An edge with an end strictly inside the ball does
     at once."""
-    inside, meets = (cutting._integer_ball_test if exact else ball_test)(poly.vertices, clip)
+    if exact:
+        vertices = [clipping.to_homogeneous(v) for v in poly.vertices]
+        inside, meets = clipping.integer_ball_test(vertices, clipping.to_homogeneous(clip.center), clip.radius**2)
+    else:
+        inside, meets = ball_test(poly.vertices, clip)
     for k, (tag, v0, v1) in enumerate(poly.edges()):
         if tag is BOX_TAG:
             continue
@@ -156,6 +165,15 @@ def polygon_facets(poly, tol, exact, clip):
         j = (k + 1) % len(poly.vertices)
         if inside[k] or inside[j] or meets(k, j):
             yield tag, (v0, v1)
+
+
+def polyhedron_facets(polyh, tol, clip):
+    """`cutting._polyhedron_facets` of a polyhedron on affine vertices,
+    their float64 images taken once, and those of their offsets from the
+    clip centre."""
+    fv = [as_floats(v) for v in polyh.vertices]
+    rel = [as_floats(vsub(v, clip.center)) for v in polyh.vertices] if any(clip.center) else fv
+    return cutting._polyhedron_facets(polyh, tol, clip.radius**2, fv, rel)
 
 
 def block_shapes(block):
@@ -180,7 +198,7 @@ def as_read(shape):
     homogeneous vertices, each ring started at its least vertex."""
     if shape.vertices and len(shape.vertices[0]) > (2 if isinstance(shape, Polygon) else 3):
         shape = replace(shape, vertices=[clipping.to_affine(v) for v in shape.vertices])
-    return shape.least_first()
+    return least_first(shape)
 
 
 class ShapeBlock:
@@ -201,7 +219,7 @@ class ShapeBlock:
             if isinstance(shape, Polygon):
                 facets, vertices = polygon_facets(shape, tol, exact, at), cutting._polygon_vertices(shape, i)
             else:
-                facets, vertices = cutting._polyhedron_facets(shape, tol, at), cutting._polyhedron_vertices(shape, i)
+                facets, vertices = polyhedron_facets(shape, tol, at), cutting._polyhedron_vertices(shape, i)
             empty.append(shape.empty)
             found += [((i, j) if i < j else (j, i), facet) for j, facet in facets]
             candidates += vertices
