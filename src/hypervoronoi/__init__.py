@@ -60,7 +60,6 @@ from .models import (
     validate_point,
 )
 from .power import (
-    Ball,
     Halfspace,
     KLEIN_WEIGHT_SIGN_THRESHOLD,
     PowerComplex,
@@ -72,7 +71,6 @@ from .power import (
     locate,
     power_distance,
     radical_hyperplane,
-    unit_ball,
 )
 
 __version__ = "0.1.0"

@@ -154,30 +154,21 @@ def segment_min_norm_sq(v0, v1):
     return norm_sq(w)
 
 
-def integer_ball_test(vertices, centre, r2):
-    """Which integer homogeneous vertices lie strictly inside a ball, and
-    whether the segment between vertices k and j comes closer to its
-    centre than r, on the integers (a float centre or squared radius is
-    taken at its exact value).  With the centre's homogeneous
-    tuple C + (D,) and r^2 = M / N, a vertex X / Z is P / Q for
-    P = D X - C Z and Q = D Z > 0, inside when N |P|^2 < M Q^2.
-    A segment P0 / Q0 -> P1 / Q1 with neither end inside comes closer than
-    r when its foot parameter t = -<P0, E> Q1 / |E|^2, E = P1 Q0 - P0 Q1,
-    lies in (0, 1) and N (|P0|^2 |E|^2 - <P0, E>^2) < M Q0^2 |E|^2."""
-    C, D = centre[:-1], centre[-1]
-    r2 = Fraction(r2)
-    M, N = r2.numerator, r2.denominator
-    P, Q = [], []
-    for v in vertices:
-        P.append(tuple(D * x - c * v[-1] for x, c in zip(v, C)))
-        Q.append(D * v[-1])
-    inside = [N * norm_sq(p) < M * q * q for p, q in zip(P, Q)]
+def integer_ball_test(vertices):
+    """Which integer homogeneous vertices lie strictly inside the unit
+    ball, and whether the segment between vertices k and j meets it, on
+    the integers.  A vertex X / Z is inside when |X|^2 < Z^2.  A segment
+    X0 / Z0 -> X1 / Z1 with neither end inside meets the ball when its
+    foot parameter t = -<X0, E> Z1 / |E|^2, E = X1 Z0 - X0 Z1, lies in
+    (0, 1) and |X0|^2 |E|^2 - <X0, E>^2 < Z0^2 |E|^2."""
+    P, Q = [v[:-1] for v in vertices], [v[-1] for v in vertices]
+    inside = [norm_sq(p) < q * q for p, q in zip(P, Q)]
 
     def meets(k, j):
         (p0, q0), (p1, q1) = (P[k], Q[k]), (P[j], Q[j])
         e = [a * q0 - b * q1 for a, b in zip(p1, p0)]
         pe, ee = dot(p0, e), norm_sq(e)
-        return 0 < -pe * q1 < ee and N * (norm_sq(p0) * ee - pe * pe) < M * q0 * q0 * ee
+        return 0 < -pe * q1 < ee and norm_sq(p0) * ee - pe * pe < q0 * q0 * ee
 
     return inside, meets
 

@@ -1,9 +1,9 @@
 """The cut of `power.build_complex`: cut every cell from its window by
 the candidates that change it, and read each cell where it is cut.
 
-`cut_cells`, the cut's one entry point, takes the site arrays, the clip
-ball and the exact rows, and makes its own window, block and clipper.  A
-cell is cut from the window (the ball's bounding cube), nearest site
+`cut_cells`, the cut's one entry point, takes the site arrays and the
+exact rows, and makes its own window, block and clipper.  A cell is cut
+from the window (the unit ball's bounding cube [-1, 1]^d), nearest site
 centre first, as Voro++ does (Rycroft, Chaos 19, 041111, 2009), one
 block of cells at a time.  A cell is first fed its k nearest other
 centres (NEAREST_FEED; a block holds at most BLOCK_PAIRS such pairs, or
@@ -43,17 +43,14 @@ from the site arrays of `site_arrays`.
 from __future__ import annotations
 
 from dataclasses import replace
-from fractions import Fraction
 from itertools import chain
 
 import numpy as np
 
 from . import clipping
-from .clipping import (
-    BOX_TAG, Face, Polygon, Polyhedron, face_area, face_min_norm_sq, to_affine, to_homogeneous,
-)
+from .clipping import BOX_TAG, Face, Polygon, Polyhedron, face_area, face_min_norm_sq, to_affine
 from .errors import CoincidentSites, DomainViolation
-from .scalars import as_floats, norm_sq, vsub
+from .scalars import as_floats, norm_sq
 
 # Relative margin of the float screen in `_lockstep`.  It only decides
 # which provable no-op cuts are skipped, never the geometry: a hyperplane
@@ -68,12 +65,8 @@ NEAREST_FEED = {2: 32, 3: 64}
 # Why two distinct float sites have no radical hyperplane: its normal's
 # squares underflow and its offset is 0.
 ROUNDS_TO_ZERO = "radical hyperplane rounds to zero in float64"
-# A facet's least measure, relative to the clip radius (see `cut_cells`).
+# A facet's least measure in the unit ball (see `cut_cells`).
 FACET_MEASURE_TOL = 1e-10
-# The most a clip ball's centre coordinate or radius may be in magnitude:
-# the readers multiply up to four vertex coordinates, which must stay far
-# below float64's overflow (README, "Tolerances").
-CLIP_RANGE = 1e60
 
 
 def _side_table(X, R):
@@ -447,34 +440,29 @@ class _Rings:
         turn = np.where(valid, (k + slot) % np.maximum(L, 1), k)
         self.V, self.T = P[:, turn, col], self.T[turn, col]
 
-    def read(self, first, clip, tol):
+    def read(self, first):
         """`cut_cells`' reading of cells first, first + 1, ..., in numpy.  A
-        facet (v0, v1) is a radical edge longer than tol that comes closer
-        to the clip centre (its float64 image) than r: an end strictly
-        inside, or the foot of the centre strictly between its ends and
-        inside (`clipping.segment_min_norm_sq`: the same IEEE operations in
-        the same order, sums from +0.0; the test against r^2 exact).  A
-        vertex candidate is a corner where two radical edges of different
-        tags meet, with cell i and those tags."""
+        facet (v0, v1) is a radical edge longer than FACET_MEASURE_TOL that
+        meets the open unit ball: an end strictly inside, or the origin's
+        foot strictly between its ends and inside
+        (`clipping.segment_min_norm_sq`: the same IEEE operations in the
+        same order, sums from +0.0).  A vertex candidate is a corner where
+        two radical edges of different tags meet, with cell i and those
+        tags."""
         self.least_first()
         P, T, L = self.V, self.T, self.L
         col = np.arange(P.shape[2])
         slot = np.arange(P.shape[1])[:, None]
         nxt = np.where(slot + 1 < L, slot + 1, 0)
         radical = (slot < L) & (T >= 0)
-        r2, strict = _below(clip.radius**2)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            E = P[:, nxt, col] - P
-            long = np.sqrt(E[0] * E[0] + E[1] * E[1]) > tol
-            X = P - np.array([float(c) for c in clip.center])[:, None, None]
-            sq = X[0] * X[0] + X[1] * X[1]
-            D = X[:, nxt, col] - X
+            D = P[:, nxt, col] - P
             dd = D[0] * D[0] + D[1] * D[1]
-            t = -(0.0 + X[0] * D[0] + X[1] * D[1]) / dd
-            W = X + t * D
-            foot = W[0] * W[0] + W[1] * W[1]
-            inside = sq < r2 if strict else sq <= r2
-            meets = (dd != 0) & (t > 0) & (t < 1) & (foot < r2 if strict else foot <= r2)
+            long = np.sqrt(dd) > FACET_MEASURE_TOL
+            t = -(0.0 + P[0] * D[0] + P[1] * D[1]) / dd
+            W = P + t * D
+            inside = P[0] * P[0] + P[1] * P[1] < 1.0
+            meets = (dd != 0) & (t > 0) & (t < 1) & (W[0] * W[0] + W[1] * W[1] < 1.0)
         facet = radical & long & (inside | inside[nxt, col] | meets)
         prev = T[np.where(slot > 0, slot - 1, L - 1), col]
         corner = radical & (prev >= 0) & (prev != T)
@@ -729,15 +717,14 @@ class _Polyhedra:
         turn = np.where(ring, (at.argmax(axis=2)[:, :, None] + pos) % np.maximum(FL, 1)[:, :, None], 0)
         self.F = np.take_along_axis(F, turn, axis=2)
 
-    def read(self, first, clip, tol):
+    def read(self, first):
         """`cut_cells`' reading of cells first, first + 1, ..., in numpy.  A
-        facet is a radical face of Newell area above tol^2 that comes closer
-        to the clip centre (its float64 image) than r: a vertex strictly
-        inside, or `clipping.face_min_norm_sq` below r^2.  The IEEE
-        operations are `clipping`'s (`face_area` among them), in the same
-        order, sums from +0.0; the test against r^2 is exact.  A vertex
-        candidate is a vertex on three radical faces or more, with cell i
-        and their tags."""
+        facet is a radical face of Newell area above FACET_MEASURE_TOL^2
+        that meets the open unit ball: a vertex strictly inside, or
+        `clipping.face_min_norm_sq` below 1.  The IEEE operations are
+        `clipping`'s (`face_area` among them), in the same order, sums from
+        +0.0.  A vertex candidate is a vertex on three radical faces or
+        more, with cell i and their tags."""
         self.least_first()
         V, F, FL, FT = self.V, self.F, self.FL, self.FT
         m, S, K = len(F), V.shape[1], F.shape[2]
@@ -745,20 +732,13 @@ class _Polyhedra:
         rows, L, tags = F[c, g], FL[c, g], FT[c, g]
         pos = np.arange(K)
         ring = pos < L[:, None]
-        tt = tol * tol
-        r2, strict = _below(clip.radius**2)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             U = np.stack([x.take(rows * m + c[:, None]) for x in V])  # coordinate, face, position
             W = np.where(pos + 1 == L[:, None], U[..., :1], np.concatenate((U[..., 1:], U[..., :1]), axis=2))
             n = _newell_sums(U, W, L)
             area = 0.5 * np.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
-            big = area > tt
-            if any(clip.center):
-                centre = np.array([float(x) for x in clip.center])[:, None, None]
-                U, W = U - centre, W - centre
-                n = _newell_sums(U, W, L)
-            below = (lambda x: x < r2) if strict else (lambda x: x <= r2)
-            facet = big & (ring & below(U[0] * U[0] + U[1] * U[1] + U[2] * U[2])).any(axis=1)
+            big = area > FACET_MEASURE_TOL * FACET_MEASURE_TOL
+            facet = big & (ring & (U[0] * U[0] + U[1] * U[1] + U[2] * U[2] < 1.0)).any(axis=1)
             # `face_min_norm_sq` where no vertex is inside
             rest = np.flatnonzero(big & ~facet)
             U, W, n, ring = U[:, rest], W[:, rest], n[:, rest], ring[rest]
@@ -766,8 +746,8 @@ class _Polyhedra:
             dd = D[0] * D[0] + D[1] * D[1] + D[2] * D[2]
             t = -(0.0 + U[0] * D[0] + U[1] * D[1] + U[2] * D[2]) / dd
             X = U + t * D
-            meets = (dd != 0) & (t > 0) & (t < 1) & below(X[0] * X[0] + X[1] * X[1] + X[2] * X[2])
-            # the centre's foot on the face plane, inside when no two edges see it on opposite sides
+            meets = (dd != 0) & (t > 0) & (t < 1) & (X[0] * X[0] + X[1] * X[1] + X[2] * X[2] < 1.0)
+            # the origin's foot on the face plane, inside when no two edges see it on opposite sides
             nn = n[0] * n[0] + n[1] * n[1] + n[2] * n[2]
             foot = (0.0 + U[0, :, 0] * n[0] + U[1, :, 0] * n[1] + U[2, :, 0] * n[2]) / nn * n
             R = foot[..., None] - U
@@ -776,7 +756,7 @@ class _Polyhedra:
                 + (D[0] * R[1] - D[1] * R[0]) * n[2, :, None]
             )
             interior = (nn != 0) & (((side >= 0) | ~ring).all(axis=1) | ((side <= 0) | ~ring).all(axis=1))
-            interior &= below(foot[0] * foot[0] + foot[1] * foot[1] + foot[2] * foot[2])
+            interior &= foot[0] * foot[0] + foot[1] * foot[1] + foot[2] * foot[2] < 1.0
             facet[rest] = (ring & meets).any(axis=1) | interior
         vertex = _points(V, np.arange(S) < self.N[:, None]).__getitem__  # cell by cell
         base = np.cumsum(self.N) - self.N
@@ -872,12 +852,12 @@ class _Cells:
             flat = np.fromiter(chain.from_iterable(cols), float, len(cols) * d)
             self.table[:, :, [c for c, _ in rewrite]] = flat.reshape(-1, width, d).T
 
-    def read(self, first, clip, tol):
+    def read(self, first):
         """`cut_cells`' reading of cells first, first + 1, ..., one at a
         time, on their integer vertices, but for a polyhedron's area and
         in-ball tests, which read the float images its cut made.  A
         `Fraction` point is made once per vertex the block returns."""
-        centre, r2, affine = to_homogeneous(clip.center), clip.radius**2, {}
+        affine = {}
         empty, found, candidates = [], [], []
 
         def point(v):
@@ -887,15 +867,14 @@ class _Cells:
             cell = cell.compact()
             empty.append(cell.empty)
             if isinstance(cell, Polyhedron):
-                fv = [v for v in images if v is not None]
-                rel = [as_floats(vsub(point(v), clip.center)) for v in cell.vertices] if any(clip.center) else fv
                 rings = ((f, _least(cell.vertices, f.ring)) for f in cell.faces)
                 cell = Polyhedron(cell.vertices, [Face(f.tag, f.ring[k:] + f.ring[:k]) for f, k in rings])
-                facets, vertices = _polyhedron_facets(cell, tol, r2, fv, rel), _polyhedron_vertices(cell, i)
+                fv = [v for v in images if v is not None]
+                facets, vertices = _polyhedron_facets(cell, fv), _polyhedron_vertices(cell, i)
             else:
                 k = _least(cell.vertices, range(len(cell.vertices)))
                 cell = Polygon(cell.vertices[k:] + cell.vertices[:k], cell.tags[k:] + cell.tags[:k])
-                facets, vertices = _polygon_facets(cell, centre, r2), _polygon_vertices(cell, i)
+                facets, vertices = _polygon_facets(cell), _polygon_vertices(cell, i)
             found += [((i, j) if i < j else (j, i), tuple(map(point, facet))) for j, facet in facets]
             candidates += [(point(v), sites) for v, sites in vertices]
         return empty, found, candidates
@@ -915,12 +894,12 @@ def _least(vertices, ring):
     return k
 
 
-def _polygon_facets(poly, centre, r2):
+def _polygon_facets(poly):
     """Radical edges of a polygon on integer homogeneous vertices that
-    have positive length and come closer to the clip centre than its
-    radius, exactly (`clipping.integer_ball_test`); an edge with an end
-    strictly inside the ball does at once."""
-    inside, meets = clipping.integer_ball_test(poly.vertices, centre, r2)
+    have positive length and meet the open unit ball, exactly
+    (`clipping.integer_ball_test`); an edge with an end strictly inside
+    the ball does at once."""
+    inside, meets = clipping.integer_ball_test(poly.vertices)
     for k, (tag, v0, v1) in enumerate(poly.edges()):
         if tag is BOX_TAG or v0 == v1:
             continue
@@ -929,18 +908,19 @@ def _polygon_facets(poly, centre, r2):
             yield tag, (v0, v1)
 
 
-def _polyhedron_facets(polyh, tol, r2, fv, rel):
-    """Radical faces of a polyhedron whose float area is above tol^2 and
-    that come closer to the clip centre than its radius (float); a face
+def _polyhedron_facets(polyh, fv):
+    """Radical faces of a polyhedron whose float area is above
+    FACET_MEASURE_TOL^2 and that meet the open unit ball (float); a face
     with a vertex strictly inside the ball does at once.  fv: the float
-    images of the vertices; rel: those of their offsets from the centre."""
-    inside = [norm_sq(v) < r2 for v in rel]
+    images of the vertices."""
+    inside = [norm_sq(v) < 1 for v in fv]
     for face in polyh.faces:
         if face.tag is BOX_TAG:
             continue
-        if not face_area([fv[k] for k in face.ring]) > tol * tol:
+        points = [fv[k] for k in face.ring]
+        if not face_area(points) > FACET_MEASURE_TOL * FACET_MEASURE_TOL:
             continue
-        if any(inside[k] for k in face.ring) or face_min_norm_sq([rel[k] for k in face.ring]) < r2:
+        if any(inside[k] for k in face.ring) or face_min_norm_sq(points) < 1:
             yield face.tag, tuple(polyh.points(face))
 
 
@@ -962,14 +942,6 @@ def _polyhedron_vertices(polyh, i):
     for point, site_tags in zip(polyh.vertices, tags):
         if len(site_tags) >= 3:
             yield point, frozenset(site_tags | {i})
-
-
-def _below(bound):
-    """(f, strict) such that a float x is below the real bound >= 0 (an
-    int, float or Fraction within the float range), compared exactly as
-    Python compares them, iff x < f when strict, x <= f otherwise."""
-    f = float(bound)
-    return f, Fraction(f) >= bound
 
 
 def _newell_sums(U, W, L):
@@ -1052,37 +1024,29 @@ def _blocks(n, k):
     return (np.arange(start, min(n, start + per_block)) for start in range(0, n, per_block))
 
 
-def _window(clip, exact):
-    """The clip ball's bounding cube, whose walls lie outside the open
-    ball: float vertices, or integer homogeneous ones on exact sites."""
-    scalar = Fraction if exact else float
-    centre, r = tuple(map(scalar, clip.center)), scalar(clip.radius)
-    window = (clipping.box_polygon if len(centre) == 2 else clipping.box_polyhedron)(r)
-    corners = [tuple(a + b for a, b in zip(centre, v)) for v in window.vertices]
-    return replace(window, vertices=[to_homogeneous(v) for v in corners] if exact else corners)
+def _window(d, exact):
+    """The cube [-1, 1]^d, whose walls lie outside the open unit ball:
+    float vertices, or integer homogeneous ones (+-1, ..., +-1, 1) on
+    exact sites."""
+    window = (clipping.box_polygon if d == 2 else clipping.box_polyhedron)(1 if exact else 1.0)
+    return replace(window, vertices=[v + (1,) for v in window.vertices]) if exact else window
 
 
-def cut_cells(arrays, clip, side):
+def cut_cells(arrays, side):
     """Every cell of the sites' arrays (d = 2 or 3) cut from the window, a
     block of cells at a time, each block read (its `read`) as soon as it
     is cut, its rings started at their least vertex: whether each cell is
     empty, the facets {(i, j): points}, i < j, of measure above
-    FACET_MEASURE_TOL * r (a length, or an area's square root) that meet
-    the open `clip` ball, as the first cell to have one reads it, and the
-    vertex candidates (point, site set), in cell order.  side(i, j): exact
-    site i's side of its radical hyperplane with j, or None on float
-    sites.  A clip ball past CLIP_RANGE is a domain error."""
-    if not all(-CLIP_RANGE <= x <= CLIP_RANGE for x in clip.center + (clip.radius,)):
-        raise DomainViolation(
-            f"clip ball past the cut's range: a centre coordinate or the radius exceeds {CLIP_RANGE:g}",
-            constraint=f"|clip centre coordinates|, |clip radius| <= {CLIP_RANGE:g}",
-        )
+    FACET_MEASURE_TOL (a length, or an area's square root) that meet the
+    open unit ball, as the first cell to have one reads it, and the vertex
+    candidates (point, site set), in cell order.  side(i, j): exact site
+    i's side of its radical hyperplane with j, or None on float sites."""
     d, exact = arrays[0].shape[1], side is not None
-    window, tol = _window(clip, exact), FACET_MEASURE_TOL * float(clip.radius)
+    window = _window(d, exact)
     feed = _Feed(arrays, NEAREST_FEED[d], not exact)
     empty, facets, candidates = [], {}, []
     for home in _blocks(len(arrays[0]), feed.k):
-        block_empty, found, block_candidates = _cut_block(window, home, feed, side).read(len(empty), clip, tol)
+        block_empty, found, block_candidates = _cut_block(window, home, feed, side).read(len(empty))
         empty += block_empty
         candidates += block_candidates
         for key, facet in found:

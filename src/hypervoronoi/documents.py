@@ -259,7 +259,7 @@ def diagram_to_document(diagram, dual=None, degeneracies=None, verification=None
         rows += map(c.halfspaces.__getitem__, order)
         cells.append(cell % (k, "true" if c.empty else "false", halves[len(order)]))
     numbers([x for h in rows for x in h.normal + (h.offset,)])
-    numbers(cx.clip.center + (cx.clip.radius,))
+    numbers((0,) * d + (1,))  # the clip ball: the unit ball
 
     adjacency = sorted(cx.adjacency)
     facets = sorted(cx.facets)

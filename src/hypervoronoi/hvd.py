@@ -38,8 +38,8 @@ from .models import (
     cosh_distance_unit,
     distance,
 )
-from .power import PowerComplex, build_complex, unit_ball
-from .scalars import all_exact, as_floats, norm_sq, row_floats, vsub
+from .power import PowerComplex, build_complex
+from .scalars import all_exact, as_floats, norm_sq, row_floats
 
 ROUTE_KLEIN = "klein"
 ROUTE_HEMISPHERE = "hemisphere"
@@ -59,6 +59,11 @@ COLLINEAR_MIN_SPAN = 1e-15
 TILE_EXCLUDE_TOL = 1e-12
 # (sample, row) or (sample, site) values the labeller and the oracle hold at a time.
 BLOCK_VALUES = 1 << 16
+# Most a float site's Klein point may lie outside its own cell, on the
+# cell's unit-normal rows (README: Tolerances).
+OWN_SITE_TOL = 0.0
+# Why a float build can lose a site's cell.
+FLOAT_CAUSE = "the sites are too near the boundary or too near each other"
 
 
 @dataclass
@@ -77,17 +82,15 @@ class VoronoiDiagram:
 
     @cached_property
     def dual_faces(self) -> tuple:
-        """Site sets of the power vertices strictly inside the complex's clip
-        ball (|v - centre|^2 < r^2, as for facets: on the integers on
-        rational input), merged within DUAL_MERGE_TOL: the Delaunay faces,
-        unsorted.  Made once per diagram for `delaunay` and
-        `detect_degeneracies`."""
-        clip, vertices = self.complex.clip, self.complex.power_vertices
-        if all_exact([c for v in vertices for c in v.point] + [*clip.center, clip.radius]):
-            test = clipping.integer_ball_test([clipping.to_homogeneous(v.point) for v in vertices],
-                                              clipping.to_homogeneous(clip.center), clip.radius**2)[0]
+        """Site sets of the power vertices strictly inside the unit ball
+        (|v|^2 < 1, as for facets: on the integers on rational input),
+        merged within DUAL_MERGE_TOL: the Delaunay faces, unsorted.  Made
+        once per diagram for `delaunay` and `detect_degeneracies`."""
+        vertices = self.complex.power_vertices
+        if all_exact([c for v in vertices for c in v.point]):
+            test = clipping.integer_ball_test([clipping.to_homogeneous(v.point) for v in vertices])[0]
         else:
-            test = [norm_sq(vsub(v.point, clip.center)) < clip.radius**2 for v in vertices]
+            test = [norm_sq(v.point) < 1 for v in vertices]
         inside = list(itertools.compress(vertices, test))
         kleins = [h[1:] for h in self.hub_points]
         return tuple(frozenset(g[1]) for g in _merge_dual_vertices(inside, kleins, DUAL_MERGE_TOL))
@@ -171,9 +174,12 @@ def voronoi(points, route: str = ROUTE_KLEIN) -> VoronoiDiagram:
     The diagram is computed on the unit-Klein chart as a power diagram
     clipped to the unit ball; boundary surfaces are transported back to
     the input model at the input curvature.  A hyperbolic Voronoi cell
-    holds its own site, so a cell the build leaves empty (float sites
-    too near the boundary for float64) raises NumericalUnderflow naming
-    the first such site, instead of making a wrong diagram.
+    holds its own site, so on float sites a cell the build leaves empty,
+    or one whose site's Klein point lies above OWN_SITE_TOL on one of its
+    rows (sites too near the boundary or too near each other for
+    float64), raises NumericalUnderflow naming the first such site,
+    instead of making a wrong diagram.  Exact sites lie inside their
+    cells by construction.
     """
     points = [p if isinstance(p, ModelPoint) else ModelPoint(*p) for p in points]
     if route not in (ROUTE_KLEIN, ROUTE_HEMISPHERE):
@@ -185,10 +191,12 @@ def voronoi(points, route: str = ROUTE_KLEIN) -> VoronoiDiagram:
     else:
         sites = [power.hemisphere_site_map(h) for h in hubs]
     d = points[0].dim
-    cx = build_complex(sites, clip=unit_ball(d))
+    cx = build_complex(sites)
     empty = next((i for i, cell in enumerate(cx.cells) if cell.empty), None)
     if empty is not None:
-        raise NumericalUnderflow(f"site {empty}: its cell is empty in float64, too near the boundary")
+        raise NumericalUnderflow(f"site {empty}: its cell is empty in float64: {FLOAT_CAUSE}")
+    if not all(map(all_exact, hubs)):
+        _check_own_sites(cx.cells, hubs, d)
     model = points[0].model
     curvature = points[0].curvature
     boundaries = {}
@@ -205,6 +213,19 @@ def voronoi(points, route: str = ROUTE_KLEIN) -> VoronoiDiagram:
         route=route,
         hub_points=tuple(hubs),
     )
+
+
+def _check_own_sites(cells, hubs, d):
+    """Each float site's Klein point (its hub's last d coordinates) lies
+    on its own cell's side of every row, up to OWN_SITE_TOL on the
+    unit-normal rows of `cell_matrices`."""
+    _, offsets, _, A, b = cell_matrices([(i, cell.halfspaces) for i, cell in enumerate(cells)], d)
+    kleins = np.array([as_floats(h[1:]) for h in hubs]).reshape(-1, d)
+    worst = _extremes(A.T, b, offsets, np.arange(len(cells)), list(kleins.T))[0]
+    outside = np.flatnonzero(worst > OWN_SITE_TOL)
+    if len(outside):
+        k = int(outside[0])
+        raise NumericalUnderflow(f"site {k}: it lies {worst[k]:.3g} outside its own cell in float64: {FLOAT_CAUSE}")
 
 
 def nearest_site(x: ModelPoint, points) -> tuple[int, tuple[int, ...]]:
@@ -242,7 +263,7 @@ def delaunay(diagram: VoronoiDiagram) -> DelaunayComplex:
     """Dual Delaunay complex of a diagram built with explicit geometry.
 
     A dual face appears iff its power vertex lies strictly inside the
-    clip ball; the edges are the complex's adjacency, whose facets meet
+    unit ball; the edges are the complex's adjacency, whose facets meet
     the open ball.  The dual is a triangulation iff every face is a
     d-simplex and every edge is covered by a face.
     """

@@ -1,5 +1,5 @@
 """Power (Laguerre) diagram engine: weighted sites, radical hyperplanes,
-cells restricted to a clip ball, and point location.
+cells restricted to the open unit ball, and point location.
 
 The hyperbolic pipelines reduce to this module: Klein points map to
 weighted sites through `klein_site_map` (algebraic: one square root per
@@ -13,17 +13,18 @@ its sites' float64 images.  Every float row is a column of
 is the primitive integer row made from two sites' `WeightedSite.integer_row`s.
 
 For d in {2, 3}, `build_complex` runs in three stages.
-1. Cut and read (`cutting.cut_cells`): every cell is cut from a window
-   around the clip ball and read as soon as it is cut: its emptiness,
-   its vertex candidates, and the facets that meet the open ball.  The
-   facets' keys are the adjacency.  The cut owns its window, its
-   clippers, its tolerance and the range of clip balls it accepts; it
-   asks this module only for the exact rows of the cuts that run.
+1. Cut and read (`cutting.cut_cells`): every cell is cut from the window
+   [-1, 1]^d around the unit ball and read as soon as it is cut: its
+   emptiness, its vertex candidates, and the facets that meet the open
+   ball.  The facets' keys are the adjacency.  The cut owns its window,
+   its clippers and its tolerance; it asks this module only for the
+   exact rows of the cuts that run.
 2. Halfspaces: `_halfspaces` gives each facet's lower cell its row and
    the higher cell the negation; a float row is its cut's `pair_rows`
-   column, bit for bit.  A cell that misses the centre (the `locate` tie
-   set, on the integer rows of exact sites) is empty without a facet,
-   since the window lies outside the open ball.
+   column, bit for bit.  A cell that misses the origin (the `locate` tie
+   set there, read from the site arrays or the exact sites' integer
+   rows) is empty without a facet, since the window lies outside the
+   open ball.
 3. Merge: vertices of neighbouring cells merge into power vertices
    within a tolerance, in one array pass (`clipping.merge_near`).
 Other dimensions keep every cell's n-1 halfspaces, from `_halfspaces`.
@@ -104,19 +105,6 @@ class Halfspace:
     def __neg__(self) -> Halfspace:
         """The other side of the same hyperplane."""
         return Halfspace(tuple(-c for c in self.normal), -self.offset)
-
-
-@dataclass(frozen=True)
-class Ball:
-    center: tuple
-    radius: object
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", tuple(self.center))
-
-
-def unit_ball(d: int) -> Ball:
-    return Ball((0,) * d, 1)
 
 
 def power_distance(s: WeightedSite, x) -> object:
@@ -241,11 +229,10 @@ class PowerComplex:
     cells: list
     power_vertices: list
     facets: dict  # (i, j), i < j -> facet geometry: segment (d=2) or polygon (d=3)
-    clip: Ball
 
     @property
     def adjacency(self) -> set:
-        """{(i, j), i < j} whose shared facet meets the open clip ball: the
+        """{(i, j), i < j} whose shared facet meets the open unit ball: the
         keys of `facets`."""
         return set(self.facets)
 
@@ -271,14 +258,16 @@ def _check_sites(sites, exact) -> int:
     return d
 
 
-def _centre_ties(sites, centre):
-    """`locate`'s tie set at a rational centre X / Z for exact sites, on
-    their integer rows: site k's power there, less |x|^2 and times Z > 0,
-    is (B_k Z - 2 <A_k, X>) / D_k."""
-    *X, Z = clipping.to_homogeneous(centre)
-    powers = [(b * Z - 2 * dot(a, X), den) for a, b, den in (s.integer_row for s in sites)]
+def _centre_ties(sites, arrays, exact):
+    """`locate`'s tie set at the origin, where site k's power is
+    |c_k|^2 - w_k: on exact sites the least B_k / D_k of their integer
+    rows, on others N - W of the site arrays, `locate`'s IEEE operations."""
+    if not exact:
+        powers = arrays[1] - arrays[2]
+        return set(np.flatnonzero(powers - powers.min() <= TIE_TOL).tolist())
+    powers = [(b, den) for _, b, den in (s.integer_row for s in sites)]
     least, over = min(powers, key=functools.cmp_to_key(lambda u, v: u[0] * v[1] - v[0] * u[1]))
-    return tuple(k for k, (p, q) in enumerate(powers) if p * over == least * q)
+    return {k for k, (p, q) in enumerate(powers) if p * over == least * q}
 
 
 def _halfspaces(pairs, n, arrays, side=None):
@@ -303,26 +292,20 @@ def _halfspaces(pairs, n, arrays, side=None):
     return own
 
 
-def build_complex(sites, clip: Ball) -> PowerComplex:
+def build_complex(sites) -> PowerComplex:
     """Construct the power diagram of the given sites, restricted to the
-    open `clip` ball (the model ball for hyperbolic pipelines).
+    open unit ball (the unit-Klein model ball).
 
     Sites that are not all exact are built as their float64 images: the
     result equals, but for `sites`, the build on those images.  For d in
     {2, 3} it runs in three stages: cut every cell and read its facets and
-    vertex candidates (`cutting.cut_cells`; a clip ball past
-    `cutting.CLIP_RANGE` is a domain error there), make the facets'
-    halfspaces, merge the vertices.  Other dimensions make every pair's
-    halfspaces."""
+    vertex candidates (`cutting.cut_cells`), make the facets' halfspaces,
+    merge the vertices.  Other dimensions make every pair's halfspaces."""
     sites = list(sites)
     exact = all(all_exact(s.center + (s.weight,)) for s in sites)
     d = _check_sites(sites, exact)
     n = len(sites)
-    if len(clip.center) != d:
-        raise ArityMismatch("clip ball dimension does not match sites")
     arrays = cutting.site_arrays(sites, d)
-    # from here on one arithmetic: the exact sites, or the others' float64 images
-    work = sites if exact else [WeightedSite(tuple(c), w) for c, w in zip(arrays[0].tolist(), arrays[2].tolist())]
     made = {}  # (i, j) -> exact cell i's side of the (i, j) radical hyperplane, both ways
 
     def side(i, j):
@@ -335,21 +318,20 @@ def build_complex(sites, clip: Ball) -> PowerComplex:
     exact_side = side if exact else None
     if d not in (2, 3):
         own = _halfspaces([(i, j) for i in range(n) for j in range(i + 1, n)], n, arrays, exact_side)
-        return PowerComplex(d, sites, [ConvexCell(h, False) for h in own], [], {}, clip)
+        return PowerComplex(d, sites, [ConvexCell(h, False) for h in own], [], {})
 
     # 1. cut every cell, a block of cells at a time, nearest centre first,
     # and read each block's facets (the lower cell's, if it has one) and
     # vertex candidates
-    empty, facets, vertex_candidates = cutting.cut_cells(arrays, clip, exact_side)
+    empty, facets, vertex_candidates = cutting.cut_cells(arrays, exact_side)
 
-    # 2. the facets' halfspaces; a cell that misses the centre (the `locate`
+    # 2. the facets' halfspaces; a cell that misses the origin (the `locate`
     # tie set) is empty without one, since the window lies outside the open ball
     own = _halfspaces(sorted(facets), n, arrays, exact_side)
-    exact_centre = exact and all_exact(clip.center)
-    holders = _centre_ties(sites, clip.center) if exact_centre else locate(clip.center, work)[1]
+    holders = _centre_ties(sites, arrays, exact)
     cells = [ConvexCell(own[i], e or (i not in holders and not own[i])) for i, e in enumerate(empty)]
 
     # 3. merge the vertices of neighbouring cells into power vertices
-    merged = clipping.merge_near(vertex_candidates, VERTEX_MERGE_TOL * float(clip.radius))
+    merged = clipping.merge_near(vertex_candidates, VERTEX_MERGE_TOL)
     power_vertices = [PowerVertex(point, frozenset(sites)) for point, sites in merged if len(sites) >= d + 1]
-    return PowerComplex(d, sites, cells, power_vertices, facets, clip)
+    return PowerComplex(d, sites, cells, power_vertices, facets)

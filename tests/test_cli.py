@@ -388,6 +388,32 @@ def test_float_documents_are_pinned(tmp_path, dim, n):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FLOAT_DOCUMENT_SHA256[dim, n]
 
 
+# sha256 of the `compute --verify 2000 --seed 42` and `delaunay` outputs of
+# float Klein (`random_klein_points`) and exact hemisphere inputs, seed 1:
+# the verification section and the Delaunay document are pinned as
+# `compute` is.
+COMMAND_OUTPUT_SHA256 = {
+    ("verify", "klein", 2, 200): "f7e8b1014c0540579aa13e2654cffdb604fc94dcb89d377d56a7b0f037cb54c7",
+    ("verify", "klein", 3, 50): "cd1b424a7f3c4a7f97bdda3059ec9210568addd961b377ece81a265b98409635",
+    ("verify", "hemisphere", 2, 50): "7cca0949fbf8c01159e554c08f313df18c0b059f695e114912af2858c0748db8",
+    ("delaunay", "klein", 2, 200): "3e52ebc4836a1a4c1f2316c09e64934d1f54344a6fea2840cfa3e4a80527129f",
+    ("delaunay", "klein", 3, 50): "763c93f72eb4b1ac8bfffd4631798355d2b371bfcfc62ad12399730cb1b36adf",
+    ("delaunay", "hemisphere", 2, 50): "2849312d169b9a8b6c4075fe514531be9d6b703dc829d29f53e94868bfb67f09",
+}
+
+
+@pytest.mark.parametrize("command, route, dim, n", sorted(COMMAND_OUTPUT_SHA256))
+def test_verify_and_delaunay_outputs_are_pinned(tmp_path, command, route, dim, n):
+    if route == "klein":
+        inp = write_point_set(tmp_path / "p.json", random_klein_points(n, dim, seed=1), dim=dim)
+    else:
+        inp = write_exact_hemisphere(tmp_path / "p.json", n=n, seed=1, dim=dim)
+    out = tmp_path / "out.json"
+    argv = ["compute", str(inp), "--verify", "2000", "--seed", "42"] if command == "verify" else ["delaunay", str(inp)]
+    assert main(argv + ["--route", route, "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == COMMAND_OUTPUT_SHA256[command, route, dim, n]
+
+
 def test_check_huge_exact_coefficients_report_as_scaled(tmp_path, capsys):
     # a stored halfspace times 10**400 is the same halfspace; its floats
     # would overflow without the power-of-two row scaling
@@ -478,13 +504,16 @@ def boundary_fan(delta):
 
 
 @pytest.mark.parametrize("route", ["klein", "hemisphere"])
-@pytest.mark.parametrize("delta", [1e-8, 1e-12, 1e-13])
+@pytest.mark.parametrize("delta", [1e-8, 1e-10, 1e-12, 1e-13])
 def test_a_cell_built_empty_is_a_typed_error(tmp_path, capsys, monkeypatch, delta, route):
     """A hyperbolic Voronoi cell holds its own site, so a cell the float
-    build leaves empty (sites too near the boundary for float64) is a
-    defect: `voronoi` raises NumericalUnderflow naming the first such site,
-    and `compute` prints that one typed line and exits 3, writing no
-    document.  At delta = 1e-8 both routes build."""
+    build leaves empty, or one its site lies outside (sites too near the
+    boundary for float64), is a defect: `voronoi` raises
+    NumericalUnderflow naming the first such site, and `compute` prints
+    that one typed line and exits 3, writing no document.  At delta = 1e-8
+    and 1e-10 both routes build.  At 1e-12 the hemisphere route leaves no
+    cell empty, but 17 of its 40 sites outside their own cells: a wrong
+    diagram that `check` passes, caught by the own-site test."""
     built = []
 
     def recording(*args, **kwargs):
@@ -494,20 +523,87 @@ def test_a_cell_built_empty_is_a_typed_error(tmp_path, capsys, monkeypatch, delt
     monkeypatch.setattr(hvd, "build_complex", recording)
     pts = [ModelPoint(ModelTag.KLEIN, p) for p in boundary_fan(delta)]
     inp, out = write_point_set(tmp_path / "p.json", boundary_fan(delta)), tmp_path / "d.json"
-    defect = (delta, route) in {(1e-12, "klein"), (1e-13, "klein"), (1e-13, "hemisphere")}
-    if not defect:
+    if delta > 1e-12:
         assert not any(cell.empty for cell in voronoi(pts, route=route).complex.cells)
         assert main(["compute", str(inp), "--route", route, "-o", str(out)]) == 0
         assert main(["check", str(out), "--samples", "2000"]) == 0
         return
     with pytest.raises(NumericalUnderflow) as err:
         voronoi(pts, route=route)
-    first = next(i for i, cell in enumerate(built[-1].cells) if cell.empty)
-    assert str(err.value).startswith(f"site {first}: its cell is empty")
+    empty = [i for i, cell in enumerate(built[-1].cells) if cell.empty]
+    if empty:
+        assert str(err.value).startswith(f"site {empty[0]}: its cell is empty")
+    else:
+        assert (delta, route) == (1e-12, "hemisphere")
+        assert str(err.value).startswith(f"site {_outside_own_cells(built[-1], pts, route)[0]}: it lies ")
     capsys.readouterr()
     assert main(["compute", str(inp), "--route", route, "-o", str(out)]) == 3
     assert capsys.readouterr().err == f"error: domain: {err.value}\n"
     assert not out.exists()
+
+
+def _outside_own_cells(cx, pts, route):
+    """The sites whose Klein point lies on the far side of a row of their
+    own cell, in plain Python floats."""
+    kleins = [h[1:] for h in hvd.oracle_hubs(pts, route)]
+    return [i for i, (p, cell) in enumerate(zip(kleins, cx.cells))
+            if any(sum(a * float(x) for a, x in zip(hs.normal, p)) + hs.offset > 0 for hs in cell.halfspaces.values())]
+
+
+def origin_cluster(spacing):
+    """The origin, four points spacing from it on the axes, and two far
+    points: near the origin h = 1 / sqrt(1 - |p|^2) rounds to 1.0, so the
+    float rows between the five lose the sites' spacing."""
+    e = spacing
+    return [(0.0, 0.0), (e, 0.0), (-e, 0.0), (0.0, e), (0.0, -e), (0.5, 0.5), (-0.5, 0.3)]
+
+
+@pytest.mark.parametrize("route", ["klein", "hemisphere"])
+def test_a_site_outside_its_own_cell_is_a_typed_error(tmp_path, capsys, monkeypatch, route):
+    """At spacing 1e-8 the origin cluster builds with no empty cell, but
+    sites 1 to 4 lie 1.2e-8 outside their own cells, and `verify` finds no
+    disagreement: the own-site test raises NumericalUnderflow naming site
+    1, and `compute` exits 3.  At 1e-9 a cell is empty, whose error names
+    both causes; at 3e-8 the cluster builds."""
+    pts = [ModelPoint(ModelTag.KLEIN, p) for p in origin_cluster(1e-8)]
+    with pytest.raises(NumericalUnderflow, match="^site 1: it lies 1.22e-08 outside its own cell") as err:
+        voronoi(pts, route=route)
+    assert "too near the boundary or too near each other" in str(err.value)
+    inp, out = write_point_set(tmp_path / "p.json", origin_cluster(1e-8)), tmp_path / "d.json"
+    capsys.readouterr()
+    assert main(["compute", str(inp), "--route", route, "-o", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: domain: {err.value}\n"
+    assert not out.exists()
+    with monkeypatch.context() as m:
+        m.setattr(hvd, "OWN_SITE_TOL", math.inf)
+        dia = voronoi(pts, route=route)
+    assert _outside_own_cells(dia.complex, pts, route) == [1, 2, 3, 4]
+    assert verify(dia, 4000).disagreements == 0
+    with pytest.raises(NumericalUnderflow, match="^site 0: its cell is empty .* too near each other"):
+        voronoi([ModelPoint(ModelTag.KLEIN, p) for p in origin_cluster(1e-9)], route=route)
+    pts = [ModelPoint(ModelTag.KLEIN, p) for p in origin_cluster(3e-8)]
+    assert not _outside_own_cells(voronoi(pts, route=route).complex, pts, route)
+
+
+@pytest.mark.parametrize("route", ["klein", "hemisphere"])
+def test_a_close_pair_near_the_boundary_is_a_typed_error(tmp_path, capsys, monkeypatch, route):
+    """Upper half-space points (0, 1e4) and (1, 1e4), 1e-4 apart
+    hyperbolically at Klein depth 1 - |p|^2 = 4e-8: float64 builds a
+    bisector tilted by 27 to 29 degrees, which puts a site outside its own
+    cell while `verify` finds no disagreement.  `compute` exits 3."""
+    raw = [(0.0, 1e4), (1.0, 1e4)]
+    pts = [ModelPoint(ModelTag.UPPER_HALF_SPACE, p) for p in raw]
+    inp, out = write_point_set(tmp_path / "p.json", raw, model="upper-half-space"), tmp_path / "d.json"
+    with pytest.raises(NumericalUnderflow, match=r"^site \d: it lies .* outside its own cell"):
+        voronoi(pts, route=route)
+    capsys.readouterr()
+    assert main(["compute", str(inp), "--route", route, "-o", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: domain: site ")
+    with monkeypatch.context() as m:
+        m.setattr(hvd, "OWN_SITE_TOL", math.inf)
+        dia = voronoi(pts, route=route)
+    assert _outside_own_cells(dia.complex, pts, route)
+    assert verify(dia, 2000).disagreements == 0
 
 
 @pytest.mark.parametrize("corrupt", [False, True])
@@ -677,6 +773,24 @@ def test_check_malformed_adjacency_pair_exit_2(tmp_path, capsys, value):
     doc["adjacency"][0] = value
     dia.write_text(dump_json(doc))
     assert_parse_error(capsys, ["check", str(dia), "--samples", "100"])
+
+
+def test_a_point_set_of_dimension_one_exit_2(tmp_path, capsys):
+    inp = write_point_set(tmp_path / "p.json", [(0.1,), (0.2,)], dim=1)
+    for argv in (["compute", str(inp)], ["check", str(inp), "--samples", "100"]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: parse: dimension must be >= 2, got 1\n"
+
+
+def test_a_diagram_with_an_unknown_route_exit_2(tmp_path, capsys):
+    _, dia = stored_fixture(tmp_path)
+    doc = json.loads(dia.read_text())
+    doc["route"] = "poincare"
+    dia.write_text(dump_json(doc))
+    capsys.readouterr()
+    assert main(["check", str(dia), "--samples", "100"]) == 2
+    assert capsys.readouterr().err.startswith("error: parse: route must be 'klein' or 'hemisphere', got 'poincare'")
 
 
 def _set_facet_pair(doc, value):

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from hypervoronoi import (
+    Curvature,
     ExactArithmeticUnavailable,
+    ModelMismatch,
     ModelPoint,
     ModelTag,
     NumericalUnderflow,
@@ -15,12 +17,31 @@ from hypervoronoi import (
     lift_to_hemisphere,
     square_root_free,
 )
+from hypervoronoi.conversions import from_hub
 
 from util import ALL_MODELS, random_klein_point
 
 
 def K(*coords):
     return ModelPoint(ModelTag.KLEIN, coords)
+
+
+@pytest.mark.parametrize("kappa", [Fraction(-1, 4), Fraction(-1, 2)])
+def test_from_hub_at_an_exact_non_unit_curvature(kappa):
+    """The unit point is scaled by the model radius sqrt(-1/kappa): in
+    Fractions when that radius is rational (2 at -1/4), in floats when
+    it is not (sqrt(2) at -1/2)."""
+    p = from_hub((Fraction(4, 5), Fraction(3, 5), Fraction(0)), ModelTag.KLEIN, Curvature(kappa))
+    assert p.curvature == Curvature(kappa)
+    if kappa == Fraction(-1, 4):
+        assert p.coords == (Fraction(6, 5), 0) and all(type(c) is Fraction for c in p.coords)
+    else:
+        assert p.coords == (0.6 * math.sqrt(2.0), 0.0) and all(type(c) is float for c in p.coords)
+
+
+def test_convert_to_a_target_that_is_not_a_model_tag():
+    with pytest.raises(ModelMismatch, match="target model must be a ModelTag, got 'poincare'"):
+        convert(K(0.1, 0.2), "poincare")
 
 
 def test_origin_fixed_by_ball_maps():

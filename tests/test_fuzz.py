@@ -37,11 +37,11 @@ from hypervoronoi import (  # noqa: E402
     cutting,
     delaunay,
     detect_degeneracies,
+    distance,
     hemisphere_site_map,
     hvd,
     klein_site_map,
     power,
-    unit_ball,
     voronoi,
 )
 from hypervoronoi.cli import main  # noqa: E402
@@ -349,6 +349,11 @@ def _planar_range_edge_documents(draw):
         return r * math.cos(a), r * math.sin(a)
 
     pts = draw(st.lists(point(), min_size=2, max_size=8, unique=True))
+    # points this close hyperbolically are near-coincident, whatever their
+    # depth: float64 may have no diagram of them, a typed error
+    # (`test_near_coincident_float_sites_exit_3`, `test_a_site_outside_its_own_cell_is_a_typed_error`)
+    points = [ModelPoint(ModelTag(model), p) for p in pts]
+    assume(all(distance(p, q) > 1e-2 for p, q in itertools.combinations(points, 2)))
     return {"dimension": 2, "model": model, "points": [list(p) for p in pts]}
 
 
@@ -478,7 +483,7 @@ def test_screened_build_equals_plain_build(case, cap, feed):
     every candidate."""
     d, sites = case
     try:
-        ref = reference_complex(sites, unit_ball(d))
+        ref = reference_complex(sites)
     except CoincidentSites as e:  # a row that rounds to zero: the same typed error
         assert str(e).endswith(cutting.ROUNDS_TO_ZERO)
         ref = e
@@ -489,9 +494,9 @@ def test_screened_build_equals_plain_build(case, cap, feed):
         m.setitem(cutting.NEAREST_FEED, d, feed)
         if isinstance(ref, Exception):
             with pytest.raises(type(ref), match=re.escape(str(ref))):
-                build_complex(sites, clip=unit_ball(d))
+                build_complex(sites)
             return
-        got = cut_and_build(sites, unit_ball(d))
+        got = cut_and_build(sites)
     assert_same_complex(got, ref)
 
 
@@ -668,7 +673,7 @@ def test_exact_build_of_permuted_points_is_the_relabelled_build(ts, seed):
     points with its sites renamed, with no tolerance: the same adjacency,
     halfspaces, emptiness, power-vertex site sets, Delaunay faces and
     degeneracy groups.  The explicit examples hold a wheel, a co-circular
-    set, and a set whose clip centre two sites tie for, at d = 2 and 3."""
+    set, and a set whose origin two sites tie for, at d = 2 and 3."""
     points = [ModelPoint(ModelTag.HEMISPHERE, _hemisphere_point(tuple(map(Fraction, t)))) for t in ts]
     order = np.random.default_rng(seed).permutation(len(points)).tolist()  # site m of the moved set is site order[m]
     want = _relabelled(voronoi(points, route="hemisphere"), range(len(points)))

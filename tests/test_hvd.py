@@ -7,6 +7,7 @@ import pytest
 
 from hypervoronoi import (
     DuplicateSites,
+    EmptySites,
     ModelMismatch,
     ModelPoint,
     ModelTag,
@@ -307,21 +308,15 @@ def test_cocircular_square_gives_quadrilateral_face():
 
 @pytest.mark.parametrize("scalar", [float, Fraction])
 def test_dual_faces_are_the_power_vertices_strictly_inside_the_clip_ball(scalar):
-    """Measured from the complex's own clip ball, with no tolerance: a vertex
-    1e-13 inside the unit circle is a face, one on or past it is not."""
+    """Measured from the unit ball, with no tolerance: a vertex 1e-13
+    inside the unit circle is a face, one on or past it is not."""
     near = 1 - scalar(1) / 10**13
     points = [(near, 0), (0, 1), (0, -scalar(3) / 2), (-near, 0), (scalar(7) / 5, 0)]
     vertices = [power.PowerVertex(tuple(map(scalar, p)), frozenset(range(k, k + 3))) for k, p in enumerate(points)]
     hubs = tuple((1, 0, 0) for _ in range(7))
-
-    def faces(clip):
-        cx = power.PowerComplex(2, [], [], vertices, {}, clip)
-        dia = hvd.VoronoiDiagram(ModelTag.KLEIN, Curvature(-1), (), cx, {}, ROUTE_KLEIN, hubs)
-        return sorted(tuple(sorted(f)) for f in dia.dual_faces)
-
-    assert faces(power.unit_ball(2)) == [(0, 1, 2), (3, 4, 5)]
-    # off centre: (near, 0) and (7/5, 0) lie within 1 of (1/2, 0); (-near, 0) does not
-    assert faces(power.Ball((scalar(1) / 2, 0), 1)) == [(0, 1, 2), (4, 5, 6)]
+    cx = power.PowerComplex(2, [], [], vertices, {})
+    dia = hvd.VoronoiDiagram(ModelTag.KLEIN, Curvature(-1), (), cx, {}, ROUTE_KLEIN, hubs)
+    assert sorted(tuple(sorted(f)) for f in dia.dual_faces) == [(0, 1, 2), (3, 4, 5)]
 
 
 def test_delaunay_needs_explicit_geometry():
@@ -783,11 +778,20 @@ def test_duplicate_points_name_the_first_pair(raw, pair):
         voronoi(kpts(raw))
 
 
+def test_voronoi_needs_points_of_one_curvature():
+    points = [ModelPoint(ModelTag.KLEIN, (0.1, 0.2)), ModelPoint(ModelTag.KLEIN, (0.3, 0.0), Curvature(-2))]
+    with pytest.raises(ModelMismatch, match="site 1 has curvature -2"):
+        voronoi(points)
+    with pytest.raises(EmptySites):
+        voronoi([])
+
+
 def test_exact_voronoi_decides_on_integers(monkeypatch):
-    """An exact d=2 build converts only the window and the clip centre to
-    homogeneous tuples, hashes no `Fraction` and negates each radical
-    hyperplane at most once: the cell reader, the duplicate checks, the
-    centre's tie set and the halfspaces work on the integers."""
+    """An exact d=2 build converts no point to a homogeneous tuple (its
+    window's corners are integer from the start), hashes no `Fraction`
+    and negates each radical hyperplane at most once: the cell reader, the
+    duplicate checks, the origin's tie set and the halfspaces work on the
+    integers."""
     pts = [ModelPoint(ModelTag.HEMISPHERE, p) for p in rational_hemisphere_points(20, 2, seed=4)]
     homogeneous, hashes, negations, rows = [], [], [], []
     to_homogeneous, fraction_hash = clipping.to_homogeneous, Fraction.__hash__
@@ -809,14 +813,14 @@ def test_exact_voronoi_decides_on_integers(monkeypatch):
         rows.append((s_i, s_j))
         return radical(s_i, s_j)
 
-    for module in (clipping, cutting):
-        monkeypatch.setattr(module, "to_homogeneous", counting_to_homogeneous)
+    for module in (clipping, cutting, power, hvd):
+        if hasattr(module, "to_homogeneous"):
+            monkeypatch.setattr(module, "to_homogeneous", counting_to_homogeneous)
     monkeypatch.setattr(Fraction, "__hash__", counting_hash)
     monkeypatch.setattr(power.Halfspace, "__neg__", counting_neg)
     monkeypatch.setattr(power, "radical_hyperplane", counting_radical)
     dia = voronoi(pts, route=ROUTE_HEMISPHERE)
     monkeypatch.undo()
-    corners = {(x, y) for x in (-1, 1) for y in (-1, 1)}
-    assert set(homogeneous) <= corners | {(0, 0)} and len(homogeneous) <= len(corners) + 2
+    assert not homogeneous
     assert not hashes
     assert len(dia.complex.adjacency) >= 20 and len(negations) <= len(rows)  # each row is made once

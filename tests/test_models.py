@@ -19,7 +19,7 @@ from hypervoronoi import (
     validate_point,
 )
 
-from hypervoronoi.scalars import bounded_str
+from hypervoronoi.scalars import bounded_str, row_floats
 from util import ALL_MODELS, random_klein_point, random_model_point
 
 
@@ -85,6 +85,20 @@ def test_exact_membership_is_exact():
     )
     with pytest.raises(DomainViolation):
         validate_point(q)
+
+
+@pytest.mark.parametrize("coords", [(1.0, 0.0, 0.0), (Fraction(5, 4), Fraction(3, 4), Fraction(0))])
+def test_hyperboloid_metric_tensor_is_the_lorentz_form(coords):
+    g = metric_tensor(ModelPoint(ModelTag.HYPERBOLOID, coords))
+    assert np.array_equal(g, np.diag([-1.0, 1.0, 1.0]))
+
+
+def test_row_floats_scales_up_an_exact_row_below_one():
+    """Every |coefficient| below 1: the row is multiplied by a power of two
+    above 1, exactly, so a row too small for float64 keeps its ratios."""
+    assert row_floats((Fraction(1, 3), Fraction(-1, 5), 0)) == (2 / 3, -0.4, 0.0)
+    tiny = row_floats((Fraction(1, 10**400), Fraction(-3, 10**400)))
+    assert 0.25 < tiny[0] < 1 and tiny[1] / tiny[0] == pytest.approx(-3.0, rel=1e-15)
 
 
 def test_dimension_below_two_rejected():

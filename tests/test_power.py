@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from hypervoronoi import (
-    Ball,
     CoincidentSites,
     DuplicateSites,
     EmptySites,
@@ -30,12 +29,10 @@ from hypervoronoi import (
     locate,
     power_distance,
     radical_hyperplane,
-    unit_ball,
     voronoi,
 )
-from hypervoronoi import clipping, cutting, power
+from hypervoronoi import clipping, cutting
 from hypervoronoi.documents import diagram_to_document
-from hypervoronoi.errors import DomainViolation
 from hypervoronoi.sampling import ball_points, random_klein_points, rational_hemisphere_points
 from hypervoronoi.scalars import norm_sq
 
@@ -111,9 +108,9 @@ def test_float_row_that_rounds_to_zero_names_the_pair():
     twins = [W((0.1, 0.2), -1.0), W((Fraction(0.1) + Fraction(1, 10**40), Fraction(0.2)), -1), sites[2]]
     named = f"^sites 0 and 1: {cutting.ROUNDS_TO_ZERO}$"
     # the table, for cuts and facets and for d > 3's halfspaces
-    for s, clip in ((sites, unit_ball(2)), (mixed, unit_ball(2)), (wide, unit_ball(4)), (twins, unit_ball(2))):
+    for s in (sites, mixed, wide, twins):
         with pytest.raises(CoincidentSites, match=named):
-            build_complex(s, clip=clip)
+            build_complex(s)
 
 
 def test_radical_concentric_sites_constant():
@@ -170,9 +167,9 @@ def test_non_exact_build_is_the_build_on_float_images(d, n):
         pts = [p if k % 2 else tuple(map(float, p)) for k, p in enumerate(pts)]
         sites = [hemisphere_site_map(p) for p in pts]
         images = [W(tuple(map(float, s.center)), float(s.weight)) for s in sites]
-        cx, cells = cut_and_build(sites, unit_ball(d))
+        cx, cells = cut_and_build(sites)
         assert cx.sites == sites
-        assert_same_complex((replace(cx, sites=images), cells), cut_and_build(images, unit_ball(d)))
+        assert_same_complex((replace(cx, sites=images), cells), cut_and_build(images))
 
 
 def test_canonical_halfspace_float_unit_normal():
@@ -340,7 +337,7 @@ def test_locate_exact_ties():
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_single_site_complex_is_whole_ball(d):
-    cx = build_complex([W((0.1, 0.2, 0.0)[:d], -1.0)], clip=unit_ball(d))
+    cx = build_complex([W((0.1, 0.2, 0.0)[:d], -1.0)])
     assert len(cx.cells) == 1
     assert not cx.cells[0].empty
     assert cx.adjacency == set()
@@ -350,51 +347,12 @@ def _sites_on_axis(xs, d, scalar):
     return [W((scalar(x),) + (scalar(0),) * (d - 1), scalar(0)) for x in xs]
 
 
-@pytest.mark.parametrize(
-    "d, scalar", [(2, int), (2, float), (2, Fraction), (3, int), (3, Fraction), (3, float)]
-)
-def test_off_centre_clip_ball_is_measured_from_its_centre(d, scalar):
-    # the bisector x = 5 runs through the centre of the clip ball
-    sites = _sites_on_axis((4, 6, 20), d, scalar)
-    cx = build_complex(sites[:2], clip=Ball((scalar(5),) + (scalar(0),) * (d - 1), scalar(1)))
-    assert [cell.empty for cell in cx.cells] == [False, False]
-    # centre (11/2, 0, ...) in cell 1; cell 0 (x <= 5) is 1/2 away from
-    # it, cell 2 (x >= 13) 15/2
-    centre = (scalar(11) / 2,) + (scalar(0),) * (d - 1)
-    cx = build_complex(sites, clip=Ball(centre, scalar(1)))
-    assert [cell.empty for cell in cx.cells] == [False, False, True]
-
-
-def _range_sites(d, scalar):
-    if scalar == "float":
-        return [klein_site_map(p) for p in random_klein_points(12, d, seed=1)]
-    return [hemisphere_site_map(p) for p in rational_hemisphere_points(8, d, seed=1)]
-
-
-@pytest.mark.parametrize("scalar", ["float", "exact"])
-@pytest.mark.parametrize("d, far", [(2, 1e160), (2, 10**100), (3, 1e80), (3, 2 * cutting.CLIP_RANGE)])
-def test_a_clip_ball_past_the_cut_range_is_a_domain_error(d, far, scalar):
-    # squaring such a radius, or the Newell normal of a face as wide, overflows
-    sites = _range_sites(d, scalar)
-    for clip in (Ball((0,) * d, far), Ball((0,) * (d - 1) + (-far,), 1)):
-        with pytest.raises(DomainViolation, match="clip ball"):
-            build_complex(sites, clip=clip)
-
-
-@pytest.mark.parametrize("scalar", ["float", "exact"])
-@pytest.mark.parametrize("d", [2, 3])
-def test_a_clip_ball_at_the_cut_range_is_read_as_the_python_reader_reads_it(d, scalar):
-    sites = _range_sites(d, scalar)
-    for clip in (Ball((0,) * d, cutting.CLIP_RANGE), Ball((cutting.CLIP_RANGE / 2,) * d, cutting.CLIP_RANGE / 2)):
-        assert_same_complex(cut_and_build(sites, clip), reference_complex(sites, clip))
-
-
 @pytest.mark.parametrize("scalar", [Fraction, float])
 def test_cell_meeting_the_ball_inside_a_face_is_not_empty(scalar):
     # cell 0 holds the centre; cell 1 (x >= 4/5) meets the ball inside a
     # face, cell 2 (x >= 31/10) stays 2.1 away from it
     sites = _sites_on_axis((0, Fraction(8, 5), Fraction(23, 5)), 3, scalar)
-    cx = build_complex(sites, clip=Ball((0, 0, 0), 1))
+    cx = build_complex(sites)
     assert [cell.empty for cell in cx.cells] == [False, False, True]
 
 
@@ -404,7 +362,7 @@ def test_cell_in_the_window_that_misses_the_ball_is_empty(d, scalar):
     # cell 1 (coordinate sum >= 3d/4) holds a corner of the window, but its
     # facet comes no closer to the centre than sqrt(d) 3/4 > 1
     sites = [W((scalar(0),) * d, scalar(0)), W((scalar(3) / 2,) * d, scalar(0))]
-    cx, cut = cut_and_build(sites, unit_ball(d))
+    cx, cut = cut_and_build(sites)
     assert not cut[1].empty
     assert [cell.empty for cell in cx.cells] == [False, True]
     assert cx.adjacency == set() and cx.facets == {}
@@ -412,7 +370,7 @@ def test_cell_in_the_window_that_misses_the_ball_is_empty(d, scalar):
 
 
 def test_two_equal_sites_split_by_perpendicular_bisector():
-    cx = build_complex([W((-0.3, 0), -1), W((0.3, 0), -1)], clip=unit_ball(2))
+    cx = build_complex([W((-0.3, 0), -1), W((0.3, 0), -1)])
     assert cx.adjacency == {(0, 1)}
     seg = cx.facets[(0, 1)]
     for v in seg:
@@ -422,7 +380,7 @@ def test_two_equal_sites_split_by_perpendicular_bisector():
 
 
 def test_equal_center_site_loses_everywhere():
-    cx = build_complex([W((0, 0), 1.0), W((0, 0), -1.0)], clip=unit_ball(2))
+    cx = build_complex([W((0, 0), 1.0), W((0, 0), -1.0)])
     # site 0 has larger power everywhere (weight subtracts): cell 1 wins
     assert cx.cells[1].empty
     assert not cx.cells[0].empty
@@ -430,7 +388,7 @@ def test_equal_center_site_loses_everywhere():
 
 def test_duplicate_sites_rejected():
     with pytest.raises(DuplicateSites):
-        build_complex([W((0, 0), 1), W((0, 0), 1)], clip=unit_ball(2))
+        build_complex([W((0, 0), 1), W((0, 0), 1)])
 
 
 @pytest.mark.parametrize(
@@ -445,21 +403,16 @@ def test_duplicate_sites_rejected():
 )
 def test_duplicate_sites_name_the_first_pair(sites, pair):
     with pytest.raises(DuplicateSites, match=f"sites {pair[0]} and {pair[1]} coincide"):
-        build_complex(sites, clip=unit_ball(2))
+        build_complex(sites)
     # a site with another weight is another site
-    build_complex(sites[:pair[1]] + [W(sites[pair[1]].center, Fraction(1, 9))], clip=unit_ball(2))
-
-
-def test_clip_ball_is_required():
-    with pytest.raises(TypeError):
-        build_complex([W((0, 0), 1), W((1, 0), 1)])
+    build_complex(sites[:pair[1]] + [W(sites[pair[1]].center, Fraction(1, 9))])
 
 
 def test_cells_win_power_minimization():
     # brute-force oracle over 10^4 samples: argmin power == containing cell
     pts = random_klein_points(16, seed=5)
     sites = [klein_site_map(p) for p in pts]
-    cx = build_complex(sites, clip=unit_ball(2))
+    cx = build_complex(sites)
     X = ball_points(1234, 10_000, 2)
     C = np.array([s.center for s in sites])
     Wt = np.array([float(s.weight) for s in sites])
@@ -477,33 +430,10 @@ def test_cells_win_power_minimization():
 def test_adjacency_symmetric_and_facets_present():
     pts = random_klein_points(12, seed=9)
     sites = [klein_site_map(p) for p in pts]
-    cx = build_complex(sites, clip=unit_ball(2))
+    cx = build_complex(sites)
     for (i, j) in cx.adjacency:
         assert i < j
         assert (i, j) in cx.facets
-
-
-def test_translation_covariance():
-    rng = np.random.default_rng(109)
-    sites = [
-        W(tuple(rng.uniform(-1, 1, 2)), float(rng.uniform(-0.5, 0.5)))
-        for _ in range(8)
-    ]
-    shift = (1.75, -0.6)
-    moved = [W((s.center[0] + shift[0], s.center[1] + shift[1]), s.weight) for s in sites]
-    cx0 = build_complex(sites, clip=unit_ball(2))
-    cx1 = build_complex(moved, clip=Ball(shift, 1))
-    assert cx0.adjacency == cx1.adjacency
-    assert [c.empty for c in cx0.cells] == [c.empty for c in cx1.cells]
-    v0 = {frozenset(v.sites): np.asarray(v.point, dtype=float) for v in cx0.power_vertices}
-    v1 = {frozenset(v.sites): np.asarray(v.point, dtype=float) for v in cx1.power_vertices}
-    # the window is the ball's own cube, so it shifts with the ball
-    assert set(v0) == set(v1)
-    for key in v0:
-        assert np.allclose(v0[key] + shift, v1[key], atol=1e-8)
-    assert {key for key, v in v0.items() if v @ v < 1} == {
-        key for key, v in v1.items() if (v - shift) @ (v - shift) < 1
-    }
 
 
 def test_euler_relation_clipped_general_position():
@@ -513,7 +443,7 @@ def test_euler_relation_clipped_general_position():
     for n in (4, 9, 17, 32, 200):
         for seed in range(1, 6):
             sites = [klein_site_map(p) for p in random_klein_points(n, seed=seed)]
-            cx = build_complex(sites, clip=unit_ball(2))
+            cx = build_complex(sites)
             V = sum(1 for v in cx.power_vertices if norm_sq(v.point) < 1)
             E = len(cx.adjacency)
             F = sum(1 for c in cx.cells if not c.empty)
@@ -525,7 +455,7 @@ def test_rational_mode_determinism():
     runs = []
     for _ in range(2):
         sites = [hemisphere_site_map(p) for p in pts]
-        cx = build_complex(sites, clip=unit_ball(2))
+        cx = build_complex(sites)
         table = tuple(
             (i, j, cx.cells[i].halfspaces[j].normal, cx.cells[i].halfspaces[j].offset)
             for i in range(len(cx.cells))
@@ -540,7 +470,7 @@ def test_rational_mode_determinism():
 def test_exact_pipeline_geometry_is_rational():
     pts = rational_hemisphere_points(6, seed=8)
     sites = [hemisphere_site_map(p) for p in pts]
-    cx = build_complex(sites, clip=unit_ball(2))
+    cx = build_complex(sites)
     for v in cx.power_vertices:
         assert all(isinstance(c, (int, Fraction)) for c in v.point)
 
@@ -553,7 +483,7 @@ def test_three_dimensional_cells():
         if float(x @ x) < 0.36:
             pts.append(tuple(float(c) for c in x))
     sites = [klein_site_map(p) for p in pts]
-    cx = build_complex(sites, clip=unit_ball(3))
+    cx = build_complex(sites)
     assert cx.dimension == 3
     assert all(not cell.empty for cell in cx.cells)
     # oracle agreement on samples
@@ -574,7 +504,7 @@ def test_implicit_mode_high_dimension():
         W(tuple(rng.uniform(-1, 1, 5)), float(rng.uniform(-0.5, 0)))
         for _ in range(12)
     ]
-    cx = build_complex(sites, clip=unit_ball(5))
+    cx = build_complex(sites)
     assert not cx.explicit
     assert all(len(c.halfspaces) == 11 for c in cx.cells)
 
@@ -583,7 +513,7 @@ def test_implicit_mode_high_dimension():
 def test_cell_halfspaces_are_radical_hyperplanes(d, n):
     pts = rational_hemisphere_points(n, d, seed=29)
     sites = [hemisphere_site_map(p) for p in pts]
-    cx = build_complex(sites, clip=unit_ball(d))
+    cx = build_complex(sites)
     for i, cell in enumerate(cx.cells):
         if d == 4:  # implicit: every other site
             assert list(cell.halfspaces) == [j for j in range(n) if j != i]
@@ -613,7 +543,7 @@ def test_high_dimension_halfspaces_pair_up(monkeypatch, d, n, scalar, cap):
         pts = [tuple(map(float, p)) for p in pts]
     sites = [hemisphere_site_map(p) for p in pts]
     monkeypatch.setattr(cutting, "BLOCK_PAIRS", cap)
-    cx = build_complex(sites, clip=unit_ball(d))
+    cx = build_complex(sites)
     for i, cell in enumerate(cx.cells):
         assert list(cell.halfspaces) == [j for j in range(n) if j != i]
         assert all(type(j) is int for j in cell.halfspaces)
@@ -641,14 +571,13 @@ def _window_fixtures(rng, d):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_box_halfwidth_matches_scalar_loop(d):
-    """The window is the clip ball's own cube: every cell vertex lies
-    within r of the centre in the Chebyshev norm."""
+    """The window is the unit ball's cube [-1, 1]^d: every cell vertex
+    lies within 1 of the origin in the Chebyshev norm."""
     rng = np.random.default_rng(211 + d)
     for sites in _window_fixtures(rng, d):
-        clip = Ball(tuple(rng.uniform(-0.1, 0.1, d)), 1)
-        for cell in cut_and_build(sites, clip)[1]:
+        for cell in cut_and_build(sites)[1]:
             for v in cell.vertices:
-                assert max(abs(float(c) - float(o)) for c, o in zip(v, clip.center)) <= float(clip.radius)
+                assert max(abs(float(c)) for c in v) <= 1
 
 
 def _private_names_of(module, tree):
@@ -665,8 +594,8 @@ def _private_names_of(module, tree):
 
 def test_only_cutting_knows_a_cut_block_s_layout():
     # a block's padded arrays are read where they are written
-    probe = "from . import cutting\nfrom .cutting import _Rings, pair_rows\ncutting._below(cutting.BLOCK_PAIRS)"
-    assert _private_names_of("cutting", ast.parse(probe)) == {"_Rings", "_below"}
+    probe = "from . import cutting\nfrom .cutting import _Rings, pair_rows\ncutting._window(cutting.BLOCK_PAIRS)"
+    assert _private_names_of("cutting", ast.parse(probe)) == {"_Rings", "_window"}
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "hypervoronoi")
     named = {}
     for name in sorted(os.listdir(src)):
@@ -746,8 +675,8 @@ def test_filtered_build_equals_plain_build(d, scalar, fixture):
     if scalar == "float":
         pts = [tuple(float(c) for c in p) for p in pts]
     sites = [hemisphere_site_map(p) for p in pts]
-    ref = reference_complex(sites, unit_ball(d))
-    got = cut_and_build(sites, unit_ball(d))
+    ref = reference_complex(sites)
+    got = cut_and_build(sites)
     assert_same_complex(got, ref)
     if fixture == "one":  # no candidate: the cell keeps its box
         box = clipping.box_polygon if d == 2 else clipping.box_polyhedron
@@ -776,7 +705,7 @@ def test_two_phase_feed_equals_plain_build(monkeypatch, d, scalar, feed):
         return q, j
 
     monkeypatch.setattr(cutting._Feed, "beyond", counting)
-    assert_same_complex(cut_and_build(sites, unit_ball(d)), reference_complex(sites, unit_ball(d)))
+    assert_same_complex(cut_and_build(sites), reference_complex(sites))
     if (scalar, d, feed) == ("float", 2, 32):  # once the 32 nearest have cut, few others can
         assert kept and sum(kept) < n
 
@@ -833,13 +762,13 @@ def test_build_over_several_blocks_equals_one_block(monkeypatch, d, scalar, fixt
     for feed in (cutting.NEAREST_FEED[d], 2):
         monkeypatch.setitem(cutting.NEAREST_FEED, d, feed)
         k = cutting._Feed(cutting.site_arrays(sites, d), feed, False).k  # first candidates per cell
-        one = cut_and_build(sites, unit_ball(d))
+        one = cut_and_build(sites)
         with monkeypatch.context() as m:
             m.setattr(cutting, "_cut_block", counting)
             for cap in (1, k, 3 * k - 1):  # one cell per block, then two
                 blocks.clear()
                 m.setattr(cutting, "BLOCK_PAIRS", cap)
-                got = cut_and_build(sites, unit_ball(d))
+                got = cut_and_build(sites)
                 assert sum(blocks) == n and len(blocks) > 1
                 assert max(blocks) == max(1, cap // k)
                 assert_same_complex(got, one)
@@ -883,7 +812,7 @@ def test_candidates_come_nearest_first(monkeypatch, d):
         homes.clear()
         ran.update((i, []) for i in range(n))
         monkeypatch.setattr(cutting, "BLOCK_PAIRS", 4 * k)  # three blocks
-        build_complex(sites, clip=unit_ball(d))
+        build_complex(sites)
         assert len(homes) == 3 and len(first) == n
         for i in range(n):
             dist = [sum((a - b) ** 2 for a, b in zip(sites[i].center, s.center)) for s in sites]
@@ -902,14 +831,12 @@ def test_integer_ball_test_equals_the_rational_one():
         return tuple(Fraction(int(a), int(b)) for a, b in zip(nums, dens))
 
     hits = 0
-    for trial in range(200):
-        radius = Fraction(int(rng.integers(1, 30)), int(rng.integers(1, 9)))
-        clip = Ball(rational(2, 10) if trial % 2 else (0, 0), radius)
-        points = [rational(2, 60) for _ in range(6)]
-        points.append(tuple(c + Fraction(1, 7) for c in clip.center))  # inside
-        homogeneous = [clipping.to_homogeneous(p) for p in points]
-        inside, meets = clipping.integer_ball_test(homogeneous, clipping.to_homogeneous(clip.center), clip.radius**2)
-        want_inside, want_meets = ball_test(points, clip)
+    for _ in range(200):
+        radius = Fraction(int(rng.integers(1, 30)), int(rng.integers(1, 9)))  # in the points' units
+        points = [tuple(c / radius for c in rational(2, 60)) for _ in range(6)]
+        points.append((Fraction(1, 7), Fraction(1, 7)))  # inside
+        inside, meets = clipping.integer_ball_test([clipping.to_homogeneous(p) for p in points])
+        want_inside, want_meets = ball_test(points)
         assert inside == want_inside
         for k, j in itertools.permutations(range(len(points)), 2):
             if not (inside[k] or inside[j]):  # `meets` is asked only then
@@ -1075,29 +1002,26 @@ READER_FIXTURES = {
 }
 
 
+def _seen_from(site, clip):
+    """The site whose diagram in the unit ball is the given site's diagram
+    in the ball clip = (centre o, radius r), scaled: ((c - o) / r, w / r^2)."""
+    o, r = clip
+    return WeightedSite(tuple((c - float(x)) / float(r) for c, x in zip(site.center, o)), site.weight / float(r) ** 2)
+
+
+# the unit ball, an off-centre ball, a small one: cells read at other places and sizes
+SEEN_FROM = {2: [((0, 0), 1), ((Fraction(1, 3), -0.25), Fraction(7, 10)), ((0.0, -0.0), 0.1)],
+             3: [((0, 0, 0), 1), ((Fraction(1, 3), -0.25, 0), Fraction(7, 10)), ((0.0, -0.0, 0.1), 0.3)]}
+
+
 @pytest.mark.parametrize("fixture", sorted(READER_FIXTURES))
-@pytest.mark.parametrize(
-    "clip", [unit_ball(2), Ball((Fraction(1, 3), -0.25), Fraction(7, 10)), Ball((0.0, -0.0), 0.1)]
-)
+@pytest.mark.parametrize("clip", SEEN_FROM[2])
 def test_array_reader_equals_python_reader(fixture, clip):
-    # near-degenerate wheels and squares make short edges and grazing cuts;
-    # a rational clip radius is compared exactly, as Python compares it
-    sites = [klein_site_map(p) for p in READER_FIXTURES[fixture]()]
+    # near-degenerate wheels and squares make short edges and grazing cuts
+    sites = [_seen_from(klein_site_map(p), clip) for p in READER_FIXTURES[fixture]()]
     with python_reader():
-        want = cut_and_build(sites, clip)
-    assert_same_complex(cut_and_build(sites, clip), want)
-
-
-def test_array_reader_compares_the_radius_exactly():
-    # r^2 = 1/9 lies between two floats: a float bound in either direction
-    # would be wrong for one of them
-    r2 = Fraction(1, 9)
-    below, above = float(r2), math.nextafter(float(r2), 1.0)
-    if below > r2:
-        below, above = math.nextafter(below, 0.0), below
-    for x in (below, above, math.inf, math.nan):
-        f, strict = cutting._below(r2)
-        assert (x < f if strict else x <= f) == (x < r2)
+        want = cut_and_build(sites)
+    assert_same_complex(cut_and_build(sites), want)
 
 
 # --- the array cut and reader of float polyhedra -------------------------------------
@@ -1156,11 +1080,11 @@ def test_float_polyhedra_leave_only_touching_cuts_to_the_clipper(monkeypatch, fi
 
     with monkeypatch.context() as m:
         m.setattr(clipping, "clip_polyhedron", counting)
-        got = cut_and_build(sites, unit_ball(3))
+        got = cut_and_build(sites)
     assert all(left)
     if fixture in ("random", "grid", "cube"):
         assert not left
-    assert_same_complex(got, reference_complex(sites, unit_ball(3)))
+    assert_same_complex(got, reference_complex(sites))
 
 
 @pytest.mark.parametrize("n, seed", [(50, 1), (200, 2)])
@@ -1176,22 +1100,21 @@ def test_float_polyhedra_are_cut_without_the_python_clipper(monkeypatch, n, seed
 
 
 @pytest.mark.parametrize("fixture", sorted(POLYHEDRON_FIXTURES))
-@pytest.mark.parametrize(
-    "clip", [unit_ball(3), Ball((Fraction(1, 3), -0.25, 0), Fraction(7, 10)), Ball((0.0, -0.0, 0.1), 0.3)]
-)
+@pytest.mark.parametrize("clip", SEEN_FROM[3])
 def test_polyhedron_array_reader_equals_python_reader(monkeypatch, fixture, clip):
     """`cutting._Polyhedra.read` starts each block's rings where the Python
     reader does, and gives its emptiness, facets (first occurrences) and
     vertex candidates, by `repr` (so each candidate's frozenset is made as
-    the Python reader makes it); the build equals the Python reader's.  A
-    rational clip centre is read as its float64 image, by both."""
-    sites = [klein_site_map(p) for p in POLYHEDRON_FIXTURES[fixture]()]
+    the Python reader makes it); the build equals the Python reader's.
+    The sites are those the unit ball shows as the ball `clip` shows the
+    fixture's (`_seen_from`)."""
+    sites = [_seen_from(klein_site_map(p), clip) for p in POLYHEDRON_FIXTURES[fixture]()]
     read, blocks = cutting._Polyhedra.read, []
 
-    def both(cells, first, clip, tol):
+    def both(cells, first):
         polys = [least_first(p) for p in block_shapes(cells)]
-        empty, found, candidates = ShapeBlock(block_shapes(cells)).read(first, clip, tol)
-        got = read(cells, first, clip, tol)
+        empty, found, candidates = ShapeBlock(block_shapes(cells)).read(first)
+        got = read(cells, first)
         assert block_shapes(cells) == polys and repr(block_shapes(cells)) == repr(polys)
         facets, got_facets = {}, {}
         for key, facet in found:
@@ -1206,15 +1129,15 @@ def test_polyhedron_array_reader_equals_python_reader(monkeypatch, fixture, clip
 
     with monkeypatch.context() as m:
         m.setattr(cutting._Polyhedra, "read", both)
-        got = cut_and_build(sites, clip)
+        got = cut_and_build(sites)
     assert sum(blocks) == len(sites)
     with python_reader():
-        want = cut_and_build(sites, clip)
+        want = cut_and_build(sites)
     assert_same_complex(got, want)
 
 
-def test_polyhedron_reader_takes_areas_at_the_bound_from_face_area():
-    # an area at tol^2 or next to it is read as `clipping.face_area` reads it
+def test_polyhedron_reader_takes_areas_at_the_bound_from_face_area(monkeypatch):
+    # an area at FACET_MEASURE_TOL^2 or next to it is read as `clipping.face_area` reads it
     cells = cutting._Polyhedra(clipping.box_polyhedron(1.0), 1)
     cells.cut(np.array([0]), np.array([[0.6], [0.8], [0.0], [-0.5], [0.0], [0.0]]), np.array([7]))
     cell = block_shapes(cells)[0]
@@ -1223,6 +1146,7 @@ def test_polyhedron_reader_takes_areas_at_the_bound_from_face_area():
     for tol in (math.sqrt(area), math.nextafter(math.sqrt(area), 0.0), math.nextafter(math.sqrt(area), 1.0)):
         fresh = cutting._Polyhedra(clipping.box_polyhedron(1.0), 1)
         fresh.cut(np.array([0]), np.array([[0.6], [0.8], [0.0], [-0.5], [0.0], [0.0]]), np.array([7]))
-        _, found, _ = fresh.read(0, unit_ball(3), tol)
-        want = polyhedron_facets(block_shapes(fresh)[0], tol, unit_ball(3))
+        monkeypatch.setattr(cutting, "FACET_MEASURE_TOL", tol)
+        _, found, _ = fresh.read(0)
+        want = polyhedron_facets(block_shapes(fresh)[0])
         assert [((0, 7), facet) for _, facet in want] == found

@@ -35,7 +35,7 @@ def _diagram(route, d, n, seed=7):
 def test_power_vertices_in_the_ball_are_the_lower_hulls(route, d, n):
     dia = _diagram(route, d, n)
     cx = dia.complex
-    expected = PowerHull(cx.sites).vertices_inside(cx.clip)
+    expected = PowerHull(cx.sites).vertices_inside()
     found = {
         v.sites: np.array([float(c) for c in v.point])
         for v in cx.power_vertices
@@ -51,11 +51,11 @@ def test_power_vertices_in_the_ball_are_the_lower_hulls(route, d, n):
 def test_delaunay_is_the_lower_hulls(route, d, n):
     dia = _diagram(route, d, n)
     hull = PowerHull(dia.complex.sites)
-    faces, is_triangulation = hull.faces_inside(dia.complex.clip)
+    faces, is_triangulation = hull.faces_inside()
     dl = delaunay(dia)
     assert set(dl.faces) == faces
     assert len(dl.faces) == len(faces)
-    assert dl.edges == hull.pairs_meeting(dia.complex.clip)
+    assert dl.edges == hull.pairs_meeting()
     assert dl.is_triangulation == is_triangulation
 
 
@@ -73,10 +73,10 @@ def test_degenerate_delaunay_is_the_lower_hulls(raw, faces):
     dia = voronoi([ModelPoint(ModelTag.KLEIN, p) for p in raw])
     hull = PowerHull(dia.complex.sites)
     dl = delaunay(dia)
-    assert (set(dl.faces), dl.is_triangulation) == hull.faces_inside(dia.complex.clip)
+    assert (set(dl.faces), dl.is_triangulation) == hull.faces_inside()
     assert len(dl.faces) == faces
     assert not dl.is_triangulation
-    assert dl.edges == hull.pairs_meeting(dia.complex.clip)
+    assert dl.edges == hull.pairs_meeting()
 
 
 @pytest.mark.parametrize(
@@ -92,7 +92,7 @@ def test_adjacency_is_the_full_diagrams_pairs_meeting_the_ball(raw, d):
     """The full power diagram's facets that meet the open ball are the
     clipped build's adjacency, and the full diagram has more."""
     sites = [power.klein_site_map(p) for p in raw]
-    cx = power.build_complex(sites, power.unit_ball(d))
+    cx = power.build_complex(sites)
     hull = PowerHull(sites)
-    assert hull.pairs_meeting(cx.clip) == cx.adjacency
+    assert hull.pairs_meeting() == cx.adjacency
     assert len(hull.pairs) > len(cx.adjacency)

@@ -26,7 +26,7 @@ from hypervoronoi.documents import (
 )
 from hypervoronoi.errors import CoincidentSites, DegenerateSurface
 from hypervoronoi.hvd import COLLINEAR_MIN_SPAN
-from hypervoronoi.power import Ball, Halfspace, WeightedSite
+from hypervoronoi.power import Halfspace, WeightedSite
 from hypervoronoi.scalars import all_exact, as_floats, dot, is_exact, norm_sq, vsub
 
 ALL_MODELS = (
@@ -139,41 +139,35 @@ def least_first(shape):
     return Polyhedron(shape.vertices, [Face(f.tag, r) for f, r in zip(shape.faces, rings)])
 
 
-def ball_test(points, clip):
-    """Which points lie strictly inside the clip ball, and whether the
-    segment between points k and j comes closer to its centre than r."""
-    rel = [vsub(v, clip.center) for v in points]
-    r2 = clip.radius**2
-    return [norm_sq(v) < r2 for v in rel], lambda k, j: clipping.segment_min_norm_sq(rel[k], rel[j]) < r2
+def ball_test(points):
+    """Which points lie strictly inside the unit ball, and whether the
+    segment between points k and j meets it."""
+    return [norm_sq(v) < 1 for v in points], lambda k, j: clipping.segment_min_norm_sq(points[k], points[j]) < 1
 
 
-def polygon_facets(poly, tol, exact, clip):
-    """Radical edges of positive length (exactly so on rational input)
-    that come closer to the clip centre than its radius (exact likewise,
-    on the integers).  An edge with an end strictly inside the ball does
-    at once."""
+def polygon_facets(poly, exact):
+    """Radical edges of positive length (exactly so on rational input;
+    above FACET_MEASURE_TOL on float input) that meet the open unit ball
+    (exact likewise, on the integers).  An edge with an end strictly
+    inside the ball does at once."""
     if exact:
-        vertices = [clipping.to_homogeneous(v) for v in poly.vertices]
-        inside, meets = clipping.integer_ball_test(vertices, clipping.to_homogeneous(clip.center), clip.radius**2)
+        inside, meets = clipping.integer_ball_test([clipping.to_homogeneous(v) for v in poly.vertices])
     else:
-        inside, meets = ball_test(poly.vertices, clip)
+        inside, meets = ball_test(poly.vertices)
     for k, (tag, v0, v1) in enumerate(poly.edges()):
         if tag is BOX_TAG:
             continue
-        if not ((v0 != v1) if exact else (math.sqrt(float(norm_sq(vsub(v1, v0)))) > tol)):
+        if not ((v0 != v1) if exact else (math.sqrt(float(norm_sq(vsub(v1, v0)))) > cutting.FACET_MEASURE_TOL)):
             continue
         j = (k + 1) % len(poly.vertices)
         if inside[k] or inside[j] or meets(k, j):
             yield tag, (v0, v1)
 
 
-def polyhedron_facets(polyh, tol, clip):
+def polyhedron_facets(polyh):
     """`cutting._polyhedron_facets` of a polyhedron on affine vertices,
-    their float64 images taken once, and those of their offsets from the
-    clip centre."""
-    fv = [as_floats(v) for v in polyh.vertices]
-    rel = [as_floats(vsub(v, clip.center)) for v in polyh.vertices] if any(clip.center) else fv
-    return cutting._polyhedron_facets(polyh, tol, clip.radius**2, fv, rel)
+    their float64 images taken once."""
+    return cutting._polyhedron_facets(polyh, [as_floats(v) for v in polyh.vertices])
 
 
 def block_shapes(block):
@@ -203,23 +197,19 @@ def as_read(shape):
 
 class ShapeBlock:
     """A block of cells as Python shapes, read by the Python reader, a cell
-    at a time: the reference for every block's `read`.  A float cell is read
-    against the float64 image of the clip centre, as the array readers
-    read it."""
+    at a time: the reference for every block's `read`."""
 
     def __init__(self, shapes):
         self.shapes = shapes
 
-    def read(self, first, clip, tol):
-        float_clip = Ball(tuple(float(c) for c in clip.center), clip.radius)
+    def read(self, first):
         empty, found, candidates = [], [], []
         for i, shape in enumerate(map(as_read, self.shapes), first):
             exact = all(all_exact(v) for v in shape.vertices)
-            at = clip if exact else float_clip
             if isinstance(shape, Polygon):
-                facets, vertices = polygon_facets(shape, tol, exact, at), cutting._polygon_vertices(shape, i)
+                facets, vertices = polygon_facets(shape, exact), cutting._polygon_vertices(shape, i)
             else:
-                facets, vertices = polyhedron_facets(shape, tol, at), cutting._polyhedron_vertices(shape, i)
+                facets, vertices = polyhedron_facets(shape), cutting._polyhedron_vertices(shape, i)
             empty.append(shape.empty)
             found += [((i, j) if i < j else (j, i), facet) for j, facet in facets]
             candidates += vertices
@@ -252,10 +242,10 @@ def recorded_cells():
         yield cells
 
 
-def cut_and_build(sites, clip):
+def cut_and_build(sites):
     """build_complex, and the cells its cut made (`recorded_cells`)."""
     with recorded_cells() as cells:
-        cx = build_complex(sites, clip=clip)
+        cx = build_complex(sites)
     assert len(cells) == (len(cx.cells) if cx.explicit else 0)
     return cx, cells
 
@@ -284,7 +274,7 @@ def plain_cut_block(window, home, feed, side, reverse=False):
     return ShapeBlock(shapes)
 
 
-def reference_complex(sites, clip):
+def reference_complex(sites):
     """`cut_and_build` with the window-then-every-candidate loop, linear
     merges, the Python radical hyperplanes, so float cells are cut by
     Python rows, not by the pair table's columns, and the Python reader."""
@@ -292,7 +282,7 @@ def reference_complex(sites, clip):
         m.setattr(cutting, "_cut_block", plain_cut_block)
         m.setattr(power, "radical_hyperplane", reference_radical_hyperplane)
         m.setattr(clipping, "merge_near", linear_merge_near)
-        return cut_and_build(sites, clip)
+        return cut_and_build(sites)
 
 
 def assert_same_complex(got, want):
@@ -380,42 +370,38 @@ class PowerHull:
                 around.setdefault(pair, set()).add(r)
         self.lower = [s for s, eq in zip(simplices, hull.equations) if eq[d] < -self.PLANE_TOL]
         lower_roots = {r for r, eq in zip(roots, hull.equations) if eq[d] < -self.PLANE_TOL}
-        origin = np.zeros(d)
-        self.vertices = {frozenset(facets[r]): self._tied(facets[r], origin) for r in lower_roots}
+        self.vertices = {frozenset(facets[r]): self._tied(facets[r]) for r in lower_roots}
         self.pairs = {
             pair for s in self.lower for pair in itertools.combinations(s, 2) if len(around[pair]) >= d
         }
 
-    def _tied(self, S, centre):
-        """The point closest to `centre` where the sites S have equal power."""
+    def _tied(self, S):
+        """The point closest to the origin where the sites S have equal power."""
         S = sorted(S)
         A = 2 * (self.C[S[1:]] - self.C[S[0]])
-        b = self.H[S[1:]] - self.H[S[0]] - A @ centre
-        return centre + np.linalg.lstsq(A, b, rcond=None)[0]
+        return np.linalg.lstsq(A, self.H[S[1:]] - self.H[S[0]], rcond=None)[0]
 
     def _in_face(self, x, S):
         """Whether the sites S have the least power at x, within TIE_TOL."""
         pw = ((self.C - x) ** 2).sum(axis=1) - self.W
         return pw[sorted(S)].max() <= pw.min() + self.TIE_TOL * max(1.0, float(np.abs(pw).max()))
 
-    def vertices_inside(self, clip):
-        """{site set: power vertex} of the vertices strictly inside `clip`."""
-        c, r = np.array(clip.center, dtype=float), float(clip.radius)
-        return {S: v for S, v in self.vertices.items() if np.linalg.norm(v - c) < r}
+    def vertices_inside(self):
+        """{site set: power vertex} of the vertices strictly inside the unit ball."""
+        return {S: v for S, v in self.vertices.items() if np.linalg.norm(v) < 1}
 
-    def pairs_meeting(self, clip):
-        """The pairs whose facet comes closer to the clip centre than r.
+    def pairs_meeting(self):
+        """The pairs whose facet meets the open unit ball.
 
-        A convex facet's closest point to the centre is the centre's
+        A convex facet's closest point to the origin is the origin's
         projection onto the span of one of its faces, lying in that face;
         the faces are the duals of the lower hull's faces holding the pair,
         which the lower simplices' vertex subsets cover.
         """
-        c, r = np.array(clip.center, dtype=float), float(clip.radius)
 
         def meets(S):
-            x = self._tied(S, c)
-            return np.linalg.norm(x - c) < r and self._in_face(x, S)
+            x = self._tied(S)
+            return np.linalg.norm(x) < 1 and self._in_face(x, S)
 
         met = set()
         for s in self.lower:
@@ -429,14 +415,14 @@ class PowerHull:
                         met.add(pair)
         return met
 
-    def faces_inside(self, clip):
+    def faces_inside(self):
         """The Delaunay faces (site sets) whose power vertex lies inside
-        `clip`, and whether they make a triangulation: every face a
+        the unit ball, and whether they make a triangulation: every face a
         d-simplex, every pair meeting the ball an edge of a face."""
-        faces = set(self.vertices_inside(clip))
+        faces = set(self.vertices_inside())
         covered = {pair for f in faces for pair in itertools.combinations(sorted(f), 2)}
         simplicial = all(len(f) == self.d + 1 for f in faces)
-        return faces, simplicial and self.pairs_meeting(clip) <= covered
+        return faces, simplicial and self.pairs_meeting() <= covered
 
 
 # --- the rational kernel the integer homogeneous one replaced -----------------
@@ -658,8 +644,8 @@ def reference_document(
             for k, cell in enumerate(cx.cells)
         ],
         "clip": {
-            "center": encode_vector(cx.clip.center, exact),
-            "radius": enc(cx.clip.radius),
+            "center": encode_vector((0,) * cx.dimension, exact),
+            "radius": enc(1),
         },
         "adjacency": [list(pair) for pair in sorted(cx.adjacency)],
         "facets": [
