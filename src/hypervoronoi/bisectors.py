@@ -98,28 +98,22 @@ def evaluate(s: ImplicitSurface, x) -> object:
 
 
 def classify(s: ImplicitSurface) -> SurfaceClass:
-    coeffs = row_floats(s.coefficients())
-    bound = CLASSIFY_TOL * max(abs(c) for c in coeffs)
-    lam, b = coeffs[0], coeffs[-1]
-    if abs(lam) <= bound:
-        if s.model is ModelTag.HEMISPHERE and abs(coeffs[1]) <= bound:
-            return SurfaceClass.VERTICAL_SPHERE
-        if abs(b) <= bound:
-            return SurfaceClass.HYPERPLANE_THROUGH_ORIGIN
-        return SurfaceClass.HYPERPLANE
-    a = coeffs[1:-1]
-    radius_sq = sum(c * c for c in a) / (4 * lam * lam) - b / lam
-    if radius_sq <= 0:
-        raise DegenerateSurface(
-            f"quadric with lam = {lam} has squared radius {radius_sq} <= 0"
-        )
-    return SurfaceClass.SPHERE
+    """`classify_rows` of the surface's one row; DegenerateSurface where
+    the quadric has no real points (squared radius <= 0)."""
+    (name,) = classify_rows([row_floats(s.coefficients())], s.model)
+    if name == "degenerate":
+        raise DegenerateSurface(f"quadric {s.coefficients()} has squared radius <= 0")
+    return SurfaceClass(name)
 
 
 def classify_rows(rows, model: ModelTag) -> list:
-    """`classify(s).value` for each row of `row_floats(s.coefficients())`,
-    "degenerate" where it raises DegenerateSurface: its arithmetic, all
-    rows at once (its sums run left to right; a NaN radius is a sphere)."""
+    """Each row's surface class name, "degenerate" where its squared radius
+    is <= 0: with lam, a and b the row's first, middle and last
+    coefficients, a plane when |lam| <= CLASSIFY_TOL times the largest
+    |coefficient|, through the origin when |b| is too, and on the
+    hemisphere vertical when |a_0| is too; a sphere otherwise, its
+    squared radius |a|^2 / (4 lam^2) - b / lam (sums run left to right; a
+    NaN radius is a sphere).  The package's one surface class."""
     R = np.asarray(rows, dtype=float)
     with np.errstate(all="ignore"):
         bound = CLASSIFY_TOL * np.abs(R).max(axis=1)

@@ -38,7 +38,7 @@ from .errors import (
 )
 from .hvd import delaunay, detect_degeneracies, oracle_hubs, verify, verify_cells, voronoi
 from .models import Curvature, ModelTag
-from .sampling import SEED_LIMIT
+from .sampling import SEED_LIMIT, count_limit
 
 EXIT_OK = 0
 EXIT_DISAGREEMENT = 1
@@ -112,11 +112,17 @@ def _check_seed(seed: int) -> None:
         raise ParseError(f"--seed must be in [0, 2**128), got {seed}")
 
 
+def _check_count(flag: str, count: int, d: int) -> None:
+    if count >= count_limit(d):
+        raise ParseError(f"{flag} must be below {count_limit(d)} at dimension {d}, got {count}")
+
+
 def cmd_compute(args) -> int:
     _check_seed(args.seed)
     if args.verify < 0:
         raise ParseError(f"--verify must be >= 0, got {args.verify}")
     doc = _apply_overrides(load_point_set(args.input), args)
+    _check_count("--verify", args.verify, doc.dimension)
     dia = voronoi(doc.model_points(), route=args.route)
     try:
         dual = delaunay(dia)
@@ -191,6 +197,7 @@ def cmd_check(args) -> int:
     if args.samples < 1:
         raise ParseError(f"--samples must be >= 1, got {args.samples}")
     doc = load_document(args.input)
+    _check_count("--samples", args.samples, doc.dimension)
     if isinstance(doc, DiagramDocument):
         report = _check_stored_diagram(doc, args.samples, args.seed)
         return _print_report(report, f"stored diagram {args.input}")

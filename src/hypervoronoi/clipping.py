@@ -39,7 +39,7 @@ from operator import mul
 
 import numpy as np
 
-from .scalars import as_floats, dot, norm_sq, vsub
+from .scalars import dot, norm_sq
 
 BOX_TAG = None
 
@@ -137,21 +137,6 @@ def clip_polygon(poly: Polygon, normal, offset, tag) -> Polygon:
     if sum(keep) < 3:
         return Polygon([], [])
     return Polygon(list(itertools.compress(out_v, keep)), list(itertools.compress(out_t, keep)))
-
-
-def segment_min_norm_sq(v0, v1):
-    """min over the segment [v0, v1] of squared distance to the origin."""
-    d = vsub(v1, v0)
-    dd = norm_sq(d)
-    if dd == 0:
-        return norm_sq(v0)
-    t = -dot(v0, d) / dd
-    if t <= 0:
-        return norm_sq(v0)
-    if t >= 1:
-        return norm_sq(v1)
-    w = tuple(a + t * b for a, b in zip(v0, d))
-    return norm_sq(w)
 
 
 def integer_ball_test(vertices):
@@ -327,46 +312,6 @@ def clip_polyhedron(poly: Polyhedron, normal, offset, tag) -> Polyhedron:
     for k in dead:
         points[k] = None
     return Polyhedron(points, faces)
-
-
-def _newell_normal(fv) -> list:
-    """Newell's normal of a float ring: its length is twice the area."""
-    n = [0.0, 0.0, 0.0]
-    for u, w in zip(fv, fv[1:] + fv[:1]):
-        n[0] += (u[1] - w[1]) * (u[2] + w[2])
-        n[1] += (u[2] - w[2]) * (u[0] + w[0])
-        n[2] += (u[0] - w[0]) * (u[1] + w[1])
-    return n
-
-
-def face_area(verts) -> float:
-    """Area via Newell's formula (float verts, assumed planar, ordered);
-    squares by multiplication, as `cutting`'s numpy reader does."""
-    n = _newell_normal(verts)
-    return 0.5 * math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
-
-
-def face_min_norm_sq(verts) -> float:
-    """min squared distance from the origin to a planar convex face (float)."""
-    fv = [as_floats(v) for v in verts]
-    edges = list(zip(fv, fv[1:] + fv[:1]))
-    best = min(min(norm_sq(v) for v in fv), min(float(segment_min_norm_sq(u, w)) for u, w in edges))
-    # interior: the origin's foot on the face plane, inside when no two
-    # edges see it on opposite sides
-    n = _newell_normal(fv)
-    nn = norm_sq(n)
-    if nn == 0:
-        return best
-    t = dot(fv[0], n) / nn
-    foot = [t * c for c in n]
-    sides = []
-    for u, w in edges:
-        e, r = vsub(w, u), vsub(foot, u)
-        cr = (e[1] * r[2] - e[2] * r[1], e[2] * r[0] - e[0] * r[2], e[0] * r[1] - e[1] * r[0])
-        sides.append(dot(cr, n))
-    if all(x >= 0 for x in sides) or all(x <= 0 for x in sides):
-        best = min(best, norm_sq(foot))
-    return best
 
 
 # --- merging near points ----------------------------------------------------

@@ -29,12 +29,13 @@ polyhedron (`_Cells`).
 
 Each block is read as soon as its cuts end, its rings started at their
 least vertex (no output depends on the cut order): `_Rings` and
-`_Polyhedra` read their arrays in numpy, with the IEEE operations of the
-Python tests they replace.  `_Cells` reads each exact cell on its integer
-vertices (least-first order, a polygon's in-ball tests, site sets), but
-for a polyhedron's area and in-ball tests, which read the float images
-X / Z its cut made, bit for bit `float(Fraction(X, Z))`; it makes a
-`Fraction` only for a point it returns.  No other module reads a block.
+`_Polyhedra` read their arrays in numpy, by the one segment test
+(`_foot_inside`) and the one face test (`_face_facets`).  `_Cells` reads
+each exact cell on its integer vertices (least-first order, a polygon's
+in-ball tests, site sets), but for a polyhedron's faces, which
+`_face_facets` reads on the float images X / Z its cut made, bit for bit
+`float(Fraction(X, Z))`; it makes a `Fraction` only for a point it
+returns.  No other module reads a block.
 
 Every float row of the package is a column of `pair_rows`, made in numpy
 from the site arrays of `site_arrays`.
@@ -48,9 +49,9 @@ from itertools import chain
 import numpy as np
 
 from . import clipping
-from .clipping import BOX_TAG, Face, Polygon, Polyhedron, face_area, face_min_norm_sq, to_affine
+from .clipping import BOX_TAG, Face, Polygon, Polyhedron, to_affine
 from .errors import CoincidentSites, DomainViolation
-from .scalars import as_floats, norm_sq
+from .scalars import as_floats
 
 # Relative margin of the float screen in `_lockstep`.  It only decides
 # which provable no-op cuts are skipped, never the geometry: a hyperplane
@@ -69,16 +70,23 @@ ROUNDS_TO_ZERO = "radical hyperplane rounds to zero in float64"
 FACET_MEASURE_TOL = 1e-10
 
 
-def _side_table(X, R):
-    """<normal, x> + offset of each column of R at the vertices X, whose
-    first axis is the coordinate and last the column, in `dot`'s operation
-    order: summed from 0.0, as Python's `sum` starts from 0."""
-    d = len(X)
+def _dot(X, R):
+    """<x, r> along the first axis of X (R may be longer), in `dot`'s
+    operation order: summed from 0.0, as Python's `sum` starts from 0."""
     vals = X[0] * R[0]
     vals += 0.0
-    for k in range(1, d):
+    for k in range(1, len(X)):
         vals += X[k] * R[k]
-    vals += R[d]
+    return vals
+
+
+def side_values(X, R):
+    """<normal, x> + offset of each column of R at the points X, whose
+    first axis is the coordinate (`_dot`, then the offset R[d]).  The
+    package's one float side value: the screen's, a float cut's and the
+    labeller's."""
+    vals = _dot(X, R)
+    vals += R[len(X)]
     return vals
 
 
@@ -95,7 +103,7 @@ def _screen(R, V, counts):
     step = max(1, BLOCK_PAIRS // R.shape[1])
     worst = None
     for s in range(0, slots, step):
-        val = _side_table(np.repeat(V[:, s:s + step], counts, axis=2), R).max(axis=0)
+        val = side_values(np.repeat(V[:, s:s + step], counts, axis=2), R).max(axis=0)
         worst = val if worst is None else np.maximum(worst, val)
     return worst
 
@@ -394,7 +402,7 @@ class _Rings:
         valid = slot < L
         nxt = np.where(slot + 1 < L, slot + 1, 0)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            f0 = _side_table(P, R)
+            f0 = side_values(P, R)
             f1 = f0[nxt, col]
             t = f0 / (f0 - f1)
             X = P + t * (P[:, nxt, col] - P)
@@ -443,12 +451,9 @@ class _Rings:
     def read(self, first):
         """`cut_cells`' reading of cells first, first + 1, ..., in numpy.  A
         facet (v0, v1) is a radical edge longer than FACET_MEASURE_TOL that
-        meets the open unit ball: an end strictly inside, or the origin's
-        foot strictly between its ends and inside
-        (`clipping.segment_min_norm_sq`: the same IEEE operations in the
-        same order, sums from +0.0).  A vertex candidate is a corner where
-        two radical edges of different tags meet, with cell i and those
-        tags."""
+        meets the open unit ball: an end strictly inside, or `_foot_inside`.
+        A vertex candidate is a corner where two radical edges of different
+        tags meet, with cell i and those tags."""
         self.least_first()
         P, T, L = self.V, self.T, self.L
         col = np.arange(P.shape[2])
@@ -457,13 +462,9 @@ class _Rings:
         radical = (slot < L) & (T >= 0)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             D = P[:, nxt, col] - P
-            dd = D[0] * D[0] + D[1] * D[1]
-            long = np.sqrt(dd) > FACET_MEASURE_TOL
-            t = -(0.0 + P[0] * D[0] + P[1] * D[1]) / dd
-            W = P + t * D
-            inside = P[0] * P[0] + P[1] * P[1] < 1.0
-            meets = (dd != 0) & (t > 0) & (t < 1) & (W[0] * W[0] + W[1] * W[1] < 1.0)
-        facet = radical & long & (inside | inside[nxt, col] | meets)
+            long = np.sqrt(_dot(D, D)) > FACET_MEASURE_TOL
+            inside = _dot(P, P) < 1.0
+            facet = radical & long & (inside | inside[nxt, col] | _foot_inside(P, D))
         prev = T[np.where(slot > 0, slot - 1, L - 1), col]
         corner = radical & (prev >= 0) & (prev != T)
         vertex = _points(P, slot.T < L[:, None]).__getitem__  # cell by cell
@@ -535,7 +536,7 @@ class _Polyhedra:
         gets tags[p]."""
         V = self.V[:, :, cs]
         with np.errstate(over="ignore", invalid="ignore"):
-            f = _side_table(V, R)
+            f = side_values(V, R)
         valid = np.arange(V.shape[1])[:, None] < self.N[cs]
         kept = valid & (f <= 0)
         cut = (valid & (f > 0)).any(axis=0)
@@ -719,45 +720,15 @@ class _Polyhedra:
 
     def read(self, first):
         """`cut_cells`' reading of cells first, first + 1, ..., in numpy.  A
-        facet is a radical face of Newell area above FACET_MEASURE_TOL^2
-        that meets the open unit ball: a vertex strictly inside, or
-        `clipping.face_min_norm_sq` below 1.  The IEEE operations are
-        `clipping`'s (`face_area` among them), in the same order, sums from
-        +0.0.  A vertex candidate is a vertex on three radical faces or
-        more, with cell i and their tags."""
+        facet is a radical face that `_face_facets` keeps.  A vertex
+        candidate is a vertex on three radical faces or more, with cell i
+        and their tags."""
         self.least_first()
         V, F, FL, FT = self.V, self.F, self.FL, self.FT
         m, S, K = len(F), V.shape[1], F.shape[2]
         c, g = np.nonzero((FL > 0) & (FT >= 0))  # the radical faces, one row each
         rows, L, tags = F[c, g], FL[c, g], FT[c, g]
-        pos = np.arange(K)
-        ring = pos < L[:, None]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            U = np.stack([x.take(rows * m + c[:, None]) for x in V])  # coordinate, face, position
-            W = np.where(pos + 1 == L[:, None], U[..., :1], np.concatenate((U[..., 1:], U[..., :1]), axis=2))
-            n = _newell_sums(U, W, L)
-            area = 0.5 * np.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
-            big = area > FACET_MEASURE_TOL * FACET_MEASURE_TOL
-            facet = big & (ring & (U[0] * U[0] + U[1] * U[1] + U[2] * U[2] < 1.0)).any(axis=1)
-            # `face_min_norm_sq` where no vertex is inside
-            rest = np.flatnonzero(big & ~facet)
-            U, W, n, ring = U[:, rest], W[:, rest], n[:, rest], ring[rest]
-            D = W - U
-            dd = D[0] * D[0] + D[1] * D[1] + D[2] * D[2]
-            t = -(0.0 + U[0] * D[0] + U[1] * D[1] + U[2] * D[2]) / dd
-            X = U + t * D
-            meets = (dd != 0) & (t > 0) & (t < 1) & (X[0] * X[0] + X[1] * X[1] + X[2] * X[2] < 1.0)
-            # the origin's foot on the face plane, inside when no two edges see it on opposite sides
-            nn = n[0] * n[0] + n[1] * n[1] + n[2] * n[2]
-            foot = (0.0 + U[0, :, 0] * n[0] + U[1, :, 0] * n[1] + U[2, :, 0] * n[2]) / nn * n
-            R = foot[..., None] - U
-            side = (
-                0.0 + (D[1] * R[2] - D[2] * R[1]) * n[0, :, None] + (D[2] * R[0] - D[0] * R[2]) * n[1, :, None]
-                + (D[0] * R[1] - D[1] * R[0]) * n[2, :, None]
-            )
-            interior = (nn != 0) & (((side >= 0) | ~ring).all(axis=1) | ((side <= 0) | ~ring).all(axis=1))
-            interior &= foot[0] * foot[0] + foot[1] * foot[1] + foot[2] * foot[2] < 1.0
-            facet[rest] = (ring & meets).any(axis=1) | interior
+        facet = _face_facets(np.stack([x.take(rows * m + c[:, None]) for x in V]), L)
         vertex = _points(V, np.arange(S) < self.N[:, None]).__getitem__  # cell by cell
         base = np.cumsum(self.N) - self.N
         once, pairs = _first_pairs(first + c[facet], tags[facet])
@@ -768,7 +739,7 @@ class _Polyhedra:
         ]
         # each vertex's radical tags, vertices in table order, tags in face
         # order: each set is made as `_polyhedron_vertices` makes it
-        f, k = np.nonzero(pos < L[:, None])
+        f, k = np.nonzero(np.arange(K) < L[:, None])
         key = c[f] * S + rows[f, k]
         order = np.argsort(key, kind="stable")
         key, tag = key[order], tags[f][order].tolist()
@@ -853,31 +824,41 @@ class _Cells:
             self.table[:, :, [c for c, _ in rewrite]] = flat.reshape(-1, width, d).T
 
     def read(self, first):
-        """`cut_cells`' reading of cells first, first + 1, ..., one at a
-        time, on their integer vertices, but for a polyhedron's area and
-        in-ball tests, which read the float images its cut made.  A
-        `Fraction` point is made once per vertex the block returns."""
+        """`cut_cells`' reading of cells first, first + 1, ..., on their
+        integer vertices, rings least first, but for a polyhedron's faces,
+        which `_face_facets` reads on the float images its cut made, in
+        that ring order.  A `Fraction` point is made once per vertex the
+        block returns."""
         affine = {}
-        empty, found, candidates = [], [], []
 
         def point(v):
             return affine.get(v) or affine.setdefault(v, to_affine(v))
 
-        for i, (cell, images) in enumerate(zip(self.cells, self.images), first):
-            cell = cell.compact()
-            empty.append(cell.empty)
-            if isinstance(cell, Polyhedron):
-                rings = ((f, _least(cell.vertices, f.ring)) for f in cell.faces)
-                cell = Polyhedron(cell.vertices, [Face(f.tag, f.ring[k:] + f.ring[:k]) for f, k in rings])
-                fv = [v for v in images if v is not None]
-                facets, vertices = _polyhedron_facets(cell, fv), _polyhedron_vertices(cell, i)
-            else:
-                k = _least(cell.vertices, range(len(cell.vertices)))
-                cell = Polygon(cell.vertices[k:] + cell.vertices[:k], cell.tags[k:] + cell.tags[:k])
-                facets, vertices = _polygon_facets(cell), _polygon_vertices(cell, i)
-            found += [((i, j) if i < j else (j, i), tuple(map(point, facet))) for j, facet in facets]
-            candidates += [(point(v), sites) for v, sites in vertices]
-        return empty, found, candidates
+        cells = list(enumerate(map(_least_first, self.cells), first))
+        if isinstance(self.cells[0], Polyhedron):
+            faces = [(i, cell, f) for i, cell in cells for f in cell.faces if f.tag is not BOX_TAG]
+            images = [[v for v in images if v is not None] for images in self.images]
+            rings = [[images[i - first][k] for k in f.ring] for i, _, f in faces]
+            K = max(map(len, rings), default=1)
+            U = np.array([r + r[:1] * (K - len(r)) for r in rings], dtype=float).reshape(-1, K, 3).transpose(2, 0, 1)
+            is_facet = _face_facets(U, np.array(list(map(len, rings)), dtype=np.intp)).tolist()
+            facets = [(i, f.tag, cell.points(f)) for (i, cell, f), yes in zip(faces, is_facet) if yes]
+            vertices = [v for i, cell in cells for v in _polyhedron_vertices(cell, i)]
+        else:
+            facets = [(i, j, facet) for i, cell in cells for j, facet in _polygon_facets(cell)]
+            vertices = [v for i, cell in cells for v in _polygon_vertices(cell, i)]
+        found = [((i, j) if i < j else (j, i), tuple(map(point, facet))) for i, j, facet in facets]
+        return [cell.empty for _, cell in cells], found, [(point(v), sites) for v, sites in vertices]
+
+
+def _least_first(cell):
+    """An exact cell compacted, each ring started at its least vertex."""
+    cell = cell.compact()
+    if isinstance(cell, Polyhedron):
+        rings = ((f, _least(cell.vertices, f.ring)) for f in cell.faces)
+        return Polyhedron(cell.vertices, [Face(f.tag, f.ring[k:] + f.ring[:k]) for f, k in rings])
+    k = _least(cell.vertices, range(len(cell.vertices)))
+    return Polygon(cell.vertices[k:] + cell.vertices[:k], cell.tags[k:] + cell.tags[:k])
 
 
 def _least(vertices, ring):
@@ -908,22 +889,6 @@ def _polygon_facets(poly):
             yield tag, (v0, v1)
 
 
-def _polyhedron_facets(polyh, fv):
-    """Radical faces of a polyhedron whose float area is above
-    FACET_MEASURE_TOL^2 and that meet the open unit ball (float); a face
-    with a vertex strictly inside the ball does at once.  fv: the float
-    images of the vertices."""
-    inside = [norm_sq(v) < 1 for v in fv]
-    for face in polyh.faces:
-        if face.tag is BOX_TAG:
-            continue
-        points = [fv[k] for k in face.ring]
-        if not face_area(points) > FACET_MEASURE_TOL * FACET_MEASURE_TOL:
-            continue
-        if any(inside[k] for k in face.ring) or face_min_norm_sq(points) < 1:
-            yield face.tag, tuple(polyh.points(face))
-
-
 def _polygon_vertices(poly, i):
     """Corners where two radical edges meet: cells i, previous and next tag."""
     for k, point in enumerate(poly.vertices):
@@ -944,15 +909,48 @@ def _polyhedron_vertices(polyh, i):
             yield point, frozenset(site_tags | {i})
 
 
-def _newell_sums(U, W, L):
-    """`clipping._newell_normal` of each ring, its edges' ends U and W
-    (coordinate, ring, position), L long: the terms summed in ring order
-    from 0.0."""
-    terms = np.stack((
-        (U[1] - W[1]) * (U[2] + W[2]), (U[2] - W[2]) * (U[0] + W[0]), (U[0] - W[0]) * (U[1] + W[1]),
-    ))
-    sums = np.cumsum(np.concatenate((np.zeros_like(terms[..., :1]), terms), axis=2), axis=2)
-    return sums[:, np.arange(len(L)), L]
+def _foot_inside(U, D):
+    """Whether the origin's foot on each segment U -> U + D (coordinate
+    first) lies strictly between its ends and strictly inside the unit
+    ball: the package's one segment test."""
+    dd = _dot(D, D)
+    t = -_dot(U, D) / dd
+    X = U + t * D
+    return (dd != 0) & (t > 0) & (t < 1) & (_dot(X, X) < 1.0)
+
+
+def _face_facets(U, L):
+    """Which faces, float rings U[coordinate, face, position] L long
+    (padded with anything), are facets: of area above FACET_MEASURE_TOL^2
+    by Newell's formula (its terms summed in ring order from 0.0), and
+    meeting the open unit ball at a vertex strictly inside, at an edge
+    (`_foot_inside`), or at the origin's foot on the face's plane, strictly
+    inside, where no two edges see it on opposite sides.  The package's
+    one face test: on float cells and on the images X / Z of exact ones."""
+    pos = np.arange(U.shape[2])
+    ring = pos < L[:, None]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        W = np.where(pos + 1 == L[:, None], U[..., :1], np.concatenate((U[..., 1:], U[..., :1]), axis=2))
+        terms = np.stack((
+            (U[1] - W[1]) * (U[2] + W[2]), (U[2] - W[2]) * (U[0] + W[0]), (U[0] - W[0]) * (U[1] + W[1]),
+        ))
+        n = np.cumsum(np.concatenate((np.zeros_like(terms[..., :1]), terms), axis=2), axis=2)[:, np.arange(len(L)), L]
+        nn = _dot(n, n)
+        big = 0.5 * np.sqrt(nn) > FACET_MEASURE_TOL * FACET_MEASURE_TOL
+        facet = big & (ring & (_dot(U, U) < 1.0)).any(axis=1)
+        rest = np.flatnonzero(big & ~facet)  # no vertex inside
+        U, W, n, nn, ring = U[:, rest], W[:, rest], n[:, rest], nn[rest], ring[rest]
+        D = W - U
+        foot = _dot(U[..., 0], n) / nn * n
+        R = foot[..., None] - U
+        side = (
+            0.0 + (D[1] * R[2] - D[2] * R[1]) * n[0, :, None] + (D[2] * R[0] - D[0] * R[2]) * n[1, :, None]
+            + (D[0] * R[1] - D[1] * R[0]) * n[2, :, None]
+        )
+        interior = (nn != 0) & (((side >= 0) | ~ring).all(axis=1) | ((side <= 0) | ~ring).all(axis=1))
+        interior &= _dot(foot, foot) < 1.0
+        facet[rest] = (ring & _foot_inside(U, D)).any(axis=1) | interior
+    return facet
 
 
 def _lockstep(cells, cell, tags, R):

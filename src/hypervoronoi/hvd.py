@@ -59,7 +59,7 @@ COLLINEAR_MIN_SPAN = 1e-15
 TILE_EXCLUDE_TOL = 1e-12
 # (sample, row) or (sample, site) values the labeller and the oracle hold at a time.
 BLOCK_VALUES = 1 << 16
-# Most a float site's Klein point may lie outside its own cell, on the
+# A float site's Klein point must lie strictly below this on each of its
 # cell's unit-normal rows (README: Tolerances).
 OWN_SITE_TOL = 0.0
 # Why a float build can lose a site's cell.
@@ -175,8 +175,8 @@ def voronoi(points, route: str = ROUTE_KLEIN) -> VoronoiDiagram:
     clipped to the unit ball; boundary surfaces are transported back to
     the input model at the input curvature.  A hyperbolic Voronoi cell
     holds its own site, so on float sites a cell the build leaves empty,
-    or one whose site's Klein point lies above OWN_SITE_TOL on one of its
-    rows (sites too near the boundary or too near each other for
+    or one whose site's Klein point is not below OWN_SITE_TOL on each of
+    its rows (sites too near the boundary or too near each other for
     float64), raises NumericalUnderflow naming the first such site,
     instead of making a wrong diagram.  Exact sites lie inside their
     cells by construction.
@@ -217,15 +217,16 @@ def voronoi(points, route: str = ROUTE_KLEIN) -> VoronoiDiagram:
 
 def _check_own_sites(cells, hubs, d):
     """Each float site's Klein point (its hub's last d coordinates) lies
-    on its own cell's side of every row, up to OWN_SITE_TOL on the
+    strictly inside its own cell: below OWN_SITE_TOL on each of the cell's
     unit-normal rows of `cell_matrices`."""
     _, offsets, _, A, b = cell_matrices([(i, cell.halfspaces) for i, cell in enumerate(cells)], d)
     kleins = np.array([as_floats(h[1:]) for h in hubs]).reshape(-1, d)
     worst = _extremes(A.T, b, offsets, np.arange(len(cells)), list(kleins.T))[0]
-    outside = np.flatnonzero(worst > OWN_SITE_TOL)
+    outside = np.flatnonzero(worst >= OWN_SITE_TOL)
     if len(outside):
         k = int(outside[0])
-        raise NumericalUnderflow(f"site {k}: it lies {worst[k]:.3g} outside its own cell in float64: {FLOAT_CAUSE}")
+        where = f"{worst[k]:.3g} outside" if worst[k] > 0 else "on the boundary of"
+        raise NumericalUnderflow(f"site {k}: it lies {where} its own cell in float64: {FLOAT_CAUSE}")
 
 
 def nearest_site(x: ModelPoint, points) -> tuple[int, tuple[int, ...]]:
@@ -442,16 +443,6 @@ def cell_matrices(cells, d: int) -> tuple:
     return np.array(sites, dtype=np.intp), offsets, np.array(neighbors, dtype=np.intp), columns.T, M[:, d] / norms
 
 
-def _row_values(a, b, x) -> np.ndarray:
-    """a . x + b for matching rows, from coordinate columns a[i] and x[i],
-    one coordinate at a time, so a value never depends on what else
-    shares the call."""
-    v = a[0] * x[0]
-    for i in range(1, len(x)):
-        v += a[i] * x[i]
-    return v + b
-
-
 def _extremes(a, b, offsets, cells, x) -> tuple:
     """The max row value and the least |row value| of each of `cells` at
     the point of coordinate columns x[i] (-inf and inf without rows).
@@ -466,7 +457,7 @@ def _extremes(a, b, offsets, cells, x) -> tuple:
     worst, near = np.full(len(cells), -np.inf), np.full(len(cells), np.inf)
     for j, e in enumerate(ends):
         row = base[:e] + j
-        v = _row_values([ai[row] for ai in a], b[row], [xi[:e] for xi in x])
+        v = cutting.side_values([xi[:e] for xi in x], [ai[row] for ai in a] + [b[row]])
         np.maximum(worst[:e], v, out=worst[:e])
         np.minimum(near[:e], np.abs(v, out=v), out=near[:e])
     worst[order], near[order] = worst.copy(), near.copy()
@@ -642,7 +633,7 @@ def _facet(x, table, site):
     if not len(k) or offsets[k[0]] == offsets[k[0] + 1]:
         return None
     rows = slice(offsets[k[0]], offsets[k[0] + 1])
-    v = _row_values(A.T[:, rows], b[rows], x)
+    v = cutting.side_values(x, [*A.T[:, rows], b[rows]])
     return int(neighbors[rows][np.argmax(v)])
 
 

@@ -20,6 +20,10 @@ from .scalars import norm_sq
 
 # Philox keys are 128-bit: verification seeds must lie in [0, SEED_LIMIT).
 SEED_LIMIT = 2**128
+# A stream's raw draw is one array of 8-byte outputs, whose size numpy
+# counts in bytes in a signed 64-bit integer: it holds fewer than
+# RAW_LIMIT outputs (see `count_limit`).
+RAW_LIMIT = 2**60
 # Raw 64-bit outputs per Philox counter step.
 _BLOCK = 4
 
@@ -28,6 +32,12 @@ def _outputs_per_sample(d: int) -> int:
     """ceil(d/2) Box-Muller pairs plus one radius uniform, in whole blocks."""
     used = 2 * -(-d // 2) + 1
     return _BLOCK * -(-used // _BLOCK)
+
+
+def count_limit(d: int) -> int:
+    """The least sample count at dimension d whose raw draw cannot be
+    indexed: counts must lie below it."""
+    return -(-RAW_LIMIT // _outputs_per_sample(d))
 
 
 def _ball_from_raw(raw: np.ndarray, d: int) -> np.ndarray:

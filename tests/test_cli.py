@@ -414,6 +414,25 @@ def test_verify_and_delaunay_outputs_are_pinned(tmp_path, command, route, dim, n
     assert hashlib.sha256(out.read_bytes()).hexdigest() == COMMAND_OUTPUT_SHA256[command, route, dim, n]
 
 
+# sha256 of the `render --model <model>` SVG of the Klein `compute` document
+# of `random_klein_points(200, 2, seed=1)`: every boundary's class (a
+# sphere, a hyperplane, ...) decides how the SVG draws it.
+RENDER_SHA256 = {
+    "klein": "18ba70567a74bd53d83d98e58049502d89711d42951f5a9b579769f26e466f28",
+    "poincare": "2539c2902c20811e4b854602d5c5566d6a59c550f234a0869568b74d844065b4",
+    "upper-half-space": "06913de0b3746425faf33adaf12bd72091e8f5f3e703565f8e034b763f617131",
+}
+
+
+@pytest.mark.parametrize("model", sorted(RENDER_SHA256))
+def test_render_outputs_are_pinned(tmp_path, model):
+    inp = write_point_set(tmp_path / "p.json", random_klein_points(200, 2, seed=1))
+    dia, out = tmp_path / "d.json", tmp_path / "d.svg"
+    assert main(["compute", str(inp), "-o", str(dia)]) == 0
+    assert main(["render", str(dia), "--model", model, "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RENDER_SHA256[model]
+
+
 def test_check_huge_exact_coefficients_report_as_scaled(tmp_path, capsys):
     # a stored halfspace times 10**400 is the same halfspace; its floats
     # would overflow without the power-of-two row scaling
@@ -606,6 +625,28 @@ def test_a_close_pair_near_the_boundary_is_a_typed_error(tmp_path, capsys, monke
     assert verify(dia, 2000).disagreements == 0
 
 
+@pytest.mark.parametrize("x, route", [(1e-6, "klein"), (1e-6, "hemisphere"), (1e-3, "klein")])
+def test_a_site_on_its_own_cell_s_row_is_a_typed_error(tmp_path, capsys, monkeypatch, x, route):
+    """Upper half-space points (0, 1e4) and (x, 1e4): float64 builds the
+    bisector x = 0, through site 0, where the exact build's lies midway
+    between the sites.  Site 0's row value is 0, not below OWN_SITE_TOL,
+    so the own-site test raises and `compute` exits 3."""
+    raw = [(0.0, 1e4), (x, 1e4)]
+    pts = [ModelPoint(ModelTag.UPPER_HALF_SPACE, p) for p in raw]
+    with pytest.raises(NumericalUnderflow, match="^site 0: it lies on the boundary of its own cell in float64") as err:
+        voronoi(pts, route=route)
+    inp, out = write_point_set(tmp_path / "p.json", raw, model="upper-half-space"), tmp_path / "d.json"
+    capsys.readouterr()
+    assert main(["compute", str(inp), "--route", route, "-o", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: domain: {err.value}\n"
+    assert not out.exists()
+    with monkeypatch.context() as m:
+        m.setattr(hvd, "OWN_SITE_TOL", math.inf)
+        dia = voronoi(pts, route=route)
+    hs = dia.complex.cells[0].halfspaces[1]
+    assert (hs.normal, hs.offset) == ((1.0, 0.0), 0.0)
+
+
 @pytest.mark.parametrize("corrupt", [False, True])
 @pytest.mark.parametrize("fixture", ["float", "exact"])
 def test_verify_and_stored_check_report_identically(tmp_path, capsys, fixture, corrupt):
@@ -715,6 +756,18 @@ def test_check_bad_sampling_arguments_exit_2(tmp_path, capsys, kind, args):
 def test_compute_bad_sampling_arguments_exit_2(tmp_path, capsys, args):
     inp, _ = stored_fixture(tmp_path)
     assert_parse_error(capsys, ["compute", str(inp), "-o", str(tmp_path / "o.json"), *args])
+
+
+@pytest.mark.parametrize("command, kind", [("check", "point-set"), ("check", "diagram"), ("compute", "point-set")])
+def test_a_sample_count_the_sampler_cannot_draw_exit_2(tmp_path, capsys, command, kind):
+    # 10**20 samples need more raw outputs than one numpy array can hold
+    inp, dia = stored_fixture(tmp_path)
+    argv = [command, str(inp if kind == "point-set" else dia)]
+    if command == "check":
+        assert_parse_error(capsys, argv + ["--samples", str(10**20)])
+    else:
+        assert_parse_error(capsys, argv + ["--verify", str(10**20), "-o", str(tmp_path / "o.json")])
+        assert not (tmp_path / "o.json").exists()
 
 
 def _set_site(cell, value):

@@ -785,7 +785,7 @@ def test_pair_table_is_the_python_rows(case, data):
     """Every column of `_pair_rows` is the Python row of the sites' float64
     images (`reference_radical_hyperplane`), on cell i's side, bit for bit,
     i < j and i > j, or both raise a typed error; `radical_hyperplane`
-    returns that row unless both sites are exact; `_side_table` gives
+    returns that row unless both sites are exact; `side_values` gives
     `clipping._side_values` at the same vertices."""
     d, sites = case
     n = len(sites)
@@ -797,7 +797,7 @@ def test_pair_table_is_the_python_rows(case, data):
     zero = st.sampled_from([0.0, -0.0])
     verts = data.draw(st.lists(st.tuples(*[scalar] * d) | st.tuples(*[zero] * d), min_size=1, max_size=6))
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = cutting._side_table(np.array(verts, dtype=float).T[:, :, None], table).T.tolist()
+        vals = cutting.side_values(np.array(verts, dtype=float).T[:, :, None], table).T.tolist()
     for p, (i, j) in enumerate(zip(home.tolist(), tags.tolist())):
         lo, hi = min(i, j), max(i, j)
         try:  # identical images, or a row that rounds to zero

@@ -44,6 +44,7 @@ from util import (
     canonical_halfspace,
     cocircular_square,
     cut_and_build,
+    face_area,
     least_first,
     linear_merge_near,
     plain_cut_block,
@@ -1137,12 +1138,12 @@ def test_polyhedron_array_reader_equals_python_reader(monkeypatch, fixture, clip
 
 
 def test_polyhedron_reader_takes_areas_at_the_bound_from_face_area(monkeypatch):
-    # an area at FACET_MEASURE_TOL^2 or next to it is read as `clipping.face_area` reads it
+    # an area at FACET_MEASURE_TOL^2 or next to it is read as the reference `face_area` reads it
     cells = cutting._Polyhedra(clipping.box_polyhedron(1.0), 1)
     cells.cut(np.array([0]), np.array([[0.6], [0.8], [0.0], [-0.5], [0.0], [0.0]]), np.array([7]))
     cell = block_shapes(cells)[0]
     face = next(f for f in cell.faces if f.tag == 7)
-    area = clipping.face_area([cell.vertices[k] for k in face.ring])
+    area = face_area([cell.vertices[k] for k in face.ring])
     for tol in (math.sqrt(area), math.nextafter(math.sqrt(area), 0.0), math.nextafter(math.sqrt(area), 1.0)):
         fresh = cutting._Polyhedra(clipping.box_polyhedron(1.0), 1)
         fresh.cut(np.array([0]), np.array([[0.6], [0.8], [0.0], [-0.5], [0.0], [0.0]]), np.array([7]))

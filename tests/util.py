@@ -12,7 +12,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypervoronoi import ModelPoint, ModelTag, build_complex, classify, clipping, convert, cutting, geodesic, power
+from hypervoronoi import ModelPoint, ModelTag, build_complex, clipping, convert, cutting, geodesic, power
+from hypervoronoi.bisectors import CLASSIFY_TOL, SurfaceClass
 from hypervoronoi.clipping import BOX_TAG, Face, Polygon, Polyhedron
 from hypervoronoi.cutting import ROUNDS_TO_ZERO
 from hypervoronoi.documents import (
@@ -24,10 +25,10 @@ from hypervoronoi.documents import (
     encode_number,
     encode_vector,
 )
-from hypervoronoi.errors import CoincidentSites, DegenerateSurface
+from hypervoronoi.errors import CoincidentSites
 from hypervoronoi.hvd import COLLINEAR_MIN_SPAN
 from hypervoronoi.power import Halfspace, WeightedSite
-from hypervoronoi.scalars import all_exact, as_floats, dot, is_exact, norm_sq, vsub
+from hypervoronoi.scalars import all_exact, as_floats, dot, is_exact, norm_sq, row_floats, vsub
 
 ALL_MODELS = (
     ModelTag.KLEIN,
@@ -139,10 +140,66 @@ def least_first(shape):
     return Polyhedron(shape.vertices, [Face(f.tag, r) for f, r in zip(shape.faces, rings)])
 
 
+def segment_min_norm_sq(v0, v1):
+    """min over the segment [v0, v1] of squared distance to the origin:
+    the scalar reference of `cutting._foot_inside`."""
+    d = vsub(v1, v0)
+    dd = norm_sq(d)
+    if dd == 0:
+        return norm_sq(v0)
+    t = -dot(v0, d) / dd
+    if t <= 0:
+        return norm_sq(v0)
+    if t >= 1:
+        return norm_sq(v1)
+    w = tuple(a + t * b for a, b in zip(v0, d))
+    return norm_sq(w)
+
+
+def _newell_normal(fv) -> list:
+    """Newell's normal of a float ring: its length is twice the area."""
+    n = [0.0, 0.0, 0.0]
+    for u, w in zip(fv, fv[1:] + fv[:1]):
+        n[0] += (u[1] - w[1]) * (u[2] + w[2])
+        n[1] += (u[2] - w[2]) * (u[0] + w[0])
+        n[2] += (u[0] - w[0]) * (u[1] + w[1])
+    return n
+
+
+def face_area(verts) -> float:
+    """Area via Newell's formula (float verts, assumed planar, ordered);
+    squares by multiplication, as `cutting._face_facets` takes them."""
+    n = _newell_normal(verts)
+    return 0.5 * math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
+
+
+def face_min_norm_sq(verts) -> float:
+    """min squared distance from the origin to a planar convex face (float)."""
+    fv = [as_floats(v) for v in verts]
+    edges = list(zip(fv, fv[1:] + fv[:1]))
+    best = min(min(norm_sq(v) for v in fv), min(float(segment_min_norm_sq(u, w)) for u, w in edges))
+    # interior: the origin's foot on the face plane, inside when no two
+    # edges see it on opposite sides
+    n = _newell_normal(fv)
+    nn = norm_sq(n)
+    if nn == 0:
+        return best
+    t = dot(fv[0], n) / nn
+    foot = [t * c for c in n]
+    sides = []
+    for u, w in edges:
+        e, r = vsub(w, u), vsub(foot, u)
+        cr = (e[1] * r[2] - e[2] * r[1], e[2] * r[0] - e[0] * r[2], e[0] * r[1] - e[1] * r[0])
+        sides.append(dot(cr, n))
+    if all(x >= 0 for x in sides) or all(x <= 0 for x in sides):
+        best = min(best, norm_sq(foot))
+    return best
+
+
 def ball_test(points):
     """Which points lie strictly inside the unit ball, and whether the
     segment between points k and j meets it."""
-    return [norm_sq(v) < 1 for v in points], lambda k, j: clipping.segment_min_norm_sq(points[k], points[j]) < 1
+    return [norm_sq(v) < 1 for v in points], lambda k, j: segment_min_norm_sq(points[k], points[j]) < 1
 
 
 def polygon_facets(poly, exact):
@@ -165,9 +222,20 @@ def polygon_facets(poly, exact):
 
 
 def polyhedron_facets(polyh):
-    """`cutting._polyhedron_facets` of a polyhedron on affine vertices,
-    their float64 images taken once."""
-    return cutting._polyhedron_facets(polyh, [as_floats(v) for v in polyh.vertices])
+    """Radical faces of a polyhedron on affine vertices, their float64
+    images taken once, whose `face_area` is above FACET_MEASURE_TOL^2 and
+    that meet the open unit ball: a vertex strictly inside, or
+    `face_min_norm_sq` below 1 (the reference of `cutting._face_facets`)."""
+    fv = [as_floats(v) for v in polyh.vertices]
+    inside = [norm_sq(v) < 1 for v in fv]
+    for face in polyh.faces:
+        if face.tag is BOX_TAG:
+            continue
+        points = [fv[k] for k in face.ring]
+        if not face_area(points) > cutting.FACET_MEASURE_TOL * cutting.FACET_MEASURE_TOL:
+            continue
+        if any(inside[k] for k in face.ring) or face_min_norm_sq(points) < 1:
+            yield face.tag, tuple(polyh.points(face))
 
 
 def block_shapes(block):
@@ -586,10 +654,19 @@ def reference_radical_hyperplane(s_i: WeightedSite, s_j: WeightedSite) -> Halfsp
 
 
 def _surface_class_name(surface) -> str:
-    try:
-        return classify(surface).value
-    except DegenerateSurface:
-        return "degenerate"
+    """`classify(surface).value`, "degenerate" where it raises: the scalar
+    reference of `bisectors.classify_rows`."""
+    coeffs = row_floats(surface.coefficients())
+    bound = CLASSIFY_TOL * max(abs(c) for c in coeffs)
+    lam, b = coeffs[0], coeffs[-1]
+    if abs(lam) <= bound:
+        if surface.model is ModelTag.HEMISPHERE and abs(coeffs[1]) <= bound:
+            return SurfaceClass.VERTICAL_SPHERE.value
+        if abs(b) <= bound:
+            return SurfaceClass.HYPERPLANE_THROUGH_ORIGIN.value
+        return SurfaceClass.HYPERPLANE.value
+    radius_sq = sum(c * c for c in coeffs[1:-1]) / (4 * lam * lam) - b / lam
+    return "degenerate" if radius_sq <= 0 else SurfaceClass.SPHERE.value
 
 
 def reference_document(
@@ -702,7 +779,7 @@ def reference_document(
 
 
 def _reference_values(A, b, X):
-    """Row values, rows x samples, with `hvd._row_values`' arithmetic."""
+    """Row values, rows x samples, summed coordinate by coordinate."""
     vals = A[:, 0, None] * X[:, 0]
     for i in range(1, X.shape[1]):
         vals += A[:, i, None] * X[:, i]
