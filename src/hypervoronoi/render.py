@@ -16,16 +16,16 @@ import math
 from .bisectors import (
     ImplicitSurface,
     SurfaceClass,
-    classify,
+    classify_rows,
     scale_surface,
     sphere_center_radius,
     transport_surface,
 )
 from .conversions import from_hub, hub_coords, lift_to_hemisphere
 from .documents import DiagramDocument
-from .errors import DegenerateSurface, DimensionUnsupported
+from .errors import DimensionUnsupported
 from .models import Curvature, ModelTag, UNIT_CURVATURE
-from .scalars import as_floats
+from .scalars import as_floats, row_floats
 
 RENDER_MODELS = (ModelTag.KLEIN, ModelTag.POINCARE, ModelTag.UPPER_HALF_SPACE)
 
@@ -176,6 +176,11 @@ def render_svg(
         s = ImplicitSurface(lam, a, b, doc.input.model)
         unit = scale_surface(s, curvature, to_unit=True)
         surfaces[pair] = transport_surface(unit, model)
+    # their classes, all at once (`classify` of each); the Klein model draws straight lines
+    classes = {}
+    if surfaces and model is not ModelTag.KLEIN:
+        rows = [row_floats(surface.coefficients()) for surface in surfaces.values()]
+        classes = dict(zip(surfaces, classify_rows(rows, model)))
 
     # facet curves, as drawable primitives in the render model
     elements = []
@@ -191,17 +196,11 @@ def render_svg(
         midc = tuple(0.5 * (a + b) for a, b in zip(v0, v1))
         pm = _chart_to_model(midc, model)
         world_points.extend([p0, p1, pm])
-        surface = surfaces.get(pair)
         kind = "line"
         center = radius = None
-        if model is not ModelTag.KLEIN and surface is not None:
-            try:
-                cls = classify(surface)
-            except DegenerateSurface:
-                cls = None
-            if cls is SurfaceClass.SPHERE:
-                center, radius = sphere_center_radius(surface)
-                kind = "arc" if math.isfinite(radius) and radius < 50.0 else "sampled"
+        if classes.get(pair) == SurfaceClass.SPHERE.value:
+            center, radius = sphere_center_radius(surfaces[pair])
+            kind = "arc" if math.isfinite(radius) and radius < 50.0 else "sampled"
         curves.append((kind, pair, v0, v1, p0, p1, pm, center, radius))
         if kind == "arc":
             world_points.append((center[0], center[1] + radius))
